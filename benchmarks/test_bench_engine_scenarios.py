@@ -1,15 +1,15 @@
-"""Scenario-diverse DSE engine sweep (paper Section VII generalized).
+"""Scenario-diverse DSE sweep (paper Section VII generalized).
 
-Drives the :class:`DSEEngine` over the :func:`scenario_sweep` suite — the
-public-style kernels (FIR, matmul, DCT butterfly, FFT stage, Sobel) plus
-seeded random layered designs at several sizes — each swept over several
-latencies.  This generalizes the DSE harness beyond the paper's IDCT and
-stands in for the "over 100 customer designs" experiment: the reproduction
-target is a positive average saving across scenarios with some scenarios
-showing little or no gain.
+Runs every :func:`scenario_sweep` scenario — the public-style kernels (FIR,
+matmul, DCT butterfly, FFT stage, Sobel) plus seeded random layered designs
+at several sizes, each over several latencies — through one
+:class:`SweepSession`.  This generalizes the DSE harness beyond the paper's
+IDCT and stands in for the "over 100 customer designs" experiment: the
+reproduction target is a positive average saving across scenarios with some
+scenarios showing little or no gain.
 """
 
-from repro.flows import format_table, scenario_sweep
+from repro.flows import SweepSession, format_table, scenario_sweep
 
 
 def test_engine_scenario_sweep(benchmark, library):
@@ -18,8 +18,8 @@ def test_engine_scenario_sweep(benchmark, library):
     def sweep():
         results = {}
         for scenario in scenarios:
-            result = scenario.run(library, executor="serial")
-            result.raise_on_errors()
+            result = SweepSession(scenario.factory, library).run(scenario.points)
+            result.raise_on_failures()
             results[scenario.name] = result
         return results
 
@@ -29,17 +29,16 @@ def test_engine_scenario_sweep(benchmark, library):
     savings = []
     total_points = 0
     for name, result in results.items():
-        view = result.to_dse_result()
-        average = view.average_saving_percent()
+        average = result.average_saving_percent()
         savings.append(average)
         total_points += len(result.entries)
         rows.append([name, str(len(result.entries)), f"{average:.1f}",
-                     f"{view.wall_time_seconds:.2f}"])
+                     f"{result.wall_time_seconds:.2f}"])
     overall = sum(savings) / len(savings)
     rows.append(["Average", str(total_points), f"{overall:.1f}", ""])
     print()
     print(format_table(["scenario", "points", "Save %", "wall (s)"], rows,
-                       title="Engine scenario sweep "
+                       title="Scenario sweep "
                              "(paper: ~5 % average customer-design saving)"))
 
     benchmark.extra_info["scenarios"] = len(scenarios)

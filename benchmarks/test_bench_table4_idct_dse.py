@@ -20,7 +20,7 @@ import pytest
 
 from conftest import idct_rows
 from repro.flows import (
-    DSEEngine,
+    SweepSession,
     format_table,
     idct_design_points,
     run_dse,
@@ -44,12 +44,15 @@ def dse_result(library):
     return run_dse(IDCTPointFactory(rows=idct_rows()), library, points)
 
 
+#: Worker processes of the parallel sweep below.
+WORKERS = 2
+
+
 @pytest.fixture(scope="module")
-def engine_result(library):
+def pooled_result(library):
     points = idct_design_points(clock_period=CLOCK)
-    engine = DSEEngine(IDCTPointFactory(rows=idct_rows()), library, points,
-                       executor="process", max_workers=2)
-    return engine.run()
+    session = SweepSession(IDCTPointFactory(rows=idct_rows()), library)
+    return session.run(points, workers=WORKERS)
 
 
 def test_table4_area_savings(benchmark, dse_result):
@@ -96,28 +99,27 @@ def test_section7_exploration_ranges(benchmark, dse_result):
 
 
 def test_parallel_engine_matches_serial_and_records_wall_time(
-        benchmark, dse_result, engine_result):
-    """The engine's 2-worker sweep must agree with the serial baseline
-    entry for entry; both wall times are recorded for trend tracking."""
-    assert not engine_result.errors
-    assert ([entry.metrics() for entry in engine_result.entries]
-            == [entry.metrics() for entry in dse_result.entries])
+        benchmark, dse_result, pooled_result):
+    """``SweepSession.run(points, workers=2)`` must agree with the serial
+    baseline entry for entry, byte for byte; both wall times are recorded
+    for trend tracking."""
+    assert not pooled_result.failures
+    assert json.dumps(pooled_result.metrics_list(), sort_keys=True) \
+        == json.dumps(dse_result.metrics_list(), sort_keys=True)
 
     benchmark.extra_info["serial_wall_s"] = round(dse_result.wall_time_seconds, 3)
-    benchmark.extra_info["engine_wall_s"] = round(
-        engine_result.wall_time_seconds, 3)
-    benchmark.extra_info["engine_executor"] = engine_result.executor
-    benchmark.extra_info["engine_workers"] = engine_result.max_workers
+    benchmark.extra_info["pool_wall_s"] = round(
+        pooled_result.wall_time_seconds, 3)
+    benchmark.extra_info["pool_workers"] = WORKERS
     print()
     print(format_table(
         ["harness", "wall time (s)"],
         [["serial run_dse", f"{dse_result.wall_time_seconds:.2f}"],
-         [f"DSEEngine ({engine_result.executor}, "
-          f"{engine_result.max_workers} workers)",
-          f"{engine_result.wall_time_seconds:.2f}"]],
-        title="Table 4 sweep wall time, serial vs parallel engine",
+         [f"SweepSession.run(workers={WORKERS})",
+          f"{pooled_result.wall_time_seconds:.2f}"]],
+        title="Table 4 sweep wall time, serial vs process pool",
     ))
-    benchmark.pedantic(lambda: engine_result.wall_time_seconds,
+    benchmark.pedantic(lambda: pooled_result.wall_time_seconds,
                        rounds=1, iterations=1)
 
 

@@ -4,7 +4,7 @@
 Demonstrates the exploration layer end to end:
 
 1. run an **adaptive** exploration (coarse grid + guided bisection) of the
-   IDCT latency axis through the DSE engine, persisting every evaluated
+   IDCT latency axis through ``SweepSession.run``, persisting every evaluated
    point to a JSONL result store,
 2. run the **dense** grid over the same store — every point the adaptive
    pass already evaluated is restored for free,
@@ -41,7 +41,7 @@ def main():
     lo, hi = (int(part) for part in (sys.argv[2] if len(sys.argv) > 2
                                      else "8:32").split(":"))
     store_path = sys.argv[3] if len(sys.argv) > 3 else os.path.join(
-        tempfile.mkdtemp(prefix="repro-explore-"), "idct.jsonl")
+        tempfile.mkdtemp(prefix="repro-pareto-"), "idct.jsonl")
 
     library = tsmc90_library()
     factory = IDCTPointFactory(rows=rows)

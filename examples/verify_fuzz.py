@@ -2,9 +2,10 @@
 
 Runs a short seeded fuzzing campaign over the repo's differential oracles
 (incremental vs. reference timing, Bellman-Ford vs. topological slack,
-executor modes, analysis cache, Pareto invariants), then demonstrates the
-shrinker on an artificial "bug" — an injected oracle that bans multipliers —
-to show how a failing scenario collapses to a minimal reproducer.
+batched vs. per-point sweeps, analysis cache, Pareto invariants), then
+demonstrates the shrinker on an artificial "bug" — an injected oracle that
+bans multipliers — to show how a failing scenario collapses to a minimal
+reproducer.
 
 Usage::
 

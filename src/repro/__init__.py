@@ -21,7 +21,7 @@ The package implements a complete high-level-synthesis (HLS) research stack:
 * :mod:`repro.explore` — the exploration layer on top of the sweeps:
   adaptive Pareto-front recovery with far fewer flow evaluations, a
   persistent fingerprint-keyed result store, frontier comparison across
-  workloads/flows and the ``repro-explore`` CLI.
+  workloads/flows and the ``repro explore`` CLI.
 * :mod:`repro.workloads` — the paper's kernels (interpolation, resizer, IDCT)
   and additional public-style kernels.
 * :mod:`repro.campaign` — sharded campaigns over the JSONL stores: a
@@ -79,7 +79,6 @@ _PUBLIC_API = {
     "run_dse": "repro.flows.dse",
     "idct_design_points": "repro.flows.dse",
     "latency_grid": "repro.flows.dse",
-    "DSEEngine": "repro.flows.engine",
     "PointArtifacts": "repro.flows.pipeline",
     "conventional_flow": "repro.flows.conventional",
     "slack_based_flow": "repro.flows.slack_based",

@@ -20,7 +20,7 @@ The spec comes from ``--spec PATH`` or ``--nightly`` (the built-in nightly
 campaign); ``--seed`` / ``--seed-from-date`` and ``--shards`` override the
 spec so CI can pin the fleet size and vary the seed per night.
 
-Also available as ``python -m repro.campaign``.
+Also available as ``python -m repro campaign``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ runs exactly the slice :func:`repro.campaign.spec.plan_shards` assigns to
   (the :class:`repro.explore.store.ResultStore` dialect);
 * ``shard-metrics.json`` — the shard's manifest and telemetry: the shard
   plan it executed, the fuzz report summary (iterations, scenario digest,
-  per-oracle counts), sweep-session reuse statistics, the
+  per-oracle counts), sweep-session reuse statistics and failed sweep
+  points, the
   :func:`repro.obs.metrics.snapshot` counters (oracle pass/fail/crash,
   sweep full/delta) and the unified :func:`~repro.obs.metrics.cache_stats`.
 
@@ -100,6 +101,8 @@ def _run_sweep_stage(spec: CampaignSpec, plan: ShardPlan, library,
             "points": len(points),
             "scheduling": job.scheduling,
             "session": session.stats.as_dict(),
+            "failures": [{"point": failure.point.name, "error": failure.error}
+                         for failure in result.failures],
         })
     return summaries
 

@@ -43,7 +43,7 @@ from repro.flows.dse import DesignPoint
 SPEC_SCHEMA = 1
 
 #: Workloads a sweep/exploration job may name (the same registry the
-#: ``repro-explore`` CLI exposes; resolved by
+#: ``repro explore`` CLI exposes; resolved by
 #: :func:`repro.workloads.factories.resolve_factory`).
 def _known_workloads() -> Tuple[str, ...]:
     from repro.workloads.factories import KERNEL_BUILDERS

@@ -7,12 +7,12 @@ One console script with a subcommand per subsystem::
     repro sweep ...     # batched Table-4-style sweep via SweepSession
 
 ``repro explore`` and ``repro verify`` forward their remaining arguments to
-the existing subsystem CLIs unchanged, so everything those tools accept
-works here too; the ``repro-explore`` and ``repro-verify`` console scripts
-remain as aliases.  ``repro sweep`` is the session API's own entry point:
-it runs the paper's 15-point IDCT sweep (or a custom latency grid) through
-one :class:`repro.flows.sweep.SweepSession` and prints the Table-4 area
-comparison plus the session's reuse statistics.
+the subsystem CLIs unchanged.  ``repro sweep`` is the session API's own
+entry point: it runs the paper's 15-point IDCT sweep (or a custom latency
+grid) through one :class:`repro.flows.sweep.SweepSession` and prints the
+Table-4 area comparison plus the session's reuse statistics.  A point that
+fails is left out of the table and reported on stderr, and the command
+exits 1.  ``python -m repro`` runs the same dispatcher.
 
 Observability hooks (see :mod:`repro.obs`)::
 
@@ -141,12 +141,17 @@ def _sweep_main(argv: Sequence[str]) -> int:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 1
 
-    header, rows = table4_rows(result)
-    print(format_table(
-        header, rows,
-        title=f"Sweep: {len(result.entries)} point(s), IDCT rows={args.rows}, "
-              f"T={args.clock:.0f} ps — {result.wall_time_seconds:.2f} s"))
-    print(f"average saving: {result.average_saving_percent():.1f} %")
+    if result.entries:
+        header, rows = table4_rows(result)
+        print(format_table(
+            header, rows,
+            title=f"Sweep: {len(result.entries)} point(s), IDCT "
+                  f"rows={args.rows}, T={args.clock:.0f} ps — "
+                  f"{result.wall_time_seconds:.2f} s"))
+        print(f"average saving: {result.average_saving_percent():.1f} %")
+    for failure in result.failures:
+        print(f"repro sweep: {failure.point.name} failed: {failure.error}",
+              file=sys.stderr)
     if args.stats:
         stats = session.stats.as_dict()
         print(format_table(
@@ -157,7 +162,7 @@ def _sweep_main(argv: Sequence[str]) -> int:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(result.metrics_list(), handle, indent=1, sort_keys=True)
         print(f"wrote {args.json}")
-    return 0
+    return 1 if result.failures else 0
 
 
 def _run_command(command: str, rest: Sequence[str]) -> Optional[int]:

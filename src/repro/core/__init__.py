@@ -17,7 +17,7 @@
   Figure 8 (slack-guided scheduling with re-budgeting after every edge).
 * :mod:`repro.core.analysis_cache` — keyed, bounded caches for the pure
   per-design analyses (point artifacts, pinned spans/timed DFGs,
-  sequential-slack results) shared by the flows and the DSE engine.
+  sequential-slack results) shared by the flows and the sweep sessions.
 * :mod:`repro.core.graphkit` — the compact CSR graph substrate the timing
   kernels run on (interned node indices, array-backed adjacency, cached
   topological orders); the ``*_reference`` functions keep the original

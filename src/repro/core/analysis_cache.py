@@ -1,6 +1,6 @@
 """Keyed, bounded caches for the per-design analyses.
 
-The flows and the DSE engine recompute the same pure analyses over and over:
+The flows and the sweep sessions recompute the same pure analyses over and over:
 
 * **point artifacts** — :class:`~repro.core.latency.LatencyAnalysis`,
   :class:`~repro.core.opspan.OperationSpans` and the timed DFG depend only on
@@ -272,5 +272,5 @@ _default_cache = AnalysisCache()
 
 
 def default_cache() -> AnalysisCache:
-    """The process-wide cache shared by the flows and the DSE engine."""
+    """The process-wide cache shared by the flows and the sweep sessions."""
     return _default_cache

@@ -1,13 +1,13 @@
 """repro.explore — adaptive design-space exploration with Pareto analytics.
 
-The exploration layer sits on top of the sweep engine
-(:mod:`repro.flows.engine`) and turns raw sweeps into guided exploration:
+The exploration layer sits on top of the sweep session
+(:mod:`repro.flows.sweep`) and turns raw sweeps into guided exploration:
 
 * :mod:`repro.explore.pareto` — n-dimensional Pareto-front extraction over
   configurable objectives, (epsilon-)dominance, hypervolume, knee points
   and coverage;
 * :mod:`repro.explore.adaptive` — :class:`AdaptiveExplorer`, a coarse-grid
-  + guided-bisection driver that re-uses :class:`repro.flows.engine.DSEEngine`
+  + guided-bisection driver that re-uses :class:`repro.flows.sweep.SweepSession`
   for batched evaluation and skips structurally identical points via
   :func:`repro.core.analysis_cache.design_fingerprint`;
 * :mod:`repro.explore.store` — :class:`ResultStore`, an append-only,
@@ -16,8 +16,7 @@ The exploration layer sits on top of the sweep engine
 * :mod:`repro.explore.compare` — frontier diffs across workloads, flows and
   exploration modes;
 * :mod:`repro.explore.report` — JSON / markdown frontier reports;
-* :mod:`repro.explore.cli` — the ``repro-explore`` console entry point
-  (also ``python -m repro.explore``).
+* :mod:`repro.explore.cli` — the ``repro explore`` subcommand.
 """
 
 from repro.explore.pareto import (

@@ -6,9 +6,9 @@ though most of the curve is flat.  :class:`AdaptiveExplorer` spends flow
 evaluations only where the area/latency trade-off has structure:
 
 1. **Coarse wave** — an evenly spaced subgrid of the candidate latencies
-   (endpoints always included) is evaluated through
-   :class:`repro.flows.engine.DSEEngine` (batched, parallel, per-point
-   error isolation).
+   (endpoints always included) is evaluated through one
+   :meth:`repro.flows.sweep.SweepSession.run` (batched, over a process
+   pool of ``workers``).
 2. **Refinement waves** — between consecutive evaluated points the driver
    bisects (successive bisection over the swept latency budget) while the
    local evidence says the frontier may have structure there:
@@ -48,13 +48,13 @@ recovery quality and the saved work.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.flows.dse import DesignPoint
-from repro.flows.engine import DSEEngine
 from repro.flows.sweep import SweepSession
 from repro.explore.pareto import (
     OBJECTIVE_SENSES,
@@ -168,7 +168,7 @@ class AdaptiveExplorer:
     design_factory:
         Maps a :class:`DesignPoint` to a design (see
         :mod:`repro.workloads.factories`); picklable factories unlock the
-        engine's process pool.
+        process pool.
     library:
         Resource library shared by all points.
     latencies:
@@ -185,12 +185,13 @@ class AdaptiveExplorer:
         Optional :class:`ResultStore`; hits skip flow evaluation, results
         are appended, so a re-run of any exploration is free.
     evaluate_batch:
-        Testing/simulation hook replacing the engine: a callable mapping a
+        Testing/simulation hook replacing the flows: a callable mapping a
         list of :class:`DesignPoint` to a list of metrics dicts.  Store and
         fingerprint reuse still apply around it.
-    engine_kwargs:
-        Extra :class:`DSEEngine` arguments (executor, max_workers,
-        progress, ...).
+    workers:
+        Worker processes per evaluation wave (default: one per CPU).  A
+        wave with one pending point, or a factory that does not pickle,
+        runs serially in this process.
     ii_values:
         Switches the swept axis from latency to the initiation interval:
         one pipelined design point per candidate II, all at the single
@@ -220,7 +221,7 @@ class AdaptiveExplorer:
         workload: str = "",
         evaluate_batch: Optional[Callable[[List[DesignPoint]],
                                           List[Mapping[str, object]]]] = None,
-        engine_kwargs: Optional[Dict[str, object]] = None,
+        workers: Optional[int] = None,
         ii_values: Optional[Sequence[int]] = None,
         scheduling: Optional[str] = None,
     ):
@@ -279,7 +280,7 @@ class AdaptiveExplorer:
         self.workload = workload or getattr(design_factory, "__class__",
                                             type(design_factory)).__name__
         self.evaluate_batch = evaluate_batch
-        self.engine_kwargs = dict(engine_kwargs or {})
+        self.workers = workers if workers is not None else (os.cpu_count() or 1)
         # Session state.
         self._curve: Dict[int, Mapping[str, object]] = {}
         self._by_key: Dict[StoreKey, Mapping[str, object]] = {}
@@ -287,9 +288,9 @@ class AdaptiveExplorer:
         self._engine_evaluations = 0
         self._restored = 0
         self._deduplicated = 0
-        # One sweep session spans every refinement wave, so serial engine
-        # runs keep their interned designs and artifact bundles warm from
-        # wave to wave (pool executors ignore it — workers cannot share).
+        # One sweep session spans every refinement wave, so serial waves
+        # keep their interned designs and artifact bundles warm from wave
+        # to wave (pool workers evaluate through sessions of their own).
         self._session: Optional[SweepSession] = None
 
     # -- evaluation --------------------------------------------------------------
@@ -316,7 +317,7 @@ class AdaptiveExplorer:
                                 flow=self.flow)[0]
 
     def _evaluate(self, latencies: Sequence[int]) -> None:
-        """Resolve each latency via dedup, store, then the engine."""
+        """Resolve each latency via dedup, store, then the flows."""
         pending: List[Tuple[int, DesignPoint, StoreKey]] = []
         pending_keys: Set[StoreKey] = set()
         followers: List[Tuple[int, StoreKey]] = []
@@ -363,21 +364,14 @@ class AdaptiveExplorer:
                 raise ReproError("evaluate_batch returned a result count "
                                  "mismatching its input points")
         else:
-            engine_kwargs = dict(self.engine_kwargs)
-            engine_kwargs.setdefault("scheduling", self.scheduling)
-            if "session" not in engine_kwargs:
-                if self._session is None:
-                    self._session = SweepSession(
-                        self.design_factory, self.library,
-                        margin_fraction=self.margin_fraction,
-                        scheduling=self.scheduling)
-                engine_kwargs["session"] = self._session
-            engine = DSEEngine(self.design_factory, self.library, points,
-                               margin_fraction=self.margin_fraction,
-                               **engine_kwargs)
-            result = engine.run()
-            result.raise_on_errors()
-            metrics_list = [outcome.metrics for outcome in result.outcomes]
+            if self._session is None:
+                self._session = SweepSession(
+                    self.design_factory, self.library,
+                    margin_fraction=self.margin_fraction,
+                    scheduling=self.scheduling)
+            result = self._session.run(points, workers=self.workers)
+            result.raise_on_failures()
+            metrics_list = [entry.metrics() for entry in result.entries]
 
         for (latency, point, key), metrics in zip(pending, metrics_list):
             if metrics is None:

@@ -1,15 +1,16 @@
-"""``repro-explore`` — the exploration subsystem's command-line front end.
+"""``repro explore`` — the exploration subsystem's command-line front end.
 
 Runs an adaptive (default) or dense latency exploration of one workload,
 prints the frontier, and optionally persists the result store plus JSON /
 markdown reports::
 
-    repro-explore --workload idct --rows 2 --latencies 8:32 --clock 1500 \\
+    repro explore --workload idct --rows 2 --latencies 8:32 --clock 1500 \\
         --store sweeps.jsonl --json frontier.json --markdown frontier.md
 
-    repro-explore --workload fir --param taps=8 --latencies 4:12 --dense
+    repro explore --workload fir --param taps=8 --latencies 4:12 --dense
 
-Also available as ``python -m repro.explore``.
+A rerun with the same ``--store`` resumes: stored points are restored, not
+re-evaluated.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _factory_for(args: argparse.Namespace):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-explore",
+        prog="repro explore",
         description="Adaptive Pareto exploration of an HLS workload's "
                     "latency/area design space.")
     parser.add_argument("--workload", choices=_WORKLOADS, default="idct")
@@ -98,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--markdown", default=None, metavar="PATH",
                         help="write the frontier report as markdown")
     parser.add_argument("--workers", type=int, default=None,
-                        help="DSE-engine worker count")
+                        help="worker processes per evaluation wave "
+                             "(default: one per CPU)")
     return parser
 
 
@@ -121,11 +123,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                     width_stop=args.width_stop),
             store=store,
             workload=args.workload,
-            engine_kwargs={"max_workers": args.workers} if args.workers else None,
+            workers=args.workers,
         )
         result = explorer.explore_dense() if args.dense else explorer.explore()
     except ReproError as exc:
-        print(f"repro-explore: {exc}", file=sys.stderr)
+        print(f"repro explore: {exc}", file=sys.stderr)
         return 1
 
     title = (f"{result.workload} {result.mode} frontier "

@@ -1,7 +1,7 @@
 """n-dimensional Pareto-front analytics over DSE sweep metrics.
 
 The sweep harnesses (:func:`repro.flows.dse.run_dse`,
-:class:`repro.flows.engine.DSEEngine`, :class:`repro.explore.adaptive.AdaptiveExplorer`)
+:class:`repro.flows.sweep.SweepSession`, :class:`repro.explore.adaptive.AdaptiveExplorer`)
 produce JSON-safe per-point metrics dicts (the shape of
 :meth:`repro.flows.dse.DSEEntry.metrics`).  This module turns those records
 into :class:`FrontPoint` objective vectors and provides the classic

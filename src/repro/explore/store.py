@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.analysis_cache import design_fingerprint
 from repro.core.jsonl import (
@@ -264,26 +264,10 @@ class ResultStore:
         The full :class:`FlowResult` objects are deliberately not persisted
         (schedules and datapaths are neither JSON-safe nor stable across
         versions), so the export is the same JSON-safe metrics shape that
-        checkpoints, golden files and the Pareto toolbox consume — feed it
-        to :func:`repro.explore.pareto.front_from_metrics` or to
-        :class:`repro.flows.engine.DSEEngine` as ``precomputed`` records.
+        golden files and the Pareto toolbox consume — feed it to
+        :func:`repro.explore.pareto.front_from_metrics`.
         """
         return self.metrics(workload)
-
-    def precomputed_for(self, keyed_points: Iterable[Tuple[str, StoreKey]],
-                        ) -> Dict[str, Dict[str, object]]:
-        """Map point names to stored metrics for engine-level restore.
-
-        ``keyed_points`` pairs each point name with its :class:`StoreKey`;
-        names whose key is present resolve to the stored metrics dict, ready
-        to pass as :class:`repro.flows.engine.DSEEngine` ``precomputed``.
-        """
-        restored: Dict[str, Dict[str, object]] = {}
-        for name, key in keyed_points:
-            metrics = self.get_metrics(key)
-            if metrics is not None:
-                restored[name] = metrics
-        return restored
 
 
 def accept_record(record: Dict[str, object]) -> bool:

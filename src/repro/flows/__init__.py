@@ -7,14 +7,13 @@
 * :func:`slack_based_flow` — the proposed flow: slack budgeting, slack-guided
   scheduling with per-edge re-budgeting, grade-aware binding, area recovery.
 * :mod:`repro.flows.dse` — sweeps latency/pipelining design points and runs
-  both flows on each (paper Table 4 and the §VII power/throughput ranges).
-* :mod:`repro.flows.engine` — the parallel, resumable :class:`DSEEngine`
-  that fans design points out over a process pool with checkpoint/resume,
+  both flows on each (paper Table 4 and the §VII power/throughput ranges),
   plus :func:`scenario_sweep` for kernel/random workload suites.
-* :mod:`repro.flows.sweep` — the batched :class:`SweepSession` evaluation
-  API: interned designs, shared artifact bundles and delta-friendly visit
-  order behind the serial harnesses (bit-for-bit equal to per-point
-  evaluation; the ``sweep-session`` oracle fuzzes that equivalence).
+* :mod:`repro.flows.sweep` — :class:`SweepSession`, the one loop that
+  evaluates a list of points: interned designs, shared artifact bundles,
+  delta-friendly visit order, per-point failure isolation and an optional
+  process pool (bit-for-bit equal to per-point evaluation; the
+  ``sweep-session`` oracle fuzzes that equivalence).
 * :mod:`repro.flows.pipeline` — the per-point pipeline stage
   (:class:`PointArtifacts`) shared by the flows and the sweep harnesses.
 * :mod:`repro.flows.report` — text tables matching the paper's layout.
@@ -31,24 +30,19 @@ from repro.flows.dse import (
     DesignPoint,
     DSEEntry,
     DSEResult,
+    PointFailure,
+    SweepScenario,
     evaluate_point,
     latency_grid,
     run_dse,
     idct_design_points,
+    scenario_sweep,
 )
 from repro.flows.sweep import (
     SweepSession,
     SweepStats,
     knob_distance,
     sweep_plan,
-)
-from repro.flows.engine import (
-    DSEEngine,
-    EngineResult,
-    PointOutcome,
-    ProgressEvent,
-    SweepScenario,
-    scenario_sweep,
 )
 from repro.flows.report import (
     fmt_metric,
@@ -68,6 +62,7 @@ __all__ = [
     "DesignPoint",
     "DSEEntry",
     "DSEResult",
+    "PointFailure",
     "evaluate_point",
     "latency_grid",
     "run_dse",
@@ -76,10 +71,6 @@ __all__ = [
     "SweepStats",
     "sweep_plan",
     "knob_distance",
-    "DSEEngine",
-    "EngineResult",
-    "PointOutcome",
-    "ProgressEvent",
     "SweepScenario",
     "scenario_sweep",
     "fmt_metric",

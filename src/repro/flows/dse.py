@@ -5,12 +5,13 @@ sweeping latency (32 down to 8 states) and pipelining, and reports the area
 of the conventional flow versus the slack-based flow for every design point.
 :func:`run_dse` reproduces that experiment: it builds one design per point,
 runs both flows and collects areas, powers, throughputs and run times.
+:func:`scenario_sweep` generalizes it to kernel and random workloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.ir.design import Design
@@ -60,7 +61,7 @@ class DSEEntry:
         return 100.0 * (self.area_conventional - self.area_slack) / self.area_conventional
 
     def metrics(self) -> Dict[str, object]:
-        """A JSON-safe summary of the entry (used by checkpoints and tests).
+        """A JSON-safe summary of the entry (used by result stores and tests).
 
         Wall-clock fields are deliberately excluded so that two runs of the
         same sweep — serial or parallel, in any process — produce identical
@@ -79,12 +80,33 @@ class DSEEntry:
         }
 
 
+class PointFailure(NamedTuple):
+    """A design point whose evaluation raised, with ``"<Type>: <message>"``."""
+
+    point: DesignPoint
+    error: str
+
+
 @dataclass
 class DSEResult:
-    """The full sweep."""
+    """The full sweep.
+
+    ``entries`` holds the points that evaluated, in the caller's order;
+    ``failures`` holds the points that raised, also in the caller's order.
+    Every statistic below is over ``entries`` only.
+    """
 
     entries: List[DSEEntry] = field(default_factory=list)
     wall_time_seconds: float = 0.0
+    failures: List[PointFailure] = field(default_factory=list)
+
+    def raise_on_failures(self) -> None:
+        """Raise :class:`ReproError` naming every failed point, if any."""
+        if self.failures:
+            details = "; ".join(f"{failure.point.name}: {failure.error}"
+                                for failure in self.failures)
+            raise ReproError(f"{len(self.failures)} design point(s) failed: "
+                             f"{details}")
 
     def average_saving_percent(self) -> float:
         if not self.entries:
@@ -206,10 +228,7 @@ def evaluate_point(
     """Run both flows on one design point and return its :class:`DSEEntry`.
 
     The design and its per-point analyses (latency, spans, timed DFG) are
-    computed once and shared by both flows.  This is the single per-point
-    pipeline stage used by the serial :func:`run_dse` harness and by the
-    parallel :class:`repro.flows.engine.DSEEngine` workers, which is what
-    guarantees that serial and parallel sweeps agree bit for bit.
+    computed once and shared by both flows.
 
     With ``use_cache`` (the default) artifacts resolve through the
     process-wide analysis cache (:meth:`PointArtifacts.of`), so sweep points
@@ -220,11 +239,11 @@ def evaluate_point(
     bit-for-bit identical, which is exactly what the pipeline-cache oracle
     of :mod:`repro.verify.oracles` checks on generated scenarios.
 
-    This function is now a thin shim over a one-point
+    This function is a thin shim over a one-point
     :class:`repro.flows.sweep.SweepSession`; sweeps of more than one point
-    should hold a session (or use :func:`run_dse` /
-    :class:`repro.flows.engine.DSEEngine`, which do) so cross-point sharing
-    actually amortizes.
+    should hold a session (or use :func:`run_dse`, which does) so
+    cross-point sharing actually amortizes.  Unlike a sweep, it raises when
+    the point fails.
 
     ``scheduling`` is forwarded to both flows (``"block"`` or
     ``"pipeline"`` — see :class:`repro.flows.sweep.SweepSession`).
@@ -250,11 +269,10 @@ def run_dse(
     ``design_factory`` maps a :class:`DesignPoint` to a :class:`Design`
     (typically a lambda around :func:`repro.workloads.idct_design`).
 
-    The serial harness is a thin shim over a batched
-    :class:`repro.flows.sweep.SweepSession`, which visits the points in
-    delta-friendly order (structure-grouped, clock-adjacent) and returns
-    entries in the input order; per-point metrics are identical to the old
-    point-at-a-time loop.
+    A thin shim over :meth:`repro.flows.sweep.SweepSession.run`: points
+    are visited in delta-friendly order, entries come back in the input
+    order, and a point that raises lands in ``DSEResult.failures`` while
+    the sweep goes on.
 
     ``scheduling`` is forwarded to the session (``"block"`` or
     ``"pipeline"`` — see :class:`repro.flows.sweep.SweepSession`).
@@ -265,3 +283,59 @@ def run_dse(
                            margin_fraction=margin_fraction,
                            scheduling=scheduling)
     return session.run(points)
+
+
+@dataclass(frozen=True)
+class SweepScenario:
+    """One workload scenario: a picklable factory plus its design points."""
+
+    name: str
+    factory: Callable[[DesignPoint], Design]
+    points: Tuple[DesignPoint, ...]
+
+
+def scenario_sweep(
+    clock_period: float = 1500.0,
+    random_sizes: Sequence[Tuple[int, int]] = ((3, 4), (4, 6), (5, 8)),
+    random_seeds: Sequence[int] = (7, 23),
+) -> List[SweepScenario]:
+    """A scenario-diverse sweep: public-style kernels plus random designs.
+
+    Generalizes the DSE harness beyond the paper's IDCT: each scenario
+    sweeps one workload over several latencies, and the random scenarios
+    add seeded layered designs at several sizes (``(layers, ops_per_layer)``
+    pairs), standing in for the paper's "over 100 customer designs".  Run
+    one with ``SweepSession(scenario.factory, library).run(scenario.points)``.
+    """
+    from repro.workloads.factories import KernelPointFactory, RandomPointFactory
+
+    def points(prefix: str, latencies: Sequence[int]) -> Tuple[DesignPoint, ...]:
+        return tuple(
+            DesignPoint(name=f"{prefix}_L{latency}", latency=latency,
+                        clock_period=clock_period)
+            for latency in latencies
+        )
+
+    scenarios = [
+        SweepScenario("fir8", KernelPointFactory("fir", params=(("taps", 8),)),
+                      points("fir8", (6, 8, 10))),
+        SweepScenario("matmul3",
+                      KernelPointFactory("matmul", params=(("size", 3),)),
+                      points("matmul3", (6, 8, 10))),
+        SweepScenario("dct_butterfly", KernelPointFactory("dct_butterfly"),
+                      points("dct", (5, 6, 8))),
+        SweepScenario("fft8",
+                      KernelPointFactory("fft_stage", params=(("points", 8),)),
+                      points("fft8", (5, 6, 8))),
+        SweepScenario("sobel", KernelPointFactory("sobel"),
+                      points("sobel", (5, 6, 8))),
+    ]
+    for layers, ops in random_sizes:
+        for seed in random_seeds:
+            name = f"random_s{seed}_{layers}x{ops}"
+            scenarios.append(SweepScenario(
+                name,
+                RandomPointFactory(seed=seed, layers=layers, ops_per_layer=ops),
+                points(name, (layers + 2, layers + 4)),
+            ))
+    return scenarios

@@ -45,7 +45,7 @@ class FlowResult:
         return self.power.throughput
 
     def metrics(self) -> Dict[str, object]:
-        """The JSON-safe per-flow metrics shared by checkpoints, golden
+        """The JSON-safe per-flow metrics shared by result stores, golden
         files and the exploration store (:meth:`DSEEntry.metrics` embeds
         one of these per flow).  Wall-clock fields are deliberately
         excluded so two runs of the same flow produce identical metrics."""

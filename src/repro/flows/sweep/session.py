@@ -28,20 +28,26 @@ evaluations actually share their design objects and artifact bundles.
 * **full-evaluation fallback** — a point whose schedule structure diverges
   (a fingerprint the session has not seen) cannot reuse anything and is
   evaluated from scratch; the session counts these so callers can see how
-  much of a sweep rode the delta path.
+  much of a sweep rode the delta path;
+* **failure isolation** — :meth:`run` records a point that raises in
+  ``DSEResult.failures`` and goes on with the rest of the sweep;
+* **process pool** — ``run(points, workers=n)`` fans the points out over
+  ``n`` worker processes, each evaluating through its own session.
 
 Exactness contract: a session evaluation is bit-for-bit identical to a
 standalone :func:`~repro.flows.dse.evaluate_point` on the same point — the
 interning only substitutes structurally identical objects, and the analysis
-cache guarantees bundle equality by construction.  The ``sweep-session``
-oracle of :mod:`repro.verify.oracles` fuzzes exactly this equivalence on
-generated scenarios, and the Table-4 golden-metrics file pins it on the
-paper's IDCT sweep.
+cache guarantees bundle equality by construction.  The same holds for a pool
+worker's session, so ``run(points, workers=n)`` returns the serial metrics
+byte for byte.  The ``sweep-session`` oracle of :mod:`repro.verify.oracles`
+fuzzes exactly this equivalence on generated scenarios, and the Table-4
+golden-metrics file pins it on the paper's IDCT sweep.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -50,12 +56,14 @@ from repro.errors import ReproError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.flows.conventional import conventional_flow
-from repro.flows.dse import DesignPoint, DSEEntry, DSEResult
+from repro.flows.dse import DesignPoint, DSEEntry, DSEResult, PointFailure
 from repro.flows.pipeline import PointArtifacts
 from repro.flows.slack_based import slack_based_flow
 from repro.flows.sweep.ordering import sweep_plan
 from repro.obs.metrics import counter as _obs_counter
+from repro.obs.trace import active_tracer as _active_tracer
 from repro.obs.trace import span as _obs_span
+from repro.obs.trace import tracing as _obs_tracing
 
 #: Registry twins of the :class:`SweepStats` counters — the ad-hoc per-session
 #: stats stay the public accessor; these accumulate process-wide so a metrics
@@ -64,6 +72,9 @@ _POINTS = _obs_counter("sweep.points_evaluated")
 _FULL = _obs_counter("sweep.full_evaluations")
 _DELTA = _obs_counter("sweep.delta_points")
 _INTERNED = _obs_counter("sweep.interned_reuses")
+
+#: One point's outcome: ``(entry, None)`` or ``(None, "<Type>: <message>")``.
+_Outcome = Tuple[Optional[DSEEntry], Optional[str]]
 
 
 @dataclass
@@ -78,6 +89,10 @@ class SweepStats:
     the :class:`~repro.core.analysis_cache.AnalysisCache` delta counters
     accumulated while this session ran (incremental slack re-evaluations
     inside the budgeting kernel, and how many node updates they needed).
+
+    Only evaluations in this process are counted: the points a
+    ``run(points, workers=n)`` pool evaluates live in the workers' own
+    sessions and show up neither here nor in the registry twins.
     """
 
     points_evaluated: int = 0
@@ -110,7 +125,8 @@ class SweepSession:
     design_factory:
         Maps a :class:`~repro.flows.dse.DesignPoint` to a
         :class:`~repro.ir.design.Design` (see
-        :mod:`repro.workloads.factories`).
+        :mod:`repro.workloads.factories`).  It must pickle for
+        ``run(points, workers=n)`` to use a process pool.
     library:
         The resource library shared by every point.
     margin_fraction:
@@ -134,9 +150,8 @@ class SweepSession:
 
     A session is a per-sweep object: its intern tables grow with the number
     of distinct structures evaluated and are only released with the session.
-    It is not thread-safe — share work across processes with
-    :class:`repro.flows.engine.DSEEngine` instead, which routes its serial
-    path through a session and its pool paths through per-worker evaluation.
+    It is not thread-safe; spread a sweep over processes with
+    ``run(points, workers=n)`` instead.
     """
 
     def __init__(
@@ -236,7 +251,7 @@ class SweepSession:
         self._refresh_delta_counters()
         return DSEEntry(point=point, conventional=conventional, slack_based=slack)
 
-    def run(self, points: Sequence[DesignPoint]) -> DSEResult:
+    def run(self, points: Sequence[DesignPoint], workers: int = 1) -> DSEResult:
         """Evaluate every point, batched in delta-friendly order.
 
         Points are *visited* in :func:`~repro.flows.sweep.ordering.sweep_plan`
@@ -244,15 +259,77 @@ class SweepSession:
         :class:`~repro.flows.dse.DSEResult` lists entries in the caller's
         input order — per-point results are order-independent, so the two
         views are interchangeable and the golden-metrics tests pin that.
+
+        A point whose evaluation raises an :class:`Exception` lands in
+        ``DSEResult.failures`` as ``"<Type>: <message>"`` and the sweep goes
+        on (``raise_on_failures()`` serves callers that need every point);
+        a :class:`BaseException` such as ``KeyboardInterrupt`` propagates.
+
+        With ``workers > 1`` the points fan out over a process pool of that
+        size (spawned, not forked, while other threads run).  Each worker
+        evaluates through its own session on its own process-wide analysis
+        cache (a private ``cache=`` holds a lock and does not pickle), which
+        the cache contract makes bit-identical; with tracing on, the
+        workers' spans are adopted onto the active tracer as
+        ``worker:<point>`` tracks.  The run stays serial when at most one
+        point is given or when the factory or library does not pickle.
         """
+        if workers < 1:
+            raise ReproError(f"workers must be at least 1, got {workers}")
         start = time.perf_counter()
-        entries: List[Optional[DSEEntry]] = [None] * len(points)
+        order = sweep_plan(points)
+        outcomes: List[_Outcome] = [(None, None)] * len(points)
         with _obs_span("sweep.run", points=len(points),
                        scheduling=self.scheduling):
-            for index in sweep_plan(points):
-                entries[index] = self.evaluate(points[index])
-        return DSEResult(entries=list(entries),
-                         wall_time_seconds=time.perf_counter() - start)
+            if workers > 1 and len(points) > 1 and self._picklable():
+                self._run_pool(points, order, min(workers, len(points)),
+                               outcomes)
+            else:
+                for index in order:
+                    outcomes[index] = _evaluate_isolated(self, points[index])
+        return DSEResult(
+            entries=[entry for entry, _ in outcomes if entry is not None],
+            failures=[PointFailure(point, error)
+                      for point, (_, error) in zip(points, outcomes)
+                      if error is not None],
+            wall_time_seconds=time.perf_counter() - start)
+
+    def _picklable(self) -> bool:
+        import pickle
+
+        try:
+            pickle.dumps((self.design_factory, self.library))
+        except Exception:  # noqa: BLE001 — lambdas, closures, local classes
+            return False
+        return True
+
+    def _run_pool(self, points: Sequence[DesignPoint], order: Sequence[int],
+                  workers: int, outcomes: List[_Outcome]) -> None:
+        import multiprocessing
+        import threading
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        tracer = _active_tracer()
+        # The platform default (fork on Linux) starts fast and re-imports
+        # no __main__, but forking a process that runs other threads (a
+        # serve worker pool) can deadlock the child: spawn there instead.
+        context = None if threading.active_count() == 1 \
+            else multiprocessing.get_context("spawn")
+        pool = ProcessPoolExecutor(
+            max_workers=workers, mp_context=context, initializer=_start_worker,
+            initargs=(self.design_factory, self.library, self.margin_fraction,
+                      self.use_cache, self.scheduling))
+        try:
+            futures = [pool.submit(_evaluate_in_worker, index, points[index],
+                                   tracer is not None)
+                       for index in order]
+            for future in as_completed(futures):
+                index, entry, error, spans = future.result()
+                if spans:
+                    tracer.adopt(spans, track=f"worker:{points[index].name}")
+                outcomes[index] = (entry, error)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     # -- reporting ---------------------------------------------------------------
 
@@ -261,3 +338,34 @@ class SweepSession:
         self.stats.delta_evaluators = \
             self._delta_cache.delta_evaluators - base_evaluators
         self.stats.delta_updates = self._delta_cache.delta_updates - base_updates
+
+
+def _evaluate_isolated(session: SweepSession, point: DesignPoint) -> _Outcome:
+    """One point through ``session``; an :class:`Exception` becomes a string."""
+    try:
+        return session.evaluate(point), None
+    except Exception as exc:  # noqa: BLE001 — one failing point must not end the sweep
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+#: The pool worker's own session, created once per worker process.
+_WORKER_SESSION: Optional[SweepSession] = None
+
+
+def _start_worker(design_factory, library, margin_fraction: float,
+                  use_cache: bool, scheduling: str) -> None:
+    global _WORKER_SESSION
+    _WORKER_SESSION = SweepSession(design_factory, library,
+                                   margin_fraction=margin_fraction,
+                                   use_cache=use_cache, scheduling=scheduling)
+
+
+def _evaluate_in_worker(index: int, point: DesignPoint, trace: bool):
+    """Pool task: evaluate one point; with ``trace``, ship its spans back.
+
+    The parent's tracer does not cross the process boundary, so a traced
+    worker records into its own tracer and returns the serialised trees.
+    """
+    with (_obs_tracing() if trace else nullcontext()) as tracer:
+        entry, error = _evaluate_isolated(_WORKER_SESSION, point)
+    return index, entry, error, tracer.export() if tracer is not None else None

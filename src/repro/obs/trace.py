@@ -20,9 +20,9 @@ Design constraints (these are the contract, not aspirations):
   (``threading.local``); finished root spans are appended to the tracer's
   shared list under a lock, tagged with the recording thread's track label.
 * **mergeable across processes** — a span tree serialises to plain dicts
-  (:meth:`Span.to_dict` / :meth:`Span.from_dict`), so
-  :class:`repro.flows.engine.DSEEngine` pool workers can trace locally and
-  ship their trees back with the result payload for the parent tracer to
+  (:meth:`Span.to_dict` / :meth:`Span.from_dict`), so the pool workers of
+  ``SweepSession.run(points, workers=n)`` can trace locally and ship their
+  trees back with the result payload for the parent tracer to
   :meth:`~Tracer.adopt`.
 
 Use the :func:`span` context manager (or the :func:`traced` decorator) at

@@ -56,9 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(run)
     run.add_argument("--max-jobs", type=int, default=None, metavar="N",
                      help="stop after N jobs (default: drain the queue)")
-    run.add_argument("--executor", default="serial",
-                     choices=("serial", "thread", "process"),
-                     help="sweep-point execution mode (default serial)")
+    run.add_argument("--workers", dest="sweep_workers", type=int, default=1,
+                     metavar="N",
+                     help="worker processes for the uncached points of a "
+                          "sweep or explore job (default 1)")
     run.add_argument("--deadline", type=float, default=None, metavar="S",
                      help="per-job wall-clock deadline in seconds")
     run.add_argument("--retries", type=int, default=3, metavar="N",
@@ -105,7 +106,7 @@ def _service(args, evaluator=None, retry=None):
         store_path=getattr(args, "store", None),
         queue_path=args.queue,
         retry=retry,
-        executor=getattr(args, "executor", "serial"),
+        workers=getattr(args, "sweep_workers", 1),
         evaluator=evaluator,
         compact_after=getattr(args, "compact_after", 256),
     )

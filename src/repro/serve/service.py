@@ -5,8 +5,8 @@
 :class:`~repro.serve.cache.MemoCache` memo tier, a
 :class:`~repro.serve.retry.RetryPolicy` wrapped around every job, and
 workers that execute the three job kinds by *reusing* the existing
-evaluation stack — :func:`repro.flows.dse.evaluate_point` /
-:class:`repro.flows.engine.DSEEngine` for sweeps and
+evaluation stack — :func:`repro.flows.dse.evaluate_point` for submitted
+designs, :meth:`repro.flows.sweep.SweepSession.run` for sweeps and
 :class:`repro.explore.adaptive.AdaptiveExplorer` for explorations — so a
 served result is bit-for-bit the result a direct call would have produced
 (asserted by the service property tests).
@@ -85,12 +85,10 @@ class DSEService:
     retry:
         The :class:`RetryPolicy` every job runs under (its
         ``deadline_seconds`` is the per-job timeout).
-    executor:
-        ``"serial"`` (default) evaluates sweep points one by one through
-        the injected evaluator; ``"thread"`` / ``"process"`` fan misses out
-        over a :class:`~repro.flows.engine.DSEEngine` pool (default
-        evaluator only — a custom ``evaluator`` forces the serial path,
-        since it cannot cross the pool boundary).
+    workers:
+        Worker processes for the memo misses of one sweep or exploration
+        job (default 1: evaluate in the thread running the job).  An
+        injected ``evaluator`` always runs point by point in that thread.
     evaluator:
         Injection point for tests: ``(factory, library, point,
         margin_fraction, scheduling) -> metrics dict``.  The fakes in
@@ -106,20 +104,18 @@ class DSEService:
         queue: Optional[JobQueue] = None,
         queue_path: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
-        executor: str = "serial",
-        max_workers: Optional[int] = None,
+        workers: int = 1,
         evaluator: Optional[Callable[..., Dict[str, object]]] = None,
         compact_after: Optional[int] = 256,
     ):
-        if executor not in ("serial", "thread", "process"):
-            raise ReproError(f"unknown executor {executor!r}")
+        if workers < 1:
+            raise ReproError(f"workers must be at least 1, got {workers}")
         self._library = library
         self.cache = cache if cache is not None \
             else MemoCache(path=store_path, compact_after=compact_after)
         self.queue = queue if queue is not None else JobQueue(path=queue_path)
         self.retry = retry if retry is not None else RetryPolicy()
-        self.executor = executor
-        self.max_workers = max_workers
+        self.workers = workers
         self._evaluator = evaluator if evaluator is not None \
             else _default_evaluator
         self._custom_evaluator = evaluator is not None
@@ -285,58 +281,62 @@ class DSEService:
         }
 
     def _run_sweep(self, spec: JobSpec, job) -> Dict[str, object]:
+        """Memo-first sweep: look every point up, evaluate the misses, record.
+
+        The misses run through one :meth:`SweepSession.run` over
+        ``workers`` processes, or point by point through an injected
+        evaluator; points sharing a memo key are evaluated once.  When some
+        points fail, the others are recorded before the job raises, so a
+        retry evaluates only the failures.
+        """
+        from repro.flows.sweep import SweepSession
+
         factory = job.factory()
         points = job.points()
         workload = f"serve:{spec.tenant}:{job.workload}"
-        if self.executor != "serial" and not self._custom_evaluator:
-            return self._run_sweep_engine(spec, job, factory, points,
-                                          workload)
-        results = [self._evaluate(factory, point, job.margin_fraction,
-                                  job.scheduling, workload)
-                   for point in points]
+        keys = [self.cache.key(factory(point), point, job.margin_fraction,
+                               scheduling=job.scheduling)
+                for point in points]
+        found = {}   # memo key -> metrics
+        misses = {}  # memo key -> the first point that needs it
+        for point, key in zip(points, keys):
+            if key in found or key in misses:
+                continue
+            metrics = self.cache.lookup(key)
+            if metrics is None:
+                misses[key] = point
+            else:
+                found[key] = metrics
+
+        def record(key, metrics):
+            point = metrics.get("point")
+            self.cache.record(key, metrics, workload=workload,
+                              point=point if isinstance(point, dict) else None)
+            found[key] = metrics
+
+        if self._custom_evaluator:
+            for key, point in misses.items():
+                record(key, self._evaluator(factory, self.library, point,
+                                            job.margin_fraction,
+                                            job.scheduling))
+        elif misses:
+            session = SweepSession(factory, self.library,
+                                   margin_fraction=job.margin_fraction,
+                                   scheduling=job.scheduling)
+            result = session.run(list(misses.values()), workers=self.workers)
+            evaluated = {entry.point: entry.metrics()
+                         for entry in result.entries}
+            for key, point in misses.items():
+                if point in evaluated:
+                    record(key, evaluated[point])
+            result.raise_on_failures()
         return {
             "kind": KIND_SWEEP,
             "tenant": spec.tenant,
             "workload": job.workload,
-            "points": [r["metrics"] for r in results],
-            "cache_hits": sum(1 for r in results if r["hit"]),
-            "evaluations": sum(1 for r in results if not r["hit"]),
-        }
-
-    def _run_sweep_engine(self, spec: JobSpec, job, factory, points,
-                          workload: str) -> Dict[str, object]:
-        """Pool path: restore memo hits, fan the misses over a DSEEngine."""
-        from repro.flows.engine import DSEEngine
-
-        keys = {point.name: self.cache.key(factory(point), point,
-                                           job.margin_fraction,
-                                           scheduling=job.scheduling)
-                for point in points}
-        precomputed: Dict[str, Dict[str, object]] = {}
-        for point in points:
-            metrics = self.cache.lookup(keys[point.name])
-            if metrics is not None:
-                precomputed[point.name] = metrics
-        engine = DSEEngine(factory, self.library, points,
-                           margin_fraction=job.margin_fraction,
-                           executor=self.executor,
-                           max_workers=self.max_workers,
-                           precomputed=precomputed,
-                           scheduling=job.scheduling)
-        result = engine.run()
-        result.raise_on_errors()
-        for outcome in result.outcomes:
-            if outcome.status == "ok" and outcome.metrics is not None:
-                self.cache.record(keys[outcome.point.name], outcome.metrics,
-                                  workload=workload,
-                                  point=outcome.metrics.get("point"))
-        return {
-            "kind": KIND_SWEEP,
-            "tenant": spec.tenant,
-            "workload": job.workload,
-            "points": result.metrics(),
-            "cache_hits": len(precomputed),
-            "evaluations": len(points) - len(precomputed),
+            "points": [found[key] for key in keys],
+            "cache_hits": len(points) - len(misses),
+            "evaluations": len(misses),
         }
 
     def _run_explore(self, spec: JobSpec, job) -> Dict[str, object]:
@@ -358,6 +358,7 @@ class DSEService:
             store=self.cache.store,
             workload=f"serve:{spec.tenant}:{job.workload}",
             evaluate_batch=evaluate_batch,
+            workers=self.workers,
         )
         result = explorer.explore()
         return {

@@ -2,7 +2,7 @@
 
 The repo carries several pairs of independently-implemented engines that
 must agree — incremental vs. reference state timing, Bellman-Ford vs.
-topological slack analysis, serial vs. threaded sweep executors, cached vs.
+topological slack analysis, batched vs. per-point sweeps, cached vs.
 fresh analysis bundles, and the Pareto toolbox's front invariants.  This
 package turns each equivalence into an *oracle* and checks it over streams
 of seeded, generated scenarios, compiler-fuzzing style:
@@ -15,8 +15,7 @@ of seeded, generated scenarios, compiler-fuzzing style:
 * :mod:`repro.verify.corpus` — an append-only JSONL corpus of failures
   (fingerprint-keyed, exploration-store conventions) for eternal replay;
 * :mod:`repro.verify.runner` — the budgeted fuzzing loop;
-* :mod:`repro.verify.cli` — the ``repro-verify`` console entry point
-  (also ``python -m repro.verify``).
+* :mod:`repro.verify.cli` — the ``repro verify`` subcommand.
 """
 
 from repro.verify.scenarios import (

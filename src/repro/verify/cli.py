@@ -1,11 +1,11 @@
-"""``repro-verify`` — differential scenario fuzzing from the command line.
+"""``repro verify`` — differential scenario fuzzing from the command line.
 
 Three subcommands::
 
-    repro-verify run --iterations 200 --seed 0 --corpus fuzz.jsonl
-    repro-verify run --budget-seconds 600 --seed-from-date   # nightly CI
-    repro-verify replay --corpus fuzz.jsonl
-    repro-verify shrink --corpus fuzz.jsonl --entry <fingerprint-prefix>
+    repro verify run --iterations 200 --seed 0 --corpus fuzz.jsonl
+    repro verify run --budget-seconds 600 --seed-from-date   # nightly CI
+    repro verify replay --corpus fuzz.jsonl
+    repro verify shrink --corpus fuzz.jsonl --entry <fingerprint-prefix>
 
 ``run`` fuzzes the differential oracles over seeded scenarios (round-robin)
 under an iteration and/or wall-clock budget, appending violations — shrunk
@@ -13,8 +13,6 @@ first — to the corpus; its exit status is non-zero when violations were
 found.  ``replay`` re-runs every stored corpus record against its oracle
 (the standing regression gate).  ``shrink`` minimizes one stored entry
 further, with a larger evaluation budget than the in-run shrink.
-
-Also available as ``python -m repro.verify``.
 """
 
 from __future__ import annotations
@@ -46,11 +44,11 @@ def _date_seed() -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-verify",
+        prog="repro verify",
         description="Differential scenario fuzzing with shrinking over the "
                     "repo's paired engines (incremental vs reference timing, "
-                    "Bellman-Ford vs topological, executor modes, analysis "
-                    "cache, Pareto invariants).")
+                    "Bellman-Ford vs topological, batched vs per-point "
+                    "sweeps, analysis cache, Pareto invariants).")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="fuzz scenarios against the oracles")
@@ -267,7 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_replay(args)
         return _cmd_shrink(args)
     except ReproError as exc:
-        print(f"repro-verify: {exc}", file=sys.stderr)
+        print(f"repro verify: {exc}", file=sys.stderr)
         return 2
 
 

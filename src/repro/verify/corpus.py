@@ -25,7 +25,7 @@ structure does not cover (the store's key-split), plus the record kind so a
 shrunk reproducer that happens to share its parent's structure (e.g. when
 only the pipeline II was shrunk away) never overwrites the raw failure.
 
-A corpus is the regression memory of the fuzzer: ``repro-verify replay``
+A corpus is the regression memory of the fuzzer: ``repro verify replay``
 re-runs every stored spec against its oracle, so once a scenario has failed
 it keeps being checked forever (CI uploads the nightly corpus as an
 artifact; committing interesting entries to the repo makes them permanent).

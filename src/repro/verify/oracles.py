@@ -12,15 +12,13 @@ oracle                          equivalence under test
                                 (downgrades, areas, final state timing)
 ``sequential-slack``            Bellman-Ford constraint-graph relaxation vs. the
                                 linear topological sweep, aligned and plain
-``executor-modes``              serial vs. thread :class:`repro.flows.engine.DSEEngine`
-                                sweeps produce identical per-point metrics/errors
 ``pipeline-cache``              :func:`repro.flows.dse.evaluate_point` with the
                                 process-wide analysis cache vs. a private bundle
 ``sweep-session``               batched :class:`repro.flows.sweep.SweepSession`
                                 evaluation vs. independent per-point
                                 :func:`~repro.flows.dse.evaluate_point` runs,
-                                **exact** metrics equality (and matching
-                                per-point feasibility verdicts)
+                                **exact** metrics equality, and ``run``'s
+                                ``failures`` equal the per-point errors
 ``pareto-front``                :func:`repro.explore.pareto.front_invariant_violations`
                                 on a scenario-seeded generated front
 ``graphkit-kernels``            CSR array kernels (sequential slack and
@@ -61,7 +59,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import ReproError
 from repro.flows.conventional import conventional_flow
 from repro.flows.dse import DSEEntry, evaluate_point
-from repro.flows.engine import DSEEngine
 from repro.flows.pipeline import PointArtifacts
 from repro.flows.sweep import SweepSession
 from repro.core.analysis_cache import AnalysisCache
@@ -267,44 +264,6 @@ def _check_sequential_slack(spec: ScenarioSpec, library: Library) -> str:
     return "; ".join(problems[:5])
 
 
-# -- oracle: serial vs thread executor sweeps --------------------------------------
-
-
-@oracle("executor-modes",
-        "serial and thread DSEEngine sweeps produce identical "
-        "per-point metrics and error outcomes")
-def _check_executor_modes(spec: ScenarioSpec, library: Library) -> str:
-    factory = spec.factory()
-    points = [
-        spec.point("p0"),
-        spec.point("p1", clock_period=spec.clock_period * 1.25),
-    ]
-
-    def sweep(mode: str):
-        return DSEEngine(factory, library, points,
-                         margin_fraction=spec.margin_fraction,
-                         executor=mode, max_workers=2).run()
-
-    serial = sweep("serial")
-    threaded = sweep("thread")
-    problems: List[str] = []
-    for out_s, out_t in zip(serial.outcomes, threaded.outcomes):
-        if out_s.status != out_t.status:
-            problems.append(f"{out_s.point.name}: status "
-                            f"serial={out_s.status} thread={out_t.status}")
-            continue
-        if out_s.status == "error":
-            if out_s.error != out_t.error:
-                problems.append(f"{out_s.point.name}: errors differ: "
-                                f"{out_s.error!r} != {out_t.error!r}")
-            continue
-        json_s = json.dumps(out_s.metrics, sort_keys=True)
-        json_t = json.dumps(out_t.metrics, sort_keys=True)
-        if json_s != json_t:
-            problems.append(f"{out_s.point.name}: metrics differ")
-    return "; ".join(problems)
-
-
 # -- oracle: analysis cache on vs off ----------------------------------------------
 
 
@@ -337,16 +296,19 @@ def _check_pipeline_cache(spec: ScenarioSpec, library: Library) -> str:
 
 @oracle("sweep-session",
         "batched SweepSession evaluation == independent per-point "
-        "evaluate_point (exact metrics equality, matching feasibility)")
+        "evaluate_point (exact metrics equality, failures == per-point "
+        "errors)")
 def _check_sweep_session(spec: ScenarioSpec, library: Library) -> str:
     """The session's cross-point sharing must be observationally invisible.
 
     One session evaluates three knob-neighboring points of the scenario (the
     base clock, a slower and a faster one — same structure, so the second
     and third ride the session's delta path), each compared against a fresh
-    ``evaluate_point`` with a private artifact bundle.  When every point is
-    feasible, a second session runs the same points *batched* through
-    ``run`` and must reproduce the per-point metrics in caller order.
+    ``evaluate_point`` with a private artifact bundle.  A second session
+    then always runs the same points *batched* through ``run``: its
+    ``failures`` must name exactly the points that failed per point, with
+    the same ``"<Type>: <message>"``, and its entries must reproduce the
+    per-point metrics in caller order.
     """
     factory = spec.factory()
     points = [
@@ -358,46 +320,44 @@ def _check_sweep_session(spec: ScenarioSpec, library: Library) -> str:
                            margin_fraction=spec.margin_fraction,
                            cache=AnalysisCache())
     problems: List[str] = []
-    per_point_json: List[Optional[str]] = []
-    all_ok = True
+    solo_json: Dict[str, str] = {}
+    solo_errors: Dict[str, str] = {}
     for point in points:
         shared, error_shared = _run_side(lambda: session.evaluate(point))
         solo, error_solo = _run_side(lambda: evaluate_point(
             factory, library, point, margin_fraction=spec.margin_fraction,
             use_cache=False))
+        if error_solo is None:
+            solo_json[point.name] = _entry_metrics_json(solo)
+        else:
+            solo_errors[point.name] = error_solo
         verdict = _compare_failures("session", error_shared,
                                     "per-point", error_solo)
         if verdict is not None:
-            all_ok = False
-            per_point_json.append(None)
             if verdict:
                 problems.append(f"{point.name}: {verdict}")
             continue
-        json_shared = _entry_metrics_json(shared)
-        json_solo = _entry_metrics_json(solo)
-        per_point_json.append(json_solo)
-        if json_shared != json_solo:
+        if _entry_metrics_json(shared) != solo_json[point.name]:
             problems.append(f"{point.name}: session metrics differ from "
                             "per-point evaluation")
 
-    if all_ok and not problems:
-        batch_session = SweepSession(factory, library,
-                                     margin_fraction=spec.margin_fraction,
-                                     cache=AnalysisCache())
-        batched, error_batched = _run_side(lambda: batch_session.run(points))
-        if error_batched is not None:
-            problems.append(f"batched run failed where per-point evaluation "
-                            f"succeeded: {error_batched}")
-        else:
-            for point, entry, expected in zip(points, batched.entries,
-                                              per_point_json):
-                if entry.point.name != point.name:
-                    problems.append(f"batched run reordered results: got "
-                                    f"{entry.point.name} at {point.name}'s slot")
-                    break
-                if _entry_metrics_json(entry) != expected:
-                    problems.append(f"{point.name}: batched metrics differ "
-                                    "from per-point evaluation")
+    batched = SweepSession(factory, library,
+                           margin_fraction=spec.margin_fraction,
+                           cache=AnalysisCache()).run(points)
+    batched_errors = {failure.point.name: failure.error
+                      for failure in batched.failures}
+    if batched_errors != solo_errors:
+        problems.append(f"batched failures {batched_errors} differ from the "
+                        f"per-point errors {solo_errors}")
+    names = [entry.point.name for entry in batched.entries]
+    if names != [point.name for point in points if point.name in solo_json]:
+        problems.append(f"batched run returned entries {names}; per-point "
+                        f"evaluation succeeded on {sorted(solo_json)}")
+    else:
+        for entry in batched.entries:
+            if _entry_metrics_json(entry) != solo_json[entry.point.name]:
+                problems.append(f"{entry.point.name}: batched metrics differ "
+                                "from per-point evaluation")
     return "; ".join(problems)
 
 

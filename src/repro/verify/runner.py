@@ -1,6 +1,6 @@
 """The differential fuzzing loop: scenarios × oracles under a budget.
 
-:func:`run_fuzz` is the engine behind ``repro-verify run``: it draws
+:func:`run_fuzz` is the engine behind ``repro verify run``: it draws
 scenarios from the deterministic stream of
 :func:`repro.verify.scenarios.scenario_stream`, schedules the selected
 oracles round-robin over the iterations (iteration ``i`` runs oracle
@@ -270,7 +270,7 @@ def replay_corpus(
 
     Returns one outcome per replayed record (skipping records whose oracle
     is not in ``oracle_names`` when a filter is given).  A record whose
-    scenario *no longer* fails is a fixed regression — ``repro-verify
+    scenario *no longer* fails is a fixed regression — ``repro verify
     replay`` reports it as such instead of failing the run.
 
     A record referencing an oracle that is no longer registered (renamed or

@@ -172,8 +172,8 @@ class ScenarioSpec:
         """The structural fingerprint of the built design.
 
         The same :func:`repro.core.analysis_cache.design_fingerprint` the
-        exploration store keys by, so corpus entries, store records and
-        checkpoints all speak one identity language.
+        exploration store keys by, so corpus entries and store records
+        speak one identity language.
         """
         return design_fingerprint(self.design())
 

@@ -1,9 +1,8 @@
 """Picklable design factories for DSE sweeps.
 
-The serial :func:`repro.flows.dse.run_dse` harness happily accepts a lambda
-as its ``design_factory``, but the parallel :class:`repro.flows.engine.DSEEngine`
-ships the factory to ``concurrent.futures`` process-pool workers, and lambdas
-and closures do not pickle.  These small frozen dataclasses are the picklable
+A serial sweep happily accepts a lambda as its ``design_factory``, but
+``SweepSession.run(points, workers=n)`` ships the factory to process-pool
+workers, and lambdas and closures do not pickle (such a sweep runs serially).  These small frozen dataclasses are the picklable
 equivalents: each one captures the workload parameters as fields and maps a
 design point to a design in ``__call__``.
 
@@ -88,7 +87,7 @@ class InterpolationPointFactory:
     The interpolation workload's latency knob is its number of states, so
     ``point.latency`` maps to ``num_states``; ``unroll`` scales the number
     of multiply/add pairs.  This makes the paper's motivating example
-    sweepable by the DSE engine and the exploration layer alongside the
+    sweepable by ``SweepSession`` and the exploration layer alongside the
     IDCT and the public-style kernels.
     """
 
@@ -128,7 +127,7 @@ class SegmentedPointFactory:
 
     The segment encoding is :func:`repro.workloads.generator.segmented_design`'s
     — nested tuples of strings and integers — so the factory pickles for
-    process-pool sweeps and hashes for checkpoint signatures.  The design's
+    process-pool sweeps and hashes.  The design's
     control structure is fixed by the spec (like :class:`ResizerPointFactory`,
     ``point.latency`` does not stretch it); the clock period is taken from
     the design point.  This is the construction backend of the differential
@@ -171,7 +170,7 @@ def resolve_factory(workload: str, params: Optional[Dict[str, int]] = None):
     """The picklable factory for a workload name plus builder parameters.
 
     One registry serving every front end that names workloads by string —
-    the ``repro-explore`` CLI and the campaign layer's sweep/explore jobs:
+    the ``repro explore`` CLI and the campaign layer's sweep/explore jobs:
     ``"idct"``, ``"interpolation"``, ``"resizer"``, ``"random"`` or any
     :data:`KERNEL_BUILDERS` kernel.  ``params`` feed the factory's keyword
     knobs (``rows`` for the IDCT, ``seed``/``layers``/``ops_per_layer`` for

@@ -106,6 +106,31 @@ def test_exploration_shard_populates_the_store(tmp_path, library):
     assert store.workloads() == ["idct"]
 
 
+def test_sweep_failures_land_in_the_summary(tmp_path, library, monkeypatch):
+    """A failing sweep point is reported in the job summary; the shard
+    still stores the other points instead of aborting."""
+    from repro.workloads.factories import IDCTPointFactory
+
+    build = IDCTPointFactory.__call__
+
+    def flaky(self, point):
+        if point.latency == 6:
+            raise ReproError("injected failure")
+        return build(self, point)
+
+    monkeypatch.setattr(IDCTPointFactory, "__call__", flaky)
+    spec = CampaignSpec(name="flaky", seed=5,
+                        sweeps=(SweepJob(workload="idct", latencies=(6, 7),
+                                         params=(("rows", 1),)),))
+    out = str(tmp_path / "flaky")
+    manifest = run_shard(spec, 0, out, library=library)
+    assert manifest["sweeps"][0]["failures"] == [
+        {"point": "idct_L6_T1500", "error": "ReproError: injected failure"}]
+    store = ResultStore(os.path.join(out, STORE_FILE))
+    assert [record["point"]["name"] for record in store.records()] \
+        == ["idct_L7_T1500"]
+
+
 def test_progress_callback_narrates_the_stages(tmp_path, library):
     messages = []
     run_shard(TINY, 1, str(tmp_path / "s1"), library=library,

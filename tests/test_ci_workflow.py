@@ -90,7 +90,7 @@ def test_every_setup_python_step_caches_pip(workflow):
 
 def test_pr_scoped_fuzz_smoke_runs_in_the_test_job(workflow):
     run_text = _run_text(workflow, "test")
-    assert "repro.verify run" in run_text
+    assert "python -m repro verify run" in run_text
     assert "--iterations 50" in run_text
     assert "--seed 0" in run_text
     # No oracle filter: every registered oracle (including
@@ -102,7 +102,7 @@ def test_serve_smoke_gate_is_wired(workflow):
     """The serve-layer memoization gate must run in the PR test matrix and
     from the installed wheel: a cold+warm round trip whose warm resubmit
     performs zero new flow evaluations (see ``repro serve smoke``)."""
-    assert "python -m repro.serve smoke" in _run_text(workflow, "test")
+    assert "python -m repro serve smoke" in _run_text(workflow, "test")
     package_text = _run_text(workflow, "package")
     assert "repro serve smoke" in package_text
     assert "repro.serve" in package_text  # the wheel must ship the package
@@ -231,12 +231,13 @@ def test_packaging_job_builds_installs_and_imports(workflow):
     assert "import repro" in run_text
     assert "repro.explore" in run_text and "repro.verify" in run_text
     assert "repro.campaign" in run_text
-    assert "repro-verify" in run_text and "repro-explore" in run_text
+    assert "repro verify run" in run_text and "repro explore" in run_text
     # The unified dispatcher, the sweep-session layer and the campaign
-    # planner must survive packaging: the `repro` script resolves, a
-    # one-point batched sweep runs and the nightly partition prints from
-    # the installed wheel.
+    # planner must survive packaging: the `repro` script and `python -m
+    # repro` resolve, a one-point batched sweep runs and the nightly
+    # partition prints from the installed wheel.
     assert "repro --help" in run_text
+    assert "python -m repro --help" in run_text
     assert "repro sweep" in run_text
     assert "repro campaign plan --nightly" in run_text
     assert "repro.flows.sweep" in run_text

@@ -1,8 +1,12 @@
 """Tests of the unified ``repro`` console script."""
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.cli import main
+from repro.errors import ReproError
 
 
 def test_no_command_prints_usage(capsys):
@@ -47,6 +51,42 @@ def test_sweep_subcommand_runs_session(tmp_path, capsys):
     metrics = json.loads(out_path.read_text())
     assert len(metrics) == 2
     assert {m["point"]["name"] for m in metrics} == {"L6", "L7"}
+
+
+def test_sweep_reports_failed_points_and_exits_1(tmp_path, capsys,
+                                                 monkeypatch):
+    """A failing point drops out of the table, is named on stderr, and the
+    exit status says so; the other points are still swept and written."""
+    from repro.workloads.factories import IDCTPointFactory
+
+    build = IDCTPointFactory.__call__
+
+    def flaky(self, point):
+        if point.latency == 7:
+            raise ReproError("injected failure")
+        return build(self, point)
+
+    monkeypatch.setattr(IDCTPointFactory, "__call__", flaky)
+    out_path = tmp_path / "metrics.json"
+    code = main(["sweep", "--rows", "1", "--latencies", "6:8",
+                 "--json", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Sweep: 2 point(s)" in captured.out
+    assert "L7 failed: ReproError: injected failure" in captured.err
+    metrics = json.loads(out_path.read_text())
+    assert [m["point"]["name"] for m in metrics] == ["L6", "L8"]
+
+
+def test_python_dash_m_repro_runs_the_dispatcher():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    completed = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                               capture_output=True, text=True, check=False,
+                               env=dict(os.environ, PYTHONPATH=src))
+    assert completed.returncode == 0
+    assert "usage: repro" in completed.stdout
 
 
 def test_sweep_rejects_bad_grid(capsys):

@@ -255,7 +255,7 @@ class TestIIAxis:
             FIR, library, latencies=[6], ii_values=[1, 2, 3, 6],
             objectives=("initiation_interval", "area"),
             workload="fir_ii",
-            engine_kwargs={"executor": "serial"},
+            workers=1,
         ).explore_dense()
         assert result.axis == "ii"
         assert len(result.front) >= 2
@@ -268,13 +268,13 @@ class TestIIAxis:
 
 class TestEngineIntegration:
     def test_real_engine_small_sweep_with_store(self, library, tmp_path):
-        """End to end through DSEEngine on a small real FIR sweep."""
+        """End to end through the real flows on a small FIR sweep."""
         path = str(tmp_path / "fir.jsonl")
         result = AdaptiveExplorer(
             FIR, library, latencies=range(4, 9),
             policy=RefinementPolicy(coarse_points=3, width_stop=2),
             store=ResultStore(path), workload="fir",
-            engine_kwargs={"executor": "serial"},
+            workers=1,
         ).explore()
         assert result.engine_evaluations >= 3
         assert result.front  # a real frontier came out
@@ -285,7 +285,7 @@ class TestEngineIntegration:
             FIR, library, latencies=range(4, 9),
             policy=RefinementPolicy(coarse_points=3, width_stop=2),
             store=ResultStore(path), workload="fir",
-            engine_kwargs={"executor": "serial"},
+            workers=1,
         ).explore()
         assert rerun.engine_evaluations == 0
         assert rerun.evaluated_latencies == result.evaluated_latencies

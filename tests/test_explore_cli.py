@@ -1,4 +1,4 @@
-"""Tests of the ``repro-explore`` CLI (the console entry point)."""
+"""Tests of the ``repro explore`` CLI."""
 
 import json
 
@@ -66,4 +66,4 @@ def test_cli_reports_repro_errors_as_exit_code_1(tmp_path, capsys):
     code = main(["--workload", "fir", "--param", "taps=4",
                  "--latencies", "4:6", "--store", str(tmp_path)])
     assert code == 1
-    assert "repro-explore:" in capsys.readouterr().err
+    assert "repro explore:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.explore.store import ResultStore, StoreKey, key_for, open_store
+from repro.explore.store import ResultStore, StoreKey, open_store
 from repro.flows.dse import DesignPoint, run_dse, latency_grid
 from repro.workloads import KernelPointFactory
 
@@ -131,24 +131,6 @@ class TestDSEResultImportExport:
         by_name = {m["point"]["name"]: m for m in exported}
         for entry in result.entries:
             assert by_name[entry.point.name] == entry.metrics()
-
-    def test_precomputed_for_feeds_the_engine_restore(self, library, tmp_path):
-        from repro.flows.engine import DSEEngine
-
-        points = latency_grid(4, 6, prefix="fir_L")
-        result = run_dse(FIR, library, points)
-        store = ResultStore(str(tmp_path / "store.jsonl"))
-        store.import_dse_result(result, FIR, workload="fir")
-
-        keyed = [(p.name, key_for(FIR(p), p, 0.05)) for p in points]
-        precomputed = store.precomputed_for(keyed)
-        assert set(precomputed) == {p.name for p in points}
-
-        engine = DSEEngine(FIR, library, points, executor="serial",
-                           precomputed=precomputed)
-        engine_result = engine.run()
-        assert all(o.status == "restored" for o in engine_result.outcomes)
-        assert engine_result.metrics() == [e.metrics() for e in result.entries]
 
     def test_workload_filtering(self, tmp_path):
         store = ResultStore(str(tmp_path / "store.jsonl"))

@@ -1,21 +1,33 @@
 """End-to-end tests of the conventional and slack-based flows and the DSE."""
 
+import pickle
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ReproError
 from repro.flows import (
     DesignPoint,
+    DSEEntry,
+    DSEResult,
     conventional_flow,
     format_table,
     idct_design_points,
     run_dse,
+    scenario_sweep,
     slack_based_flow,
     table1_rows,
     table2_rows,
     table4_rows,
     table5_rows,
 )
-from repro.workloads import idct_design, interpolation_design
+from repro.workloads import (
+    IDCTPointFactory,
+    KernelPointFactory,
+    RandomPointFactory,
+    idct_design,
+    interpolation_design,
+)
 
 
 def test_conventional_flow_on_interpolation(interpolation, library):
@@ -136,3 +148,80 @@ def test_report_tables(interpolation, library):
 
     text = format_table(header, rows, title="Table 1")
     assert "Table 1" in text and "Mul 8*8bit" in text
+
+
+# -- scenario sweeps ---------------------------------------------------------------
+
+
+def test_scenario_sweep_is_diverse_and_picklable():
+    scenarios = scenario_sweep()
+    names = [scenario.name for scenario in scenarios]
+    assert len(names) == len(set(names))
+    # Kernels and random designs at several sizes are both represented.
+    assert sum(1 for s in scenarios if isinstance(s.factory, KernelPointFactory)) >= 5
+    randoms = [s.factory for s in scenarios
+               if isinstance(s.factory, RandomPointFactory)]
+    assert len({(f.layers, f.ops_per_layer) for f in randoms}) >= 3
+    for scenario in scenarios:
+        assert len(scenario.points) >= 2
+        pickle.dumps(scenario.factory)  # process-pool ready
+
+
+# -- DSEResult range semantics ------------------------------------------------------
+
+
+def fake_entry(area: float, power: float, throughput: float) -> DSEEntry:
+    flow = SimpleNamespace(total_area=area, total_power=power,
+                           throughput=throughput)
+    return DSEEntry(point=DesignPoint(name=f"F{id(flow)}", latency=8),
+                    conventional=flow, slack_based=flow)
+
+
+def test_ranges_of_an_empty_sweep_raise():
+    empty = DSEResult()
+    for method in (empty.area_range, empty.power_range, empty.throughput_range,
+                   empty.average_saving_percent):
+        with pytest.raises(ReproError, match="empty sweep"):
+            method()
+
+
+def test_ranges_with_zero_valued_entries_raise_distinctly():
+    broken = DSEResult(entries=[fake_entry(100.0, 1.0, 2.0),
+                                fake_entry(0.0, 0.0, 0.0)])
+    for method in (broken.area_range, broken.power_range,
+                   broken.throughput_range):
+        with pytest.raises(ReproError, match="non-positive"):
+            method()
+
+
+def test_ranges_of_a_healthy_sweep_are_ratios():
+    healthy = DSEResult(entries=[fake_entry(100.0, 2.0, 5.0),
+                                 fake_entry(50.0, 1.0, 10.0)])
+    assert healthy.area_range() == pytest.approx(2.0)
+    assert healthy.power_range() == pytest.approx(2.0)
+    assert healthy.throughput_range() == pytest.approx(2.0)
+
+
+# -- cache-off evaluation hook (the pipeline-cache oracle's substrate) --------------
+
+
+def test_evaluate_point_use_cache_false_builds_private_artifacts(library,
+                                                                 monkeypatch):
+    import repro.flows.dse as dse_mod
+    from repro.flows.pipeline import PointArtifacts
+
+    calls = {"build": 0, "of": 0}
+    real_build, real_of = PointArtifacts.build, PointArtifacts.of
+    monkeypatch.setattr(
+        PointArtifacts, "build",
+        classmethod(lambda cls, design: calls.__setitem__(
+            "build", calls["build"] + 1) or real_build.__func__(cls, design)))
+    monkeypatch.setattr(
+        PointArtifacts, "of",
+        classmethod(lambda cls, design, cache=None: calls.__setitem__(
+            "of", calls["of"] + 1) or real_of.__func__(cls, design, cache)))
+
+    point = DesignPoint(name="P0", latency=10, clock_period=1500.0)
+    dse_mod.evaluate_point(IDCTPointFactory(rows=1), library, point,
+                           use_cache=False)
+    assert calls["build"] >= 1 and calls["of"] == 0

@@ -8,15 +8,18 @@ caches across the points.
 """
 
 import json
+import threading
 import warnings
 
 import pytest
 
+from repro.errors import ReproError
 from repro.flows import (
     DesignPoint,
-    DSEEngine,
+    PointFailure,
     SweepSession,
     evaluate_point,
+    idct_design_points,
     knob_distance,
     latency_grid,
     run_dse,
@@ -24,8 +27,9 @@ from repro.flows import (
 )
 from repro.core.analysis_cache import AnalysisCache
 from repro.lib.tsmc90 import tsmc90_library
+from repro.obs.trace import tracing
 from repro.verify.scenarios import generate_scenario
-from repro.workloads.factories import KernelPointFactory
+from repro.workloads.factories import IDCTPointFactory, KernelPointFactory
 
 CLOCK = 1500.0
 
@@ -195,20 +199,127 @@ def test_evaluate_point_shim_matches_session_path(library, factory):
     assert _metrics_json(shim) == _metrics_json(session.evaluate(point))
 
 
-def test_engine_serial_path_uses_shared_session(library, factory):
-    points = [
-        DesignPoint("p0", latency=6, clock_period=CLOCK),
-        DesignPoint("p1", latency=6, clock_period=1.25 * CLOCK),
-    ]
-    session = SweepSession(factory, library, cache=AnalysisCache())
-    engine = DSEEngine(factory, library, points, executor="serial",
-                       session=session)
-    result = engine.run()
-    assert not result.errors
+# -- run(): failure isolation and the process pool -----------------------------------
+
+
+class FailingFactory(IDCTPointFactory):
+    """Raises on one named point; builds the IDCT everywhere else."""
+
+    def __call__(self, point):
+        if point.name == "P1":
+            raise ValueError("injected failure on P1")
+        return super().__call__(point)
+
+
+def idct_points():
+    return [DesignPoint("P0", latency=8, clock_period=CLOCK),
+            DesignPoint("P1", latency=12, clock_period=CLOCK),
+            DesignPoint("P2", latency=16, clock_period=CLOCK)]
+
+
+def _assert_only_p1_failed(result):
+    assert [entry.point.name for entry in result.entries] == ["P0", "P2"]
+    assert result.failures == [
+        PointFailure(idct_points()[1], "ValueError: injected failure on P1")]
+    # The good entries stay fully usable; callers that need every point
+    # can still insist on it.
+    assert result.area_range() >= 1.0
+    with pytest.raises(ReproError, match="P1: ValueError"):
+        result.raise_on_failures()
+
+
+def test_failing_point_is_isolated(library):
+    _assert_only_p1_failed(
+        SweepSession(FailingFactory(rows=1), library).run(idct_points()))
+
+
+def test_failing_point_is_isolated_in_process_pool(library):
+    _assert_only_p1_failed(
+        SweepSession(FailingFactory(rows=1), library).run(idct_points(),
+                                                          workers=2))
+
+
+def test_base_exceptions_propagate(library):
+    class Interrupting(IDCTPointFactory):
+        def __call__(self, point):
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        SweepSession(Interrupting(rows=1), library).run(idct_points())
+
+
+def test_pool_matches_serial_run_dse(library):
+    """Two workers over the 15-point IDCT sweep return the serial entries:
+    input order, metrics and schedules alike."""
+    points = idct_design_points(clock_period=CLOCK)
+    factory = IDCTPointFactory(rows=1)
+    serial = run_dse(factory, library, points)
+    session = SweepSession(factory, library)
+    pooled = session.run(points, workers=2)
+    assert not pooled.failures
+    assert [entry.point.name for entry in pooled.entries] \
+        == [point.name for point in points]
+    assert json.dumps(pooled.metrics_list(), sort_keys=True) \
+        == json.dumps(serial.metrics_list(), sort_keys=True)
+    for par, ser in zip(pooled.entries, serial.entries):
+        assert (par.conventional.schedule.as_sched_map()
+                == ser.conventional.schedule.as_sched_map())
+        assert (par.slack_based.schedule.as_sched_map()
+                == ser.slack_based.schedule.as_sched_map())
+    # Pool evaluations happen in the workers' own sessions (see SweepStats).
+    assert session.stats.points_evaluated == 0
+
+
+def test_pool_is_spawned_while_other_threads_run(library, monkeypatch):
+    """Forking a threaded process can deadlock the child, so a pool started
+    beside another thread is spawned — with the same results."""
+    import multiprocessing
+
+    real_get_context = multiprocessing.get_context
+    methods = []
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: (
+        methods.append(method) or real_get_context(method)))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    thread.start()
+    try:
+        pooled = SweepSession(IDCTPointFactory(rows=1), library).run(
+            idct_points(), workers=2)
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert methods == ["spawn"]
+    serial = SweepSession(IDCTPointFactory(rows=1), library).run(idct_points())
+    assert pooled.metrics_list() == serial.metrics_list()
+
+
+def test_unpicklable_factory_runs_serially(library):
+    session = SweepSession(lambda point: IDCTPointFactory(rows=1)(point),
+                           library)
+    result = session.run(idct_points()[:2], workers=2)
+    assert len(result.entries) == 2
+    # Evaluated in this process, not in a pool worker: the session counted.
     assert session.stats.points_evaluated == 2
-    assert session.stats.delta_points == 1
-    # And the session-backed sweep equals a per-point baseline.
-    for point, outcome in zip(points, result.outcomes):
-        solo = evaluate_point(factory, library, point, use_cache=False)
-        assert json.dumps(outcome.metrics, sort_keys=True) \
-            == _metrics_json(solo)
+
+
+def test_run_rejects_fewer_than_one_worker(library, factory):
+    with pytest.raises(ReproError, match="workers"):
+        SweepSession(factory, library).run(idct_points(), workers=0)
+
+
+def test_process_workers_ship_spans_back_to_the_parent_tracer(library):
+    points = idct_points()[:2]
+    factory = IDCTPointFactory(rows=1)
+    with tracing() as tracer:
+        result = SweepSession(factory, library).run(points, workers=2)
+    assert not result.failures
+    adopted = [root for root in tracer.roots
+               if root.track.startswith("worker:")]
+    assert {root.track for root in adopted} == {"worker:P0", "worker:P1"}
+    # Worker trees carry the full per-point phase structure.
+    names = {span.name for root in adopted for span in root.walk()}
+    assert "flow.schedule" in names
+    # Tracing observes; it must not perturb the sweep result.
+    untraced = SweepSession(factory, library).run(points, workers=2)
+    assert result.metrics_list() == untraced.metrics_list()

@@ -64,7 +64,7 @@ PINNED_SURFACE = {
     "SweepSession", "SweepStats", "sweep_plan",
     "DesignPoint", "DSEEntry", "DSEResult",
     "evaluate_point", "run_dse", "idct_design_points", "latency_grid",
-    "DSEEngine", "PointArtifacts", "conventional_flow", "slack_based_flow",
+    "PointArtifacts", "conventional_flow", "slack_based_flow",
     # exploration
     "AdaptiveExplorer", "RefinementPolicy", "ResultStore",
     # campaign layer

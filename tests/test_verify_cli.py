@@ -1,4 +1,4 @@
-"""The ``repro-verify`` CLI: determinism, exit codes, corpus wiring."""
+"""The ``repro verify`` CLI: determinism, exit codes, corpus wiring."""
 
 import json
 import re

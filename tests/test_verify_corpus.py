@@ -34,7 +34,7 @@ def test_last_record_wins_per_oracle_and_fingerprint(corpus_path):
     corpus = Corpus(corpus_path)
     corpus.add(spec, "pipeline-cache", "first")
     corpus.add(spec, "pipeline-cache", "second")
-    corpus.add(spec, "executor-modes", "other oracle")
+    corpus.add(spec, "sweep-session", "other oracle")
 
     reloaded = Corpus(corpus_path)
     assert len(reloaded) == 2  # keys: two oracles, one fingerprint

@@ -13,7 +13,7 @@ from repro.verify.oracles import (
 )
 from repro.verify.scenarios import generate_pipelined_scenario, generate_scenario
 
-EXPECTED_ORACLES = ("area-recovery", "sequential-slack", "executor-modes",
+EXPECTED_ORACLES = ("area-recovery", "sequential-slack",
                     "pipeline-cache", "sweep-session", "graphkit-kernels",
                     "graphkit-state-timing", "pipelined-vs-unrolled",
                     "pareto-front")

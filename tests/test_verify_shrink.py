@@ -26,7 +26,7 @@ def _mul_seeds(count):
 
 @pytest.mark.parametrize("seed", _mul_seeds(6))
 def test_shrunk_spec_still_fails_and_is_no_larger(seed):
-    """The two contractual properties of `repro-verify shrink`: the output
+    """The two contractual properties of `repro verify shrink`: the output
     (a) still fails the predicate and (b) is no larger than the input."""
     spec = generate_scenario(seed)
     result = shrink_spec(spec, _has_mul, max_evaluations=500)
