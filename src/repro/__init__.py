@@ -5,8 +5,6 @@ The package implements a complete high-level-synthesis (HLS) research stack:
 
 * :mod:`repro.ir` — behavioral intermediate representation (control-flow graph,
   data-flow graph, operations, builder API and transforms).
-* :mod:`repro.frontend` — a small SystemC-like behavioral language that is
-  elaborated into the IR.
 * :mod:`repro.lib` — multi-speed-grade resource libraries (area/delay
   tradeoff curves per operation kind and bit width).
 * :mod:`repro.core` — the paper's contribution: multi-cycle behavioral timing

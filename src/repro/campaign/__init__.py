@@ -19,13 +19,7 @@ coordination-free fan-in:
   nightly matrix drives.
 """
 
-from repro.campaign.merge import (
-    MergeStats,
-    merge_corpora,
-    merge_jsonl,
-    merge_shards,
-    merge_stores,
-)
+from repro.campaign.merge import merge_shards
 from repro.campaign.shard import run_shard
 from repro.campaign.spec import (
     CampaignSpec,
@@ -47,7 +41,6 @@ from repro.campaign.trend import (
 __all__ = [
     "CampaignSpec",
     "ExploreJob",
-    "MergeStats",
     "ShardPlan",
     "SweepJob",
     "append_trend",
@@ -55,10 +48,7 @@ __all__ = [
     "campaign_summary",
     "default_nightly_spec",
     "load_history",
-    "merge_corpora",
-    "merge_jsonl",
     "merge_shards",
-    "merge_stores",
     "plan_shards",
     "render_trend_markdown",
     "run_shard",

@@ -27,18 +27,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import json
 import sys
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
-
-
-def _date_seed() -> int:
-    """Today's UTC date as YYYYMMDD (the nightly seed; printed, replayable)."""
-    today = datetime.datetime.now(datetime.timezone.utc).date()
-    return int(today.strftime("%Y%m%d"))
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -63,6 +56,8 @@ def _resolve_spec(args: argparse.Namespace):
 
     seed: Optional[int] = args.seed
     if args.seed_from_date:
+        from repro.verify.cli import _date_seed
+
         seed = _date_seed()
     if args.nightly:
         spec = default_nightly_spec()

@@ -8,10 +8,12 @@ fingerprint plus evaluation knobs.  The fan-in step therefore needs no
 coordination with the shards; it is a pure function of the shard files:
 
 * **order-invariant** — merging the shards in any permutation yields the
-  same bytes.  Records are deduped by their store's own key policy
-  (:func:`repro.verify.corpus.record_key` /
-  :func:`repro.explore.store.record_key`) and the survivor of a key is
-  chosen by canonical serialisation, never by input position;
+  same bytes.  Each file is unioned by its store's own
+  :meth:`~repro.core.jsonl.KeyedStore.merge` (:meth:`Corpus.merge
+  <repro.verify.corpus.Corpus.merge>`, :meth:`ResultStore.merge
+  <repro.explore.store.ResultStore.merge>`): records are deduped by the
+  store's key and the survivor of a key is chosen by canonical
+  serialisation, never by input position;
 * **byte-stable** — output records are written in sorted canonical-line
   order, so the same inputs produce byte-identical files (the report
   carries the output's sha256 for cheap cross-run comparison);
@@ -29,16 +31,13 @@ shard artifact can't masquerade as a clean merge.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.core.jsonl import dump_record, load_records, rewrite_records
 from repro.errors import ReproError
-from repro.explore import store as _store
-from repro.verify import corpus as _corpus
+from repro.explore.store import ResultStore
+from repro.verify.corpus import Corpus
 
 MERGE_SCHEMA = 1
 
@@ -47,108 +46,6 @@ CORPUS_FILE = "corpus.jsonl"
 STORE_FILE = "store.jsonl"
 METRICS_FILE = "shard-metrics.json"
 REPORT_FILE = "merge-report.json"
-
-
-@dataclass
-class MergeStats:
-    """What one JSONL union read, kept, dropped and produced."""
-
-    out_path: Optional[str] = None
-    #: Per-input summaries, sorted by path: {path, records, skipped_lines}.
-    inputs: List[Dict[str, object]] = field(default_factory=list)
-    records_in: int = 0
-    unique: int = 0
-    #: Records dropped because an identical line already holds their key.
-    exact_duplicates: int = 0
-    #: Keys that appeared with more than one distinct payload (each counted
-    #: once); resolved to the lexicographically smallest canonical line.
-    conflicts: int = 0
-    skipped_lines: int = 0
-    #: sha256 of the merged file's bytes (byte-stability fingerprint).
-    sha256: str = ""
-
-    @property
-    def clean(self) -> bool:
-        """True iff nothing was silently tolerated: no skips, no conflicts."""
-        return self.skipped_lines == 0 and self.conflicts == 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "out_path": self.out_path,
-            "inputs": list(self.inputs),
-            "records_in": self.records_in,
-            "unique": self.unique,
-            "exact_duplicates": self.exact_duplicates,
-            "conflicts": self.conflicts,
-            "skipped_lines": self.skipped_lines,
-            "sha256": self.sha256,
-            "clean": self.clean,
-        }
-
-
-def merge_jsonl(
-    paths: Sequence[str],
-    out_path: Optional[str],
-    accept: Callable[[Dict[str, object]], bool],
-    key_of: Callable[[Dict[str, object]], Hashable],
-) -> MergeStats:
-    """Union JSONL files under a key policy; returns the merge statistics.
-
-    The construction that makes the union order-invariant: for each key the
-    candidate *canonical lines* are collected as a set and the smallest
-    line wins; the output is all winners in sorted line order.  Both steps
-    see sets, never sequences, so no trace of the input enumeration order
-    survives.  ``out_path=None`` computes the statistics (and the would-be
-    output's sha256) without writing.
-    """
-    stats = MergeStats(out_path=out_path)
-    candidates: Dict[Hashable, set] = {}
-    for path in sorted(paths):
-        records, skipped = load_records(path, accept)
-        stats.inputs.append({
-            "path": os.path.basename(path),
-            "records": len(records),
-            "skipped_lines": skipped,
-        })
-        stats.skipped_lines += skipped
-        stats.records_in += len(records)
-        for record in records:
-            candidates.setdefault(key_of(record), set()).add(
-                dump_record(record))
-
-    winners: List[str] = []
-    for lines in candidates.values():
-        if len(lines) > 1:
-            stats.conflicts += 1
-        winners.append(min(lines))
-    winners.sort()
-    stats.unique = len(winners)
-    # Conflicting payloads are not "exact" duplicates; count each dropped
-    # distinct line under conflicts, the rest under exact duplication.
-    dropped_conflict_lines = sum(
-        len(lines) - 1 for lines in candidates.values() if len(lines) > 1)
-    stats.exact_duplicates = (stats.records_in - stats.unique
-                              - dropped_conflict_lines)
-
-    payload = "".join(line + "\n" for line in winners).encode("utf-8")
-    stats.sha256 = hashlib.sha256(payload).hexdigest()
-    if out_path is not None:
-        rewrite_records(out_path, (json.loads(line) for line in winners))
-    return stats
-
-
-def merge_corpora(paths: Sequence[str],
-                  out_path: Optional[str]) -> MergeStats:
-    """Union failure corpora, deduped by ``(oracle, kind, fingerprint, point)``."""
-    return merge_jsonl(paths, out_path,
-                       _corpus.accept_record, _corpus.record_key)
-
-
-def merge_stores(paths: Sequence[str],
-                 out_path: Optional[str]) -> MergeStats:
-    """Union result stores, deduped by ``fingerprint`` + point knobs."""
-    return merge_jsonl(paths, out_path,
-                       _store.accept_record, _store.record_key)
 
 
 def _load_shard_metrics(directory: str) -> Optional[Dict[str, object]]:
@@ -184,9 +81,9 @@ def merge_shards(shard_dirs: Sequence[str],
     dirs = sorted(shard_dirs)
     corpus_out = os.path.join(out_dir, CORPUS_FILE) if out_dir else None
     store_out = os.path.join(out_dir, STORE_FILE) if out_dir else None
-    corpus_stats = merge_corpora(
+    corpus_stats = Corpus.merge(
         [os.path.join(d, CORPUS_FILE) for d in dirs], corpus_out)
-    store_stats = merge_stores(
+    store_stats = ResultStore.merge(
         [os.path.join(d, STORE_FILE) for d in dirs], store_out)
 
     shard_metrics = []

@@ -42,16 +42,6 @@ from repro.flows.dse import DesignPoint
 
 SPEC_SCHEMA = 1
 
-#: Workloads a sweep/exploration job may name (the same registry the
-#: ``repro explore`` CLI exposes; resolved by
-#: :func:`repro.workloads.factories.resolve_factory`).
-def _known_workloads() -> Tuple[str, ...]:
-    from repro.workloads.factories import KERNEL_BUILDERS
-
-    return ("idct", "interpolation", "resizer", "random") \
-        + tuple(sorted(KERNEL_BUILDERS))
-
-
 def _int_tuple(values: Sequence[object]) -> Tuple[int, ...]:
     return tuple(int(value) for value in values)
 
@@ -231,12 +221,13 @@ class CampaignSpec:
             raise ReproError("a campaign needs at least one shard")
         if self.fuzz_iterations < 0:
             raise ReproError("fuzz_iterations must be >= 0")
-        known = _known_workloads()
+        from repro.workloads.factories import WORKLOAD_NAMES
+
         for job in tuple(self.sweeps) + tuple(self.explorations):
-            if job.workload not in known:
+            if job.workload not in WORKLOAD_NAMES:
                 raise ReproError(
                     f"unknown workload {job.workload!r}; expected one of "
-                    f"{sorted(known)}")
+                    f"{sorted(WORKLOAD_NAMES)}")
 
     # -- serialisation -----------------------------------------------------------
 

@@ -1,15 +1,21 @@
-"""Shared mechanics of the append-only JSONL record stores.
+"""Append-only JSONL files: one dialect, and one policy for keyed files.
 
-Both persistent stores in the repo — the exploration layer's
-:class:`repro.explore.store.ResultStore` and the verification layer's
-:class:`repro.verify.corpus.Corpus` — speak the same dialect: one JSON
-object per line written with ``sort_keys`` (so identical records are
+Every JSONL file the repo writes speaks the same dialect: one JSON object
+per line written with ``sort_keys`` (so identical records are
 byte-identical), appends flushed line by line (a crashed writer loses at
 most its unfinished line), and a loader that tolerates missing files, blank
 lines, corrupt lines and unrecognised records by *skipping* them, never by
-failing.  This module is that dialect, factored out so a robustness fix
-lands in both stores at once; the keying policy (what identifies a record,
-which record wins) stays with each store.
+failing.
+
+The keyed files — the exploration layer's
+:class:`repro.explore.store.ResultStore` and the verification layer's
+:class:`repro.verify.corpus.Corpus` — also share one keying policy,
+implemented once by :class:`KeyedStore`: a record is kept when the
+subclass's schema check accepts it and its key parses; the last record
+written under a key wins; compaction and the campaign fan-in
+(:meth:`KeyedStore.merge`) write sorted canonical lines, so a compacted
+file merges back to itself byte for byte.  A subclass declares only its
+schema check, its key and its record-specific methods.
 
 Concurrency discipline (the serve layer's worker pool is the first
 multi-writer client, but campaign shards on a shared filesystem hit the
@@ -38,16 +44,29 @@ no-op and the dialect falls back to its historical flush-only behaviour.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import tempfile
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 try:  # pragma: no cover - platform probe
     import fcntl
 except ImportError:  # pragma: no cover - Windows fallback
     fcntl = None  # type: ignore[assignment]
 
+from repro.errors import ReproError
 from repro.obs.metrics import counter as _obs_counter
 
 #: Process-wide count of lines every loader tolerated and dropped (corrupt
@@ -199,3 +218,199 @@ def rewrite_records(path: str,
                 os.unlink(tmp_path)
             raise
     return count
+
+
+@dataclass
+class MergeStats:
+    """What one JSONL union read, kept, dropped and produced."""
+
+    out_path: Optional[str] = None
+    #: Per-input summaries, sorted by path: {path, records, skipped_lines}.
+    inputs: List[Dict[str, object]] = field(default_factory=list)
+    records_in: int = 0
+    unique: int = 0
+    #: Records dropped because an identical line already holds their key.
+    exact_duplicates: int = 0
+    #: Keys that appeared with more than one distinct payload (each counted
+    #: once); resolved to the lexicographically smallest canonical line.
+    conflicts: int = 0
+    skipped_lines: int = 0
+    #: sha256 of the merged file's bytes (byte-stability fingerprint).
+    sha256: str = ""
+
+    @property
+    def clean(self) -> bool:
+        """True iff nothing was silently tolerated: no skips, no conflicts."""
+        return self.skipped_lines == 0 and self.conflicts == 0
+
+    def as_dict(self) -> Dict[str, object]:
+        return {**asdict(self), "clean": self.clean}
+
+
+class KeyedStore:
+    """A keyed JSONL file with last-record-wins semantics.
+
+    Subclasses declare :meth:`accept` (the schema/shape check) and
+    :meth:`key` (the dedup identity of a record); this class owns loading,
+    the index, locked appends, compaction and the order-invariant merge.
+
+    Parameters
+    ----------
+    path:
+        The JSONL file.  Created (with parent directories) on the first
+        append; a missing file loads as an empty store.  ``None`` gives a
+        purely in-memory store with identical semantics.  A directory
+        raises :class:`~repro.errors.ReproError`.
+    """
+
+    def __init__(self, path: Optional[str] = None):
+        if path is not None and os.path.isdir(path):
+            raise ReproError(f"{type(self).__name__} path {path!r} is a "
+                             f"directory")
+        self.path = path
+        self._records: Dict[Hashable, Dict[str, object]] = {}
+        #: Lines the load tolerated and dropped (see :func:`load_records`).
+        self.skipped_lines = 0
+        #: Accepted lines currently on disk, superseded ones included —
+        #: the append-only file keeps every re-write of a key, so this can
+        #: exceed ``len(self)``; the difference is :attr:`stale_lines`.
+        self._disk_lines = 0
+        if path is not None:
+            records, self.skipped_lines = load_records(path, self.accept)
+            for record in records:
+                try:
+                    self._records[self.key(record)] = record
+                except (KeyError, TypeError, ValueError):
+                    self.skipped_lines += 1
+                    continue
+                self._disk_lines += 1
+
+    # -- the subclass's schema -----------------------------------------------------
+
+    @staticmethod
+    def accept(record: Dict[str, object]) -> bool:
+        """Whether ``record`` has this store's schema and shape."""
+        raise NotImplementedError
+
+    @staticmethod
+    def key(record: Dict[str, object]) -> Hashable:
+        """The dedup identity of ``record``; may raise ``KeyError``,
+        ``TypeError`` or ``ValueError`` on a malformed record."""
+        raise NotImplementedError
+
+    @classmethod
+    def _valid(cls, record: Dict[str, object]) -> bool:
+        """The merge filter, the rule a load applies: :meth:`accept` passes
+        and :meth:`key` parses (:func:`load_records` counts a raising key
+        as skipped)."""
+        if not cls.accept(record):
+            return False
+        cls.key(record)
+        return True
+
+    # -- the index ---------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._records
+
+    def get(self, key: Hashable) -> Optional[Dict[str, object]]:
+        """The live record stored under ``key``, or ``None``."""
+        return self._records.get(key)
+
+    def records(self) -> List[Dict[str, object]]:
+        """The live records in first-insertion order."""
+        return list(self._records.values())
+
+    # -- writes ------------------------------------------------------------------
+
+    def _append(self, record: Dict[str, object]) -> None:
+        """Append ``record`` (locked, fsynced) and index it under its key."""
+        if self.path is not None:
+            append_record(self.path, record)
+            self._disk_lines += 1
+        self._records[self.key(record)] = record
+
+    @property
+    def stale_lines(self) -> int:
+        """Disk lines whose record a later append has superseded.
+
+        The in-memory index is last-record-wins while the file is
+        append-only, so repeat traffic grows the file while ``len(store)``
+        stays flat; :meth:`compact` drops the backlog.
+        """
+        return self._disk_lines - len(self._records)
+
+    def compact(self, path: Optional[str] = None) -> int:
+        """Rewrite the store as its live records only; returns the count.
+
+        Every record becomes its canonical sorted-keys line, lines in
+        lexicographic order — the output order of :meth:`merge` — so
+        compacting twice is byte-identical and a compacted file merges back
+        to itself byte for byte.  The rewrite is atomic and advisory-locked
+        (:func:`rewrite_records`), so concurrent appenders block rather
+        than interleave.
+
+        ``path`` defaults to the store's own file; an in-memory store
+        needs an explicit target.
+        """
+        target = path if path is not None else self.path
+        if target is None:
+            raise ReproError("an in-memory store needs an explicit path")
+        lines = sorted(dump_record(record) for record in self._records.values())
+        count = rewrite_records(target, (json.loads(line) for line in lines))
+        if target == self.path:
+            self._disk_lines = count
+        return count
+
+    # -- fan-in --------------------------------------------------------------------
+
+    @classmethod
+    def merge(cls, paths: Sequence[str],
+              out_path: Optional[str]) -> MergeStats:
+        """Union files of this store's kind; returns the merge statistics.
+
+        Records pass the same filter as a load.  The construction that makes
+        the union order-invariant: for each key the candidate *canonical
+        lines* are collected as a set and the smallest line wins; the output
+        is all winners in sorted line order.  Both steps see sets, never
+        sequences, so no trace of the input enumeration order survives.
+        ``out_path=None`` computes the statistics (and the would-be
+        output's sha256) without writing.
+        """
+        stats = MergeStats(out_path=out_path)
+        candidates: Dict[Hashable, set] = {}
+        for path in sorted(paths):
+            records, skipped = load_records(path, cls._valid)
+            stats.inputs.append({
+                "path": os.path.basename(path),
+                "records": len(records),
+                "skipped_lines": skipped,
+            })
+            stats.skipped_lines += skipped
+            stats.records_in += len(records)
+            for record in records:
+                candidates.setdefault(cls.key(record), set()).add(
+                    dump_record(record))
+
+        winners: List[str] = []
+        for lines in candidates.values():
+            if len(lines) > 1:
+                stats.conflicts += 1
+            winners.append(min(lines))
+        winners.sort()
+        stats.unique = len(winners)
+        # Conflicting payloads are not "exact" duplicates; count each dropped
+        # distinct line under conflicts, the rest under exact duplication.
+        dropped_conflict_lines = sum(
+            len(lines) - 1 for lines in candidates.values() if len(lines) > 1)
+        stats.exact_duplicates = (stats.records_in - stats.unique
+                                  - dropped_conflict_lines)
+
+        payload = "".join(line + "\n" for line in winners).encode("utf-8")
+        stats.sha256 = hashlib.sha256(payload).hexdigest()
+        if out_path is not None:
+            rewrite_records(out_path, (json.loads(line) for line in winners))
+        return stats

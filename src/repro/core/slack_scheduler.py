@@ -12,8 +12,9 @@ bold steps of Fig. 8):
   timing degradation introduced by sharing/deferral is repaired on the fly
   by upgrading the remaining operations.
 
-The outer relaxation loop (add a resource instance, upgrade a grade) is the
-same "expert system" used by the conventional flow.
+The outer relaxation loop (add a resource instance, upgrade a grade) applies
+the same "expert system" moves as the conventional flow
+(:func:`repro.sched.relaxation.relax`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.core.budgeting import BudgetingResult, budget_slack
 from repro.sched.allocation import Allocation, minimal_allocation
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
 from repro.sched.priorities import combined_priority
-from repro.sched.relaxation import RelaxationLog, upgrade_for_timing
+from repro.sched.relaxation import RelaxationLog, relax
 from repro.sched.schedule import Schedule
 
 
@@ -128,7 +129,7 @@ class SlackScheduler:
         self._rebudget_count = 0
 
         for _ in range(self.max_relaxations):
-            log.attempts += 1
+            log.count_attempt()
             attempt, working = self._schedule_pass(variants, allocation)
             # Carry the grades the pass actually used (re-budgeting and
             # on-the-fly upgrades included) into the next attempt, so the
@@ -147,44 +148,11 @@ class SlackScheduler:
                     rebudget_count=self._rebudget_count,
                     relaxation=log,
                 )
-            failure = attempt.failure
-            if failure.reason == "resource" and failure.class_key is not None:
-                allocation.add(failure.class_key)
-                log.resources_added.append(failure.class_key)
-                log.note(f"added one {failure.class_key[0]}/{failure.class_key[1]} "
-                         f"instance for {failure.op}")
-                continue
-            if failure.reason == "timing":
-                upgrades_before = len(log.upgrades)
-                if upgrade_for_timing(self.design, self.library, variants, failure, log):
-                    for name in log.upgrades[upgrades_before:]:
-                        if variants.get(name) is not None:
-                            self._locked[name] = variants[name]
-                    continue
-                bottleneck = failure.blocking_class_key or failure.class_key
-                if bottleneck is not None:
-                    # Same move as the conventional expert system: the chain
-                    # was compressed by resource-induced deferral, so provide
-                    # one more instance of the bottleneck class.
-                    allocation.add(bottleneck)
-                    log.resources_added.append(bottleneck)
-                    log.note(f"added one {bottleneck[0]}/{bottleneck[1]} "
-                             f"instance after unrepairable timing failure on "
-                             f"{failure.op}")
-                    continue
-                raise InfeasibleDesignError(
-                    f"timing failure on {failure.op!r} cannot be repaired; the "
-                    f"design is overconstrained ({failure.detail})"
-                )
-            if failure.class_key is not None:
-                allocation.add(failure.class_key)
-                log.resources_added.append(failure.class_key)
-                log.note(f"added one {failure.class_key[0]}/{failure.class_key[1]} "
-                         f"instance after unreachable failure on {failure.op}")
-                continue
-            raise InfeasibleDesignError(
-                f"no relaxation can make the design schedulable: {failure}"
-            )
+            upgraded = relax(self.design, self.library, self.clock_period,
+                             self.timing_margin, attempt.failure, variants,
+                             allocation, log)
+            if upgraded is not None:
+                self._locked[upgraded] = variants[upgraded]
         raise InfeasibleDesignError(
             f"design {self.design.name!r} still unschedulable after "
             f"{self.max_relaxations} relaxations"

@@ -38,7 +38,7 @@ from repro.explore.adaptive import (
     ExplorationResult,
     RefinementPolicy,
 )
-from repro.explore.store import ResultStore, StoreKey, key_for, open_store
+from repro.explore.store import ResultStore, StoreKey, key_for
 from repro.explore.compare import (
     FrontierDiff,
     compare_flows,
@@ -73,7 +73,6 @@ __all__ = [
     "ResultStore",
     "StoreKey",
     "key_for",
-    "open_store",
     "FrontierDiff",
     "compare_flows",
     "compare_frontiers",

@@ -21,13 +21,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.lib import tsmc90_library
-from repro.workloads.factories import KERNEL_BUILDERS, resolve_factory
+from repro.workloads.factories import WORKLOAD_NAMES, resolve_factory
 from repro.explore.adaptive import AdaptiveExplorer, RefinementPolicy
 from repro.explore.report import frontier_report, frontier_text_table, write_report
-from repro.explore.store import open_store
-
-_WORKLOADS = ("idct", "interpolation", "resizer", "random") \
-    + tuple(sorted(KERNEL_BUILDERS))
+from repro.explore.store import ResultStore
 
 
 def _parse_latencies(spec: str) -> List[int]:
@@ -67,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro explore",
         description="Adaptive Pareto exploration of an HLS workload's "
                     "latency/area design space.")
-    parser.add_argument("--workload", choices=_WORKLOADS, default="idct")
+    parser.add_argument("--workload", choices=WORKLOAD_NAMES, default="idct")
     parser.add_argument("--rows", type=int, default=2,
                         help="IDCT rows per design (idct workload only)")
     parser.add_argument("--param", dest="params", action="append", default=[],
@@ -112,7 +109,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     library = tsmc90_library()
     try:
-        store = open_store(args.store) if args.store else None
+        store = ResultStore(args.store) if args.store else None
         explorer = AdaptiveExplorer(
             _factory_for(args), library, args.latencies,
             clock_period=args.clock,

@@ -23,27 +23,21 @@ whose designs are structurally identical and share those parameters are the
 same evaluation, whatever the point was named — which is what lets repeated
 explorations across sessions, scenarios and grid layouts resume for free.
 
-Robustness: loading tolerates a missing file, blank lines, corrupt trailing
-lines (a crashed writer) and unknown schema versions — such lines are
-skipped, never fatal.  The *last* record for a key wins, so re-appending an
-evaluation simply supersedes the earlier line.
+Robustness (:class:`repro.core.jsonl.KeyedStore`): loading tolerates a
+missing file, blank lines, corrupt trailing lines (a crashed writer) and
+unknown schema versions — such lines are skipped, never fatal.  The *last*
+record for a key wins, so re-appending an evaluation simply supersedes the
+earlier line.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.core.analysis_cache import design_fingerprint
-from repro.core.jsonl import (
-    append_record,
-    dump_record,
-    load_records,
-    rewrite_records,
-)
-from repro.errors import ReproError
+from repro.core.jsonl import KeyedStore
 
 SCHEMA_VERSION = 1
 
@@ -101,58 +95,25 @@ def key_for(design, point, margin_fraction: float,
     )
 
 
-class ResultStore:
+class ResultStore(KeyedStore):
     """An append-only JSONL store of evaluated design points.
 
-    Parameters
-    ----------
-    path:
-        The JSONL file.  Created (with parent directories) on first
-        :meth:`put`; a missing file loads as an empty store.  ``None``
-        gives a purely in-memory store with identical semantics.
+    Loading, the last-record-wins index, compaction and merging are
+    :class:`~repro.core.jsonl.KeyedStore`'s; records are keyed by
+    :class:`StoreKey`.  ``path=None`` gives a purely in-memory store.
     """
 
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
-        self._records: Dict[StoreKey, Dict[str, object]] = {}
-        self.skipped_lines = 0
-        #: Accepted lines currently on disk, superseded ones included —
-        #: the append-only file keeps every re-put of a key, so this can
-        #: exceed ``len(self)``; the difference is :attr:`stale_lines`.
-        self._disk_lines = 0
-        if path is not None:
-            self._load(path)
-
-    # -- loading -----------------------------------------------------------------
-
     @staticmethod
-    def _accept(record: Dict[str, object]) -> bool:
+    def accept(record: Dict[str, object]) -> bool:
         return (record.get("schema") == SCHEMA_VERSION
                 and isinstance(record.get("key"), dict)
                 and isinstance(record.get("metrics"), dict))
 
-    def _load(self, path: str) -> None:
-        records, self.skipped_lines = load_records(path, self._accept)
-        for record in records:
-            try:
-                key = StoreKey.from_dict(record["key"])
-            except (KeyError, TypeError, ValueError):
-                self.skipped_lines += 1
-                continue
-            self._records[key] = record
-            self._disk_lines += 1
+    @staticmethod
+    def key(record: Dict[str, object]) -> StoreKey:
+        return StoreKey.from_dict(record["key"])  # type: ignore[arg-type]
 
     # -- queries -----------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __contains__(self, key: StoreKey) -> bool:
-        return key in self._records
-
-    def get(self, key: StoreKey) -> Optional[Dict[str, object]]:
-        """The full record stored under ``key``, or ``None``."""
-        return self._records.get(key)
 
     def get_metrics(self, key: StoreKey) -> Optional[Dict[str, object]]:
         """Just the metrics dict stored under ``key``, or ``None``."""
@@ -165,7 +126,9 @@ class ResultStore:
                 if workload is None or record.get("workload") == workload]
 
     def metrics(self, workload: Optional[str] = None) -> List[Dict[str, object]]:
-        """The metrics dicts of :meth:`records` (sweep-shaped export)."""
+        """The metrics dicts of :meth:`records` (sweep-shaped export, the
+        JSON-safe shape :func:`repro.explore.pareto.front_from_metrics`
+        consumes; schedules and datapaths are deliberately not persisted)."""
         return [record["metrics"] for record in self.records(workload)]  # type: ignore[misc]
 
     def workloads(self) -> List[str]:
@@ -193,52 +156,8 @@ class ResultStore:
                   else None),
             "metrics": json.loads(json.dumps(metrics)),
         }
-        if self.path is not None:
-            append_record(self.path, record)
-            self._disk_lines += 1
-        self._records[key] = record
+        self._append(record)
         return record
-
-    # -- compaction ----------------------------------------------------------------
-
-    @property
-    def stale_lines(self) -> int:
-        """Disk lines whose record has been superseded by a later put.
-
-        Repeat traffic on a persistent store appends one line per
-        :meth:`put` even when the key already exists (the in-memory index
-        is last-record-wins, the file is append-only), so the file grows
-        without bound while ``len(store)`` stays flat.  This counter is the
-        growth signal the serve cache tier's compaction policy watches.
-        """
-        return self._disk_lines - len(self._records)
-
-    def compact(self, path: Optional[str] = None) -> int:
-        """Rewrite the store as its live records only; returns the count.
-
-        Output follows the campaign merge layer's canonicalisation
-        (:mod:`repro.campaign.merge`): every record as its canonical
-        sorted-keys line, lines in lexicographic order.  Compacting twice
-        is therefore byte-identical, and a compacted store re-merged
-        through :func:`repro.campaign.merge.merge_stores` reproduces
-        itself byte for byte.  The rewrite is atomic and advisory-locked
-        (:func:`repro.core.jsonl.rewrite_records`), so concurrent
-        appenders block rather than interleave.
-
-        ``path`` defaults to the store's own file; an in-memory store
-        needs an explicit target.
-        """
-        target = path if path is not None else self.path
-        if target is None:
-            raise ReproError("an in-memory store needs an explicit path")
-        lines = sorted(dump_record(record)
-                       for record in self._records.values())
-        count = rewrite_records(target, (json.loads(line) for line in lines))
-        if target == self.path:
-            self._disk_lines = count
-        return count
-
-    # -- DSEResult import / export -------------------------------------------------
 
     def import_dse_result(self, result, design_factory: Callable,
                           margin_fraction: float = 0.05,
@@ -256,45 +175,3 @@ class ResultStore:
             self.put(key, entry.metrics(), workload=workload)
             count += 1
         return count
-
-    def export_metrics(self, workload: Optional[str] = None,
-                       ) -> List[Dict[str, object]]:
-        """The stored sweep as a metrics list (``DSEResult``-level export).
-
-        The full :class:`FlowResult` objects are deliberately not persisted
-        (schedules and datapaths are neither JSON-safe nor stable across
-        versions), so the export is the same JSON-safe metrics shape that
-        golden files and the Pareto toolbox consume — feed it to
-        :func:`repro.explore.pareto.front_from_metrics`.
-        """
-        return self.metrics(workload)
-
-
-def accept_record(record: Dict[str, object]) -> bool:
-    """Schema/shape validation of one store record, key included.
-
-    Slightly stricter than the loader's first-stage filter: the record's
-    key must also parse into a :class:`StoreKey` (the loader counts that
-    failure as a skipped line too, just in a second stage).  Module-level
-    so the campaign merge layer filters shard stores under the exact
-    policy a load applies.
-    """
-    if not ResultStore._accept(record):
-        return False
-    try:
-        StoreKey.from_dict(record["key"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError):
-        return False
-    return True
-
-
-def record_key(record: Dict[str, object]) -> StoreKey:
-    """The dedup identity of one store record (fingerprint + point knobs)."""
-    return StoreKey.from_dict(record["key"])  # type: ignore[arg-type]
-
-
-def open_store(path: Optional[str]) -> ResultStore:
-    """Convenience constructor (symmetry with ``ResultStore(path)``)."""
-    if path is not None and os.path.isdir(path):
-        raise ReproError(f"result store path {path!r} is a directory")
-    return ResultStore(path)

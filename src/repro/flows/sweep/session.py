@@ -85,10 +85,9 @@ class SweepStats:
     session (the fallback path: nothing to delta against).
     ``delta_points`` counts points that shared a previously seen structure
     and therefore rode the interned designs, shared bundles and warm
-    delta-evaluation caches.  ``delta_evaluators``/``delta_updates`` mirror
-    the :class:`~repro.core.analysis_cache.AnalysisCache` delta counters
-    accumulated while this session ran (incremental slack re-evaluations
-    inside the budgeting kernel, and how many node updates they needed).
+    delta-evaluation caches.  The budgeting kernel's incremental slack
+    re-evaluations are process-wide totals, read from
+    ``cache_stats()["analysis_cache"]`` (:func:`repro.obs.metrics.cache_stats`).
 
     Only evaluations in this process are counted: the points a
     ``run(points, workers=n)`` pool evaluates live in the workers' own
@@ -101,8 +100,6 @@ class SweepStats:
     interned_reuses: int = 0
     artifacts_built: int = 0
     artifacts_shared: int = 0
-    delta_evaluators: int = 0
-    delta_updates: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -112,8 +109,6 @@ class SweepStats:
             "interned_reuses": self.interned_reuses,
             "artifacts_built": self.artifacts_built,
             "artifacts_shared": self.artifacts_shared,
-            "delta_evaluators": self.delta_evaluators,
-            "delta_updates": self.delta_updates,
         }
 
 
@@ -176,14 +171,6 @@ class SweepSession:
         self._designs: Dict[Tuple[str, str, Optional[int]], Design] = {}
         self._structures: set = set()
         self._bundles: Dict[str, PointArtifacts] = {}
-        # The slack scheduler's budgeting kernel records its incremental
-        # re-evaluations on the process-wide cache (the flows do not thread
-        # a cache handle down), so the session's delta counters snapshot
-        # that one — exact for single-threaded sweeps, which is what a
-        # session is (see the class docstring).
-        self._delta_cache = default_cache()
-        self._delta_base = (self._delta_cache.delta_evaluators,
-                            self._delta_cache.delta_updates)
 
     # -- interning ---------------------------------------------------------------
 
@@ -248,7 +235,6 @@ class SweepSession:
             )
         self.stats.points_evaluated += 1
         _POINTS.inc()
-        self._refresh_delta_counters()
         return DSEEntry(point=point, conventional=conventional, slack_based=slack)
 
     def run(self, points: Sequence[DesignPoint], workers: int = 1) -> DSEResult:
@@ -330,14 +316,6 @@ class SweepSession:
                 outcomes[index] = (entry, error)
         finally:
             pool.shutdown(cancel_futures=True)
-
-    # -- reporting ---------------------------------------------------------------
-
-    def _refresh_delta_counters(self) -> None:
-        base_evaluators, base_updates = self._delta_base
-        self.stats.delta_evaluators = \
-            self._delta_cache.delta_evaluators - base_evaluators
-        self.stats.delta_updates = self._delta_cache.delta_updates - base_updates
 
 
 def _evaluate_isolated(session: SweepSession, point: DesignPoint) -> _Outcome:

@@ -328,16 +328,3 @@ def try_modulo_schedule(
         ),
     )
 
-
-def modulo_schedule(
-    design: Design,
-    library: Library,
-    clock_period: float,
-    variant_map: Mapping[str, Optional[ResourceVariant]],
-    allocation: Allocation,
-    **kwargs,
-) -> Schedule:
-    """Like :func:`try_modulo_schedule` but raises on failure."""
-    attempt = try_modulo_schedule(design, library, clock_period, variant_map,
-                                  allocation, **kwargs)
-    return attempt.require_schedule()

@@ -10,7 +10,9 @@ pass fails it inspects the structured failure and relaxes the problem:
 * an **unreachable** failure (a predecessor could never be scheduled) is
   treated like a resource failure on the predecessor's class when possible.
 
-When no relaxation can make progress an :class:`InfeasibleDesignError` is
+The moves live in :func:`relax`, which the slack-guided scheduler's loop
+(:class:`repro.core.slack_scheduler.SlackScheduler`) calls too.  When no
+relaxation can make progress an :class:`InfeasibleDesignError` is
 raised — the paper's "design is overconstrained" outcome.  Adding states is
 only possible by re-elaborating the design with a larger latency, which the
 DSE harness does explicitly; the relaxation loop itself never changes the CFG.
@@ -21,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import InfeasibleDesignError, SchedulingError
+from repro.errors import InfeasibleDesignError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.obs.metrics import counter as _obs_counter
-from repro.sched.allocation import Allocation, minimal_allocation, resource_class_key
+from repro.sched.allocation import Allocation, minimal_allocation
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
 from repro.sched.priorities import PriorityFn
 from repro.sched.schedule import Schedule
@@ -54,6 +56,11 @@ class RelaxationLog:
 
     def note(self, message: str) -> None:
         self.messages.append(message)
+
+    def count_attempt(self) -> None:
+        """Count one scheduling pass (here and in the registry twin)."""
+        self.attempts += 1
+        _ATTEMPTS.inc()
 
 
 def upgrade_for_timing(
@@ -108,6 +115,71 @@ def upgrade_for_timing(
     return True
 
 
+def _add_instance(allocation: Allocation, class_key: Tuple[str, int],
+                  log: RelaxationLog, why: str) -> None:
+    allocation.add(class_key)
+    log.resources_added.append(class_key)
+    _RESOURCES_ADDED.inc()
+    log.note(f"added one {class_key[0]}/{class_key[1]} instance {why}")
+
+
+def relax(
+    design: Design,
+    library: Library,
+    clock_period: float,
+    timing_margin: float,
+    failure,
+    variants: Dict[str, Optional[ResourceVariant]],
+    allocation: Allocation,
+    log: RelaxationLog,
+) -> Optional[str]:
+    """Apply the expert system's move (module docstring) for ``failure``.
+
+    Updates ``variants`` and ``allocation`` in place and returns the op
+    whose grade was upgraded (``None`` when an instance was added).  Raises
+    :class:`InfeasibleDesignError` when no move applies, including an op
+    whose fastest grade alone exceeds the clock budget.
+    """
+    if failure.reason == "resource" and failure.class_key is not None:
+        _add_instance(allocation, failure.class_key, log, f"for {failure.op}")
+        return None
+    if failure.reason == "timing":
+        failing_op = design.dfg.op(failure.op)
+        alone_delay = (library.class_for_op(failing_op).min_delay
+                       if failing_op.is_synthesizable
+                       else library.operation_delay(failing_op))
+        if alone_delay > clock_period - timing_margin + 1e-6:
+            raise InfeasibleDesignError(
+                f"operation {failure.op!r} needs {alone_delay:.0f} ps even at "
+                f"its fastest grade, which exceeds the "
+                f"{clock_period - timing_margin:.0f} ps budget; the clock "
+                f"period is infeasible"
+            )
+        if upgrade_for_timing(design, library, variants, failure, log):
+            return log.upgrades[-1]
+        bottleneck = failure.blocking_class_key or failure.class_key
+        if bottleneck is not None:
+            # Every operation in the chain is already at its fastest grade:
+            # the chain was compressed because earlier states ran out of
+            # resources and deferred the chain head.  Adding an instance
+            # of that bottleneck class lets it schedule earlier.
+            _add_instance(allocation, bottleneck, log,
+                          f"after unrepairable timing failure on {failure.op}")
+            return None
+        raise InfeasibleDesignError(
+            f"timing failure on {failure.op!r} cannot be repaired: every "
+            f"operation in its chain is already at its fastest grade "
+            f"({failure.detail})"
+        )
+    if failure.reason == "unreachable" and failure.class_key is not None:
+        _add_instance(allocation, failure.class_key, log,
+                      f"after unreachable failure on {failure.op}")
+        return None
+    raise InfeasibleDesignError(
+        f"no relaxation can make the design schedulable: {failure}"
+    )
+
+
 def schedule_with_relaxation(
     design: Design,
     library: Library,
@@ -152,8 +224,7 @@ def schedule_with_relaxation(
     last_signature = None
 
     for _ in range(max_attempts):
-        log.attempts += 1
-        _ATTEMPTS.inc()
+        log.count_attempt()
         attempt: SchedulingAttempt = scheduler(
             design, library, clock_period, variants, allocation,
             spans=spans, latency=latency, priority=priority,
@@ -170,7 +241,7 @@ def schedule_with_relaxation(
         # II instead.  The block engine has no such clamp and may legally
         # repeat a signature while upgrading different ancestor-cone ops
         # (Case 2), so it keeps relaxing until a move is exhausted (the
-        # explicit raise paths below) or ``max_attempts`` runs out.
+        # raise paths of :func:`relax`) or ``max_attempts`` runs out.
         signature = (failure.op, failure.edge, failure.reason,
                      failure.class_key, failure.blocking_class_key,
                      failure.detail)
@@ -198,55 +269,8 @@ def schedule_with_relaxation(
                 allocation = minimal_allocation(design, library, spans=spans,
                                                 pipeline_ii=bumped)
             continue
-        if failure.reason == "resource" and failure.class_key is not None:
-            allocation.add(failure.class_key)
-            log.resources_added.append(failure.class_key)
-            _RESOURCES_ADDED.inc()
-            log.note(f"added one {failure.class_key[0]}/{failure.class_key[1]} "
-                     f"instance for {failure.op}")
-            continue
-        if failure.reason == "timing":
-            failing_op = design.dfg.op(failure.op)
-            alone_delay = (library.class_for_op(failing_op).min_delay
-                           if failing_op.is_synthesizable
-                           else library.operation_delay(failing_op))
-            if alone_delay > clock_period - timing_margin + 1e-6:
-                raise InfeasibleDesignError(
-                    f"operation {failure.op!r} needs {alone_delay:.0f} ps even at "
-                    f"its fastest grade, which exceeds the "
-                    f"{clock_period - timing_margin:.0f} ps budget; the clock "
-                    f"period is infeasible"
-                )
-            if upgrade_for_timing(design, library, variants, failure, log):
-                continue
-            bottleneck = failure.blocking_class_key or failure.class_key
-            if bottleneck is not None:
-                # Every operation in the chain is already at its fastest grade:
-                # the chain was compressed because earlier states ran out of
-                # resources and deferred the chain head.  Adding an instance
-                # of that bottleneck class lets it schedule earlier.
-                allocation.add(bottleneck)
-                log.resources_added.append(bottleneck)
-                _RESOURCES_ADDED.inc()
-                log.note(f"added one {bottleneck[0]}/{bottleneck[1]} "
-                         f"instance after unrepairable timing failure on "
-                         f"{failure.op}")
-                continue
-            raise InfeasibleDesignError(
-                f"timing failure on {failure.op!r} cannot be repaired: every "
-                f"operation in its chain is already at its fastest grade "
-                f"({failure.detail})"
-            )
-        if failure.reason == "unreachable" and failure.class_key is not None:
-            allocation.add(failure.class_key)
-            log.resources_added.append(failure.class_key)
-            _RESOURCES_ADDED.inc()
-            log.note(f"added one {failure.class_key[0]}/{failure.class_key[1]} "
-                     f"instance after unreachable failure on {failure.op}")
-            continue
-        raise InfeasibleDesignError(
-            f"no relaxation can make the design schedulable: {failure}"
-        )
+        relax(design, library, clock_period, timing_margin, failure,
+              variants, allocation, log)
     raise InfeasibleDesignError(
         f"design {design.name!r} still unschedulable after {max_attempts} relaxations"
     )

@@ -11,9 +11,9 @@ flow evaluations.
 
 Repeat traffic is exactly what exposes the store's append-only growth bug:
 every re-``put`` of an existing key appends a fresh line while the index
-stays flat.  The cache therefore watches
-:attr:`~repro.explore.store.ResultStore.stale_lines` and triggers a
-byte-stable :meth:`~repro.explore.store.ResultStore.compact` once the
+stays flat.  The cache therefore watches the store's
+:attr:`~repro.core.jsonl.KeyedStore.stale_lines` and triggers its
+byte-stable :meth:`~repro.core.jsonl.KeyedStore.compact` once the
 superseded backlog crosses ``compact_after`` — bounding the file at
 ``live + compact_after`` lines however hot the service runs.
 

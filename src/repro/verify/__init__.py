@@ -34,7 +34,7 @@ from repro.verify.oracles import (
     select_oracles,
 )
 from repro.verify.shrink import ShrinkResult, shrink_spec
-from repro.verify.corpus import Corpus, open_corpus
+from repro.verify.corpus import Corpus
 from repro.verify.runner import (
     FuzzFailure,
     FuzzReport,
@@ -58,7 +58,6 @@ __all__ = [
     "ShrinkResult",
     "shrink_spec",
     "Corpus",
-    "open_corpus",
     "FuzzFailure",
     "FuzzReport",
     "replay_corpus",

@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.verify.corpus import open_corpus
+from repro.verify.corpus import Corpus
 from repro.verify.oracles import ORACLES, select_oracles
 from repro.verify.runner import run_fuzz, replay_corpus, shrink_failure, FuzzFailure
 from repro.verify.scenarios import ScenarioProfile
@@ -124,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if iterations is None and args.budget_seconds is None:
         iterations = 200
     seed = _date_seed() if args.seed_from_date else args.seed
-    corpus = open_corpus(args.corpus) if args.corpus else None
+    corpus = Corpus(args.corpus) if args.corpus else None
     profile = None
     if args.max_segments is not None:
         profile = ScenarioProfile(max_segments=max(1, args.max_segments))
@@ -211,7 +211,7 @@ def _print_failure(failure: FuzzFailure) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    corpus = open_corpus(args.corpus)
+    corpus = Corpus(args.corpus)
     if len(corpus) == 0:
         print(f"corpus {args.corpus}: no records")
         return 0
@@ -226,7 +226,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_shrink(args: argparse.Namespace) -> int:
-    corpus = open_corpus(args.corpus)
+    corpus = Corpus(args.corpus)
     matches = corpus.find(args.entry)
     if not matches:
         print(f"no corpus entry matches fingerprint prefix {args.entry!r}",

@@ -12,11 +12,11 @@ Format (one JSON object per line, ``sort_keys`` so lines are byte-stable)::
      "spec": {... ScenarioSpec.to_dict() ...},
      "shrunk_from": "<fingerprint of the unshrunk spec>" | null}
 
-The persistence dialect is shared with :mod:`repro.explore.store` through
-:mod:`repro.core.jsonl`: the *last* record for a key wins, loading
-tolerates missing files, blank lines, corrupt trailing lines and unknown
-schema versions (skipped, never fatal), and appends flush line-by-line so a
-crashed run loses at most its unfinished line.
+The persistence policy is shared with :mod:`repro.explore.store` through
+:class:`repro.core.jsonl.KeyedStore`: the *last* record for a key wins,
+loading tolerates missing files, blank lines, corrupt trailing lines and
+unknown schema versions (skipped, never fatal), and appends flush
+line-by-line so a crashed run loses at most its unfinished line.
 
 Records are keyed by ``(oracle, kind, fingerprint, clock, II, margin)``:
 the structural :func:`repro.core.analysis_cache.design_fingerprint` — the
@@ -33,15 +33,9 @@ artifact; committing interesting entries to the repo makes them permanent).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.jsonl import (
-    append_record,
-    dump_record,
-    load_records,
-    rewrite_records,
-)
+from repro.core.jsonl import KeyedStore
 from repro.errors import ReproError
 from repro.verify.scenarios import ScenarioSpec
 
@@ -51,47 +45,24 @@ CORPUS_SCHEMA = 1
 _Key = Tuple[str, str, str, float, Optional[int], float]
 
 
-def accept_record(record: Dict[str, object]) -> bool:
-    """Schema/shape validation of one corpus record (the load filter)."""
-    return Corpus._accept(record)
-
-
-def record_key(record: Dict[str, object]) -> _Key:
-    """The dedup identity of one corpus record.
-
-    ``(oracle, kind, design fingerprint, clock/II/margin point)`` — the
-    exact keying :class:`Corpus` applies on load, exposed at module level
-    so the campaign merge layer dedups shard corpora under the same policy
-    the store itself replays.
-    """
-    return Corpus._key(record)
-
-
-class Corpus:
+class Corpus(KeyedStore):
     """An append-only JSONL corpus with last-record-wins semantics.
 
-    ``path=None`` gives an in-memory corpus with identical behaviour (used
-    by the unit tests and by dry runs).
+    Loading, the index, compaction and merging are
+    :class:`~repro.core.jsonl.KeyedStore`'s.  ``path=None`` gives an
+    in-memory corpus with identical behaviour (used by the unit tests and
+    by dry runs).
     """
 
-    def __init__(self, path: Optional[str] = None):
-        self.path = path
-        self._records: Dict[_Key, Dict[str, object]] = {}
-        self.skipped_lines = 0
-        if path is not None:
-            self._load(path)
-
-    # -- loading -----------------------------------------------------------------
-
     @staticmethod
-    def _accept(record: Dict[str, object]) -> bool:
+    def accept(record: Dict[str, object]) -> bool:
         return (record.get("schema") == CORPUS_SCHEMA
                 and isinstance(record.get("spec"), dict)
                 and isinstance(record.get("oracle"), str)
                 and isinstance(record.get("fingerprint"), str))
 
     @staticmethod
-    def _key(record: Dict[str, object]) -> _Key:
+    def key(record: Dict[str, object]) -> _Key:
         spec = record.get("spec") or {}
         ii = spec.get("pipeline_ii")
         return (
@@ -103,36 +74,12 @@ class Corpus:
             float(spec.get("margin_fraction", 0.0)),
         )
 
-    def _load(self, path: str) -> None:
-        records, self.skipped_lines = load_records(path, self._accept)
-        for record in records:
-            try:
-                key = self._key(record)
-            except (TypeError, ValueError):
-                self.skipped_lines += 1
-                continue
-            self._records[key] = record
-
     # -- queries -----------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def records(self, oracle: Optional[str] = None) -> List[Dict[str, object]]:
         """All records in insertion order, optionally filtered by oracle."""
         return [record for record in self._records.values()
                 if oracle is None or record.get("oracle") == oracle]
-
-    def get(self, oracle: str, fingerprint: str,
-            kind: Optional[str] = None) -> Optional[Dict[str, object]]:
-        """The latest record of ``oracle`` on ``fingerprint`` (any knobs)."""
-        match: Optional[Dict[str, object]] = None
-        for record in self._records.values():
-            if (record.get("oracle") == oracle
-                    and record.get("fingerprint") == fingerprint
-                    and (kind is None or record.get("kind") == kind)):
-                match = record
-        return match
 
     def find(self, fingerprint_prefix: str) -> List[Dict[str, object]]:
         """Records whose fingerprint starts with ``fingerprint_prefix``."""
@@ -172,27 +119,5 @@ class Corpus:
             "spec": spec.to_dict(),
             "shrunk_from": shrunk_from,
         }
-        if self.path is not None:
-            append_record(self.path, record)
-        self._records[self._key(record)] = record
+        self._append(record)
         return record
-
-    def rewrite(self, path: Optional[str] = None) -> int:
-        """Compact the corpus: write every live record once, in order.
-
-        Writes to ``path`` (default: the corpus's own path) and returns the
-        number of records written.  Because records are JSON with sorted
-        keys, compacting the same corpus twice produces byte-identical
-        files — the round-trip stability the regression tests assert.
-        """
-        target = path if path is not None else self.path
-        if target is None:
-            raise ReproError("an in-memory corpus needs an explicit path")
-        return rewrite_records(target, self._records.values())
-
-
-def open_corpus(path: Optional[str]) -> Corpus:
-    """Convenience constructor (symmetry with :func:`repro.explore.store.open_store`)."""
-    if path is not None and os.path.isdir(path):
-        raise ReproError(f"corpus path {path!r} is a directory")
-    return Corpus(path)

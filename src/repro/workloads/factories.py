@@ -166,6 +166,11 @@ class RandomPointFactory:
                                      clock_period=point.clock_period)
 
 
+#: Every workload name :func:`resolve_factory` accepts.
+WORKLOAD_NAMES: Tuple[str, ...] = ("idct", "interpolation", "resizer",
+                                   "random") + tuple(sorted(KERNEL_BUILDERS))
+
+
 def resolve_factory(workload: str, params: Optional[Dict[str, int]] = None):
     """The picklable factory for a workload name plus builder parameters.
 
@@ -193,5 +198,4 @@ def resolve_factory(workload: str, params: Optional[Dict[str, int]] = None):
         return KernelPointFactory(workload, width=width,
                                   params=tuple(sorted(params.items())))
     raise ValueError(
-        f"unknown workload {workload!r}; expected idct, interpolation, "
-        f"resizer, random or one of {sorted(KERNEL_BUILDERS)}")
+        f"unknown workload {workload!r}; expected one of {list(WORKLOAD_NAMES)}")

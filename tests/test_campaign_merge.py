@@ -17,12 +17,12 @@ from repro.campaign.merge import (
     METRICS_FILE,
     REPORT_FILE,
     STORE_FILE,
-    merge_corpora,
     merge_shards,
-    merge_stores,
 )
 from repro.core.jsonl import dump_record
 from repro.errors import ReproError
+from repro.explore.store import ResultStore
+from repro.verify.corpus import Corpus
 
 
 def corpus_record(oracle="area-recovery", fingerprint="f0", seed=1,
@@ -142,8 +142,8 @@ def test_merge_counts_duplicates_conflicts_and_skips(shard_dirs, tmp_path):
 def test_remerge_of_a_merge_is_idempotent(shard_dirs, tmp_path):
     first = tmp_path / "first"
     merge_shards(shard_dirs, str(first))
-    again_corpus = merge_corpora([str(first / CORPUS_FILE)] * 2, None)
-    again_store = merge_stores([str(first / STORE_FILE)] * 2, None)
+    again_corpus = Corpus.merge([str(first / CORPUS_FILE)] * 2, None)
+    again_store = ResultStore.merge([str(first / STORE_FILE)] * 2, None)
     # Dry-run sha256 of the re-merge equals the written file's content hash.
     import hashlib
     assert again_corpus.sha256 == hashlib.sha256(
@@ -184,6 +184,19 @@ def test_skipped_lines_surface_in_cache_stats(tmp_path):
     path = tmp_path / "corrupt.jsonl"
     write_jsonl(str(path), [store_record()], trailing="%%% not json\n")
     before = cache_stats()["jsonl_stores"]["skipped_lines"]
-    merge_stores([str(path)], None)
+    ResultStore.merge([str(path)], None)
     after = cache_stats()["jsonl_stores"]["skipped_lines"]
     assert after == before + 1
+
+
+def test_corpus_line_with_an_unparseable_key_is_skipped(tmp_path):
+    """The merge applies the load's rule: a record whose key does not parse
+    is skipped and counted, not raised."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(str(path), [corpus_record(fingerprint="a"),
+                            corpus_record(fingerprint="b", clock="fast")])
+    stats = Corpus.merge([str(path)], None)
+    assert stats.records_in == 1
+    assert stats.skipped_lines == 1
+    assert not stats.clean
+    assert Corpus(str(path)).skipped_lines == 1

@@ -224,6 +224,27 @@ def test_bench_job_runs_the_perf_regression_gate(workflow):
         < run_text.index("benchmarks/check_timings.py")
 
 
+def test_bench_job_runs_the_benchmark_harness(workflow):
+    """bench-smoke runs perfbench's own tests and a short traced run of
+    every workload BENCHMARK.json lists, failing on "correct": false, so a
+    src/ change that breaks a name the benchmark wraps or one of its
+    correctness checks fails CI rather than the benchmark of the PR."""
+    import json
+
+    run_text = _run_text(workflow, "bench-smoke")
+    assert "python -m pytest perfbench -q" in run_text
+    assert "pipefail" in run_text
+    assert "python3 perfbench/run.py" in run_text
+    assert "--seconds 5 --trace 1" in run_text
+    assert '["correct"] is True' in run_text
+    with open(os.path.join(os.path.dirname(WORKFLOW), "..", "..",
+                           "BENCHMARK.json"), "r", encoding="utf-8") as handle:
+        listed = [entry["name"] for entry in json.load(handle)["workloads"]]
+    assert listed
+    for name in listed:
+        assert name in run_text, f"workload {name!r} is not smoke-tested"
+
+
 def test_packaging_job_builds_installs_and_imports(workflow):
     run_text = _run_text(workflow, "package")
     assert "python -m build" in run_text

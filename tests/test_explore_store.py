@@ -1,11 +1,13 @@
-"""Tests of the persistent JSONL result store."""
+"""Tests of the persistent JSONL result store.
+
+The keyed-file behaviour it shares with the corpus (missing files, the
+directory check, tolerant loading, compaction, merging) is tested once
+for both in ``test_core_keyed_store.py``.
+"""
 
 import json
 
-import pytest
-
-from repro.errors import ReproError
-from repro.explore.store import ResultStore, StoreKey, open_store
+from repro.explore.store import ResultStore, StoreKey
 from repro.flows.dse import DesignPoint, run_dse, latency_grid
 from repro.workloads import KernelPointFactory
 
@@ -46,11 +48,6 @@ class TestRoundTrip:
         assert reloaded.get(key)["workload"] == "fir"
         assert reloaded.get(key)["point"]["name"] == "P1"
 
-    def test_missing_file_loads_empty(self, tmp_path):
-        store = ResultStore(str(tmp_path / "absent.jsonl"))
-        assert len(store) == 0
-        assert store.get(make_key()) is None
-
     def test_in_memory_store_has_same_semantics(self):
         store = ResultStore(None)
         key = make_key()
@@ -84,13 +81,13 @@ class TestRobustness:
         store = ResultStore(path)
         key = make_key()
         store.put(key, metrics_record())
+        good = {"schema": 1, "key": make_key(fingerprint="g" * 8).as_dict(),
+                "metrics": {}}
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write("{not json\n")
-            handle.write("\n")
-            handle.write(json.dumps({"schema": 999, "key": {}, "metrics": {}}) + "\n")
-            handle.write(json.dumps({"schema": 1, "key": {"fingerprint": "x"},
-                                     "metrics": {}}) + "\n")  # incomplete key
-            handle.write('"just a string"\n')
+            for foreign in ({"schema": 999}, {"key": "not a dict"},
+                            {"metrics": ["not a dict"]},
+                            {"key": {"fingerprint": "x"}}):  # incomplete key
+                handle.write(json.dumps({**good, **foreign}) + "\n")
         reloaded = ResultStore(path)
         assert len(reloaded) == 1
         assert reloaded.skipped_lines == 4
@@ -109,10 +106,6 @@ class TestRobustness:
         assert len(reloaded) == 1
         assert reloaded.skipped_lines == 1
 
-    def test_directory_path_raises(self, tmp_path):
-        with pytest.raises(ReproError):
-            open_store(str(tmp_path))
-
 
 class TestDSEResultImportExport:
     def test_round_trip_through_a_real_sweep(self, library, tmp_path):
@@ -123,7 +116,7 @@ class TestDSEResultImportExport:
         count = store.import_dse_result(result, FIR, workload="fir")
         assert count == 3
 
-        exported = ResultStore(path).export_metrics(workload="fir")
+        exported = ResultStore(path).metrics(workload="fir")
         assert sorted(m["point"]["name"] for m in exported) \
             == [p.name for p in points]
         assert exported[0]["slack_based"]["area"] > 0
@@ -165,31 +158,6 @@ class TestCompaction:
         assert len(reloaded) == 2
         assert reloaded.skipped_lines == 0
         assert reloaded.get_metrics(make_key())["slack_based"]["area"] == 120.0
-
-    def test_compact_twice_is_byte_identical(self, tmp_path):
-        path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        for fp in ("a", "b", "c"):
-            for area in (1.0, 2.0):
-                store.put(make_key(fingerprint=fp * 8),
-                          metrics_record(area=area))
-        store.compact()
-        first = open(path, "rb").read()
-        store.compact()
-        assert open(path, "rb").read() == first
-        # A reloaded store compacts to the same bytes again (the sorted
-        # canonical-line discipline is reload-invariant).
-        ResultStore(path).compact()
-        assert open(path, "rb").read() == first
-
-    def test_in_memory_store_requires_explicit_target(self, tmp_path):
-        store = ResultStore()
-        store.put(make_key(), metrics_record())
-        with pytest.raises(ReproError):
-            store.compact()
-        target = str(tmp_path / "exported.jsonl")
-        assert store.compact(target) == 1
-        assert len(ResultStore(target)) == 1
 
     def test_memo_cache_compacts_at_the_threshold(self, tmp_path):
         from repro.serve.cache import MemoCache

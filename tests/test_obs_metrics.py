@@ -179,6 +179,20 @@ def test_relaxation_counters_twin_the_log(library):
     assert counter("relaxation.attempts").value >= before + attempts
 
 
+def test_relaxation_counters_count_the_slack_flow(library):
+    from repro.flows.slack_based import slack_based_flow
+    from repro.workloads import IDCTPointFactory
+    from repro.flows.dse import DesignPoint
+
+    design = IDCTPointFactory(rows=1)(
+        DesignPoint(name="R", latency=8, clock_period=1500.0))
+    before = counter("relaxation.attempts").value
+    result = slack_based_flow(design, library, clock_period=1500.0)
+    attempts = result.details["relaxation_attempts"]
+    assert attempts >= 1
+    assert counter("relaxation.attempts").value == before + attempts
+
+
 def test_oracle_counters_and_timing_histograms(library):
     from repro.verify.oracles import ORACLES
     from repro.verify.runner import run_oracle_guarded

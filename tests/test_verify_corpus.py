@@ -1,12 +1,17 @@
-"""Corpus: JSONL robustness, last-record-wins, byte-stable round trips."""
+"""Corpus: JSONL robustness, last-record-wins, byte-stable round trips.
+
+The keyed-file behaviour it shares with the result store (missing files,
+the directory check, tolerant loading, compaction, merging) is tested once
+for both in ``test_core_keyed_store.py``.
+"""
 
 import json
 import os
 
 import pytest
 
-from repro.errors import ReproError
-from repro.verify.corpus import CORPUS_SCHEMA, Corpus, dump_record, open_corpus
+from repro.core.jsonl import dump_record
+from repro.verify.corpus import CORPUS_SCHEMA, Corpus
 from repro.verify.scenarios import generate_scenario
 
 
@@ -38,8 +43,8 @@ def test_last_record_wins_per_oracle_and_fingerprint(corpus_path):
 
     reloaded = Corpus(corpus_path)
     assert len(reloaded) == 2  # keys: two oracles, one fingerprint
-    record = reloaded.get("pipeline-cache", spec.fingerprint())
-    assert record is not None and record["details"] == "second"
+    [record] = reloaded.records("pipeline-cache")
+    assert record["details"] == "second"
     # Three physical lines were appended.
     with open(corpus_path, "r", encoding="utf-8") as handle:
         assert len(handle.readlines()) == 3
@@ -50,52 +55,36 @@ def test_loading_tolerates_garbage_and_unknown_schemas(corpus_path):
     corpus = Corpus(corpus_path)
     corpus.add(spec, "pareto-front", "ok record")
     with open(corpus_path, "a", encoding="utf-8") as handle:
-        handle.write("not json at all\n")
-        handle.write("\n")
         handle.write(json.dumps({"schema": 999, "oracle": "x"}) + "\n")
         handle.write('{"schema": 1, "oracle": 7}\n')  # wrong field types
         handle.write('{"truncated-by-a-crash')
 
     reloaded = Corpus(corpus_path)
     assert len(reloaded) == 1
-    assert reloaded.skipped_lines == 4  # the blank line is not counted
-
-
-def test_missing_file_and_in_memory_corpora(tmp_path):
-    assert len(Corpus(str(tmp_path / "never-written.jsonl"))) == 0
-    memory = Corpus(None)
-    memory.add(generate_scenario(1), "pareto-front", "in memory")
-    assert len(memory) == 1
-    with pytest.raises(ReproError):
-        memory.rewrite()  # no path to compact to
-
-
-def test_open_corpus_rejects_directories(tmp_path):
-    with pytest.raises(ReproError):
-        open_corpus(str(tmp_path))
+    assert reloaded.skipped_lines == 3
 
 
 def test_round_trip_is_byte_stable_across_runs(tmp_path):
-    """dump -> load -> dump again must be byte-identical, twice over: the
-    corpus is the permanent regression memory, so its serialisation may
-    not wobble between runs or processes."""
+    """dump -> load -> compact -> load must keep every spec, and equal
+    corpora must serialise to equal bytes: the corpus is the permanent
+    regression memory, so its serialisation may not wobble between runs or
+    processes."""
     first_path = str(tmp_path / "first.jsonl")
     second_path = str(tmp_path / "second.jsonl")
-    third_path = str(tmp_path / "third.jsonl")
 
     corpus = Corpus(first_path)
     for seed in (3, 4, 9):
         corpus.add(generate_scenario(seed), "sequential-slack", f"seed {seed}")
 
-    Corpus(first_path).rewrite(second_path)
-    Corpus(second_path).rewrite(third_path)
+    Corpus(first_path).compact(second_path)
+    compacted = Corpus(second_path)
+    assert sorted(map(dump_record, compacted.records())) \
+        == sorted(map(dump_record, corpus.records()))
+    for record in compacted.records():
+        spec = compacted.spec_of(record)
+        assert spec == generate_scenario(spec.seed)
     with open(first_path, "rb") as handle:
         first = handle.read()
-    with open(second_path, "rb") as handle:
-        second = handle.read()
-    with open(third_path, "rb") as handle:
-        third = handle.read()
-    assert first == second == third
 
     # A freshly generated equal corpus serialises to the same bytes too.
     other = Corpus(str(tmp_path / "regenerated.jsonl"))
@@ -127,7 +116,7 @@ def test_rewrite_compacts_superseded_lines(corpus_path):
     corpus = Corpus(corpus_path)
     corpus.add(spec, "pipeline-cache", "first")
     corpus.add(spec, "pipeline-cache", "second")
-    corpus.rewrite()
+    corpus.compact()
     with open(corpus_path, "r", encoding="utf-8") as handle:
         lines = [line for line in handle if line.strip()]
     assert len(lines) == 1
@@ -155,8 +144,9 @@ def test_failure_and_shrunk_records_never_collide(corpus_path):
     assert len(reloaded) == 2
     kinds = {record["kind"] for record in reloaded.records()}
     assert kinds == {"failure", "shrunk"}
-    raw = reloaded.get("pipeline-cache", fingerprint, kind="failure")
-    assert raw is not None and raw["spec"]["pipeline_ii"] == 2
+    [raw] = [record for record in reloaded.records()
+             if record["kind"] == "failure"]
+    assert raw["spec"]["pipeline_ii"] == 2
 
 
 def test_same_structure_different_knobs_keep_separate_records(corpus_path):
@@ -168,3 +158,18 @@ def test_same_structure_different_knobs_keep_separate_records(corpus_path):
     corpus.add(spec, "pipeline-cache", "at margin A")
     corpus.add(other_margin, "pipeline-cache", "at margin B")
     assert len(Corpus(corpus_path)) == 2
+
+
+def test_stale_lines_count_superseded_adds(corpus_path):
+    spec = generate_scenario(5)
+    corpus = Corpus(corpus_path)
+    corpus.add(spec, "pipeline-cache", "first")
+    assert corpus.stale_lines == 0
+    corpus.add(spec, "pipeline-cache", "second")
+    corpus.add(spec, "pipeline-cache", "third")
+    assert len(corpus) == 1
+    assert corpus.stale_lines == 2
+    assert Corpus(corpus_path).stale_lines == 2
+    corpus.compact()
+    assert corpus.stale_lines == 0
+    assert Corpus(corpus_path).stale_lines == 0
