@@ -9,7 +9,9 @@ runs exactly the slice :func:`repro.campaign.spec.plan_shards` assigns to
   included);
 * ``store.jsonl`` — every sweep/exploration evaluation, keyed by
   structural fingerprint plus clock/II/margin
-  (the :class:`repro.explore.store.ResultStore` dialect);
+  (the :class:`repro.explore.store.ResultStore` dialect); both stages
+  resolve their points through :func:`repro.explore.store.memoized_run`,
+  so a shard rerun into the same directory evaluates nothing;
 * ``shard-metrics.json`` — the shard's manifest and telemetry: the shard
   plan it executed, the fuzz report summary (iterations, scenario digest,
   per-oracle counts), sweep-session reuse statistics and failed sweep
@@ -34,7 +36,7 @@ from repro.campaign.merge import CORPUS_FILE, METRICS_FILE, STORE_FILE
 from repro.campaign.spec import CampaignSpec, ShardPlan, plan_shards
 from repro.errors import ReproError
 from repro.explore.adaptive import AdaptiveExplorer, RefinementPolicy
-from repro.explore.store import ResultStore, key_for
+from repro.explore.store import ResultStore, memoized_run
 from repro.flows.sweep import SweepSession
 from repro.verify.corpus import Corpus
 from repro.verify.runner import run_fuzz
@@ -86,15 +88,11 @@ def _run_sweep_stage(spec: CampaignSpec, plan: ShardPlan, library,
         job = spec.sweeps[job_index]
         grid = job.points()
         points = [grid[i] for i in point_indices]
-        factory = job.factory()
-        session = SweepSession(factory, library,
+        session = SweepSession(job.factory(), library,
                                margin_fraction=job.margin_fraction,
                                scheduling=job.scheduling)
-        result = session.run(points)
-        for entry in result.entries:
-            key = key_for(factory(entry.point), entry.point,
-                          job.margin_fraction, scheduling=job.scheduling)
-            store.put(key, entry.metrics(), workload=job.workload)
+        _, failures = memoized_run(session, points, store,
+                                   workload=job.workload)
         summaries.append({
             "job": job_index,
             "workload": job.workload,
@@ -102,7 +100,7 @@ def _run_sweep_stage(spec: CampaignSpec, plan: ShardPlan, library,
             "scheduling": job.scheduling,
             "session": session.stats.as_dict(),
             "failures": [{"point": failure.point.name, "error": failure.error}
-                         for failure in result.failures],
+                         for failure in failures],
         })
     return summaries
 

@@ -32,13 +32,17 @@ evaluations only where the area/latency trade-off has structure:
    pin the resulting epsilon-coverage guarantee for monotone step curves,
    and the Table-4 benchmark asserts it empirically on the real,
    non-monotone IDCT curve).
-3. **Reuse everywhere** — before any flow runs, each candidate point is
-   fingerprinted (:func:`repro.core.analysis_cache.design_fingerprint` of
-   its factory-built design) and resolved against the session's own
-   evaluations and the persistent :class:`repro.explore.store.ResultStore`;
+3. **Reuse everywhere** — every wave goes through
+   :func:`repro.explore.store.memoized_run`: each candidate point is keyed
+   by the fingerprint of its factory-built design
+   (:func:`repro.core.analysis_cache.design_fingerprint`) plus its
+   clock/II/margin and looked up in the explorer's
+   :class:`repro.explore.store.ResultStore` (an in-memory one unless a
+   persistent store is given), and every evaluation is recorded there;
    structurally identical points (and any point explored in an earlier
    session with the same clock/II/margin) are restored instead of
-   re-evaluated.
+   re-evaluated.  The good points of a wave are recorded even when another
+   point of it fails, so a rerun evaluates only the failures.
 
 The result carries every evaluated metrics record, the Pareto front over
 the configured objectives and the evaluation ledger (engine evaluations vs
@@ -54,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
-from repro.flows.dse import DesignPoint
+from repro.flows.dse import DesignPoint, DSEResult
 from repro.flows.sweep import SweepSession
 from repro.explore.pareto import (
     OBJECTIVE_SENSES,
@@ -73,7 +77,13 @@ from repro.explore.pareto import (
 #: objects (wall-clock data is deliberately excluded from persisted
 #: metrics), so an exploration can never provide them.
 _LIVE_ONLY_OBJECTIVES = frozenset({"runtime_s"})
-from repro.explore.store import ResultStore, StoreKey, key_for
+from repro.explore.store import (
+    EVALUATED,
+    MEMO,
+    ResultStore,
+    StoreKey,
+    memoized_run,
+)
 
 
 @dataclass(frozen=True)
@@ -87,8 +97,8 @@ class RefinementPolicy:
     latency error of fully-refined regions is at most ``width_stop - 1``
     states (intervals whose endpoints agree to within the thresholds stop
     earlier and are covered by the relative epsilon instead — see the
-    module docstring for the exact guarantee).  ``max_waves`` and
-    ``max_evaluations`` are hard safety caps.
+    module docstring for the exact guarantee).  ``max_waves`` is a hard
+    safety cap.
     """
 
     coarse_points: int = 5
@@ -96,7 +106,6 @@ class RefinementPolicy:
     convexity_fraction: float = 0.10
     width_stop: int = 3
     max_waves: int = 12
-    max_evaluations: Optional[int] = None
 
     def __post_init__(self):
         if self.coarse_points < 2:
@@ -182,12 +191,16 @@ class AdaptiveExplorer:
         metrics feed them.  ``guide_objective`` (default ``"area"``) is the
         scalar the refinement rules watch.
     store:
-        Optional :class:`ResultStore`; hits skip flow evaluation, results
-        are appended, so a re-run of any exploration is free.
-    evaluate_batch:
-        Testing/simulation hook replacing the flows: a callable mapping a
-        list of :class:`DesignPoint` to a list of metrics dicts.  Store and
-        fingerprint reuse still apply around it.
+        Optional :class:`ResultStore` (or any memo, e.g. the serve layer's
+        :class:`~repro.serve.cache.MemoCache`); hits skip flow evaluation
+        and results are recorded, so a re-run of any exploration is free.
+        Without one the explorer memoizes in an in-memory store.
+    evaluator:
+        Testing/simulation hook replacing the flows, called once per
+        evaluated point as ``evaluator(factory, library, point,
+        margin_fraction, scheduling) -> metrics dict`` (the serve layer's
+        evaluator signature).  Store and fingerprint reuse still apply
+        around it.
     workers:
         Worker processes per evaluation wave (default: one per CPU).  A
         wave with one pending point, or a factory that does not pickle,
@@ -219,8 +232,7 @@ class AdaptiveExplorer:
         policy: Optional[RefinementPolicy] = None,
         store: Optional[ResultStore] = None,
         workload: str = "",
-        evaluate_batch: Optional[Callable[[List[DesignPoint]],
-                                          List[Mapping[str, object]]]] = None,
+        evaluator: Optional[Callable[..., Dict[str, object]]] = None,
         workers: Optional[int] = None,
         ii_values: Optional[Sequence[int]] = None,
         scheduling: Optional[str] = None,
@@ -276,14 +288,14 @@ class AdaptiveExplorer:
         self.flow = flow
         self.guide_objective = guide_objective
         self.policy = policy or RefinementPolicy()
-        self.store = store
+        self.store = store if store is not None else ResultStore()
         self.workload = workload or getattr(design_factory, "__class__",
                                             type(design_factory)).__name__
-        self.evaluate_batch = evaluate_batch
+        self.evaluator = evaluator
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         # Session state.
         self._curve: Dict[int, Mapping[str, object]] = {}
-        self._by_key: Dict[StoreKey, Mapping[str, object]] = {}
+        self._seen: Set[StoreKey] = set()
         self._exhausted_witnesses: Set[int] = set()
         self._engine_evaluations = 0
         self._restored = 0
@@ -291,7 +303,9 @@ class AdaptiveExplorer:
         # One sweep session spans every refinement wave, so serial waves
         # keep their interned designs and artifact bundles warm from wave
         # to wave (pool workers evaluate through sessions of their own).
-        self._session: Optional[SweepSession] = None
+        self._session = SweepSession(design_factory, library,
+                                     margin_fraction=self.margin_fraction,
+                                     scheduling=scheduling)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -317,82 +331,30 @@ class AdaptiveExplorer:
                                 flow=self.flow)[0]
 
     def _evaluate(self, latencies: Sequence[int]) -> None:
-        """Resolve each latency via dedup, store, then the flows."""
-        pending: List[Tuple[int, DesignPoint, StoreKey]] = []
-        pending_keys: Set[StoreKey] = set()
-        followers: List[Tuple[int, StoreKey]] = []
-        for latency in latencies:
-            if latency in self._curve:
-                continue
-            point = self._point_for(latency)
-            key = key_for(self.design_factory(point), point,
-                          self.margin_fraction, scheduling=self.scheduling)
-            if key in self._by_key:
-                self._curve[latency] = self._by_key[key]
-                self._deduplicated += 1
-                continue
-            if key in pending_keys:
-                # Structurally identical to a point already queued in this
-                # wave (e.g. a workload whose structure ignores the latency
-                # knob): evaluate once, share the metrics afterwards.
-                followers.append((latency, key))
-                continue
-            if self.store is not None:
-                stored = self.store.get_metrics(key)
-                if stored is not None:
-                    self._curve[latency] = stored
-                    self._by_key[key] = stored
-                    self._restored += 1
-                    continue
-            pending.append((latency, point, key))
-            pending_keys.add(key)
+        """Resolve each new latency through :func:`memoized_run`.
 
-        if not pending:
-            self._resolve_followers(followers)
-            return
-        budget = self.policy.max_evaluations
-        if budget is not None and self._engine_evaluations + len(pending) > budget:
-            allowed = max(0, budget - self._engine_evaluations)
-            pending = pending[:allowed]
-            if not pending:
-                return
-
-        points = [point for _, point, _ in pending]
-        if self.evaluate_batch is not None:
-            metrics_list = list(self.evaluate_batch(points))
-            if len(metrics_list) != len(points):
-                raise ReproError("evaluate_batch returned a result count "
-                                 "mismatching its input points")
-        else:
-            if self._session is None:
-                self._session = SweepSession(
-                    self.design_factory, self.library,
-                    margin_fraction=self.margin_fraction,
-                    scheduling=self.scheduling)
-            result = self._session.run(points, workers=self.workers)
-            result.raise_on_failures()
-            metrics_list = [entry.metrics() for entry in result.entries]
-
-        for (latency, point, key), metrics in zip(pending, metrics_list):
-            if metrics is None:
-                raise ReproError(f"evaluation of {point.name} produced no metrics")
-            self._curve[latency] = metrics
-            self._by_key[key] = metrics
-            self._engine_evaluations += 1
-            if self.store is not None:
-                self.store.put(key, metrics, workload=self.workload)
-        self._resolve_followers(followers)
-
-    def _resolve_followers(self, followers: List[Tuple[int, StoreKey]]) -> None:
-        """Share metrics with same-fingerprint points of the current wave.
-
-        A follower whose leader was trimmed by the evaluation budget stays
-        unresolved and is retried (or re-queued) on a later wave.
+        ``engine_evaluations`` counts evaluated points, ``restored`` memo
+        hits on keys not seen earlier in this exploration, ``deduplicated``
+        the rest.  A failed point raises after the wave's good points are
+        recorded.
         """
-        for latency, key in followers:
-            if key in self._by_key:
-                self._curve[latency] = self._by_key[key]
+        fresh = [latency for latency in latencies if latency not in self._curve]
+        outcomes, failures = memoized_run(
+            self._session, [self._point_for(latency) for latency in fresh],
+            self.store, workload=self.workload, workers=self.workers,
+            evaluator=self.evaluator)
+        for latency, (key, metrics, source) in zip(fresh, outcomes):
+            if metrics is None:
+                continue
+            self._curve[latency] = metrics
+            if source == EVALUATED:
+                self._engine_evaluations += 1
+            elif source == MEMO and key not in self._seen:
+                self._restored += 1
+            else:
                 self._deduplicated += 1
+            self._seen.add(key)
+        DSEResult(failures=failures).raise_on_failures()
 
     # -- refinement --------------------------------------------------------------
 
@@ -469,11 +431,8 @@ class AdaptiveExplorer:
             targets = self._refinement_targets()
             if not targets:
                 break
-            before = len(self._curve)
             self._evaluate(targets)
             waves += 1
-            if len(self._curve) == before:
-                break  # evaluation budget exhausted
         return self._result("adaptive", waves, start)
 
     def explore_dense(self) -> ExplorationResult:

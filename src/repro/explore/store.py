@@ -28,16 +28,25 @@ missing file, blank lines, corrupt trailing lines (a crashed writer) and
 unknown schema versions — such lines are skipped, never fatal.  The *last*
 record for a key wins, so re-appending an evaluation simply supersedes the
 earlier line.
+
+Memo protocol: a memo answers ``lookup(key)`` with the stored metrics or
+``None`` and stores an evaluation with ``record(key, metrics, workload)``.
+:class:`ResultStore` is one, and so is its counting, self-compacting
+subclass :class:`repro.serve.cache.MemoCache`.  :func:`memoized_run` is the
+one key -> look up -> evaluate -> record loop over a memo; serve jobs, the
+adaptive explorer and campaign shards all resume sweeps through it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.core.analysis_cache import design_fingerprint
 from repro.core.jsonl import KeyedStore
+from repro.flows.dse import DesignPoint, PointFailure
 
 SCHEMA_VERSION = 1
 
@@ -115,7 +124,7 @@ class ResultStore(KeyedStore):
 
     # -- queries -----------------------------------------------------------------
 
-    def get_metrics(self, key: StoreKey) -> Optional[Dict[str, object]]:
+    def lookup(self, key: StoreKey) -> Optional[Dict[str, object]]:
         """Just the metrics dict stored under ``key``, or ``None``."""
         record = self._records.get(key)
         return record.get("metrics") if record is not None else None  # type: ignore[return-value]
@@ -138,40 +147,111 @@ class ResultStore(KeyedStore):
 
     # -- writes ------------------------------------------------------------------
 
-    def put(self, key: StoreKey, metrics: Mapping[str, object],
-            workload: str = "",
-            point: Optional[Mapping[str, object]] = None) -> Dict[str, object]:
+    def record(self, key: StoreKey, metrics: Mapping[str, object],
+               workload: str = "") -> Dict[str, object]:
         """Record one evaluation: append a JSONL line and index it.
 
         ``metrics`` must be JSON-safe (the :meth:`DSEEntry.metrics` shape
-        is).  Returns the full record.  Re-putting a key appends a new line
-        whose record supersedes the old one on the next load.
+        is); the record's ``point`` is its ``"point"`` dict.  Returns the
+        full record.  Re-recording a key appends a new line whose record
+        supersedes the old one on the next load.
         """
+        metrics = json.loads(json.dumps(metrics))
+        point = metrics.get("point")
         record: Dict[str, object] = {
             "schema": SCHEMA_VERSION,
             "workload": workload,
             "key": key.as_dict(),
-            "point": dict(point) if point is not None
-            else (metrics.get("point") if isinstance(metrics.get("point"), dict)
-                  else None),
-            "metrics": json.loads(json.dumps(metrics)),
+            "point": point if isinstance(point, dict) else None,
+            "metrics": metrics,
         }
         self._append(record)
         return record
 
-    def import_dse_result(self, result, design_factory: Callable,
-                          margin_fraction: float = 0.05,
-                          workload: str = "") -> int:
-        """Store every entry of a :class:`repro.flows.dse.DSEResult`.
 
-        ``design_factory`` rebuilds each entry's design (cheap relative to
-        the flows) so its structural fingerprint can key the record.
-        Returns the number of records written.
-        """
-        count = 0
+#: Where a :func:`memoized_run` point's metrics came from: the memo, this
+#: call's evaluation, or an earlier point of this call with the same key.
+MEMO, EVALUATED, SHARED = "memo", "evaluated", "shared"
+
+
+class Memoized(NamedTuple):
+    """One point of a :func:`memoized_run`; ``metrics`` and ``source`` are
+    ``None`` when it failed, and ``key`` too when its factory raised."""
+
+    key: Optional[StoreKey]
+    metrics: Optional[Dict[str, object]]
+    source: Optional[str]
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def memoized_run(session, points: Sequence[DesignPoint], memo,
+                 workload: str = "", workers: int = 1,
+                 evaluator: Optional[Callable[..., Dict[str, object]]] = None,
+                 ) -> Tuple[List[Memoized], List[PointFailure]]:
+    """Key each point, look each key up in ``memo`` once, evaluate the
+    misses and record the successes under ``workload``.
+
+    Points are keyed by :func:`key_for` on ``session``'s factory, margin and
+    scheduling mode; a later point with a key already seen shares its
+    metrics.  Misses run through ``session.run(misses, workers=workers)``,
+    or through one ``evaluator(factory, library, point, margin_fraction,
+    scheduling)`` call each, and are recorded in the caller's order of
+    first occurrence before this returns.  An :class:`Exception` from a
+    point's factory, evaluator call or flows fails that point only: it is
+    returned, never raised.  Returns one :class:`Memoized` per point and
+    the failures, both in the caller's order.
+    """
+    keys: List[Optional[StoreKey]] = []
+    errors: Dict[object, str] = {}  # by key, or by index if the factory raised
+    for index, point in enumerate(points):
+        try:
+            keys.append(key_for(session.design_factory(point), point,
+                                session.margin_fraction,
+                                scheduling=session.scheduling))
+        except Exception as exc:  # noqa: BLE001 — a failure of this point only
+            keys.append(None)
+            errors[index] = _error(exc)
+    resolved: Dict[StoreKey, Dict[str, object]] = {}
+    misses: Dict[StoreKey, DesignPoint] = {}  # key -> its first point
+    for key, point in zip(keys, points):
+        if key is not None and key not in resolved and key not in misses:
+            metrics = memo.lookup(key)
+            if metrics is None:
+                misses[key] = point
+            else:
+                resolved[key] = metrics
+    if evaluator is not None:
+        for key, point in misses.items():
+            try:
+                resolved[key] = evaluator(
+                    session.design_factory, session.library, point,
+                    session.margin_fraction, session.scheduling)
+            except Exception as exc:  # noqa: BLE001 — a failure of this point only
+                errors[key] = _error(exc)
+    elif misses:
+        result = session.run(list(misses.values()), workers=workers)
+        key_of = {point: key for key, point in misses.items()}
         for entry in result.entries:
-            design = design_factory(entry.point)
-            key = key_for(design, entry.point, margin_fraction)
-            self.put(key, entry.metrics(), workload=workload)
-            count += 1
-        return count
+            resolved[key_of[entry.point]] = entry.metrics()
+        for failure in result.failures:
+            errors[key_of[failure.point]] = failure.error
+    for key in misses:
+        if key in resolved:
+            memo.record(key, resolved[key], workload=workload)
+
+    outcomes: List[Memoized] = []
+    failures: List[PointFailure] = []
+    shown = set()
+    for index, (point, key) in enumerate(zip(points, keys)):
+        error = errors.get(index if key is None else key)
+        if error is not None:
+            outcomes.append(Memoized(key, None, None))
+            failures.append(PointFailure(point, error))
+            continue
+        source = SHARED if key in shown else EVALUATED if key in misses else MEMO
+        shown.add(key)
+        outcomes.append(Memoized(key, resolved[key], source))
+    return outcomes, failures

@@ -156,9 +156,9 @@ class DSEResult:
         """The JSON-safe per-point metrics of the sweep, in entry order.
 
         This is the exchange format of the exploration layer: feed it to
-        :func:`repro.explore.pareto.front_from_metrics`, persist it through
-        :meth:`repro.explore.store.ResultStore.import_dse_result`, or diff
-        it with :mod:`repro.explore.compare`.
+        :func:`repro.explore.pareto.front_from_metrics` or diff it with
+        :mod:`repro.explore.compare` (:func:`repro.explore.store.memoized_run`
+        persists the same dicts).
         """
         return [entry.metrics() for entry in self.entries]
 

@@ -6,9 +6,11 @@ service: tenants submit JSON-safe jobs (``submit-design`` scenarios,
 :mod:`repro.verify.scenarios` and :mod:`repro.campaign.spec`), a persistent
 FIFO queue journals every state transition, and workers execute each job
 under a retry/deadline policy with every evaluation resolved *memo-first*
-against a shared fingerprint-keyed :class:`repro.explore.store.ResultStore`.
-Re-submitting an already-evaluated design therefore completes with zero new
-flow evaluations, whoever evaluated it first.
+by :func:`repro.explore.store.memoized_run` against one shared
+fingerprint-keyed :class:`MemoCache` (a counting, self-compacting
+:class:`repro.explore.store.ResultStore`) — sweeps, submitted designs and
+explorations alike.  Re-submitting an already-evaluated design therefore
+completes with zero new flow evaluations, whoever evaluated it first.
 
 Modules
 -------
@@ -21,8 +23,9 @@ Modules
     :class:`RetryPolicy` / :func:`run_with_retry` — bounded retries,
     deterministic jittered backoff, terminal structured timeouts.
 :mod:`repro.serve.cache`
-    :class:`MemoCache` — the shared memo tier, with stale-line-triggered
-    byte-stable compaction of the backing store.
+    :class:`MemoCache` — the shared memo tier: a :class:`ResultStore`
+    subclass counting its traffic, with stale-line-triggered byte-stable
+    compaction.
 :mod:`repro.serve.service`
     :class:`DSEService` — endpoints + workers, the layer's core.
 :mod:`repro.serve.http`

@@ -1,6 +1,7 @@
-"""The service's shared memoization tier over the persistent result store.
+"""The service's shared memoization tier: a counting :class:`ResultStore`.
 
-Every evaluation the service performs first consults a
+Every evaluation the service performs goes through
+:func:`repro.explore.store.memoized_run` over one :class:`MemoCache` — a
 :class:`repro.explore.store.ResultStore` keyed by design fingerprint plus
 the non-structural knobs (clock period, initiation interval, margin — see
 :func:`repro.explore.store.key_for`).  The cache is deliberately shared
@@ -10,8 +11,8 @@ records, which is what makes a re-submitted design complete with zero new
 flow evaluations.
 
 Repeat traffic is exactly what exposes the store's append-only growth bug:
-every re-``put`` of an existing key appends a fresh line while the index
-stays flat.  The cache therefore watches the store's
+every re-``record`` of an existing key appends a fresh line while the index
+stays flat.  The cache therefore watches its
 :attr:`~repro.core.jsonl.KeyedStore.stale_lines` and triggers its
 byte-stable :meth:`~repro.core.jsonl.KeyedStore.compact` once the
 superseded backlog crosses ``compact_after`` — bounding the file at
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from repro.explore.store import ResultStore, StoreKey, key_for
+from repro.explore.store import ResultStore, StoreKey
 from repro.obs.metrics import counter as _obs_counter
 
 _HITS = _obs_counter("serve.cache.hits")
@@ -35,26 +36,22 @@ _PUTS = _obs_counter("serve.cache.puts")
 _COMPACTIONS = _obs_counter("serve.cache.compactions")
 
 
-class MemoCache:
-    """A counting, self-compacting façade over one :class:`ResultStore`.
+class MemoCache(ResultStore):
+    """A :class:`ResultStore` that counts its memo traffic and self-compacts.
 
     Parameters
     ----------
     path:
         JSONL file backing the store (``None``: in-memory, still memoizing
-        within the process).  Ignored when ``store`` is given.
-    store:
-        An existing store to adopt (the explore layer's, a campaign
-        shard's...).
+        within the process).
     compact_after:
-        Stale-line threshold that triggers compaction after a put
+        Stale-line threshold that triggers compaction after a record
         (``None`` disables; in-memory stores never compact).
     """
 
     def __init__(self, path: Optional[str] = None,
-                 store: Optional[ResultStore] = None,
                  compact_after: Optional[int] = 256):
-        self.store = store if store is not None else ResultStore(path)
+        super().__init__(path)
         self.compact_after = compact_after
         #: Per-instance tallies (the counters above are process-wide).
         self.hits = 0
@@ -62,14 +59,9 @@ class MemoCache:
         self.puts = 0
         self.compactions = 0
 
-    def key(self, design, point, margin_fraction: float,
-            scheduling: str = "block") -> StoreKey:
-        """The memo key of one evaluation (see :func:`key_for`)."""
-        return key_for(design, point, margin_fraction, scheduling=scheduling)
-
     def lookup(self, key: StoreKey) -> Optional[Dict[str, object]]:
         """The memoized metrics under ``key``, counting the hit or miss."""
-        metrics = self.store.get_metrics(key)
+        metrics = super().lookup(key)
         if metrics is not None:
             self.hits += 1
             _HITS.inc()
@@ -79,23 +71,17 @@ class MemoCache:
         return metrics
 
     def record(self, key: StoreKey, metrics: Mapping[str, object],
-               workload: str = "",
-               point: Optional[Mapping[str, object]] = None) -> None:
+               workload: str = "") -> Dict[str, object]:
         """Store one evaluation and compact if the backlog crossed the bar."""
-        self.store.put(key, metrics, workload=workload, point=point)
+        record = super().record(key, metrics, workload=workload)
         self.puts += 1
         _PUTS.inc()
-        self.maybe_compact()
-
-    def maybe_compact(self) -> bool:
-        """Compact the backing file when its stale backlog is large enough."""
-        if (self.compact_after is None or self.store.path is None
-                or self.store.stale_lines < self.compact_after):
-            return False
-        self.store.compact()
-        self.compactions += 1
-        _COMPACTIONS.inc()
-        return True
+        if (self.compact_after is not None and self.path is not None
+                and self.stale_lines >= self.compact_after):
+            self.compact()
+            self.compactions += 1
+            _COMPACTIONS.inc()
+        return record
 
     def stats(self) -> Dict[str, object]:
         """This cache's JSON-safe tallies (instance-local, not process-wide)."""
@@ -104,6 +90,6 @@ class MemoCache:
             "misses": self.misses,
             "puts": self.puts,
             "compactions": self.compactions,
-            "records": len(self.store),
-            "stale_lines": self.store.stale_lines,
+            "records": len(self),
+            "stale_lines": self.stale_lines,
         }

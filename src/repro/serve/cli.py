@@ -15,8 +15,9 @@ the contract, so a cron job can submit and a worker box can run.  ``smoke``
 is the self-contained CI gate: it submits a small IDCT sweep to an
 in-process service, drains it, asserts the status transitions, resubmits
 the identical job and asserts the warm run completes with **zero** new flow
-evaluations (the memo tier's core promise), exiting non-zero on any
-violation.
+evaluations (the memo tier's core promise) and that the memo tier counted
+the hits; then it does the same for a small explore job, exiting non-zero
+on any violation.
 """
 
 from __future__ import annotations
@@ -180,10 +181,10 @@ def _cmd_http(args) -> int:
 
 
 def _cmd_smoke(args) -> int:
-    """Cold+warm round trip against an in-process service (the CI gate)."""
+    """Cold+warm round trips against in-process services (the CI gate)."""
     import os
 
-    from repro.serve.fakes import sweep_payload
+    from repro.serve.fakes import explore_payload, sweep_payload
     from repro.serve.service import DSEService
 
     def check(condition: bool, what: str) -> None:
@@ -194,40 +195,56 @@ def _cmd_smoke(args) -> int:
     os.makedirs(workdir, exist_ok=True)
     store = os.path.join(workdir, "store.jsonl")
     queue = os.path.join(workdir, "queue.jsonl")
+
+    def run(job):
+        """Submit ``job`` to a fresh service over the shared files, drain
+        it, and return ``(service, receipt, result body)``."""
+        service = DSEService(store_path=store, queue_path=queue)
+        receipt = service.submit(job)
+        check(service.status(receipt["job_id"])["state"] == "pending",
+              "submitted job must start pending")
+        check(service.run_pending() == 1, "one pending job must execute")
+        status = service.status(receipt["job_id"])
+        check(status["state"] == "done",
+              f"{job['kind']} job ended {status['state']!r}")
+        return service, receipt, service.result(receipt["job_id"])["result"]
+
     job = {"kind": "sweep", "payload": sweep_payload(latencies=(6, 8)),
            "tenant": "smoke"}
-
-    service = DSEService(store_path=store, queue_path=queue)
-    submitted = service.submit(job)
-    check(service.status(submitted["job_id"])["state"] == "pending",
-          "submitted job must start pending")
-    check(service.run_pending() == 1, "one pending job must execute")
-    status = service.status(submitted["job_id"])
-    check(status["state"] == "done", f"cold job ended {status['state']!r}")
-    cold = service.result(submitted["job_id"])["result"]
+    _, submitted, cold = run(job)
     check(cold["evaluations"] == 2 and cold["cache_hits"] == 0,
           f"cold run expected 2 evaluations/0 hits, got {cold['evaluations']}"
           f"/{cold['cache_hits']}")
 
     # Warm resubmit — a fresh service over the same store must complete the
     # identical job from the memo tier alone.
-    warm_service = DSEService(store_path=store, queue_path=queue)
-    resubmitted = warm_service.submit(job)
+    warm_service, resubmitted, warm = run(job)
     check(resubmitted["fingerprint"] == submitted["fingerprint"],
           "identical jobs must share a fingerprint")
-    warm_service.run_pending()
-    warm = warm_service.result(resubmitted["job_id"])["result"]
     check(warm["evaluations"] == 0 and warm["cache_hits"] == 2,
           f"warm run expected 0 evaluations/2 hits, got {warm['evaluations']}"
           f"/{warm['cache_hits']}")
+    counted = warm_service.stats()["cache"]
+    check(counted["hits"] == 2 and counted["puts"] == 0,
+          f"warm memo tier expected 2 hits/0 puts, got {counted['hits']}"
+          f"/{counted['puts']}")
     check(json.dumps(warm["points"], sort_keys=True)
           == json.dumps(cold["points"], sort_keys=True),
           "warm metrics must be byte-identical to the cold run")
+
+    # Explore jobs go through the same memo tier.
+    explore = {"kind": "explore", "tenant": "smoke",
+               "payload": explore_payload(latencies=(6, 10))}
+    run(explore)
+    warm_service, _, explored = run(explore)
+    hits = warm_service.stats()["cache"]["hits"]
+    check(explored["evaluations"] == 0 and hits == explored["cache_hits"],
+          f"warm explore expected 0 evaluations and {explored['cache_hits']} "
+          f"memo hit(s), got {explored['evaluations']}/{hits}")
     print(f"serve smoke ok: cold={cold['evaluations']} evaluation(s), "
-          f"warm={warm['evaluations']} (all {warm['cache_hits']} from cache); "
-          f"artifacts in {workdir}" if args.keep else
-          f"serve smoke ok: cold={cold['evaluations']} evaluation(s), "
-          f"warm={warm['evaluations']} (all {warm['cache_hits']} from cache)")
+          f"warm={warm['evaluations']} (all {warm['cache_hits']} from cache), "
+          f"warm explore={explored['evaluations']}"
+          + (f"; artifacts in {workdir}" if args.keep else ""))
     return 0
 
 

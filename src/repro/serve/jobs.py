@@ -80,17 +80,18 @@ class JobSpec:
         :class:`~repro.campaign.spec.SweepJob` or
         :class:`~repro.campaign.spec.ExploreJob` depending on :attr:`kind`.
         """
-        if self.kind == KIND_SUBMIT_DESIGN:
-            from repro.verify.scenarios import ScenarioSpec
+        from repro.campaign.spec import ExploreJob, SweepJob
+        from repro.verify.scenarios import ScenarioSpec
 
-            return ScenarioSpec.from_dict(dict(self.payload))
-        if self.kind == KIND_SWEEP:
-            from repro.campaign.spec import SweepJob
-
-            return self._check_workload(SweepJob.from_dict(self.payload))
-        from repro.campaign.spec import ExploreJob
-
-        return self._check_workload(ExploreJob.from_dict(self.payload))
+        try:
+            if self.kind == KIND_SUBMIT_DESIGN:
+                return ScenarioSpec.from_dict(dict(self.payload))
+            job = (SweepJob if self.kind == KIND_SWEEP
+                   else ExploreJob).from_dict(self.payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReproError(f"malformed {self.kind} payload: "
+                             f"{type(exc).__name__}: {exc}") from exc
+        return self._check_workload(job)
 
     @staticmethod
     def _check_workload(job):

@@ -5,11 +5,13 @@
 :class:`~repro.serve.cache.MemoCache` memo tier, a
 :class:`~repro.serve.retry.RetryPolicy` wrapped around every job, and
 workers that execute the three job kinds by *reusing* the existing
-evaluation stack — :func:`repro.flows.dse.evaluate_point` for submitted
-designs, :meth:`repro.flows.sweep.SweepSession.run` for sweeps and
-:class:`repro.explore.adaptive.AdaptiveExplorer` for explorations — so a
-served result is bit-for-bit the result a direct call would have produced
-(asserted by the service property tests).
+evaluation stack: submitted designs and sweeps resolve their points through
+:func:`repro.explore.store.memoized_run` over the memo tier, explorations
+run :class:`repro.explore.adaptive.AdaptiveExplorer` with the memo tier as
+its store (which calls the same function), and the misses run through a
+:class:`repro.flows.sweep.SweepSession` — so a served result is bit-for-bit
+the result a direct call would have produced (asserted by the service
+property tests).
 
 Endpoints are plain methods (``submit`` / ``status`` / ``result`` /
 ``cancel`` / ``stats``); :mod:`repro.serve.http` exposes them over stdlib
@@ -34,16 +36,13 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from repro.errors import ReproError
+from repro.explore.store import EVALUATED, memoized_run
+from repro.flows.dse import DSEResult
+from repro.flows.sweep import SweepSession
 from repro.obs.metrics import histogram as _obs_histogram
 from repro.obs.trace import span as _obs_span
 from repro.serve.cache import MemoCache
-from repro.serve.jobs import (
-    KIND_EXPLORE,
-    KIND_SUBMIT_DESIGN,
-    KIND_SWEEP,
-    JobRecord,
-    JobSpec,
-)
+from repro.serve.jobs import KIND_EXPLORE, KIND_SWEEP, JobRecord, JobSpec
 from repro.serve.queue import JobQueue
 from repro.serve.retry import RetryPolicy, run_with_retry
 
@@ -57,16 +56,6 @@ class JobStateError(ReproError):
     for the result of a job that is not done, cancelling a running job)."""
 
 
-def _default_evaluator(factory, library, point, margin_fraction: float,
-                       scheduling: str) -> Dict[str, object]:
-    """Evaluate one point through both real flows (the production path)."""
-    from repro.flows.dse import evaluate_point
-
-    return evaluate_point(factory, library, point,
-                          margin_fraction=margin_fraction,
-                          scheduling=scheduling).metrics()
-
-
 class DSEService:
     """The serve layer's core object (endpoints + workers + memo tier).
 
@@ -76,12 +65,11 @@ class DSEService:
         Resource library shared by all evaluations; defaults to
         :func:`repro.lib.tsmc90.tsmc90_library`, built lazily so queue-only
         operations (status, stats, cancel) never pay for characterisation.
-    cache / store_path:
-        The shared memo tier: pass a :class:`MemoCache` to adopt one, or a
-        ``store_path`` to create one over a persistent store (``None``:
-        in-memory).
-    queue / queue_path:
-        The job queue, same adopt-or-create pattern.
+    store_path:
+        The JSONL file of the shared :class:`MemoCache` memo tier
+        (``None``: in-memory).
+    queue_path:
+        The JSONL journal of the job queue (``None``: in-memory).
     retry:
         The :class:`RetryPolicy` every job runs under (its
         ``deadline_seconds`` is the per-job timeout).
@@ -93,15 +81,15 @@ class DSEService:
         Injection point for tests: ``(factory, library, point,
         margin_fraction, scheduling) -> metrics dict``.  The fakes in
         :mod:`repro.serve.fakes` implement it; the default runs both real
-        flows.
+        flows through a :class:`~repro.flows.sweep.SweepSession`.
+    compact_after:
+        The memo tier's compaction threshold (see :class:`MemoCache`).
     """
 
     def __init__(
         self,
         library=None,
-        cache: Optional[MemoCache] = None,
         store_path: Optional[str] = None,
-        queue: Optional[JobQueue] = None,
         queue_path: Optional[str] = None,
         retry: Optional[RetryPolicy] = None,
         workers: int = 1,
@@ -111,14 +99,11 @@ class DSEService:
         if workers < 1:
             raise ReproError(f"workers must be at least 1, got {workers}")
         self._library = library
-        self.cache = cache if cache is not None \
-            else MemoCache(path=store_path, compact_after=compact_after)
-        self.queue = queue if queue is not None else JobQueue(path=queue_path)
+        self.cache = MemoCache(path=store_path, compact_after=compact_after)
+        self.queue = JobQueue(path=queue_path)
         self.retry = retry if retry is not None else RetryPolicy()
         self.workers = workers
-        self._evaluator = evaluator if evaluator is not None \
-            else _default_evaluator
-        self._custom_evaluator = evaluator is not None
+        self._evaluator = evaluator
         self._workers: List[threading.Thread] = []
         self._stop = threading.Event()
 
@@ -242,122 +227,45 @@ class DSEService:
     # -- job bodies --------------------------------------------------------------
 
     def _run_job(self, spec: JobSpec) -> Dict[str, object]:
-        payload = spec.parse_payload()
-        if spec.kind == KIND_SUBMIT_DESIGN:
-            return self._run_submit_design(spec, payload)
+        """One job body: sweeps and submitted designs resolve their points
+        memo-first through :func:`memoized_run`; explorations run the
+        adaptive explorer over the same memo."""
+        job = spec.parse_payload()
+        if spec.kind == KIND_EXPLORE:
+            return self._run_explore(spec, job)
+        body: Dict[str, object] = {"kind": spec.kind, "tenant": spec.tenant}
         if spec.kind == KIND_SWEEP:
-            return self._run_sweep(spec, payload)
-        return self._run_explore(spec, payload)
-
-    def _evaluate(self, factory, point, margin_fraction: float,
-                  scheduling: str, workload: str) -> Dict[str, object]:
-        """Memo-first evaluation of one point: ``{"metrics", "hit"}``."""
-        key = self.cache.key(factory(point), point, margin_fraction,
-                             scheduling=scheduling)
-        metrics = self.cache.lookup(key)
-        if metrics is not None:
-            return {"metrics": metrics, "hit": True}
-        metrics = self._evaluator(factory, self.library, point,
-                                  margin_fraction, scheduling)
-        self.cache.record(key, metrics, workload=workload,
-                          point=metrics.get("point")
-                          if isinstance(metrics.get("point"), dict) else None)
-        return {"metrics": metrics, "hit": False}
-
-    def _run_submit_design(self, spec: JobSpec, scenario,
-                           ) -> Dict[str, object]:
-        point = scenario.point(name=scenario.name)
-        scheduling = "pipeline" if scenario.pipeline_ii is not None \
-            else "block"
-        outcome = self._evaluate(
-            scenario.factory(), point, scenario.margin_fraction, scheduling,
-            workload=f"serve:{spec.tenant}:scenario")
-        return {
-            "kind": KIND_SUBMIT_DESIGN,
-            "tenant": spec.tenant,
-            "points": [outcome["metrics"]],
-            "cache_hits": 1 if outcome["hit"] else 0,
-            "evaluations": 0 if outcome["hit"] else 1,
-        }
-
-    def _run_sweep(self, spec: JobSpec, job) -> Dict[str, object]:
-        """Memo-first sweep: look every point up, evaluate the misses, record.
-
-        The misses run through one :meth:`SweepSession.run` over
-        ``workers`` processes, or point by point through an injected
-        evaluator; points sharing a memo key are evaluated once.  When some
-        points fail, the others are recorded before the job raises, so a
-        retry evaluates only the failures.
-        """
-        from repro.flows.sweep import SweepSession
-
-        factory = job.factory()
-        points = job.points()
-        workload = f"serve:{spec.tenant}:{job.workload}"
-        keys = [self.cache.key(factory(point), point, job.margin_fraction,
-                               scheduling=job.scheduling)
-                for point in points]
-        found = {}   # memo key -> metrics
-        misses = {}  # memo key -> the first point that needs it
-        for point, key in zip(points, keys):
-            if key in found or key in misses:
-                continue
-            metrics = self.cache.lookup(key)
-            if metrics is None:
-                misses[key] = point
-            else:
-                found[key] = metrics
-
-        def record(key, metrics):
-            point = metrics.get("point")
-            self.cache.record(key, metrics, workload=workload,
-                              point=point if isinstance(point, dict) else None)
-            found[key] = metrics
-
-        if self._custom_evaluator:
-            for key, point in misses.items():
-                record(key, self._evaluator(factory, self.library, point,
-                                            job.margin_fraction,
-                                            job.scheduling))
-        elif misses:
-            session = SweepSession(factory, self.library,
-                                   margin_fraction=job.margin_fraction,
-                                   scheduling=job.scheduling)
-            result = session.run(list(misses.values()), workers=self.workers)
-            evaluated = {entry.point: entry.metrics()
-                         for entry in result.entries}
-            for key, point in misses.items():
-                if point in evaluated:
-                    record(key, evaluated[point])
-            result.raise_on_failures()
-        return {
-            "kind": KIND_SWEEP,
-            "tenant": spec.tenant,
-            "workload": job.workload,
-            "points": [found[key] for key in keys],
-            "cache_hits": len(points) - len(misses),
-            "evaluations": len(misses),
-        }
+            body["workload"] = tag = job.workload
+            points, scheduling = job.points(), job.scheduling
+        else:  # a submitted design: the scenario's one point
+            tag, points = "scenario", [job.point(name=job.name)]
+            scheduling = "block" if job.pipeline_ii is None else "pipeline"
+        session = SweepSession(job.factory(), self.library,
+                               margin_fraction=job.margin_fraction,
+                               scheduling=scheduling)
+        outcomes, failures = memoized_run(
+            session, points, self.cache, workload=f"serve:{spec.tenant}:{tag}",
+            workers=self.workers, evaluator=self._evaluator)
+        # The other points are recorded already: a retry evaluates only the
+        # failures.
+        DSEResult(failures=failures).raise_on_failures()
+        evaluations = sum(outcome.source == EVALUATED for outcome in outcomes)
+        return {**body, "points": [outcome.metrics for outcome in outcomes],
+                "cache_hits": len(points) - evaluations,
+                "evaluations": evaluations}
 
     def _run_explore(self, spec: JobSpec, job) -> Dict[str, object]:
         from repro.explore.adaptive import AdaptiveExplorer, RefinementPolicy
 
-        factory = job.factory()
-        evaluate_batch = None
-        if self._custom_evaluator:
-            def evaluate_batch(batch):
-                return [self._evaluator(factory, self.library, point,
-                                        job.margin_fraction, "block")
-                        for point in batch]
         explorer = AdaptiveExplorer(
-            factory, self.library, job.latencies,
+            job.factory(), self.library, job.latencies,
             clock_period=job.clock_period,
             margin_fraction=job.margin_fraction,
             objectives=job.objectives,
             policy=RefinementPolicy(coarse_points=job.coarse_points),
-            store=self.cache.store,
+            store=self.cache,
             workload=f"serve:{spec.tenant}:{job.workload}",
-            evaluate_batch=evaluate_batch,
+            evaluator=self._evaluator,
             workers=self.workers,
         )
         result = explorer.explore()

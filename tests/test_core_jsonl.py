@@ -168,7 +168,7 @@ class TestMultiprocessHammer:
         assert len(store) == workers * per_worker
         key = StoreKey(fingerprint="w0-0", clock_period=1500.0,
                        pipeline_ii=None, margin_fraction=0.05)
-        assert store.get_metrics(key)["saving_percent"] == 10.0
+        assert store.lookup(key)["saving_percent"] == 10.0
 
 
 def _store_hammer_worker(path, worker, count, barrier):
@@ -179,5 +179,5 @@ def _store_hammer_worker(path, worker, count, barrier):
     for index in range(count):
         key = StoreKey(fingerprint=f"w{worker}-{index}", clock_period=1500.0,
                        pipeline_ii=None, margin_fraction=0.05)
-        store.put(key, {"saving_percent": 10.0, "pad": "y" * 2048},
+        store.record(key, {"saving_percent": 10.0, "pad": "y" * 2048},
                   workload=f"w{worker}")

@@ -20,7 +20,7 @@ from repro.verify.scenarios import generate_scenario
 def _put(store, index, variant):
     key = StoreKey(fingerprint=f"fp{index}", clock_period=1500.0,
                    pipeline_ii=None, margin_fraction=0.05)
-    return store.put(key, {"area": float(variant)}, workload="w")
+    return store.record(key, {"area": float(variant)}, workload="w")
 
 
 def _add(corpus, index, variant):

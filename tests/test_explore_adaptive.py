@@ -1,6 +1,6 @@
 """Tests of the adaptive exploration driver.
 
-Most tests drive the explorer with a synthetic ``evaluate_batch`` over a
+Most tests drive the explorer with a synthetic ``evaluator`` over a
 real (but cheap to *build*) FIR factory: designs are constructed for
 fingerprinting, while the flow evaluation is replaced by a controlled area
 curve.  The end-to-end engine path is exercised once on a small real sweep.
@@ -19,33 +19,31 @@ FIR = KernelPointFactory("fir", params=(("taps", 4),))
 
 
 def synthetic_evaluator(area_of, calls=None):
-    """An ``evaluate_batch`` producing DSEEntry-shaped metrics from a
-    latency -> area function (other metrics derived deterministically)."""
+    """A per-point ``evaluator`` producing DSEEntry-shaped metrics from a
+    latency -> area function (other metrics derived deterministically);
+    ``calls`` logs the evaluated latencies in order."""
 
-    def evaluate(points):
+    def evaluate(factory, library, p, margin_fraction, scheduling):
         if calls is not None:
-            calls.append([p.latency for p in points])
-        records = []
-        for p in points:
-            area = float(area_of(p.latency))
-            flow = {
-                "area": area,
-                "power": area / 1000.0,
-                "throughput": 1.0 / p.latency,
-                "latency_steps": p.latency,
-                "meets_timing": True,
-                "fu_instances": 2,
-                "registers": 3,
-            }
-            records.append({
-                "point": {"name": p.name, "latency": p.latency,
-                          "pipeline_ii": p.pipeline_ii,
-                          "clock_period": p.clock_period},
-                "conventional": dict(flow, area=area * 1.2),
-                "slack_based": flow,
-                "saving_percent": 100.0 * (1 - 1 / 1.2),
-            })
-        return records
+            calls.append(p.latency)
+        area = float(area_of(p.latency))
+        flow = {
+            "area": area,
+            "power": area / 1000.0,
+            "throughput": 1.0 / p.latency,
+            "latency_steps": p.latency,
+            "meets_timing": True,
+            "fu_instances": 2,
+            "registers": 3,
+        }
+        return {
+            "point": {"name": p.name, "latency": p.latency,
+                      "pipeline_ii": p.pipeline_ii,
+                      "clock_period": p.clock_period},
+            "conventional": dict(flow, area=area * 1.2),
+            "slack_based": flow,
+            "saving_percent": 100.0 * (1 - 1 / 1.2),
+        }
 
     return evaluate
 
@@ -55,7 +53,7 @@ def explorer(area_of, latencies=range(4, 29), policy=None, calls=None,
     return AdaptiveExplorer(
         FIR, library=None, latencies=latencies,
         policy=policy or RefinementPolicy(),
-        evaluate_batch=synthetic_evaluator(area_of, calls),
+        evaluator=synthetic_evaluator(area_of, calls),
         workload="fir_synth", **kwargs)
 
 
@@ -86,15 +84,10 @@ class TestAdaptiveOnSyntheticCurves:
                           calls=calls).explore()
         # Coarse grid {4, 10, 16, 22, 28}; the spike at 16 flags (10, 16)
         # and (16, 22) whose midpoints are evaluated in one extra wave.
-        assert calls[0] == [4, 10, 16, 22, 28]
-        assert calls[1] == [13, 19]
+        assert calls[:5] == [4, 10, 16, 22, 28]
+        assert calls[5:] == [13, 19]
         assert result.engine_evaluations == 7
         assert result.waves == 1
-
-    def test_max_evaluations_budget_is_a_hard_cap(self):
-        policy = RefinementPolicy(max_evaluations=6)
-        result = explorer(lambda lat: 1000.0 / lat, policy=policy).explore()
-        assert result.engine_evaluations <= 6
 
     def test_dense_mode_evaluates_every_candidate(self):
         latencies = range(4, 15)
@@ -189,11 +182,49 @@ class TestReuse:
         calls = []
         result = AdaptiveExplorer(
             ResizerPointFactory(), library=None, latencies=range(4, 10),
-            evaluate_batch=synthetic_evaluator(lambda lat: 123.0, calls),
+            evaluator=synthetic_evaluator(lambda lat: 123.0, calls),
             workload="resizer").explore_dense()
         assert result.engine_evaluations == 1
         assert result.deduplicated == 5
-        assert len(calls) == 1 and len(calls[0]) == 1
+        assert calls == [4]
+
+
+class TestFailures:
+    def test_a_failing_wave_keeps_its_good_points(self, library, tmp_path,
+                                                  monkeypatch):
+        """The wave's good points are stored before the failure raises,
+        so a rerun evaluates only the point that failed."""
+        from repro.errors import ReproError
+        from repro.flows.sweep import SweepSession
+
+        evaluate = SweepSession.evaluate
+        evaluated, failing = [], {5}
+
+        def flaky(self, point):
+            evaluated.append(point.latency)
+            if point.latency in failing:
+                raise ReproError("injected flow failure")
+            return evaluate(self, point)
+
+        monkeypatch.setattr(SweepSession, "evaluate", flaky)
+        path = str(tmp_path / "store.jsonl")
+
+        def explore():
+            return AdaptiveExplorer(FIR, library, latencies=[4, 5, 6],
+                                    store=ResultStore(path), workload="fir",
+                                    workers=1).explore_dense()
+
+        with pytest.raises(ReproError, match="injected flow failure"):
+            explore()
+        assert sorted(evaluated) == [4, 5, 6]
+        assert sorted(m["point"]["latency"]
+                      for m in ResultStore(path).metrics()) == [4, 6]
+
+        failing.clear()
+        evaluated.clear()
+        result = explore()
+        assert evaluated == [5]
+        assert (result.engine_evaluations, result.restored) == (1, 2)
 
 
 class TestIIAxis:
@@ -201,15 +232,16 @@ class TestIIAxis:
     of the latency."""
 
     def _ii_evaluator(self, area_of_ii, calls=None):
-        def evaluate(points):
+        base = synthetic_evaluator(lambda lat: 0.0)
+
+        def evaluate(factory, library, p, margin_fraction, scheduling):
             if calls is not None:
-                calls.append([p.pipeline_ii for p in points])
-            base = synthetic_evaluator(lambda lat: 0.0)(points)
-            for record, p in zip(base, points):
-                area = float(area_of_ii(p.pipeline_ii))
-                record["slack_based"]["area"] = area
-                record["conventional"]["area"] = area * 1.2
-            return base
+                calls.append(p.pipeline_ii)
+            record = base(factory, library, p, margin_fraction, scheduling)
+            area = float(area_of_ii(p.pipeline_ii))
+            record["slack_based"]["area"] = area
+            record["conventional"]["area"] = area * 1.2
+            return record
         return evaluate
 
     def test_ii_axis_sweeps_pipelined_points_at_one_latency(self):
@@ -217,11 +249,11 @@ class TestIIAxis:
         result = AdaptiveExplorer(
             FIR, library=None, latencies=[8], ii_values=range(1, 9),
             objectives=("initiation_interval", "area"),
-            evaluate_batch=self._ii_evaluator(lambda ii: 1000.0 / ii, calls),
+            evaluator=self._ii_evaluator(lambda ii: 1000.0 / ii, calls),
             workload="fir_ii").explore_dense()
         assert result.axis == "ii"
         assert result.evaluated_latencies == list(range(1, 9))
-        assert all(ii is not None for wave in calls for ii in wave)
+        assert all(ii is not None for ii in calls)
         # Lower II costs area, so every point is Pareto-optimal here.
         assert len(result.front) == 8
         front_iis = sorted(p.raw_value("initiation_interval")
@@ -232,12 +264,12 @@ class TestIIAxis:
         result = AdaptiveExplorer(
             FIR, library=None, latencies=[8], ii_values=range(1, 17),
             objectives=("initiation_interval", "area"),
-            evaluate_batch=self._ii_evaluator(lambda ii: 1000.0 / ii),
+            evaluator=self._ii_evaluator(lambda ii: 1000.0 / ii),
             workload="fir_ii").explore()
         dense = AdaptiveExplorer(
             FIR, library=None, latencies=[8], ii_values=range(1, 17),
             objectives=("initiation_interval", "area"),
-            evaluate_batch=self._ii_evaluator(lambda ii: 1000.0 / ii),
+            evaluator=self._ii_evaluator(lambda ii: 1000.0 / ii),
             workload="fir_ii").explore_dense()
         assert result.engine_evaluations < dense.engine_evaluations
 

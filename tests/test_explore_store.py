@@ -7,8 +7,9 @@ for both in ``test_core_keyed_store.py``.
 
 import json
 
-from repro.explore.store import ResultStore, StoreKey
+from repro.explore.store import EVALUATED, ResultStore, StoreKey, memoized_run
 from repro.flows.dse import DesignPoint, run_dse, latency_grid
+from repro.flows.sweep import SweepSession
 from repro.workloads import KernelPointFactory
 
 FIR = KernelPointFactory("fir", params=(("taps", 4),))
@@ -38,38 +39,38 @@ class TestRoundTrip:
         path = str(tmp_path / "store.jsonl")
         store = ResultStore(path)
         key = make_key()
-        store.put(key, metrics_record(), workload="fir")
+        store.record(key, metrics_record(), workload="fir")
         assert key in store
-        assert store.get_metrics(key)["saving_percent"] == 16.7
+        assert store.lookup(key)["saving_percent"] == 16.7
 
         reloaded = ResultStore(path)
         assert len(reloaded) == 1
-        assert reloaded.get_metrics(key) == store.get_metrics(key)
+        assert reloaded.lookup(key) == store.lookup(key)
         assert reloaded.get(key)["workload"] == "fir"
         assert reloaded.get(key)["point"]["name"] == "P1"
 
     def test_in_memory_store_has_same_semantics(self):
         store = ResultStore(None)
         key = make_key()
-        store.put(key, metrics_record())
-        assert store.get_metrics(key)["saving_percent"] == 16.7
+        store.record(key, metrics_record())
+        assert store.lookup(key)["saving_percent"] == 16.7
 
     def test_last_record_wins_on_duplicate_keys(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
         store = ResultStore(path)
         key = make_key()
-        store.put(key, metrics_record(area=100.0))
-        store.put(key, metrics_record(area=200.0))
-        assert store.get_metrics(key)["slack_based"]["area"] == 200.0
+        store.record(key, metrics_record(area=100.0))
+        store.record(key, metrics_record(area=200.0))
+        assert store.lookup(key)["slack_based"]["area"] == 200.0
         # Both lines are on disk (append-only), the later one wins on load.
         with open(path) as handle:
             assert len(handle.readlines()) == 2
-        assert ResultStore(path).get_metrics(key)["slack_based"]["area"] == 200.0
+        assert ResultStore(path).lookup(key)["slack_based"]["area"] == 200.0
 
     def test_keys_distinguish_clock_ii_margin_and_fingerprint(self, tmp_path):
         store = ResultStore(str(tmp_path / "store.jsonl"))
         base = make_key()
-        store.put(base, metrics_record())
+        store.record(base, metrics_record())
         for other in (make_key(clock=2000.0), make_key(ii=4),
                       make_key(margin=0.1), make_key(fingerprint="g" * 8)):
             assert other not in store
@@ -80,7 +81,7 @@ class TestRobustness:
         path = str(tmp_path / "store.jsonl")
         store = ResultStore(path)
         key = make_key()
-        store.put(key, metrics_record())
+        store.record(key, metrics_record())
         good = {"schema": 1, "key": make_key(fingerprint="g" * 8).as_dict(),
                 "metrics": {}}
         with open(path, "a", encoding="utf-8") as handle:
@@ -91,12 +92,12 @@ class TestRobustness:
         reloaded = ResultStore(path)
         assert len(reloaded) == 1
         assert reloaded.skipped_lines == 4
-        assert reloaded.get_metrics(key) is not None
+        assert reloaded.lookup(key) is not None
 
     def test_truncated_trailing_line_is_skipped(self, tmp_path):
         path = str(tmp_path / "store.jsonl")
         store = ResultStore(path)
-        store.put(make_key(), metrics_record())
+        store.record(make_key(), metrics_record())
         line = json.dumps({"schema": 1,
                            "key": make_key(fingerprint="h" * 8).as_dict(),
                            "metrics": metrics_record()})
@@ -112,9 +113,10 @@ class TestDSEResultImportExport:
         points = latency_grid(4, 6, prefix="fir_L")
         result = run_dse(FIR, library, points)
         path = str(tmp_path / "store.jsonl")
-        store = ResultStore(path)
-        count = store.import_dse_result(result, FIR, workload="fir")
-        assert count == 3
+        outcomes, failures = memoized_run(SweepSession(FIR, library), points,
+                                          ResultStore(path), workload="fir")
+        assert failures == []
+        assert [outcome.source for outcome in outcomes] == [EVALUATED] * 3
 
         exported = ResultStore(path).metrics(workload="fir")
         assert sorted(m["point"]["name"] for m in exported) \
@@ -127,8 +129,10 @@ class TestDSEResultImportExport:
 
     def test_workload_filtering(self, tmp_path):
         store = ResultStore(str(tmp_path / "store.jsonl"))
-        store.put(make_key(fingerprint="a" * 8), metrics_record(), workload="w1")
-        store.put(make_key(fingerprint="b" * 8), metrics_record(), workload="w2")
+        store.record(make_key(fingerprint="a" * 8), metrics_record(),
+                     workload="w1")
+        store.record(make_key(fingerprint="b" * 8), metrics_record(),
+                     workload="w2")
         assert store.workloads() == ["w1", "w2"]
         assert len(store.metrics("w1")) == 1
         assert len(store.metrics()) == 2
@@ -137,11 +141,11 @@ class TestDSEResultImportExport:
 class TestCompaction:
     def test_stale_lines_count_superseded_puts(self, tmp_path):
         store = ResultStore(str(tmp_path / "store.jsonl"))
-        store.put(make_key(), metrics_record(area=100.0))
+        store.record(make_key(), metrics_record(area=100.0))
         assert store.stale_lines == 0
         for area in (110.0, 120.0, 130.0):
-            store.put(make_key(), metrics_record(area=area))
-        # Three re-puts of the same key: three superseded disk lines.
+            store.record(make_key(), metrics_record(area=area))
+        # Three re-records of the same key: three superseded disk lines.
         assert len(store) == 1
         assert store.stale_lines == 3
 
@@ -149,15 +153,15 @@ class TestCompaction:
         path = str(tmp_path / "store.jsonl")
         store = ResultStore(path)
         for area in (100.0, 110.0, 120.0):
-            store.put(make_key(), metrics_record(area=area))
-        store.put(make_key(fingerprint="b" * 8), metrics_record(area=7.0))
+            store.record(make_key(), metrics_record(area=area))
+        store.record(make_key(fingerprint="b" * 8), metrics_record(area=7.0))
         assert store.compact() == 2
         assert store.stale_lines == 0
 
         reloaded = ResultStore(path)
         assert len(reloaded) == 2
         assert reloaded.skipped_lines == 0
-        assert reloaded.get_metrics(make_key())["slack_based"]["area"] == 120.0
+        assert reloaded.lookup(make_key())["slack_based"]["area"] == 120.0
 
     def test_memo_cache_compacts_at_the_threshold(self, tmp_path):
         from repro.serve.cache import MemoCache
@@ -170,5 +174,5 @@ class TestCompaction:
         assert cache.compactions == 0  # 2 stale lines: below the bar
         cache.record(key, metrics_record(area=4.0))
         assert cache.compactions == 1
-        assert cache.store.stale_lines == 0
+        assert cache.stale_lines == 0
         assert cache.lookup(key)["slack_based"]["area"] == 4.0
