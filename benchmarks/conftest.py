@@ -27,3 +27,22 @@ def idct_rows() -> int:
 @pytest.fixture(scope="session")
 def library():
     return tsmc90_library()
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the process-wide analysis caches before the test.
+
+    Clears the analysis cache (and with it the delta-seed caches, which live
+    on its cached graphs), the budgeting and span templates and the
+    characterization memo, so a timed run starts as cold as a fresh process
+    whatever ran before it.
+    """
+    from repro.core import budgeting, opspan
+    from repro.core.analysis_cache import default_cache
+    from repro.lib import characterize
+
+    default_cache().clear()
+    budgeting._TEMPLATES.clear()
+    opspan._SPAN_TEMPLATES.clear()
+    characterize._CLASS_CACHE.clear()

@@ -13,6 +13,9 @@ Two contracts from the ``repro.obs`` design, both pinned here:
   benchmark also checks the profiling acceptance bar: recorded spans cover
   at least 95 % of the sweep's end-to-end wall time, and the per-phase
   self-time totals partition the traced time exactly.
+
+Both benchmarks start from cold process-wide caches (the ``cold_caches``
+fixture), so the pair measures tracing, not which one ran first.
 """
 
 import json
@@ -36,7 +39,7 @@ def _table4_sweep(library):
     return session.run(idct_design_points(clock_period=CLOCK))
 
 
-def test_sweep_tracing_disabled(benchmark, library):
+def test_sweep_tracing_disabled(benchmark, library, cold_caches):
     """Untraced sweep on the no-op fast path, gated against the baseline."""
     assert not is_enabled()
     result = benchmark.pedantic(lambda: _table4_sweep(library),
@@ -44,7 +47,8 @@ def test_sweep_tracing_disabled(benchmark, library):
     assert len(result.entries) == 15
 
 
-def test_sweep_tracing_enabled_matches_golden(benchmark, library):
+def test_sweep_tracing_enabled_matches_golden(benchmark, library,
+                                             cold_caches):
     """Traced sweep: golden byte-identity plus the span-coverage bar."""
 
     def traced_sweep():

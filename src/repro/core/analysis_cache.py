@@ -7,11 +7,16 @@ The flows and the sweep sessions recompute the same pure analyses over and over:
   the design's structure, not on the clock period or the pipelining, so an
   engine sweep that revisits one design at several clock periods (or runs
   both flows on it) can share them across points;
-* **pinned spans / timed DFGs** — the slack-guided scheduler rebuilds
-  ``OperationSpans(pinned=..., not_before=...)`` plus a timed DFG after every
-  scheduled edge, and its outer relaxation loop replays the same schedule
-  prefixes attempt after attempt (on relaxation-heavy design points >80 % of
-  these rebuilds are exact repeats);
+* **pinned spans / timed graphs** — the slack-guided scheduler rebuilds
+  ``OperationSpans(pinned=..., not_before=...)`` plus their timed graph after
+  every scheduled edge, and its outer relaxation loop replays the same
+  schedule prefixes attempt after attempt (on relaxation-heavy design points
+  >80 % of these rebuilds are exact repeats).  A cached entry is the pinned
+  spans plus the design's own compact timed graph reweighted by them
+  (:meth:`~repro.core.graphkit.CompactTimedGraph.reweighted`): the timed-DFG
+  structure does not depend on the spans, so a miss builds no
+  :class:`~repro.core.timed_dfg.TimedDFG`, no interning and no topological
+  sort, only the spans and one weight per edge;
 * **sequential slack** — budgeting calls
   :func:`~repro.core.sequential_slack.compute_sequential_slack` with delay
   maps that recur across re-budgeting passes.
@@ -46,10 +51,10 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from repro.core.latency import LatencyAnalysis
+from repro.core.graphkit import CompactTimedGraph
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import TimingResult, compute_sequential_slack
-from repro.core.timed_dfg import TimedDFG, build_timed_dfg
+from repro.core.timed_dfg import TimedDFG, timed_edge_weights
 
 _FINGERPRINT_ATTR = "_repro_structural_fingerprint"
 _TOKEN_ATTR = "_repro_cache_token"
@@ -152,7 +157,7 @@ class _LRUTable:
 
 
 class AnalysisCache:
-    """Keyed caches for point artifacts, pinned spans/timed DFGs and slack.
+    """Keyed caches for point artifacts, pinned spans/timed graphs and slack.
 
     Parameters bound the LRU tables (entries, not bytes).  The defaults are
     sized for long engine sweeps: spans dominate per-entry memory, and one
@@ -187,33 +192,41 @@ class AnalysisCache:
         return self._artifacts.get_or_build(
             key, lambda: PointArtifacts.build(design))
 
-    # -- pinned spans + timed DFG --------------------------------------------------
+    # -- pinned spans + timed graph ------------------------------------------------
 
     def pinned_spans_and_timed(
         self,
-        design,
-        latency: LatencyAnalysis,
+        artifacts,
         pinned: Mapping[str, str],
         not_before: Optional[str],
-    ) -> Tuple[OperationSpans, TimedDFG]:
-        """Spans pinned to a partial schedule, plus their timed DFG.
+    ) -> Tuple[OperationSpans, CompactTimedGraph]:
+        """Spans pinned to a partial schedule, plus their compact timed graph.
 
         This is the slack-guided scheduler's per-edge rebuild.  Keyed by the
         design fingerprint and the exact ``(pinned, not_before)`` pair; the
         relaxation loop replays schedule prefixes, so hit rates are high on
-        exactly the design points where scheduling is slow.  ``latency`` must
-        be the design's canonical analysis (it only depends on the CFG, which
-        the fingerprint covers).
+        exactly the design points where scheduling is slow.
+
+        ``artifacts`` is the design's
+        :class:`repro.flows.pipeline.PointArtifacts`.  The graph is its
+        timed DFG's compact graph reweighted by the pinned spans: equal, in
+        structure, weights and topological order, to
+        ``build_timed_dfg(design, spans=spans).compact()``, and sharing all
+        but the weights with the artifacts' graph, whose weights stay as
+        they are.  Both returned objects are shared: treat them as
+        immutable.
         """
-        key = (design_fingerprint(design),
+        key = (design_fingerprint(artifacts.design),
                tuple(sorted(pinned.items())),
                not_before)
 
         def build():
-            spans = OperationSpans(design, latency=latency, pinned=pinned,
-                                   not_before=not_before)
-            timed = build_timed_dfg(design, spans=spans, latency=latency)
-            return spans, timed
+            spans = OperationSpans(artifacts.design, latency=artifacts.latency,
+                                   pinned=pinned, not_before=not_before)
+            base = artifacts.timed
+            weights = timed_edge_weights(base.edge_pairs(), spans,
+                                         artifacts.latency)
+            return spans, base.compact().reweighted(weights)
 
         return self._spans.get_or_build(key, build)
 

@@ -35,6 +35,7 @@ from repro.ir.operations import Operation, OpKind
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.core.delta_slack import CyclicSlackEvaluator, DeltaSlackEvaluator
+from repro.core.graphkit import CompactTimedGraph
 from repro.core.latency import LatencyAnalysis
 from repro.obs.metrics import counter as _obs_counter
 
@@ -43,7 +44,7 @@ _BUDGET_RUNS = _obs_counter("budgeting.runs")
 _BUDGET_ITERATIONS = _obs_counter("budgeting.iterations")
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import TimingResult
-from repro.core.timed_dfg import TimedDFG, build_timed_dfg
+from repro.core.timed_dfg import build_timed_dfg
 
 _EPS = 1e-6
 _MISSING = object()
@@ -266,7 +267,7 @@ def budget_slack(
     aligned: bool = True,
     spans: Optional[OperationSpans] = None,
     latency: Optional[LatencyAnalysis] = None,
-    timed: Optional[TimedDFG] = None,
+    graph: Optional[CompactTimedGraph] = None,
     initial_variants: Optional[Mapping[str, ResourceVariant]] = None,
     pinned_variants: Optional[Mapping[str, ResourceVariant]] = None,
     start_from: str = "slowest",
@@ -283,9 +284,18 @@ def budget_slack(
         Slack-binning margin as a fraction of the clock period (paper: 5 %).
     aligned:
         Use aligned slack (clock-boundary aware); the paper's algorithm does.
-    spans, latency, timed:
-        Optional pre-computed analyses, shared by callers that re-budget
-        repeatedly (the slack-guided scheduler).
+    spans, latency:
+        Optional pre-computed analyses, used to build the timed graph when
+        ``graph`` is not given.
+    graph:
+        The compact timed graph to budget on (see
+        :mod:`repro.core.graphkit`).  Acyclic graphs run on a
+        :class:`~repro.core.delta_slack.DeltaSlackEvaluator`, cyclic
+        (modulo-II) ones on a
+        :class:`~repro.core.delta_slack.CyclicSlackEvaluator`.  Without one,
+        ``build_timed_dfg(design, spans, latency).compact()`` is used.  The
+        slack-guided scheduler passes its design's graph for the step-0
+        budget and a cached reweighted graph for every per-edge re-budget.
     initial_variants:
         Warm-start grades (used when re-budgeting during scheduling).
     pinned_variants:
@@ -309,9 +319,10 @@ def budget_slack(
         from repro.core.analysis_cache import default_cache
 
         cache = default_cache()
-    latency = latency or LatencyAnalysis(design.cfg)
-    spans = spans or OperationSpans(design, latency=latency)
-    timed = timed or build_timed_dfg(design, spans=spans, latency=latency)
+    if graph is None:
+        latency = latency or LatencyAnalysis(design.cfg)
+        spans = spans or OperationSpans(design, latency=latency)
+        graph = build_timed_dfg(design, spans=spans, latency=latency).compact()
     margin = abs(margin_fraction) * clock_period
 
     state = _BudgetState(design, library, initial_variants, pinned_variants, start_from)
@@ -322,11 +333,10 @@ def budget_slack(
     upgrades = 0
     downgrades = 0
 
-    graph = timed.compact()
-    # Cyclic (modulo-II) timed DFGs get the full-recompute evaluator: its
+    # Cyclic (modulo-II) timed graphs get the full-recompute evaluator: its
     # interface is identical, so the loop body below is shared; the acyclic
     # delta path stays bit-identical to the seed.
-    evaluator_class = (CyclicSlackEvaluator if getattr(timed, "cyclic", False)
+    evaluator_class = (CyclicSlackEvaluator if graph.cyclic
                        else DeltaSlackEvaluator)
     evaluator = evaluator_class(graph, graph.delay_vector(state.delays),
                                 clock_period, aligned=aligned)

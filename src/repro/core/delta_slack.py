@@ -158,15 +158,9 @@ class DeltaSlackEvaluator:
             self.arrival = list(base_arrival)
             self.effective = list(base_effective)
             self.required = list(base_required)
-        # Topo positions depend only on the graph; budgeting builds several
-        # evaluators per compact graph, so the vector is stamped on it.
-        topo_pos = getattr(graph, "_delta_topo_pos", None)
-        if topo_pos is None:
-            topo_pos = [0] * graph.num_nodes
-            for position, node in enumerate(graph.topo_view()):
-                topo_pos[node] = position
-            graph._delta_topo_pos = topo_pos
-        self._topo_pos = topo_pos
+        # Topo positions depend only on the structure, so the graph caches
+        # them (and shares them with its reweighted copies).
+        self._topo_pos = graph.topo_positions()
         self._journal: Optional[list] = None
         self._worst: Optional[float] = None
         self.updates = 0

@@ -39,6 +39,13 @@ one per graph object and drops it on any ``add_node``/``add_edge`` — the
 same rule as its cached topological order — so a compact view can never
 outlive the structure it was interned from.  Build one directly with
 :meth:`CompactTimedGraph.from_timed` when bypassing that cache.
+
+:meth:`CompactTimedGraph.reweighted` derives a snapshot with the same
+structure and new edge weights.  It shares its base's interning, CSR index
+arrays, topological order and topo positions, all of which depend on the
+structure only, and owns its weight arrays and delta-seed cache; the base
+is never modified, so a shared base (e.g. the timed graph of a cached
+:class:`repro.flows.pipeline.PointArtifacts`) stays valid for every reader.
 """
 
 from __future__ import annotations
@@ -82,9 +89,17 @@ class CompactTimedGraph:
         "names", "index", "num_nodes", "num_edges", "cyclic",
         "succ_indptr", "succ_dst", "succ_weight",
         "pred_indptr", "pred_src", "pred_weight",
-        "op_indices",
-        "_topo", "_topo_view", "_bf_edges", "_pred_view", "_succ_view",
-        "_delta_topo_pos", "_delta_seeds",
+        "op_indices", "_succ_edge", "_pred_edge",
+        "_topo", "_topo_view", "_topo_pos", "_bf_edges", "_pred_view",
+        "_succ_view", "_delta_seeds",
+    )
+
+    #: Structure-only attributes a :meth:`reweighted` graph shares with its
+    #: base (everything except the weights and the caches derived from them).
+    _STRUCTURE = (
+        "names", "index", "num_nodes", "num_edges", "cyclic",
+        "succ_indptr", "succ_dst", "pred_indptr", "pred_src", "op_indices",
+        "_succ_edge", "_pred_edge", "_topo", "_topo_view", "_topo_pos",
     )
 
     def __init__(
@@ -123,16 +138,21 @@ class CompactTimedGraph:
         succ_weight = [0] * self.num_edges
         pred_src = [0] * self.num_edges
         pred_weight = [0] * self.num_edges
+        # slot -> position of the edge in ``edges`` (what reweighted() reads).
+        succ_edge = [0] * self.num_edges
+        pred_edge = [0] * self.num_edges
         succ_fill = list(succ_counts)
         pred_fill = list(pred_counts)
-        for src, dst, weight in edges:
+        for position, (src, dst, weight) in enumerate(edges):
             slot = succ_fill[src]
             succ_dst[slot] = dst
             succ_weight[slot] = weight
+            succ_edge[slot] = position
             succ_fill[src] = slot + 1
             slot = pred_fill[dst]
             pred_src[slot] = src
             pred_weight[slot] = weight
+            pred_edge[slot] = position
             pred_fill[dst] = slot + 1
 
         self.succ_indptr = array("l", succ_counts)
@@ -144,14 +164,16 @@ class CompactTimedGraph:
         if op_indices is None:
             op_indices = range(n)
         self.op_indices = array("l", op_indices)
+        self._succ_edge = succ_edge
+        self._pred_edge = pred_edge
         self._topo: Optional[array] = None
         self._topo_view: Optional[list] = None
+        self._topo_pos: Optional[list] = None
         self._bf_edges: Optional[List[Tuple[int, int, int]]] = None
         self._pred_view: Optional[Tuple[list, list, list]] = None
         self._succ_view: Optional[Tuple[list, list, list]] = None
-        # Lazily filled by DeltaSlackEvaluator (node index -> topo position,
-        # and (delays, clock, aligned) -> initial kernel vectors).
-        self._delta_topo_pos: Optional[list] = None
+        # Lazily filled by DeltaSlackEvaluator: (delays, clock, aligned) ->
+        # initial kernel vectors.
         self._delta_seeds: Optional[dict] = None
 
     # -- construction --------------------------------------------------------------
@@ -172,6 +194,40 @@ class CompactTimedGraph:
         op_indices = [index[name] for name in timed.operation_nodes]
         return cls(names, edges, op_indices=op_indices,
                    cyclic=getattr(timed, "cyclic", False))
+
+    def reweighted(self, weights: Sequence[int]) -> "CompactTimedGraph":
+        """This graph's structure with new edge weights.
+
+        ``weights`` holds one weight per edge, in the order of the ``edges``
+        the base graph was built from (for :meth:`from_timed`, the timed
+        DFG's edge insertion order).  The result shares the interning, the
+        CSR index arrays, the topological order and the topo positions with
+        this graph; it owns new ``succ_weight``/``pred_weight`` arrays and an
+        empty delta-seed cache.  This graph's weights are left unchanged.
+        """
+        if len(weights) != self.num_edges:
+            raise TimingError(
+                f"reweighting needs {self.num_edges} edge weights, "
+                f"got {len(weights)}")
+        if not self.cyclic and weights and min(weights) < 0:
+            raise TimingError(
+                "timed-DFG edge weights are state counts and must be >= 0")
+        if not self.cyclic:
+            self.topo_positions()
+        pred_indptr, pred_src, _ = self.pred_view()
+        succ_indptr, succ_dst, _ = self.succ_view()
+        graph = CompactTimedGraph.__new__(CompactTimedGraph)
+        for name in self._STRUCTURE:
+            setattr(graph, name, getattr(self, name))
+        succ_weight = [weights[edge] for edge in self._succ_edge]
+        pred_weight = [weights[edge] for edge in self._pred_edge]
+        graph.succ_weight = array("l", succ_weight)
+        graph.pred_weight = array("l", pred_weight)
+        graph._succ_view = (succ_indptr, succ_dst, succ_weight)
+        graph._pred_view = (pred_indptr, pred_src, pred_weight)
+        graph._bf_edges = None
+        graph._delta_seeds = None
+        return graph
 
     # -- cached derived structures ---------------------------------------------------
 
@@ -209,6 +265,15 @@ class CompactTimedGraph:
         if self._topo_view is None:
             self._topo_view = list(self.topo)
         return self._topo_view
+
+    def topo_positions(self) -> list:
+        """``positions[node]`` = the node's index in :meth:`topo_view`; cached."""
+        if self._topo_pos is None:
+            positions = [0] * self.num_nodes
+            for position, node in enumerate(self.topo_view()):
+                positions[node] = position
+            self._topo_pos = positions
+        return self._topo_pos
 
     def pred_view(self) -> Tuple[list, list, list]:
         """``(indptr, src, weight)`` as plain lists — the kernels' hot-loop

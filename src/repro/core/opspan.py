@@ -74,9 +74,15 @@ class _SpanTemplate:
     birth/fixedness/predecessor/successor records and the control-compatible
     candidate-edge lists only depend on the design and its latency analysis —
     so they are resolved once here and shared by every pinned rebuild.
+
+    ``interned`` maps ``(op, early, late)`` to the operation's
+    :class:`SpanInfo`: the edge tuple of an unpinned operation is a pure
+    function of its birth, early and late edges, and a pinned operation's
+    ``(edge, edge, (edge,))`` is the same value, so every rebuild reuses
+    the tuples an earlier one assembled.
     """
 
-    __slots__ = ("shape", "order", "records", "nofloor")
+    __slots__ = ("shape", "order", "records", "nofloor", "interned")
 
     def __init__(self, design: Design, latency: LatencyAnalysis):
         dfg = design.dfg
@@ -89,6 +95,7 @@ class _SpanTemplate:
         # birth edge -> control-compatible forward edges in topological order
         # (no not_before floor applied).
         self.nofloor: Dict[str, List[str]] = {}
+        self.interned: Dict[Tuple[str, str, str], SpanInfo] = {}
         ordered_edges = latency._forward_edges_ordered()
         compatible = latency.control_compatible
         for name in self.order:
@@ -305,25 +312,29 @@ class OperationSpans:
                 chosen = early[name]
             late[name] = chosen
 
-        # Assemble span sets.
+        # Assemble span sets (interned per (op, early, late)).
         spans = self._spans
+        interned = self._template.interned
         for name in order:
-            birth = records[name][1]
-            pinned_edge = pinned.get(name)
-            if pinned_edge is not None:
-                edges = (pinned_edge,)
-            else:
-                early_name = early[name]
-                late_name = late[name]
-                early_reach = reach(early_name)
-                edges = tuple(
-                    edge for edge in candidate_edges(birth, respect_floor=False)
-                    if edge in early_reach and late_name in reach(edge)
-                )
-                if not edges:
+            early_name = early[name]
+            late_name = late[name]
+            key = (name, early_name, late_name)
+            info = interned.get(key)
+            if info is None:
+                if pinned.get(name) is not None:
                     edges = (early_name,)
-            spans[name] = SpanInfo(op=name, early=early[name],
-                                   late=late[name], edges=edges)
+                else:
+                    early_reach = reach(early_name)
+                    edges = tuple(
+                        edge for edge in candidate_edges(records[name][1],
+                                                         respect_floor=False)
+                        if edge in early_reach and late_name in reach(edge)
+                    )
+                    if not edges:
+                        edges = (early_name,)
+                info = interned[key] = SpanInfo(op=name, early=early_name,
+                                                late=late_name, edges=edges)
+            spans[name] = info
 
     def _require_birth(self, op: Operation) -> str:
         if op.birth_edge is None:

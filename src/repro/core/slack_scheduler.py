@@ -29,6 +29,7 @@ from repro.lib.resource import ResourceVariant
 from repro.ir.operations import OpKind
 from repro.core.analysis_cache import AnalysisCache, default_cache
 from repro.core.budgeting import BudgetingResult, budget_slack
+from repro.obs.trace import span as _obs_span
 from repro.sched.allocation import Allocation, minimal_allocation
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
 from repro.sched.priorities import combined_priority
@@ -74,10 +75,16 @@ class SlackScheduler:
         flows on the same design.
     cache:
         The :class:`repro.core.analysis_cache.AnalysisCache` backing the
-        per-edge span/timed-DFG rebuilds and the sequential-slack calls
-        (default: the process-wide cache).  The relaxation loop replays the
-        same schedule prefixes attempt after attempt, so on
+        per-edge rebuilds and the sequential-slack calls (default: the
+        process-wide cache).  A per-edge rebuild is the pinned spans plus
+        the design's compact timed graph reweighted by them
+        (:meth:`~repro.core.analysis_cache.AnalysisCache.pinned_spans_and_timed`),
+        so no timed DFG is built after step 0.  The relaxation loop replays
+        the same schedule prefixes attempt after attempt, so on
         relaxation-heavy design points most rebuilds are cache hits.
+
+    Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
+    schedule pass and one ``sched.rebudget`` span per per-edge re-budget.
     """
 
     def __init__(
@@ -105,6 +112,7 @@ class SlackScheduler:
 
         if artifacts is None:
             artifacts = self._cache.artifacts(design)
+        self._artifacts = artifacts
         self._latency = artifacts.latency
         self._spans = artifacts.spans
         self._timed = artifacts.timed
@@ -119,8 +127,7 @@ class SlackScheduler:
         initial_budget = budget_slack(
             self.design, self.library, self.clock_period,
             margin_fraction=self.margin_fraction,
-            spans=self._spans, latency=self._latency, timed=self._timed,
-            cache=self._cache,
+            graph=self._timed.compact(), cache=self._cache,
         )
         variants: Dict[str, Optional[ResourceVariant]] = dict(initial_budget.variants)
         allocation = minimal_allocation(self.design, self.library, spans=self._spans,
@@ -130,7 +137,11 @@ class SlackScheduler:
 
         for _ in range(self.max_relaxations):
             log.count_attempt()
-            attempt, working = self._schedule_pass(variants, allocation)
+            with _obs_span("sched.attempt", flow="slack-based",
+                           attempt=log.attempts) as attempt_span:
+                attempt, working = self._schedule_pass(variants, allocation)
+                if not attempt.success:
+                    attempt_span.set(failure=attempt.failure.reason)
             # Carry the grades the pass actually used (re-budgeting and
             # on-the-fly upgrades included) into the next attempt, so the
             # relaxation repairs the real configuration.
@@ -194,17 +205,17 @@ class SlackScheduler:
             for name, variant in self._locked.items():
                 pinned_variants.setdefault(name, variant)
             try:
-                new_spans, timed = self._cache.pinned_spans_and_timed(
-                    self.design, self._latency, pinned_edges, next_edge)
-                rebudget = budget_slack(
-                    self.design, self.library, self.clock_period,
-                    margin_fraction=self.margin_fraction,
-                    spans=new_spans, latency=self._latency, timed=timed,
-                    initial_variants={k: v for k, v in working.items()
-                                      if v is not None and k in pending},
-                    pinned_variants=pinned_variants,
-                    cache=self._cache,
-                )
+                with _obs_span("sched.rebudget", edge=edge_name):
+                    new_spans, graph = self._cache.pinned_spans_and_timed(
+                        self._artifacts, pinned_edges, next_edge)
+                    rebudget = budget_slack(
+                        self.design, self.library, self.clock_period,
+                        margin_fraction=self.margin_fraction, graph=graph,
+                        initial_variants={k: v for k, v in working.items()
+                                          if v is not None and k in pending},
+                        pinned_variants=pinned_variants,
+                        cache=self._cache,
+                    )
             except TimingError:
                 # A pending operation has no legal edge left; let the main
                 # scheduling loop report the structured failure.

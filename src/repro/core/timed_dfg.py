@@ -11,6 +11,16 @@ computed.  It is derived from the DFG by:
 4. weighting every edge with the CFG latency between the early edges of its
    endpoints (the number of clock boundaries that may separate them).
 
+The structure (steps 1-3) does not depend on the opSpans at all: the nodes
+are the non-constant operations followed by their sinks, and the edges the
+forward data edges between two of them followed by one sink edge per
+operation, always in the same order.  The spans feed only the weights
+(step 4), and :func:`timed_edge_weights` is the one place that rule lives.
+So a pinned prefix's timed graph is the design's own compact graph with a
+new weight vector (:meth:`repro.core.graphkit.CompactTimedGraph.reweighted`);
+the slack-guided scheduler's per-edge re-budgeting builds it that way
+instead of building a new :class:`TimedDFG`.
+
 Storage is flat: nodes are a list plus an interning dict, edges three
 parallel ``(src, dst, weight)`` lists.  The object views the older API
 exposed (:class:`TimedEdge` lists, per-node successor/predecessor lists) are
@@ -23,7 +33,7 @@ and invalidated by any mutation, exactly like the cached topological order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.ir.design import Design
@@ -136,6 +146,10 @@ class TimedDFG:
         """Edges as ``(src, dst, weight)`` name triples, insertion order."""
         return zip(self._edge_src, self._edge_dst, self._edge_weight)
 
+    def edge_pairs(self):
+        """Edges as ``(src, dst)`` name pairs, insertion order."""
+        return zip(self._edge_src, self._edge_dst)
+
     @property
     def operation_nodes(self) -> List[str]:
         """Nodes that correspond to real DFG operations (not sinks)."""
@@ -197,6 +211,43 @@ class TimedDFG:
                 f"{len(self._edge_src)} edges)")
 
 
+def timed_edge_weights(
+    edges: Iterable[Tuple[str, str]],
+    spans: OperationSpans,
+    latency: LatencyAnalysis,
+) -> List[int]:
+    """The weight of every ``(src, dst)`` timed-DFG edge under ``spans``.
+
+    Step 4 of Definition 2, for :func:`build_timed_dfg` and the per-edge
+    reweighting alike: a data edge weighs ``latency(early(src),
+    early(dst))``, a sink edge ``src -> s(src)`` weighs
+    ``latency(early(src), late(src))``.  Raises :class:`TimingError` at the
+    first edge whose latency is undefined.
+    """
+    span = spans.span
+    latency_of = latency.latency
+    weights: List[int] = []
+    for src, dst in edges:
+        src_span = span(src)
+        if dst.startswith(SINK_PREFIX):
+            weight = latency_of(src_span.early, src_span.late)
+            if weight is None:
+                raise TimingError(
+                    f"operation {src!r} has a late edge unreachable from its early edge"
+                )
+        else:
+            src_early = src_span.early
+            dst_early = span(dst).early
+            weight = latency_of(src_early, dst_early)
+            if weight is None:
+                raise TimingError(
+                    f"data edge {src!r} -> {dst!r} connects operations whose "
+                    f"early edges ({src_early!r}, {dst_early!r}) are not forward related"
+                )
+        weights.append(weight)
+    return weights
+
+
 def build_timed_dfg(
     design: Design,
     spans: Optional[OperationSpans] = None,
@@ -215,32 +266,17 @@ def build_timed_dfg(
 
     dfg = design.dfg
     included = [op.name for op in dfg.operations if op.kind is not OpKind.CONST]
-    for name in included:
+    sinks = [sink_name(name) for name in included] if include_sinks else []
+    members = set(included)
+    edges = [(edge.src, edge.dst) for edge in dfg.forward_edges
+             if edge.src in members and edge.dst in members]
+    edges.extend(zip(included, sinks))
+    weights = timed_edge_weights(edges, spans, latency)
+
+    for name in included + sinks:
         timed.add_node(name)
-
-    for edge in dfg.forward_edges:
-        if not (timed.has_node(edge.src) and timed.has_node(edge.dst)):
-            continue
-        src_early = spans.early(edge.src)
-        dst_early = spans.early(edge.dst)
-        weight = latency.latency(src_early, dst_early)
-        if weight is None:
-            raise TimingError(
-                f"data edge {edge.src!r} -> {edge.dst!r} connects operations whose "
-                f"early edges ({src_early!r}, {dst_early!r}) are not forward related"
-            )
-        timed.add_edge(edge.src, edge.dst, weight)
-
-    if include_sinks:
-        for name in included:
-            sink = sink_name(name)
-            timed.add_node(sink)
-            weight = latency.latency(spans.early(name), spans.late(name))
-            if weight is None:
-                raise TimingError(
-                    f"operation {name!r} has a late edge unreachable from its early edge"
-                )
-            timed.add_edge(name, sink, weight)
+    for (src, dst), weight in zip(edges, weights):
+        timed.add_edge(src, dst, weight)
     return timed
 
 

@@ -157,8 +157,7 @@ def _pipelined_slack_flow(
                                    latency=latency)
     initial_budget = budget_slack(
         design, library, clock_period,
-        margin_fraction=margin_fraction,
-        spans=spans, latency=latency, timed=timed,
+        margin_fraction=margin_fraction, graph=timed.compact(),
     )
     variants = dict(initial_budget.variants)
 

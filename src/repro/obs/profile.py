@@ -43,12 +43,13 @@ __all__ = [
 #: factory elaboration, result assembly).
 PHASE_OF: Dict[str, str] = {
     "flow.schedule": "schedule",
+    "sched.attempt": "schedule",
+    "sched.rebudget": "schedule",
     "flow.bind": "bind",
     "flow.timing": "timing",
     "flow.area_recovery": "area-recovery",
     "flow.report": "report",
     "delta.seed_kernels": "delta-eval",
-    "budget.slack": "delta-eval",
     "oracle.run": "verify",
     "lib.build": "library",
 }

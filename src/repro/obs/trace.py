@@ -45,6 +45,7 @@ __all__ = [
     "disable",
     "is_enabled",
     "active_tracer",
+    "enclosing_attr",
     "tracing",
 ]
 
@@ -264,6 +265,23 @@ def is_enabled() -> bool:
 
 def active_tracer() -> Optional[Tracer]:
     return _ACTIVE
+
+
+def enclosing_attr(key: str) -> object:
+    """Attribute ``key`` of the innermost open span of this thread that has
+    it, or ``None`` (always ``None`` while tracing is disabled).
+
+    Lets a shared helper label its spans with its caller's context, e.g.
+    the relaxation loop's ``sched.attempt`` spans with the flow of the
+    enclosing ``flow.schedule`` span.
+    """
+    tracer = _ACTIVE
+    if tracer is None:
+        return None
+    for open_span in reversed(tracer._stack()):
+        if key in open_span.attrs:
+            return open_span.attrs[key]
+    return None
 
 
 def span(name: str, **attrs: object):

@@ -16,6 +16,10 @@ relaxation can make progress an :class:`InfeasibleDesignError` is
 raised — the paper's "design is overconstrained" outcome.  Adding states is
 only possible by re-elaborating the design with a larger latency, which the
 DSE harness does explicitly; the relaxation loop itself never changes the CFG.
+
+Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
+pass, labelled with the enclosing span's flow, the attempt number and, when
+the pass fails, the failure reason.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.lib.resource import ResourceVariant
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.obs.metrics import counter as _obs_counter
+from repro.obs.trace import enclosing_attr, span as _obs_span
 from repro.sched.allocation import Allocation, minimal_allocation
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
 from repro.sched.priorities import PriorityFn
@@ -222,15 +227,20 @@ def schedule_with_relaxation(
         max_ii = max(len(latency.forward_edge_names), 1)
     log = RelaxationLog()
     last_signature = None
+    flow = enclosing_attr("flow")
 
     for _ in range(max_attempts):
         log.count_attempt()
-        attempt: SchedulingAttempt = scheduler(
-            design, library, clock_period, variants, allocation,
-            spans=spans, latency=latency, priority=priority,
-            pipeline_ii=current_ii, timing_margin=timing_margin,
-            upgrade_on_last_chance=upgrade_on_last_chance,
-        )
+        with _obs_span("sched.attempt", flow=flow,
+                       attempt=log.attempts) as attempt_span:
+            attempt: SchedulingAttempt = scheduler(
+                design, library, clock_period, variants, allocation,
+                spans=spans, latency=latency, priority=priority,
+                pipeline_ii=current_ii, timing_margin=timing_margin,
+                upgrade_on_last_chance=upgrade_on_last_chance,
+            )
+            if not attempt.success:
+                attempt_span.set(failure=attempt.failure.reason)
         if attempt.success:
             log.final_ii = getattr(attempt.schedule, "pipeline_ii", None)
             return attempt.schedule, allocation, variants, log

@@ -1,7 +1,6 @@
 """The keyed analysis cache: identity, sharing, equivalence and bounds."""
 
 from repro.core.analysis_cache import AnalysisCache, default_cache, design_fingerprint
-from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import compute_sequential_slack
 from repro.core.timed_dfg import build_timed_dfg
@@ -89,15 +88,16 @@ def test_cached_artifacts_equal_fresh_ones():
 def test_pinned_spans_hit_on_replayed_prefixes():
     cache = AnalysisCache()
     design = fir_design(taps=6, latency=4, clock_period=1500.0)
-    latency = LatencyAnalysis(design.cfg)
+    artifacts = PointArtifacts.build(design)
+    latency = artifacts.latency
     edges = latency.forward_edge_names
     some_op = next(op.name for op in design.dfg.operations
                    if op.is_synthesizable)
     pinned = {some_op: edges[0]}
-    first = cache.pinned_spans_and_timed(design, latency, pinned, edges[1])
-    again = cache.pinned_spans_and_timed(design, latency, dict(pinned), edges[1])
+    first = cache.pinned_spans_and_timed(artifacts, pinned, edges[1])
+    again = cache.pinned_spans_and_timed(artifacts, dict(pinned), edges[1])
     assert first[0] is again[0] and first[1] is again[1]
-    other = cache.pinned_spans_and_timed(design, latency, pinned, edges[2])
+    other = cache.pinned_spans_and_timed(artifacts, pinned, edges[2])
     assert other[0] is not first[0]
 
     fresh = OperationSpans(design, latency=latency, pinned=pinned,

@@ -17,6 +17,7 @@ Two layers of guarantees:
 import pytest
 
 from repro.errors import TimingError
+from repro.core.delta_slack import DeltaSlackEvaluator
 from repro.core.graphkit import (
     CompactTimedGraph,
     arrival_kernel,
@@ -27,12 +28,18 @@ from repro.core.sequential_slack import (
     compute_sequential_slack,
     compute_sequential_slack_reference,
 )
-from repro.core.timed_dfg import TimedDFG, build_timed_dfg
+from repro.core.latency import LatencyAnalysis
+from repro.core.opspan import SpanInfo
+from repro.core.timed_dfg import TimedDFG, build_timed_dfg, timed_edge_weights
 from repro.ir.operations import OpKind
 from repro.lib.tsmc90 import tsmc90_library
 from repro.rtl.timing import analyze_state_timing, analyze_state_timing_reference
 from repro.flows import conventional_flow
-from repro.workloads import random_layered_design_seeded, segmented_design
+from repro.workloads import (
+    fir_design,
+    random_layered_design_seeded,
+    segmented_design,
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +119,99 @@ def test_duplicate_names_and_bad_edges_rejected():
         CompactTimedGraph(("a",), [(0, 1, 0)])
     with pytest.raises(TimingError, match=">= 0"):
         CompactTimedGraph(("a", "b"), [(0, 1, -1)])
+
+
+# -- reweighting -------------------------------------------------------------------
+
+
+def test_reweighted_shares_structure_and_topological_order():
+    base = _diamond_timed().compact()
+    graph = base.reweighted([3, 0, 1, 2])
+    for name in ("names", "index", "op_indices", "succ_indptr", "succ_dst",
+                 "pred_indptr", "pred_src"):
+        assert getattr(graph, name) is getattr(base, name)
+    assert graph.topo is base.topo
+    assert graph.topo_view() is base.topo_view()
+    assert graph.topo_positions() is base.topo_positions()
+    assert graph.pred_view()[:2] == base.pred_view()[:2]
+    assert graph.pred_view()[0] is base.pred_view()[0]
+    # The weights land in the slots a fresh build of the same edges uses.
+    fresh = CompactTimedGraph(base.names, [(0, 1, 3), (0, 2, 0), (1, 3, 1),
+                                           (2, 3, 2)])
+    assert graph.succ_weight == fresh.succ_weight
+    assert graph.pred_weight == fresh.pred_weight
+    assert graph.succ_view() == fresh.succ_view()
+    assert graph.pred_view() == fresh.pred_view()
+    assert graph.bf_edge_order() == fresh.bf_edge_order()
+    # Reweighting a reweighted graph still addresses the base's edge order.
+    again = graph.reweighted([0, 1, 0, 2])
+    assert again.succ_weight == base.succ_weight
+    assert again.names is base.names
+
+
+def test_reweighting_leaves_the_base_weights_unchanged():
+    base = _diamond_timed().compact()
+    DeltaSlackEvaluator(base, [100.0] * 4, 1000.0)  # fills the seed cache
+    succ, pred = list(base.succ_weight), list(base.pred_weight)
+    views = (list(base.succ_view()[2]), list(base.pred_view()[2]))
+    graph = base.reweighted([5, 6, 7, 8])
+    graph.succ_view()[2][0] = 99  # the new graph's lists are its own
+    assert list(base.succ_weight) == succ and list(base.pred_weight) == pred
+    assert (base.succ_view()[2], base.pred_view()[2]) == views
+    assert graph._delta_seeds is None and base._delta_seeds
+
+
+def test_reweighting_rejects_bad_weight_vectors():
+    base = _diamond_timed().compact()
+    with pytest.raises(TimingError, match="4 edge weights"):
+        base.reweighted([0, 0, 0])
+    with pytest.raises(TimingError, match=">= 0"):
+        base.reweighted([0, -1, 0, 0])
+
+
+class _SpanTable:
+    """A stand-in span source: exactly the ``span(name)`` the weight rule reads."""
+
+    def __init__(self, infos):
+        self._infos = infos
+
+    def span(self, name):
+        return self._infos[name]
+
+
+def _none_latency_spans(design, latency, broken):
+    """Every operation on the last edge, except ``broken``: op -> (early, late)."""
+    last = latency.forward_edge_names[-1]
+    infos = {}
+    for op in design.dfg.operations:
+        early, late = broken.get(op.name, (last, last))
+        infos[op.name] = SpanInfo(op=op.name, early=early, late=late,
+                                  edges=(early,))
+    return _SpanTable(infos)
+
+
+@pytest.mark.parametrize("kind", ["data", "sink"])
+def test_none_latency_raises_the_build_timed_dfg_message(kind):
+    design = fir_design(taps=4, latency=4, clock_period=1500.0)
+    latency = LatencyAnalysis(design.cfg)
+    base = build_timed_dfg(design, latency=latency)
+    src, dst = next(pair for pair in base.edge_pairs()
+                    if not pair[1].startswith("__sink__"))
+    first = latency.forward_edge_names[0]
+    last = latency.forward_edge_names[-1]
+    assert latency.latency(last, first) is None
+    broken = ({dst: (first, first)} if kind == "data"
+              else {src: (last, first)})
+    spans = _none_latency_spans(design, latency, broken)
+    with pytest.raises(TimingError) as built:
+        build_timed_dfg(design, spans=spans, latency=latency)
+    with pytest.raises(TimingError) as reweighted:
+        base.compact().reweighted(
+            timed_edge_weights(base.edge_pairs(), spans, latency))
+    assert str(reweighted.value) == str(built.value)
+    expected = ("not forward related" if kind == "data"
+                else "late edge unreachable")
+    assert expected in str(built.value)
 
 
 def test_kernels_on_hand_built_graph(library):

@@ -10,6 +10,7 @@ from repro.obs.trace import (
     active_tracer,
     disable,
     enable,
+    enclosing_attr,
     is_enabled,
     span,
     traced,
@@ -111,6 +112,19 @@ def test_tracing_scope_restores_previous_tracer():
     assert active_tracer() is outer_tracer
     assert [r.name for r in inner_tracer.roots] == ["inner-work"]
     assert outer_tracer.roots == []
+
+
+def test_enclosing_attr_reads_the_innermost_open_span_that_has_it():
+    assert enclosing_attr("flow") is None  # tracing disabled
+    with tracing():
+        with span("outer", flow="conventional", design="d"):
+            with span("inner", flow="slack-based"):
+                with span("leaf"):
+                    assert enclosing_attr("flow") == "slack-based"
+                    assert enclosing_attr("design") == "d"
+                    assert enclosing_attr("missing") is None
+            assert enclosing_attr("flow") == "conventional"
+        assert enclosing_attr("flow") is None
 
 
 def test_exception_is_recorded_and_propagates():
