@@ -84,7 +84,9 @@ class SlackScheduler:
         relaxation-heavy design points most rebuilds are cache hits.
 
     Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
-    schedule pass and one ``sched.rebudget`` span per per-edge re-budget.
+    schedule pass (a failed one names the relaxation move that followed it
+    in its ``move`` attribute) and one ``sched.rebudget`` span per per-edge
+    re-budget.
     """
 
     def __init__(
@@ -162,6 +164,7 @@ class SlackScheduler:
             upgraded = relax(self.design, self.library, self.clock_period,
                              self.timing_margin, attempt.failure, variants,
                              allocation, log)
+            attempt_span.set(move=log.messages[-1])
             if upgraded is not None:
                 self._locked[upgraded] = variants[upgraded]
         raise InfeasibleDesignError(

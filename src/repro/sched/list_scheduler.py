@@ -16,7 +16,7 @@ steps, which the slack-guided scheduler adds on top):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SchedulingError
@@ -25,13 +25,12 @@ from repro.ir.operations import OpKind
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.core.latency import LatencyAnalysis
-from repro.core.opspan import OperationSpans
+from repro.core.opspan import OperationSpans, SpanInfo
 from repro.sched.allocation import Allocation, ClassKey, resource_class_key
 from repro.sched.priorities import PriorityFn, mobility_priority
-from repro.sched.schedule import Schedule
+from repro.sched.schedule import Schedule, ScheduledOp
 
 _EPS = 1e-6
-_MISSING = object()
 
 
 @dataclass
@@ -71,10 +70,6 @@ class SchedulingAttempt:
         return self.schedule
 
 
-def _op_delay(op, library: Library, variant: Optional[ResourceVariant]) -> float:
-    return library.operation_delay(op, variant)
-
-
 def try_list_schedule(
     design: Design,
     library: Library,
@@ -108,89 +103,92 @@ def try_list_schedule(
     not fit, its own speed grade is raised just enough to fit before giving
     up.  When ``variant_map`` is a mutable dict the upgrade is recorded in it
     so callers see the final grades.
+
+    The pass resolves its tables once (class keys, fixed delays, non-constant
+    predecessors and successors) and counts each operation's unscheduled
+    predecessors; it is ready at zero.  An edge's first round tries every
+    ready operation whose span holds the edge, each later round only those
+    that became ready in the previous one.  That is exact: a ready operation
+    that did not fit and is not on its last chance cannot fit later on the
+    edge (its chained start and delay are fixed, slot usage only grows), and
+    a failed try has no side effect.  Priority keys are computed once per
+    operation and priority function.
     """
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
     priority = priority or mobility_priority(spans)
     pipeline_ii = pipeline_ii or design.pipeline_ii
 
-    dfg = design.dfg
     schedule = Schedule(design, clock_period)
     budget = clock_period - timing_margin
-
-    pending = {op.name for op in dfg.operations if op.kind is not OpKind.CONST}
-    # Operations are only ever removed from ``pending`` during a pass, so one
-    # up-front sort fixes the deterministic scan order for the whole pass:
-    # filtering the sorted list by membership yields exactly ``sorted(pending)``.
-    pending_order = sorted(pending)
-    # Non-constant data predecessors, resolved once per pass.  Constant
-    # predecessors are never scheduled (they are excluded from ``pending``),
-    # so every consumer below — the ready check, the chained-start scan and
-    # the chain-driver walk — only ever observes the non-constant ones.
-    preds_map = {
-        name: tuple(p for p in dfg.predecessors(name)
-                    if dfg.op(p).kind is not OpKind.CONST)
-        for name in pending_order
-    }
-    class_keys: Dict[str, Optional[ClassKey]] = {}
-    usage: Dict[Tuple[int, ClassKey], int] = {}
-    edge_order = latency.forward_edge_names
-    edge_step = {name: index for index, name in enumerate(edge_order)}
     mod_ii = pipeline_ii if pipeline_ii is not None and pipeline_ii >= 1 else None
 
-    def class_key_of(name: str) -> Optional[ClassKey]:
-        key = class_keys.get(name, _MISSING)
-        if key is _MISSING:
-            key = resource_class_key(dfg.op(name), library)
-            class_keys[name] = key
-        return key
+    # Per-pass tables.  Constant operations are never scheduled, so every
+    # lookup below (readiness, chained start, chain driver) sees only the
+    # non-constant predecessors.  Exactly the synthesizable operations have
+    # a class key; the others have a fixed delay.
+    ops = {op.name: op for op in design.dfg.operations
+           if op.kind is not OpKind.CONST}
+    pending_order = sorted(ops)
+    # Filled one by one in design order: the order in which a hook iterates
+    # ``frozenset(pending)`` follows this insertion history.
+    pending = {name for name in ops}
+    class_key = {name: resource_class_key(op, library) for name, op in ops.items()}
+    fixed_delay = {name: library.operation_delay(op)
+                   for name, op in ops.items() if class_key[name] is None}
+    preds_map = {name: tuple(p for p in design.dfg.predecessors(name) if p in ops)
+                 for name in pending_order}
+    succs: Dict[str, List[str]] = {name: [] for name in pending_order}
+    for name, preds in preds_map.items():
+        for pred in preds:
+            succs[pred].append(name)
+    waiting = {name: len(preds) for name, preds in preds_map.items()}
+    priority_keys: Dict[str, tuple] = {}
+    usage: Dict[Tuple[int, ClassKey], int] = {}
 
-    for edge_name in edge_order:
-        step = edge_step[edge_name]
+    for step, edge_name in enumerate(latency.forward_edge_names):
         slot_step = step % mod_ii if mod_ii is not None else step
-        # Drop already-scheduled names; membership filtering preserves the
-        # deterministic sorted order.
+        # Operations only leave ``pending``, so filtering the sorted list
+        # keeps the scan in name order.  Spans only change in the hook, so
+        # the eligible set is fixed for the whole edge.
         pending_order = [n for n in pending_order if n in pending]
-        # Spans only change in the post-edge hook, so which pending operations
-        # may sit on this edge is fixed for the whole edge — only readiness
-        # (predecessors leaving ``pending``) evolves between rounds.
         span_of = spans.span
-        eligible: List[Tuple[str, SpanInfo]] = []
+        eligible: Dict[str, SpanInfo] = {}
         for name in pending_order:
             info = span_of(name)
             if edge_name in info.edges:
-                eligible.append((name, info))
-        progressed = bool(eligible)
-        while progressed:
-            progressed = False
-            ready: List[Tuple[str, SpanInfo]] = []
-            for name, info in eligible:
-                if name not in pending:
-                    continue
-                if any(p in pending for p in preds_map[name]):
-                    continue
-                ready.append((name, info))
-            # Operations on the last edge of their span must go first: deferring
-            # them is impossible, so they get priority over movable ones.
-            ready.sort(key=lambda item: (0 if item[1].late == edge_name else 1,
-                                         priority(item[0])))
-            for name, info in ready:
-                op = dfg.op(name)
+                eligible[name] = info
+        placed: Dict[str, ScheduledOp] = {}
+        ready = [name for name in eligible if not waiting[name]]
+        while ready:
+            for name in ready:
+                if name not in priority_keys:
+                    priority_keys[name] = priority(name)
+            # Operations on the last edge of their span must go first:
+            # deferring them is impossible.
+            ready.sort(key=lambda n: (eligible[n].late != edge_name,
+                                      priority_keys[n]))
+            newly_ready: List[str] = []
+            for name in ready:
                 variant = variant_map.get(name)
-                delay = _op_delay(op, library, variant)
+                key = class_key[name]
+                if key is None:
+                    delay = fixed_delay[name]
+                else:
+                    delay = (variant.delay if variant is not None else
+                             library.fastest_variant(ops[name]).delay)
                 start = 0.0
                 for pred in preds_map[name]:
-                    pred_item = schedule.get(pred)
-                    if (pred_item is not None and pred_item.edge == edge_name
-                            and pred_item.finish > start):
+                    pred_item = placed.get(pred)
+                    if pred_item is not None and pred_item.finish > start:
                         start = pred_item.finish
                 finish = start + delay
                 fits_timing = finish <= budget + _EPS
-                last_chance = (edge_name == info.late)
+                last_chance = (edge_name == eligible[name].late)
                 if (not fits_timing and last_chance and upgrade_on_last_chance
-                        and variant is not None and op.is_synthesizable):
+                        and variant is not None and key is not None):
                     # Upgrade on the fly: take the cheapest grade that fits.
-                    resource_class = library.class_for_op(op)
+                    resource_class = library.class_for_op(ops[name])
                     faster = resource_class.cheapest_within(budget - start)
                     if faster.delay < variant.delay:
                         variant = faster
@@ -199,16 +197,19 @@ def try_list_schedule(
                         fits_timing = finish <= budget + _EPS
                         if isinstance(variant_map, dict):
                             variant_map[name] = faster
-                key = class_key_of(name)
                 slot = (slot_step, key) if key is not None else None
                 fits_resource = (key is None or
                                  usage.get(slot, 0) < allocation.limit(key))
                 if fits_timing and fits_resource:
-                    schedule.assign(name, edge_name, step, start, finish, variant)
+                    placed[name] = schedule.assign(name, edge_name, step, start,
+                                                   finish, variant)
                     pending.discard(name)
                     if slot is not None:
                         usage[slot] = usage.get(slot, 0) + 1
-                    progressed = True
+                    for succ in succs[name]:
+                        waiting[succ] -= 1
+                        if not waiting[succ] and succ in eligible:
+                            newly_ready.append(succ)
                 elif last_chance:
                     blocking_key = None
                     if not fits_resource:
@@ -222,26 +223,15 @@ def try_list_schedule(
                             f"exceeds the {budget:.1f} ps budget"
                         )
                         # Identify the chain driver: walk up the same-state
-                        # combinational chain to its head — the operation that
-                        # was deferred onto this state by resource scarcity —
-                        # and report its class so relaxation can add one.
+                        # combinational chain (through the first predecessor
+                        # with the latest finish) to its head — the operation
+                        # deferred onto this state by resource scarcity — and
+                        # report its class so relaxation can add one.
                         current = name
-                        while True:
-                            chain_pred = None
-                            latest_finish = -1.0
-                            for pred in preds_map.get(current, ()):
-                                pred_item = schedule.get(pred)
-                                if (pred_item is not None
-                                        and pred_item.edge == edge_name
-                                        and pred_item.finish > latest_finish):
-                                    latest_finish = pred_item.finish
-                                    chain_pred = pred
-                            if chain_pred is None:
-                                break
-                            current = chain_pred
+                        while chained := [p for p in preds_map[current] if p in placed]:
+                            current = max(chained, key=lambda p: placed[p].finish)
                         if current != name:
-                            blocking_key = resource_class_key(dfg.op(current),
-                                                              library)
+                            blocking_key = class_key[current]
                     return SchedulingAttempt(
                         success=False,
                         failure=SchedulingFailure(op=name, edge=edge_name,
@@ -249,6 +239,8 @@ def try_list_schedule(
                                                   blocking_class_key=blocking_key,
                                                   detail=detail),
                     )
+            newly_ready.sort()
+            ready = newly_ready
         if post_edge_hook is not None and pending:
             update = post_edge_hook(edge_name, schedule, frozenset(pending))
             if update is not None:
@@ -259,6 +251,7 @@ def try_list_schedule(
                     variant_map = new_variants
                 if new_priority is not None:
                     priority = new_priority
+                    priority_keys = {}
         # Any pending operation whose span ends here but never became ready
         # (its predecessors are stuck) is a hard failure.
         span_of = spans.span
@@ -268,19 +261,19 @@ def try_list_schedule(
                     success=False,
                     failure=SchedulingFailure(
                         op=name, edge=edge_name, reason="unreachable",
-                        class_key=resource_class_key(dfg.op(name), library),
+                        class_key=class_key[name],
                         detail="operation never became ready before the end of "
                                "its span (a predecessor could not be scheduled)",
                     ),
                 )
 
     if pending:
-        name = sorted(pending)[0]
+        name = min(pending)
         return SchedulingAttempt(
             success=False,
             failure=SchedulingFailure(
                 op=name, edge=spans.span(name).late, reason="unreachable",
-                class_key=resource_class_key(dfg.op(name), library),
+                class_key=class_key[name],
                 detail="operation left unscheduled after visiting every edge",
             ),
         )

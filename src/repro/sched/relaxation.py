@@ -19,7 +19,8 @@ DSE harness does explicitly; the relaxation loop itself never changes the CFG.
 
 Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
 pass, labelled with the enclosing span's flow, the attempt number and, when
-the pass fails, the failure reason.
+the pass fails, the failure reason and the move that followed it (``move``,
+the :class:`RelaxationLog` message).
 """
 
 from __future__ import annotations
@@ -278,9 +279,10 @@ def schedule_with_relaxation(
                 # dropped; the loop re-adds any that are still needed.
                 allocation = minimal_allocation(design, library, spans=spans,
                                                 pipeline_ii=bumped)
-            continue
-        relax(design, library, clock_period, timing_margin, failure,
-              variants, allocation, log)
+        else:
+            relax(design, library, clock_period, timing_margin, failure,
+                  variants, allocation, log)
+        attempt_span.set(move=log.messages[-1])
     raise InfeasibleDesignError(
         f"design {design.name!r} still unschedulable after {max_attempts} relaxations"
     )

@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import analysis_cache
+from repro.core import analysis_cache, slack_scheduler
 from repro.core.analysis_cache import AnalysisCache, design_fingerprint
 from repro.core.delta_slack import DeltaSlackEvaluator
 from repro.core.graphkit import arrival_kernel, required_kernel
@@ -27,6 +27,7 @@ from repro.errors import ReproError
 from repro.flows import conventional_flow, idct_design_points, slack_based_flow
 from repro.ir.operations import OpKind
 from repro.obs.trace import tracing
+from repro.sched import relaxation
 from repro.verify.scenarios import scenario_stream
 from repro.workloads import IDCTPointFactory, idct_design
 
@@ -179,6 +180,30 @@ def test_sched_attempt_spans_count_each_flows_relaxation_attempts(
         # Every pass but the successful last one names its failure.
         assert all(attrs.get("failure") for attrs in mine[:-1])
         assert "failure" not in mine[-1]
+
+
+@pytest.mark.parametrize("name,scheduling", [("D8", "block"),
+                                             ("D15", "pipeline")])
+def test_failed_sched_attempts_name_the_move_that_followed(
+        name, scheduling, library, monkeypatch):
+    logs = []
+
+    class _KeptLog(relaxation.RelaxationLog):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            logs.append(self)
+
+    monkeypatch.setattr(relaxation, "RelaxationLog", _KeptLog)
+    monkeypatch.setattr(slack_scheduler, "RelaxationLog", _KeptLog)
+    design = IDCTPointFactory(rows=1)(_POINTS[name])
+    with tracing() as tracer:
+        conventional_flow(design, library, scheduling=scheduling)
+        slack_based_flow(design, library, scheduling=scheduling)
+    attempts = [span.attrs for span in _spans_named(tracer, "sched.attempt")]
+    assert all(("move" in attrs) == ("failure" in attrs) for attrs in attempts)
+    moves = [attrs["move"] for attrs in attempts if "move" in attrs]
+    assert moves == [message for log in logs for message in log.messages]
+    assert moves
 
 
 def test_sched_rebudget_spans_count_the_rebudgets(library):

@@ -10,8 +10,9 @@ from repro.core.sequential_slack import compute_sequential_slack
 from repro.core.timed_dfg import build_timed_dfg, is_sink_name
 from repro.ir.operations import OpKind
 from repro.lib import tsmc90_library
-from repro.sched.allocation import minimal_allocation
+from repro.sched.allocation import minimal_allocation, resource_class_key
 from repro.sched.list_scheduler import try_list_schedule
+from repro.sched.modulo_scheduler import try_modulo_schedule
 from repro.workloads import random_layered_design
 
 _LIBRARY = tsmc90_library()
@@ -138,6 +139,43 @@ def test_budgeted_delays_respect_library_bounds(params):
         assert low - 1e-6 <= result.delay_of(op.name) <= high + 1e-6
 
 
+def _assert_consistent(design, attempt, allocation, ii=None):
+    """A pass either diagnoses its failure or returns a legal schedule:
+    complete, valid, inside every span, within the allocation in every
+    state (every II-congruent state group when ``ii`` is given), and with
+    every data predecessor on an earlier step or chained before its
+    consumer on the same edge."""
+    if not attempt.success:
+        # Tight minimal allocations may legitimately fail; the relaxation loop
+        # handles that in the flows.  A failure must still carry a diagnosis.
+        assert attempt.failure is not None
+        assert attempt.failure.reason in (
+            ("resource", "timing", "unreachable")
+            + (("recurrence",) if ii else ()))
+        return
+    schedule = attempt.schedule
+    assert schedule.is_complete()
+    assert schedule.validate() == []
+    spans = OperationSpans(design)
+    usage = {}
+    for item in schedule.items:
+        assert item.edge in spans.span(item.op).edges
+        key = resource_class_key(design.dfg.op(item.op), _LIBRARY)
+        if key is not None:
+            slot = (item.step % ii if ii else item.step, key)
+            usage[slot] = usage.get(slot, 0) + 1
+        for pred in design.dfg.predecessors(item.op):
+            pred_item = schedule.get(pred)
+            if pred_item is None:
+                assert design.dfg.op(pred).kind is OpKind.CONST
+                continue
+            assert (pred_item.step < item.step or
+                    (pred_item.edge == item.edge
+                     and pred_item.finish <= item.start))
+    for (_, key), count in usage.items():
+        assert count <= allocation.limit(key)
+
+
 @given(_design_params)
 @_SETTINGS
 def test_list_schedules_are_always_consistent(params):
@@ -145,15 +183,16 @@ def test_list_schedules_are_always_consistent(params):
     variants = _fastest(design)
     allocation = minimal_allocation(design, _LIBRARY)
     attempt = try_list_schedule(design, _LIBRARY, 2000.0, variants, allocation)
-    if not attempt.success:
-        # Tight minimal allocations may legitimately fail; the relaxation loop
-        # handles that in the flows.  A failure must still carry a diagnosis.
-        assert attempt.failure is not None
-        assert attempt.failure.reason in ("resource", "timing", "unreachable")
-        return
-    schedule = attempt.schedule
-    assert schedule.is_complete()
-    assert schedule.validate() == []
-    spans = OperationSpans(design)
-    for item in schedule.items:
-        assert item.edge in spans.span(item.op).edges
+    _assert_consistent(design, attempt, allocation)
+
+
+@given(_design_params, st.integers(min_value=1, max_value=6))
+@_SETTINGS
+def test_modulo_schedules_are_always_consistent(params, ii):
+    design = _design(params)
+    ii = min(ii, params[3])
+    variants = _fastest(design)
+    allocation = minimal_allocation(design, _LIBRARY, pipeline_ii=ii)
+    attempt = try_modulo_schedule(design, _LIBRARY, 2000.0, variants,
+                                  allocation, pipeline_ii=ii)
+    _assert_consistent(design, attempt, allocation, ii=ii)
