@@ -54,6 +54,20 @@ def test_workflow_parses_and_has_all_jobs(workflow):
         "campaign-shard", "campaign-merge"}
 
 
+def test_test_matrix_includes_the_oldest_supported_python(workflow):
+    """The test job must run on the oldest Python that ``requires-python``
+    admits, so code that needs a newer one (``int.bit_count`` is 3.10+)
+    fails CI instead of an install."""
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(WORKFLOW)),
+                             "..", "pyproject.toml")
+    with open(os.path.normpath(pyproject), "r", encoding="utf-8") as handle:
+        match = re.search(r'^requires-python\s*=\s*">=\s*(\d+\.\d+)"',
+                          handle.read(), re.M)
+    assert match, "pyproject.toml must state requires-python as >=X.Y"
+    matrix = workflow["jobs"]["test"]["strategy"]["matrix"]["python-version"]
+    assert match.group(1) in [str(version) for version in matrix]
+
+
 def test_schedule_and_dispatch_triggers(workflow, triggers):
     assert "schedule" in triggers, "nightly cron trigger missing"
     crons = [entry["cron"] for entry in triggers["schedule"]]

@@ -1,10 +1,13 @@
 """Property-based tests (hypothesis) on the core analyses and data structures."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.bellman_ford import compute_sequential_slack_bellman_ford
 from repro.core.budgeting import budget_slack
+from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import compute_sequential_slack
 from repro.core.timed_dfg import build_timed_dfg, is_sink_name
@@ -13,7 +16,7 @@ from repro.lib import tsmc90_library
 from repro.sched.allocation import minimal_allocation, resource_class_key
 from repro.sched.list_scheduler import try_list_schedule
 from repro.sched.modulo_scheduler import try_modulo_schedule
-from repro.workloads import random_layered_design
+from repro.workloads import random_layered_design, segmented_design
 
 _LIBRARY = tsmc90_library()
 
@@ -45,21 +48,104 @@ def _delays(design):
             for name, variant in _fastest(design).items()}
 
 
-@given(_design_params)
-@_SETTINGS
-def test_spans_always_contain_the_birth_reachable_interval(params):
-    design = _design(params)
-    spans = OperationSpans(design)
-    latency = spans.latency
-    for op in design.dfg.operations:
-        if op.kind is OpKind.CONST:
+_segment_op = st.tuples(st.sampled_from(["add", "sub", "mul", "and"]),
+                        st.integers(min_value=0, max_value=30),
+                        st.integers(min_value=0, max_value=30))
+_segment_ops = st.lists(_segment_op, max_size=3)
+_branchy_segments = st.lists(
+    st.one_of(st.tuples(st.just("linear"), _segment_ops),
+              st.tuples(st.just("diamond"), _segment_ops, _segment_ops,
+                        _segment_ops, _segment_ops)),
+    min_size=1, max_size=4,
+).filter(lambda segments: any(kind == "diamond" for kind, *_ in segments))
+
+_span_designs = st.one_of(
+    _design_params.map(_design),
+    st.builds(lambda segments, tail: segmented_design(
+        segments, inputs=(8, 16), outputs=2, tail_states=tail),
+        _branchy_segments, st.integers(min_value=0, max_value=2)),
+)
+
+
+def _scheduled_prefix(design, latency, floor, rng, strict):
+    """Pins like a list scheduler that has reached ``floor``: in topological
+    order, an operation whose non-constant predecessors are all pinned may
+    be pinned to an edge of its current span before the floor, and must be
+    when its whole span lies before the floor."""
+    dfg = design.dfg
+    limit = len(latency.forward_edge_names) if floor is None \
+        else latency.edge_order(floor)
+    pinned = {}
+    for name in dfg.topological_order():
+        if any(dfg.op(pred).kind is not OpKind.CONST and pred not in pinned
+               for pred in dfg.predecessors(name)):
             continue
+        info = OperationSpans(design, latency=latency, pinned=pinned,
+                              strict_io_successors=strict).span(name)
+        before = [edge for edge in info.edges
+                  if latency.edge_order(edge) < limit]
+        if before and (latency.edge_order(info.late) < limit
+                       or rng.random() < 0.5):
+            pinned[name] = rng.choice(before)
+    return pinned
+
+
+@given(_span_designs, st.integers(min_value=0, max_value=10 ** 6),
+       st.booleans())
+@_SETTINGS
+def test_spans_always_contain_the_birth_reachable_interval(design, seed,
+                                                           strict):
+    """Definition 4, edge by edge, under a scheduler-like pinned prefix and
+    floor, with and without ``strict_io_successors``."""
+    latency = LatencyAnalysis(design.cfg)
+    rng = random.Random(seed)
+    forward = latency.forward_edge_names
+    floor = rng.choice([None] + forward)
+    pinned = _scheduled_prefix(design, latency, floor, rng, strict)
+    spans = OperationSpans(design, latency=latency, pinned=pinned,
+                           not_before=floor, strict_io_successors=strict)
+    lowest = 0 if floor is None else latency.edge_order(floor)
+    dfg = design.dfg
+    for op in dfg.operations:
         info = spans.span(op.name)
         assert info.early in info.edges
         assert info.late in info.edges
         assert latency.reachable(info.early, info.late)
+        if op.name in pinned:
+            assert info.early == info.late == pinned[op.name]
+            assert info.edges == (pinned[op.name],)
+            continue
+        birth = op.birth_edge
+        assert all(latency.control_compatible(edge, birth)
+                   for edge in info.edges)
         if op.is_fixed:
-            assert info.edges == (op.birth_edge,)
+            assert info.edges == (birth,)
+            continue
+        assert latency.edge_order(info.early) >= lowest
+        preds = [pred for pred in dfg.predecessors(op.name)
+                 if dfg.op(pred).kind is not OpKind.CONST]
+        candidates = [edge for edge in forward
+                      if latency.control_compatible(edge, birth)]
+        assert info.early == next(
+            edge for edge in candidates
+            if latency.edge_order(edge) >= lowest
+            and all(latency.reachable(spans.early(pred), edge)
+                    for pred in preds))
+        if op.attrs.get("branch_condition"):
+            assert info.late == birth
+            continue
+
+        def reaches_successors(edge):
+            return all(
+                latency.strictly_reachable(edge, spans.late(succ))
+                if strict and dfg.op(succ).is_fixed
+                else latency.reachable(edge, spans.late(succ))
+                for succ in dfg.successors(op.name))
+
+        lates = [edge for edge in candidates
+                 if latency.reachable(info.early, edge)
+                 and reaches_successors(edge)]
+        assert info.late == (lates[-1] if lates else info.early)
 
 
 @given(_design_params)
