@@ -14,11 +14,15 @@ undefined (parallel branches).
 
 The analysis also exposes node-to-node minimum state counts and edge
 dominance/post-dominance relations, which the opSpan computation needs.
+For its bitset kernel (:mod:`repro.core.opspan`) it also builds, once per
+CFG, the tables of :class:`EdgeBitsets`: reach and co-reach masks over the
+forward edges' topological positions, and a position-indexed latency row
+per forward edge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.ir.cfg import CFG
@@ -26,15 +30,67 @@ from repro.ir.cfg import CFG
 _INF = float("inf")
 
 
+class EdgeBitsets:
+    """Forward-edge bitsets and latency rows of one CFG.
+
+    Bit ``i`` of a mask stands for the forward edge at topological position
+    ``i`` (:meth:`LatencyAnalysis.edge_order`).  Backward edges have no
+    position and no bit, but they do have masks: an operation may be born
+    on, or pinned to, a back edge.
+
+    * ``names[i]`` is the forward edge at position ``i``;
+    * ``reach[e]`` holds the forward edges reachable from edge ``e``, ``e``
+      included (the bit form of :meth:`LatencyAnalysis.reachable`);
+    * ``coreach[e]`` holds the forward edges ``c`` with ``e`` in
+      ``reach[c]``, and ``strict_coreach[e]`` the same without ``e``;
+    * ``rows[i][j]`` is ``latency(names[i], names[j])``, ``None`` where
+      undefined.
+    """
+
+    __slots__ = ("names", "reach", "coreach", "strict_coreach", "rows")
+
+    def __init__(self, analysis: "LatencyAnalysis"):
+        cfg = analysis.cfg
+        position = analysis._edge_pos
+        names = analysis._forward_edges_ordered()
+        sources = [cfg.edge(name).src for name in names]
+        edges = cfg.edges
+        self.names = names
+        self.reach: Dict[str, int] = {}
+        self.coreach: Dict[str, int] = {edge.name: 0 for edge in edges}
+        self.rows: List[List[Optional[int]]] = [[] for _ in names]
+        # One node sweep per source edge yields its reach mask and, for a
+        # forward edge, its latency row and its bit in every co-reach mask.
+        for edge in edges:
+            dist = analysis._node_latencies_from(edge.dst)
+            row = [None if dist[src] == _INF else int(dist[src])
+                   for src in sources]
+            index = position.get(edge.name)
+            if index is not None:
+                row[index] = 0
+                self.rows[index] = row
+                for target in edges:
+                    if target is edge or dist[target.src] != _INF:
+                        self.coreach[target.name] |= 1 << index
+            mask = 0
+            for bit, value in enumerate(row):
+                if value is not None:
+                    mask |= 1 << bit
+            self.reach[edge.name] = mask
+        self.strict_coreach = {
+            name: mask & ~(1 << position[name]) if name in position else mask
+            for name, mask in self.coreach.items()
+        }
+
+
 class LatencyAnalysis:
     """Pre-computed latency, reachability and dominance queries on a CFG.
 
-    Every query is a pure function of the CFG, so results are memoized
-    per-pair the first time they are asked for.  One ``LatencyAnalysis`` is
+    Every query is a pure function of the CFG.  One ``LatencyAnalysis`` is
     shared by every scheduling/budgeting pass run on a design (via
-    :class:`repro.flows.pipeline.PointArtifacts` and the opSpan machinery),
-    which makes these small per-pair tables the backing store of millions of
-    ``latency``/``control_compatible`` calls per flow run.
+    :class:`repro.flows.pipeline.PointArtifacts` and the opSpan machinery):
+    ``latency`` memoizes its pairs, and the per-edge opSpan and timed-DFG
+    rebuilds read the tables of :meth:`edge_bitsets`.
     """
 
     def __init__(self, cfg: CFG):
@@ -50,13 +106,10 @@ class LatencyAnalysis:
         }
         # node -> {reachable node -> min state count including both endpoints}
         self._node_latency: Dict[str, Dict[str, float]] = {}
-        self._edge_dominators: Optional[Dict[str, Set[str]]] = None
-        self._edge_postdominators: Optional[Dict[str, Set[str]]] = None
-        # Memo tables for the hot pure queries (pair -> result).
+        self._dominators: Optional[Tuple[List[int], List[int]]] = None
         self._latency_memo: Dict[Tuple[str, str], Optional[int]] = {}
-        self._compatible_memo: Dict[Tuple[str, str], bool] = {}
-        self._reach_sets: Dict[str, frozenset] = {}
         self._ordered_forward_edges: Optional[List[str]] = None
+        self._bitsets: Optional[EdgeBitsets] = None
 
     # -- node-level helpers ------------------------------------------------------
 
@@ -108,102 +161,57 @@ class LatencyAnalysis:
         self._latency_memo[key] = result
         return result
 
-    def _reach_set(self, edge_a: str) -> frozenset:
-        """Names of all edges forward reachable from ``edge_a`` (incl. itself).
-
-        The opSpan computation asks millions of ``reachable`` questions per
-        flow run; one O(edges) sweep per source edge turns each of them into
-        a set-membership test instead of a memoized ``latency`` call.
-        """
-        cached = self._reach_sets.get(edge_a)
-        if cached is None:
-            dist = self._node_latencies_from(self.cfg.edge(edge_a).dst)
-            cached = frozenset(
-                edge.name for edge in self.cfg.edges
-                if dist.get(edge.src, _INF) != _INF
-            ) | {edge_a}
-            self._reach_sets[edge_a] = cached
-        return cached
-
     def reachable(self, edge_a: str, edge_b: str) -> bool:
         """True if ``edge_b`` is forward reachable from ``edge_a`` (non-strict)."""
-        return edge_b == edge_a or edge_b in self._reach_set(edge_a)
+        return self.latency(edge_a, edge_b) is not None
 
     def strictly_reachable(self, edge_a: str, edge_b: str) -> bool:
         """True if ``edge_b`` is reachable from ``edge_a`` and differs from it."""
-        return edge_a != edge_b and edge_b in self._reach_set(edge_a)
+        return edge_a != edge_b and self.reachable(edge_a, edge_b)
 
     # -- edge dominance -------------------------------------------------------------
 
-    def _edge_graph(self) -> Tuple[Dict[str, List[str]], Dict[str, List[str]], List[str]]:
-        """Successor/predecessor maps of the forward *edge* graph.
+    def _dominator_masks(self) -> Tuple[List[int], List[int]]:
+        """Dominator and post-dominator bitsets of every forward edge.
 
-        In the edge graph every forward CFG edge is a vertex and edge ``a``
-        points to edge ``b`` whenever ``head(a) == tail(b)``.
+        They are computed on the forward *edge* graph, in which edge ``a``
+        precedes edge ``b`` whenever ``head(a) == tail(b)``.  That graph is
+        acyclic and positions are topological, so one pass in each direction
+        settles every meet.  Entry and exit edges (de)dominate only
+        themselves.
         """
-        succ: Dict[str, List[str]] = {name: [] for name in self._forward_edges}
-        pred: Dict[str, List[str]] = {name: [] for name in self._forward_edges}
-        for a in self._forward_edges:
-            head = self.cfg.edge(a).dst
-            for out in self.cfg.out_edges(head, forward_only=True):
-                succ[a].append(out.name)
-                pred[out.name].append(a)
-        ordered = sorted(self._forward_edges, key=self._edge_pos.__getitem__)
-        return succ, pred, ordered
+        if self._dominators is None:
+            cfg, position = self.cfg, self._edge_pos
+            names = self._forward_edges_ordered()
+            dom, pdom = [0] * len(names), [0] * len(names)
+            passes = (
+                (dom, range(len(names)),
+                 lambda edge: cfg.in_edges(edge.src, forward_only=True)),
+                (pdom, range(len(names) - 1, -1, -1),
+                 lambda edge: cfg.out_edges(edge.dst, forward_only=True)),
+            )
+            for masks, indices, neighbours in passes:
+                for index in indices:
+                    adjacent = neighbours(cfg.edge(names[index]))
+                    meet = -1 if adjacent else 0
+                    for other in adjacent:
+                        meet &= masks[position[other.name]]
+                    masks[index] = meet | 1 << index
+            self._dominators = (dom, pdom)
+        return self._dominators
 
-    def _compute_dominators(self) -> None:
-        succ, pred, ordered = self._edge_graph()
-        universe = set(ordered)
-
-        # Entry edges: forward edges with no forward predecessor edges.
-        dom: Dict[str, Set[str]] = {}
-        for edge in ordered:
-            dom[edge] = {edge} if not pred[edge] else set(universe)
-        changed = True
-        while changed:
-            changed = False
-            for edge in ordered:
-                if not pred[edge]:
-                    continue
-                meet = set(universe)
-                for p in pred[edge]:
-                    meet &= dom[p]
-                candidate = {edge} | meet
-                if candidate != dom[edge]:
-                    dom[edge] = candidate
-                    changed = True
-        self._edge_dominators = dom
-
-        pdom: Dict[str, Set[str]] = {}
-        reverse_order = list(reversed(ordered))
-        for edge in ordered:
-            pdom[edge] = {edge} if not succ[edge] else set(universe)
-        changed = True
-        while changed:
-            changed = False
-            for edge in reverse_order:
-                if not succ[edge]:
-                    continue
-                meet = set(universe)
-                for s in succ[edge]:
-                    meet &= pdom[s]
-                candidate = {edge} | meet
-                if candidate != pdom[edge]:
-                    pdom[edge] = candidate
-                    changed = True
-        self._edge_postdominators = pdom
+    def _has_bit(self, masks: List[int], edge_a: str, edge_b: str) -> bool:
+        """True if the mask of ``edge_b`` holds the bit of ``edge_a``."""
+        a, b = self._edge_pos.get(edge_a), self._edge_pos.get(edge_b)
+        return a is not None and b is not None and bool(masks[b] >> a & 1)
 
     def dominates(self, edge_a: str, edge_b: str) -> bool:
         """True if every forward path reaching ``edge_b`` passes through ``edge_a``."""
-        if self._edge_dominators is None:
-            self._compute_dominators()
-        return edge_a in self._edge_dominators.get(edge_b, set())
+        return self._has_bit(self._dominator_masks()[0], edge_a, edge_b)
 
     def postdominates(self, edge_a: str, edge_b: str) -> bool:
         """True if every forward path leaving ``edge_b`` passes through ``edge_a``."""
-        if self._edge_postdominators is None:
-            self._compute_dominators()
-        return edge_a in self._edge_postdominators.get(edge_b, set())
+        return self._has_bit(self._dominator_masks()[1], edge_a, edge_b)
 
     def control_compatible(self, edge: str, birth_edge: str) -> bool:
         """True if an operation born on ``birth_edge`` may execute on ``edge``.
@@ -214,17 +222,8 @@ class LatencyAnalysis:
         different branch is never allowed — the operation would not execute
         on every run that needs its value.
         """
-        if edge == birth_edge:
-            return True
-        key = (edge, birth_edge)
-        try:
-            return self._compatible_memo[key]
-        except KeyError:
-            pass
-        result = (self.dominates(edge, birth_edge)
-                  or self.postdominates(edge, birth_edge))
-        self._compatible_memo[key] = result
-        return result
+        return (edge == birth_edge or self.dominates(edge, birth_edge)
+                or self.postdominates(edge, birth_edge))
 
     def _forward_edges_ordered(self) -> List[str]:
         """The shared (do not mutate) topologically ordered forward-edge list."""
@@ -232,6 +231,21 @@ class LatencyAnalysis:
             self._ordered_forward_edges = sorted(
                 self._forward_edges, key=self._edge_pos.__getitem__)
         return self._ordered_forward_edges
+
+    def edge_bitsets(self) -> EdgeBitsets:
+        """The shared :class:`EdgeBitsets` of this CFG (built on first use)."""
+        if self._bitsets is None:
+            self._bitsets = EdgeBitsets(self)
+        return self._bitsets
+
+    def candidate_mask(self, birth_edge: str) -> int:
+        """Bitset of the forward edges control compatible with ``birth_edge``
+        (see :meth:`control_compatible`); 0 for a back edge."""
+        position = self._edge_pos.get(birth_edge)
+        if position is None:
+            return 0
+        dom, pdom = self._dominator_masks()
+        return dom[position] | pdom[position]
 
     @property
     def forward_edge_names(self) -> List[str]:

@@ -30,6 +30,30 @@ flows, while the strict setting reproduces every Table 3 recurrence
 verbatim (see ``tests/test_table3_closed_forms.py``).  Early edges —
 ``span(div)`` starting at ``e1``, ``early(mul) = e5``, ``early(mux) = e6``,
 ``span(wr) = {e7}`` — are reproduced in both modes.
+
+**The bitset kernel.**  Spans are computed on bitmasks over the forward CFG
+edges: bit ``i`` stands for the edge at topological position ``i``
+(:meth:`LatencyAnalysis.edge_order`; back edges have no bit).  With the
+tables of :class:`repro.core.latency.EdgeBitsets` — ``reach(e)``, the
+edges reachable from ``e`` including ``e``, and ``co-reach(e)``, the edges
+from which ``e`` is reachable — and the candidate mask of the birth edge
+(its control-compatible edges), an operation that is neither pinned nor
+fixed gets::
+
+    early = lowest bit of  candidates & floor & AND reach(early(p))
+    late  = highest bit of candidates & reach(early) & AND co-reach(late(s))
+    edges = the bits of    candidates & reach(early) & co-reach(late)
+
+over its non-constant predecessors ``p`` and its successors ``s``; the
+floor holds the edges at or after ``not_before``, and a fixed successor
+contributes its co-reach without its own edge in strict mode.  An empty
+early mask is infeasible, an empty late mask means ``late = early``, and
+an empty edge mask gives ``(early,)``.  This is exact: bit order is
+topological order, the order in which the candidate edges are scanned, so
+"the first candidate that passes every predecessor test" is the lowest
+set bit of the AND of those tests and "the last one that passes every
+successor test" the highest; and a reach set contains its own edge, so the
+non-strict tests need no special case.
 """
 
 from __future__ import annotations
@@ -41,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.ir.design import Design
-from repro.ir.operations import Operation, OpKind
+from repro.ir.operations import OpKind
 from repro.core.latency import LatencyAnalysis
 
 
@@ -70,10 +94,14 @@ class _SpanTemplate:
     """Interned pinned-independent skeleton of the span computation.
 
     The slack-guided scheduler rebuilds ``OperationSpans(pinned=...)`` after
-    every scheduled edge, but the DFG topological order, the per-operation
-    birth/fixedness/predecessor/successor records and the control-compatible
-    candidate-edge lists only depend on the design and its latency analysis —
-    so they are resolved once here and shared by every pinned rebuild.
+    every scheduled edge, but the DFG topological order and the
+    per-operation records only depend on the design and its latency
+    analysis, so they are resolved once here and shared by every pinned
+    rebuild.  ``records`` holds, in topological order, ``(index, name,
+    birth, candidates, early_fixed, late_fixed, preds, succs,
+    fixed_succs)``: the candidate mask of the birth edge, and the
+    topological indices of the non-constant predecessors, of the
+    successors that are not fixed and of the fixed ones.
 
     ``interned`` maps ``(op, early, late)`` to the operation's
     :class:`SpanInfo`: the edge tuple of an unpinned operation is a pure
@@ -82,7 +110,7 @@ class _SpanTemplate:
     the tuples an earlier one assembled.
     """
 
-    __slots__ = ("shape", "order", "records", "nofloor", "interned")
+    __slots__ = ("shape", "order", "index", "records", "interned")
 
     def __init__(self, design: Design, latency: LatencyAnalysis):
         dfg = design.dfg
@@ -90,15 +118,10 @@ class _SpanTemplate:
         self.shape = (cfg.num_nodes, cfg.num_edges,
                       dfg.num_operations, dfg.num_edges)
         self.order: List[str] = dfg.topological_order()
-        # name -> (op, birth, early_fixed, late_fixed, pred_names, succ_infos)
-        self.records: Dict[str, tuple] = {}
-        # birth edge -> control-compatible forward edges in topological order
-        # (no not_before floor applied).
-        self.nofloor: Dict[str, List[str]] = {}
+        self.index = {name: index for index, name in enumerate(self.order)}
+        self.records: List[tuple] = []
         self.interned: Dict[Tuple[str, str, str], SpanInfo] = {}
-        ordered_edges = latency._forward_edges_ordered()
-        compatible = latency.control_compatible
-        for name in self.order:
+        for index, name in enumerate(self.order):
             op = dfg.op(name)
             birth = op.birth_edge
             if birth is None:
@@ -107,21 +130,19 @@ class _SpanTemplate:
                 raise TimingError(
                     f"operation {name!r} born on unknown edge {birth!r}"
                 )
-            if birth not in self.nofloor:
-                self.nofloor[birth] = [
-                    edge for edge in ordered_edges if compatible(edge, birth)
-                ]
             preds = tuple(
-                pred_name for pred_name in dfg.predecessors(name)
-                if dfg.op(pred_name).kind is not OpKind.CONST
+                self.index[pred] for pred in dfg.predecessors(name)
+                if dfg.op(pred).kind is not OpKind.CONST
             )
-            succs = tuple(
-                (succ_name, dfg.op(succ_name).is_fixed)
-                for succ_name in dfg.successors(name)
-            )
+            succs = [(self.index[succ], dfg.op(succ).is_fixed)
+                     for succ in dfg.successors(name)]
             late_fixed = op.is_fixed or bool(op.attrs.get("branch_condition"))
-            self.records[name] = (op, birth, op.is_fixed, late_fixed,
-                                  preds, succs)
+            self.records.append((
+                index, name, birth, latency.candidate_mask(birth), op.is_fixed,
+                late_fixed, preds,
+                tuple(succ for succ, fixed in succs if not fixed),
+                tuple(succ for succ, fixed in succs if fixed),
+            ))
 
 
 _SPAN_TEMPLATE_LOCK = threading.Lock()
@@ -194,156 +215,92 @@ class OperationSpans:
         self._not_before_pos = (
             self.latency.edge_order(not_before) if not_before is not None else None
         )
-        self._spans: Dict[str, SpanInfo] = {}
-        self._candidate_memo: Dict[Tuple[str, bool], List[str]] = {}
         self._template = _span_template(design, self.latency)
-        self._compute()
+        self._spans: Dict[str, SpanInfo] = self._compute()
 
     # -- computation -------------------------------------------------------------
 
-    def _candidate_edges(self, birth_edge: str, respect_floor: bool) -> List[str]:
-        """Control-compatible edges for an op born on ``birth_edge``.
-
-        The floor-free lists come from the interned :class:`_SpanTemplate`;
-        only the ``not_before`` filter is per-instance, memoized here.  The
-        cached lists are shared; callers must not mutate them.
-        """
-        key = (birth_edge, respect_floor)
-        cached = self._candidate_memo.get(key)
-        if cached is not None:
-            return cached
-        edges = self._template.nofloor.get(birth_edge)
-        if edges is None:
-            edges = [
-                edge for edge in self.latency._forward_edges_ordered()
-                if self.latency.control_compatible(edge, birth_edge)
-            ]
-        if respect_floor and self._not_before_pos is not None:
-            floor = self._not_before_pos
-            order = self.latency.edge_order
-            edges = [edge for edge in edges if order(edge) >= floor]
-        self._candidate_memo[key] = edges
-        return edges
-
-    def _data_predecessors(self, op: Operation) -> List[Operation]:
-        dfg = self.design.dfg
-        preds = []
-        for name in dfg.predecessors(op.name):
-            pred = dfg.op(name)
-            if pred.kind is OpKind.CONST:
-                continue  # constants do not constrain timing (paper Def. 2 step 2)
-            preds.append(pred)
-        return preds
-
-    def _data_successors(self, op: Operation) -> List[Operation]:
-        dfg = self.design.dfg
-        return [dfg.op(name) for name in dfg.successors(op.name)]
-
-    def _compute(self) -> None:
-        # The reach sets make every reachability question a set-membership
-        # test (each set contains its own source edge, so the non-strict
-        # queries need no equality special case).
-        reach = self.latency._reach_set
+    def _compute(self) -> Dict[str, SpanInfo]:
+        bits = self.latency.edge_bitsets()
+        names, reach, coreach = bits.names, bits.reach, bits.coreach
+        fixed_coreach = (bits.strict_coreach if self.strict_io_successors
+                         else coreach)
         pinned = self._pinned
-        records = self._template.records
-        order = self._template.order
-        strict_io = self.strict_io_successors
-        candidate_edges = self._candidate_edges
-        early: Dict[str, str] = {}
-        late: Dict[str, str] = {}
+        template = self._template
+        interned = template.interned
+        floor = (-1 if self._not_before_pos is None
+                 else -(1 << self._not_before_pos))
+        count = len(template.order)
+        early: List[str] = [""] * count
+        early_reach: List[int] = [0] * count
+        late_coreach: List[int] = [0] * count
+        late_fixed_coreach: List[int] = [0] * count
+        infos: List[SpanInfo] = [None] * count
 
-        # Forward pass: early edges.
-        for name in order:
-            _, birth, early_fixed, _, preds, _ = records[name]
-            pinned_edge = pinned.get(name)
-            if pinned_edge is not None:
-                early[name] = pinned_edge
+        # Pinned operations: early = late = the pinned edge.
+        for name, edge in pinned.items():
+            index = template.index.get(name)
+            if index is None or edge is None:
                 continue
-            if early_fixed:
-                early[name] = birth
-                continue
-            chosen = None
-            for edge in candidate_edges(birth, respect_floor=True):
-                ok = True
-                for pred in preds:
-                    if edge not in reach(early[pred]):
-                        ok = False
-                        break
-                if ok:
-                    chosen = edge
-                    break
-            if chosen is None:
-                raise TimingError(
-                    f"operation {name!r} has no feasible early edge "
-                    f"(birth {birth!r}); the design is structurally infeasible"
-                )
-            early[name] = chosen
-
-        # Backward pass: late edges.
-        for name in reversed(order):
-            _, birth, _, late_fixed, _, succs = records[name]
-            pinned_edge = pinned.get(name)
-            if pinned_edge is not None:
-                late[name] = pinned_edge
-                continue
-            if late_fixed:
-                late[name] = birth
-                continue
-            early_reach = reach(early[name])
-            chosen = None
-            for edge in reversed(candidate_edges(birth, respect_floor=False)):
-                if edge not in early_reach:
-                    continue
-                ok = True
-                for succ_name, succ_fixed in succs:
-                    succ_late = late[succ_name]
-                    if succ_fixed and strict_io:
-                        if edge == succ_late or succ_late not in reach(edge):
-                            ok = False
-                            break
-                    elif succ_late not in reach(edge):
-                        ok = False
-                        break
-                if ok:
-                    chosen = edge
-                    break
-            if chosen is None:
-                # Fall back to the early edge: the operation has no mobility.
-                chosen = early[name]
-            late[name] = chosen
-
-        # Assemble span sets (interned per (op, early, late)).
-        spans = self._spans
-        interned = self._template.interned
-        for name in order:
-            early_name = early[name]
-            late_name = late[name]
-            key = (name, early_name, late_name)
+            early_reach[index] = reach[edge]
+            late_coreach[index] = coreach[edge]
+            late_fixed_coreach[index] = fixed_coreach[edge]
+            key = (name, edge, edge)
             info = interned.get(key)
             if info is None:
-                if pinned.get(name) is not None:
-                    edges = (early_name,)
-                else:
-                    early_reach = reach(early_name)
-                    edges = tuple(
-                        edge for edge in candidate_edges(records[name][1],
-                                                         respect_floor=False)
-                        if edge in early_reach and late_name in reach(edge)
-                    )
-                    if not edges:
-                        edges = (early_name,)
-                info = interned[key] = SpanInfo(op=name, early=early_name,
-                                                late=late_name, edges=edges)
-            spans[name] = info
+                info = interned[key] = SpanInfo(op=name, early=edge, late=edge,
+                                                edges=(edge,))
+            infos[index] = info
 
-    def _require_birth(self, op: Operation) -> str:
-        if op.birth_edge is None:
-            raise TimingError(f"operation {op.name!r} has no birth edge")
-        if not self.design.cfg.has_edge(op.birth_edge):
-            raise TimingError(
-                f"operation {op.name!r} born on unknown edge {op.birth_edge!r}"
-            )
-        return op.birth_edge
+        free = (template.records if not pinned else
+                [record for record in template.records
+                 if pinned.get(record[1]) is None])
+        for (index, name, birth, candidates, early_fixed, _, preds, _,
+             _) in free:
+            if early_fixed:
+                edge = birth
+            else:
+                mask = candidates & floor
+                for pred in preds:
+                    mask &= early_reach[pred]
+                if not mask:
+                    raise TimingError(
+                        f"operation {name!r} has no feasible early edge "
+                        f"(birth {birth!r}); the design is structurally "
+                        f"infeasible"
+                    )
+                edge = names[(mask & -mask).bit_length() - 1]
+            early[index] = edge
+            early_reach[index] = reach[edge]
+
+        for (index, name, birth, candidates, _, late_fixed, _, succs,
+             fixed_succs) in reversed(free):
+            first = early[index]
+            if late_fixed:
+                edge = birth
+            else:
+                mask = candidates & early_reach[index]
+                for succ in succs:
+                    mask &= late_coreach[succ]
+                for succ in fixed_succs:
+                    mask &= late_fixed_coreach[succ]
+                edge = names[mask.bit_length() - 1] if mask else first
+            late_coreach[index] = coreach[edge]
+            late_fixed_coreach[index] = fixed_coreach[edge]
+            key = (name, first, edge)
+            info = interned.get(key)
+            if info is None:
+                mask = candidates & early_reach[index] & late_coreach[index]
+                edges = []
+                while mask:
+                    low = mask & -mask
+                    edges.append(names[low.bit_length() - 1])
+                    mask ^= low
+                info = interned[key] = SpanInfo(
+                    op=name, early=first, late=edge,
+                    edges=tuple(edges) or (first,))
+            infos[index] = info
+        return dict(zip(template.order, infos))
 
     # -- queries --------------------------------------------------------------------
 
