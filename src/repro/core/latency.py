@@ -177,8 +177,8 @@ class LatencyAnalysis:
         They are computed on the forward *edge* graph, in which edge ``a``
         precedes edge ``b`` whenever ``head(a) == tail(b)``.  That graph is
         acyclic and positions are topological, so one pass in each direction
-        settles every meet.  Entry and exit edges (de)dominate only
-        themselves.
+        settles every meet.  An entry edge is dominated, and an exit edge
+        post-dominated, only by itself.
         """
         if self._dominators is None:
             cfg, position = self.cfg, self._edge_pos

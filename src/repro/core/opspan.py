@@ -252,6 +252,8 @@ class OperationSpans:
                                                 edges=(edge,))
             infos[index] = info
 
+        # The free operations' early edges, in topological order (see the
+        # module docstring for the three mask formulas).
         free = (template.records if not pinned else
                 [record for record in template.records
                  if pinned.get(record[1]) is None])
@@ -273,6 +275,7 @@ class OperationSpans:
             early[index] = edge
             early_reach[index] = reach[edge]
 
+        # Their late edges and span edges, in reverse topological order.
         for (index, name, birth, candidates, _, late_fixed, _, succs,
              fixed_succs) in reversed(free):
             first = early[index]

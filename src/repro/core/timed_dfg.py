@@ -33,7 +33,6 @@ and invalidated by any mutation, exactly like the cached topological order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TimingError
@@ -222,52 +221,36 @@ def timed_edge_weights(
     Step 4 of Definition 2, for :func:`build_timed_dfg` and the per-edge
     reweighting alike: a data edge weighs ``latency(early(src),
     early(dst))``, a sink edge ``src -> s(src)`` weighs
-    ``latency(early(src), late(src))``.  Each source node is looked up once
-    through ``spans.span`` and timed from one edge position (its sink from
-    its late edge), so each weight is one entry of
-    :attr:`repro.core.latency.EdgeBitsets.rows`.  When an end has no
-    position (a back edge, or a node that is never a source) or a latency
-    is undefined, the edges are weighed again by name, which raises
-    :class:`TimingError` at the first edge whose latency is undefined.
+    ``latency(early(src), late(src))``.  Each weight is the entry of
+    :attr:`repro.core.latency.EdgeBitsets.rows` at the two CFG edges'
+    positions (a back edge has none and asks
+    :meth:`LatencyAnalysis.latency`).  Raises :class:`TimingError` at the
+    first edge whose latency is undefined.
     """
-    edges = list(edges)
     span = spans.span
-    position = latency._edge_pos.get
+    position = latency._edge_pos
     rows = latency.edge_bitsets().rows
-    timed_at: Dict[str, Optional[int]] = {}
-    try:
-        for name in dict.fromkeys(map(itemgetter(0), edges)):
-            info = span(name)
-            timed_at[name] = position(info.early)
-            timed_at[SINK_PREFIX + name] = position(info.late)
-        weights = [rows[timed_at[src]][timed_at[dst]] for src, dst in edges]
-    except (KeyError, TypeError, TimingError):  # an unknown node, a back edge
-        weights = [None]
-    if None in weights:
-        weights = [_weight_by_name(src, dst, spans, latency)
-                   for src, dst in edges]
-    return weights
-
-
-def _weight_by_name(src: str, dst: str, spans: OperationSpans,
-                    latency: LatencyAnalysis) -> int:
-    """One :func:`timed_edge_weights` weight, from the edges' names."""
-    src_span = spans.span(src)
-    if dst.startswith(SINK_PREFIX):
-        weight = latency.latency(src_span.early, src_span.late)
+    weights: List[int] = []
+    for src, dst in edges:
+        src_span = span(src)
+        src_early = src_span.early
+        is_sink = dst.startswith(SINK_PREFIX)
+        other = src_span.late if is_sink else span(dst).early
+        try:
+            weight = rows[position[src_early]][position[other]]
+        except KeyError:
+            weight = latency.latency(src_early, other)
         if weight is None:
+            if is_sink:
+                raise TimingError(
+                    f"operation {src!r} has a late edge unreachable from its early edge"
+                )
             raise TimingError(
-                f"operation {src!r} has a late edge unreachable from its early edge"
+                f"data edge {src!r} -> {dst!r} connects operations whose "
+                f"early edges ({src_early!r}, {other!r}) are not forward related"
             )
-        return weight
-    dst_early = spans.span(dst).early
-    weight = latency.latency(src_span.early, dst_early)
-    if weight is None:
-        raise TimingError(
-            f"data edge {src!r} -> {dst!r} connects operations whose "
-            f"early edges ({src_span.early!r}, {dst_early!r}) are not forward related"
-        )
-    return weight
+        weights.append(weight)
+    return weights
 
 
 def build_timed_dfg(
