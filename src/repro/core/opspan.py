@@ -46,14 +46,17 @@ fixed gets::
 
 over its non-constant predecessors ``p`` and its successors ``s``; the
 floor holds the edges at or after ``not_before``, and a fixed successor
-contributes its co-reach without its own edge in strict mode.  An empty
-early mask is infeasible, an empty late mask means ``late = early``, and
-an empty edge mask gives ``(early,)``.  This is exact: bit order is
-topological order, the order in which the candidate edges are scanned, so
-"the first candidate that passes every predecessor test" is the lowest
-set bit of the AND of those tests and "the last one that passes every
-successor test" the highest; and a reach set contains its own edge, so the
-non-strict tests need no special case.
+contributes its co-reach without its own edge in strict mode.  A pinned
+operation's early and late edges are its pinned edge, a fixed
+operation's are its birth edge, and a branch condition's late edge is its
+birth edge; the ``edges`` rule holds for every operation that is not
+pinned.  An empty early mask is infeasible, an empty late mask means
+``late = early``, and an empty edge mask (or a pin) gives ``(early,)``.
+This is exact: bit order is topological order, the order in which the
+candidate edges are scanned, so "the first candidate that passes every
+predecessor test" is the lowest set bit of the AND of those tests and "the
+last one that passes every successor test" the highest; and a reach set
+contains its own edge, so the non-strict tests need no special case.
 """
 
 from __future__ import annotations
