@@ -5,8 +5,12 @@ topological-propagation analysis against a timing analysis "done using the
 Bellman-Ford algorithm as in [10]" (the hierarchical timing-pair model).
 This module provides that baseline: the same arrival/required times are
 computed by iterative edge relaxation over the constraint graph, i.e. without
-exploiting the acyclicity of the timed DFG.  The results are identical; only
-the complexity differs (O(V*E) versus O(V+E)).
+exploiting the acyclicity of the timed DFG.  The results are identical to
+:func:`repro.core.sequential_slack.compute_sequential_slack`; only the
+complexity differs (O(V*E) versus O(V+E)).  They match on cyclic (modulo-II)
+timed DFGs too, where both run the same Bellman-Ford passes of
+:mod:`repro.core.graphkit`.  The dict-based reference below specifies the
+acyclic case only.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ def compute_sequential_slack_bellman_ford(
     """Sequential slack via Bellman-Ford relaxation (CSR-kernel fast path).
 
     ``max_passes`` limits the number of relaxation sweeps (0 means the
-    standard ``|V|`` bound).  A :class:`TimingError` is raised if the values
-    have not converged within the bound, which would indicate a positive
-    cycle in the constraint graph (i.e. a cyclic timed DFG).
+    standard ``|V|`` bound).  A :class:`TimingError` is raised if the arrival
+    times have not converged within the bound, which indicates a positive
+    cycle in the constraint graph: on a cyclic timed DFG, an II below RecMII.
 
     Runs on the interned CSR snapshot of ``timed`` (see
     :mod:`repro.core.graphkit`), relaxing edges in the same neutral
@@ -46,18 +50,15 @@ def compute_sequential_slack_bellman_ford(
     bit-for-bit identical (asserted by the ``graphkit-kernels`` verify
     oracle and the seeded property suite).
     """
-    from repro.core.graphkit import (
-        bellman_ford_arrival_kernel,
-        bellman_ford_required_kernel,
-    )
+    from repro.core.graphkit import bellman_ford_arrival, bellman_ford_required
 
-    if clock_period <= 0:
-        raise TimingError("clock period must be positive")
     graph = timed.compact()
     delay_vec = graph.delay_vector(delays)
-    arrival = bellman_ford_arrival_kernel(
+    arrival, improving = bellman_ford_arrival(
         graph, delay_vec, clock_period, aligned=aligned, max_passes=max_passes)
-    required = bellman_ford_required_kernel(
+    if improving:
+        raise TimingError("constraint graph did not converge (cyclic timed DFG?)")
+    required, _ = bellman_ford_required(
         graph, delay_vec, clock_period, aligned=aligned, max_passes=max_passes)
     return timing_result_from_kernel(graph, arrival, required, delay_vec,
                                      clock_period, aligned)
@@ -71,7 +72,8 @@ def compute_sequential_slack_bellman_ford_reference(
     max_passes: int = 0,
 ) -> TimingResult:
     """Reference Bellman-Ford: dict-based edge relaxation, kept as the
-    executable specification of the CSR kernels (see module docstring)."""
+    executable specification of the CSR passes on acyclic timed DFGs (see
+    module docstring)."""
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
     nodes = timed.nodes

@@ -32,15 +32,28 @@ induction over the topological order the vectors after any sequence of
 ``set_delay`` calls equal a from-scratch kernel run on the final delays,
 float for float.  The ``sweep-session`` and ``pipeline-cache`` oracles and
 the golden Table-4 metrics all sit on top of this property.
+
+:class:`CyclicSlackEvaluator` serves cyclic (modulo-II) graphs by full
+Bellman-Ford recomputation.  Both evaluators answer the same slack queries
+through one shared implementation, :class:`_SlackQueries`; only mutation and
+trials differ, because journalled delta updates and full recomputation are
+different algorithms.
 """
 
 from __future__ import annotations
 
 import math
 from heapq import heappush, heappop
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.core.graphkit import ALIGN_EPS, CompactTimedGraph, required_kernel
+from repro.core.graphkit import (
+    ALIGN_EPS,
+    CompactTimedGraph,
+    arrival_kernel,
+    bellman_ford_arrival,
+    bellman_ford_required,
+    required_kernel,
+)
 from repro.core.sequential_slack import TimingResult, timing_result_from_kernel
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import span as _obs_span
@@ -60,77 +73,108 @@ _POS_INF = float("inf")
 _J_DELAY, _J_ARRIVAL, _J_EFFECTIVE, _J_REQUIRED = 0, 1, 2, 3
 
 
-def arrival_effective_kernel(
-    graph: CompactTimedGraph,
-    delays: List[float],
-    clock_period: float,
-    aligned: bool,
-) -> Tuple[List[float], List[float]]:
-    """The arrival kernel of :mod:`repro.core.graphkit`, returning both the
-    raw arrival vector and the *effective* (aligned) start vector the
-    successors actually observed.  Float-for-float identical to
-    :func:`repro.core.graphkit.arrival_kernel`; the effective vector is what
-    makes single-delay delta updates possible.
-    """
-    n = graph.num_nodes
-    arrival = [0.0] * n
-    effective = [0.0] * n
-    indptr, src_arr, weight_arr = graph.pred_view()
-    floor = math.floor
-    eps = ALIGN_EPS
-    for node in graph.topo_view():
-        lo = indptr[node]
-        hi = indptr[node + 1]
-        if lo == hi:
-            value = 0.0
-        else:
-            value = _NEG_INF
-            for slot in range(lo, hi):
-                src = src_arr[slot]
-                candidate = (effective[src] + delays[src]
-                             - clock_period * weight_arr[slot])
-                if candidate > value:
-                    value = candidate
-        arrival[node] = value
-        if aligned:
-            delay = delays[node]
-            if delay <= eps or delay > clock_period + eps:
-                effective[node] = value
-            else:
-                cycle = floor(value / clock_period + eps)
-                offset = value - cycle * clock_period
-                if offset + delay > clock_period + eps:
-                    effective[node] = (cycle + 1) * clock_period
-                else:
-                    effective[node] = value
-        else:
-            effective[node] = value
-    return arrival, effective
+class _SlackQueries:
+    """The slack queries both evaluators answer from their current vectors.
 
-
-class DeltaSlackEvaluator:
-    """Maintains arrival/required/slack vectors under single-delay changes.
-
-    The evaluator owns a mutable copy of the delay vector; callers mutate it
-    only through :meth:`set_delay`.  Between mutations every query —
-    :meth:`worst_slack`, :meth:`slack_of`, :meth:`critical_operations`,
-    :meth:`export` — answers exactly as a fresh
-    :func:`repro.core.sequential_slack.compute_sequential_slack` on the
-    current delays would.
+    Subclasses keep ``arrival``/``required`` current under ``set_delay``
+    and reset ``_worst`` whenever they change.  ``diverged`` and
+    ``_improving`` keep these class defaults on acyclic graphs, whose
+    evaluator never diverges; a diverged cyclic evaluator reports ``-inf``
+    worst slack and lists the nodes still improving as critical and
+    violating.
     """
 
-    __slots__ = (
-        "graph", "clock_period", "aligned",
-        "delays", "arrival", "effective", "required",
-        "_topo_pos", "_journal", "_worst", "updates", "fallbacks",
-    )
+    __slots__ = ("graph", "clock_period", "aligned", "delays", "arrival",
+                 "required", "_worst", "updates")
+
+    diverged = False
+    _improving: frozenset = frozenset()
 
     def __init__(self, graph: CompactTimedGraph, delays: List[float],
-                 clock_period: float, aligned: bool = True):
+                 clock_period: float, aligned: bool):
         self.graph = graph
         self.clock_period = clock_period
         self.aligned = aligned
         self.delays = list(delays)
+        self._worst: Optional[float] = None
+        self.updates = 0
+
+    def worst_slack(self) -> float:
+        """Minimum slack over operation nodes (+inf for an empty design)."""
+        if self.diverged:
+            return _NEG_INF
+        worst = self._worst
+        if worst is None:
+            arrival = self.arrival
+            required = self.required
+            worst = _POS_INF
+            for index in self.graph.op_indices:
+                slack = required[index] - arrival[index]
+                if slack < worst:
+                    worst = slack
+            self._worst = worst
+        return worst
+
+    def critical_operations(self, margin: float = 0.0) -> List[str]:
+        """Operations within ``margin`` of the worst slack, in the same
+        (operation insertion) order as ``TimingResult.critical_operations``."""
+        names = self.graph.names
+        if self.diverged:
+            improving = self._improving
+            return [names[index] for index in self.graph.op_indices
+                    if index in improving]
+        arrival = self.arrival
+        required = self.required
+        threshold = self.worst_slack() + abs(margin) + _EPS
+        return [names[index] for index in self.graph.op_indices
+                if required[index] - arrival[index] <= threshold]
+
+    def violating_operations(self, threshold: float = -_EPS) -> List[str]:
+        """Operations with slack below ``threshold``, in insertion order."""
+        names = self.graph.names
+        arrival = self.arrival
+        required = self.required
+        improving = self._improving
+        return [names[index] for index in self.graph.op_indices
+                if index in improving
+                or required[index] - arrival[index] < threshold]
+
+    def export(self) -> TimingResult:
+        """The current timing as an operation-keyed :class:`TimingResult`.
+
+        A diverged fixpoint has no consistent arrival/required values on the
+        improving nodes, so their slack is pinned to ``-inf`` — downstream
+        feasibility checks (``worst_slack() >= -eps``) then classify the II
+        as infeasible without special-casing.
+        """
+        result = timing_result_from_kernel(
+            self.graph, self.arrival, self.required, self.delays,
+            self.clock_period, self.aligned)
+        if self.diverged:
+            names = self.graph.names
+            for index in self._improving:
+                name = names[index]
+                if name in result.slack:
+                    result.slack[name] = _NEG_INF
+        return result
+
+
+class DeltaSlackEvaluator(_SlackQueries):
+    """Maintains arrival/required/slack vectors under single-delay changes.
+
+    The evaluator owns a mutable copy of the delay vector; callers mutate it
+    only through :meth:`set_delay`.  Between mutations every query —
+    :meth:`worst_slack`, :meth:`critical_operations`,
+    :meth:`violating_operations`, :meth:`export` — answers exactly as a
+    fresh :func:`repro.core.sequential_slack.compute_sequential_slack` on
+    the current delays would.
+    """
+
+    __slots__ = ("effective", "_topo_pos", "_journal")
+
+    def __init__(self, graph: CompactTimedGraph, delays: List[float],
+                 clock_period: float, aligned: bool = True):
+        super().__init__(graph, delays, clock_period, aligned)
         # Seed cache: the slack scheduler's relaxation loop replays the same
         # schedule prefixes, so evaluators are frequently rebuilt over the
         # exact same (graph, delays, clock, aligned) — the initial kernel
@@ -144,8 +188,8 @@ class DeltaSlackEvaluator:
         if seed is None:
             _SEED_MISSES.inc()
             with _obs_span("delta.seed_kernels", nodes=graph.num_nodes):
-                self.arrival, self.effective = arrival_effective_kernel(
-                    graph, self.delays, clock_period, aligned)
+                self.arrival, self.effective = arrival_kernel(
+                    graph, self.delays, clock_period, aligned=aligned)
                 self.required = required_kernel(graph, self.delays,
                                                 clock_period, aligned=aligned)
             if len(seeds) < 64:
@@ -162,14 +206,8 @@ class DeltaSlackEvaluator:
         # them (and shares them with its reweighted copies).
         self._topo_pos = graph.topo_positions()
         self._journal: Optional[list] = None
-        self._worst: Optional[float] = None
-        self.updates = 0
-        self.fallbacks = 0
 
     # -- mutation ---------------------------------------------------------------
-
-    def index_of(self, name: str) -> int:
-        return self.graph.index[name]
 
     def set_delay(self, node: int, new_delay: float) -> None:
         """Change one node's delay and repair the dirty slack region."""
@@ -333,53 +371,8 @@ class DeltaSlackEvaluator:
             else:
                 required[node] = value
 
-    # -- queries ----------------------------------------------------------------
 
-    def worst_slack(self) -> float:
-        """Minimum slack over operation nodes (+inf for an empty design)."""
-        worst = self._worst
-        if worst is None:
-            arrival = self.arrival
-            required = self.required
-            worst = _POS_INF
-            for index in self.graph.op_indices:
-                slack = required[index] - arrival[index]
-                if slack < worst:
-                    worst = slack
-            self._worst = worst
-        return worst
-
-    def slack_of(self, name: str) -> float:
-        index = self.graph.index[name]
-        return self.required[index] - self.arrival[index]
-
-    def critical_operations(self, margin: float = 0.0) -> List[str]:
-        """Operations within ``margin`` of the worst slack, in the same
-        (operation insertion) order as ``TimingResult.critical_operations``."""
-        names = self.graph.names
-        arrival = self.arrival
-        required = self.required
-        threshold = self.worst_slack() + abs(margin) + _EPS
-        return [names[index] for index in self.graph.op_indices
-                if required[index] - arrival[index] <= threshold]
-
-    def violating_operations(self, threshold: float = -_EPS) -> List[str]:
-        """Operations with slack below ``threshold``, in insertion order."""
-        names = self.graph.names
-        arrival = self.arrival
-        required = self.required
-        return [names[index] for index in self.graph.op_indices
-                if required[index] - arrival[index] < threshold]
-
-    def export(self) -> TimingResult:
-        """The current timing as an operation-keyed :class:`TimingResult` —
-        identical to a from-scratch ``compute_sequential_slack`` run."""
-        return timing_result_from_kernel(
-            self.graph, self.arrival, self.required, self.delays,
-            self.clock_period, self.aligned)
-
-
-class CyclicSlackEvaluator:
+class CyclicSlackEvaluator(_SlackQueries):
     """Slack evaluator for *cyclic* (modulo-II) timed graphs.
 
     Same interface as :class:`DeltaSlackEvaluator` — in-place ``arrival`` /
@@ -398,33 +391,17 @@ class CyclicSlackEvaluator:
       instead of aborting.
     """
 
-    __slots__ = (
-        "graph", "clock_period", "aligned",
-        "delays", "arrival", "required",
-        "diverged", "_improving", "_snapshot", "_worst",
-        "updates", "fallbacks",
-    )
+    __slots__ = ("diverged", "_improving", "_snapshot")
 
     def __init__(self, graph: CompactTimedGraph, delays: List[float],
                  clock_period: float, aligned: bool = True):
-        self.graph = graph
-        self.clock_period = clock_period
-        self.aligned = aligned
-        self.delays = list(delays)
+        super().__init__(graph, delays, clock_period, aligned)
         self.arrival = [0.0] * graph.num_nodes
         self.required = [0.0] * graph.num_nodes
-        self.diverged = False
-        self._improving: frozenset = frozenset()
         self._snapshot: Optional[tuple] = None
-        self._worst: Optional[float] = None
-        self.updates = 0
-        self.fallbacks = 0
         self._recompute()
 
     # -- mutation ---------------------------------------------------------------
-
-    def index_of(self, name: str) -> int:
-        return self.graph.index[name]
 
     def set_delay(self, node: int, new_delay: float) -> None:
         if new_delay == self.delays[node]:
@@ -434,14 +411,9 @@ class CyclicSlackEvaluator:
         self._recompute()
 
     def _recompute(self) -> None:
-        from repro.core.graphkit import (
-            cyclic_arrival_passes,
-            cyclic_required_passes,
-        )
-
-        arrival, improving_arrival = cyclic_arrival_passes(
+        arrival, improving_arrival = bellman_ford_arrival(
             self.graph, self.delays, self.clock_period, aligned=self.aligned)
-        required, improving_required = cyclic_required_passes(
+        required, improving_required = bellman_ford_required(
             self.graph, self.delays, self.clock_period, aligned=self.aligned)
         # Slice-assign: budgeting holds direct references to these lists.
         self.arrival[:] = arrival
@@ -476,70 +448,3 @@ class CyclicSlackEvaluator:
         self.diverged = diverged
         self._improving = improving
         self._worst = worst
-
-    # -- queries ----------------------------------------------------------------
-
-    def worst_slack(self) -> float:
-        if self.diverged:
-            return _NEG_INF
-        worst = self._worst
-        if worst is None:
-            arrival = self.arrival
-            required = self.required
-            worst = _POS_INF
-            for index in self.graph.op_indices:
-                slack = required[index] - arrival[index]
-                if slack < worst:
-                    worst = slack
-            self._worst = worst
-        return worst
-
-    def slack_of(self, name: str) -> float:
-        index = self.graph.index[name]
-        if self.diverged and index in self._improving:
-            return _NEG_INF
-        return self.required[index] - self.arrival[index]
-
-    def _improving_op_names(self) -> List[str]:
-        names = self.graph.names
-        improving = self._improving
-        return [names[index] for index in self.graph.op_indices
-                if index in improving]
-
-    def critical_operations(self, margin: float = 0.0) -> List[str]:
-        if self.diverged:
-            return self._improving_op_names()
-        names = self.graph.names
-        arrival = self.arrival
-        required = self.required
-        threshold = self.worst_slack() + abs(margin) + _EPS
-        return [names[index] for index in self.graph.op_indices
-                if required[index] - arrival[index] <= threshold]
-
-    def violating_operations(self, threshold: float = -_EPS) -> List[str]:
-        names = self.graph.names
-        arrival = self.arrival
-        required = self.required
-        improving = self._improving if self.diverged else frozenset()
-        return [names[index] for index in self.graph.op_indices
-                if index in improving
-                or required[index] - arrival[index] < threshold]
-
-    def export(self) -> TimingResult:
-        """Operation-keyed timing; divergence exports as ``-inf`` slack.
-
-        A diverged fixpoint has no consistent arrival/required values on the
-        improving nodes, so their slack is pinned to ``-inf`` — downstream
-        feasibility checks (``worst_slack() >= -eps``) then classify the II
-        as infeasible without special-casing.
-        """
-        result = timing_result_from_kernel(
-            self.graph, self.arrival, self.required, self.delays,
-            self.clock_period, self.aligned)
-        if self.diverged:
-            names = self.graph.names
-            for index in self._improving:
-                name = names[index]
-                if name in result.slack:
-                    result.slack[name] = _NEG_INF
-        return result

@@ -13,9 +13,13 @@ module provides the array-based core they now run on:
   buffers instead of millions of dict/attribute lookups;
 * **cached topological order** — computed once per graph (min-position-first
   Kahn, identical to :meth:`repro.core.timed_dfg.TimedDFG.topological_order`);
-* **kernels** — longest-path arrival / required times (aligned and plain),
-  Bellman-Ford constraint-graph relaxation, and the sequential-slack
-  combination of the two.
+* **kernels** — one per timing question, aligned and plain: the linear
+  topological :func:`arrival_kernel` (which also returns the effective
+  aligned starts the delta evaluator seeds from) and :func:`required_kernel`
+  of the paper's Section V, and one Bellman-Ford pass per direction
+  (:func:`bellman_ford_arrival`, :func:`bellman_ford_required`) whose start
+  vector follows ``graph.cyclic``, for the Table-5 baseline, modulo-II slack
+  and RecMII probing alike.
 
 Exactness contract
 ------------------
@@ -29,7 +33,10 @@ algebraic change is hoisting the aligned-start adjustment of a node out of
 its per-successor-edge loop — a pure function of already-final values, so
 the hoisted result is the same float.  :func:`kernel_vs_reference_problems`
 is the executable form of this contract; the ``graphkit-*`` oracles in
-:mod:`repro.verify.oracles` and the seeded property suite both call it.
+:mod:`repro.verify.oracles` and the seeded property suite both call it.  The
+references specify acyclic graphs only; the modulo-II case of the
+Bellman-Ford passes is pinned by the name-keyed reference in
+``tests/test_core_cyclic_kernels.py``.
 
 Invalidation
 ------------
@@ -327,10 +334,13 @@ def arrival_kernel(
     delays: Sequence[float],
     clock_period: float,
     aligned: bool = False,
-) -> List[float]:
+) -> Tuple[List[float], List[float]]:
     """Arrival (earliest start) times for every node, by interned index.
 
-    Bit-identical to
+    Returns ``(arrival, effective)``: ``effective`` is the aligned start each
+    node's successors observe (equal to ``arrival`` when ``aligned`` is
+    false), which :class:`repro.core.delta_slack.DeltaSlackEvaluator` needs
+    for single-delay updates.  ``arrival`` is bit-identical to
     :func:`repro.core.sequential_slack.compute_arrival_times` — the per-edge
     candidate expression is kept verbatim; the aligned-start adjustment of a
     source node is computed once instead of once per outgoing edge (a pure
@@ -371,7 +381,7 @@ def arrival_kernel(
                     effective[node] = value
         else:
             effective[node] = value
-    return arrival
+    return arrival, effective
 
 
 def required_kernel(
@@ -416,145 +426,42 @@ def required_kernel(
     return required
 
 
-# -- Bellman-Ford kernels (constraint graph) ----------------------------------------
+# -- Bellman-Ford passes (constraint graph) -----------------------------------------
 
 
-def bellman_ford_arrival_kernel(
-    graph: CompactTimedGraph,
-    delays: Sequence[float],
-    clock_period: float,
-    aligned: bool = False,
-    max_passes: int = 0,
-) -> List[float]:
-    """Arrival times by iterative edge relaxation, by interned index.
-
-    Replays
-    :func:`repro.core.bellman_ford.compute_sequential_slack_bellman_ford_reference`
-    pass for pass: same neutral name-sorted edge order, same epsilons, same
-    convergence verification sweep (a :class:`TimingError` signals a cycle).
-    """
-    edges = graph.bf_edge_order()
-    passes_bound = max_passes if max_passes > 0 else max(graph.num_nodes, 1)
-    indptr = graph.pred_indptr
-    arrival = [0.0 if indptr[node] == indptr[node + 1] else _NEG_INF
-               for node in range(graph.num_nodes)]
-    floor = math.floor
-    align_eps = ALIGN_EPS
-    converged = False
-    for _ in range(passes_bound):
-        changed = False
-        for src, dst, weight in edges:
-            start = arrival[src]
-            if start == _NEG_INF:
-                continue
-            delay = delays[src]
-            if aligned and delay > align_eps and delay <= clock_period + align_eps:
-                cycle = floor(start / clock_period + align_eps)
-                offset = start - cycle * clock_period
-                if offset + delay > clock_period + align_eps:
-                    start = (cycle + 1) * clock_period
-            candidate = start + delay - clock_period * weight
-            if candidate > arrival[dst] + BF_EPS:
-                arrival[dst] = candidate
-                changed = True
-        if not changed:
-            converged = True
-            break
-    if not converged:
-        # One extra verification sweep: any further improvement means a cycle.
-        for src, dst, weight in edges:
-            start = arrival[src]
-            if start == _NEG_INF:
-                # A still-unreached source can never improve its destination,
-                # and aligning -inf would overflow the cycle computation.
-                continue
-            delay = delays[src]
-            if aligned and delay > align_eps and delay <= clock_period + align_eps:
-                cycle = floor(start / clock_period + align_eps)
-                offset = start - cycle * clock_period
-                if offset + delay > clock_period + align_eps:
-                    start = (cycle + 1) * clock_period
-            if start + delay - clock_period * weight > arrival[dst] + 1e-6:
-                raise TimingError(
-                    "constraint graph did not converge (cyclic timed DFG?)")
-    return arrival
-
-
-def bellman_ford_required_kernel(
-    graph: CompactTimedGraph,
-    delays: Sequence[float],
-    clock_period: float,
-    aligned: bool = False,
-    max_passes: int = 0,
-) -> List[float]:
-    """Required times by iterative edge relaxation, by interned index."""
-    edges = graph.bf_edge_order()
-    passes_bound = max_passes if max_passes > 0 else max(graph.num_nodes, 1)
-    indptr = graph.succ_indptr
-    required = [clock_period - delays[node]
-                if indptr[node] == indptr[node + 1] else _POS_INF
-                for node in range(graph.num_nodes)]
-    floor = math.floor
-    align_eps = ALIGN_EPS
-    for _ in range(passes_bound):
-        changed = False
-        for src, dst, weight in edges:
-            dst_value = required[dst]
-            if dst_value == _POS_INF:
-                continue
-            delay = delays[src]
-            candidate = dst_value - delay + clock_period * weight
-            if aligned and delay > align_eps and delay <= clock_period + align_eps:
-                cycle = floor(candidate / clock_period + align_eps)
-                offset = candidate - cycle * clock_period
-                if offset + delay > clock_period + align_eps:
-                    candidate = (cycle + 1) * clock_period - delay
-            if candidate < required[src] - BF_EPS:
-                required[src] = candidate
-                changed = True
-        if not changed:
-            break
-    return required
-
-
-# -- cyclic (modulo-II) kernels ------------------------------------------------------
-#
-# The cyclic kernels are NEW entry points, not modifications: the acyclic
-# kernels above are bit-identity-pinned against their ``*_reference``
-# implementations and never see a cyclic graph.  On a cyclic timed DFG
-# (loop-carried edges kept, weights possibly negative) arrival/required are
-# fixpoints of the same per-edge relaxation, with two init differences:
-#
-# * every node starts at arrival 0.0 — the base constraint ``Arr(v) >= 0``
-#   (a node on a carried cycle has predecessors, so the acyclic
-#   no-preds-means-source init would strand entire cycles at -inf);
-# * non-convergence is an *infeasibility verdict*, not a malformed graph: a
-#   relaxation that keeps improving after |V| passes sits on a cycle whose
-#   total time gain is positive, i.e. the recurrence cannot be sustained at
-#   this II.  RecMII probing catches the resulting :class:`TimingError`.
-
-
-def cyclic_arrival_passes(
+def bellman_ford_arrival(
     graph: CompactTimedGraph,
     delays: Sequence[float],
     clock_period: float,
     aligned: bool = False,
     max_passes: int = 0,
 ) -> Tuple[List[float], frozenset]:
-    """Run the cyclic arrival relaxation; report non-convergence, don't raise.
+    """Arrival times by iterative edge relaxation, by interned index.
 
-    Returns ``(arrival, improving)`` where ``improving`` is the (possibly
-    empty) frozenset of node indices whose arrival a verification sweep could
-    still raise after the pass budget — the nodes sitting on or downstream
-    of the violated recurrence.  An empty set means the vector is the exact
-    fixpoint.  The budgeting evaluator uses the non-empty case to steer
-    upgrades at the infeasible II instead of aborting.
+    Relaxes edges in the neutral name-sorted order of
+    :meth:`CompactTimedGraph.bf_edge_order` for at most ``max_passes``
+    passes (0 means ``|V|``).  On an acyclic graph predecessor-less nodes
+    start at 0.0 and the rest at -inf, replaying
+    :func:`repro.core.bellman_ford.compute_sequential_slack_bellman_ford_reference`
+    pass for pass.  On a cyclic (modulo-II) graph every node starts at 0.0,
+    the base constraint ``Arr(v) >= 0``: a node on a carried cycle has
+    predecessors, so the acyclic rule would strand whole cycles at -inf.
+
+    Returns ``(arrival, improving)``: the node indices a verification sweep
+    after an unconverged pass budget could still raise, empty at the exact
+    fixpoint.  On a cyclic graph a non-empty set means a recurrence gains
+    time on every trip: the II is below RecMII.
     """
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
     edges = graph.bf_edge_order()
     passes_bound = max_passes if max_passes > 0 else max(graph.num_nodes, 1)
-    arrival = [0.0] * graph.num_nodes
+    if graph.cyclic:
+        arrival = [0.0] * graph.num_nodes
+    else:
+        indptr = graph.pred_indptr
+        arrival = [0.0 if indptr[node] == indptr[node + 1] else _NEG_INF
+                   for node in range(graph.num_nodes)]
     floor = math.floor
     align_eps = ALIGN_EPS
     converged = False
@@ -562,6 +469,8 @@ def cyclic_arrival_passes(
         changed = False
         for src, dst, weight in edges:
             start = arrival[src]
+            if start == _NEG_INF:
+                continue
             delay = delays[src]
             if aligned and delay > align_eps and delay <= clock_period + align_eps:
                 cycle = floor(start / clock_period + align_eps)
@@ -579,6 +488,10 @@ def cyclic_arrival_passes(
     if not converged:
         for src, dst, weight in edges:
             start = arrival[src]
+            if start == _NEG_INF:
+                # A still-unreached source can never improve its destination,
+                # and aligning -inf would overflow the cycle computation.
+                continue
             delay = delays[src]
             if aligned and delay > align_eps and delay <= clock_period + align_eps:
                 cycle = floor(start / clock_period + align_eps)
@@ -590,18 +503,20 @@ def cyclic_arrival_passes(
     return arrival, frozenset(improving)
 
 
-def cyclic_required_passes(
+def bellman_ford_required(
     graph: CompactTimedGraph,
     delays: Sequence[float],
     clock_period: float,
     aligned: bool = False,
     max_passes: int = 0,
 ) -> Tuple[List[float], frozenset]:
-    """Cyclic required-time relaxation; mirror of :func:`cyclic_arrival_passes`.
+    """Required times by iterative edge relaxation; mirror of
+    :func:`bellman_ford_arrival`.
 
-    Minimizing Bellman-Ford seeded at successor-less nodes (the sinks) with
-    ``T - delay``; ``improving`` holds the source indices a verification
-    sweep could still lower.
+    Minimizing relaxation seeded at successor-less nodes (the sinks) with
+    ``T - delay`` and at +inf elsewhere, on acyclic and cyclic graphs alike.
+    ``improving`` holds the source indices a verification sweep could still
+    lower.
     """
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
@@ -649,49 +564,6 @@ def cyclic_required_passes(
             if candidate < required[src] - 1e-6:
                 improving.add(src)
     return required, frozenset(improving)
-
-
-_RECMII_MESSAGE = ("cyclic constraint graph did not converge — the initiation "
-                   "interval is below the recurrence minimum (RecMII)")
-
-
-def cyclic_arrival_kernel(
-    graph: CompactTimedGraph,
-    delays: Sequence[float],
-    clock_period: float,
-    aligned: bool = False,
-    max_passes: int = 0,
-) -> List[float]:
-    """Modulo-II arrival times on a cyclic constraint graph, by index.
-
-    Bellman-Ford maximization from the all-zeros base (``Arr(v) >= 0`` for
-    every node).  Raises :class:`TimingError` when the recurrence constraints
-    admit no fixpoint at this II (positive-gain cycle).
-    """
-    arrival, improving = cyclic_arrival_passes(
-        graph, delays, clock_period, aligned=aligned, max_passes=max_passes)
-    if improving:
-        raise TimingError(_RECMII_MESSAGE)
-    return arrival
-
-
-def cyclic_required_kernel(
-    graph: CompactTimedGraph,
-    delays: Sequence[float],
-    clock_period: float,
-    aligned: bool = False,
-    max_passes: int = 0,
-) -> List[float]:
-    """Modulo-II required times on a cyclic constraint graph, by index.
-
-    Raises the same RecMII :class:`TimingError` as
-    :func:`cyclic_arrival_kernel` on a fixpoint failure.
-    """
-    required, improving = cyclic_required_passes(
-        graph, delays, clock_period, aligned=aligned, max_passes=max_passes)
-    if improving:
-        raise TimingError(_RECMII_MESSAGE)
-    return required
 
 
 # -- equivalence predicate -----------------------------------------------------------

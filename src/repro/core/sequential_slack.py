@@ -268,29 +268,34 @@ def compute_sequential_slack(
     tie-breaks observe.
 
     A *cyclic* timed DFG (``timed.cyclic``, built by
-    :func:`repro.core.timed_dfg.build_cyclic_timed_dfg` at a concrete II)
-    dispatches to the Bellman-Ford cyclic kernels instead: arrival/required
-    are then modulo-II fixpoints, and an II below the recurrence minimum
-    raises :class:`TimingError` (non-convergence).  The acyclic path is
-    untouched by this seam.
+    :func:`repro.core.timed_dfg.build_cyclic_timed_dfg` at a concrete II) has
+    no topological order, so it runs on the Bellman-Ford passes of
+    :mod:`repro.core.graphkit` instead: arrival/required are then modulo-II
+    fixpoints, and an II below the recurrence minimum raises
+    :class:`TimingError` (a node still improving after the pass budget).
     """
     from repro.core.graphkit import (
         arrival_kernel,
-        cyclic_arrival_kernel,
-        cyclic_required_kernel,
+        bellman_ford_arrival,
+        bellman_ford_required,
         required_kernel,
     )
 
     graph = timed.compact()
     delay_vec = graph.delay_vector(delays)
-    if getattr(timed, "cyclic", False):
-        arrival = cyclic_arrival_kernel(graph, delay_vec, clock_period,
-                                        aligned=aligned)
-        required = cyclic_required_kernel(graph, delay_vec, clock_period,
-                                          aligned=aligned)
+    if graph.cyclic:
+        arrival, improving = bellman_ford_arrival(graph, delay_vec,
+                                                  clock_period, aligned=aligned)
+        if not improving:
+            required, improving = bellman_ford_required(
+                graph, delay_vec, clock_period, aligned=aligned)
+        if improving:
+            raise TimingError(
+                "cyclic constraint graph did not converge — the initiation "
+                "interval is below the recurrence minimum (RecMII)")
     else:
-        arrival = arrival_kernel(graph, delay_vec, clock_period,
-                                 aligned=aligned)
+        arrival, _ = arrival_kernel(graph, delay_vec, clock_period,
+                                    aligned=aligned)
         required = required_kernel(graph, delay_vec, clock_period,
                                    aligned=aligned)
     return timing_result_from_kernel(graph, arrival, required, delay_vec,

@@ -114,7 +114,7 @@ def compute_rec_mii(
     """Recurrence-constrained minimum II of ``design`` at ``clock_period``.
 
     Probes II = 1, 2, ... and returns the first II whose cyclic constraint
-    graph converges (see :func:`repro.core.graphkit.cyclic_arrival_passes`).
+    graph converges (see :func:`repro.core.graphkit.bellman_ford_arrival`).
     ``delays`` fixes the assumed operation delays — RecMII depends on the
     chosen speed grades, so callers probing a lower bound should pass the
     fastest feasible grades.  Raises :class:`SchedulingError` when no II up
@@ -122,7 +122,7 @@ def compute_rec_mii(
     """
     if not design.dfg.backward_edges:
         return 1
-    from repro.core.graphkit import cyclic_arrival_passes
+    from repro.core.graphkit import bellman_ford_arrival
 
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
@@ -130,7 +130,7 @@ def compute_rec_mii(
     for ii in range(1, max(cap, 1) + 1):
         timed = build_cyclic_timed_dfg(design, ii, spans=spans, latency=latency)
         graph = timed.compact()
-        _, improving = cyclic_arrival_passes(
+        _, improving = bellman_ford_arrival(
             graph, graph.delay_vector(delays), clock_period, aligned=aligned)
         if not improving:
             return ii

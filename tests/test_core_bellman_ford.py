@@ -4,8 +4,9 @@ import pytest
 
 from repro.core.bellman_ford import compute_sequential_slack_bellman_ford
 from repro.core.sequential_slack import compute_sequential_slack
-from repro.core.timed_dfg import TimedDFG, build_timed_dfg
+from repro.core.timed_dfg import TimedDFG, build_cyclic_timed_dfg, build_timed_dfg
 from repro.errors import TimingError
+from repro.verify.scenarios import generate_pipelined_scenario
 from repro.workloads import random_layered_design
 
 
@@ -106,3 +107,51 @@ def test_unreachable_cycle_nodes_do_not_trigger_spurious_errors(aligned):
                                                    max_passes=1)
     assert result.arrival["b"] == pytest.approx(300.0)
     assert result.arrival["trapped"] == -float("inf")
+
+
+def _modulo_outcomes(design, delays, clock_period):
+    """Both analyses on the cyclic timed DFG of ``design`` at II 1-4,
+    aligned and plain: ``(arrival, required, slack)`` per side, or the
+    exception class when one fails."""
+    def outcome(compute, timed, aligned):
+        try:
+            result = compute(timed, delays, clock_period, aligned=aligned)
+        except TimingError as exc:
+            return type(exc)
+        return result.arrival, result.required, result.slack
+
+    outcomes = []
+    for ii in (1, 2, 3, 4):
+        timed = build_cyclic_timed_dfg(design, ii)
+        for aligned in (False, True):
+            outcomes.append((f"ii={ii} aligned={aligned}",
+                             outcome(compute_sequential_slack, timed, aligned),
+                             outcome(compute_sequential_slack_bellman_ford,
+                                     timed, aligned)))
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_equivalence_on_modulo_graphs(library, seed):
+    """On a cyclic (modulo-II) timed DFG every node starts at arrival 0.0,
+    so the Bellman-Ford baseline and the sequential-slack entry point agree
+    there too."""
+    spec = generate_pipelined_scenario(seed)
+    design = spec.design()
+    for context, expected, actual in _modulo_outcomes(
+            design, _delays(design, library), spec.clock_period):
+        assert actual == expected, context
+
+
+def test_both_reject_an_ii_below_recmii(interpolation, library):
+    """At 800 ps the interpolation design's recurrences need II 3 (plain)
+    or 4 (aligned): below that both analyses raise a TimingError."""
+    outcomes = _modulo_outcomes(interpolation, _delays(interpolation, library),
+                                800.0)
+    for context, expected, actual in outcomes:
+        assert actual == expected, context
+    failed = [context for context, expected, _ in outcomes
+              if expected is TimingError]
+    assert failed == ["ii=1 aligned=False", "ii=1 aligned=True",
+                      "ii=2 aligned=False", "ii=2 aligned=True",
+                      "ii=3 aligned=True"]

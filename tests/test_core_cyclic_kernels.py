@@ -25,7 +25,7 @@ import pytest
 
 from repro.core.delta_slack import CyclicSlackEvaluator
 from repro.core.graphkit import (
-    cyclic_arrival_passes as arrival_passes, cyclic_required_passes as required_passes)
+    bellman_ford_arrival as arrival_passes, bellman_ford_required as required_passes)
 from repro.core.sequential_slack import aligned_required, aligned_start
 from repro.core.timed_dfg import build_cyclic_timed_dfg
 from repro.errors import ReproError

@@ -14,8 +14,8 @@ import random
 
 import pytest
 
-from repro.core.delta_slack import DeltaSlackEvaluator, arrival_effective_kernel
-from repro.core.graphkit import required_kernel
+from repro.core.delta_slack import DeltaSlackEvaluator
+from repro.core.graphkit import arrival_kernel, required_kernel
 from repro.flows.pipeline import PointArtifacts
 from repro.ir.operations import OpKind
 from repro.lib.tsmc90 import tsmc90_library
@@ -41,7 +41,7 @@ def _compact_and_delays(design, library):
 
 def _assert_matches_fresh_kernels(evaluator, graph, clock_period, aligned,
                                   context):
-    arrival, effective = arrival_effective_kernel(
+    arrival, effective = arrival_kernel(
         graph, evaluator.delays, clock_period, aligned)
     required = required_kernel(graph, evaluator.delays, clock_period,
                                aligned=aligned)
