@@ -1,0 +1,93 @@
+"""Pins the bookkeeping both flows record in ``FlowResult.details``.
+
+``details`` never enters ``metrics()``, the golden Table-4 file or a
+benchmark digest, so nothing else pins what the flows report about their
+own run: the initial grades, the step-0 budget, per-edge re-budgets, the
+relaxation moves, the achieved initiation interval, MII components and the
+area-recovery tallies.  These tests run both flows over a fixed set of
+points, in block and pipeline mode, and compare one sha256 over every
+run's flow label, metrics and details (wall-clock fields excluded), or the
+error class and message of a run that raises.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.errors import ReproError
+from repro.flows import conventional_flow, idct_design_points, slack_based_flow
+from repro.workloads import IDCTPointFactory, fir_design, interpolation_design
+
+#: sha256 of the JSON record of every run of :func:`_runs`.
+_DIGEST = "4bae53d6639ff7923b57bfbe2812ec68e6459c744a2b8b7597b5fedab840e5f6"
+
+#: Wall-clock entries of ``details``; they differ from run to run.
+_WALL_CLOCK = {"area_recovery_seconds"}
+
+
+def _runs():
+    """``(tag, flow, design, kwargs)`` for the 89 pinned flow runs."""
+    interpolation = interpolation_design()
+    runs = [
+        ("interp-1100-conventional", conventional_flow, interpolation,
+         {"clock_period": 1100.0}),
+        ("interp-1100-slowest-first", conventional_flow, interpolation,
+         {"clock_period": 1100.0, "initial_grades": "slowest"}),
+        ("interp-1100-slack", slack_based_flow, interpolation,
+         {"clock_period": 1100.0}),
+    ]
+
+    def both(tag, design, **kwargs):
+        for flow in (conventional_flow, slack_based_flow):
+            runs.append((f"{tag}-{flow.__name__}", flow, design, kwargs))
+
+    for scheduling in ("block", "pipeline"):
+        for clock_period in (1500.0, 1100.0, 800.0):
+            for pipeline_ii in (None, 1):
+                both(f"interp-{scheduling}-{clock_period:.0f}-ii{pipeline_ii}",
+                     interpolation, clock_period=clock_period,
+                     pipeline_ii=pipeline_ii, scheduling=scheduling)
+    rows1 = IDCTPointFactory(rows=1)
+    for point in idct_design_points(clock_period=1500.0):
+        design = rows1(point)
+        for scheduling in ("block", "pipeline"):
+            both(f"idct-r1-{point.name}-{scheduling}", design,
+                 scheduling=scheduling)
+    both("fir12-pipeline", fir_design(taps=12, latency=8, clock_period=1500.0),
+         clock_period=1500.0, scheduling="pipeline")
+    return runs
+
+
+@pytest.fixture(scope="module")
+def records(library):
+    """One record per run: the flow's label, metrics and details, or its error."""
+    records = []
+    for tag, flow, design, kwargs in _runs():
+        try:
+            result = flow(design, library, **kwargs)
+        except ReproError as exc:
+            records.append([tag, "error", type(exc).__name__, str(exc)])
+            continue
+        details = {key: value for key, value in result.details.items()
+                   if key not in _WALL_CLOCK}
+        records.append([tag, result.flow, result.metrics(),
+                        sorted(details.items())])
+    return records
+
+
+def test_the_pinned_runs_reach_every_relaxation_outcome(records):
+    assert len(records) == 89
+    details = [dict(record[3]) for record in records if record[1] != "error"]
+    errors = [record[3] for record in records if record[1] == "error"]
+    assert sum(1 for entry in details if entry["grade_upgrades"]) == 3
+    assert sum(1 for entry in details if entry.get("ii_bumps")) == 6
+    assert any("after 500 relaxations" in message for message in errors)
+    assert any("after 200 relaxations" in message for message in errors)
+    assert any("recurrences" in message and "do not fit" in message
+               for message in errors)
+
+
+def test_flow_details_match_the_pinned_digest(records):
+    payload = json.dumps(records, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == _DIGEST
