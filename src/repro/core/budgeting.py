@@ -36,15 +36,13 @@ from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.core.delta_slack import CyclicSlackEvaluator, DeltaSlackEvaluator
 from repro.core.graphkit import CompactTimedGraph
-from repro.core.latency import LatencyAnalysis
+from repro.core.sequential_slack import TimingResult
+from repro.core.timed_dfg import build_timed_dfg
 from repro.obs.metrics import counter as _obs_counter
 
 #: Budgeting telemetry (observation only; see repro.obs).
 _BUDGET_RUNS = _obs_counter("budgeting.runs")
 _BUDGET_ITERATIONS = _obs_counter("budgeting.iterations")
-from repro.core.opspan import OperationSpans
-from repro.core.sequential_slack import TimingResult
-from repro.core.timed_dfg import build_timed_dfg
 
 _EPS = 1e-6
 _MISSING = object()
@@ -112,10 +110,10 @@ class _BudgetTemplate:
         # mirrors Library.operation_delay's dispatch exactly.
         self.static_delays: Dict[str, float] = {}
         self.fastest_delays: Dict[str, float] = {}
-        base_slowest: Dict[str, Optional[ResourceVariant]] = {}
-        base_fastest: Dict[str, Optional[ResourceVariant]] = {}
-        delays_slowest: Dict[str, float] = {}
-        delays_fastest: Dict[str, float] = {}
+        # Every operation at its slowest grade, where budgeting starts (each
+        # call overlays its warm start and pinned grades on a copy).
+        self.base_variants: Dict[str, Optional[ResourceVariant]] = {}
+        self.base_delays: Dict[str, float] = {}
         # Per-op grade-adjacency maps (variant name -> next slower/faster
         # variant, None at the ends), shared per resource class.  One dict
         # lookup replaces ResourceClass.next_slower/next_faster on the step-4
@@ -134,8 +132,8 @@ class _BudgetTemplate:
                 self.nonsynth.add(name)
                 delay = library.operation_delay(op)
                 self.static_delays[name] = delay
-                base_slowest[name] = base_fastest[name] = None
-                delays_slowest[name] = delays_fastest[name] = delay
+                self.base_variants[name] = None
+                self.base_delays[name] = delay
                 continue
             resource_class = library.class_for_op(op)
             self.classes[name] = resource_class
@@ -156,14 +154,9 @@ class _BudgetTemplate:
                 adjacency[id(resource_class)] = maps
             self.slower_of[name], self.faster_of[name] = maps
             slowest = resource_class.slowest
-            fastest = resource_class.fastest
-            self.fastest_delays[name] = fastest.delay
-            base_slowest[name] = slowest
-            base_fastest[name] = fastest
-            delays_slowest[name] = slowest.delay
-            delays_fastest[name] = fastest.delay
-        self.base_variants = {"slowest": base_slowest, "fastest": base_fastest}
-        self.base_delays = {"slowest": delays_slowest, "fastest": delays_fastest}
+            self.fastest_delays[name] = resource_class.fastest.delay
+            self.base_variants[name] = slowest
+            self.base_delays[name] = slowest.delay
         self.max_grades = max_grades
 
     def pinned_delay(self, name: str,
@@ -214,21 +207,19 @@ class _BudgetState:
 
     def __init__(self, design: Design, library: Library,
                  initial_variants: Optional[Mapping[str, ResourceVariant]],
-                 pinned: Optional[Mapping[str, ResourceVariant]],
-                 start_from: str):
+                 pinned: Optional[Mapping[str, ResourceVariant]]):
         template = _budget_template(design, library)
         self.template = template
         self.ops = template.ops
         self.classes = template.classes
         self.frozen: Set[str] = set()
-        # Start from the interned base grade maps, then overlay the warm
+        # Start from the interned slowest-grade maps, then overlay the warm
         # start and the pinned grades — same per-op precedence as resolving
         # each operation individually (pinned wins, non-synthesizable ops
         # are always pinned, warm starts apply to synthesizable ops only).
-        base = "slowest" if start_from == "slowest" else "fastest"
         self.variants: Dict[str, Optional[ResourceVariant]] = dict(
-            template.base_variants[base])
-        self.delays: Dict[str, float] = dict(template.base_delays[base])
+            template.base_variants)
+        self.delays: Dict[str, float] = dict(template.base_delays)
         self.pinned: Set[str] = set(template.nonsynth)
         if initial_variants:
             ops = template.ops
@@ -244,9 +235,6 @@ class _BudgetState:
                     self.variants[name] = variant
                     self.delays[name] = template.pinned_delay(name, variant)
                     self.pinned.add(name)
-
-    def movable(self, name: str) -> bool:
-        return name not in self.pinned and name not in self.frozen
 
     def set_variant(self, name: str, variant: ResourceVariant) -> None:
         self.variants[name] = variant
@@ -264,17 +252,17 @@ def budget_slack(
     library: Library,
     clock_period: float,
     margin_fraction: float = 0.05,
-    aligned: bool = True,
-    spans: Optional[OperationSpans] = None,
-    latency: Optional[LatencyAnalysis] = None,
     graph: Optional[CompactTimedGraph] = None,
     initial_variants: Optional[Mapping[str, ResourceVariant]] = None,
     pinned_variants: Optional[Mapping[str, ResourceVariant]] = None,
-    start_from: str = "slowest",
-    max_iterations: Optional[int] = None,
     cache=None,
 ) -> BudgetingResult:
     """Run the slack-budgeting algorithm of Fig. 7 on ``design``.
+
+    Budgeting runs on aligned slack (clock-boundary aware), as the paper's
+    algorithm does.  Operations without a warm start begin at their slowest
+    grade, and the loop stops after ``20 * num_ops * max_grades`` iterations
+    at the latest.
 
     Parameters
     ----------
@@ -282,29 +270,19 @@ def budget_slack(
         The design, the resource library and the target clock period (ps).
     margin_fraction:
         Slack-binning margin as a fraction of the clock period (paper: 5 %).
-    aligned:
-        Use aligned slack (clock-boundary aware); the paper's algorithm does.
-    spans, latency:
-        Optional pre-computed analyses, used to build the timed graph when
-        ``graph`` is not given.
     graph:
         The compact timed graph to budget on (see
         :mod:`repro.core.graphkit`).  Acyclic graphs run on a
         :class:`~repro.core.delta_slack.DeltaSlackEvaluator`, cyclic
         (modulo-II) ones on a
         :class:`~repro.core.delta_slack.CyclicSlackEvaluator`.  Without one,
-        ``build_timed_dfg(design, spans, latency).compact()`` is used.  The
-        slack-guided scheduler passes its design's graph for the step-0
-        budget and a cached reweighted graph for every per-edge re-budget.
+        ``build_timed_dfg(design).compact()`` is used.  The slack-guided
+        scheduler passes its design's graph for the step-0 budget and a
+        cached reweighted graph for every per-edge re-budget.
     initial_variants:
         Warm-start grades (used when re-budgeting during scheduling).
     pinned_variants:
         Grades that must not change (already-scheduled operations).
-    start_from:
-        ``"slowest"`` (paper default) or ``"fastest"`` initial grades for
-        operations without a warm start.
-    max_iterations:
-        Safety bound; defaults to ``20 * num_ops * max_grades``.
     cache:
         Optional :class:`repro.core.analysis_cache.AnalysisCache` (default:
         the process-wide cache).  The slack recomputations themselves now
@@ -320,14 +298,11 @@ def budget_slack(
 
         cache = default_cache()
     if graph is None:
-        latency = latency or LatencyAnalysis(design.cfg)
-        spans = spans or OperationSpans(design, latency=latency)
-        graph = build_timed_dfg(design, spans=spans, latency=latency).compact()
+        graph = build_timed_dfg(design).compact()
     margin = abs(margin_fraction) * clock_period
 
-    state = _BudgetState(design, library, initial_variants, pinned_variants, start_from)
-    iteration_budget = max_iterations or (20 * max(len(state.ops), 1)
-                                          * state.max_grades())
+    state = _BudgetState(design, library, initial_variants, pinned_variants)
+    iteration_budget = 20 * max(len(state.ops), 1) * state.max_grades()
 
     iterations = 0
     upgrades = 0
@@ -339,7 +314,7 @@ def budget_slack(
     evaluator_class = (CyclicSlackEvaluator if graph.cyclic
                        else DeltaSlackEvaluator)
     evaluator = evaluator_class(graph, graph.delay_vector(state.delays),
-                                clock_period, aligned=aligned)
+                                clock_period, aligned=True)
 
     # Hot-loop locals.  The evaluator mutates its arrival/required lists in
     # place (never rebinds them), so the references stay valid across

@@ -55,18 +55,22 @@ class SlackScheduleResult:
 class SlackScheduler:
     """Schedules a design using sequential-slack guidance.
 
+    :meth:`run` budgets slack once (step 0), and every schedule pass then
+    re-budgets the pending operations after each scheduled CFG edge — both
+    bold steps of the paper's Fig. 8, always on.
+
     Parameters
     ----------
     design, library, clock_period:
         The design, resource library and target clock period (ps).
     margin_fraction:
         Slack-binning margin for the budgeting passes (paper: 5 %).
-    rebudget_every_edge:
-        Redo slack budgeting after every scheduled CFG edge (the paper's
-        behaviour).  Disabling it keeps only the step-0 budgeting, which is
-        useful for ablation studies.
-    pipeline_ii, timing_margin, max_relaxations:
-        Passed through to the underlying scheduling machinery.
+    pipeline_ii:
+        Initiation interval the list scheduler folds resource slots by
+        (default: the design's).
+    max_relaxations:
+        Relaxation moves tried before the design is declared
+        unschedulable.
     artifacts:
         Optional precomputed per-point analyses
         (:class:`repro.flows.pipeline.PointArtifacts`); when given, the
@@ -95,9 +99,7 @@ class SlackScheduler:
         library: Library,
         clock_period: float,
         margin_fraction: float = 0.05,
-        rebudget_every_edge: bool = True,
         pipeline_ii: Optional[int] = None,
-        timing_margin: float = 0.0,
         max_relaxations: int = 200,
         artifacts=None,
         cache: Optional[AnalysisCache] = None,
@@ -106,9 +108,7 @@ class SlackScheduler:
         self.library = library
         self.clock_period = clock_period
         self.margin_fraction = margin_fraction
-        self.rebudget_every_edge = rebudget_every_edge
         self.pipeline_ii = pipeline_ii if pipeline_ii is not None else design.pipeline_ii
-        self.timing_margin = timing_margin
         self.max_relaxations = max_relaxations
         self._cache = cache if cache is not None else default_cache()
 
@@ -162,8 +162,7 @@ class SlackScheduler:
                     relaxation=log,
                 )
             upgraded = relax(self.design, self.library, self.clock_period,
-                             self.timing_margin, attempt.failure, variants,
-                             allocation, log)
+                             attempt.failure, variants, allocation, log)
             attempt_span.set(move=log.messages[-1])
             if upgraded is not None:
                 self._locked[upgraded] = variants[upgraded]
@@ -197,7 +196,7 @@ class SlackScheduler:
         edge_position = {name: index for index, name in enumerate(edge_order)}
 
         def post_edge_hook(edge_name: str, schedule: Schedule, pending):
-            if not self.rebudget_every_edge or not pending:
+            if not pending:
                 return None
             index = edge_position[edge_name]
             if index + 1 >= len(edge_order):
@@ -233,8 +232,7 @@ class SlackScheduler:
         attempt = try_list_schedule(
             self.design, self.library, self.clock_period, working, allocation,
             spans=self._spans, latency=self._latency, priority=priority,
-            pipeline_ii=self.pipeline_ii, timing_margin=self.timing_margin,
-            post_edge_hook=post_edge_hook,
+            pipeline_ii=self.pipeline_ii, post_edge_hook=post_edge_hook,
             upgrade_on_last_chance=True,
         )
         return attempt, working

@@ -257,7 +257,6 @@ def build_timed_dfg(
     design: Design,
     spans: Optional[OperationSpans] = None,
     latency: Optional[LatencyAnalysis] = None,
-    include_sinks: bool = True,
 ) -> TimedDFG:
     """Construct the timed DFG of ``design``.
 
@@ -271,7 +270,7 @@ def build_timed_dfg(
 
     dfg = design.dfg
     included = [op.name for op in dfg.operations if op.kind is not OpKind.CONST]
-    sinks = [sink_name(name) for name in included] if include_sinks else []
+    sinks = [sink_name(name) for name in included]
     members = set(included)
     edges = [(edge.src, edge.dst) for edge in dfg.forward_edges
              if edge.src in members and edge.dst in members]
@@ -317,7 +316,6 @@ def build_cyclic_timed_dfg(
     ii: int,
     spans: Optional[OperationSpans] = None,
     latency: Optional[LatencyAnalysis] = None,
-    include_sinks: bool = True,
 ) -> TimedDFG:
     """Construct the *cyclic* timed DFG of ``design`` at initiation interval ``ii``.
 
@@ -337,8 +335,7 @@ def build_cyclic_timed_dfg(
         raise TimingError(f"initiation interval must be >= 1, got {ii}")
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
-    acyclic = build_timed_dfg(design, spans=spans, latency=latency,
-                              include_sinks=include_sinks)
+    acyclic = build_timed_dfg(design, spans=spans, latency=latency)
 
     timed = TimedDFG(f"{design.name}.timed_ii{ii}", cyclic=True)
     for node in acyclic.nodes:

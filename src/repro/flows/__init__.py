@@ -14,8 +14,12 @@
   delta-friendly visit order, per-point failure isolation and an optional
   process pool (bit-for-bit equal to per-point evaluation; the
   ``sweep-session`` oracle fuzzes that equivalence).
-* :mod:`repro.flows.pipeline` — the per-point pipeline stage
-  (:class:`PointArtifacts`) shared by the flows and the sweep harnesses.
+* :mod:`repro.flows.pipeline` — what the two flows share: the per-point
+  analyses (:class:`PointArtifacts`, also used by the sweep harnesses) and
+  the one flow driver (:class:`~repro.flows.pipeline.FlowRun`), which
+  resolves the clock, the scheduling mode and the MII, times the
+  ``flow.schedule`` span and runs the back end.  The flows themselves keep
+  only their grade selection and their scheduling call.
 * :mod:`repro.flows.report` — text tables matching the paper's layout.
 
 The exploration layer (:mod:`repro.explore`) builds on these: adaptive

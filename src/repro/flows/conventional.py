@@ -14,30 +14,15 @@ whenever scheduling hits a timing failure.
 
 from __future__ import annotations
 
-import time
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.errors import ReproError
 from repro.ir.design import Design
-from repro.ir.operations import OpKind
 from repro.lib.library import Library
-from repro.lib.resource import ResourceVariant
-from repro.flows.pipeline import PointArtifacts, finalize_flow
+from repro.flows.pipeline import FlowRun, PointArtifacts, grade_map
 from repro.flows.result import FlowResult
-from repro.obs.trace import span as _obs_span
-from repro.sched.modulo_scheduler import compute_mii, try_modulo_schedule
+from repro.sched.modulo_scheduler import try_modulo_schedule
 from repro.sched.priorities import mobility_priority
 from repro.sched.relaxation import schedule_with_relaxation
-
-
-def _fastest_variants(design: Design, library: Library) -> Dict[str, Optional[ResourceVariant]]:
-    variants: Dict[str, Optional[ResourceVariant]] = {}
-    for op in design.dfg.operations:
-        if op.kind is OpKind.CONST:
-            continue
-        variants[op.name] = (library.fastest_variant(op)
-                             if op.is_synthesizable else None)
-    return variants
 
 
 def conventional_flow(
@@ -46,15 +31,15 @@ def conventional_flow(
     clock_period: Optional[float] = None,
     initial_grades: str = "fastest",
     pipeline_ii: Optional[int] = None,
-    timing_margin: float = 0.0,
     area_recovery: bool = True,
-    register_margin: float = 0.0,
     artifacts: Optional[PointArtifacts] = None,
     scheduling: str = "block",
 ) -> FlowResult:
     """Run the conventional flow on ``design`` and return a :class:`FlowResult`.
 
-    ``artifacts`` supplies precomputed per-point analyses (see
+    ``initial_grades`` is ``"fastest"`` (default) or ``"slowest"``; any
+    other value raises :class:`~repro.errors.ReproError`.  ``artifacts``
+    supplies precomputed per-point analyses (see
     :class:`repro.flows.pipeline.PointArtifacts`) so that sweeps running both
     flows on the same design pay for latency/span analysis only once.
 
@@ -65,78 +50,19 @@ def conventional_flow(
     loop bump the II when the recurrences do not fit.  The achieved II lands
     in ``details["initiation_interval"]``.
     """
-    clock_period = clock_period or design.clock_period
-    if clock_period is None:
-        raise ReproError("a clock period is required (argument or design attribute)")
-    if scheduling not in ("block", "pipeline"):
-        raise ReproError(f"unknown scheduling mode {scheduling!r} "
-                         f"(expected 'block' or 'pipeline')")
-    pipeline_ii = pipeline_ii if pipeline_ii is not None else design.pipeline_ii
-
-    start_time = time.perf_counter()
-    if artifacts is None:
-        artifacts = PointArtifacts.of(design)
-    latency = artifacts.latency
-    spans = artifacts.spans
-
-    variants: Dict[str, Optional[ResourceVariant]] = {}
-    for op in design.dfg.operations:
-        if op.kind is OpKind.CONST:
-            continue
-        if not op.is_synthesizable:
-            variants[op.name] = None
-        elif initial_grades == "slowest":
-            variants[op.name] = library.slowest_variant(op)
-        else:
-            variants[op.name] = library.fastest_variant(op)
-
-    scheduler = None
-    mii = None
-    if scheduling == "pipeline":
-        scheduler = try_modulo_schedule
-        mii = compute_mii(design, library, clock_period,
-                          variant_map=_fastest_variants(design, library),
-                          spans=spans, latency=latency)
-        if pipeline_ii is None:
-            pipeline_ii = mii.mii
-
-    scheduling_start = time.perf_counter()
-    with _obs_span("flow.schedule", flow="conventional", design=design.name,
-                   scheduling=scheduling):
-        schedule, allocation, final_variants, relax_log = \
-            schedule_with_relaxation(
-                design, library, clock_period, variants,
-                spans=spans, latency=latency,
-                priority=mobility_priority(spans),
-                pipeline_ii=pipeline_ii,
-                timing_margin=timing_margin,
-                scheduler=scheduler,
-            )
-    scheduling_seconds = time.perf_counter() - scheduling_start
-
-    details: Dict[str, object] = {
-        "initial_grades": initial_grades,
-        "relaxation_attempts": relax_log.attempts,
-        "resources_added": list(relax_log.resources_added),
-        "grade_upgrades": list(relax_log.upgrades),
-    }
-    if scheduling == "pipeline":
-        pipeline_ii = relax_log.final_ii or pipeline_ii
-        details["initiation_interval"] = pipeline_ii
-        details["ii_bumps"] = list(relax_log.ii_bumps)
-        details["res_mii"] = mii.res_mii
-        details["rec_mii"] = mii.rec_mii
-    return finalize_flow(
-        flow="conventional" if initial_grades == "fastest" else "slowest-first",
-        design=design,
-        library=library,
-        schedule=schedule,
-        allocation=allocation,
-        clock_period=clock_period,
-        pipeline_ii=pipeline_ii,
-        start_time=start_time,
-        scheduling_seconds=scheduling_seconds,
-        details=details,
-        area_recovery=area_recovery,
-        register_margin=register_margin,
+    variants = grade_map(design, library, initial_grades)
+    run = FlowRun("conventional", design, library, clock_period, pipeline_ii,
+                  scheduling, artifacts)
+    with run.timed_schedule():
+        schedule, allocation, _, log = schedule_with_relaxation(
+            design, library, run.clock_period, variants,
+            spans=run.spans, latency=run.latency,
+            priority=mobility_priority(run.spans),
+            pipeline_ii=run.pipeline_ii,
+            scheduler=try_modulo_schedule if run.pipelined else None,
+        )
+    return run.finish(
+        "conventional" if initial_grades == "fastest" else "slowest-first",
+        schedule, allocation, log, {"initial_grades": initial_grades},
+        area_recovery,
     )

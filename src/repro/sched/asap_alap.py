@@ -35,16 +35,12 @@ def asap_schedule(
     library: Library,
     clock_period: float,
     variant_map: Mapping[str, Optional[ResourceVariant]],
-    spans: Optional[OperationSpans] = None,
-    latency: Optional[LatencyAnalysis] = None,
-    timing_margin: float = 0.0,
 ) -> Schedule:
     """As-soon-as-possible schedule with operation chaining."""
-    latency = latency or LatencyAnalysis(design.cfg)
-    spans = spans or OperationSpans(design, latency=latency)
+    latency = LatencyAnalysis(design.cfg)
+    spans = OperationSpans(design, latency=latency)
     dfg = design.dfg
     schedule = Schedule(design, clock_period)
-    budget = clock_period - timing_margin
     edge_order = latency.forward_edge_names
     edge_pos = {name: index for index, name in enumerate(edge_order)}
 
@@ -54,10 +50,10 @@ def asap_schedule(
             continue
         variant = variant_map.get(name)
         delay = library.operation_delay(op, variant)
-        if delay > budget + _EPS:
+        if delay > clock_period + _EPS:
             raise SchedulingError(
                 f"operation {name!r} ({delay:.0f} ps) cannot fit in the "
-                f"{budget:.0f} ps budget on any state"
+                f"{clock_period:.0f} ps budget on any state"
             )
         span_edges = spans.span(name).edges
         # Earliest edge allowed by data predecessors.
@@ -79,7 +75,7 @@ def asap_schedule(
             if pos < min_pos:
                 continue
             start = chain_start if pos == min_pos else 0.0
-            if start + delay <= budget + _EPS:
+            if start + delay <= clock_period + _EPS:
                 schedule.assign(name, edge_name, pos, start, start + delay, variant)
                 placed = True
                 break
@@ -96,16 +92,12 @@ def alap_schedule(
     library: Library,
     clock_period: float,
     variant_map: Mapping[str, Optional[ResourceVariant]],
-    spans: Optional[OperationSpans] = None,
-    latency: Optional[LatencyAnalysis] = None,
-    timing_margin: float = 0.0,
 ) -> Schedule:
     """As-late-as-possible schedule with operation chaining."""
-    latency = latency or LatencyAnalysis(design.cfg)
-    spans = spans or OperationSpans(design, latency=latency)
+    latency = LatencyAnalysis(design.cfg)
+    spans = OperationSpans(design, latency=latency)
     dfg = design.dfg
     schedule = Schedule(design, clock_period)
-    budget = clock_period - timing_margin
     edge_order = latency.forward_edge_names
     edge_pos = {name: index for index, name in enumerate(edge_order)}
 
@@ -118,14 +110,14 @@ def alap_schedule(
             continue
         variant = variant_map.get(name)
         delay = library.operation_delay(op, variant)
-        if delay > budget + _EPS:
+        if delay > clock_period + _EPS:
             raise SchedulingError(
                 f"operation {name!r} ({delay:.0f} ps) cannot fit in the "
-                f"{budget:.0f} ps budget on any state"
+                f"{clock_period:.0f} ps budget on any state"
             )
         span_edges = spans.span(name).edges
         max_pos = edge_pos[span_edges[-1]]
-        latest_finish = budget
+        latest_finish = clock_period
         for succ in dfg.successors(name):
             if not schedule.is_scheduled(succ):
                 continue
@@ -141,7 +133,7 @@ def alap_schedule(
             pos = edge_pos[edge_name]
             if pos > max_pos:
                 continue
-            finish = latest_finish if pos == max_pos else budget
+            finish = latest_finish if pos == max_pos else clock_period
             start = finish - delay
             if start >= -_EPS:
                 schedule.assign(name, edge_name, pos, max(start, 0.0),

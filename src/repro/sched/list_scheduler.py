@@ -80,7 +80,6 @@ def try_list_schedule(
     latency: Optional[LatencyAnalysis] = None,
     priority: Optional[PriorityFn] = None,
     pipeline_ii: Optional[int] = None,
-    timing_margin: float = 0.0,
     post_edge_hook=None,
     upgrade_on_last_chance: bool = False,
 ) -> SchedulingAttempt:
@@ -120,7 +119,6 @@ def try_list_schedule(
     pipeline_ii = pipeline_ii or design.pipeline_ii
 
     schedule = Schedule(design, clock_period)
-    budget = clock_period - timing_margin
     mod_ii = pipeline_ii if pipeline_ii is not None and pipeline_ii >= 1 else None
 
     # Per-pass tables.  Constant operations are never scheduled, so every
@@ -183,18 +181,18 @@ def try_list_schedule(
                     if pred_item is not None and pred_item.finish > start:
                         start = pred_item.finish
                 finish = start + delay
-                fits_timing = finish <= budget + _EPS
+                fits_timing = finish <= clock_period + _EPS
                 last_chance = (edge_name == eligible[name].late)
                 if (not fits_timing and last_chance and upgrade_on_last_chance
                         and variant is not None and key is not None):
                     # Upgrade on the fly: take the cheapest grade that fits.
                     resource_class = library.class_for_op(ops[name])
-                    faster = resource_class.cheapest_within(budget - start)
+                    faster = resource_class.cheapest_within(clock_period - start)
                     if faster.delay < variant.delay:
                         variant = faster
                         delay = faster.delay
                         finish = start + delay
-                        fits_timing = finish <= budget + _EPS
+                        fits_timing = finish <= clock_period + _EPS
                         if isinstance(variant_map, dict):
                             variant_map[name] = faster
                 slot = (slot_step, key) if key is not None else None
@@ -220,7 +218,7 @@ def try_list_schedule(
                     else:
                         reason, detail = "timing", (
                             f"chained start {start:.1f} ps + delay {delay:.1f} ps "
-                            f"exceeds the {budget:.1f} ps budget"
+                            f"exceeds the {clock_period:.1f} ps budget"
                         )
                         # Identify the chain driver: walk up the same-state
                         # combinational chain (through the first predecessor

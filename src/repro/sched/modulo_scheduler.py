@@ -9,8 +9,10 @@ loop-carried dependence of distance ``d``.
 The lower bound on the II is ``MII = max(ResMII, RecMII)``:
 
 * **ResMII** — resource-constrained minimum: with ``limit`` instances of a
-  class and ``count`` operations using it, at most ``limit * II`` of them fit
-  in one window, so ``II >= ceil(count / limit)``.
+  class and ``count`` operations using it, ``II >= ceil(count / limit)``.
+  No flow fixes an allocation, though: the relaxation loop starts from the
+  minimal allocation at each II and adds instances freely, so ResMII is 1
+  and RecMII alone sets the MII.
 * **RecMII** — recurrence-constrained minimum: every dependence cycle must
   pay for its total delay within ``distance * II`` states.  Probed by
   building the cyclic timed DFG at II = 1, 2, ... and asking the Bellman-Ford
@@ -31,7 +33,6 @@ II bump.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -54,11 +55,11 @@ from repro.sched.schedule import Schedule
 
 _EPS = 1e-6
 
-#: Probe ceiling for RecMII when the caller gives no explicit bound.  A
-#: recurrence needing more than this many states per iteration means the
-#: clock period is far too tight for the loop body; probing further would
-#: only delay the inevitable infeasibility report.
-_DEFAULT_MAX_II = 64
+#: Probe ceiling for RecMII.  A recurrence needing more than this many
+#: states per iteration means the clock period is far too tight for the
+#: loop body; probing further would only delay the inevitable
+#: infeasibility report.
+_MAX_II = 64
 
 
 @dataclass(frozen=True)
@@ -77,48 +78,21 @@ class MIIResult:
                 f"RecMII={self.rec_mii})")
 
 
-def compute_res_mii(
-    design: Design,
-    library: Library,
-    allocation: Optional[Allocation] = None,
-) -> int:
-    """Resource-constrained minimum II under ``allocation``.
-
-    Without an allocation the resource bound is trivially 1 — the relaxation
-    loop may add instances freely, so only recurrences constrain the II.
-    """
-    if allocation is None:
-        return 1
-    counts: Dict[Tuple[str, int], int] = {}
-    for op in design.dfg.operations:
-        key = resource_class_key(op, library)
-        if key is None:
-            continue
-        counts[key] = counts.get(key, 0) + 1
-    res_mii = 1
-    for key, count in counts.items():
-        limit = max(allocation.limit(key), 1)
-        res_mii = max(res_mii, math.ceil(count / limit))
-    return res_mii
-
-
 def compute_rec_mii(
     design: Design,
     delays: Mapping[str, float],
     clock_period: float,
     spans: Optional[OperationSpans] = None,
     latency: Optional[LatencyAnalysis] = None,
-    aligned: bool = False,
-    max_ii: Optional[int] = None,
 ) -> int:
     """Recurrence-constrained minimum II of ``design`` at ``clock_period``.
 
     Probes II = 1, 2, ... and returns the first II whose cyclic constraint
-    graph converges (see :func:`repro.core.graphkit.bellman_ford_arrival`).
-    ``delays`` fixes the assumed operation delays — RecMII depends on the
-    chosen speed grades, so callers probing a lower bound should pass the
-    fastest feasible grades.  Raises :class:`SchedulingError` when no II up
-    to the probe ceiling converges.
+    graph converges (see :func:`repro.core.graphkit.bellman_ford_arrival`;
+    plain, not aligned, arrival times).  ``delays`` fixes the assumed
+    operation delays — RecMII depends on the chosen speed grades, so
+    callers probing a lower bound should pass the fastest feasible grades.
+    Raises :class:`SchedulingError` when no II up to ``_MAX_II`` converges.
     """
     if not design.dfg.backward_edges:
         return 1
@@ -126,16 +100,15 @@ def compute_rec_mii(
 
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
-    cap = max_ii if max_ii is not None else _DEFAULT_MAX_II
-    for ii in range(1, max(cap, 1) + 1):
+    for ii in range(1, _MAX_II + 1):
         timed = build_cyclic_timed_dfg(design, ii, spans=spans, latency=latency)
         graph = timed.compact()
         _, improving = bellman_ford_arrival(
-            graph, graph.delay_vector(delays), clock_period, aligned=aligned)
+            graph, graph.delay_vector(delays), clock_period)
         if not improving:
             return ii
     raise SchedulingError(
-        f"no initiation interval up to {cap} satisfies the recurrences of "
+        f"no initiation interval up to {_MAX_II} satisfies the recurrences of "
         f"design {design.name!r} at T={clock_period:.0f} ps"
     )
 
@@ -145,17 +118,16 @@ def compute_mii(
     library: Library,
     clock_period: float,
     variant_map: Optional[Mapping[str, Optional[ResourceVariant]]] = None,
-    allocation: Optional[Allocation] = None,
     spans: Optional[OperationSpans] = None,
     latency: Optional[LatencyAnalysis] = None,
-    aligned: bool = False,
-    max_ii: Optional[int] = None,
 ) -> MIIResult:
     """``MII = max(ResMII, RecMII)`` for ``design`` at ``clock_period``.
 
     ``variant_map`` fixes the speed grades used for the recurrence probe
     (missing entries fall back to the library's default delay for the
-    operation); ``allocation``, when given, bounds ResMII.
+    operation).  ResMII is 1: the relaxation loop starts from the minimal
+    allocation at each II and adds instances freely, so no allocation
+    bounds the II.
     """
     variant_map = variant_map or {}
     delays: Dict[str, float] = {}
@@ -163,10 +135,9 @@ def compute_mii(
         if op.kind is OpKind.CONST:
             continue
         delays[op.name] = library.operation_delay(op, variant_map.get(op.name))
-    res_mii = compute_res_mii(design, library, allocation)
-    rec_mii = compute_rec_mii(design, delays, clock_period, spans=spans,
-                              latency=latency, aligned=aligned, max_ii=max_ii)
-    return MIIResult(res_mii=res_mii, rec_mii=rec_mii)
+    return MIIResult(res_mii=1,
+                     rec_mii=compute_rec_mii(design, delays, clock_period,
+                                             spans=spans, latency=latency))
 
 
 class _ClampedSpans:
@@ -258,7 +229,6 @@ def try_modulo_schedule(
     latency: Optional[LatencyAnalysis] = None,
     priority: Optional[PriorityFn] = None,
     pipeline_ii: Optional[int] = None,
-    timing_margin: float = 0.0,
     post_edge_hook=None,
     upgrade_on_last_chance: bool = False,
 ) -> SchedulingAttempt:
@@ -291,8 +261,7 @@ def try_modulo_schedule(
         attempt = try_list_schedule(
             design, library, clock_period, variant_map, allocation,
             spans=view, latency=latency, priority=priority,
-            pipeline_ii=ii, timing_margin=timing_margin,
-            post_edge_hook=post_edge_hook,
+            pipeline_ii=ii, post_edge_hook=post_edge_hook,
             upgrade_on_last_chance=upgrade_on_last_chance,
         )
         if not attempt.success:

@@ -133,7 +133,6 @@ def relax(
     design: Design,
     library: Library,
     clock_period: float,
-    timing_margin: float,
     failure,
     variants: Dict[str, Optional[ResourceVariant]],
     allocation: Allocation,
@@ -154,12 +153,11 @@ def relax(
         alone_delay = (library.class_for_op(failing_op).min_delay
                        if failing_op.is_synthesizable
                        else library.operation_delay(failing_op))
-        if alone_delay > clock_period - timing_margin + 1e-6:
+        if alone_delay > clock_period + 1e-6:
             raise InfeasibleDesignError(
                 f"operation {failure.op!r} needs {alone_delay:.0f} ps even at "
-                f"its fastest grade, which exceeds the "
-                f"{clock_period - timing_margin:.0f} ps budget; the clock "
-                f"period is infeasible"
+                f"its fastest grade, which exceeds the {clock_period:.0f} ps "
+                f"budget; the clock period is infeasible"
             )
         if upgrade_for_timing(design, library, variants, failure, log):
             return log.upgrades[-1]
@@ -196,11 +194,8 @@ def schedule_with_relaxation(
     latency: Optional[LatencyAnalysis] = None,
     priority: Optional[PriorityFn] = None,
     pipeline_ii: Optional[int] = None,
-    timing_margin: float = 0.0,
     max_attempts: int = 500,
-    upgrade_on_last_chance: bool = True,
     scheduler=None,
-    max_ii: Optional[int] = None,
 ) -> Tuple[Schedule, Allocation, Dict[str, Optional[ResourceVariant]], RelaxationLog]:
     """Schedule ``design``, relaxing resources/grades until a pass succeeds.
 
@@ -211,9 +206,10 @@ def schedule_with_relaxation(
     *bumping the initiation interval* by one, the same kind of move as a
     grade upgrade or an added instance: the minimal allocation is recomputed
     at the new II (slots are capped at II, so a larger II may need fewer
-    instances) unless the caller pinned an explicit ``allocation``.
-    ``max_ii`` bounds the bumping (default: never beyond the design's state
-    count, at which point the loop no longer overlaps at all).
+    instances) unless the caller pinned an explicit ``allocation``.  The II
+    never grows beyond the design's state count, at which point the loop no
+    longer overlaps at all.  Every pass upgrades a grade on the fly when an
+    operation's chained delay does not fit on the last edge of its span.
     """
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
@@ -224,8 +220,7 @@ def schedule_with_relaxation(
                                      pipeline_ii=current_ii)).copy()
     variants: Dict[str, Optional[ResourceVariant]] = dict(variant_map)
     scheduler = scheduler or try_list_schedule
-    if max_ii is None:
-        max_ii = max(len(latency.forward_edge_names), 1)
+    max_ii = max(len(latency.forward_edge_names), 1)
     log = RelaxationLog()
     last_signature = None
     flow = enclosing_attr("flow")
@@ -237,8 +232,7 @@ def schedule_with_relaxation(
             attempt: SchedulingAttempt = scheduler(
                 design, library, clock_period, variants, allocation,
                 spans=spans, latency=latency, priority=priority,
-                pipeline_ii=current_ii, timing_margin=timing_margin,
-                upgrade_on_last_chance=upgrade_on_last_chance,
+                pipeline_ii=current_ii, upgrade_on_last_chance=True,
             )
             if not attempt.success:
                 attempt_span.set(failure=attempt.failure.reason)
@@ -280,8 +274,8 @@ def schedule_with_relaxation(
                 allocation = minimal_allocation(design, library, spans=spans,
                                                 pipeline_ii=bumped)
         else:
-            relax(design, library, clock_period, timing_margin, failure,
-                  variants, allocation, log)
+            relax(design, library, clock_period, failure, variants,
+                  allocation, log)
         attempt_span.set(move=log.messages[-1])
     raise InfeasibleDesignError(
         f"design {design.name!r} still unschedulable after {max_attempts} relaxations"

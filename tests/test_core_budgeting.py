@@ -43,8 +43,7 @@ def test_budgeting_saves_area_versus_all_fastest(interpolation, library):
 def test_budgeting_upgrades_when_started_slow(interpolation, library):
     """With the 1100 ps clock the slowest multipliers (610 ps) cannot chain
     twice in a cycle, so the negative-slack repair must upgrade something."""
-    result = budget_slack(interpolation, library, clock_period=1100.0,
-                          start_from="slowest")
+    result = budget_slack(interpolation, library, clock_period=1100.0)
     assert result.feasible
     assert result.upgrades > 0
     assert result.iterations >= result.upgrades + result.downgrades

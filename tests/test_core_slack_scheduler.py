@@ -48,14 +48,6 @@ def test_rebudgeting_happens_and_is_recorded(interpolation_result):
     assert interpolation_result.initial_budget.feasible
 
 
-def test_rebudgeting_can_be_disabled(interpolation, library):
-    scheduler = SlackScheduler(interpolation, library, 1100.0,
-                               rebudget_every_edge=False)
-    result = scheduler.run()
-    assert result.schedule.is_complete()
-    assert result.rebudget_count == 0
-
-
 def test_resizer_with_control_flow_schedules(resizer_full, library):
     result = SlackScheduler(resizer_full, library, 6000.0).run()
     schedule = result.schedule

@@ -1,5 +1,8 @@
 """Smoke tests of the package-level API surface."""
 
+import importlib
+import inspect
+
 import pytest
 
 import repro
@@ -97,3 +100,59 @@ def test_dir_lists_lazy_names():
     listing = dir(repro)
     assert "SweepSession" in listing
     assert "AdaptiveExplorer" in listing
+
+
+#: The parameters of the scheduling path's entry points, by
+#: ``module:attribute`` (a class stands for its constructor).  Every option
+#: here has a caller that sets it; adding or removing one is a deliberate API
+#: change, made in this table in the same change.
+SCHEDULING_PARAMETERS = {
+    "repro.flows.conventional:conventional_flow": (
+        "design", "library", "clock_period", "initial_grades", "pipeline_ii",
+        "area_recovery", "artifacts", "scheduling"),
+    "repro.flows.slack_based:slack_based_flow": (
+        "design", "library", "clock_period", "margin_fraction", "pipeline_ii",
+        "area_recovery", "artifacts", "scheduling"),
+    "repro.core.slack_scheduler:SlackScheduler": (
+        "design", "library", "clock_period", "margin_fraction", "pipeline_ii",
+        "max_relaxations", "artifacts", "cache"),
+    "repro.sched.relaxation:schedule_with_relaxation": (
+        "design", "library", "clock_period", "variant_map", "allocation",
+        "spans", "latency", "priority", "pipeline_ii", "max_attempts",
+        "scheduler"),
+    "repro.sched.relaxation:relax": (
+        "design", "library", "clock_period", "failure", "variants",
+        "allocation", "log"),
+    "repro.sched.list_scheduler:try_list_schedule": (
+        "design", "library", "clock_period", "variant_map", "allocation",
+        "spans", "latency", "priority", "pipeline_ii", "post_edge_hook",
+        "upgrade_on_last_chance"),
+    "repro.sched.modulo_scheduler:try_modulo_schedule": (
+        "design", "library", "clock_period", "variant_map", "allocation",
+        "spans", "latency", "priority", "pipeline_ii", "post_edge_hook",
+        "upgrade_on_last_chance"),
+    "repro.sched.asap_alap:asap_schedule": (
+        "design", "library", "clock_period", "variant_map"),
+    "repro.sched.asap_alap:alap_schedule": (
+        "design", "library", "clock_period", "variant_map"),
+    "repro.core.budgeting:budget_slack": (
+        "design", "library", "clock_period", "margin_fraction", "graph",
+        "initial_variants", "pinned_variants", "cache"),
+    "repro.sched.modulo_scheduler:compute_mii": (
+        "design", "library", "clock_period", "variant_map", "spans",
+        "latency"),
+    "repro.sched.modulo_scheduler:compute_rec_mii": (
+        "design", "delays", "clock_period", "spans", "latency"),
+    "repro.core.timed_dfg:build_timed_dfg": ("design", "spans", "latency"),
+    "repro.core.timed_dfg:build_cyclic_timed_dfg": (
+        "design", "ii", "spans", "latency"),
+}
+
+
+def test_scheduling_entry_points_keep_their_parameters():
+    found = {}
+    for target in SCHEDULING_PARAMETERS:
+        module_name, attribute = target.split(":")
+        entry = getattr(importlib.import_module(module_name), attribute)
+        found[target] = tuple(inspect.signature(entry).parameters)
+    assert found == SCHEDULING_PARAMETERS
