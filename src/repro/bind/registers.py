@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import BindingError
 from repro.ir.design import Design
 from repro.ir.operations import OpKind
 from repro.sched.schedule import Schedule
@@ -46,15 +45,6 @@ class RegisterAllocation:
     registers: List[RegisterFile]
     value_to_register: Dict[str, str]
     lifetimes: Dict[str, ValueLifetime]
-
-    def register_of(self, value: str) -> Optional[RegisterFile]:
-        name = self.value_to_register.get(value)
-        if name is None:
-            return None
-        for register in self.registers:
-            if register.name == name:
-                return register
-        raise BindingError(f"value {value!r} mapped to unknown register {name!r}")
 
     def total_bits(self) -> int:
         return sum(register.width for register in self.registers)

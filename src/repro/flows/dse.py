@@ -32,11 +32,6 @@ class DesignPoint:
     def is_pipelined(self) -> bool:
         return self.pipeline_ii is not None
 
-    @property
-    def iteration_interval(self) -> int:
-        """States between successive kernel starts (II if pipelined, else latency)."""
-        return self.pipeline_ii if self.pipeline_ii is not None else self.latency
-
 
 @dataclass
 class DSEEntry:

@@ -116,13 +116,6 @@ class ResourceClass:
     def max_delay(self) -> float:
         return self.slowest.delay
 
-    def variant_by_grade(self, grade: int) -> ResourceVariant:
-        if not 0 <= grade < len(self._variants):
-            raise LibraryError(
-                f"grade {grade} out of range for {self.kind.value}/{self.width}"
-            )
-        return self._variants[grade]
-
     def cheapest_within(self, delay_budget: float) -> ResourceVariant:
         """Smallest-area variant whose delay fits in ``delay_budget``.
 
@@ -156,10 +149,6 @@ class ResourceClass:
         if index > 0:
             return self._variants[index - 1]
         return None
-
-    def area_for_delay(self, delay_budget: float) -> float:
-        """Area of the cheapest variant meeting ``delay_budget``."""
-        return self.cheapest_within(delay_budget).area
 
     def area_sensitivity(self, variant: ResourceVariant) -> float:
         """Area saved per picosecond of extra delay when moving one grade slower.

@@ -153,11 +153,6 @@ class ScenarioSpec:
             states += 1 if segment[0] == SEGMENT_LINEAR else 3
         return states
 
-    def num_spec_ops(self) -> int:
-        """Ops listed in the spec (excludes reads/writes/cmp/mux)."""
-        return sum(len(part) for segment in self.segments
-                   for part in segment[1:])
-
     def num_design_ops(self) -> int:
         """Total DFG operations of the built design (the shrink metric)."""
         ops = len(self.inputs)  # reads
