@@ -271,11 +271,13 @@ def test_packaging_job_builds_installs_and_imports(workflow):
     assert "repro verify run" in run_text and "repro explore" in run_text
     # The unified dispatcher, the sweep-session layer and the campaign
     # planner must survive packaging: the `repro` script and `python -m
-    # repro` resolve, a one-point batched sweep runs and the nightly
+    # repro` resolve, a one-point batched sweep and a two-point pipelined
+    # sweep (the flows' MII and modulo-scheduling path) run and the nightly
     # partition prints from the installed wheel.
     assert "repro --help" in run_text
     assert "python -m repro --help" in run_text
     assert "repro sweep" in run_text
+    assert "repro sweep --rows 1 --latencies 8:8 --ii 2:3" in run_text
     assert "repro campaign plan --nightly" in run_text
     assert "repro.flows.sweep" in run_text
 
