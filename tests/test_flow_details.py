@@ -8,6 +8,11 @@ area-recovery tallies.  These tests run both flows over a fixed set of
 points, in block and pipeline mode, and compare one sha256 over every
 run's flow label, metrics and details (wall-clock fields excluded), or the
 error class and message of a run that raises.
+
+Each run is traced on its own :class:`repro.obs.trace.Tracer`.  A second
+sha256 covers every run's ``sched.attempt`` span attributes, in order, and
+its ``sched.rebudget`` span count, so the relaxation loop's observable
+trail is pinned as well as its outcome.
 """
 
 import hashlib
@@ -17,10 +22,14 @@ import pytest
 
 from repro.errors import ReproError
 from repro.flows import conventional_flow, idct_design_points, slack_based_flow
+from repro.obs.trace import tracing
 from repro.workloads import IDCTPointFactory, fir_design, interpolation_design
 
 #: sha256 of the JSON record of every run of :func:`_runs`.
 _DIGEST = "4bae53d6639ff7923b57bfbe2812ec68e6459c744a2b8b7597b5fedab840e5f6"
+
+#: sha256 of every run's ``sched.attempt`` attributes and re-budget count.
+_SPAN_DIGEST = "5bbbf6862a4f96344abc7cd382423d4d29296e86e822be26149c3a31ccd75709"
 
 #: Wall-clock entries of ``details``; they differ from run to run.
 _WALL_CLOCK = {"area_recovery_seconds"}
@@ -59,21 +68,46 @@ def _runs():
     return runs
 
 
+def _spans_named(tracer, name):
+    return [span for root in tracer.roots for span in root.walk()
+            if span.name == name]
+
+
 @pytest.fixture(scope="module")
-def records(library):
-    """One record per run: the flow's label, metrics and details, or its error."""
-    records = []
+def traced_runs(library):
+    """Per run: the flow's label, metrics and details (or its error), and
+    its ``sched.attempt`` attributes plus ``sched.rebudget`` count."""
+    records, span_records = [], []
     for tag, flow, design, kwargs in _runs():
-        try:
-            result = flow(design, library, **kwargs)
-        except ReproError as exc:
-            records.append([tag, "error", type(exc).__name__, str(exc)])
+        with tracing() as tracer:
+            try:
+                result = flow(design, library, **kwargs)
+            except ReproError as exc:
+                result = None
+                records.append([tag, "error", type(exc).__name__, str(exc)])
+        span_records.append([
+            tag,
+            [sorted(span.attrs.items())
+             for span in _spans_named(tracer, "sched.attempt")],
+            len(_spans_named(tracer, "sched.rebudget")),
+        ])
+        if result is None:
             continue
         details = {key: value for key, value in result.details.items()
                    if key not in _WALL_CLOCK}
         records.append([tag, result.flow, result.metrics(),
                         sorted(details.items())])
-    return records
+    return records, span_records
+
+
+@pytest.fixture(scope="module")
+def records(traced_runs):
+    return traced_runs[0]
+
+
+@pytest.fixture(scope="module")
+def span_records(traced_runs):
+    return traced_runs[1]
 
 
 def test_the_pinned_runs_reach_every_relaxation_outcome(records):
@@ -91,3 +125,14 @@ def test_the_pinned_runs_reach_every_relaxation_outcome(records):
 def test_flow_details_match_the_pinned_digest(records):
     payload = json.dumps(records, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(payload).hexdigest() == _DIGEST
+
+
+def test_the_traced_runs_cover_every_attempt_and_rebudget(span_records):
+    assert len(span_records) == 89
+    assert sum(len(record[1]) for record in span_records) == 1577
+    assert sum(record[2] for record in span_records) == 1323
+
+
+def test_attempt_spans_match_the_pinned_digest(span_records):
+    payload = json.dumps(span_records, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == _SPAN_DIGEST
