@@ -12,17 +12,19 @@ bold steps of Fig. 8):
   timing degradation introduced by sharing/deferral is repaired on the fly
   by upgrading the remaining operations.
 
-The outer relaxation loop (add a resource instance, upgrade a grade) applies
-the same "expert system" moves as the conventional flow
-(:func:`repro.sched.relaxation.relax`).
+Everything else is the conventional flow's: :meth:`SlackScheduler.run`
+hands its re-budgeting pass to the relaxation loop both flows share
+(:mod:`repro.sched.relaxation`), which adds instances and upgrades grades
+until a pass succeeds.  The grades that loop upgrades stay locked, so
+re-budgeting cannot undo them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.errors import InfeasibleDesignError, TimingError
+from repro.errors import TimingError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
@@ -30,11 +32,15 @@ from repro.ir.operations import OpKind
 from repro.core.analysis_cache import AnalysisCache, default_cache
 from repro.core.budgeting import BudgetingResult, budget_slack
 from repro.obs.trace import span as _obs_span
-from repro.sched.allocation import Allocation, minimal_allocation
+from repro.sched.allocation import Allocation
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
 from repro.sched.priorities import combined_priority
-from repro.sched.relaxation import RelaxationLog, relax
+from repro.sched.relaxation import RelaxationLog, _relax_until_scheduled
 from repro.sched.schedule import Schedule
+
+#: Passes :meth:`SlackScheduler.run` makes before the design is declared
+#: unschedulable.
+_MAX_ATTEMPTS = 200
 
 
 @dataclass
@@ -68,9 +74,6 @@ class SlackScheduler:
     pipeline_ii:
         Initiation interval the list scheduler folds resource slots by
         (default: the design's).
-    max_relaxations:
-        Relaxation moves tried before the design is declared
-        unschedulable.
     artifacts:
         Optional precomputed per-point analyses
         (:class:`repro.flows.pipeline.PointArtifacts`); when given, the
@@ -88,9 +91,8 @@ class SlackScheduler:
         relaxation-heavy design points most rebuilds are cache hits.
 
     Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
-    schedule pass (a failed one names the relaxation move that followed it
-    in its ``move`` attribute) and one ``sched.rebudget`` span per per-edge
-    re-budget.
+    schedule pass (see :mod:`repro.sched.relaxation`) and one
+    ``sched.rebudget`` span per per-edge re-budget.
     """
 
     def __init__(
@@ -100,7 +102,6 @@ class SlackScheduler:
         clock_period: float,
         margin_fraction: float = 0.05,
         pipeline_ii: Optional[int] = None,
-        max_relaxations: int = 200,
         artifacts=None,
         cache: Optional[AnalysisCache] = None,
     ):
@@ -109,7 +110,6 @@ class SlackScheduler:
         self.clock_period = clock_period
         self.margin_fraction = margin_fraction
         self.pipeline_ii = pipeline_ii if pipeline_ii is not None else design.pipeline_ii
-        self.max_relaxations = max_relaxations
         self._cache = cache if cache is not None else default_cache()
 
         if artifacts is None:
@@ -125,50 +125,29 @@ class SlackScheduler:
     # -- public API -----------------------------------------------------------------
 
     def run(self) -> SlackScheduleResult:
-        """Run step 0 budgeting plus the relaxation/scheduling loop."""
+        """Run step 0 budgeting, then the relaxation loop over the pass."""
         initial_budget = budget_slack(
             self.design, self.library, self.clock_period,
             margin_fraction=self.margin_fraction,
             graph=self._timed.compact(), cache=self._cache,
         )
-        variants: Dict[str, Optional[ResourceVariant]] = dict(initial_budget.variants)
-        allocation = minimal_allocation(self.design, self.library, spans=self._spans,
-                                        pipeline_ii=self.pipeline_ii)
-        log = RelaxationLog()
         self._rebudget_count = 0
-
-        for _ in range(self.max_relaxations):
-            log.count_attempt()
-            with _obs_span("sched.attempt", flow="slack-based",
-                           attempt=log.attempts) as attempt_span:
-                attempt, working = self._schedule_pass(variants, allocation)
-                if not attempt.success:
-                    attempt_span.set(failure=attempt.failure.reason)
-            # Carry the grades the pass actually used (re-budgeting and
-            # on-the-fly upgrades included) into the next attempt, so the
-            # relaxation repairs the real configuration.
-            variants = working
-            if attempt.success:
-                schedule = attempt.schedule
-                final_variants = dict(variants)
-                for item in schedule.items:
-                    final_variants[item.op] = item.variant
-                return SlackScheduleResult(
-                    schedule=schedule,
-                    variants=final_variants,
-                    allocation=allocation,
-                    initial_budget=initial_budget,
-                    rebudget_count=self._rebudget_count,
-                    relaxation=log,
-                )
-            upgraded = relax(self.design, self.library, self.clock_period,
-                             attempt.failure, variants, allocation, log)
-            attempt_span.set(move=log.messages[-1])
-            if upgraded is not None:
-                self._locked[upgraded] = variants[upgraded]
-        raise InfeasibleDesignError(
-            f"design {self.design.name!r} still unschedulable after "
-            f"{self.max_relaxations} relaxations"
+        schedule, allocation, variants, log = _relax_until_scheduled(
+            self.design, self.library, self.clock_period,
+            initial_budget.variants, self._spans, self.pipeline_ii,
+            self._schedule_pass, _MAX_ATTEMPTS, "slack-based",
+            locked=self._locked,
+        )
+        final_variants = dict(variants)
+        for item in schedule.items:
+            final_variants[item.op] = item.variant
+        return SlackScheduleResult(
+            schedule=schedule,
+            variants=final_variants,
+            allocation=allocation,
+            initial_budget=initial_budget,
+            rebudget_count=self._rebudget_count,
+            relaxation=log,
         )
 
     # -- internals --------------------------------------------------------------------
@@ -177,15 +156,17 @@ class SlackScheduler:
         self,
         variants: Dict[str, Optional[ResourceVariant]],
         allocation: Allocation,
-    ) -> Tuple[SchedulingAttempt, Dict[str, Optional[ResourceVariant]]]:
+        pipeline_ii: Optional[int],
+    ) -> SchedulingAttempt:
         """One schedule pass with per-edge re-budgeting.
 
-        Returns the attempt plus the working variant map the pass ended with.
+        Writes the grades the pass uses into ``variants``: the locked
+        grades first, then each re-budget's and each on-the-fly upgrade,
+        so the relaxation that follows repairs the real configuration.
         """
-        working = dict(variants)
-        working.update(self._locked)
+        variants.update(self._locked)
         delays = {
-            op.name: self.library.operation_delay(op, working.get(op.name))
+            op.name: self.library.operation_delay(op, variants.get(op.name))
             for op in self.design.dfg.operations if op.kind is not OpKind.CONST
         }
         pass_timing = self._cache.sequential_slack(self._timed, delays,
@@ -213,7 +194,7 @@ class SlackScheduler:
                     rebudget = budget_slack(
                         self.design, self.library, self.clock_period,
                         margin_fraction=self.margin_fraction, graph=graph,
-                        initial_variants={k: v for k, v in working.items()
+                        initial_variants={k: v for k, v in variants.items()
                                           if v is not None and k in pending},
                         pinned_variants=pinned_variants,
                         cache=self._cache,
@@ -225,14 +206,13 @@ class SlackScheduler:
             self._rebudget_count += 1
             for name in pending:
                 if name in rebudget.variants:
-                    working[name] = rebudget.variants[name]
+                    variants[name] = rebudget.variants[name]
             new_priority = combined_priority(rebudget.timing, new_spans)
-            return (new_spans, working, new_priority)
+            return (new_spans, None, new_priority)
 
-        attempt = try_list_schedule(
-            self.design, self.library, self.clock_period, working, allocation,
+        return try_list_schedule(
+            self.design, self.library, self.clock_period, variants, allocation,
             spans=self._spans, latency=self._latency, priority=priority,
-            pipeline_ii=self.pipeline_ii, post_edge_hook=post_edge_hook,
+            pipeline_ii=pipeline_ii, post_edge_hook=post_edge_hook,
             upgrade_on_last_chance=True,
         )
-        return attempt, working

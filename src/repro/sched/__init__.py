@@ -4,8 +4,9 @@ This package provides the *conventional* scheduling machinery (the paper's
 Fig. 8 without the bold steps): resource-constrained list scheduling over the
 topologically-sorted CFG edges, minimal resource allocation, and the
 "expert system" relaxation loop that adds resources or upgrades speed grades
-when a schedule attempt fails.  The slack-guided enhancement lives in
-:mod:`repro.core.slack_scheduler` and reuses these building blocks.
+when a schedule attempt fails.  Both flows run that one loop
+(:mod:`repro.sched.relaxation`); the slack-guided enhancement in
+:mod:`repro.core.slack_scheduler` hands it a pass with the bold steps added.
 """
 
 from repro.sched.schedule import Schedule, ScheduledOp

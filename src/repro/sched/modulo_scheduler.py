@@ -229,12 +229,12 @@ def try_modulo_schedule(
     latency: Optional[LatencyAnalysis] = None,
     priority: Optional[PriorityFn] = None,
     pipeline_ii: Optional[int] = None,
-    post_edge_hook=None,
     upgrade_on_last_chance: bool = False,
 ) -> SchedulingAttempt:
     """One modulo-scheduling pass at initiation interval ``pipeline_ii``.
 
-    Same signature and result contract as :func:`try_list_schedule`, plus
+    Same signature and result contract as :func:`try_list_schedule` (less
+    its ``post_edge_hook``: no flow re-budgets a modulo pass), plus
     one extra structured failure reason ``"recurrence"``: the loop-carried
     dependences do not fit at this II no matter where operations are placed.
     The relaxation loop maps that reason to an II bump, exactly as it maps
@@ -261,8 +261,7 @@ def try_modulo_schedule(
         attempt = try_list_schedule(
             design, library, clock_period, variant_map, allocation,
             spans=view, latency=latency, priority=priority,
-            pipeline_ii=ii, post_edge_hook=post_edge_hook,
-            upgrade_on_last_chance=upgrade_on_last_chance,
+            pipeline_ii=ii, upgrade_on_last_chance=upgrade_on_last_chance,
         )
         if not attempt.success:
             return attempt

@@ -1,32 +1,38 @@
 """The scheduling relaxation loop ("expert system" of the paper's Fig. 8).
 
-``schedule_with_relaxation`` repeatedly calls the list scheduler; whenever a
-pass fails it inspects the structured failure and relaxes the problem:
+Both flows run one loop, :func:`_relax_until_scheduled`.  It repeats a
+schedule pass until one succeeds, and after each failed pass it relaxes the
+problem according to the structured failure:
 
 * a **resource** failure adds one instance of the bottleneck class;
 * a **timing** failure upgrades the speed grade of the failing operation (or,
   if it is already at its fastest grade, of the slowest upgradable operation
   chained before it on that edge);
 * an **unreachable** failure (a predecessor could never be scheduled) is
-  treated like a resource failure on the predecessor's class when possible.
+  treated like a resource failure on the predecessor's class when possible;
+* under the modulo engine only, a **recurrence** failure (or a repeat of the
+  previous failure) raises the initiation interval by one.
 
-The moves live in :func:`relax`, which the slack-guided scheduler's loop
-(:class:`repro.core.slack_scheduler.SlackScheduler`) calls too.  When no
-relaxation can make progress an :class:`InfeasibleDesignError` is
-raised — the paper's "design is overconstrained" outcome.  Adding states is
-only possible by re-elaborating the design with a larger latency, which the
-DSE harness does explicitly; the relaxation loop itself never changes the CFG.
+The flows differ only in the pass they hand it: :func:`schedule_with_relaxation`
+passes one list- or modulo-scheduling call, and
+:class:`repro.core.slack_scheduler.SlackScheduler` its re-budgeting pass,
+which keeps the grades :func:`relax` upgrades locked (in the conventional
+flow, locks would undo the on-the-fly upgrades).  When no move applies, or
+the attempts run out, an :class:`InfeasibleDesignError` is raised — the
+paper's "design is overconstrained" outcome.  The loop never changes the
+CFG: more states take a design re-elaborated with a larger latency, which
+the DSE harness builds explicitly.
 
 Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
-pass, labelled with the enclosing span's flow, the attempt number and, when
-the pass fails, the failure reason and the move that followed it (``move``,
-the :class:`RelaxationLog` message).
+pass, labelled with the flow, the attempt number and, when the pass fails,
+the failure reason and the move that followed it (``move``, the
+:class:`RelaxationLog` message).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import InfeasibleDesignError
 from repro.ir.design import Design
@@ -47,6 +53,10 @@ _ATTEMPTS = _obs_counter("relaxation.attempts")
 _II_BUMPS = _obs_counter("relaxation.ii_bumps")
 _RESOURCES_ADDED = _obs_counter("relaxation.resources_added")
 _UPGRADES = _obs_counter("relaxation.upgrades")
+
+#: Passes :func:`schedule_with_relaxation` makes before the design is
+#: declared unschedulable.
+_MAX_ATTEMPTS = 500
 
 
 @dataclass
@@ -184,99 +194,121 @@ def relax(
     )
 
 
-def schedule_with_relaxation(
+def _relax_until_scheduled(
     design: Design,
     library: Library,
     clock_period: float,
     variant_map: Mapping[str, Optional[ResourceVariant]],
-    allocation: Optional[Allocation] = None,
-    spans: Optional[OperationSpans] = None,
-    latency: Optional[LatencyAnalysis] = None,
-    priority: Optional[PriorityFn] = None,
-    pipeline_ii: Optional[int] = None,
-    max_attempts: int = 500,
-    scheduler=None,
+    spans: OperationSpans,
+    pipeline_ii: Optional[int],
+    schedule_pass: Callable[..., SchedulingAttempt],
+    max_attempts: int,
+    flow: object,
+    modulo: bool = False,
+    locked: Optional[Dict[str, ResourceVariant]] = None,
 ) -> Tuple[Schedule, Allocation, Dict[str, Optional[ResourceVariant]], RelaxationLog]:
-    """Schedule ``design``, relaxing resources/grades until a pass succeeds.
+    """The relaxation loop both flows run (module docstring).
 
-    ``scheduler`` selects the scheduling engine — any callable with
-    :func:`try_list_schedule`'s signature; the pipelined flow passes
-    :func:`repro.sched.modulo_scheduler.try_modulo_schedule`.  A structured
-    ``"recurrence"`` failure (only the modulo engine emits it) is relaxed by
-    *bumping the initiation interval* by one, the same kind of move as a
-    grade upgrade or an added instance: the minimal allocation is recomputed
-    at the new II (slots are capped at II, so a larger II may need fewer
-    instances) unless the caller pinned an explicit ``allocation``.  The II
-    never grows beyond the design's state count, at which point the loop no
-    longer overlaps at all.  Every pass upgrades a grade on the fly when an
-    operation's chained delay does not fit on the last edge of its span.
+    Starts from a copy of ``variant_map`` and the minimal allocation at
+    ``pipeline_ii``, and calls ``schedule_pass(variants, allocation, ii)``
+    at most ``max_attempts`` times, one ``sched.attempt`` span labelled
+    ``flow`` each.  Only with ``modulo`` may a move bump the II.
+    ``locked``, when given, receives each grade :func:`relax` upgrades.
+    Returns the schedule, the final allocation and grades, and the log.
     """
-    latency = latency or LatencyAnalysis(design.cfg)
-    spans = spans or OperationSpans(design, latency=latency)
-    pinned_allocation = allocation is not None
-    current_ii = pipeline_ii
-    allocation = (allocation or
-                  minimal_allocation(design, library, spans=spans,
-                                     pipeline_ii=current_ii)).copy()
+    allocation = minimal_allocation(design, library, spans=spans,
+                                    pipeline_ii=pipeline_ii)
     variants: Dict[str, Optional[ResourceVariant]] = dict(variant_map)
-    scheduler = scheduler or try_list_schedule
-    max_ii = max(len(latency.forward_edge_names), 1)
     log = RelaxationLog()
     last_signature = None
-    flow = enclosing_attr("flow")
 
     for _ in range(max_attempts):
         log.count_attempt()
         with _obs_span("sched.attempt", flow=flow,
                        attempt=log.attempts) as attempt_span:
-            attempt: SchedulingAttempt = scheduler(
-                design, library, clock_period, variants, allocation,
-                spans=spans, latency=latency, priority=priority,
-                pipeline_ii=current_ii, upgrade_on_last_chance=True,
-            )
+            attempt = schedule_pass(variants, allocation, pipeline_ii)
             if not attempt.success:
                 attempt_span.set(failure=attempt.failure.reason)
         if attempt.success:
-            log.final_ii = getattr(attempt.schedule, "pipeline_ii", None)
+            log.final_ii = attempt.schedule.pipeline_ii
             return attempt.schedule, allocation, variants, log
         failure = attempt.failure
-        # Under the modulo engine, a relaxation that reproduces the
-        # *identical* failure made no progress: a carried-dependence clamp,
-        # not the reported shortage, squeezed the failing chain — relax the
-        # II instead.  The block engine has no such clamp and may legally
-        # repeat a signature while upgrading different ancestor-cone ops
-        # (Case 2), so it keeps relaxing until a move is exhausted (the
-        # raise paths of :func:`relax`) or ``max_attempts`` runs out.
+        # Under the modulo engine, a repeat of the *identical* failure means
+        # the last move made no progress: a carried-dependence clamp, not the
+        # reported shortage, squeezed the chain, so the II is relaxed.  The
+        # block engine has no such clamp and may repeat a failure while
+        # upgrading different ancestor-cone ops (Case 2).
         signature = (failure.op, failure.edge, failure.reason,
                      failure.class_key, failure.blocking_class_key,
                      failure.detail)
-        stalled = signature == last_signature
-        last_signature = signature
-        can_bump = scheduler is not try_list_schedule
-        if failure.reason == "recurrence" or (stalled and can_bump):
-            last_signature = None
-            bumped = (current_ii or design.pipeline_ii or 1) + 1
+        bump = modulo and (failure.reason == "recurrence"
+                           or signature == last_signature)
+        last_signature = None if bump else signature
+        if bump:
+            bumped = (pipeline_ii or design.pipeline_ii or 1) + 1
+            max_ii = max(len(spans.latency.forward_edge_names), 1)
             if bumped > max_ii:
                 raise InfeasibleDesignError(
                     f"recurrences of design {design.name!r} do not fit even "
                     f"at II={max_ii} (no iteration overlap left): {failure}"
                 )
-            current_ii = bumped
+            pipeline_ii = bumped
             log.ii_bumps.append(bumped)
             _II_BUMPS.inc()
             log.note(f"raised the initiation interval to {bumped} after a "
                      f"recurrence failure on {failure.op}")
-            if not pinned_allocation:
-                # Restart from the minimal allocation at the new II: a wider
-                # window needs fewer instances, and that trade is the whole
-                # point of the II axis.  Instances added at the old II are
-                # dropped; the loop re-adds any that are still needed.
-                allocation = minimal_allocation(design, library, spans=spans,
-                                                pipeline_ii=bumped)
+            # Restart from the minimal allocation at the new II: a wider
+            # window needs fewer instances, and that trade is the whole
+            # point of the II axis.  Instances added at the old II are
+            # dropped; the loop re-adds any that are still needed.
+            allocation = minimal_allocation(design, library, spans=spans,
+                                            pipeline_ii=bumped)
         else:
-            relax(design, library, clock_period, failure, variants,
-                  allocation, log)
+            upgraded = relax(design, library, clock_period, failure, variants,
+                             allocation, log)
+            if locked is not None and upgraded is not None:
+                locked[upgraded] = variants[upgraded]
         attempt_span.set(move=log.messages[-1])
     raise InfeasibleDesignError(
         f"design {design.name!r} still unschedulable after {max_attempts} relaxations"
+    )
+
+
+def schedule_with_relaxation(
+    design: Design,
+    library: Library,
+    clock_period: float,
+    variant_map: Mapping[str, Optional[ResourceVariant]],
+    spans: Optional[OperationSpans] = None,
+    latency: Optional[LatencyAnalysis] = None,
+    priority: Optional[PriorityFn] = None,
+    pipeline_ii: Optional[int] = None,
+    scheduler=None,
+) -> Tuple[Schedule, Allocation, Dict[str, Optional[ResourceVariant]], RelaxationLog]:
+    """Schedule ``design``, relaxing resources/grades until a pass succeeds.
+
+    ``scheduler`` selects the engine — any callable with
+    :func:`try_list_schedule`'s signature; any engine but the list scheduler
+    is taken to be the modulo engine
+    (:func:`repro.sched.modulo_scheduler.try_modulo_schedule`, which the
+    pipelined flows pass).  Its moves include *bumping the initiation
+    interval* by one, which recomputes the minimal allocation at the new II
+    (slots are capped at II, so a larger II may need fewer instances); the
+    II never grows beyond the design's state count.  Every pass upgrades a
+    grade on the fly when an operation's chained delay does not fit on the
+    last edge of its span.  At most :data:`_MAX_ATTEMPTS` passes are made.
+    """
+    latency = latency or LatencyAnalysis(design.cfg)
+    spans = spans or OperationSpans(design, latency=latency)
+    engine = scheduler or try_list_schedule
+
+    def schedule_pass(variants, allocation, ii) -> SchedulingAttempt:
+        return engine(design, library, clock_period, variants, allocation,
+                      spans=spans, latency=latency, priority=priority,
+                      pipeline_ii=ii, upgrade_on_last_chance=True)
+
+    return _relax_until_scheduled(
+        design, library, clock_period, variant_map, spans, pipeline_ii,
+        schedule_pass, _MAX_ATTEMPTS, enclosing_attr("flow"),
+        modulo=engine is not try_list_schedule,
     )

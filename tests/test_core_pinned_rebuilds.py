@@ -16,7 +16,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import analysis_cache, slack_scheduler
+from repro.core import analysis_cache
 from repro.core.analysis_cache import AnalysisCache, design_fingerprint
 from repro.core.delta_slack import DeltaSlackEvaluator
 from repro.core.graphkit import arrival_kernel, required_kernel
@@ -194,7 +194,6 @@ def test_failed_sched_attempts_name_the_move_that_followed(
             logs.append(self)
 
     monkeypatch.setattr(relaxation, "RelaxationLog", _KeptLog)
-    monkeypatch.setattr(slack_scheduler, "RelaxationLog", _KeptLog)
     design = IDCTPointFactory(rows=1)(_POINTS[name])
     with tracing() as tracer:
         conventional_flow(design, library, scheduling=scheduling)

@@ -115,11 +115,10 @@ SCHEDULING_PARAMETERS = {
         "area_recovery", "artifacts", "scheduling"),
     "repro.core.slack_scheduler:SlackScheduler": (
         "design", "library", "clock_period", "margin_fraction", "pipeline_ii",
-        "max_relaxations", "artifacts", "cache"),
+        "artifacts", "cache"),
     "repro.sched.relaxation:schedule_with_relaxation": (
-        "design", "library", "clock_period", "variant_map", "allocation",
-        "spans", "latency", "priority", "pipeline_ii", "max_attempts",
-        "scheduler"),
+        "design", "library", "clock_period", "variant_map", "spans",
+        "latency", "priority", "pipeline_ii", "scheduler"),
     "repro.sched.relaxation:relax": (
         "design", "library", "clock_period", "failure", "variants",
         "allocation", "log"),
@@ -129,7 +128,7 @@ SCHEDULING_PARAMETERS = {
         "upgrade_on_last_chance"),
     "repro.sched.modulo_scheduler:try_modulo_schedule": (
         "design", "library", "clock_period", "variant_map", "allocation",
-        "spans", "latency", "priority", "pipeline_ii", "post_edge_hook",
+        "spans", "latency", "priority", "pipeline_ii",
         "upgrade_on_last_chance"),
     "repro.sched.asap_alap:asap_schedule": (
         "design", "library", "clock_period", "variant_map"),

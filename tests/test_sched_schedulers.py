@@ -3,14 +3,15 @@
 import pytest
 
 from repro.errors import InfeasibleDesignError, SchedulingError
-from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
+from repro.flows import idct_design_points
 from repro.ir.operations import OpKind
 from repro.sched.allocation import Allocation, minimal_allocation, resource_class_key
 from repro.sched.asap_alap import alap_schedule, asap_schedule
 from repro.sched.list_scheduler import try_list_schedule
 from repro.sched.priorities import combined_priority, mobility_priority, slack_priority
 from repro.sched.relaxation import schedule_with_relaxation
+from repro.workloads import IDCTPointFactory
 
 
 def fastest_variants(design, library):
@@ -89,15 +90,22 @@ def test_upgrade_on_last_chance_repairs_timing(interpolation, library):
         assert attempt.failure.reason in ("timing", "resource")
 
 
-def test_relaxation_reaches_a_feasible_schedule(interpolation, library):
-    variants = fastest_variants(interpolation, library)
-    tight = Allocation({("mul", 8): 1, ("add", 16): 1})
+def test_relaxation_reaches_a_feasible_schedule(library):
+    # IDCT rows=1 D8 at 1500 ps: the minimal allocation is too small, so the
+    # loop adds add/sub instances over five passes.
+    point = {p.name: p for p in idct_design_points(clock_period=1500.0)}["D8"]
+    design = IDCTPointFactory(rows=1)(point)
+    variants = fastest_variants(design, library)
     schedule, allocation, final_variants, log = schedule_with_relaxation(
-        interpolation, library, 1100.0, variants, allocation=tight)
+        design, library, 1500.0, variants)
     assert schedule.is_complete()
-    assert allocation.limits[("mul", 8)] >= 2
-    assert log.attempts >= 2
-    assert log.resources_added
+    assert schedule.validate() == []
+    minimal = minimal_allocation(design, library)
+    for key in (("add", 16), ("sub", 16)):
+        assert allocation.limits[key] > minimal.limits[key]
+    assert log.attempts == 5
+    assert set(log.resources_added) == {("add", 16), ("sub", 16)}
+    assert not log.upgrades
 
 
 def test_relaxation_raises_for_impossible_clock(interpolation, library):
