@@ -15,11 +15,10 @@ on to retain its budgeted area savings through binding).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import BindingError
 from repro.ir.design import Design
-from repro.ir.operations import OpKind
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.sched.allocation import ClassKey, resource_class_key
@@ -99,13 +98,12 @@ def bind_operations(
     library: Library,
     schedule: Schedule,
     pipeline_ii: Optional[int] = None,
-    mux_penalty_per_port: Optional[float] = None,
 ) -> Binding:
     """Bind all scheduled synthesizable operations to functional units.
 
-    ``mux_penalty_per_port`` is the estimated area cost of adding one more
-    source to each input multiplexer of an instance; it defaults to the
-    technology's 2-to-1 mux cost times the class width.
+    Sharing an instance costs one more source on each of its input
+    multiplexers, estimated as the technology's 2-to-1 mux cost times the
+    class width per operand.
     """
     pipeline_ii = pipeline_ii if pipeline_ii is not None else design.pipeline_ii
     technology = library.technology
@@ -128,9 +126,7 @@ def bind_operations(
 
     for key, step, variant, op in ops:
         width = key[1]
-        penalty = (mux_penalty_per_port
-                   if mux_penalty_per_port is not None
-                   else technology.mux2_area_per_bit * width * len(op.operand_widths))
+        penalty = technology.mux2_area_per_bit * width * len(op.operand_widths)
         best: Optional[Tuple[float, FUInstance, ResourceVariant]] = None
         for instance in instances:
             if instance.class_key != key:

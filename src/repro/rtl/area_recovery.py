@@ -52,6 +52,11 @@ from repro.rtl.timing import StateTimingReport, analyze_state_timing
 
 _EPS = 1e-6
 
+#: Candidate sweeps either pass makes at most.  The incremental pass may
+#: accept one downgrade per independent instance group in a round, the
+#: reference pass only one, so the bound is looser for the former.
+_MAX_ROUNDS = 1000
+
 
 @dataclass
 class AreaRecoveryResult:
@@ -136,26 +141,21 @@ def _instance_components(datapath: Datapath) -> Dict[str, int]:
     return components
 
 
-def recover_area(datapath: Datapath, register_margin: float = 0.0,
-                 max_rounds: int = 1000) -> AreaRecoveryResult:
+def recover_area(datapath: Datapath) -> AreaRecoveryResult:
     """Downsize bound instances using within-state slack only (in place).
 
     Incremental implementation: see the module docstring for the policy and
     the equivalence argument against :func:`recover_area_reference`.
-    ``max_rounds`` bounds the number of candidate sweeps; unlike the
-    reference (which accepts at most one downgrade per round) a single round
-    here may accept one downgrade per independent instance group, so the
-    bound is looser for the same workload.
     """
     area_before = datapath.binding.total_fu_area()
     downgrades = 0
     changed: List[str] = []
 
-    analyzer = IncrementalStateTiming(datapath, register_margin=register_margin)
+    analyzer = IncrementalStateTiming(datapath)
     if analyzer.report.meets_timing():
         components = _instance_components(datapath)
         failed_trials: Set[Tuple[str, str]] = set()
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             candidates = _downgrade_candidates(datapath, analyzer.report)
             touched: Set[int] = set()
             accepted_any = False
@@ -192,8 +192,7 @@ def recover_area(datapath: Datapath, register_margin: float = 0.0,
     )
 
 
-def recover_area_reference(datapath: Datapath, register_margin: float = 0.0,
-                           max_rounds: int = 1000) -> AreaRecoveryResult:
+def recover_area_reference(datapath: Datapath) -> AreaRecoveryResult:
     """The original full-recompute pass (executable specification).
 
     Accepts at most one downgrade per round and re-runs a complete
@@ -205,8 +204,8 @@ def recover_area_reference(datapath: Datapath, register_margin: float = 0.0,
     downgrades = 0
     changed: List[str] = []
 
-    for _ in range(max_rounds):
-        timing = analyze_state_timing(datapath, register_margin=register_margin)
+    for _ in range(_MAX_ROUNDS):
+        timing = analyze_state_timing(datapath)
         if not timing.meets_timing():
             break  # never make a failing implementation worse
         candidates = _downgrade_candidates(datapath, timing)
@@ -217,7 +216,7 @@ def recover_area_reference(datapath: Datapath, register_margin: float = 0.0,
             instance = datapath.binding.instance_by_name(instance_name)
             previous = instance.variant
             instance.variant = slower
-            trial = analyze_state_timing(datapath, register_margin=register_margin)
+            trial = analyze_state_timing(datapath)
             if trial.meets_timing():
                 downgrades += 1
                 if instance_name not in changed:

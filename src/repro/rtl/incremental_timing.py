@@ -46,14 +46,11 @@ class IncrementalStateTiming:
         lifetime of this object; instance *variants* may change freely as
         long as every change is reported via :meth:`patch_instance` (or the
         affected edges are re-synced via :meth:`recompute_edges`).
-    register_margin:
-        Same meaning as in :func:`analyze_state_timing`.
     """
 
-    def __init__(self, datapath: Datapath, register_margin: float = 0.0):
+    def __init__(self, datapath: Datapath):
         self.datapath = datapath
-        self.register_margin = register_margin
-        self._kernel = StateTimingKernel(datapath, register_margin)
+        self._kernel = StateTimingKernel(datapath)
         self.report: StateTimingReport = self._kernel.full_report()
 
     # -- patching ----------------------------------------------------------------
@@ -117,13 +114,13 @@ class IncrementalStateTiming:
 
     # -- queries -------------------------------------------------------------------
 
-    def edges_meet_timing(self, edges: Iterable[str], margin: float = 0.0) -> bool:
+    def edges_meet_timing(self, edges: Iterable[str]) -> bool:
         """True when every state in ``edges`` fits the clock period.
 
         When the report met timing globally before a patch confined to
         ``edges``, this is equivalent to (and much cheaper than) a global
         :meth:`StateTimingReport.meets_timing` check.
         """
-        limit = self.report.clock_period + abs(margin) + _EPS
+        limit = self.report.clock_period + _EPS
         critical = self.report.state_critical_path
         return all(critical.get(edge, 0.0) <= limit for edge in edges)

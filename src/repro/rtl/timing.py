@@ -59,11 +59,11 @@ class StateTimingReport:
             return self.clock_period
         return self.clock_period - max(self.state_critical_path.values())
 
-    def meets_timing(self, margin: float = 0.0) -> bool:
-        return self.worst_state_slack >= -abs(margin) - _EPS
+    def meets_timing(self) -> bool:
+        return self.worst_state_slack >= -_EPS
 
-    def violations(self, margin: float = 0.0) -> List[str]:
-        limit = self.clock_period + abs(margin) + _EPS
+    def violations(self) -> List[str]:
+        limit = self.clock_period + _EPS
         return [edge for edge, finish in self.state_critical_path.items()
                 if finish > limit]
 
@@ -111,7 +111,7 @@ def recompute_state(
 
     ``edge_ops`` must be the scheduled operations of a single CFG edge in DFG
     topological order (see :func:`scheduled_ops_by_edge`); ``usable_period``
-    is the clock period minus the register margin.  Returns
+    is the clock period (see :func:`usable_clock_period`).  Returns
     ``(op_start, op_finish, op_slack, critical_path)`` for exactly those
     operations.  Chains never leave a state, so the result is independent of
     every other state — the property the incremental patching relies on.
@@ -153,12 +153,11 @@ def recompute_state(
     return op_start, op_finish, op_slack, critical
 
 
-def usable_clock_period(datapath: Datapath, register_margin: float) -> float:
-    """Clock period left for combinational logic after the register margin."""
-    usable = datapath.clock_period - register_margin
-    if usable <= 0:
-        raise TimingError("register margin leaves no usable clock period")
-    return usable
+def usable_clock_period(datapath: Datapath) -> float:
+    """The clock period combinational logic may use; it must be positive."""
+    if datapath.clock_period <= 0:
+        raise TimingError("clock period must be positive")
+    return datapath.clock_period
 
 
 class StateTimingKernel:
@@ -181,10 +180,9 @@ class StateTimingKernel:
     to the reference (and identical between full and patched evaluations).
     """
 
-    def __init__(self, datapath: Datapath, register_margin: float = 0.0):
+    def __init__(self, datapath: Datapath):
         self.datapath = datapath
-        self.register_margin = register_margin
-        self.usable_period = usable_clock_period(datapath, register_margin)
+        self.usable_period = usable_clock_period(datapath)
         self._groups: Dict[str, List[str]] = scheduled_ops_by_edge(datapath)
         #: edge -> (ops, static_delays, instances, pred_positions, succ_positions)
         self._interned: Dict[str, tuple] = {}
@@ -318,25 +316,21 @@ class StateTimingKernel:
         )
 
 
-def analyze_state_timing(datapath: Datapath,
-                         register_margin: float = 0.0) -> StateTimingReport:
+def analyze_state_timing(datapath: Datapath) -> StateTimingReport:
     """Recompute within-state chains using bound-instance delays.
 
-    ``register_margin`` is subtracted from the clock period to model register
-    setup plus clock-to-q overhead (0 by default, matching the paper's
-    illustrative examples which ignore it).  Runs on a fresh
+    Register setup and clock-to-q overhead are not modelled, as in the
+    paper's illustrative examples.  Runs on a fresh
     :class:`StateTimingKernel`; bit-for-bit equal to
     :func:`analyze_state_timing_reference`.
     """
-    return StateTimingKernel(datapath, register_margin).full_report()
+    return StateTimingKernel(datapath).full_report()
 
 
-def analyze_state_timing_reference(datapath: Datapath,
-                                   register_margin: float = 0.0,
-                                   ) -> StateTimingReport:
+def analyze_state_timing_reference(datapath: Datapath) -> StateTimingReport:
     """The original full recompute via :func:`recompute_state`, kept as the
     executable specification of the interned kernel."""
-    usable = usable_clock_period(datapath, register_margin)
+    usable = usable_clock_period(datapath)
 
     op_start: Dict[str, float] = {}
     op_finish: Dict[str, float] = {}

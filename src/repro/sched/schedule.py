@@ -8,12 +8,14 @@ A :class:`Schedule` records, for every operation, the CFG edge it executes on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.errors import SchedulingError
 from repro.ir.design import Design
 from repro.lib.resource import ResourceVariant
+
+_EPS = 1e-6
 
 
 @dataclass
@@ -141,7 +143,7 @@ class Schedule:
 
     # -- validation ---------------------------------------------------------------
 
-    def validate(self, margin: float = 1e-6) -> List[str]:
+    def validate(self) -> List[str]:
         """Check data-dependency and clock-period consistency.
 
         Returns a list of violation messages (empty when the schedule is
@@ -161,13 +163,13 @@ class Schedule:
                     f"{edge.dst} (step {dst.step}) scheduled before its producer "
                     f"{edge.src} (step {src.step})"
                 )
-            elif dst.step == src.step and dst.start + margin < src.finish:
+            elif dst.step == src.step and dst.start + _EPS < src.finish:
                 problems.append(
                     f"{edge.dst} starts at {dst.start:.1f} before {edge.src} "
                     f"finishes at {src.finish:.1f} in the same step"
                 )
         for item in self._items.values():
-            if item.finish > self.clock_period + margin:
+            if item.finish > self.clock_period + _EPS:
                 problems.append(
                     f"{item.op} finishes at {item.finish:.1f} ps, beyond the clock "
                     f"period {self.clock_period:.1f} ps"

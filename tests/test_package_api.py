@@ -102,8 +102,9 @@ def test_dir_lists_lazy_names():
     assert "AdaptiveExplorer" in listing
 
 
-#: The parameters of the scheduling path's entry points, by
-#: ``module:attribute`` (a class stands for its constructor).  Every option
+#: The parameters of the scheduling path's and the back end's entry points,
+#: by ``module:attribute`` (a class stands for its constructor, ``A.b`` for
+#: method ``b`` of class ``A``).  Every option
 #: here has a caller that sets it; adding or removing one is a deliberate API
 #: change, made in this table in the same change.
 SCHEDULING_PARAMETERS = {
@@ -145,6 +146,21 @@ SCHEDULING_PARAMETERS = {
     "repro.core.timed_dfg:build_timed_dfg": ("design", "spans", "latency"),
     "repro.core.timed_dfg:build_cyclic_timed_dfg": (
         "design", "ii", "spans", "latency"),
+    # The back end the flows run after scheduling.
+    "repro.bind.binding:bind_operations": (
+        "design", "library", "schedule", "pipeline_ii"),
+    "repro.rtl.timing:analyze_state_timing": ("datapath",),
+    "repro.rtl.timing:analyze_state_timing_reference": ("datapath",),
+    "repro.rtl.timing:usable_clock_period": ("datapath",),
+    "repro.rtl.timing:StateTimingKernel": ("datapath",),
+    "repro.rtl.timing:StateTimingReport.meets_timing": ("self",),
+    "repro.rtl.timing:StateTimingReport.violations": ("self",),
+    "repro.rtl.incremental_timing:IncrementalStateTiming": ("datapath",),
+    "repro.rtl.incremental_timing:IncrementalStateTiming.edges_meet_timing": (
+        "self", "edges"),
+    "repro.rtl.area_recovery:recover_area": ("datapath",),
+    "repro.rtl.area_recovery:recover_area_reference": ("datapath",),
+    "repro.sched.schedule:Schedule.validate": ("self",),
 }
 
 
@@ -152,6 +168,8 @@ def test_scheduling_entry_points_keep_their_parameters():
     found = {}
     for target in SCHEDULING_PARAMETERS:
         module_name, attribute = target.split(":")
-        entry = getattr(importlib.import_module(module_name), attribute)
+        entry = importlib.import_module(module_name)
+        for name in attribute.split("."):
+            entry = getattr(entry, name)
         found[target] = tuple(inspect.signature(entry).parameters)
     assert found == SCHEDULING_PARAMETERS

@@ -110,14 +110,6 @@ def test_instance_edges_index_matches_schedule(small_idct, library):
         datapath.instance_edges("no_such_instance")
 
 
-def test_register_margin_is_honoured(small_fir, library):
-    datapath = _fresh_datapath(small_fir, library, 1500.0)
-    analyzer = IncrementalStateTiming(datapath, register_margin=100.0)
-    _assert_reports_identical(analyzer.report,
-                              analyze_state_timing(datapath,
-                                                   register_margin=100.0))
-
-
 # -- recover_area equivalence -------------------------------------------------------
 
 

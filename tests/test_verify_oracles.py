@@ -127,7 +127,7 @@ def test_outcome_details_name_the_disagreement(monkeypatch):
     import repro.verify.oracles as oracles_mod
     from repro.rtl.area_recovery import AreaRecoveryResult
 
-    def no_recovery(datapath, register_margin=0.0, max_rounds=1000):
+    def no_recovery(datapath):
         area = datapath.binding.total_fu_area()
         return AreaRecoveryResult(downgrades=0, area_before=area,
                                   area_after=area)
