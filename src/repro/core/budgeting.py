@@ -18,8 +18,10 @@ are treated as equal ("slack binning"), which the paper reports speeds up
 convergence with negligible quality impact.
 
 The result maps every operation to a delay, a library variant and the final
-timing, and is consumed both by the slack-guided scheduler (as its initial
-resource selection) and by the stand-alone feasibility check of Prop. 1.
+timing.  The slack-guided scheduler consumes it as its initial resource
+selection (step 0) and again after every scheduled CFG edge (the per-edge
+re-budget); the pipelined slack-based flow budgets once, on the cyclic
+timed DFG.
 """
 
 from __future__ import annotations

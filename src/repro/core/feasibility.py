@@ -4,8 +4,9 @@ If every operation has positive *aligned* sequential slack under a dedicated
 (one resource per operation) binding, then a feasible schedule exists whose
 netlist meets timing; conversely, negative aligned slack after budgeting
 proves that no schedule can meet timing with the given latency and clock.
-These checks are cheap (one slack computation) and are used by the flows as
-an early-out before full scheduling and binding.
+These checks are cheap (one slack computation).  They are a library entry
+point for testing Proposition 1 on a design; neither flow calls them, since
+the flows learn infeasibility from budgeting and the relaxation loop.
 """
 
 from __future__ import annotations

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import TimingError
-from repro.core.timed_dfg import TimedDFG, is_sink_name
+from repro.core.timed_dfg import TimedDFG
 
 _EPS = 1e-6
 
@@ -159,12 +159,7 @@ def compute_required_times(
         node_delay = float(delays.get(node, 0.0))
         succs = timed.successors(node)
         if not succs:
-            value = clock_period - node_delay if is_sink_name(node) else \
-                clock_period - node_delay
-            # Sinks carry zero delay, so both branches reduce to T for sinks
-            # and to T - delay for genuine sink operations (e.g. fixed writes
-            # when sinks are disabled).
-            required[node] = value
+            required[node] = clock_period - node_delay
             continue
         best = float("inf")
         for edge in succs:
