@@ -261,6 +261,37 @@ def test_bench_job_runs_the_benchmark_harness(workflow):
         assert name in run_text, f"workload {name!r} is not smoke-tested"
 
 
+#: Per-layer counts each traced smoke workload must exercise.  perfbench
+#: counts some of them by parent span, so a refactor that moves a wrapped
+#: call zeroes them without touching "correct".
+EXERCISED_COUNTS = {
+    "table4-rows2-light": {"core.slack_scheduler.relaxation_attempts",
+                           "core.slack_scheduler.rebudgets",
+                           "sched.relaxation.schedule_with_relaxation.calls"},
+    "serve-memo": {"core.slack_scheduler.relaxation_attempts",
+                   "core.slack_scheduler.rebudgets",
+                   "sched.relaxation.schedule_with_relaxation.calls"},
+    "pipeline-ii": {"sched.modulo_scheduler.try_modulo_schedule.calls"},
+}
+
+
+def test_bench_job_fails_when_an_exercised_count_reads_zero(workflow):
+    """Each traced smoke run names the per-layer counts its workload must
+    exercise (``smoke <workload> <count>...``), and the check fails the job
+    when one of them reads 0, as well as on "correct": false."""
+    run_text = _run_text(workflow, "bench-smoke")
+    smoked = {}
+    for line in run_text.splitlines():
+        words = line.split()
+        if len(words) > 1 and words[0] == "smoke":
+            smoked[words[1]] = set(words[2:])
+    for workload, counts in EXERCISED_COUNTS.items():
+        missing = counts - smoked.get(workload, set())
+        assert not missing, f"{workload} does not check {sorted(missing)}"
+    assert '["value"] == 0' in run_text
+    assert '["correct"] is True and not zero' in run_text
+
+
 def test_packaging_job_builds_installs_and_imports(workflow):
     run_text = _run_text(workflow, "package")
     assert "python -m build" in run_text
