@@ -138,12 +138,10 @@ class SlackScheduler:
             self._schedule_pass, _MAX_ATTEMPTS, "slack-based",
             locked=self._locked,
         )
-        final_variants = dict(variants)
-        for item in schedule.items:
-            final_variants[item.op] = item.variant
+        variants.update(schedule.variant_map())
         return SlackScheduleResult(
             schedule=schedule,
-            variants=final_variants,
+            variants=variants,
             allocation=allocation,
             initial_budget=initial_budget,
             rebudget_count=self._rebudget_count,
@@ -207,8 +205,7 @@ class SlackScheduler:
             for name in pending:
                 if name in rebudget.variants:
                     variants[name] = rebudget.variants[name]
-            new_priority = combined_priority(rebudget.timing, new_spans)
-            return (new_spans, None, new_priority)
+            return new_spans, combined_priority(rebudget.timing, new_spans)
 
         return try_list_schedule(
             self.design, self.library, self.clock_period, variants, allocation,

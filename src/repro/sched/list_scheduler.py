@@ -91,11 +91,11 @@ def try_list_schedule(
     may execute in the same state (or the same II-congruent state group).
 
     ``post_edge_hook(edge_name, schedule, pending)`` is called after every
-    CFG edge has been processed.  It may return ``None`` (no change) or a
-    ``(spans, variant_map, priority)`` triple that replaces the analyses used
-    for the remaining edges — this is how the slack-guided scheduler injects
-    its re-budgeting step (the bold steps of the paper's Fig. 8) without
-    duplicating the scheduling engine.
+    CFG edge has been processed.  It may change grades in ``variant_map`` in
+    place, and return ``None`` (no other change) or a ``(spans, priority)``
+    pair that replaces the analyses used for the remaining edges — this is
+    how the slack-guided scheduler injects its re-budgeting step (the bold
+    steps of the paper's Fig. 8) without duplicating the scheduling engine.
 
     ``upgrade_on_last_chance`` enables the "upgrade on the fly" move: when an
     operation reaches the last edge of its span and its chained delay does
@@ -242,14 +242,8 @@ def try_list_schedule(
         if post_edge_hook is not None and pending:
             update = post_edge_hook(edge_name, schedule, frozenset(pending))
             if update is not None:
-                new_spans, new_variants, new_priority = update
-                if new_spans is not None:
-                    spans = new_spans
-                if new_variants is not None:
-                    variant_map = new_variants
-                if new_priority is not None:
-                    priority = new_priority
-                    priority_keys = {}
+                spans, priority = update
+                priority_keys = {}
         # Any pending operation whose span ends here but never became ready
         # (its predecessors are stuck) is a hard failure.
         span_of = spans.span

@@ -19,16 +19,16 @@ The lower bound on the II is ``MII = max(ResMII, RecMII)``:
   cyclic kernel whether the constraint graph converges — non-convergence is
   exactly a positive-gain recurrence, i.e. II < RecMII.
 
-:func:`try_modulo_schedule` mirrors :func:`try_list_schedule`'s signature so
-the relaxation loop can use either engine interchangeably.  It reuses the
-list scheduler for placement (which already folds resource slots modulo II)
-and layers the carried-dependence constraint on top: after each complete
-pass every backward edge ``src -> dst`` with distance ``d`` must satisfy
-``step(src) <= step(dst) + d * II``.  A violated edge tightens ``src``'s
-deadline (clamping its span) and the pass is retried; a deadline that empties
-a span — the recurrence simply does not fit at this II — fails with the
-structured reason ``"recurrence"``, which the relaxation loop turns into an
-II bump.
+:func:`try_modulo_schedule` takes :func:`try_list_schedule`'s arguments, bar
+its re-budgeting hook, so the relaxation loop can run either engine.  It
+reuses the list scheduler for placement (which already folds resource slots
+modulo II) and layers the carried-dependence constraint on top: after each
+complete pass every backward edge ``src -> dst`` with distance ``d`` must
+satisfy ``step(src) <= step(dst) + d * II``.  A violated edge tightens
+``src``'s deadline (clamping its span) and the pass is retried; a deadline
+that empties a span — the recurrence simply does not fit at this II — fails
+with the structured reason ``"recurrence"``, which the relaxation loop turns
+into an II bump.
 """
 
 from __future__ import annotations
