@@ -31,18 +31,12 @@ def library():
 
 @pytest.fixture
 def cold_caches():
-    """Empty the process-wide analysis caches before the test.
+    """Empty the process-wide analysis cache before the test.
 
-    Clears the analysis cache (and with it the delta-seed caches, which live
-    on its cached graphs), the budgeting and span templates and the
-    characterization memo, so a timed run starts as cold as a fresh process
+    It owns every process-wide memo (the delta-seed caches live on its
+    cached graphs), so a timed run starts as cold as a fresh process
     whatever ran before it.
     """
-    from repro.core import budgeting, opspan
     from repro.core.analysis_cache import default_cache
-    from repro.lib import characterize
 
     default_cache().clear()
-    budgeting._TEMPLATES.clear()
-    opspan._SPAN_TEMPLATES.clear()
-    characterize._CLASS_CACHE.clear()

@@ -77,7 +77,8 @@ def test_kernel_sweep_area_savings(benchmark, library):
     assert max(savings) > 3.0
 
 
-def test_batched_session_matches_and_beats_per_point(benchmark, library):
+def test_batched_session_matches_and_beats_per_point(benchmark, library,
+                                                    cold_caches):
     """Batched ``SweepSession`` vs independent per-point evaluation.
 
     The session must be bit-for-bit identical to evaluating every point on
@@ -89,7 +90,6 @@ def test_batched_session_matches_and_beats_per_point(benchmark, library):
     import json
     import time
 
-    from repro.core.analysis_cache import AnalysisCache
     from repro.flows import DesignPoint, SweepSession, evaluate_point
     from repro.workloads.factories import KernelPointFactory
 
@@ -102,13 +102,13 @@ def test_batched_session_matches_and_beats_per_point(benchmark, library):
     ]
 
     def batched():
-        session = SweepSession(factory, library, cache=AnalysisCache())
+        session = SweepSession(factory, library)
         return session.run(points), session
 
     result, session = benchmark.pedantic(batched, rounds=1, iterations=1)
 
     per_point_start = time.perf_counter()
-    baseline = [evaluate_point(factory, library, point, use_cache=False)
+    baseline = [evaluate_point(factory, library, point)
                 for point in points]
     per_point_seconds = time.perf_counter() - per_point_start
 

@@ -15,9 +15,9 @@
 * :mod:`repro.core.feasibility` — Proposition 1 feasibility checks.
 * :mod:`repro.core.slack_scheduler` — the enhanced scheduling framework of
   Figure 8 (slack-guided scheduling with re-budgeting after every edge).
-* :mod:`repro.core.analysis_cache` — keyed, bounded caches for the pure
-  per-design analyses (point artifacts, pinned spans/timed DFGs,
-  sequential-slack results) shared by the flows and the sweep sessions.
+* :mod:`repro.core.analysis_cache` — the one owner of every process-wide
+  per-design memo: bounded tables for point artifacts, pinned spans/timed
+  DFGs, sequential-slack results and the budget and span templates.
 * :mod:`repro.core.graphkit` — the compact CSR graph substrate the timing
   kernels run on (interned node indices, array-backed adjacency, cached
   topological orders); the ``*_reference`` functions keep the original

@@ -1,46 +1,66 @@
-"""Keyed, bounded caches for the per-design analyses.
+"""The one owner of every process-wide per-design memo.
 
-The flows and the sweep sessions recompute the same pure analyses over and over:
+The flows and the sweep sessions recompute the same pure analyses over and
+over.  :class:`AnalysisCache` memoizes them in five bounded tables; each
+says below what it buys, measured on the ``table4-rows2-light`` benchmark
+workload (the paper's Table-4 IDCT points at rows=2 without D2 and D7) and
+by a cache audit that disabled one table at a time on the full rows=2
+sweep (CPU time 3.70 s with every table):
 
-* **point artifacts** — :class:`~repro.core.latency.LatencyAnalysis`,
-  :class:`~repro.core.opspan.OperationSpans` and the timed DFG depend only on
-  the design's structure, not on the clock period or the pipelining, so an
-  engine sweep that revisits one design at several clock periods (or runs
-  both flows on it) can share them across points;
-* **pinned spans / timed graphs** — the slack-guided scheduler rebuilds
-  ``OperationSpans(pinned=..., not_before=...)`` plus their timed graph after
-  every scheduled edge, and its outer relaxation loop replays the same
-  schedule prefixes attempt after attempt (on relaxation-heavy design points
-  >80 % of these rebuilds are exact repeats).  A cached entry is the pinned
-  spans plus the design's own compact timed graph reweighted by them
-  (:meth:`~repro.core.graphkit.CompactTimedGraph.reweighted`): the timed-DFG
-  structure does not depend on the spans, so a miss builds no
-  :class:`~repro.core.timed_dfg.TimedDFG`, no interning and no topological
-  sort, only the spans and one weight per edge;
-* **sequential slack** — budgeting calls
-  :func:`~repro.core.sequential_slack.compute_sequential_slack` with delay
-  maps that recur across re-budgeting passes.
+* ``artifacts`` — the :class:`~repro.flows.pipeline.PointArtifacts` of a
+  design (:class:`~repro.core.latency.LatencyAnalysis`,
+  :class:`~repro.core.opspan.OperationSpans` and the timed DFG), keyed by
+  structure.  It serves only flows called without artifacts:
+  :class:`~repro.flows.sweep.SweepSession` (and with it ``evaluate_point``
+  and ``run_dse``) keeps one private bundle per structure and never looks
+  this table up, so it hits 0 times on both benchmark workloads;
+* ``spans`` — the slack-guided scheduler's per-edge rebuild: spans pinned
+  to a schedule prefix plus the design's compact timed graph reweighted by
+  them (:meth:`~repro.core.graphkit.CompactTimedGraph.reweighted`).  The
+  relaxation loop replays the same prefixes attempt after attempt, so 272
+  of 652 lookups hit; the sweep is 15 % slower without it (4.27 s), and it
+  holds most of the sweep's peak memory (136 MB against 39 MB);
+* ``sequential_slack`` — the schedule pass's
+  :func:`~repro.core.sequential_slack.compute_sequential_slack` per delay
+  map.  It hits 29 of 52 lookups, but the audit's sweep ran no slower
+  without it (3.45 s);
+* ``budget_templates`` — the per-``(design, library)`` skeleton of a
+  budgeting state (:class:`repro.core.budgeting._BudgetTemplate`); every
+  per-edge re-budget starts from it.  It hits 652 times and misses 13, and
+  the sweep is about 50 % slower without it (5.54 s);
+* ``span_templates`` — the pinned-independent skeleton of the span
+  computation (:class:`repro.core.opspan._SpanTemplate`) and its interned
+  :class:`~repro.core.opspan.SpanInfo` objects, which every pinned rebuild
+  reuses.  It hits 380 times and misses 6, and the sweep is about 50 %
+  slower without it (5.68 s).
 
-:class:`AnalysisCache` memoizes all three behind explicit keys.  Every key
-starts from :func:`design_fingerprint`, a structural hash of the CFG + DFG
-(including insertion order, which scheduling tie-breaks observe), so designs
-rebuilt by a factory hit the cache even though they are distinct objects.
+Keys: the artifacts and spans tables start from :func:`design_fingerprint`,
+a structural hash of the CFG + DFG (including insertion order, which
+scheduling tie-breaks observe), so designs rebuilt by a factory hit even
+though they are distinct objects.  The sequential-slack table and the two
+template tables key on identity tokens stamped on the objects
+(:func:`_object_token`): the flows treat designs, libraries, latency
+analyses and timed DFGs as structurally immutable after first use, and a
+:class:`~repro.flows.sweep.SweepSession` interns designs so that later
+points of a structure hit.
 
 Correctness: every cached value is a pure function of its key, and every
 consumer treats the shared objects as immutable, so results with the cache
 are bit-for-bit identical to results without it (the flows' golden-metrics
 benchmark guards this).  The fingerprint is stamped on the design object
-behind an O(1) shape guard: structural growth or shrinkage after first use
-is detected and re-hashed, but in-place edits that keep every node/edge
-count unchanged are not — run the IR transforms before handing a design to
-a flow and avoid such edits afterwards.
+behind an O(1) shape guard, and the span templates carry the same shape in
+their key: structural growth or shrinkage after first use is detected, but
+in-place edits that keep every node/edge count unchanged are not — run the
+IR transforms before handing a design to a flow and avoid such edits
+afterwards.
 
-Memory: each table is a bounded LRU; :meth:`AnalysisCache.cache_info`
-exposes hits/misses/evictions and :meth:`AnalysisCache.clear` empties all
-tables.  The module-level :func:`default_cache` instance is shared by the
-flows and the engine within one process (each process-pool worker gets its
-own copy, which is what lets a worker amortize analyses across the points it
-evaluates).
+Memory: each table is an LRU bounded in entries;
+:meth:`AnalysisCache.cache_info` exposes hits/misses/evictions and
+:meth:`AnalysisCache.clear` empties every table.  The module-level
+:func:`default_cache` instance is the only one the program uses (each
+process-pool worker gets its own copy).  No entry point takes a cache:
+a memo that lives for one process is a table here, and a memo that lives
+for one sweep belongs to the session.
 """
 
 from __future__ import annotations
@@ -52,13 +72,29 @@ from collections import OrderedDict
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.core.graphkit import CompactTimedGraph
-from repro.core.opspan import OperationSpans
+from repro.core.opspan import OperationSpans, _SpanTemplate
 from repro.core.sequential_slack import TimingResult, compute_sequential_slack
 from repro.core.timed_dfg import TimedDFG, timed_edge_weights
 
 _FINGERPRINT_ATTR = "_repro_structural_fingerprint"
 _TOKEN_ATTR = "_repro_cache_token"
 _token_counter = itertools.count()
+
+#: Table bounds, in entries, not bytes.  One relaxation-heavy design point
+#: replays up to a few thousand distinct pinned-span keys across its
+#: attempts, so 4096 keep a whole sweep's working set resident (the Table-4
+#: sweep was eviction-bound at smaller sizes) without letting an unbounded
+#: sweep grow the process.
+_MAX_ARTIFACTS = 64
+_MAX_SPANS = 4096
+_MAX_SLACK = 4096
+_MAX_TEMPLATES = 128
+
+
+def _shape(design) -> Tuple[int, int, int, int]:
+    """The O(1) shape guard: CFG node/edge and DFG operation/edge counts."""
+    cfg, dfg = design.cfg, design.dfg
+    return (cfg.num_nodes, cfg.num_edges, dfg.num_operations, dfg.num_edges)
 
 
 def design_fingerprint(design) -> str:
@@ -84,7 +120,7 @@ def design_fingerprint(design) -> str:
     docstring).
     """
     cfg, dfg = design.cfg, design.dfg
-    shape = (cfg.num_nodes, cfg.num_edges, dfg.num_operations, dfg.num_edges)
+    shape = _shape(design)
     cached = getattr(design, _FINGERPRINT_ATTR, None)
     if cached is not None and cached[0] == shape:
         return cached[1]
@@ -157,21 +193,16 @@ class _LRUTable:
 
 
 class AnalysisCache:
-    """Keyed caches for point artifacts, pinned spans/timed graphs and slack.
+    """The five memo tables of one process (see the module docstring)."""
 
-    Parameters bound the LRU tables (entries, not bytes).  The defaults are
-    sized for long engine sweeps: spans dominate per-entry memory, and one
-    relaxation-heavy design point replays up to a few thousand distinct
-    pinned-span keys across its relaxation attempts, so 4096 entries keep a
-    whole sweep's working set resident (the Table-4 sweep was eviction-bound
-    at smaller sizes) without letting an unbounded sweep grow the process.
-    """
-
-    def __init__(self, max_artifacts: int = 64, max_spans: int = 4096,
-                 max_slack: int = 4096):
-        self._artifacts = _LRUTable("artifacts", max_artifacts)
-        self._spans = _LRUTable("spans", max_spans)
-        self._slack = _LRUTable("sequential_slack", max_slack)
+    def __init__(self):
+        self._artifacts = _LRUTable("artifacts", _MAX_ARTIFACTS)
+        self._spans = _LRUTable("spans", _MAX_SPANS)
+        self._slack = _LRUTable("sequential_slack", _MAX_SLACK)
+        self._budget_templates = _LRUTable("budget_templates", _MAX_TEMPLATES)
+        self._span_templates = _LRUTable("span_templates", _MAX_TEMPLATES)
+        self._tables = (self._artifacts, self._spans, self._slack,
+                        self._budget_templates, self._span_templates)
         self._delta_lock = threading.Lock()
         self.delta_evaluators = 0
         self.delta_updates = 0
@@ -255,12 +286,38 @@ class AnalysisCache:
             lambda: compute_sequential_slack(timed, delays, clock_period,
                                              aligned=aligned))
 
+    # -- templates -----------------------------------------------------------------
+
+    def budget_template(self, design, library):
+        """The interned budgeting skeleton of ``(design, library)``.
+
+        A :class:`repro.core.budgeting._BudgetTemplate`, keyed by the
+        identity tokens of both objects.  Treat it as immutable.
+        """
+        from repro.core.budgeting import _BudgetTemplate
+
+        key = (_object_token(design), _object_token(library))
+        return self._budget_templates.get_or_build(
+            key, lambda: _BudgetTemplate(design, library))
+
+    def span_template(self, design, latency) -> _SpanTemplate:
+        """The interned span skeleton of ``(design, latency)``.
+
+        Keyed by the identity tokens of both objects plus the design's
+        shape, so a design that grew or shrank after first use gets a new
+        template.  Treat it as immutable.
+        """
+        key = (_object_token(design), _object_token(latency), _shape(design))
+        return self._span_templates.get_or_build(
+            key, lambda: _SpanTemplate(design, latency))
+
     # -- delta-slack stats ---------------------------------------------------------
 
     def record_delta(self, updates: int) -> None:
         """Record one :class:`~repro.core.delta_slack.DeltaSlackEvaluator`
         run and how many incremental updates it absorbed (each of which
-        replaced a full slack recomputation).  Feeds the sweep-session stats.
+        replaced a full slack recomputation).  Feeds the ``delta_evaluators``
+        / ``delta_updates`` tallies of ``cache_stats()``.
         """
         with self._delta_lock:
             self.delta_evaluators += 1
@@ -270,14 +327,11 @@ class AnalysisCache:
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/eviction/size counters of every table."""
-        return {
-            table.name: table.info()
-            for table in (self._artifacts, self._spans, self._slack)
-        }
+        return {table.name: table.info() for table in self._tables}
 
     def clear(self) -> None:
         """Drop every cached entry (counters are kept)."""
-        for table in (self._artifacts, self._spans, self._slack):
+        for table in self._tables:
             table.clear()
 
 
@@ -285,5 +339,5 @@ _default_cache = AnalysisCache()
 
 
 def default_cache() -> AnalysisCache:
-    """The process-wide cache shared by the flows and the sweep sessions."""
+    """The process-wide cache: the only :class:`AnalysisCache` the program uses."""
     return _default_cache

@@ -26,8 +26,6 @@ timed DFG.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -36,6 +34,7 @@ from repro.ir.design import Design
 from repro.ir.operations import Operation, OpKind
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
+from repro.core.analysis_cache import default_cache
 from repro.core.delta_slack import CyclicSlackEvaluator, DeltaSlackEvaluator
 from repro.core.graphkit import CompactTimedGraph
 from repro.core.sequential_slack import TimingResult
@@ -96,7 +95,8 @@ class _BudgetTemplate:
     synthesizability and the default grade of every operation on *every*
     ``budget_slack`` call — and the slack-guided scheduler re-budgets after
     every scheduled edge, thousands of times per design point.  All of that
-    is a pure function of (design, library), so it is interned once here and
+    is a pure function of (design, library), so it is interned once per pair
+    (:meth:`repro.core.analysis_cache.AnalysisCache.budget_template`) and
     per-call states start from dict copies of the precomputed base maps.
     """
 
@@ -172,35 +172,6 @@ class _BudgetTemplate:
         return variant.delay
 
 
-_TEMPLATE_LOCK = threading.Lock()
-_TEMPLATES: "OrderedDict" = OrderedDict()
-_MAX_TEMPLATES = 128
-
-
-def _budget_template(design: Design, library: Library) -> _BudgetTemplate:
-    """The interned :class:`_BudgetTemplate` of ``(design, library)``.
-
-    Keyed by object identity tokens: the flows treat designs and libraries
-    as structurally immutable after first analysis (the same contract the
-    analysis cache and ``TimedDFG.compact`` already rely on).
-    """
-    from repro.core.analysis_cache import _object_token
-
-    key = (_object_token(design), _object_token(library))
-    with _TEMPLATE_LOCK:
-        template = _TEMPLATES.get(key)
-        if template is not None:
-            _TEMPLATES.move_to_end(key)
-            return template
-    template = _BudgetTemplate(design, library)
-    with _TEMPLATE_LOCK:
-        _TEMPLATES[key] = template
-        _TEMPLATES.move_to_end(key)
-        while len(_TEMPLATES) > _MAX_TEMPLATES:
-            _TEMPLATES.popitem(last=False)
-    return template
-
-
 class _BudgetState:
     """Mutable per-operation state during budgeting."""
 
@@ -210,7 +181,7 @@ class _BudgetState:
     def __init__(self, design: Design, library: Library,
                  initial_variants: Optional[Mapping[str, ResourceVariant]],
                  pinned: Optional[Mapping[str, ResourceVariant]]):
-        template = _budget_template(design, library)
+        template = default_cache().budget_template(design, library)
         self.template = template
         self.ops = template.ops
         self.classes = template.classes
@@ -257,7 +228,6 @@ def budget_slack(
     graph: Optional[CompactTimedGraph] = None,
     initial_variants: Optional[Mapping[str, ResourceVariant]] = None,
     pinned_variants: Optional[Mapping[str, ResourceVariant]] = None,
-    cache=None,
 ) -> BudgetingResult:
     """Run the slack-budgeting algorithm of Fig. 7 on ``design``.
 
@@ -285,20 +255,13 @@ def budget_slack(
         Warm-start grades (used when re-budgeting during scheduling).
     pinned_variants:
         Grades that must not change (already-scheduled operations).
-    cache:
-        Optional :class:`repro.core.analysis_cache.AnalysisCache` (default:
-        the process-wide cache).  The slack recomputations themselves now
-        run on an in-call :class:`repro.core.delta_slack.DeltaSlackEvaluator`
-        — one full kernel pass, then single-delay incremental updates — so
-        the cache only collects the delta-evaluation counters that the
-        sweep-session stats report.
+
+    Each call records its evaluator's incremental updates on
+    :func:`repro.core.analysis_cache.default_cache` (the
+    ``delta_evaluators`` / ``delta_updates`` tallies of ``cache_stats()``).
     """
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
-    if cache is None:
-        from repro.core.analysis_cache import default_cache
-
-        cache = default_cache()
     if graph is None:
         graph = build_timed_dfg(design).compact()
     margin = abs(margin_fraction) * clock_period
@@ -422,7 +385,7 @@ def budget_slack(
             break
 
     timing = evaluator.export()
-    cache.record_delta(evaluator.updates)
+    default_cache().record_delta(evaluator.updates)
     _BUDGET_RUNS.inc()
     _BUDGET_ITERATIONS.inc(iterations)
 

@@ -61,8 +61,6 @@ contains its own edge, so the non-strict tests need no special case.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -111,15 +109,16 @@ class _SpanTemplate:
     function of its birth, early and late edges, and a pinned operation's
     ``(edge, edge, (edge,))`` is the same value, so every rebuild reuses
     the tuples an earlier one assembled.
+
+    Templates are interned per ``(design, latency)`` by the process-wide
+    :meth:`repro.core.analysis_cache.AnalysisCache.span_template`.
     """
 
-    __slots__ = ("shape", "order", "index", "records", "interned")
+    __slots__ = ("order", "index", "records", "interned")
 
     def __init__(self, design: Design, latency: LatencyAnalysis):
         dfg = design.dfg
         cfg = design.cfg
-        self.shape = (cfg.num_nodes, cfg.num_edges,
-                      dfg.num_operations, dfg.num_edges)
         self.order: List[str] = dfg.topological_order()
         self.index = {name: index for index, name in enumerate(self.order)}
         self.records: List[tuple] = []
@@ -146,39 +145,6 @@ class _SpanTemplate:
                 tuple(succ for succ, fixed in succs if not fixed),
                 tuple(succ for succ, fixed in succs if fixed),
             ))
-
-
-_SPAN_TEMPLATE_LOCK = threading.Lock()
-_SPAN_TEMPLATES: "OrderedDict" = OrderedDict()
-_MAX_SPAN_TEMPLATES = 128
-
-
-def _span_template(design: Design, latency: LatencyAnalysis) -> _SpanTemplate:
-    """The interned :class:`_SpanTemplate` of ``(design, latency)``.
-
-    Keyed by object identity tokens with an O(1) shape guard (same contract
-    as :func:`repro.core.analysis_cache.design_fingerprint`): structural
-    growth or shrinkage after first use is detected and re-interned, but
-    count-preserving in-place edits are not — run IR transforms before
-    handing a design to the analyses.
-    """
-    from repro.core.analysis_cache import _object_token
-
-    key = (_object_token(design), _object_token(latency))
-    shape = (design.cfg.num_nodes, design.cfg.num_edges,
-             design.dfg.num_operations, design.dfg.num_edges)
-    with _SPAN_TEMPLATE_LOCK:
-        template = _SPAN_TEMPLATES.get(key)
-        if template is not None and template.shape == shape:
-            _SPAN_TEMPLATES.move_to_end(key)
-            return template
-    template = _SpanTemplate(design, latency)
-    with _SPAN_TEMPLATE_LOCK:
-        _SPAN_TEMPLATES[key] = template
-        _SPAN_TEMPLATES.move_to_end(key)
-        while len(_SPAN_TEMPLATES) > _MAX_SPAN_TEMPLATES:
-            _SPAN_TEMPLATES.popitem(last=False)
-    return template
 
 
 class OperationSpans:
@@ -218,7 +184,9 @@ class OperationSpans:
         self._not_before_pos = (
             self.latency.edge_order(not_before) if not_before is not None else None
         )
-        self._template = _span_template(design, self.latency)
+        from repro.core.analysis_cache import default_cache
+
+        self._template = default_cache().span_template(design, self.latency)
         self._spans: Dict[str, SpanInfo] = self._compute()
 
     # -- computation -------------------------------------------------------------

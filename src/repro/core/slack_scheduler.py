@@ -29,7 +29,7 @@ from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.ir.operations import OpKind
-from repro.core.analysis_cache import AnalysisCache, default_cache
+from repro.core.analysis_cache import default_cache
 from repro.core.budgeting import BudgetingResult, budget_slack
 from repro.obs.trace import span as _obs_span
 from repro.sched.allocation import Allocation
@@ -80,15 +80,18 @@ class SlackScheduler:
         latency analysis, operation spans and timed DFG are reused instead
         of being rebuilt, which matters for DSE sweeps that run several
         flows on the same design.
-    cache:
-        The :class:`repro.core.analysis_cache.AnalysisCache` backing the
-        per-edge rebuilds and the sequential-slack calls (default: the
-        process-wide cache).  A per-edge rebuild is the pinned spans plus
-        the design's compact timed graph reweighted by them
-        (:meth:`~repro.core.analysis_cache.AnalysisCache.pinned_spans_and_timed`),
-        so no timed DFG is built after step 0.  The relaxation loop replays
-        the same schedule prefixes attempt after attempt, so on
-        relaxation-heavy design points most rebuilds are cache hits.
+
+    The per-edge rebuilds and the sequential-slack calls go through the
+    process-wide :func:`~repro.core.analysis_cache.default_cache`.  A
+    per-edge rebuild is the pinned spans plus the design's compact timed
+    graph reweighted by them
+    (:meth:`~repro.core.analysis_cache.AnalysisCache.pinned_spans_and_timed`),
+    so no timed DFG is built after step 0.  The relaxation loop replays the
+    same schedule prefixes attempt after attempt, so on relaxation-heavy
+    design points most rebuilds are cache hits.
+
+    Each :meth:`run` starts from a clean slate: the grades one run's
+    relaxation loop locked do not carry over to the next.
 
     Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
     schedule pass (see :mod:`repro.sched.relaxation`) and one
@@ -103,14 +106,13 @@ class SlackScheduler:
         margin_fraction: float = 0.05,
         pipeline_ii: Optional[int] = None,
         artifacts=None,
-        cache: Optional[AnalysisCache] = None,
     ):
         self.design = design
         self.library = library
         self.clock_period = clock_period
         self.margin_fraction = margin_fraction
         self.pipeline_ii = pipeline_ii if pipeline_ii is not None else design.pipeline_ii
-        self._cache = cache if cache is not None else default_cache()
+        self._cache = default_cache()
 
         if artifacts is None:
             artifacts = self._cache.artifacts(design)
@@ -118,9 +120,6 @@ class SlackScheduler:
         self._latency = artifacts.latency
         self._spans = artifacts.spans
         self._timed = artifacts.timed
-        self._rebudget_count = 0
-        # Grades forced by the relaxation loop; re-budgeting must not undo them.
-        self._locked: Dict[str, ResourceVariant] = {}
 
     # -- public API -----------------------------------------------------------------
 
@@ -129,9 +128,12 @@ class SlackScheduler:
         initial_budget = budget_slack(
             self.design, self.library, self.clock_period,
             margin_fraction=self.margin_fraction,
-            graph=self._timed.compact(), cache=self._cache,
+            graph=self._timed.compact(),
         )
         self._rebudget_count = 0
+        # Grades forced by this run's relaxation loop; re-budgeting must
+        # not undo them.
+        self._locked: Dict[str, ResourceVariant] = {}
         schedule, allocation, variants, log = _relax_until_scheduled(
             self.design, self.library, self.clock_period,
             initial_budget.variants, self._spans, self.pipeline_ii,
@@ -195,7 +197,6 @@ class SlackScheduler:
                         initial_variants={k: v for k, v in variants.items()
                                           if v is not None and k in pending},
                         pinned_variants=pinned_variants,
-                        cache=self._cache,
                     )
             except TimingError:
                 # A pending operation has no legal edge left; let the main

@@ -217,22 +217,16 @@ def evaluate_point(
     library: Library,
     point: DesignPoint,
     margin_fraction: float = 0.05,
-    use_cache: bool = True,
     scheduling: str = "block",
 ) -> DSEEntry:
     """Run both flows on one design point and return its :class:`DSEEntry`.
 
     The design and its per-point analyses (latency, spans, timed DFG) are
-    computed once and shared by both flows.
-
-    With ``use_cache`` (the default) artifacts resolve through the
-    process-wide analysis cache (:meth:`PointArtifacts.of`), so sweep points
-    that rebuild a structurally identical design — the same latency at a
-    different clock period or initiation interval — share one bundle per
-    process.  ``use_cache=False`` computes a fresh, private bundle instead
-    (:meth:`PointArtifacts.build`); the cache contract says both paths are
-    bit-for-bit identical, which is exactly what the pipeline-cache oracle
-    of :mod:`repro.verify.oracles` checks on generated scenarios.
+    computed once, in a private bundle (:meth:`PointArtifacts.build`), and
+    shared by both flows.  The cache contract says this equals running
+    both flows on the shared bundle of :meth:`PointArtifacts.of`, which is
+    exactly what the pipeline-cache oracle of :mod:`repro.verify.oracles`
+    checks on generated scenarios.
 
     This function is a thin shim over a one-point
     :class:`repro.flows.sweep.SweepSession`; sweeps of more than one point
@@ -247,7 +241,6 @@ def evaluate_point(
 
     session = SweepSession(design_factory, library,
                            margin_fraction=margin_fraction,
-                           use_cache=use_cache,
                            scheduling=scheduling)
     return session.evaluate(point)
 

@@ -19,10 +19,20 @@ scheduling call.
 Caching and invalidation
 ------------------------
 
-:meth:`PointArtifacts.of` memoizes artifact bundles in the process-wide
-:class:`repro.core.analysis_cache.AnalysisCache`, keyed by
-:func:`repro.core.analysis_cache.design_fingerprint`.  The rules that make
-this sound:
+Who owns which bundle:
+
+* a :class:`~repro.flows.sweep.SweepSession` (and with it
+  :func:`~repro.flows.dse.evaluate_point` and
+  :func:`~repro.flows.dse.run_dse`) builds one private bundle per
+  structure (:meth:`PointArtifacts.build`) and keeps it for the session;
+* a flow called without ``artifacts`` takes the shared bundle of
+  :meth:`PointArtifacts.of`, memoized in the ``artifacts`` table of the
+  process-wide :class:`repro.core.analysis_cache.AnalysisCache` and keyed
+  by :func:`repro.core.analysis_cache.design_fingerprint`.
+
+The other per-design memos (templates, pinned spans, sequential slack) are
+tables of the same process-wide cache, and no entry point takes a cache.
+The rules that make the sharing sound:
 
 * **What the key covers.** The fingerprint hashes the CFG and DFG structure
   (nodes, edges, operation attributes, insertion order).  Everything inside
@@ -36,8 +46,8 @@ this sound:
   and therefore a new bundle.  The corollary is that designs must not be
   mutated structurally after first use — run the IR transforms
   (:mod:`repro.ir.transforms`) *before* handing a design to a flow.  Use
-  ``default_cache().clear()`` to drop every bundle (e.g. between unrelated
-  sweeps in a long-lived process).
+  ``default_cache().clear()`` to drop every shared bundle and every other
+  table (e.g. between unrelated sweeps in a long-lived process).
 * **Mutable state stays out.** Schedules, bindings and datapaths are built
   per flow run and are never cached here; area recovery mutates instance
   variants on the per-run datapath only.
@@ -50,7 +60,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.core.analysis_cache import AnalysisCache, default_cache
+from repro.core.analysis_cache import default_cache
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.core.timed_dfg import TimedDFG, build_timed_dfg
@@ -82,8 +92,8 @@ class PointArtifacts:
     DFG is built lazily because the conventional flow does not need it.
 
     Treat a bundle as immutable: it may be shared across flows, design
-    points and engine sweeps via the analysis cache (see the module
-    docstring for the invalidation rules).
+    points and sweeps (see the module docstring for who owns which bundle
+    and for the invalidation rules).
     """
 
     design: Design
@@ -99,15 +109,13 @@ class PointArtifacts:
         return cls(design=design, latency=latency, spans=spans)
 
     @classmethod
-    def of(cls, design: Design,
-           cache: Optional[AnalysisCache] = None) -> "PointArtifacts":
-        """The (possibly shared) bundle of ``design`` from the analysis cache.
+    def of(cls, design: Design) -> "PointArtifacts":
+        """The shared bundle of ``design`` from the process-wide cache.
 
         Structurally identical designs — e.g. the same kernel rebuilt by a
         factory for several clock periods — resolve to one bundle.
         """
-        cache = cache if cache is not None else default_cache()
-        return cache.artifacts(design)
+        return default_cache().artifacts(design)
 
     @property
     def timed(self) -> TimedDFG:

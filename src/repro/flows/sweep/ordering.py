@@ -3,7 +3,7 @@
 A design point has three knobs: the latency budget (which changes the design
 *structure* the factory builds), the pipeline initiation interval and the
 clock period.  The session's delta-evaluation machinery — interned designs,
-fingerprint-shared :class:`~repro.flows.pipeline.PointArtifacts`, the
+one :class:`~repro.flows.pipeline.PointArtifacts` bundle per structure, the
 template/seed caches under :func:`repro.core.budgeting.budget_slack` — pays
 off exactly when consecutive evaluations share structure, so the planner
 groups points by ``(latency, pipeline_ii)`` and sweeps the clock within each

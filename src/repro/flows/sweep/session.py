@@ -1,14 +1,14 @@
 """Batched cross-point sweep evaluation behind one session object.
 
-:func:`repro.flows.dse.evaluate_point` treats every design point as an
-island: the factory builds a fresh design, the analyses are resolved from
-scratch (or from the process-wide cache) and the two flows run.  A sweep,
-however, is a *sequence* of closely related points — the same structure at
-several clock periods, neighboring latencies, pipelined variants — and the
-delta-evaluation kernels underneath the slack flow (the
-:class:`repro.core.delta_slack.DeltaSlackEvaluator`, the budget and span
-templates, the per-graph seed vectors) only amortize when consecutive
-evaluations actually share their design objects and artifact bundles.
+A one-point evaluation treats the design point as an island: the factory
+builds a fresh design, the analyses are computed from scratch and the two
+flows run.  A sweep, however, is a *sequence* of closely related points —
+the same structure at several clock periods, neighboring latencies,
+pipelined variants — and the delta-evaluation kernels underneath the slack
+flow (the :class:`repro.core.delta_slack.DeltaSlackEvaluator`, the budget
+and span templates, the per-graph seed vectors) only amortize when
+consecutive evaluations actually share their design objects and artifact
+bundles.
 
 :class:`SweepSession` is the object that makes the sharing deliberate:
 
@@ -18,9 +18,12 @@ evaluations actually share their design objects and artifact bundles.
   structure are swapped onto the *original* design object, so every
   identity-keyed template and seed cache downstream hits instead of
   re-deriving;
-* **shared artifacts** — one :class:`~repro.flows.pipeline.PointArtifacts`
-  bundle per structure, resolved once per session (through the analysis
-  cache by default, session-privately with ``use_cache=False``);
+* **session bundles** — one :class:`~repro.flows.pipeline.PointArtifacts`
+  bundle per structure, built once per session
+  (:meth:`~repro.flows.pipeline.PointArtifacts.build`) and held by the
+  session: a per-sweep memo lives in the session, so the session never
+  looks up the process-wide artifacts table of
+  :mod:`repro.core.analysis_cache`;
 * **delta ordering** — :meth:`run` visits points in the
   :func:`~repro.flows.sweep.ordering.sweep_plan` order (grouped by
   structure, clock swept within a group) so neighbors differ in one knob,
@@ -36,8 +39,8 @@ evaluations actually share their design objects and artifact bundles.
 
 Exactness contract: a session evaluation is bit-for-bit identical to a
 standalone :func:`~repro.flows.dse.evaluate_point` on the same point — the
-interning only substitutes structurally identical objects, and the analysis
-cache guarantees bundle equality by construction.  The same holds for a pool
+interning only substitutes structurally identical objects, and a bundle is
+a pure function of the design's structure.  The same holds for a pool
 worker's session, so ``run(points, workers=n)`` returns the serial metrics
 byte for byte.  The ``sweep-session`` oracle of :mod:`repro.verify.oracles`
 fuzzes exactly this equivalence on generated scenarios, and the Table-4
@@ -51,7 +54,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.analysis_cache import AnalysisCache, default_cache, design_fingerprint
+from repro.core.analysis_cache import design_fingerprint
 from repro.errors import ReproError
 from repro.ir.design import Design
 from repro.lib.library import Library
@@ -84,7 +87,7 @@ class SweepStats:
     ``full_evaluations`` counts points whose structure was new to the
     session (the fallback path: nothing to delta against).
     ``delta_points`` counts points that shared a previously seen structure
-    and therefore rode the interned designs, shared bundles and warm
+    and therefore rode the interned designs, the session's bundle and warm
     delta-evaluation caches.  The budgeting kernel's incremental slack
     re-evaluations are process-wide totals, read from
     ``cache_stats()["analysis_cache"]`` (:func:`repro.obs.metrics.cache_stats`).
@@ -98,8 +101,6 @@ class SweepStats:
     full_evaluations: int = 0
     delta_points: int = 0
     interned_reuses: int = 0
-    artifacts_built: int = 0
-    artifacts_shared: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -107,8 +108,6 @@ class SweepStats:
             "full_evaluations": self.full_evaluations,
             "delta_points": self.delta_points,
             "interned_reuses": self.interned_reuses,
-            "artifacts_built": self.artifacts_built,
-            "artifacts_shared": self.artifacts_shared,
         }
 
 
@@ -126,16 +125,6 @@ class SweepSession:
         The resource library shared by every point.
     margin_fraction:
         Slack-binning margin forwarded to the slack-based flow.
-    cache:
-        The :class:`~repro.core.analysis_cache.AnalysisCache` backing the
-        session (default: the process-wide :func:`default_cache`).  Pass a
-        fresh ``AnalysisCache()`` for a fully isolated session.
-    use_cache:
-        With ``False`` the session never touches ``cache`` for artifact
-        bundles: each *structure* still gets exactly one session-private
-        bundle (built via :meth:`PointArtifacts.build`), which the cache
-        contract guarantees is bit-for-bit equivalent.  This mirrors the
-        ``use_cache`` switch of :func:`~repro.flows.dse.evaluate_point`.
     scheduling:
         ``"block"`` (default) or ``"pipeline"``, forwarded to both flows for
         every point.  In pipeline mode each point's ``pipeline_ii`` is the
@@ -143,8 +132,11 @@ class SweepSession:
         computed MII), making II a first-class sweep knob next to latency
         and clock period.
 
-    A session is a per-sweep object: its intern tables grow with the number
-    of distinct structures evaluated and are only released with the session.
+    A session is a per-sweep object: its intern tables and bundles grow
+    with the number of distinct structures evaluated and are only released
+    with the session.  The memos that outlive it (templates, pinned spans,
+    sequential slack) are the process-wide tables of
+    :func:`~repro.core.analysis_cache.default_cache`.
     It is not thread-safe; spread a sweep over processes with
     ``run(points, workers=n)`` instead.
     """
@@ -154,8 +146,6 @@ class SweepSession:
         design_factory: Callable[[DesignPoint], Design],
         library: Library,
         margin_fraction: float = 0.05,
-        cache: Optional[AnalysisCache] = None,
-        use_cache: bool = True,
         scheduling: str = "block",
     ):
         if scheduling not in ("block", "pipeline"):
@@ -165,8 +155,6 @@ class SweepSession:
         self.library = library
         self.margin_fraction = margin_fraction
         self.scheduling = scheduling
-        self.cache = cache if cache is not None else default_cache()
-        self.use_cache = use_cache
         self.stats = SweepStats()
         self._designs: Dict[Tuple[str, str, Optional[int]], Design] = {}
         self._structures: set = set()
@@ -202,15 +190,8 @@ class SweepSession:
 
     def _artifacts(self, design: Design, fingerprint: str) -> PointArtifacts:
         bundle = self._bundles.get(fingerprint)
-        if bundle is not None:
-            self.stats.artifacts_shared += 1
-            return bundle
-        if self.use_cache:
-            bundle = PointArtifacts.of(design, cache=self.cache)
-        else:
-            bundle = PointArtifacts.build(design)
-        self._bundles[fingerprint] = bundle
-        self.stats.artifacts_built += 1
+        if bundle is None:
+            self._bundles[fingerprint] = bundle = PointArtifacts.build(design)
         return bundle
 
     # -- evaluation --------------------------------------------------------------
@@ -254,9 +235,8 @@ class SweepSession:
         With ``workers > 1`` the points fan out over a process pool of that
         size (spawned, not forked, while other threads run).  Each worker
         evaluates through its own session on its own process-wide analysis
-        cache (a private ``cache=`` holds a lock and does not pickle), which
-        the cache contract makes bit-identical; with tracing on, the
-        workers' spans are adopted onto the active tracer as
+        cache, which the cache contract makes bit-identical; with tracing
+        on, the workers' spans are adopted onto the active tracer as
         ``worker:<point>`` tracks.  The run stays serial when at most one
         point is given or when the factory or library does not pickle.
         """
@@ -304,7 +284,7 @@ class SweepSession:
         pool = ProcessPoolExecutor(
             max_workers=workers, mp_context=context, initializer=_start_worker,
             initargs=(self.design_factory, self.library, self.margin_fraction,
-                      self.use_cache, self.scheduling))
+                      self.scheduling))
         try:
             futures = [pool.submit(_evaluate_in_worker, index, points[index],
                                    tracer is not None)
@@ -331,11 +311,11 @@ _WORKER_SESSION: Optional[SweepSession] = None
 
 
 def _start_worker(design_factory, library, margin_fraction: float,
-                  use_cache: bool, scheduling: str) -> None:
+                  scheduling: str) -> None:
     global _WORKER_SESSION
     _WORKER_SESSION = SweepSession(design_factory, library,
                                    margin_fraction=margin_fraction,
-                                   use_cache=use_cache, scheduling=scheduling)
+                                   scheduling=scheduling)
 
 
 def _evaluate_in_worker(index: int, point: DesignPoint, trace: bool):

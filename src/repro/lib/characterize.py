@@ -24,38 +24,19 @@ For a kind ``k`` and width ``w``:
 
 ``gamma > 1`` makes the curve steep near the fast end, which matches the
 published curves (most of the area is spent buying the last picoseconds).
+A grade's switching energy equals its area and its leakage is 1 % of it.
+
+Nothing here is memoized: a process normally builds its library once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import LibraryError
 from repro.ir.operations import OpKind
 from repro.lib.resource import ResourceClass, ResourceVariant
-
-#: Memoized characterisation results.  Building a library characterises the
-#: same (kind, width, model) triples again and again across DSE sweeps and
-#: process-pool workers; classes are immutable after construction, so sharing
-#: one instance per key is safe and makes repeated characterisation free.
-_CLASS_CACHE: Dict[Tuple[OpKind, int, "KindModel", int, float, float],
-                   ResourceClass] = {}
-
-#: Memo hit/miss tallies, observation only (surfaced through
-#: :func:`characterization_cache_info` and the ``characterization`` probe of
-#: :mod:`repro.obs.metrics`).
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-
-
-def characterization_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters for the characterisation memo table."""
-    return {
-        "hits": _CACHE_HITS,
-        "misses": _CACHE_MISSES,
-        "size": len(_CLASS_CACHE),
-    }
 
 
 @dataclass(frozen=True)
@@ -89,8 +70,6 @@ def characterize_class(
     width: int,
     model: KindModel,
     num_grades: Optional[int] = None,
-    energy_factor: float = 1.0,
-    leakage_factor: float = 0.01,
 ) -> ResourceClass:
     """Generate a :class:`ResourceClass` for ``kind`` at ``width``."""
     if width < 1:
@@ -98,14 +77,6 @@ def characterize_class(
     grades = num_grades or model.num_grades
     if grades < 1:
         raise LibraryError("a resource class needs at least one grade")
-
-    global _CACHE_HITS, _CACHE_MISSES
-    cache_key = (kind, width, model, grades, energy_factor, leakage_factor)
-    cached = _CLASS_CACHE.get(cache_key)
-    if cached is not None:
-        _CACHE_HITS += 1
-        return cached
-    _CACHE_MISSES += 1
 
     d_fast = model.fast_delay(width)
     d_slow = model.slow_delay(width)
@@ -129,13 +100,11 @@ def characterize_class(
                 delay=round(delay, 3),
                 area=round(max(area, 1.0), 3),
                 grade=grade,
-                energy=round(energy_factor * max(area, 1.0), 3),
-                leakage=round(leakage_factor * max(area, 1.0), 5),
+                energy=round(max(area, 1.0), 3),
+                leakage=round(0.01 * max(area, 1.0), 5),
             )
         )
-    resource_class = ResourceClass(kind, width, variants)
-    _CLASS_CACHE[cache_key] = resource_class
-    return resource_class
+    return ResourceClass(kind, width, variants)
 
 
 def default_kind_models() -> Dict[OpKind, KindModel]:

@@ -250,12 +250,6 @@ def _analysis_cache_probe() -> Dict[str, object]:
     return info
 
 
-def _characterization_probe() -> Dict[str, object]:
-    from repro.lib.characterize import characterization_cache_info
-
-    return characterization_cache_info()
-
-
 def _ensure_builtin_probes() -> None:
     """Register the adopting probes once (lazily, to keep imports acyclic)."""
     global _builtin_probes_installed
@@ -263,20 +257,19 @@ def _ensure_builtin_probes() -> None:
         return
     _builtin_probes_installed = True
     register_probe("analysis_cache", _analysis_cache_probe)
-    register_probe("characterization", _characterization_probe)
 
 
 def cache_stats() -> Dict[str, Dict[str, object]]:
     """One call covering every cache layer in the process.
 
-    * ``analysis_cache`` — the :class:`~repro.core.analysis_cache.AnalysisCache`
-      LRU tables (artifacts / spans / sequential slack) plus its delta-slack
-      counters, via :meth:`cache_info` (the public accessor, unchanged);
+    * ``analysis_cache`` — every table of the process-wide
+      :class:`~repro.core.analysis_cache.AnalysisCache` (``artifacts``,
+      ``spans``, ``sequential_slack``, ``budget_templates`` and
+      ``span_templates``, via :meth:`cache_info`) plus its delta-slack
+      counters;
     * ``delta_seeds`` — hit/miss/insert tallies of the per-graph seed cache
       in :mod:`repro.core.delta_slack` (owned counters, incremented at the
       seed lookup);
-    * ``characterization`` — the library characterisation memo
-      (:data:`repro.lib.characterize._CLASS_CACHE`) hit/miss/size;
     * ``jsonl_stores`` — lines the append-only JSONL loaders
       (:mod:`repro.core.jsonl`: result stores, corpora, trend histories)
       tolerated and dropped, plus records written through the locked
@@ -298,7 +291,6 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
             "misses": counter("delta_seeds.misses").value,
             "inserts": counter("delta_seeds.inserts").value,
         },
-        "characterization": dict(_characterization_probe()),
         "jsonl_stores": {
             "skipped_lines": counter("jsonl.skipped_lines").value,
             "appended_records": counter("jsonl.appended_records").value,

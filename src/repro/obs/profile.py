@@ -145,10 +145,9 @@ def profile_report(
 def _cache_efficiency_rows(caches: Dict[str, Dict[str, object]]) -> List[List[str]]:
     rows: List[List[str]] = []
     analysis = caches.get("analysis_cache", {})
-    for table in ("artifacts", "spans", "sequential_slack"):
-        info = analysis.get(table)
+    for table, info in analysis.items():
         if not isinstance(info, dict):
-            continue
+            continue  # the delta-slack counters
         hits = int(info.get("hits", 0))
         misses = int(info.get("misses", 0))
         rows.append([f"analysis_cache.{table}", str(hits), str(misses),
@@ -158,12 +157,6 @@ def _cache_efficiency_rows(caches: Dict[str, Dict[str, object]]) -> List[List[st
         hits = int(seeds.get("hits", 0))
         misses = int(seeds.get("misses", 0))
         rows.append(["delta_seeds", str(hits), str(misses),
-                     _hit_rate(hits, misses)])
-    characterization = caches.get("characterization", {})
-    if characterization:
-        hits = int(characterization.get("hits", 0))
-        misses = int(characterization.get("misses", 0))
-        rows.append(["characterization", str(hits), str(misses),
                      _hit_rate(hits, misses)])
     return rows
 

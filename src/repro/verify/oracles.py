@@ -12,8 +12,10 @@ oracle                          equivalence under test
                                 (downgrades, areas, final state timing)
 ``sequential-slack``            Bellman-Ford constraint-graph relaxation vs. the
                                 linear topological sweep, aligned and plain
-``pipeline-cache``              :func:`repro.flows.dse.evaluate_point` with the
-                                process-wide analysis cache vs. a private bundle
+``pipeline-cache``              both flows on the shared bundle of
+                                :meth:`repro.flows.pipeline.PointArtifacts.of`
+                                vs. :func:`repro.flows.dse.evaluate_point` on its
+                                private bundle
 ``sweep-session``               batched :class:`repro.flows.sweep.SweepSession`
                                 evaluation vs. independent per-point
                                 :func:`~repro.flows.dse.evaluate_point` runs,
@@ -60,8 +62,8 @@ from repro.errors import ReproError
 from repro.flows.conventional import conventional_flow
 from repro.flows.dse import DSEEntry, evaluate_point
 from repro.flows.pipeline import PointArtifacts
+from repro.flows.slack_based import slack_based_flow
 from repro.flows.sweep import SweepSession
-from repro.core.analysis_cache import AnalysisCache
 from repro.lib.library import Library
 from repro.lib.tsmc90 import tsmc90_library
 from repro.core.bellman_ford import compute_sequential_slack_bellman_ford
@@ -268,18 +270,28 @@ def _check_sequential_slack(spec: ScenarioSpec, library: Library) -> str:
 
 
 @oracle("pipeline-cache",
-        "evaluate_point with the shared analysis cache == with a "
-        "private artifact bundle")
+        "both flows on the analysis cache's shared artifact bundle == "
+        "evaluate_point with its private bundle")
 def _check_pipeline_cache(spec: ScenarioSpec, library: Library) -> str:
     factory = spec.factory()
     point = spec.point()
 
-    cached, error_cached = _run_side(lambda: evaluate_point(
-        factory, library, point, margin_fraction=spec.margin_fraction,
-        use_cache=True))
+    def on_shared_bundle() -> DSEEntry:
+        design = factory(point)
+        artifacts = PointArtifacts.of(design)
+        return DSEEntry(
+            point=point,
+            conventional=conventional_flow(
+                design, library, clock_period=point.clock_period,
+                pipeline_ii=point.pipeline_ii, artifacts=artifacts),
+            slack_based=slack_based_flow(
+                design, library, clock_period=point.clock_period,
+                pipeline_ii=point.pipeline_ii,
+                margin_fraction=spec.margin_fraction, artifacts=artifacts))
+
+    cached, error_cached = _run_side(on_shared_bundle)
     fresh, error_fresh = _run_side(lambda: evaluate_point(
-        factory, library, point, margin_fraction=spec.margin_fraction,
-        use_cache=False))
+        factory, library, point, margin_fraction=spec.margin_fraction))
     verdict = _compare_failures("cache-on", error_cached,
                                 "cache-off", error_fresh)
     if verdict is not None:
@@ -317,16 +329,14 @@ def _check_sweep_session(spec: ScenarioSpec, library: Library) -> str:
         spec.point("p2", clock_period=spec.clock_period * 0.8),
     ]
     session = SweepSession(factory, library,
-                           margin_fraction=spec.margin_fraction,
-                           cache=AnalysisCache())
+                           margin_fraction=spec.margin_fraction)
     problems: List[str] = []
     solo_json: Dict[str, str] = {}
     solo_errors: Dict[str, str] = {}
     for point in points:
         shared, error_shared = _run_side(lambda: session.evaluate(point))
         solo, error_solo = _run_side(lambda: evaluate_point(
-            factory, library, point, margin_fraction=spec.margin_fraction,
-            use_cache=False))
+            factory, library, point, margin_fraction=spec.margin_fraction))
         if error_solo is None:
             solo_json[point.name] = _entry_metrics_json(solo)
         else:
@@ -342,8 +352,7 @@ def _check_sweep_session(spec: ScenarioSpec, library: Library) -> str:
                             "per-point evaluation")
 
     batched = SweepSession(factory, library,
-                           margin_fraction=spec.margin_fraction,
-                           cache=AnalysisCache()).run(points)
+                           margin_fraction=spec.margin_fraction).run(points)
     batched_errors = {failure.point.name: failure.error
                       for failure in batched.failures}
     if batched_errors != solo_errors:

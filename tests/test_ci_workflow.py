@@ -214,6 +214,22 @@ def test_bench_job_uploads_a_perfetto_trace(workflow):
     assert trace, "Chrome trace artifact upload missing"
 
 
+def test_phase_trace_fails_unless_the_template_tables_hit(workflow):
+    """The phase-trace step checks the report it just wrote: it fails
+    unless ``caches.analysis_cache`` lists the budget and span templates
+    with hits, so a sweep that runs without its templates fails CI."""
+    [step] = [step for step in _steps(workflow, "bench-smoke")
+              if "repro.cli profile sweep" in step.get("run", "")]
+    run_text = step["run"]
+    assert "pipefail" in run_text
+    assert run_text.index("--report-json table4-profile.json") \
+        < run_text.index('open("table4-profile.json"')
+    assert '["caches"]["analysis_cache"]' in run_text
+    assert '("budget_templates", "span_templates")' in run_text
+    assert '.get("hits", 0) <= 0' in run_text
+    assert "sys.exit(1 if cold else 0)" in run_text
+
+
 def test_coverage_gate_is_wired_and_pinned(workflow):
     """The coverage job must measure src/repro over tests/ only and fail
     under a pinned threshold — and the threshold cannot be quietly dropped

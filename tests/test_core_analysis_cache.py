@@ -1,6 +1,12 @@
 """The keyed analysis cache: identity, sharing, equivalence and bounds."""
 
-from repro.core.analysis_cache import AnalysisCache, default_cache, design_fingerprint
+from repro.core import analysis_cache
+from repro.core.analysis_cache import (
+    AnalysisCache,
+    _LRUTable,
+    default_cache,
+    design_fingerprint,
+)
 from repro.core.opspan import OperationSpans
 from repro.core.sequential_slack import compute_sequential_slack
 from repro.core.timed_dfg import build_timed_dfg
@@ -142,19 +148,16 @@ def test_slack_keys_include_period_alignment_and_delays(library):
 # -- bounds + management ------------------------------------------------------------
 
 
-def test_lru_eviction_is_bounded_and_counted(library):
-    cache = AnalysisCache(max_slack=2)
-    design = fir_design(taps=6, latency=4, clock_period=1500.0)
-    timed = build_timed_dfg(design)
-    delays = _delays(design, library)
+def test_lru_eviction_is_bounded_and_counted():
+    table = _LRUTable("sequential_slack", 2)
     for period in (1000.0, 1100.0, 1200.0, 1300.0):
-        cache.sequential_slack(timed, delays, period)
-    info = cache.cache_info()["sequential_slack"]
+        table.get_or_build(period, lambda: object())
+    info = table.info()
     assert info["size"] == 2
     assert info["evictions"] == 2
     # The most recent entries are resident; the oldest was evicted.
-    cache.sequential_slack(timed, delays, 1300.0)
-    assert cache.cache_info()["sequential_slack"]["hits"] == 1
+    table.get_or_build(1300.0, lambda: object())
+    assert table.info()["hits"] == 1
 
 
 def test_clear_empties_every_table():
@@ -168,17 +171,46 @@ def test_default_cache_is_process_wide():
     assert default_cache() is default_cache()
 
 
-def test_slack_scheduler_routes_all_lookups_through_injected_cache(library):
-    """An injected cache must actually back the scheduler's budgeting and
-    span rebuilds — isolation would be meaningless if the hot paths fell
-    back to the process-wide cache."""
+def test_slack_scheduler_routes_all_lookups_through_injected_cache(
+        monkeypatch, library):
+    """The process-wide cache must actually back the scheduler's budgeting
+    and span rebuilds: no hot path keeps a memo of its own."""
     from repro.core.slack_scheduler import SlackScheduler
     from repro.workloads import interpolation_design
 
     cache = AnalysisCache()
-    result = SlackScheduler(interpolation_design(), library, 1100.0,
-                            cache=cache).run()
+    monkeypatch.setattr(analysis_cache, "_default_cache", cache)
+    result = SlackScheduler(interpolation_design(), library, 1100.0).run()
     assert result.schedule.is_complete()
     info = cache.cache_info()
     assert info["artifacts"]["misses"] == 1
     assert info["sequential_slack"]["misses"] > 0
+    assert info["budget_templates"]["misses"] == 1
+    assert info["span_templates"]["misses"] >= 1
+    assert cache.delta_evaluators > 0
+
+
+def test_clear_drops_every_table_including_the_templates(monkeypatch,
+                                                         library):
+    """The cache owns every process-wide memo: one ``clear()`` empties the
+    templates too, so the same flow on the same design misses them again."""
+    from repro.flows import slack_based_flow
+    from repro.workloads import interpolation_design
+
+    monkeypatch.setattr(analysis_cache, "_default_cache", AnalysisCache())
+    design = interpolation_design()
+    slack_based_flow(design, library, clock_period=1100.0)
+    first = default_cache().cache_info()
+    assert set(first) == {"artifacts", "spans", "sequential_slack",
+                          "budget_templates", "span_templates"}
+    templates = ("budget_templates", "span_templates")
+    assert all(first[table]["misses"] > 0 for table in templates)
+    assert all(first[table]["hits"] > 0 for table in templates)
+
+    default_cache().clear()
+    assert all(info["size"] == 0
+               for info in default_cache().cache_info().values())
+    slack_based_flow(design, library, clock_period=1100.0)
+    again = default_cache().cache_info()
+    for table in templates:
+        assert again[table]["misses"] == 2 * first[table]["misses"], table

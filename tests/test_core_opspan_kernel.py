@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from repro.core import analysis_cache
 from repro.core.analysis_cache import AnalysisCache
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans, SpanInfo
@@ -209,17 +210,23 @@ class _RecordingCache(AnalysisCache):
 
 def _check_scheduler_rebuilds(design, library, clock_period):
     cache = _RecordingCache()
-    try:
-        SlackScheduler(design, library, clock_period, cache=cache).run()
-    except ReproError:
-        pass  # an infeasible point still rebuilt spans on its way there
-    for artifacts, pinned, not_before, cached in cache.requests.values():
-        latency = artifacts.latency
-        spans = _assert_matches_reference(design, latency, pinned, not_before)
-        assert spans is not None
-        assert all(cached.span(name) is info
-                   for name, info in spans.all_spans().items())
-        _assert_weights(list(artifacts.timed.edge_pairs()), cached, latency)
+    # The span templates, and with them the interned SpanInfo objects the
+    # identity check below compares, live in the patched cache.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis_cache, "_default_cache", cache)
+        try:
+            SlackScheduler(design, library, clock_period).run()
+        except ReproError:
+            pass  # an infeasible point still rebuilt spans on its way there
+        for artifacts, pinned, not_before, cached in cache.requests.values():
+            latency = artifacts.latency
+            spans = _assert_matches_reference(design, latency, pinned,
+                                              not_before)
+            assert spans is not None
+            assert all(cached.span(name) is info
+                       for name, info in spans.all_spans().items())
+            _assert_weights(list(artifacts.timed.edge_pairs()), cached,
+                            latency)
     return len(cache.requests)
 
 

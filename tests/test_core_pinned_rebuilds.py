@@ -51,10 +51,12 @@ class _RecordingCache(AnalysisCache):
 
 def _recorded_rebuilds(design, library, clock_period):
     cache = _RecordingCache()
-    try:
-        SlackScheduler(design, library, clock_period, cache=cache).run()
-    except ReproError:
-        pass  # an infeasible point still re-budgeted on its way there
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis_cache, "_default_cache", cache)
+        try:
+            SlackScheduler(design, library, clock_period).run()
+        except ReproError:
+            pass  # an infeasible point still re-budgeted on its way there
     return list(cache.rebuilds.values())
 
 

@@ -73,3 +73,16 @@ def test_allocation_respects_schedule(interpolation, library, interpolation_resu
     assert per_edge
     for count in per_edge.values():
         assert count <= limits[("mul", 8)]
+
+
+def test_a_second_run_starts_from_clean_grade_locks(interpolation, library):
+    """The grades one run's relaxation loop locks do not carry over: a
+    second ``run()`` on the same instance relaxes exactly like the first."""
+    scheduler = SlackScheduler(interpolation, library, 1100.0)
+    first = scheduler.run().relaxation
+    second = scheduler.run().relaxation
+    assert first.attempts > 1 and first.upgrades  # the loop locked grades
+    assert second.attempts == first.attempts
+    assert second.upgrades == first.upgrades
+    assert second.resources_added == first.resources_added
+    assert second.messages == first.messages

@@ -203,7 +203,7 @@ def test_ranges_of_a_healthy_sweep_are_ratios():
     assert healthy.throughput_range() == pytest.approx(2.0)
 
 
-# -- cache-off evaluation hook (the pipeline-cache oracle's substrate) --------------
+# -- private bundles (the pipeline-cache oracle's substrate) -----------------------
 
 
 def test_evaluate_point_use_cache_false_builds_private_artifacts(library,
@@ -219,10 +219,9 @@ def test_evaluate_point_use_cache_false_builds_private_artifacts(library,
             "build", calls["build"] + 1) or real_build.__func__(cls, design)))
     monkeypatch.setattr(
         PointArtifacts, "of",
-        classmethod(lambda cls, design, cache=None: calls.__setitem__(
-            "of", calls["of"] + 1) or real_of.__func__(cls, design, cache)))
+        classmethod(lambda cls, design: calls.__setitem__(
+            "of", calls["of"] + 1) or real_of.__func__(cls, design)))
 
     point = DesignPoint(name="P0", latency=10, clock_period=1500.0)
-    dse_mod.evaluate_point(IDCTPointFactory(rows=1), library, point,
-                           use_cache=False)
+    dse_mod.evaluate_point(IDCTPointFactory(rows=1), library, point)
     assert calls["build"] >= 1 and calls["of"] == 0

@@ -25,7 +25,8 @@ from repro.flows import (
     run_dse,
     sweep_plan,
 )
-from repro.core.analysis_cache import AnalysisCache
+from repro.core import analysis_cache
+from repro.core.analysis_cache import AnalysisCache, default_cache
 from repro.lib.tsmc90 import tsmc90_library
 from repro.obs.metrics import cache_stats
 from repro.obs.trace import tracing
@@ -103,7 +104,7 @@ def test_run_returns_entries_in_caller_order(library, factory):
         DesignPoint("early", latency=6, clock_period=CLOCK),
         DesignPoint("mid", latency=7, clock_period=CLOCK),
     ]
-    result = SweepSession(factory, library, cache=AnalysisCache()).run(points)
+    result = SweepSession(factory, library).run(points)
     assert [entry.point.name for entry in result.entries] \
         == ["late", "early", "mid"]
 
@@ -114,16 +115,16 @@ def test_session_matches_per_point_evaluation(library, factory):
         DesignPoint("b", latency=6, clock_period=1.25 * CLOCK),
         DesignPoint("c", latency=8, clock_period=CLOCK),
     ]
-    session = SweepSession(factory, library, cache=AnalysisCache())
+    session = SweepSession(factory, library)
     batched = session.run(points)
     for point, entry in zip(points, batched.entries):
-        solo = evaluate_point(factory, library, point, use_cache=False)
+        solo = evaluate_point(factory, library, point)
         assert _metrics_json(entry) == _metrics_json(solo), point.name
 
 
 def test_session_counts_delta_and_fallback_points(library, factory):
     before = cache_stats()["analysis_cache"]
-    session = SweepSession(factory, library, cache=AnalysisCache())
+    session = SweepSession(factory, library)
     same_structure = DesignPoint("p0", latency=6, clock_period=CLOCK)
     session.evaluate(same_structure)
     assert session.stats.full_evaluations == 1
@@ -132,7 +133,6 @@ def test_session_counts_delta_and_fallback_points(library, factory):
     session.evaluate(DesignPoint("p0", latency=6, clock_period=1.2 * CLOCK))
     assert session.stats.delta_points == 1
     assert session.stats.interned_reuses == 1
-    assert session.stats.artifacts_shared == 1
     # A structurally diverging point falls back to a full evaluation.
     session.evaluate(DesignPoint("p1", latency=8, clock_period=CLOCK))
     assert session.stats.full_evaluations == 2
@@ -144,12 +144,17 @@ def test_session_counts_delta_and_fallback_points(library, factory):
     assert after["delta_updates"] - before["delta_updates"] >= evaluators
 
 
-def test_private_session_never_touches_shared_cache(library, factory):
-    cache = AnalysisCache()
-    session = SweepSession(factory, library, cache=cache, use_cache=False)
+def test_private_session_never_touches_shared_cache(monkeypatch, library,
+                                                   factory):
+    """A session keeps its own bundle per structure: it never looks up the
+    process-wide artifacts table."""
+    monkeypatch.setattr(analysis_cache, "_default_cache", AnalysisCache())
+    session = SweepSession(factory, library)
     session.evaluate(DesignPoint("p0", latency=6, clock_period=CLOCK))
-    assert cache.cache_info()["artifacts"]["size"] == 0
-    assert session.stats.artifacts_built == 1
+    session.evaluate(DesignPoint("p0", latency=6, clock_period=1.2 * CLOCK))
+    info = default_cache().cache_info()
+    assert info["artifacts"]["hits"] == info["artifacts"]["misses"] == 0
+    assert info["budget_templates"]["misses"] > 0  # the patch was in force
 
 
 def test_seeded_property_sweep_batched_equals_per_point(library):
@@ -165,8 +170,7 @@ def test_seeded_property_sweep_batched_equals_per_point(library):
             spec.point("q2", clock_period=spec.clock_period * 0.8),
         ]
         session = SweepSession(factory, library,
-                               margin_fraction=spec.margin_fraction,
-                               cache=AnalysisCache())
+                               margin_fraction=spec.margin_fraction)
 
         def evaluate(callable_):
             try:
@@ -178,7 +182,7 @@ def test_seeded_property_sweep_batched_equals_per_point(library):
             got, got_error = evaluate(lambda: session.evaluate(point))
             want, want_error = evaluate(lambda: evaluate_point(
                 factory, library, point,
-                margin_fraction=spec.margin_fraction, use_cache=False))
+                margin_fraction=spec.margin_fraction))
             assert got_error == want_error, f"seed={seed} {point.name}"
             assert got == want, f"seed={seed} {point.name}"
 
@@ -199,8 +203,8 @@ def test_run_dse_flows_argument_is_gone(library, factory):
 def test_evaluate_point_shim_matches_session_path(library, factory):
     """The one-point shim and an explicit session agree byte for byte."""
     point = DesignPoint("p0", latency=6, clock_period=CLOCK)
-    shim = evaluate_point(factory, library, point, use_cache=False)
-    session = SweepSession(factory, library, cache=AnalysisCache())
+    shim = evaluate_point(factory, library, point)
+    session = SweepSession(factory, library)
     assert _metrics_json(shim) == _metrics_json(session.evaluate(point))
 
 

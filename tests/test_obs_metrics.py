@@ -93,7 +93,6 @@ def test_module_level_registry_is_shared():
 def test_snapshot_includes_builtin_cache_probes():
     snap = snapshot()
     assert "analysis_cache" in snap["probes"]
-    assert "characterization" in snap["probes"]
 
 
 def test_cache_stats_covers_every_cache_layer(library):
@@ -104,38 +103,16 @@ def test_cache_stats_covers_every_cache_layer(library):
     evaluate_point(IDCTPointFactory(rows=1), library, point)
 
     stats = cache_stats()
-    assert set(stats) == {"analysis_cache", "delta_seeds", "characterization",
-                          "jsonl_stores", "serve"}
+    assert set(stats) == {"analysis_cache", "delta_seeds", "jsonl_stores",
+                          "serve"}
     assert {"hits", "misses", "puts", "compactions"} <= set(stats["serve"])
     assert {"skipped_lines", "appended_records"} \
         <= set(stats["jsonl_stores"])
     # The analysis-cache probe pulls the public cache_info() tables.
-    for table in ("artifacts", "spans", "sequential_slack"):
+    for table in ("artifacts", "spans", "sequential_slack",
+                  "budget_templates", "span_templates"):
         assert {"hits", "misses"} <= set(stats["analysis_cache"][table])
     assert {"hits", "misses", "inserts"} <= set(stats["delta_seeds"])
-    info = stats["characterization"]
-    assert info["size"] >= 1
-    # Building the tsmc90 library exercised the memo at least once.
-    assert info["hits"] + info["misses"] >= info["size"]
-
-
-def test_characterization_cache_info_counts_hits():
-    from repro.ir.operations import OpKind
-    from repro.lib.characterize import (
-        characterization_cache_info,
-        characterize_class,
-        default_kind_models,
-    )
-
-    model = default_kind_models()[OpKind.ADD]
-    before = characterization_cache_info()
-    first = characterize_class(OpKind.ADD, 37, model)
-    again = characterize_class(OpKind.ADD, 37, model)
-    after = characterization_cache_info()
-    assert again is first  # memoized instance is shared
-    assert after["hits"] >= before["hits"] + 1
-    assert after["misses"] >= before["misses"]
-    assert after["size"] >= before["size"]
 
 
 # -- adopted ad-hoc counters keep their public accessors ---------------------------

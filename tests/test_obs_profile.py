@@ -61,7 +61,7 @@ def test_unknown_span_names_report_under_other():
 
 
 def test_profile_report_fields_and_coverage():
-    caches = {"analysis_cache": {}, "delta_seeds": {}, "characterization": {}}
+    caches = {"analysis_cache": {}, "delta_seeds": {}}
     report = profile_report(forest(), wall_seconds=2.1, top=3,
                             cache_summary=caches)
     assert report["traced_seconds"] == pytest.approx(2.0)
@@ -91,9 +91,10 @@ def test_markdown_report_renders_phases_spans_and_caches():
             "artifacts": {"hits": 3, "misses": 1},
             "spans": {"hits": 0, "misses": 0},
             "sequential_slack": {"hits": 1, "misses": 3},
+            "budget_templates": {"hits": 9, "misses": 1},
+            "delta_evaluators": 5,
         },
         "delta_seeds": {"hits": 8, "misses": 2, "inserts": 2},
-        "characterization": {"hits": 10, "misses": 30, "size": 30},
     }
     report = profile_report(forest(), wall_seconds=2.0, cache_summary=caches)
     text = format_profile_markdown(report, title="Test profile")
@@ -102,6 +103,9 @@ def test_markdown_report_renders_phases_spans_and_caches():
     assert "flow.schedule" in text
     assert "delta_seeds" in text and "80.0 %" in text  # 8/(8+2)
     assert "analysis_cache.artifacts" in text and "75.0 %" in text
+    # Every table the cache reports gets a row; its counters do not.
+    assert "analysis_cache.budget_templates" in text and "90.0 %" in text
+    assert "delta_evaluators" not in text
     assert "n/a" in text  # zero-lookup table renders n/a, not a ZeroDivision
     assert "100.0 % coverage" in text
 
@@ -109,5 +113,4 @@ def test_markdown_report_renders_phases_spans_and_caches():
 def test_live_cache_summary_is_pulled_when_omitted():
     report = profile_report(forest())
     assert set(report["caches"]) \
-        == {"analysis_cache", "delta_seeds", "characterization",
-            "jsonl_stores", "serve"}
+        == {"analysis_cache", "delta_seeds", "jsonl_stores", "serve"}

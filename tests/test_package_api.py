@@ -102,9 +102,9 @@ def test_dir_lists_lazy_names():
     assert "AdaptiveExplorer" in listing
 
 
-#: The parameters of the scheduling path's and the back end's entry points,
-#: by ``module:attribute`` (a class stands for its constructor, ``A.b`` for
-#: method ``b`` of class ``A``).  Every option
+#: The parameters of the scheduling path's, the back end's and the memo
+#: owners' entry points, by ``module:attribute`` (a class stands for its
+#: constructor, ``A.b`` for method ``b`` of class ``A``).  Every option
 #: here has a caller that sets it; adding or removing one is a deliberate API
 #: change, made in this table in the same change.
 SCHEDULING_PARAMETERS = {
@@ -116,7 +116,7 @@ SCHEDULING_PARAMETERS = {
         "area_recovery", "artifacts", "scheduling"),
     "repro.core.slack_scheduler:SlackScheduler": (
         "design", "library", "clock_period", "margin_fraction", "pipeline_ii",
-        "artifacts", "cache"),
+        "artifacts"),
     "repro.sched.relaxation:schedule_with_relaxation": (
         "design", "library", "clock_period", "variant_map", "spans",
         "latency", "priority", "pipeline_ii", "scheduler"),
@@ -137,7 +137,7 @@ SCHEDULING_PARAMETERS = {
         "design", "library", "clock_period", "variant_map"),
     "repro.core.budgeting:budget_slack": (
         "design", "library", "clock_period", "margin_fraction", "graph",
-        "initial_variants", "pinned_variants", "cache"),
+        "initial_variants", "pinned_variants"),
     "repro.sched.modulo_scheduler:compute_mii": (
         "design", "library", "clock_period", "variant_map", "spans",
         "latency"),
@@ -161,6 +161,18 @@ SCHEDULING_PARAMETERS = {
     "repro.rtl.area_recovery:recover_area": ("datapath",),
     "repro.rtl.area_recovery:recover_area_reference": ("datapath",),
     "repro.sched.schedule:Schedule.validate": ("self",),
+    # The memo owners: no cache is a parameter (the process-wide tables
+    # belong to AnalysisCache, a sweep's bundles to its session), and
+    # characterisation takes no factor no caller sets.
+    "repro.flows.sweep.session:SweepSession": (
+        "design_factory", "library", "margin_fraction", "scheduling"),
+    "repro.flows.dse:evaluate_point": (
+        "design_factory", "library", "point", "margin_fraction",
+        "scheduling"),
+    "repro.flows.pipeline:PointArtifacts.of": ("design",),
+    "repro.core.analysis_cache:AnalysisCache": (),
+    "repro.lib.characterize:characterize_class": (
+        "kind", "width", "model", "num_grades"),
 }
 
 
