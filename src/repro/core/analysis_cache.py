@@ -50,9 +50,8 @@ are bit-for-bit identical to results without it (the flows' golden-metrics
 benchmark guards this).  The fingerprint is stamped on the design object
 behind an O(1) shape guard, and the span templates carry the same shape in
 their key: structural growth or shrinkage after first use is detected, but
-in-place edits that keep every node/edge count unchanged are not — run the
-IR transforms before handing a design to a flow and avoid such edits
-afterwards.
+in-place edits that keep every node/edge count unchanged are not — finish
+editing a design before handing it to a flow.
 
 Memory: each table is an LRU bounded in entries;
 :meth:`AnalysisCache.cache_info` exposes hits/misses/evictions and
@@ -115,8 +114,7 @@ def design_fingerprint(design) -> str:
     operations, data edges or CFG elements after first use is detected and
     becomes a correct cache miss.  Only *in-place* edits that keep every
     count unchanged (e.g. rewriting an operation's kind on the same object)
-    escape the guard — avoid those after first use, or run the IR
-    transforms before handing a design to a flow (see the module
+    escape the guard — avoid those after first use (see the module
     docstring).
     """
     cfg, dfg = design.cfg, design.dfg

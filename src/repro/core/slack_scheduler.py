@@ -212,5 +212,4 @@ class SlackScheduler:
             self.design, self.library, self.clock_period, variants, allocation,
             spans=self._spans, latency=self._latency, priority=priority,
             pipeline_ii=pipeline_ii, post_edge_hook=post_edge_hook,
-            upgrade_on_last_chance=True,
         )

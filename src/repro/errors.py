@@ -19,20 +19,6 @@ class ElaborationError(ReproError):
     """Raised when the frontend cannot lower a specification to the IR."""
 
 
-class ParseError(ElaborationError):
-    """Raised by the DSL lexer/parser for syntactically invalid input."""
-
-    def __init__(self, message, line=None, column=None):
-        location = ""
-        if line is not None:
-            location = f" at line {line}"
-            if column is not None:
-                location += f", column {column}"
-        super().__init__(f"{message}{location}")
-        self.line = line
-        self.column = column
-
-
 class LibraryError(ReproError):
     """Raised for inconsistent resource-library definitions or lookups."""
 

@@ -13,7 +13,7 @@ The exploration layer sits on top of the sweep session
 * :mod:`repro.explore.store` — :class:`ResultStore`, an append-only,
   fingerprint-keyed JSONL store that makes repeated explorations across
   sessions and scenarios resume for free;
-* :mod:`repro.explore.compare` — frontier diffs across workloads, flows and
+* :mod:`repro.explore.compare` — frontier diffs across flows and
   exploration modes;
 * :mod:`repro.explore.report` — JSON / markdown frontier reports;
 * :mod:`repro.explore.cli` — the ``repro explore`` subcommand.
@@ -43,7 +43,6 @@ from repro.explore.compare import (
     FrontierDiff,
     compare_flows,
     compare_frontiers,
-    compare_workloads,
     flow_frontiers,
 )
 from repro.explore.report import (
@@ -76,7 +75,6 @@ __all__ = [
     "FrontierDiff",
     "compare_flows",
     "compare_frontiers",
-    "compare_workloads",
     "flow_frontiers",
     "frontier_report",
     "frontier_rows",

@@ -13,21 +13,21 @@ evaluations only where the area/latency trade-off has structure:
    bisects (successive bisection over the swept latency budget) while the
    local evidence says the frontier may have structure there:
 
-   * *descent*: the guide objective drops by more than
-     ``descent_fraction`` from the left endpoint to the right one — the
-     front passes through the interval, resolve where;
-   * *non-convexity*: an evaluated point sits more than
-     ``convexity_fraction`` above the chord of its two neighbours — the
-     curve is locally non-convex, so both adjacent intervals may hide a
-     dip (each witness point triggers this once; repeated drilling around
-     one spike has no frontier payoff);
+   * *descent*: the area drops by more than :data:`DESCENT_FRACTION`
+     from the left endpoint to the right one — the front passes through
+     the interval, resolve where;
+   * *non-convexity*: an evaluated point's area sits more than
+     :data:`CONVEXITY_FRACTION` above the chord of its two neighbours —
+     the curve is locally non-convex, so both adjacent intervals may hide
+     a dip (each witness point triggers this once; repeated drilling
+     around one spike has no frontier payoff);
 
    and stops on intervals narrower than ``width_stop`` latency states.
    An interval is therefore left unrefined for one of two reasons, and
    each bounds the recovery error differently: either it reached the
    resolution floor (every interior latency is within ``width_stop - 1``
-   states of the interval's endpoints), or the guide objective changed by
-   less than the refinement thresholds across it (interior structure, if
+   states of the interval's endpoints), or the area changed by less than
+   the refinement thresholds across it (interior structure, if
    any, is below the thresholds on monotone curves — the property tests
    pin the resulting epsilon-coverage guarantee for monotone step curves,
    and the Table-4 benchmark asserts it empirically on the real,
@@ -36,11 +36,11 @@ evaluations only where the area/latency trade-off has structure:
    :func:`repro.explore.store.memoized_run`: each candidate point is keyed
    by the fingerprint of its factory-built design
    (:func:`repro.core.analysis_cache.design_fingerprint`) plus its
-   clock/II/margin and looked up in the explorer's
+   clock/margin and looked up in the explorer's
    :class:`repro.explore.store.ResultStore` (an in-memory one unless a
    persistent store is given), and every evaluation is recorded there;
    structurally identical points (and any point explored in an earlier
-   session with the same clock/II/margin) are restored instead of
+   session with the same clock/margin) are restored instead of
    re-evaluated.  The good points of a wave are recorded even when another
    point of it fails, so a rerun evaluates only the failures.
 
@@ -85,27 +85,31 @@ from repro.explore.store import (
     memoized_run,
 )
 
+#: The objective the refinement rules watch.
+GUIDE_OBJECTIVE = "area"
+#: Relative drop of the guide objective across an interval that bisects it.
+DESCENT_FRACTION = 0.20
+#: Relative rise above the neighbours' chord that makes a point a witness.
+CONVEXITY_FRACTION = 0.10
+#: Hard safety cap on refinement waves.
+MAX_WAVES = 12
+
 
 @dataclass(frozen=True)
 class RefinementPolicy:
     """When the adaptive driver keeps bisecting an interval.
 
-    ``coarse_points`` sizes the initial grid.  ``descent_fraction`` and
-    ``convexity_fraction`` are relative thresholds on the guide objective
-    (see the module docstring).  ``width_stop`` is the resolution floor in
-    swept-parameter units: intervals no wider than this are final, so the
-    latency error of fully-refined regions is at most ``width_stop - 1``
-    states (intervals whose endpoints agree to within the thresholds stop
-    earlier and are covered by the relative epsilon instead — see the
-    module docstring for the exact guarantee).  ``max_waves`` is a hard
-    safety cap.
+    ``coarse_points`` sizes the initial grid.  ``width_stop`` is the
+    resolution floor in latency states: intervals no wider than this are
+    final, so the latency error of fully-refined regions is at most
+    ``width_stop - 1`` states (intervals whose endpoints agree to within
+    :data:`DESCENT_FRACTION` and :data:`CONVEXITY_FRACTION` stop earlier and
+    are covered by the relative epsilon instead — see the module docstring
+    for the exact guarantee).
     """
 
     coarse_points: int = 5
-    descent_fraction: float = 0.20
-    convexity_fraction: float = 0.10
     width_stop: int = 3
-    max_waves: int = 12
 
     def __post_init__(self):
         if self.coarse_points < 2:
@@ -122,9 +126,7 @@ class ExplorationResult:
     mode: str  # "adaptive" | "dense"
     objectives: Tuple[str, ...]
     flow: str
-    #: The swept parameter: "latency" (the Table-4 axis) or "ii" (the
-    #: II-vs-area frontier at a fixed latency).  ``curve`` is keyed by it.
-    axis: str = "latency"
+    #: Evaluated metrics, keyed by latency.
     curve: Dict[int, Mapping[str, object]] = field(default_factory=dict)
     points: List[FrontPoint] = field(default_factory=list)
     front: List[FrontPoint] = field(default_factory=list)
@@ -183,13 +185,15 @@ class AdaptiveExplorer:
     latencies:
         The candidate (dense) grid of latencies.  The adaptive mode
         evaluates a subset of it; :meth:`explore_dense` evaluates all.
-    clock_period / pipeline_ii / margin_fraction:
-        Fixed per-sweep parameters of every design point.
+    clock_period / margin_fraction:
+        Fixed per-sweep parameters of every design point (block
+        scheduling, no pipelining; II sweeps run through
+        ``SweepSession(scheduling="pipeline")``).
     objectives / flow:
         The Pareto objectives (see
         :data:`repro.explore.pareto.OBJECTIVE_SENSES`) and which flow's
-        metrics feed them.  ``guide_objective`` (default ``"area"``) is the
-        scalar the refinement rules watch.
+        metrics feed them.  The refinement rules watch
+        :data:`GUIDE_OBJECTIVE`.
     store:
         Optional :class:`ResultStore` (or any memo, e.g. the serve layer's
         :class:`~repro.serve.cache.MemoCache`); hits skip flow evaluation
@@ -205,17 +209,6 @@ class AdaptiveExplorer:
         Worker processes per evaluation wave (default: one per CPU).  A
         wave with one pending point, or a factory that does not pickle,
         runs serially in this process.
-    ii_values:
-        Switches the swept axis from latency to the initiation interval:
-        one pipelined design point per candidate II, all at the single
-        fixed latency given by ``latencies``.  Pair it with
-        ``objectives=("initiation_interval", "area")`` to recover the
-        II-vs-area frontier.  Refinement (bisection, descent/convexity
-        rules) applies to the II domain exactly as it does to latencies.
-    scheduling:
-        ``"block"`` or ``"pipeline"`` — forwarded to the flows (see
-        :class:`repro.flows.sweep.SweepSession`).  Defaults to
-        ``"pipeline"`` for an II sweep and ``"block"`` otherwise.
     """
 
     def __init__(
@@ -224,50 +217,21 @@ class AdaptiveExplorer:
         library,
         latencies: Sequence[int],
         clock_period: float = 1500.0,
-        pipeline_ii: Optional[int] = None,
         margin_fraction: float = 0.05,
         objectives: Sequence[str] = ("latency_steps", "area"),
         flow: str = "slack_based",
-        guide_objective: str = "area",
         policy: Optional[RefinementPolicy] = None,
         store: Optional[ResultStore] = None,
         workload: str = "",
         evaluator: Optional[Callable[..., Dict[str, object]]] = None,
         workers: Optional[int] = None,
-        ii_values: Optional[Sequence[int]] = None,
-        scheduling: Optional[str] = None,
     ):
-        if ii_values is not None:
-            # II axis: sweep the initiation interval at one fixed latency
-            # (the II-vs-area frontier); points go through the pipelined
-            # (modulo-scheduled) flows unless the caller overrides the mode.
-            domain = sorted(set(int(value) for value in ii_values))
-            if not domain:
-                raise ReproError("an II sweep needs at least one candidate II")
-            if domain[0] < 1:
-                raise ReproError("initiation intervals must be >= 1")
-            fixed = sorted(set(int(latency) for latency in latencies))
-            if len(fixed) != 1:
-                raise ReproError(
-                    "an II sweep explores one fixed latency; pass exactly "
-                    f"one latency (got {fixed or 'none'})")
-            self.axis = "ii"
-            self.fixed_latency = fixed[0]
-            scheduling = scheduling or "pipeline"
-        else:
-            domain = sorted(set(int(latency) for latency in latencies))
-            if not domain:
-                raise ReproError("an exploration needs at least one candidate latency")
-            self.axis = "latency"
-            self.fixed_latency = None
-            scheduling = scheduling or "block"
-        if scheduling not in ("block", "pipeline"):
-            raise ReproError(f"unknown scheduling mode {scheduling!r} "
-                             "(expected 'block' or 'pipeline')")
-        self.scheduling = scheduling
+        domain = sorted(set(int(latency) for latency in latencies))
+        if not domain:
+            raise ReproError("an exploration needs at least one candidate latency")
         # Validate the objective selection up front: a typo must fail here,
         # not after the full sweep cost has been paid.
-        for name in tuple(objectives) + (guide_objective,):
+        for name in objectives:
             if name not in OBJECTIVE_SENSES:
                 raise ReproError(
                     f"unknown objective {name!r}; registered objectives: "
@@ -282,11 +246,9 @@ class AdaptiveExplorer:
         self.library = library
         self.domain = domain
         self.clock_period = float(clock_period)
-        self.pipeline_ii = pipeline_ii
         self.margin_fraction = float(margin_fraction)
         self.objectives = tuple(objectives)
         self.flow = flow
-        self.guide_objective = guide_objective
         self.policy = policy or RefinementPolicy()
         self.store = store if store is not None else ResultStore()
         self.workload = workload or getattr(design_factory, "__class__",
@@ -304,30 +266,17 @@ class AdaptiveExplorer:
         # keep their interned designs and artifact bundles warm from wave
         # to wave (pool workers evaluate through sessions of their own).
         self._session = SweepSession(design_factory, library,
-                                     margin_fraction=self.margin_fraction,
-                                     scheduling=scheduling)
+                                     margin_fraction=self.margin_fraction)
 
     # -- evaluation --------------------------------------------------------------
 
-    def _point_for(self, value: int) -> DesignPoint:
-        if self.axis == "ii":
-            return DesignPoint(
-                name=f"{self.workload}_L{self.fixed_latency}_ii{value}",
-                latency=self.fixed_latency,
-                pipeline_ii=value,
-                clock_period=self.clock_period,
-            )
-        suffix = f"_ii{self.pipeline_ii}" if self.pipeline_ii else ""
-        return DesignPoint(
-            name=f"{self.workload}_L{value}{suffix}",
-            latency=value,
-            pipeline_ii=self.pipeline_ii,
-            clock_period=self.clock_period,
-        )
+    def _point_for(self, latency: int) -> DesignPoint:
+        return DesignPoint(name=f"{self.workload}_L{latency}", latency=latency,
+                           clock_period=self.clock_period)
 
     def _guide(self, latency: int) -> float:
         """The guide objective's minimization value at an evaluated latency."""
-        return objective_vector(self._curve[latency], (self.guide_objective,),
+        return objective_vector(self._curve[latency], (GUIDE_OBJECTIVE,),
                                 flow=self.flow)[0]
 
     def _evaluate(self, latencies: Sequence[int]) -> None:
@@ -374,7 +323,7 @@ class AdaptiveExplorer:
         # threshold — the frontier descends through this interval.
         for left, right in zip(evaluated, evaluated[1:]):
             drop = guide[left] - guide[right]
-            if drop > self.policy.descent_fraction * magnitude(left):
+            if drop > DESCENT_FRACTION * magnitude(left):
                 intervals.add((left, right))
 
         # Non-convexity witnesses: an evaluated point far above its
@@ -384,8 +333,7 @@ class AdaptiveExplorer:
                 continue
             t = (mid - left) / (right - left)
             chord = guide[left] + t * (guide[right] - guide[left])
-            if guide[mid] - chord > self.policy.convexity_fraction * max(
-                    abs(chord), 1e-12):
+            if guide[mid] - chord > CONVEXITY_FRACTION * max(abs(chord), 1e-12):
                 self._exhausted_witnesses.add(mid)
                 intervals.add((left, mid))
                 intervals.add((mid, right))
@@ -411,7 +359,6 @@ class AdaptiveExplorer:
             mode=mode,
             objectives=self.objectives,
             flow=self.flow,
-            axis=self.axis,
             curve=dict(sorted(self._curve.items())),
             points=points,
             front=pareto_front(points),
@@ -427,7 +374,7 @@ class AdaptiveExplorer:
         start = time.perf_counter()
         self._evaluate(_snap_grid(self.domain, self.policy.coarse_points))
         waves = 0
-        while waves < self.policy.max_waves:
+        while waves < MAX_WAVES:
             targets = self._refinement_targets()
             if not targets:
                 break

@@ -1,9 +1,8 @@
 """Frontier comparison across workloads, flows and exploration modes.
 
 Answers the questions a sweep campaign ends with: *did the adaptive run
-recover the dense frontier?*  *How do the IDCT, interpolation, resizer and
-generated-kernel frontiers relate?*  *What does the slack-based flow's
-frontier buy over the conventional one?*
+recover the dense frontier?*  *What does the slack-based flow's frontier buy
+over the conventional one?*
 
 All comparisons work on :class:`repro.explore.pareto.FrontPoint` lists with
 identical objective tuples; hypervolumes are computed against one shared
@@ -110,51 +109,22 @@ def compare_frontiers(
     return diff
 
 
-def flow_frontiers(
-    metrics_list: Sequence[Mapping[str, object]],
-    objectives: Sequence[str] = ("latency_steps", "area"),
-) -> Dict[str, List[FrontPoint]]:
-    """The conventional-flow and slack-based-flow frontiers of one sweep."""
+def flow_frontiers(metrics_list: Sequence[Mapping[str, object]],
+                   ) -> Dict[str, List[FrontPoint]]:
+    """The conventional-flow and slack-based-flow latency/area frontiers of
+    one sweep."""
     return {
-        flow: pareto_front(front_from_metrics(metrics_list, objectives,
-                                              flow=flow))
+        flow: pareto_front(front_from_metrics(
+            metrics_list, ("latency_steps", "area"), flow=flow))
         for flow in ("conventional", "slack_based")
     }
 
 
-def compare_flows(
-    metrics_list: Sequence[Mapping[str, object]],
-    objectives: Sequence[str] = ("latency_steps", "area"),
-    epsilon: EpsilonSpec = 0.0,
-) -> FrontierDiff:
-    """Slack-based vs conventional frontier of the same sweep (the paper's
-    central comparison, lifted from per-point savings to frontiers)."""
-    fronts = flow_frontiers(metrics_list, objectives)
+def compare_flows(metrics_list: Sequence[Mapping[str, object]]) -> FrontierDiff:
+    """Slack-based vs conventional latency/area frontier of the same sweep
+    (the paper's central comparison, lifted from per-point savings to
+    frontiers)."""
+    fronts = flow_frontiers(metrics_list)
     return compare_frontiers(fronts["slack_based"], fronts["conventional"],
-                             epsilon=epsilon,
                              name_a="slack_based", name_b="conventional")
 
-
-def compare_workloads(
-    sweeps: Mapping[str, Sequence[Mapping[str, object]]],
-    objectives: Sequence[str] = ("latency_steps", "area"),
-    flow: str = "slack_based",
-    epsilon: EpsilonSpec = 0.0,
-) -> Dict[Tuple[str, str], FrontierDiff]:
-    """Pairwise frontier diffs over named sweeps (IDCT vs interpolation vs
-    resizer vs generated kernels, ...).
-
-    ``sweeps`` maps a workload name to its metrics list (e.g. a
-    :meth:`ResultStore.metrics` export per workload tag).  Returns a diff
-    for every ordered name pair ``(a, b)`` with ``a < b``.
-    """
-    fronts = {
-        name: pareto_front(front_from_metrics(records, objectives, flow=flow))
-        for name, records in sweeps.items()
-    }
-    names = sorted(fronts)
-    return {
-        (a, b): compare_frontiers(fronts[a], fronts[b], epsilon=epsilon,
-                                  name_a=a, name_b=b)
-        for i, a in enumerate(names) for b in names[i + 1:]
-    }

@@ -363,11 +363,10 @@ def hypervolume(points: Sequence[FrontPoint],
     return _hv_recursive(clipped, reference)
 
 
-def reference_point(points: Sequence[FrontPoint],
-                    margin: float = 0.05) -> Tuple[float, ...]:
+def reference_point(points: Sequence[FrontPoint]) -> Tuple[float, ...]:
     """A deterministic reference for :func:`hypervolume`: the componentwise
-    worst value pushed out by ``margin`` of the objective's observed range
-    (with a small absolute floor, so degenerate axes still have volume)."""
+    worst value pushed out by 5 % of the objective's observed range (with a
+    small absolute floor, so degenerate axes still have volume)."""
     if not points:
         raise ReproError("a reference point of an empty set is undefined")
     dims = len(points[0].values)
@@ -375,7 +374,7 @@ def reference_point(points: Sequence[FrontPoint],
     for axis in range(dims):
         column = [p.values[axis] for p in points]
         worst, best = max(column), min(column)
-        pad = max((worst - best) * margin, abs(worst) * 1e-6, 1e-9)
+        pad = max((worst - best) * 0.05, abs(worst) * 1e-6, 1e-9)
         ref.append(worst + pad)
     return tuple(ref)
 

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.flows.report import fmt_metric, format_markdown_table, format_table
 from repro.explore.adaptive import ExplorationResult
-from repro.explore.compare import FrontierDiff
 from repro.explore.pareto import FrontPoint, knee_point
 
 
@@ -136,27 +135,6 @@ def render_markdown(report: Dict[str, object]) -> str:
             f"fewer evaluations")
     lines.append("")
     return "\n".join(lines)
-
-
-def diff_rows(diffs: Dict[Tuple[str, str], FrontierDiff],
-              ) -> Tuple[List[str], List[List[str]]]:
-    """Header + rows summarizing pairwise frontier diffs."""
-    header = ["A", "B", "HV(A)", "HV(B)", "HV ratio", "cov A>B", "cov B>A",
-              "only A", "only B"]
-    rows = []
-    for (_, _), diff in sorted(diffs.items()):
-        rows.append([
-            diff.name_a,
-            diff.name_b,
-            fmt_metric(diff.hypervolume_a, ".4g"),
-            fmt_metric(diff.hypervolume_b, ".4g"),
-            fmt_metric(diff.hypervolume_ratio, ".3f"),
-            fmt_metric(100.0 * diff.coverage_ab, ".0f") + "%",
-            fmt_metric(100.0 * diff.coverage_ba, ".0f") + "%",
-            str(len(diff.only_in_a)),
-            str(len(diff.only_in_b)),
-        ])
-    return header, rows
 
 
 def frontier_text_table(result: ExplorationResult, title: Optional[str] = None,

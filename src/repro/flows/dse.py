@@ -125,16 +125,14 @@ class DSEResult:
             )
         return max(values) / min(values)
 
-    def area_range(self, flow: str = "slack") -> float:
-        """max/min area ratio across design points for one flow."""
-        areas = [entry.area_slack if flow == "slack" else entry.area_conventional
-                 for entry in self.entries]
-        return self._ratio(areas, "area")
+    def area_range(self) -> float:
+        """max/min area ratio of the slack-based flow across design points."""
+        return self._ratio([entry.area_slack for entry in self.entries], "area")
 
-    def power_range(self, flow: str = "slack") -> float:
-        powers = [entry.slack_based.total_power if flow == "slack"
-                  else entry.conventional.total_power for entry in self.entries]
-        return self._ratio(powers, "power")
+    def power_range(self) -> float:
+        """max/min power ratio of the slack-based flow across design points."""
+        return self._ratio([entry.slack_based.total_power
+                            for entry in self.entries], "power")
 
     def throughput_range(self) -> float:
         values = [entry.slack_based.throughput for entry in self.entries]
@@ -157,19 +155,6 @@ class DSEResult:
         """
         return [entry.metrics() for entry in self.entries]
 
-    def pareto_front(self, objectives: Sequence[str] = ("latency_steps", "area"),
-                     flow: str = "slack_based"):
-        """The sweep's Pareto-optimal points over ``objectives``.
-
-        Returns :class:`repro.explore.pareto.FrontPoint` objects (imported
-        lazily — the exploration layer depends on the flows, not vice
-        versa).
-        """
-        from repro.explore.pareto import front_from_metrics, pareto_front
-
-        return pareto_front(front_from_metrics(self.metrics_list(),
-                                               objectives, flow=flow))
-
 
 def idct_design_points(clock_period: float = 1500.0) -> List[DesignPoint]:
     """The 15 IDCT design points mirroring the paper's Table 4 sweep.
@@ -190,14 +175,10 @@ def idct_design_points(clock_period: float = 1500.0) -> List[DesignPoint]:
     return points
 
 
-def latency_grid(
-    low: int,
-    high: int,
-    clock_period: float = 1500.0,
-    pipeline_ii: Optional[int] = None,
-    prefix: str = "L",
-) -> List[DesignPoint]:
-    """A dense latency sweep: one design point per latency in ``[low, high]``.
+def latency_grid(low: int, high: int,
+                 clock_period: float = 1500.0) -> List[DesignPoint]:
+    """A dense latency sweep: one design point ``L<latency>`` per latency in
+    ``[low, high]``, unpipelined.
 
     This is the exhaustive grid the adaptive explorer is benchmarked
     against (the Table-4 axis extends the paper's 15 hand-picked points to
@@ -206,8 +187,8 @@ def latency_grid(
     if high < low:
         raise ReproError(f"empty latency grid [{low}, {high}]")
     return [
-        DesignPoint(name=f"{prefix}{latency}", latency=latency,
-                    pipeline_ii=pipeline_ii, clock_period=clock_period)
+        DesignPoint(name=f"L{latency}", latency=latency,
+                    clock_period=clock_period)
         for latency in range(low, high + 1)
     ]
 
@@ -249,8 +230,6 @@ def run_dse(
     design_factory: Callable[[DesignPoint], Design],
     library: Library,
     points: Sequence[DesignPoint],
-    margin_fraction: float = 0.05,
-    scheduling: str = "block",
 ) -> DSEResult:
     """Run the conventional and slack-based flows over all ``points``.
 
@@ -260,17 +239,12 @@ def run_dse(
     A thin shim over :meth:`repro.flows.sweep.SweepSession.run`: points
     are visited in delta-friendly order, entries come back in the input
     order, and a point that raises lands in ``DSEResult.failures`` while
-    the sweep goes on.
-
-    ``scheduling`` is forwarded to the session (``"block"`` or
-    ``"pipeline"`` — see :class:`repro.flows.sweep.SweepSession`).
+    the sweep goes on.  It runs the session's defaults: a 5 % budgeting
+    margin and block scheduling.
     """
     from repro.flows.sweep import SweepSession
 
-    session = SweepSession(design_factory, library,
-                           margin_fraction=margin_fraction,
-                           scheduling=scheduling)
-    return session.run(points)
+    return SweepSession(design_factory, library).run(points)
 
 
 @dataclass(frozen=True)
@@ -282,18 +256,15 @@ class SweepScenario:
     points: Tuple[DesignPoint, ...]
 
 
-def scenario_sweep(
-    clock_period: float = 1500.0,
-    random_sizes: Sequence[Tuple[int, int]] = ((3, 4), (4, 6), (5, 8)),
-    random_seeds: Sequence[int] = (7, 23),
-) -> List[SweepScenario]:
+def scenario_sweep(clock_period: float = 1500.0) -> List[SweepScenario]:
     """A scenario-diverse sweep: public-style kernels plus random designs.
 
     Generalizes the DSE harness beyond the paper's IDCT: each scenario
     sweeps one workload over several latencies, and the random scenarios
-    add seeded layered designs at several sizes (``(layers, ops_per_layer)``
-    pairs), standing in for the paper's "over 100 customer designs".  Run
-    one with ``SweepSession(scenario.factory, library).run(scenario.points)``.
+    add layered designs of seeds 7 and 23 at three ``(layers,
+    ops_per_layer)`` sizes, standing in for the paper's "over 100 customer
+    designs".  Run one with
+    ``SweepSession(scenario.factory, library).run(scenario.points)``.
     """
     from repro.workloads.factories import KernelPointFactory, RandomPointFactory
 
@@ -318,8 +289,8 @@ def scenario_sweep(
         SweepScenario("sobel", KernelPointFactory("sobel"),
                       points("sobel", (5, 6, 8))),
     ]
-    for layers, ops in random_sizes:
-        for seed in random_seeds:
+    for layers, ops in ((3, 4), (4, 6), (5, 8)):
+        for seed in (7, 23):
             name = f"random_s{seed}_{layers}x{ops}"
             scenarios.append(SweepScenario(
                 name,

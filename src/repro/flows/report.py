@@ -15,16 +15,16 @@ from repro.lib.library import Library
 from repro.flows.result import FlowResult
 
 
-def fmt_metric(value, spec: str = ".1f", missing: str = "n/a") -> str:
+def fmt_metric(value, spec: str = ".1f") -> str:
     """Format one numeric cell, rendering non-numbers and non-finite values
-    (``nan``/``inf`` from failed design points) as ``missing`` instead of
+    (``nan``/``inf`` from failed design points) as ``n/a`` instead of
     leaking ``nan`` strings into (or crashing) a table."""
     try:
         number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        return missing
+        return "n/a"
     if not math.isfinite(number):
-        return missing
+        return "n/a"
     return format(number, spec)
 
 

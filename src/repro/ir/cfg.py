@@ -50,31 +50,6 @@ class CFGNode:
         return f"CFGNode({self.name}, {self.kind.value})"
 
 
-@dataclass(frozen=True)
-class LoopRegion:
-    """A natural-loop region derived from classified back edges.
-
-    ``header`` is the destination of the loop's back edge(s); ``back_edges``
-    lists the back-edge names closing the loop; ``body`` holds every node
-    name in the region (header included) in CFG insertion order.  Back edges
-    sharing a header are merged into one region (standard natural-loop
-    merging), so irreducible shapes with distinct headers stay distinct
-    regions whose bodies may overlap.
-    """
-
-    header: str
-    back_edges: Tuple[str, ...]
-    body: Tuple[str, ...]
-
-    @property
-    def num_states(self) -> int:
-        """How many nodes in the body (states and structural nodes alike)."""
-        return len(self.body)
-
-    def __contains__(self, node_name: str) -> bool:
-        return node_name in self.body
-
-
 @dataclass
 class CFGEdge:
     """A CFG edge ``src -> dst``.
@@ -252,7 +227,7 @@ class CFG:
 
     # -- backward-edge classification -------------------------------------------
 
-    def classify_backward_edges(self, force: bool = False) -> None:
+    def classify_backward_edges(self) -> None:
         """Mark loop back edges.
 
         Uses an iterative depth-first traversal from the start node; an edge
@@ -260,7 +235,7 @@ class CFG:
         (Muchnick's definition, as referenced by the paper).  Edges whose
         ``backward`` flag was forced at construction time are left untouched.
         """
-        if self._backward_classified and not force:
+        if self._backward_classified:
             return
         if self._start is None:
             # A CFG fragment without a start node: leave flags as constructed.
@@ -308,44 +283,6 @@ class CFG:
     def backward_edges(self) -> List[CFGEdge]:
         self.classify_backward_edges()
         return [e for e in self._edges.values() if e.backward]
-
-    def loop_regions(self) -> List[LoopRegion]:
-        """Per-loop regions built from the classified back edges.
-
-        Each region is the natural loop of one header: the header node, the
-        tails of its back edges, and every node that reaches a tail without
-        passing through the header.  Back edges sharing a header merge into
-        one region; regions are returned sorted by the header's insertion
-        position, so nested loops appear outer-first for linear CFGs built
-        top-down.
-        """
-        self.classify_backward_edges()
-        by_header: Dict[str, List[CFGEdge]] = {}
-        for edge in self.backward_edges:
-            by_header.setdefault(edge.dst, []).append(edge)
-
-        position = {name: index for index, name in enumerate(self._nodes)}
-        regions: List[LoopRegion] = []
-        for header in sorted(by_header, key=position.__getitem__):
-            back = by_header[header]
-            body = {header}
-            frontier = [edge.src for edge in back if edge.src != header]
-            body.update(frontier)
-            while frontier:
-                node = frontier.pop()
-                for in_edge in self.in_edges(node):
-                    if in_edge.backward:
-                        continue
-                    if in_edge.src not in body:
-                        body.add(in_edge.src)
-                        frontier.append(in_edge.src)
-            regions.append(LoopRegion(
-                header=header,
-                back_edges=tuple(sorted((edge.name for edge in back),
-                                        key=self._insertion_index_edge)),
-                body=tuple(sorted(body, key=position.__getitem__)),
-            ))
-        return regions
 
     # -- orderings and reachability ---------------------------------------------
 
@@ -413,19 +350,6 @@ class CFG:
                     seen.add(edge.dst)
                     frontier.append(edge.dst)
         return seen
-
-    def edge_reachable(self, src_edge: str, dst_edge: str) -> bool:
-        """True if ``dst_edge`` is forward reachable from ``src_edge``.
-
-        An edge is reachable from itself.  Otherwise the tail (source node)
-        of ``dst_edge`` must be forward reachable from the head (destination
-        node) of ``src_edge``.
-        """
-        if src_edge == dst_edge:
-            return True
-        e1 = self.edge(src_edge)
-        e2 = self.edge(dst_edge)
-        return e2.src in self.forward_reachable_nodes(e1.dst)
 
     # -- misc --------------------------------------------------------------------
 

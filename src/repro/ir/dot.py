@@ -6,8 +6,6 @@ them.  The output is valid DOT text that can be rendered with ``dot -Tpdf``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.ir.cfg import CFG, NodeKind
 from repro.ir.dfg import DFG
 
@@ -26,13 +24,13 @@ def _quote(text: str) -> str:
     return '"' + text.replace('"', '\\"') + '"'
 
 
-def cfg_to_dot(cfg: CFG, title: Optional[str] = None) -> str:
+def cfg_to_dot(cfg: CFG) -> str:
     """Render a CFG as DOT text.
 
     State nodes are drawn as filled circles (matching the shaded circles of
     the paper's Fig. 4), back edges as dashed arrows.
     """
-    lines = [f"digraph {_quote(title or cfg.name)} {{", "  rankdir=TB;"]
+    lines = [f"digraph {_quote(cfg.name)} {{", "  rankdir=TB;"]
     for node in cfg.nodes:
         shape = _NODE_SHAPES.get(node.kind, "ellipse")
         style = 'style=filled, fillcolor=gray80, ' if node.is_state else ""
@@ -51,32 +49,13 @@ def cfg_to_dot(cfg: CFG, title: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dfg_to_dot(dfg: DFG, schedule: Optional[Dict[str, str]] = None,
-               title: Optional[str] = None) -> str:
-    """Render a DFG as DOT text.
-
-    If ``schedule`` (operation name -> CFG edge name) is given, operations are
-    clustered per scheduled edge, reproducing the state-boundary dotted lines
-    of the paper's Fig. 2.
-    """
-    lines = [f"digraph {_quote(title or dfg.name)} {{", "  rankdir=TB;"]
-    if schedule:
-        clusters: Dict[str, list] = {}
-        for op in dfg.operations:
-            clusters.setdefault(schedule.get(op.name, "unscheduled"), []).append(op)
-        for index, (edge_name, ops) in enumerate(sorted(clusters.items())):
-            lines.append(f"  subgraph cluster_{index} {{")
-            lines.append(f"    label={_quote(edge_name)}; style=dotted;")
-            for op in ops:
-                lines.append(
-                    f"    {_quote(op.name)} [label={_quote(f'{op.kind.value}:{op.name}')}];"
-                )
-            lines.append("  }")
-    else:
-        for op in dfg.operations:
-            lines.append(
-                f"  {_quote(op.name)} [label={_quote(f'{op.kind.value}:{op.name}')}];"
-            )
+def dfg_to_dot(dfg: DFG) -> str:
+    """Render a DFG as DOT text."""
+    lines = [f"digraph {_quote(dfg.name)} {{", "  rankdir=TB;"]
+    for op in dfg.operations:
+        lines.append(
+            f"  {_quote(op.name)} [label={_quote(f'{op.kind.value}:{op.name}')}];"
+        )
     for edge in dfg.edges:
         if edge.backward:
             # Loop-carried dependence: dashed, labelled with its iteration

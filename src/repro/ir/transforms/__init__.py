@@ -1,21 +1,10 @@
 """IR-level transformations.
 
-These are the classic pre-scheduling clean-up passes run by an HLS frontend:
-
-* :func:`dead_code_elimination` — drop operations whose results are never
-  observed (not feeding a write or a loop-carried value);
-* :func:`constant_fold` — evaluate operations whose operands are all
-  constants;
-* :func:`strength_reduce` — replace multiplications/divisions by powers of
-  two with shifts (cheaper resources);
 * :func:`unroll_loop` — expand ``k`` iterations of a straight-line loop
-  into one acyclic design (the ground-truth witness for modulo schedules).
+  into one acyclic design (the ground-truth witness for modulo schedules,
+  run by the ``pipelined-vs-unrolled`` oracle).
 """
 
-from repro.ir.transforms.dce import dead_code_elimination
-from repro.ir.transforms.constfold import constant_fold
-from repro.ir.transforms.strength import strength_reduce
 from repro.ir.transforms.unroll import unroll_loop
 
-__all__ = ["dead_code_elimination", "constant_fold", "strength_reduce",
-           "unroll_loop"]
+__all__ = ["unroll_loop"]

@@ -17,7 +17,7 @@ iteration copies a pure chain concatenation with no control-flow cloning.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import IRError
 from repro.ir.builder import DesignBuilder
@@ -56,8 +56,7 @@ def iteration_name(base: str, iteration: int) -> str:
     return f"{base}@{iteration}"
 
 
-def unroll_loop(design: Design, factor: int,
-                name: Optional[str] = None) -> Design:
+def unroll_loop(design: Design, factor: int) -> Design:
     """Expand ``factor`` iterations of a straight-line loop acyclically.
 
     Every CFG state/edge and every DFG operation is copied per iteration
@@ -78,7 +77,7 @@ def unroll_loop(design: Design, factor: int,
     chain = _loop_chain(design)
     cfg = design.cfg
 
-    builder = DesignBuilder(name or f"{design.name}_x{factor}")
+    builder = DesignBuilder(f"{design.name}_x{factor}")
     builder.clock_period = design.clock_period
     builder.allow_extra_states = design.allow_extra_states
     builder.start_node("start")

@@ -13,13 +13,11 @@ from repro.lib.library import Library, TechnologyParameters
 from repro.lib.characterize import characterize_class, default_kind_models, KindModel
 from repro.lib.tsmc90 import (
     tsmc90_library,
-    realistic_technology,
     TABLE1_MUL_8x8,
     TABLE1_ADD_16,
 )
 
 __all__ = [
-    "realistic_technology",
     "ResourceVariant",
     "ResourceClass",
     "Library",

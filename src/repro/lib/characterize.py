@@ -32,7 +32,7 @@ Nothing here is memoized: a process normally builds its library once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import LibraryError
 from repro.ir.operations import OpKind
@@ -69,12 +69,12 @@ def characterize_class(
     kind: OpKind,
     width: int,
     model: KindModel,
-    num_grades: Optional[int] = None,
 ) -> ResourceClass:
-    """Generate a :class:`ResourceClass` for ``kind`` at ``width``."""
+    """Generate a :class:`ResourceClass` for ``kind`` at ``width`` with the
+    model's ``num_grades`` grades."""
     if width < 1:
         raise LibraryError(f"cannot characterise width {width}")
-    grades = num_grades or model.num_grades
+    grades = model.num_grades
     if grades < 1:
         raise LibraryError("a resource class needs at least one grade")
 

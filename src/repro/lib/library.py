@@ -31,8 +31,7 @@ class TechnologyParameters:
     The default *timing* overheads (register setup/clk-to-q, mux stage delay,
     I/O delay) are zero, matching the paper's illustrative assumption of
     Section II ("ignore the delays of multiplexors and registers"); their
-    *areas* are still counted.  Use :func:`repro.lib.tsmc90.realistic_technology`
-    for a parameter set with non-zero overheads.
+    *areas* are still counted.
     """
 
     register_area_per_bit: float = 6.0

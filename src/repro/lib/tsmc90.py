@@ -16,11 +16,11 @@ last few picoseconds" shape that the slack-budgeting algorithm exploits.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.ir.operations import OpKind
 from repro.lib.characterize import KindModel, characterize_class, default_kind_models
-from repro.lib.library import Library, TechnologyParameters
+from repro.lib.library import Library
 from repro.lib.resource import ResourceClass, ResourceVariant
 
 #: Paper Table 1, first row pair: 8x8-bit multiplier (delay ps, area units).
@@ -47,27 +47,10 @@ TABLE1_ADD_16: Tuple[Tuple[float, float], ...] = (
 DEFAULT_WIDTHS: Tuple[int, ...] = (1, 4, 8, 16, 24, 32, 48, 64)
 
 
-def realistic_technology() -> TechnologyParameters:
-    """Technology parameters with non-zero register/mux/I-O timing overheads.
-
-    The paper's published examples ignore these overheads ("this
-    simplification is done for the sake of illustration only"), so the
-    default :class:`TechnologyParameters` sets them to zero; this variant is
-    provided for sensitivity studies.
-    """
-    return TechnologyParameters(
-        register_setup=40.0,
-        register_clk_to_q=60.0,
-        mux_delay_per_stage=45.0,
-        io_delay=50.0,
-    )
-
-
 def _class_from_points(kind: OpKind, width: int,
-                       points: Sequence[Tuple[float, float]],
-                       energy_factor: float = 1.0,
-                       leakage_factor: float = 0.01) -> ResourceClass:
-    """Build a resource class from explicit (delay, area) points."""
+                       points: Sequence[Tuple[float, float]]) -> ResourceClass:
+    """Build a resource class from explicit (delay, area) points; a grade's
+    switching energy equals its area and its leakage is 1 % of it."""
     variants = [
         ResourceVariant(
             name=f"{kind.value}{width}_t{grade}",
@@ -76,43 +59,34 @@ def _class_from_points(kind: OpKind, width: int,
             delay=delay,
             area=area,
             grade=grade,
-            energy=round(energy_factor * area, 3),
-            leakage=round(leakage_factor * area, 5),
+            energy=round(area, 3),
+            leakage=round(0.01 * area, 5),
         )
         for grade, (delay, area) in enumerate(points)
     ]
     return ResourceClass(kind, width, variants)
 
 
-def tsmc90_library(widths: Iterable[int] = DEFAULT_WIDTHS,
-                   technology: Optional[TechnologyParameters] = None,
-                   include_table1_overrides: bool = True) -> Library:
+def tsmc90_library() -> Library:
     """Build the synthetic TSMC-90nm-like library.
 
-    Parameters
-    ----------
-    widths:
-        Widths to characterise for every operation kind.
-    technology:
-        Optional override of the technology parameters.
-    include_table1_overrides:
-        When True (default) the mul/8 and add/16 classes are replaced with
-        the paper's exact Table 1 points.
+    Every operation kind is characterised at :data:`DEFAULT_WIDTHS` with the
+    default technology parameters, and the mul/8 and add/16 classes are
+    replaced with the paper's exact Table 1 points.
     """
-    library = Library("tsmc90-like", technology=technology)
+    library = Library("tsmc90-like")
     models = default_kind_models()
     for kind, model in models.items():
-        for width in sorted(set(int(w) for w in widths)):
+        for width in DEFAULT_WIDTHS:
             library.add_class(characterize_class(kind, width, model))
 
-    if include_table1_overrides:
-        library.add_class(_class_from_points(OpKind.MUL, 8, TABLE1_MUL_8x8),
-                          replace=True)
-        library.add_class(_class_from_points(OpKind.ADD, 16, TABLE1_ADD_16),
-                          replace=True)
-        # The paper's motivating example (Table 2) also uses a subtractor-free
-        # 16-bit adder curve for its "adds"; SUB shares the ADD curve shape, so
-        # align SUB/16 with ADD/16 for faithful Table 2 numbers.
-        library.add_class(_class_from_points(OpKind.SUB, 16, TABLE1_ADD_16),
-                          replace=True)
+    library.add_class(_class_from_points(OpKind.MUL, 8, TABLE1_MUL_8x8),
+                      replace=True)
+    library.add_class(_class_from_points(OpKind.ADD, 16, TABLE1_ADD_16),
+                      replace=True)
+    # The paper's motivating example (Table 2) also uses a subtractor-free
+    # 16-bit adder curve for its "adds"; SUB shares the ADD curve shape, so
+    # align SUB/16 with ADD/16 for faithful Table 2 numbers.
+    library.add_class(_class_from_points(OpKind.SUB, 16, TABLE1_ADD_16),
+                      replace=True)
     return library

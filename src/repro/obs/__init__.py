@@ -32,23 +32,17 @@ from repro.obs.trace import (
     Span,
     Tracer,
     active_tracer,
-    disable,
-    enable,
     is_enabled,
     span,
-    traced,
     tracing,
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     cache_stats,
     counter,
-    gauge,
     histogram,
-    register_probe,
     registry,
     snapshot,
 )
@@ -71,12 +65,10 @@ from repro.obs.export import (
 
 __all__ = [
     # trace
-    "Span", "Tracer", "span", "traced", "enable", "disable", "is_enabled",
-    "active_tracer", "tracing",
+    "Span", "Tracer", "span", "is_enabled", "active_tracer", "tracing",
     # metrics
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "registry",
-    "counter", "gauge", "histogram", "register_probe", "snapshot",
-    "cache_stats",
+    "Counter", "Histogram", "MetricsRegistry", "registry", "counter",
+    "histogram", "snapshot", "cache_stats",
     # profile
     "PHASE_OF", "SpanStat", "aggregate_spans", "phase_totals",
     "profile_report", "format_profile_markdown",

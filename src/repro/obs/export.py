@@ -120,8 +120,7 @@ def load_spans_jsonl(path: str) -> List[Span]:
     return records_to_spans(records)
 
 
-def chrome_trace_events(roots: Sequence[Span],
-                        pid: int = 1) -> List[Dict[str, object]]:
+def chrome_trace_events(roots: Sequence[Span]) -> List[Dict[str, object]]:
     """Complete-event (``ph: X``) dicts for ``chrome://tracing``/Perfetto.
 
     ``ts``/``dur`` are integer microseconds rebased to the earliest start in
@@ -150,7 +149,7 @@ def chrome_trace_events(roots: Sequence[Span],
             "ph": "X",
             "ts": int(round((start - epoch) * 1e6)),
             "dur": int(round(max(end - start, 0.0) * 1e6)),
-            "pid": pid,
+            "pid": 1,
             "tid": tid,
             "args": record["attrs"] or {},
         })
@@ -158,17 +157,16 @@ def chrome_trace_events(roots: Sequence[Span],
         events.append({
             "name": "thread_name",
             "ph": "M",
-            "pid": pid,
+            "pid": 1,
             "tid": track_ids[track],
             "args": {"name": track},
         })
     return events
 
 
-def write_chrome_trace(roots: Sequence[Span], path: str,
-                       pid: int = 1) -> int:
+def write_chrome_trace(roots: Sequence[Span], path: str) -> int:
     """Write the forest as a Chrome trace JSON file; returns event count."""
-    events = chrome_trace_events(roots, pid=pid)
+    events = chrome_trace_events(roots)
     payload = {"displayTimeUnit": "ms", "traceEvents": events}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)

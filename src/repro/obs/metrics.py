@@ -1,24 +1,17 @@
-"""Process-wide metrics registry: counters, gauges, histograms, probes.
+"""Process-wide metrics registry: counters and histograms.
 
 Every perf PR so far had to hand-instrument the hot path to find its wins;
-this registry makes the counters permanent and machine-readable.  Two kinds
-of metric sources coexist:
+this registry makes the counters permanent and machine-readable.
+:class:`Counter` and :class:`Histogram` objects are created through
+:func:`counter` / :func:`histogram` and incremented at the instrumentation
+site (the relaxation loop's attempts and II bumps, the oracle
+pass/fail/crash tallies and timings, the sweep session's full/delta split).
 
-* **owned metrics** — :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-  objects created through :func:`counter` / :func:`gauge` /
-  :func:`histogram` and incremented at the instrumentation site (the
-  relaxation loop's attempts and II bumps, the oracle pass/fail/crash
-  tallies, the sweep session's full/delta split);
-* **probes** — callables registered with :func:`register_probe` that *pull*
-  an existing subsystem's ad-hoc counters at snapshot time (the
-  :class:`~repro.core.analysis_cache.AnalysisCache` hit/miss tables).  A
-  probe adopts a counter into the registry without touching its public
-  accessors or adding a single instruction to the owning hot path.
-
-:func:`snapshot` renders everything as one JSON-safe dict;
-:func:`cache_stats` is the unified cache-introspection call covering the
-analysis cache, the delta-slack seed cache and the library characterisation
-memos.
+:func:`snapshot` renders every metric as one JSON-safe dict (``repro verify``
+and campaign shards read it); :func:`cache_stats` is the unified
+cache-introspection call covering the analysis cache (read from its own
+:meth:`~repro.core.analysis_cache.AnalysisCache.cache_info`), the
+delta-slack seed cache, the JSONL stores and the serve layer's memo tier.
 
 Determinism: metrics are observation-only.  Nothing reads a metric to make
 a scheduling/budgeting/binding decision, so results with a hot registry are
@@ -32,18 +25,15 @@ under the GIL for monitoring counters, and free of locks on the hot path.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "registry",
     "counter",
-    "gauge",
     "histogram",
-    "register_probe",
     "snapshot",
     "reset",
     "cache_stats",
@@ -64,22 +54,6 @@ class Counter:
 
     def reset(self) -> None:
         self.value = 0
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -124,14 +98,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of metrics plus snapshot-time probes."""
+    """A named collection of counters and histograms."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._probes: Dict[str, Callable[[], Dict[str, object]]] = {}
 
     # -- creation (idempotent; returns the shared instance) ----------------------
 
@@ -142,13 +114,6 @@ class MetricsRegistry:
                 metric = self._counters[name] = Counter(name)
             return metric
 
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge(name)
-            return metric
-
     def histogram(self, name: str) -> Histogram:
         with self._lock:
             metric = self._histograms.get(name)
@@ -156,46 +121,22 @@ class MetricsRegistry:
                 metric = self._histograms[name] = Histogram(name)
             return metric
 
-    def register_probe(self, name: str,
-                       probe: Callable[[], Dict[str, object]]) -> None:
-        """Adopt an external counter source; called once per probe name.
-
-        The probe runs at snapshot time only, so it adds nothing to the
-        owning subsystem's hot path.  A probe that raises reports its error
-        string instead of breaking the snapshot.
-        """
-        with self._lock:
-            self._probes[name] = probe
-
     # -- reporting ---------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """A JSON-safe dict of every metric and probe, sorted by name."""
+        """A JSON-safe dict of every metric, sorted by name."""
         with self._lock:
-            counters = {name: metric.value
-                        for name, metric in sorted(self._counters.items())}
-            gauges = {name: metric.value
-                      for name, metric in sorted(self._gauges.items())}
-            histograms = {name: metric.summary()
-                          for name, metric in sorted(self._histograms.items())}
-            probes = dict(sorted(self._probes.items()))
-        probe_values: Dict[str, object] = {}
-        for name, probe in probes.items():
-            try:
-                probe_values[name] = probe()
-            except Exception as exc:  # noqa: BLE001 — snapshots must not fail
-                probe_values[name] = {"error": f"{type(exc).__name__}: {exc}"}
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-            "probes": probe_values,
-        }
+            return {
+                "counters": {name: metric.value
+                             for name, metric in sorted(self._counters.items())},
+                "histograms": {name: metric.summary() for name, metric
+                               in sorted(self._histograms.items())},
+            }
 
     def reset(self) -> None:
-        """Zero every owned metric (probes reflect their live sources)."""
+        """Zero every metric."""
         with self._lock:
-            for table in (self._counters, self._gauges, self._histograms):
+            for table in (self._counters, self._histograms):
                 for metric in table.values():
                     metric.reset()
 
@@ -213,21 +154,11 @@ def counter(name: str) -> Counter:
     return _REGISTRY.counter(name)
 
 
-def gauge(name: str) -> Gauge:
-    return _REGISTRY.gauge(name)
-
-
 def histogram(name: str) -> Histogram:
     return _REGISTRY.histogram(name)
 
 
-def register_probe(name: str,
-                   probe: Callable[[], Dict[str, object]]) -> None:
-    _REGISTRY.register_probe(name, probe)
-
-
 def snapshot() -> Dict[str, object]:
-    _ensure_builtin_probes()
     return _REGISTRY.snapshot()
 
 
@@ -235,12 +166,10 @@ def reset() -> None:
     _REGISTRY.reset()
 
 
-# -- built-in probes + unified cache introspection -----------------------------
-
-_builtin_probes_installed = False
+# -- unified cache introspection -----------------------------------------------
 
 
-def _analysis_cache_probe() -> Dict[str, object]:
+def _analysis_cache_stats() -> Dict[str, object]:
     from repro.core.analysis_cache import default_cache
 
     cache = default_cache()
@@ -248,15 +177,6 @@ def _analysis_cache_probe() -> Dict[str, object]:
     info["delta_evaluators"] = cache.delta_evaluators
     info["delta_updates"] = cache.delta_updates
     return info
-
-
-def _ensure_builtin_probes() -> None:
-    """Register the adopting probes once (lazily, to keep imports acyclic)."""
-    global _builtin_probes_installed
-    if _builtin_probes_installed:
-        return
-    _builtin_probes_installed = True
-    register_probe("analysis_cache", _analysis_cache_probe)
 
 
 def cache_stats() -> Dict[str, Dict[str, object]]:
@@ -285,7 +205,7 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
     cache-efficiency summary.
     """
     stats: Dict[str, Dict[str, object]] = {
-        "analysis_cache": _analysis_cache_probe(),
+        "analysis_cache": _analysis_cache_stats(),
         "delta_seeds": {
             "hits": counter("delta_seeds.hits").value,
             "misses": counter("delta_seeds.misses").value,

@@ -107,20 +107,16 @@ def profile_report(
     roots: Sequence[Span],
     wall_seconds: Optional[float] = None,
     top: int = 10,
-    cache_summary: Optional[Dict[str, Dict[str, object]]] = None,
 ) -> Dict[str, object]:
     """The JSON-safe phase-breakdown report of a span forest.
 
     ``wall_seconds`` is the caller-measured end-to-end wall time (e.g.
     around a ``session.run``); the report records the traced fraction so the
     5 %-coverage acceptance bar is checkable from the artifact itself.
-    ``cache_summary`` defaults to a live :func:`repro.obs.metrics.cache_stats`
-    call.
+    ``caches`` is a live :func:`repro.obs.metrics.cache_stats` call.
     """
-    if cache_summary is None:
-        from repro.obs.metrics import cache_stats
+    from repro.obs.metrics import cache_stats
 
-        cache_summary = cache_stats()
     stats = aggregate_spans(roots)
     phases = phase_totals(stats)
     traced_seconds = sum(root.duration for root in roots)
@@ -137,7 +133,7 @@ def profile_report(
         "top_spans": [stat.as_dict() for stat in by_self[:max(top, 0)]],
         "spans": {name: stat.as_dict()
                   for name, stat in sorted(stats.items())},
-        "caches": cache_summary,
+        "caches": cache_stats(),
     }
     return report
 

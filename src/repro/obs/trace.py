@@ -25,24 +25,20 @@ Design constraints (these are the contract, not aspirations):
   trees back with the result payload for the parent tracer to
   :meth:`~Tracer.adopt`.
 
-Use the :func:`span` context manager (or the :func:`traced` decorator) at
-the instrumentation site; use :func:`enable` / :func:`disable` /
-:func:`tracing` to control collection.
+Use the :func:`span` context manager at the instrumentation site and
+``with tracing() as tracer:`` to collect.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
     "Tracer",
     "span",
-    "traced",
-    "enable",
-    "disable",
     "is_enabled",
     "active_tracer",
     "enclosing_attr",
@@ -245,20 +241,6 @@ class Tracer:
 _ACTIVE: Optional[Tracer] = None
 
 
-def enable(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) as the active collector."""
-    global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else Tracer()
-    return _ACTIVE
-
-
-def disable() -> Optional[Tracer]:
-    """Stop collecting; returns the tracer that was active (if any)."""
-    global _ACTIVE
-    tracer, _ACTIVE = _ACTIVE, None
-    return tracer
-
-
 def is_enabled() -> bool:
     return _ACTIVE is not None
 
@@ -297,14 +279,14 @@ def span(name: str, **attrs: object):
 
 
 class tracing:
-    """``with tracing() as tracer:`` — scoped enable/restore.
+    """``with tracing() as tracer:`` — collect on a fresh :class:`Tracer`.
 
-    Restores whatever tracer (or none) was active before the block, so
-    nested profiling runs cannot clobber each other.
+    The one switch: restores whatever tracer (or none) was active before
+    the block, so nested profiling runs cannot clobber each other.
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None):
-        self._tracer = tracer if tracer is not None else Tracer()
+    def __init__(self) -> None:
+        self._tracer = Tracer()
         self._previous: Optional[Tracer] = None
 
     def __enter__(self) -> Tracer:
@@ -318,25 +300,3 @@ class tracing:
         _ACTIVE = self._previous
         return False
 
-
-def traced(name: Optional[str] = None, **attrs: object) -> Callable:
-    """Decorator form of :func:`span` (span name defaults to the function's
-    qualified name; the disabled fast path is preserved per call)."""
-
-    def decorate(func: Callable) -> Callable:
-        span_name = name if name is not None else func.__qualname__
-
-        def wrapper(*args: object, **kwargs: object):
-            tracer = _ACTIVE
-            if tracer is None:
-                return func(*args, **kwargs)
-            with tracer.span(span_name, **attrs):
-                return func(*args, **kwargs)
-
-        wrapper.__name__ = func.__name__
-        wrapper.__qualname__ = func.__qualname__
-        wrapper.__doc__ = func.__doc__
-        wrapper.__wrapped__ = func  # type: ignore[attr-defined]
-        return wrapper
-
-    return decorate

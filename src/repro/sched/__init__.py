@@ -15,17 +15,11 @@ from repro.sched.allocation import (
     minimal_allocation,
     resource_class_key,
 )
-from repro.sched.priorities import (
-    mobility_priority,
-    slack_priority,
-    combined_priority,
-)
-from repro.sched.asap_alap import asap_schedule, alap_schedule
+from repro.sched.priorities import mobility_priority, combined_priority
 from repro.sched.list_scheduler import (
     SchedulingAttempt,
     SchedulingFailure,
     try_list_schedule,
-    list_schedule,
 )
 from repro.sched.relaxation import RelaxationLog, schedule_with_relaxation
 
@@ -36,14 +30,10 @@ __all__ = [
     "minimal_allocation",
     "resource_class_key",
     "mobility_priority",
-    "slack_priority",
     "combined_priority",
-    "asap_schedule",
-    "alap_schedule",
     "SchedulingAttempt",
     "SchedulingFailure",
     "try_list_schedule",
-    "list_schedule",
     "RelaxationLog",
     "schedule_with_relaxation",
 ]

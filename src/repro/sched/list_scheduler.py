@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import SchedulingError
 from repro.ir.design import Design
 from repro.ir.operations import OpKind
 from repro.lib.library import Library
@@ -63,12 +62,6 @@ class SchedulingAttempt:
     schedule: Optional[Schedule] = None
     failure: Optional[SchedulingFailure] = None
 
-    def require_schedule(self) -> Schedule:
-        if not self.success or self.schedule is None:
-            raise SchedulingError(str(self.failure) if self.failure
-                                  else "scheduling failed")
-        return self.schedule
-
 
 def try_list_schedule(
     design: Design,
@@ -81,7 +74,6 @@ def try_list_schedule(
     priority: Optional[PriorityFn] = None,
     pipeline_ii: Optional[int] = None,
     post_edge_hook=None,
-    upgrade_on_last_chance: bool = False,
 ) -> SchedulingAttempt:
     """One resource-constrained list-scheduling pass.
 
@@ -97,11 +89,11 @@ def try_list_schedule(
     how the slack-guided scheduler injects its re-budgeting step (the bold
     steps of the paper's Fig. 8) without duplicating the scheduling engine.
 
-    ``upgrade_on_last_chance`` enables the "upgrade on the fly" move: when an
-    operation reaches the last edge of its span and its chained delay does
-    not fit, its own speed grade is raised just enough to fit before giving
-    up.  When ``variant_map`` is a mutable dict the upgrade is recorded in it
-    so callers see the final grades.
+    The pass upgrades on the fly: when an operation reaches the last edge of
+    its span and its chained delay does not fit, its own speed grade is
+    raised just enough to fit before giving up.  When ``variant_map`` is a
+    mutable dict the upgrade is recorded in it so callers see the final
+    grades.
 
     The pass resolves its tables once (class keys, fixed delays, non-constant
     predecessors and successors) and counts each operation's unscheduled
@@ -183,7 +175,7 @@ def try_list_schedule(
                 finish = start + delay
                 fits_timing = finish <= clock_period + _EPS
                 last_chance = (edge_name == eligible[name].late)
-                if (not fits_timing and last_chance and upgrade_on_last_chance
+                if (not fits_timing and last_chance
                         and variant is not None and key is not None):
                     # Upgrade on the fly: take the cheapest grade that fits.
                     resource_class = library.class_for_op(ops[name])
@@ -271,16 +263,3 @@ def try_list_schedule(
         )
     return SchedulingAttempt(success=True, schedule=schedule)
 
-
-def list_schedule(
-    design: Design,
-    library: Library,
-    clock_period: float,
-    variant_map: Mapping[str, Optional[ResourceVariant]],
-    allocation: Allocation,
-    **kwargs,
-) -> Schedule:
-    """Like :func:`try_list_schedule` but raises :class:`SchedulingError` on failure."""
-    attempt = try_list_schedule(design, library, clock_period, variant_map,
-                                allocation, **kwargs)
-    return attempt.require_schedule()

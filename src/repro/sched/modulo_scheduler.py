@@ -229,7 +229,6 @@ def try_modulo_schedule(
     latency: Optional[LatencyAnalysis] = None,
     priority: Optional[PriorityFn] = None,
     pipeline_ii: Optional[int] = None,
-    upgrade_on_last_chance: bool = False,
 ) -> SchedulingAttempt:
     """One modulo-scheduling pass at initiation interval ``pipeline_ii``.
 
@@ -261,7 +260,7 @@ def try_modulo_schedule(
         attempt = try_list_schedule(
             design, library, clock_period, variant_map, allocation,
             spans=view, latency=latency, priority=priority,
-            pipeline_ii=ii, upgrade_on_last_chance=upgrade_on_last_chance,
+            pipeline_ii=ii,
         )
         if not attempt.success:
             return attempt

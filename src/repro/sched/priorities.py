@@ -1,15 +1,13 @@
 """Priority functions used to order ready operations during list scheduling.
 
 A priority function maps an operation name to a sortable key; smaller keys
-are scheduled first.  Two standard priorities are provided:
+are scheduled first.  Two priorities are provided:
 
 * :func:`mobility_priority` — classic list scheduling: operations with the
   least mobility (smallest span, closest forced deadline) go first;
-* :func:`slack_priority` — the paper's criticality measure: operations with
-  the least sequential slack go first.
-
-:func:`combined_priority` uses slack as the primary key and mobility as a
-tie-breaker, which is what the slack-guided scheduler uses.
+* :func:`combined_priority` — the paper's criticality measure: operations
+  with the least sequential slack go first, mobility breaks ties.  The
+  slack-guided scheduler uses it.
 """
 
 from __future__ import annotations
@@ -28,15 +26,6 @@ def mobility_priority(spans: OperationSpans) -> PriorityFn:
 
     def priority(op_name: str) -> Tuple:
         return (spans.mobility(op_name), len(spans.span(op_name)), op_name)
-
-    return priority
-
-
-def slack_priority(timing: TimingResult) -> PriorityFn:
-    """Least sequential slack first (most critical first)."""
-
-    def priority(op_name: str) -> Tuple:
-        return (timing.slack.get(op_name, float("inf")), op_name)
 
     return priority
 

@@ -305,7 +305,7 @@ def schedule_with_relaxation(
     def schedule_pass(variants, allocation, ii) -> SchedulingAttempt:
         return engine(design, library, clock_period, variants, allocation,
                       spans=spans, latency=latency, priority=priority,
-                      pipeline_ii=ii, upgrade_on_last_chance=True)
+                      pipeline_ii=ii)
 
     return _relax_until_scheduled(
         design, library, clock_period, variant_map, spans, pipeline_ii,

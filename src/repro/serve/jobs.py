@@ -22,7 +22,8 @@ lifecycle (``pending -> running -> done | failed | timeout``, with
 ``cancelled`` reachable from ``pending`` only), its JSON-safe result or
 structured failure, and the attempt ledger the retry policy produced.  The
 record round-trips through :meth:`to_dict`/:meth:`from_dict` because the
-queue persists every transition as one JSONL line.
+queue persists the submit, finish and cancel transitions as one JSONL line
+each (a claim is not journaled: a reload requeues a running job anyway).
 """
 
 from __future__ import annotations

@@ -1,13 +1,15 @@
 """A persistent FIFO job queue with last-transition-wins JSONL state.
 
 The queue holds :class:`repro.serve.jobs.JobRecord` objects and hands them
-to workers in submission order.  Every state transition — submit, claim,
-finish, cancel — appends the job's *full* record as one line through the
-advisory-locked append path of :mod:`repro.core.jsonl`, so the file is both
-the queue's journal and its recovery image: reloading keeps the last record
-per job id, and jobs that were ``running`` when the process died are
-requeued as ``pending`` (their worker is gone; the retry policy governs how
-often the work itself may be retried, the queue only restores visibility).
+to workers in submission order.  The transitions a reload can observe —
+submit, finish, cancel — each append the job's *full* record as one line
+through the advisory-locked append path of :mod:`repro.core.jsonl`, so the
+file is both the queue's journal and its recovery image: reloading keeps
+the last record per job id.  A claim is not journaled: a job that was
+running when the process died must come back as ``pending`` anyway (its
+worker is gone; the retry policy governs how often the work itself may be
+retried, the queue only restores visibility), and its last journaled line
+already says so.  The in-memory record still reads ``running``.
 
 Thread-safety: one lock + condition guards the in-memory tables; workers
 block in :meth:`claim` until a job or a timeout arrives.  Multi-process
@@ -58,8 +60,10 @@ class JobQueue:
                 continue
             self._records[record.job_id] = record
             self._seq = max(self._seq, record.seq)
-        # Interrupted jobs (claimed but never finished) become pending
-        # again; submission order is restored from the sequence numbers.
+        # Interrupted jobs (claimed but never finished) are pending in the
+        # journal, which does not record claims; a ``running`` line written
+        # by an older version is requeued too.  Submission order is restored
+        # from the sequence numbers.
         recovered = []
         for record in self._records.values():
             if record.state == "running":
@@ -88,7 +92,8 @@ class JobQueue:
         return record
 
     def claim(self, timeout: Optional[float] = 0.0) -> Optional[JobRecord]:
-        """Pop the oldest pending job and mark it running.
+        """Pop the oldest pending job and mark it running (in memory only:
+        a reload would requeue it, so the journal gets no line).
 
         ``timeout`` bounds the wait for a job to appear: ``0`` polls,
         ``None`` blocks until one arrives.  Returns ``None`` on timeout.
@@ -102,7 +107,6 @@ class JobQueue:
                 timeout = 0.0  # one wakeup per claim; re-check then give up
             record = self._records[self._pending.popleft()]
             record.state = "running"
-            self._journal(record)
             return record
 
     def finish(self, job_id: str, state: str,

@@ -5,7 +5,8 @@ under a :class:`RetryPolicy`: the whole job gets one wall-clock deadline
 (enforced per attempt through :func:`repro.core.deadline.call_with_deadline`,
 so a hanging evaluation is abandoned instead of stalling its worker), errors
 are retried up to ``max_attempts`` with exponentially growing, jittered
-backoff, and whatever happens is recorded as a structured, JSON-safe
+backoff (fixed constants: 0.1 s doubling to at most 30 s, up to 10 %
+jitter), and whatever happens is recorded as a structured, JSON-safe
 :class:`AttemptRecord` list the job's status endpoint can report verbatim.
 
 Two deliberately asymmetric failure classes:
@@ -17,10 +18,10 @@ Two deliberately asymmetric failure classes:
   out there is no budget left to retry into, and the evaluation that hung
   once will hang again.
 
-Determinism: the jittered backoff sequence is a pure function of the policy
-(``random.Random(jitter_seed)``), and both the clock and the sleep are
-injectable, so the retry unit tests replay exact schedules with a fake
-clock and never actually sleep.
+Determinism: the jittered backoff sequence is a pure function of the
+attempt budget (jitter drawn from ``random.Random(0)``), and both the clock
+and the sleep are injectable, so the retry unit tests replay exact
+schedules with a fake clock and never actually sleep.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ _RETRIES = _obs_counter("serve.retry.retries")
 _TIMEOUTS = _obs_counter("serve.retry.timeouts")
 _FAILURES = _obs_counter("serve.retry.failures")
 
+#: Backoff after the first failed attempt; each later one doubles, up to
+#: :data:`MAX_BACKOFF_SECONDS`.
+BACKOFF_SECONDS = 0.1
+MAX_BACKOFF_SECONDS = 30.0
+#: Each delay is stretched by a factor drawn from ``[1, 1 + JITTER_FRACTION]``.
+JITTER_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -52,53 +60,35 @@ class RetryPolicy:
     ``None`` disables deadlines (attempts run inline, unbounded).
 
     Backoff after a failed attempt ``i`` (0-based) is
-    ``min(backoff_seconds * backoff_multiplier**i, max_backoff_seconds)``
-    stretched by a jitter factor in ``[1, 1 + jitter_fraction]`` drawn from
-    ``random.Random(jitter_seed)`` — deterministic per policy, decorrelated
-    across policies (give each worker its own seed to avoid thundering
-    herds on a shared store).
+    ``min(BACKOFF_SECONDS * 2**i, MAX_BACKOFF_SECONDS)`` stretched by a
+    jitter factor in ``[1, 1 + JITTER_FRACTION]`` drawn from
+    ``random.Random(0)``.
     """
 
     max_attempts: int = 3
-    backoff_seconds: float = 0.1
-    backoff_multiplier: float = 2.0
-    max_backoff_seconds: float = 30.0
-    jitter_fraction: float = 0.1
-    jitter_seed: int = 0
     deadline_seconds: Optional[float] = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ReproError("a retry policy needs at least one attempt")
-        if self.backoff_seconds < 0 or self.max_backoff_seconds < 0:
-            raise ReproError("backoff durations must be non-negative")
-        if self.jitter_fraction < 0:
-            raise ReproError("jitter_fraction must be non-negative")
 
-    def backoff_sequence(self, attempts: Optional[int] = None) -> List[float]:
+    def backoff_sequence(self) -> List[float]:
         """The jittered delays slept after failed attempts, in order.
 
         Entry ``i`` is the delay between attempt ``i`` and attempt
-        ``i + 1``; the list has ``attempts - 1`` entries (no sleep follows
-        the last attempt).  Pure function of the policy.
+        ``i + 1``; the list has ``max_attempts - 1`` entries (no sleep
+        follows the last attempt).  Pure function of the policy.
         """
-        count = self.max_attempts if attempts is None else attempts
-        rng = random.Random(self.jitter_seed)
+        rng = random.Random(0)
         delays = []
-        for index in range(max(0, count - 1)):
-            base = min(self.backoff_seconds * self.backoff_multiplier ** index,
-                       self.max_backoff_seconds)
-            delays.append(base * (1.0 + self.jitter_fraction * rng.random()))
+        for index in range(self.max_attempts - 1):
+            base = min(BACKOFF_SECONDS * 2.0 ** index, MAX_BACKOFF_SECONDS)
+            delays.append(base * (1.0 + JITTER_FRACTION * rng.random()))
         return delays
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "max_attempts": self.max_attempts,
-            "backoff_seconds": self.backoff_seconds,
-            "backoff_multiplier": self.backoff_multiplier,
-            "max_backoff_seconds": self.max_backoff_seconds,
-            "jitter_fraction": self.jitter_fraction,
-            "jitter_seed": self.jitter_seed,
             "deadline_seconds": self.deadline_seconds,
         }
 

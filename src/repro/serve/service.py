@@ -196,11 +196,11 @@ class DSEService:
             thread.start()
             self._workers.append(thread)
 
-    def stop_workers(self, timeout: float = 5.0) -> None:
-        """Signal the workers to stop and join them."""
+    def stop_workers(self) -> None:
+        """Signal the workers to stop and join each for up to 5 s."""
         self._stop.set()
         for thread in self._workers:
-            thread.join(timeout)
+            thread.join(5.0)
         self._workers = []
 
     def _worker_loop(self) -> None:
@@ -274,7 +274,6 @@ class DSEService:
             "tenant": spec.tenant,
             "workload": job.workload,
             "mode": result.mode,
-            "axis": result.axis,
             "evaluated": sorted(result.curve),
             "waves": result.waves,
             "front": [{"label": point.label,

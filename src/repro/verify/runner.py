@@ -21,7 +21,7 @@ import hashlib
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.deadline import call_with_deadline
 from repro.errors import DeadlineExceeded
@@ -158,12 +158,11 @@ def run_fuzz(
     corpus: Optional[Corpus] = None,
     shrink: bool = True,
     shrink_evaluations: int = 200,
-    library: Optional[Library] = None,
     profile: Optional[ScenarioProfile] = None,
-    progress: Optional[Callable[[int, ScenarioSpec, OracleOutcome], None]] = None,
     oracle_deadline_seconds: Optional[float] = None,
 ) -> FuzzReport:
-    """Run the differential fuzzing loop and return its report.
+    """Run the differential fuzzing loop on the default library and return
+    its report.
 
     ``iterations=None`` runs until ``budget_seconds`` expires (one of the
     two budgets must be set).  Violations are appended to ``corpus`` (when
@@ -180,7 +179,7 @@ def run_fuzz(
     """
     if iterations is None and budget_seconds is None:
         raise ValueError("set iterations and/or budget_seconds")
-    library = library if library is not None else default_library()
+    library = default_library()
     oracles = select_oracles(oracle_names)
     report = FuzzReport(seed=seed)
     start = time.perf_counter()
@@ -205,8 +204,6 @@ def run_fuzz(
         report.iterations += 1
         report.checked_per_oracle[oracle.name] = \
             report.checked_per_oracle.get(oracle.name, 0) + 1
-        if progress is not None:
-            progress(iteration, spec, outcome)
         if outcome.ok:
             continue
 
@@ -264,9 +261,9 @@ def shrink_failure(failure: FuzzFailure, oracle: Oracle,
 def replay_corpus(
     corpus: Corpus,
     oracle_names: Optional[List[str]] = None,
-    library: Optional[Library] = None,
 ) -> List[OracleOutcome]:
-    """Re-run every stored corpus record against its recorded oracle.
+    """Re-run every stored corpus record against its recorded oracle, on
+    the default library.
 
     Returns one outcome per replayed record (skipping records whose oracle
     is not in ``oracle_names`` when a filter is given).  A record whose
@@ -279,7 +276,7 @@ def replay_corpus(
     longer being checked, and silently skipping it would turn the corpus
     replay gate into a false pass.
     """
-    library = library if library is not None else default_library()
+    library = default_library()
     allowed = {oracle.name for oracle in select_oracles(oracle_names)}
     outcomes: List[OracleOutcome] = []
     for record in corpus.records():

@@ -25,7 +25,7 @@ Design goals, in the spirit of compiler-style randomized testing:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis_cache import design_fingerprint
@@ -241,18 +241,21 @@ def _segment_from_list(segment: Sequence[object]) -> Tuple[object, ...]:
     return (kind,) + parts
 
 
+#: Fixed bounds of the random draw: input ports, ops per op list and wait
+#: states after the last segment.  Ops are drawn from
+#: :data:`SCENARIO_OP_MIX`.
+_MAX_INPUTS = 4
+_MAX_OPS_PER_LIST = 3
+_MAX_TAIL_STATES = 2
+
+
 @dataclass
 class ScenarioProfile:
-    """Bounds of the random draw (override to steer a fuzzing campaign)."""
+    """The bounds of the random draw a fuzzing campaign may steer."""
 
-    max_inputs: int = 4
     max_segments: int = 3
-    max_ops_per_list: int = 3
     diamond_probability: float = 0.35
     pipeline_probability: float = 0.2
-    max_tail_states: int = 2
-    op_mix: Dict[str, float] = field(
-        default_factory=lambda: dict(SCENARIO_OP_MIX))
 
 
 def _random_ops(rng: random.Random, count: int,
@@ -277,35 +280,35 @@ def generate_scenario(seed: Optional[int] = None,
     resolved = resolve_seed(seed)
     rng = random.Random(resolved)
     bounds = profile or ScenarioProfile()
-    kinds = list(bounds.op_mix)
-    weights = [bounds.op_mix[kind] for kind in kinds]
+    kinds = list(SCENARIO_OP_MIX)
+    weights = [SCENARIO_OP_MIX[kind] for kind in kinds]
 
     profile_name = rng.choice(sorted(WIDTH_PROFILES))
     widths = WIDTH_PROFILES[profile_name]
     inputs = tuple(rng.choice(widths)
-                   for _ in range(rng.randint(1, bounds.max_inputs)))
+                   for _ in range(rng.randint(1, _MAX_INPUTS)))
 
     segments: List[Tuple[object, ...]] = []
     for _ in range(rng.randint(1, bounds.max_segments)):
         if rng.random() < bounds.diamond_probability:
             segments.append((
                 SEGMENT_DIAMOND,
-                _random_ops(rng, rng.randint(0, bounds.max_ops_per_list - 1),
+                _random_ops(rng, rng.randint(0, _MAX_OPS_PER_LIST - 1),
                             kinds, weights),
-                _random_ops(rng, rng.randint(1, bounds.max_ops_per_list),
+                _random_ops(rng, rng.randint(1, _MAX_OPS_PER_LIST),
                             kinds, weights),
-                _random_ops(rng, rng.randint(1, bounds.max_ops_per_list),
+                _random_ops(rng, rng.randint(1, _MAX_OPS_PER_LIST),
                             kinds, weights),
                 _random_ops(rng, rng.randint(0, 1), kinds, weights),
             ))
         else:
             segments.append((
                 SEGMENT_LINEAR,
-                _random_ops(rng, rng.randint(1, bounds.max_ops_per_list),
+                _random_ops(rng, rng.randint(1, _MAX_OPS_PER_LIST),
                             kinds, weights),
             ))
 
-    tail_states = rng.randint(0, bounds.max_tail_states)
+    tail_states = rng.randint(0, _MAX_TAIL_STATES)
     spec = ScenarioSpec(
         seed=resolved,
         inputs=inputs,

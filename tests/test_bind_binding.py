@@ -8,7 +8,7 @@ from repro.bind.registers import allocate_registers, compute_lifetimes
 from repro.core.slack_scheduler import SlackScheduler
 from repro.ir.operations import OpKind
 from repro.sched.allocation import minimal_allocation, resource_class_key
-from repro.sched.list_scheduler import list_schedule
+from repro.sched.list_scheduler import try_list_schedule
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +16,10 @@ def scheduled(interpolation, library):
     variants = {op.name: (library.fastest_variant(op) if op.is_synthesizable else None)
                 for op in interpolation.dfg.operations if op.kind is not OpKind.CONST}
     allocation = minimal_allocation(interpolation, library)
-    return list_schedule(interpolation, library, 1100.0, variants, allocation)
+    attempt = try_list_schedule(interpolation, library, 1100.0, variants,
+                                allocation)
+    assert attempt.success
+    return attempt.schedule
 
 
 def test_every_synthesizable_op_is_bound(interpolation, library, scheduled):

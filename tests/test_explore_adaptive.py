@@ -10,7 +10,11 @@ import random
 
 import pytest
 
-from repro.explore.adaptive import AdaptiveExplorer, RefinementPolicy
+from repro.explore.adaptive import (
+    DESCENT_FRACTION,
+    AdaptiveExplorer,
+    RefinementPolicy,
+)
 from repro.explore.pareto import coverage
 from repro.explore.store import ResultStore
 from repro.workloads import KernelPointFactory, ResizerPointFactory
@@ -72,18 +76,17 @@ class TestAdaptiveOnSyntheticCurves:
         assert result.engine_evaluations < dense.engine_evaluations
 
     def test_non_convex_spike_is_probed_exactly_once(self):
-        # Flat except a spike on a coarse-grid member: only the convexity
-        # witness can fire, it refines both neighbour intervals, and it
-        # must not keep drilling around the spike forever.
+        # Flat except a spike on a coarse-grid member: the convexity
+        # witness refines both neighbour intervals (the descent rule flags
+        # only the right one), and it must not keep drilling around the
+        # spike forever.
         calls = []
         spike = {16: 300.0}
-        policy = RefinementPolicy(descent_fraction=10.0,  # descent disabled
-                                  convexity_fraction=0.10, width_stop=3)
         result = explorer(lambda lat: spike.get(lat, 100.0),
-                          latencies=range(4, 29), policy=policy,
-                          calls=calls).explore()
+                          latencies=range(4, 29), calls=calls).explore()
         # Coarse grid {4, 10, 16, 22, 28}; the spike at 16 flags (10, 16)
-        # and (16, 22) whose midpoints are evaluated in one extra wave.
+        # and (16, 22) whose midpoints are evaluated in one extra wave.  The
+        # descent from 16 to 19 then spans no more than width_stop states.
         assert calls[:5] == [4, 10, 16, 22, 28]
         assert calls[5:] == [13, 19]
         assert result.engine_evaluations == 7
@@ -104,7 +107,7 @@ def test_adaptive_never_loses_a_dense_frontier_point_beyond_epsilon(seed):
     For monotone non-increasing curves the refinement policy gives a
     provable bound: every dense-grid frontier point is epsilon-dominated
     by an adaptive point with epsilon = (width_stop - 1) latency states
-    additively and descent_fraction/(1 - descent_fraction) relatively on
+    additively and DESCENT_FRACTION/(1 - DESCENT_FRACTION) relatively on
     the area.
     """
     rng = random.Random(seed)
@@ -115,14 +118,14 @@ def test_adaptive_never_loses_a_dense_frontier_point_beyond_epsilon(seed):
         curve[latency] = area
         if rng.random() < 0.4:
             area *= rng.uniform(0.55, 1.0)
-    policy = RefinementPolicy(descent_fraction=0.2, width_stop=3)
+    policy = RefinementPolicy(width_stop=3)
     adaptive = explorer(curve.__getitem__, latencies=latencies,
                         policy=policy).explore()
     dense = explorer(curve.__getitem__, latencies=latencies,
                      policy=policy).explore_dense()
 
     epsilon = (float(policy.width_stop - 1),
-               ("rel", policy.descent_fraction / (1 - policy.descent_fraction)))
+               ("rel", DESCENT_FRACTION / (1 - DESCENT_FRACTION)))
     assert coverage(adaptive.front, dense.front, epsilon) == 1.0
     assert adaptive.engine_evaluations <= dense.engine_evaluations
 
@@ -138,10 +141,6 @@ class TestConstructionValidation:
     def test_live_only_objective_is_rejected_with_guidance(self):
         with pytest.raises(Exception, match="runtime_s"):
             explorer(lambda lat: 100.0, objectives=("area", "runtime_s"))
-
-    def test_guide_objective_is_validated_too(self):
-        with pytest.raises(Exception, match="unknown objective"):
-            explorer(lambda lat: 100.0, guide_objective="frobnication")
 
 
 class TestReuse:
@@ -225,77 +224,6 @@ class TestFailures:
         result = explore()
         assert evaluated == [5]
         assert (result.engine_evaluations, result.restored) == (1, 2)
-
-
-class TestIIAxis:
-    """The II-vs-area frontier: sweeping the initiation interval instead
-    of the latency."""
-
-    def _ii_evaluator(self, area_of_ii, calls=None):
-        base = synthetic_evaluator(lambda lat: 0.0)
-
-        def evaluate(factory, library, p, margin_fraction, scheduling):
-            if calls is not None:
-                calls.append(p.pipeline_ii)
-            record = base(factory, library, p, margin_fraction, scheduling)
-            area = float(area_of_ii(p.pipeline_ii))
-            record["slack_based"]["area"] = area
-            record["conventional"]["area"] = area * 1.2
-            return record
-        return evaluate
-
-    def test_ii_axis_sweeps_pipelined_points_at_one_latency(self):
-        calls = []
-        result = AdaptiveExplorer(
-            FIR, library=None, latencies=[8], ii_values=range(1, 9),
-            objectives=("initiation_interval", "area"),
-            evaluator=self._ii_evaluator(lambda ii: 1000.0 / ii, calls),
-            workload="fir_ii").explore_dense()
-        assert result.axis == "ii"
-        assert result.evaluated_latencies == list(range(1, 9))
-        assert all(ii is not None for ii in calls)
-        # Lower II costs area, so every point is Pareto-optimal here.
-        assert len(result.front) == 8
-        front_iis = sorted(p.raw_value("initiation_interval")
-                           for p in result.front)
-        assert front_iis == [float(ii) for ii in range(1, 9)]
-
-    def test_ii_axis_refines_like_the_latency_axis(self):
-        result = AdaptiveExplorer(
-            FIR, library=None, latencies=[8], ii_values=range(1, 17),
-            objectives=("initiation_interval", "area"),
-            evaluator=self._ii_evaluator(lambda ii: 1000.0 / ii),
-            workload="fir_ii").explore()
-        dense = AdaptiveExplorer(
-            FIR, library=None, latencies=[8], ii_values=range(1, 17),
-            objectives=("initiation_interval", "area"),
-            evaluator=self._ii_evaluator(lambda ii: 1000.0 / ii),
-            workload="fir_ii").explore_dense()
-        assert result.engine_evaluations < dense.engine_evaluations
-
-    def test_ii_axis_requires_exactly_one_latency(self):
-        with pytest.raises(Exception, match="one fixed latency"):
-            AdaptiveExplorer(FIR, library=None, latencies=[6, 8],
-                             ii_values=range(1, 4))
-        with pytest.raises(Exception, match=">= 1"):
-            AdaptiveExplorer(FIR, library=None, latencies=[8],
-                             ii_values=[0, 1])
-
-    def test_ii_axis_end_to_end_trades_ii_against_area(self, library):
-        """Real pipelined flows: shrinking the II must cost FU area."""
-        result = AdaptiveExplorer(
-            FIR, library, latencies=[6], ii_values=[1, 2, 3, 6],
-            objectives=("initiation_interval", "area"),
-            workload="fir_ii",
-            workers=1,
-        ).explore_dense()
-        assert result.axis == "ii"
-        assert len(result.front) >= 2
-        by_ii = sorted(result.front,
-                       key=lambda p: p.raw_value("initiation_interval"))
-        areas = [p.raw_value("area") for p in by_ii]
-        assert areas == sorted(areas, reverse=True)
-        assert areas[0] > areas[-1]
 
 
 class TestEngineIntegration:

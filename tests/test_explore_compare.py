@@ -9,12 +9,10 @@ from repro.explore.adaptive import ExplorationResult
 from repro.explore.compare import (
     compare_flows,
     compare_frontiers,
-    compare_workloads,
     flow_frontiers,
 )
 from repro.explore.pareto import FrontPoint, pareto_front
 from repro.explore.report import (
-    diff_rows,
     frontier_report,
     frontier_rows,
     render_markdown,
@@ -98,17 +96,6 @@ class TestFlowAndWorkloadComparison:
         assert diff.name_a == "slack_based"
         assert diff.coverage_ab == 1.0
         assert diff.hypervolume_ratio >= 1.0
-
-    def test_compare_workloads_pairwise(self):
-        other = [metrics_record("K4", 4, 60.0, 70.0),
-                 metrics_record("K6", 6, 50.0, 55.0)]
-        diffs = compare_workloads({"idct": self.SWEEP, "kernel": other})
-        assert set(diffs) == {("idct", "kernel")}
-        diff = diffs[("idct", "kernel")]
-        assert diff.name_a == "idct" and diff.name_b == "kernel"
-        header, rows = diff_rows(diffs)
-        assert len(rows) == 1 and rows[0][0] == "idct"
-        assert len(header) == len(rows[0])
 
 
 def exploration_result(vectors, labels=None, mode="adaptive",

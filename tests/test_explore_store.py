@@ -110,7 +110,7 @@ class TestRobustness:
 
 class TestDSEResultImportExport:
     def test_round_trip_through_a_real_sweep(self, library, tmp_path):
-        points = latency_grid(4, 6, prefix="fir_L")
+        points = latency_grid(4, 6)
         result = run_dse(FIR, library, points)
         path = str(tmp_path / "store.jsonl")
         outcomes, failures = memoized_run(SweepSession(FIR, library), points,

@@ -127,9 +127,13 @@ def test_run_dse_small_sweep(library):
 
 
 def test_run_dse_rejects_bad_scheduling_mode(library):
-    with pytest.raises(ReproError):
-        run_dse(lambda p: idct_design(latency=8, rows=1), library,
-                [DesignPoint(name="P", latency=8)], scheduling="overlapped")
+    # run_dse always runs block scheduling; the session every sweep runs
+    # through is what validates a mode.
+    from repro.flows.sweep import SweepSession
+
+    with pytest.raises(ReproError, match="unknown scheduling mode"):
+        SweepSession(lambda p: idct_design(latency=8, rows=1), library,
+                     scheduling="overlapped")
 
 
 def test_report_tables(interpolation, library):

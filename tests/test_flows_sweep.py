@@ -71,7 +71,7 @@ def test_sweep_plan_is_a_permutation():
 
 def test_sweep_plan_neighbors_share_structure_when_possible():
     points = latency_grid(6, 8, clock_period=CLOCK) \
-        + latency_grid(6, 8, clock_period=2 * CLOCK, prefix="S")
+        + latency_grid(6, 8, clock_period=2 * CLOCK)
     ordered = [points[i] for i in sweep_plan(points)]
     # Every same-latency pair must be adjacent (differ only in the clock).
     for left, right in zip(ordered, ordered[1:]):

@@ -94,14 +94,6 @@ def test_topological_edges_orders_by_reachability():
     assert "e8" not in order  # backward edges are excluded
 
 
-def test_edge_reachability():
-    cfg = make_diamond()
-    assert cfg.edge_reachable("e1", "e7")
-    assert cfg.edge_reachable("e2", "e4")
-    assert not cfg.edge_reachable("e2", "e5")  # parallel branches
-    assert cfg.edge_reachable("e4", "e4")      # non-strict
-
-
 def test_successors_and_predecessors():
     cfg = make_diamond()
     assert set(cfg.successors("branch")) == {"s0", "s1"}
@@ -155,24 +147,10 @@ def test_nested_loops_classify_both_back_edges():
     assert order.index("h1") < order.index("h2") < order.index("s2")
 
 
-def test_nested_loop_regions_are_outer_first_and_properly_nested():
-    regions = make_nested().loop_regions()
-    assert [r.header for r in regions] == ["h1", "h2"]
-    outer, inner = regions
-    assert outer.back_edges == ("outer_back",)
-    assert outer.body == ("h1", "h2", "s1", "s2")
-    assert inner.back_edges == ("inner_back",)
-    assert inner.body == ("h2", "s1")
-    # Proper nesting: the inner body is contained in the outer body.
-    assert set(inner.body) < set(outer.body)
-
-
 def test_irreducible_two_entry_cycle_still_classifies_and_orders():
     """Two entries into the x<->y cycle (irreducible in the classic sense):
-    DFS order decides the single back edge, the forward subgraph stays
-    acyclic, and the natural-loop body balloons to include the second
-    entry path — the documented caveat of natural loops on irreducible
-    graphs, pinned here so a rewrite cannot silently change it."""
+    DFS order decides the single back edge and the forward subgraph stays
+    acyclic, pinned here so a rewrite cannot silently change it."""
     cfg = CFG("irr")
     cfg.add_node("start", NodeKind.START)
     cfg.add_node("x", NodeKind.STATE)
@@ -184,35 +162,6 @@ def test_irreducible_two_entry_cycle_still_classifies_and_orders():
     cfg.classify_backward_edges()
     assert {e.name for e in cfg.backward_edges} == {"d"}
     assert cfg.topological_nodes() == ["start", "x", "y"]
-    regions = cfg.loop_regions()
-    assert len(regions) == 1
-    assert regions[0].header == "x"
-    assert "start" in regions[0].body  # reaches the tail y, header not on path
-
-
-def test_loop_regions_merge_back_edges_sharing_a_header():
-    cfg = CFG("shared")
-    cfg.add_node("start", NodeKind.START)
-    cfg.add_node("h", NodeKind.STATE)
-    cfg.add_node("t1", NodeKind.STATE)
-    cfg.add_node("t2", NodeKind.STATE)
-    cfg.add_edge("e1", "start", "h")
-    cfg.add_edge("e2", "h", "t1")
-    cfg.add_edge("e3", "t1", "t2")
-    cfg.add_edge("back1", "t1", "h")
-    cfg.add_edge("back2", "t2", "h")
-    regions = cfg.loop_regions()
-    assert len(regions) == 1
-    assert regions[0].back_edges == ("back1", "back2")
-    assert regions[0].body == ("h", "t1", "t2")
-
-
-def test_loop_regions_empty_without_back_edges():
-    cfg = CFG("dag")
-    cfg.add_node("start", NodeKind.START)
-    cfg.add_node("s", NodeKind.STATE)
-    cfg.add_edge("e1", "start", "s")
-    assert cfg.loop_regions() == []
 
 
 def test_unknown_lookups_raise():

@@ -17,13 +17,6 @@ def test_dfg_dot_lists_all_operations(resizer_full):
         assert f'"{name}"' in text
 
 
-def test_dfg_dot_clusters_by_schedule(resizer_main):
-    schedule = {op.name: op.birth_edge for op in resizer_main.dfg.operations}
-    text = dfg_to_dot(resizer_main.dfg, schedule=schedule)
-    assert "subgraph cluster_0" in text
-    assert "style=dotted" in text
-
-
 def test_cfg_dot_dashes_every_back_edge_of_a_nested_loop():
     from repro.ir.cfg import CFG, NodeKind
 

@@ -1,104 +1,12 @@
-"""Unit tests for IR transforms (DCE, constant folding, strength reduction)."""
+"""Unit tests for IR transforms (loop unrolling)."""
 
 import pytest
 
 from repro.errors import IRError
 from repro.ir import LinearDesignBuilder, OpKind
-from repro.ir.transforms import (
-    constant_fold,
-    dead_code_elimination,
-    strength_reduce,
-    unroll_loop,
-)
+from repro.ir.transforms import unroll_loop
 from repro.ir.validate import validate_design
 from repro.workloads.resizer import resizer_design
-
-
-def build_with_dead_code():
-    builder = LinearDesignBuilder("dce", 2)
-    a = builder.read("a", "e1", width=8)
-    b = builder.read("b", "e1", width=8)
-    live = builder.binary(OpKind.ADD, a.name, b.name, "e1", width=8, name="live")
-    builder.binary(OpKind.MUL, a.name, b.name, "e1", width=8, name="dead")
-    builder.write("out", "e2", live.name, width=8)
-    return builder
-
-
-def test_dce_removes_unobserved_operations():
-    builder = build_with_dead_code()
-    removed = dead_code_elimination(builder.dfg)
-    assert removed == 1
-    assert not builder.dfg.has_op("dead")
-    assert builder.dfg.has_op("live")
-
-
-def test_dce_keeps_operations_reaching_loop_carried_values():
-    builder = LinearDesignBuilder("dce2", 1)
-    seed = builder.op(OpKind.COPY, "e1", name="state", width=8, operand_widths=())
-    one = builder.const(1, "e1", width=8)
-    nxt = builder.binary(OpKind.ADD, seed.name, one.name, "e1", width=8, name="next")
-    builder.loop_carry(nxt.name, seed.name)
-    builder.write("out", "e1", nxt.name, width=8)
-    removed = dead_code_elimination(builder.dfg)
-    assert removed == 0
-
-
-def test_constant_fold_collapses_constant_chains():
-    builder = LinearDesignBuilder("fold", 1)
-    c1 = builder.const(6, "e1", width=16)
-    c2 = builder.const(7, "e1", width=16)
-    product = builder.binary(OpKind.MUL, c1.name, c2.name, "e1", width=16, name="p")
-    total = builder.binary(OpKind.ADD, product.name, c1.name, "e1", width=16, name="s")
-    builder.write("out", "e1", total.name, width=16)
-    folded = constant_fold(builder.dfg)
-    assert folded == 2
-    assert builder.dfg.op("p").kind is OpKind.CONST
-    assert builder.dfg.op("p").value == 42
-    assert builder.dfg.op("s").value == 48
-
-
-def test_constant_fold_wraps_to_width():
-    builder = LinearDesignBuilder("fold", 1)
-    c1 = builder.const(127, "e1", width=8)
-    c2 = builder.const(2, "e1", width=8)
-    product = builder.binary(OpKind.MUL, c1.name, c2.name, "e1", width=8, name="p")
-    builder.write("out", "e1", product.name, width=8)
-    constant_fold(builder.dfg)
-    assert builder.dfg.op("p").value == 254 - 256  # two's complement wrap
-
-
-def test_constant_fold_skips_division_by_zero():
-    builder = LinearDesignBuilder("fold", 1)
-    c1 = builder.const(8, "e1", width=8)
-    c0 = builder.const(0, "e1", width=8)
-    div = builder.binary(OpKind.DIV, c1.name, c0.name, "e1", width=8, name="d")
-    builder.write("out", "e1", div.name, width=8)
-    folded = constant_fold(builder.dfg)
-    assert folded == 0
-    assert builder.dfg.op("d").kind is OpKind.DIV
-
-
-def test_strength_reduction_rewrites_power_of_two_multiplies():
-    builder = LinearDesignBuilder("sr", 1)
-    a = builder.read("a", "e1", width=16)
-    c8 = builder.const(8, "e1", width=16)
-    mul = builder.binary(OpKind.MUL, a.name, c8.name, "e1", width=16, name="m")
-    div = builder.binary(OpKind.DIV, a.name, c8.name, "e1", width=16, name="d")
-    builder.write("out", "e1", mul.name, width=16)
-    builder.write("out2", "e1", div.name, width=16)
-    rewritten = strength_reduce(builder.dfg)
-    assert rewritten == 2
-    assert builder.dfg.op("m").kind is OpKind.SHL
-    assert builder.dfg.op("d").kind is OpKind.SHR
-
-
-def test_strength_reduction_ignores_non_powers_of_two():
-    builder = LinearDesignBuilder("sr", 1)
-    a = builder.read("a", "e1", width=16)
-    c6 = builder.const(6, "e1", width=16)
-    builder.binary(OpKind.MUL, a.name, c6.name, "e1", width=16, name="m")
-    assert strength_reduce(builder.dfg) == 0
-    assert builder.dfg.op("m").kind is OpKind.MUL
 
 
 # -- loop unrolling ------------------------------------------------------------------

@@ -8,8 +8,6 @@ from repro.lib import (
     TABLE1_MUL_8x8,
     characterize_class,
     default_kind_models,
-    realistic_technology,
-    tsmc90_library,
 )
 
 
@@ -69,16 +67,3 @@ def test_energy_and_leakage_scale_with_area(library):
         assert v.leakage > 0
         assert v.energy == pytest.approx(v.area, rel=0.01)
 
-
-def test_realistic_technology_has_overheads():
-    tech = realistic_technology()
-    assert tech.mux_delay_per_stage > 0
-    assert tech.register_setup > 0
-    assert tech.io_delay > 0
-
-
-def test_library_without_table1_overrides_uses_model():
-    lib = tsmc90_library(include_table1_overrides=False)
-    points = lib.tradeoff_table(OpKind.MUL, 8)
-    assert points != list(TABLE1_MUL_8x8)
-    assert points[0][0] == pytest.approx(430.0, rel=0.05)

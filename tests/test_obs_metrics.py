@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     cache_stats,
@@ -24,9 +23,6 @@ def test_counter_gauge_histogram_semantics():
     c.inc()
     c.inc(4)
     assert c.value == 5
-    g = reg.gauge("g")
-    g.set(2.5)
-    assert g.value == 2.5
     h = reg.histogram("h")
     for value in (1.0, 3.0, 2.0):
         h.observe(value)
@@ -37,10 +33,8 @@ def test_counter_gauge_histogram_semantics():
 def test_creation_is_idempotent_and_shared():
     reg = MetricsRegistry()
     assert reg.counter("x") is reg.counter("x")
-    assert reg.gauge("y") is reg.gauge("y")
     assert reg.histogram("z") is reg.histogram("z")
     assert isinstance(reg.counter("x"), Counter)
-    assert isinstance(reg.gauge("y"), Gauge)
     assert isinstance(reg.histogram("z"), Histogram)
 
 
@@ -59,40 +53,23 @@ def test_snapshot_is_json_safe_and_sorted():
     reg = MetricsRegistry()
     reg.counter("b").inc()
     reg.counter("a").inc(2)
-    reg.gauge("g").set(1.0)
     reg.histogram("h").observe(0.5)
     snap = reg.snapshot()
     json.dumps(snap)  # JSON-safe by construction
+    assert list(snap) == ["counters", "histograms"]
     assert list(snap["counters"]) == ["a", "b"]
     assert snap["counters"]["a"] == 2
     assert snap["histograms"]["h"]["count"] == 1
 
 
-def test_probe_errors_are_captured_not_raised():
-    reg = MetricsRegistry()
-
-    def bad_probe():
-        raise RuntimeError("probe exploded")
-
-    reg.register_probe("bad", bad_probe)
-    reg.register_probe("good", lambda: {"value": 7})
-    snap = reg.snapshot()
-    assert snap["probes"]["good"] == {"value": 7}
-    assert "RuntimeError" in snap["probes"]["bad"]["error"]
-
-
-# -- process-wide registry + builtin probes ----------------------------------------
+# -- process-wide registry and cache introspection ----------------------------------
 
 
 def test_module_level_registry_is_shared():
     counter("test.shared").inc()
     assert registry().counter("test.shared").value >= 1
     assert counter("test.shared") is registry().counter("test.shared")
-
-
-def test_snapshot_includes_builtin_cache_probes():
-    snap = snapshot()
-    assert "analysis_cache" in snap["probes"]
+    assert snapshot()["counters"]["test.shared"] >= 1
 
 
 def test_cache_stats_covers_every_cache_layer(library):
@@ -108,7 +85,7 @@ def test_cache_stats_covers_every_cache_layer(library):
     assert {"hits", "misses", "puts", "compactions"} <= set(stats["serve"])
     assert {"skipped_lines", "appended_records"} \
         <= set(stats["jsonl_stores"])
-    # The analysis-cache probe pulls the public cache_info() tables.
+    # The analysis-cache section reads the public cache_info() tables.
     for table in ("artifacts", "spans", "sequential_slack",
                   "budget_templates", "span_templates"):
         assert {"hits", "misses"} <= set(stats["analysis_cache"][table])

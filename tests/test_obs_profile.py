@@ -61,9 +61,7 @@ def test_unknown_span_names_report_under_other():
 
 
 def test_profile_report_fields_and_coverage():
-    caches = {"analysis_cache": {}, "delta_seeds": {}}
-    report = profile_report(forest(), wall_seconds=2.1, top=3,
-                            cache_summary=caches)
+    report = profile_report(forest(), wall_seconds=2.1, top=3)
     assert report["traced_seconds"] == pytest.approx(2.0)
     assert report["wall_seconds"] == 2.1
     assert report["coverage"] == pytest.approx(2.0 / 2.1)
@@ -80,7 +78,7 @@ def test_profile_report_fields_and_coverage():
 
 
 def test_profile_report_defaults_wall_to_traced():
-    report = profile_report(forest(), cache_summary={})
+    report = profile_report(forest())
     assert report["wall_seconds"] == report["traced_seconds"]
     assert report["coverage"] == 1.0
 
@@ -96,7 +94,7 @@ def test_markdown_report_renders_phases_spans_and_caches():
         },
         "delta_seeds": {"hits": 8, "misses": 2, "inserts": 2},
     }
-    report = profile_report(forest(), wall_seconds=2.0, cache_summary=caches)
+    report = dict(profile_report(forest(), wall_seconds=2.0), caches=caches)
     text = format_profile_markdown(report, title="Test profile")
     assert text.startswith("# Test profile")
     assert "schedule" in text and "delta-eval" in text

@@ -4,27 +4,23 @@ import threading
 
 import pytest
 
+from repro.obs import trace
 from repro.obs.trace import (
     Span,
     Tracer,
     active_tracer,
-    disable,
-    enable,
     enclosing_attr,
     is_enabled,
     span,
-    traced,
     tracing,
 )
 from repro.obs.trace import _NULL_SPAN
 
 
 @pytest.fixture(autouse=True)
-def _tracing_off():
-    """Every test starts and ends with tracing disabled."""
-    disable()
-    yield
-    disable()
+def _tracing_off(monkeypatch):
+    """Every test starts with tracing disabled and restores the switch."""
+    monkeypatch.setattr(trace, "_ACTIVE", None)
 
 
 # -- Span data model ---------------------------------------------------------------
@@ -65,7 +61,7 @@ def test_set_updates_attrs_and_chains():
     assert s.attrs == {"a": 1, "b": 2}
 
 
-# -- enable/disable fast path ------------------------------------------------------
+# -- the tracing switch and the disabled fast path ---------------------------------
 
 
 def test_disabled_span_is_the_shared_noop_singleton():
@@ -75,16 +71,6 @@ def test_disabled_span_is_the_shared_noop_singleton():
     with span("scope") as scoped:
         assert scoped is _NULL_SPAN
         scoped.set(ignored=True)  # no-op, no error
-
-
-def test_enable_records_and_disable_returns_the_tracer():
-    tracer = enable()
-    assert is_enabled() and active_tracer() is tracer
-    with span("work", kind="test"):
-        pass
-    assert [root.name for root in tracer.roots] == ["work"]
-    assert disable() is tracer
-    assert not is_enabled()
 
 
 def test_nested_spans_build_a_tree_in_order():
@@ -104,12 +90,13 @@ def test_nested_spans_build_a_tree_in_order():
 
 
 def test_tracing_scope_restores_previous_tracer():
-    outer_tracer = enable()
-    with tracing() as inner_tracer:
-        assert active_tracer() is inner_tracer
-        with span("inner-work"):
-            pass
-    assert active_tracer() is outer_tracer
+    with tracing() as outer_tracer:
+        with tracing() as inner_tracer:
+            assert active_tracer() is inner_tracer
+            with span("inner-work"):
+                pass
+        assert active_tracer() is outer_tracer
+    assert not is_enabled()
     assert [r.name for r in inner_tracer.roots] == ["inner-work"]
     assert outer_tracer.roots == []
 
@@ -134,18 +121,6 @@ def test_exception_is_recorded_and_propagates():
                 raise ValueError("boom")
     (root,) = tracer.roots
     assert root.attrs["error"] == "ValueError"
-
-
-def test_traced_decorator_uses_qualname_and_fast_path():
-    @traced()
-    def work(x):
-        return x + 1
-
-    assert work(1) == 2  # disabled: no tracer, plain call
-    with tracing() as tracer:
-        assert work(2) == 3
-    (root,) = tracer.roots
-    assert root.name.endswith("work")
 
 
 def test_clear_drops_recorded_roots():

@@ -11,7 +11,14 @@ import pytest
 
 from repro.errors import ReproError
 from repro.serve.fakes import FakeClock
-from repro.serve.retry import AttemptRecord, RetryPolicy, run_with_retry
+from repro.serve.retry import (
+    BACKOFF_SECONDS,
+    JITTER_FRACTION,
+    MAX_BACKOFF_SECONDS,
+    AttemptRecord,
+    RetryPolicy,
+    run_with_retry,
+)
 
 
 class TestPolicyValidation:
@@ -19,40 +26,39 @@ class TestPolicyValidation:
         with pytest.raises(ReproError):
             RetryPolicy(max_attempts=0)
 
-    def test_rejects_negative_backoff_and_jitter(self):
-        with pytest.raises(ReproError):
-            RetryPolicy(backoff_seconds=-1.0)
-        with pytest.raises(ReproError):
-            RetryPolicy(jitter_fraction=-0.1)
-
     def test_to_dict_is_json_safe(self):
         import json
 
-        json.dumps(RetryPolicy(deadline_seconds=5.0).to_dict())
+        policy = RetryPolicy(deadline_seconds=5.0)
+        json.dumps(policy.to_dict())
+        assert policy.to_dict() == {"max_attempts": 3,
+                                    "deadline_seconds": 5.0}
 
 
 class TestBackoffSequence:
     def test_deterministic_under_seeded_jitter(self):
-        policy = RetryPolicy(max_attempts=5, jitter_seed=42)
+        policy = RetryPolicy(max_attempts=5)
         assert policy.backoff_sequence() == policy.backoff_sequence()
-
-    def test_different_seeds_decorrelate(self):
-        a = RetryPolicy(max_attempts=5, jitter_seed=1).backoff_sequence()
-        b = RetryPolicy(max_attempts=5, jitter_seed=2).backoff_sequence()
-        assert a != b
+        assert RetryPolicy(max_attempts=3).backoff_sequence() \
+            == policy.backoff_sequence()[:2]
 
     def test_exponential_growth_and_cap(self):
-        policy = RetryPolicy(max_attempts=10, backoff_seconds=1.0,
-                             backoff_multiplier=2.0, max_backoff_seconds=4.0,
-                             jitter_fraction=0.0)
-        assert policy.backoff_sequence() == [1.0, 2.0, 4.0, 4.0, 4.0,
-                                             4.0, 4.0, 4.0, 4.0]
+        # 0.1 s doubling: 0.1, 0.2, ..., 25.6 s, then capped at 30 s.
+        bases = [min(BACKOFF_SECONDS * 2 ** i, MAX_BACKOFF_SECONDS)
+                 for i in range(11)]
+        assert bases[-3:] == [25.6, MAX_BACKOFF_SECONDS, MAX_BACKOFF_SECONDS]
+        delays = RetryPolicy(max_attempts=12).backoff_sequence()
+        assert len(delays) == 11
+        for base, delay in zip(bases, delays):
+            assert base <= delay <= base * (1.0 + JITTER_FRACTION)
 
     def test_jitter_stretches_within_fraction(self):
-        policy = RetryPolicy(max_attempts=6, backoff_seconds=1.0,
-                             backoff_multiplier=1.0, jitter_fraction=0.5)
-        for delay in policy.backoff_sequence():
-            assert 1.0 <= delay <= 1.5
+        delays = RetryPolicy(max_attempts=6).backoff_sequence()
+        stretch = [delay / (BACKOFF_SECONDS * 2 ** i)
+                   for i, delay in enumerate(delays)]
+        assert all(1.0 <= factor <= 1.0 + JITTER_FRACTION
+                   for factor in stretch)
+        assert len(set(stretch)) == len(stretch)  # drawn, not constant
 
     def test_single_attempt_has_no_backoff(self):
         assert RetryPolicy(max_attempts=1).backoff_sequence() == []
@@ -70,8 +76,7 @@ class TestRunWithRetry:
 
     def test_errors_retry_with_the_policy_backoff_schedule(self):
         clock = FakeClock()
-        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.5,
-                             jitter_seed=7)
+        policy = RetryPolicy(max_attempts=3)
         calls = []
 
         def flaky():
@@ -138,8 +143,7 @@ class TestRunWithRetry:
 
         outcome = run_with_retry(
             fails_once,
-            RetryPolicy(max_attempts=3, deadline_seconds=5.0,
-                        backoff_seconds=0.0),
+            RetryPolicy(max_attempts=3, deadline_seconds=5.0),
             clock=clock, sleep=clock.sleep)
         assert not outcome.ok and outcome.timed_out
         assert len(calls) == 1

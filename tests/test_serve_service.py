@@ -7,13 +7,16 @@ the ground truth for "flow evaluations actually performed", which is what
 the memoization guarantees are asserted against.
 """
 
+import functools
 import json
 import time
 
 import pytest
 
 from repro.errors import ReproError
+from repro.serve import service as service_module
 from repro.serve.fakes import (
+    FakeClock,
     FakeEvaluator,
     HangingEvaluator,
     explore_payload,
@@ -21,7 +24,7 @@ from repro.serve.fakes import (
     sweep_payload,
 )
 from repro.serve.jobs import JobSpec
-from repro.serve.retry import RetryPolicy
+from repro.serve.retry import RetryPolicy, run_with_retry
 from repro.serve.service import DSEService, JobStateError, UnknownJobError
 
 
@@ -193,23 +196,31 @@ class TestMemoization:
         assert service.result(sweep["job_id"])["result"]["evaluations"] == 11
 
 
+@pytest.fixture
+def backoff_clock(monkeypatch):
+    """The service's retry loop sleeps on a fake clock, never for real."""
+    clock = FakeClock()
+    monkeypatch.setattr(service_module, "run_with_retry",
+                        functools.partial(run_with_retry, sleep=clock.sleep))
+    return clock
+
+
 class TestRetryAndTimeout:
-    def test_transient_failures_are_retried_to_success(self):
+    def test_transient_failures_are_retried_to_success(self, backoff_clock):
         fake = FakeEvaluator(fail_times=1)
-        service = _service(evaluator=fake,
-                           retry=RetryPolicy(max_attempts=3,
-                                             backoff_seconds=0.0))
+        retry = RetryPolicy(max_attempts=3)
+        service = _service(evaluator=fake, retry=retry)
         receipt = service.submit(JobSpec("sweep", sweep_payload()))
         service.run_pending()
         status = service.status(receipt["job_id"])
         assert status["state"] == "done"
         assert status["attempts"] == 2
+        assert backoff_clock.sleeps == retry.backoff_sequence()[:1]
 
-    def test_exhausted_retries_yield_structured_failure(self):
+    def test_exhausted_retries_yield_structured_failure(self, backoff_clock):
         fake = FakeEvaluator(fail_times=99)
         service = _service(evaluator=fake,
-                           retry=RetryPolicy(max_attempts=2,
-                                             backoff_seconds=0.0))
+                           retry=RetryPolicy(max_attempts=2))
         receipt = service.submit(JobSpec("sweep", sweep_payload()))
         service.run_pending()
         status = service.status(receipt["job_id"])

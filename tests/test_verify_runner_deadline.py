@@ -76,7 +76,7 @@ class TestGuardedOracleDeadline:
 
 
 class TestFuzzLoopDeadline:
-    def test_hang_cannot_stall_past_the_budget(self, library):
+    def test_hang_cannot_stall_past_the_budget(self):
         # One hanging oracle, a 0.4s budget: without the per-oracle
         # deadline this test would block for hang_seconds.
         from repro.verify import runner as runner_mod
@@ -87,7 +87,7 @@ class TestFuzzLoopDeadline:
             runner_mod.select_oracles = lambda names: [hanging]
             start = time.monotonic()
             report = run_fuzz(seed=3, iterations=3, budget_seconds=0.4,
-                              shrink=True, library=library,
+                              shrink=True,
                               profile=ScenarioProfile(max_segments=2))
             elapsed = time.monotonic() - start
         finally:
@@ -101,14 +101,14 @@ class TestFuzzLoopDeadline:
         assert failure.shrunk is None  # timeouts are never shrunk
         assert failure.oracle == "hanging-test-oracle"
 
-    def test_explicit_oracle_deadline_without_budget(self, library):
+    def test_explicit_oracle_deadline_without_budget(self):
         from repro.verify import runner as runner_mod
 
         hanging = _hanging_oracle()
         original = runner_mod.select_oracles
         try:
             runner_mod.select_oracles = lambda names: [hanging]
-            report = run_fuzz(seed=3, iterations=2, library=library,
+            report = run_fuzz(seed=3, iterations=2,
                               profile=ScenarioProfile(max_segments=2),
                               oracle_deadline_seconds=0.1)
         finally:
