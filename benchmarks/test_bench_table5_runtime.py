@@ -28,10 +28,10 @@ from repro.workloads import idct_design
 CLOCK = 1500.0
 
 
-def _fastest_call(call, repeats=10):
-    """The fastest wall time, in seconds, of ``repeats`` calls."""
+def _fastest_call(call):
+    """The fastest wall time, in seconds, of 10 calls."""
     fastest = float("inf")
-    for _ in range(repeats):
+    for _ in range(10):
         start = time.perf_counter()
         call()
         fastest = min(fastest, time.perf_counter() - start)

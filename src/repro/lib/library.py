@@ -79,9 +79,9 @@ class Library:
 
     # -- construction -----------------------------------------------------------
 
-    def add_class(self, resource_class: ResourceClass, replace: bool = False) -> None:
+    def add_class(self, resource_class: ResourceClass) -> None:
         key = (resource_class.kind, resource_class.width)
-        if key in self._classes and not replace:
+        if key in self._classes:
             raise LibraryError(
                 f"library already has a class for {key[0].value}/{key[1]}"
             )

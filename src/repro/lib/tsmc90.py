@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 from repro.ir.operations import OpKind
-from repro.lib.characterize import KindModel, characterize_class, default_kind_models
+from repro.lib.characterize import characterize_class, default_kind_models
 from repro.lib.library import Library
 from repro.lib.resource import ResourceClass, ResourceVariant
 
@@ -71,22 +71,20 @@ def tsmc90_library() -> Library:
     """Build the synthetic TSMC-90nm-like library.
 
     Every operation kind is characterised at :data:`DEFAULT_WIDTHS` with the
-    default technology parameters, and the mul/8 and add/16 classes are
-    replaced with the paper's exact Table 1 points.
+    default technology parameters, except the mul/8 and add/16 classes, which
+    take the paper's exact Table 1 points.  The paper's motivating example
+    (Table 2) also uses the 16-bit adder curve for its "adds"; SUB shares the
+    ADD curve shape, so SUB/16 takes the ADD/16 points for faithful Table 2
+    numbers.
     """
+    table1 = {(OpKind.MUL, 8): TABLE1_MUL_8x8,
+              (OpKind.ADD, 16): TABLE1_ADD_16,
+              (OpKind.SUB, 16): TABLE1_ADD_16}
     library = Library("tsmc90-like")
-    models = default_kind_models()
-    for kind, model in models.items():
+    for kind, model in default_kind_models().items():
         for width in DEFAULT_WIDTHS:
-            library.add_class(characterize_class(kind, width, model))
-
-    library.add_class(_class_from_points(OpKind.MUL, 8, TABLE1_MUL_8x8),
-                      replace=True)
-    library.add_class(_class_from_points(OpKind.ADD, 16, TABLE1_ADD_16),
-                      replace=True)
-    # The paper's motivating example (Table 2) also uses a subtractor-free
-    # 16-bit adder curve for its "adds"; SUB shares the ADD curve shape, so
-    # align SUB/16 with ADD/16 for faithful Table 2 numbers.
-    library.add_class(_class_from_points(OpKind.SUB, 16, TABLE1_ADD_16),
-                      replace=True)
+            points = table1.get((kind, width))
+            library.add_class(
+                characterize_class(kind, width, model) if points is None
+                else _class_from_points(kind, width, points))
     return library

@@ -76,17 +76,18 @@ class TestAdaptiveOnSyntheticCurves:
         assert result.engine_evaluations < dense.engine_evaluations
 
     def test_non_convex_spike_is_probed_exactly_once(self):
-        # Flat except a spike on a coarse-grid member: the convexity
-        # witness refines both neighbour intervals (the descent rule flags
-        # only the right one), and it must not keep drilling around the
-        # spike forever.
+        # Flat except a spike on a coarse-grid member: only the convexity
+        # witness can fire, it refines both neighbour intervals, and it
+        # must not keep drilling around the spike forever.  The spike sits
+        # 15 above the chord (more than CONVEXITY_FRACTION x 100), and its
+        # drop of 15 stays under DESCENT_FRACTION x 115, so the descent
+        # rule flags nothing.
         calls = []
-        spike = {16: 300.0}
+        spike = {16: 115.0}
         result = explorer(lambda lat: spike.get(lat, 100.0),
                           latencies=range(4, 29), calls=calls).explore()
         # Coarse grid {4, 10, 16, 22, 28}; the spike at 16 flags (10, 16)
-        # and (16, 22) whose midpoints are evaluated in one extra wave.  The
-        # descent from 16 to 19 then spans no more than width_stop states.
+        # and (16, 22) whose midpoints are evaluated in one extra wave.
         assert calls[:5] == [4, 10, 16, 22, 28]
         assert calls[5:] == [13, 19]
         assert result.engine_evaluations == 7

@@ -161,6 +161,7 @@ ENTRY_POINT_PARAMETERS = {
     "repro.lib.tsmc90:tsmc90_library": (),
     "repro.lib.characterize:characterize_class": ("kind", "width", "model"),
     "repro.lib.tsmc90:_class_from_points": ("kind", "width", "points"),
+    "repro.lib.library:Library.add_class": ("self", "resource_class"),
     # The sweep harness and its reports.
     "repro.flows.dse:DSEResult.area_range": ("self",),
     "repro.flows.dse:DSEResult.power_range": ("self",),
