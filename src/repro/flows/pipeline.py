@@ -44,8 +44,9 @@ The rules that make the sharing sound:
 * **Invalidation.** There is none by design: cached bundles are never
   mutated, and a *structurally* changed design produces a new fingerprint
   and therefore a new bundle.  The corollary is that designs must not be
-  mutated structurally after first use — run the IR transforms
-  (:mod:`repro.ir.transforms`) *before* handing a design to a flow.  Use
+  mutated structurally after first use — build a changed design anew (as
+  :func:`repro.ir.transforms.unroll_loop` does) instead of editing one a
+  flow has seen.  Use
   ``default_cache().clear()`` to drop every shared bundle and every other
   table (e.g. between unrelated sweeps in a long-lived process).
 * **Mutable state stays out.** Schedules, bindings and datapaths are built
