@@ -52,7 +52,6 @@ from repro._version import __version__
 from repro.errors import (
     ReproError,
     IRError,
-    ElaborationError,
     LibraryError,
     TimingError,
     SchedulingError,
@@ -110,7 +109,6 @@ __all__ = [
     "__version__",
     "ReproError",
     "IRError",
-    "ElaborationError",
     "LibraryError",
     "TimingError",
     "SchedulingError",

@@ -14,25 +14,33 @@ sweep (CPU time 3.70 s with every table):
   :class:`~repro.flows.sweep.SweepSession` (and with it ``evaluate_point``
   and ``run_dse``) keeps one private bundle per structure and never looks
   this table up, so it hits 0 times on both benchmark workloads;
-* ``spans`` — the slack-guided scheduler's per-edge rebuild: spans pinned
-  to a schedule prefix plus the design's compact timed graph reweighted by
-  them (:meth:`~repro.core.graphkit.CompactTimedGraph.reweighted`).  The
-  relaxation loop replays the same prefixes attempt after attempt, so 272
-  of 652 lookups hit; the sweep is 15 % slower without it (4.27 s), and it
-  holds most of the sweep's peak memory (136 MB against 39 MB);
+* ``spans`` — spans pinned to a schedule prefix plus the design's compact
+  timed graph reweighted by them, by name
+  (:meth:`AnalysisCache.pinned_spans_and_timed`).  The slack-guided
+  scheduler recomputes both on one state per schedule pass
+  (:class:`repro.core.slack_scheduler._PassState`), so no flow looks it up
+  and it buys nothing on either benchmark workload; it stays while the
+  benchmark harness wraps the method and reads its hit ratio;
 * ``sequential_slack`` — the schedule pass's
   :func:`~repro.core.sequential_slack.compute_sequential_slack` per delay
   map.  It hits 29 of 52 lookups, but the audit's sweep ran no slower
   without it (3.45 s);
 * ``budget_templates`` — the per-``(design, library)`` skeleton of a
-  budgeting state (:class:`repro.core.budgeting._BudgetTemplate`); every
-  per-edge re-budget starts from it.  It hits 652 times and misses 13, and
-  the sweep is about 50 % slower without it (5.54 s);
+  budgeting state (:class:`repro.core.budgeting._BudgetTemplate`).  Every
+  ``budget_slack`` call on a graph starts from it, and every slack-guided
+  scheduling run takes it once for the re-budget states of all its
+  passes: it hits 13 times and misses 13;
 * ``span_templates`` — the pinned-independent skeleton of the span
   computation (:class:`repro.core.opspan._SpanTemplate`) and its interned
-  :class:`~repro.core.opspan.SpanInfo` objects, which every pinned rebuild
-  reuses.  It hits 380 times and misses 6, and the sweep is about 50 %
-  slower without it (5.68 s).
+  :class:`~repro.core.opspan.SpanInfo` objects, which every span
+  computation reuses: ``OperationSpans`` and, once per scheduling run, the
+  pass states.  It hits 13 times and misses 6.
+
+The per-graph delta-slack seeds of
+:class:`~repro.core.delta_slack.DeltaSlackEvaluator` (``cache_stats()``'s
+``delta_seeds``) serve the evaluators built on a shared graph — the
+step-0 and pipelined budgets — and each pass state's first re-budget; the
+later re-budgets reseed with the kernels.  They hit 7 of 65 lookups.
 
 Keys: the artifacts and spans tables start from :func:`design_fingerprint`,
 a structural hash of the CFG + DFG (including insertion order, which
@@ -231,10 +239,10 @@ class AnalysisCache:
     ) -> Tuple[OperationSpans, CompactTimedGraph]:
         """Spans pinned to a partial schedule, plus their compact timed graph.
 
-        This is the slack-guided scheduler's per-edge rebuild.  Keyed by the
-        design fingerprint and the exact ``(pinned, not_before)`` pair; the
-        relaxation loop replays schedule prefixes, so hit rates are high on
-        exactly the design points where scheduling is slow.
+        The by-name form of what the slack-guided scheduler's per-edge
+        re-budget computes on op indices
+        (:class:`repro.core.slack_scheduler._PassState`).  Keyed by the
+        design fingerprint and the exact ``(pinned, not_before)`` pair.
 
         ``artifacts`` is the design's
         :class:`repro.flows.pipeline.PointArtifacts`.  The graph is its

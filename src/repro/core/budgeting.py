@@ -27,7 +27,7 @@ timed DFG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import TimingError
 from repro.ir.design import Design
@@ -93,52 +93,57 @@ class _BudgetTemplate:
 
     Building a :class:`_BudgetState` used to resolve the resource class, the
     synthesizability and the default grade of every operation on *every*
-    ``budget_slack`` call — and the slack-guided scheduler re-budgets after
-    every scheduled edge, thousands of times per design point.  All of that
-    is a pure function of (design, library), so it is interned once per pair
+    ``budget_slack`` call.  All of that is a pure function of (design,
+    library), so it is interned once per pair
     (:meth:`repro.core.analysis_cache.AnalysisCache.budget_template`) and
-    per-call states start from dict copies of the precomputed base maps.
+    states start from list copies of the precomputed base vectors.
+
+    Every table is a list on *op indices*: operation ``i`` is ``names[i]``,
+    the ``i``-th non-constant operation in design order, which is also node
+    ``i`` of the design's timed graph (its operations come first, in that
+    order, then their sinks).
     """
 
-    __slots__ = ("ops", "classes", "nonsynth", "static_delays",
+    __slots__ = ("names", "index", "classes", "nonsynth", "static_delays",
                  "fastest_delays", "base_variants", "base_delays",
                  "max_grades", "slower_of", "faster_of")
 
     def __init__(self, design: Design, library: Library):
-        self.ops: Dict[str, Operation] = {}
-        self.classes: Dict[str, Optional[object]] = {}
-        self.nonsynth: Set[str] = set()
+        ops: List[Operation] = [op for op in design.dfg.operations
+                                if op.kind is not OpKind.CONST]
+        count = len(ops)
+        self.names: Tuple[str, ...] = tuple(op.name for op in ops)
+        self.index: Dict[str, int] = {
+            name: index for index, name in enumerate(self.names)}
+        self.classes: List[Optional[object]] = [None] * count
+        self.nonsynth: List[bool] = [False] * count
         # Delay of ops whose delay ignores the variant (const/copy/IO) —
         # mirrors Library.operation_delay's dispatch exactly.
-        self.static_delays: Dict[str, float] = {}
-        self.fastest_delays: Dict[str, float] = {}
+        self.static_delays: List[Optional[float]] = [None] * count
+        self.fastest_delays: List[Optional[float]] = [None] * count
         # Every operation at its slowest grade, where budgeting starts (each
-        # call overlays its warm start and pinned grades on a copy).
-        self.base_variants: Dict[str, Optional[ResourceVariant]] = {}
-        self.base_delays: Dict[str, float] = {}
+        # state overlays its warm start and pinned grades on a copy).
+        self.base_variants: List[Optional[ResourceVariant]] = [None] * count
+        self.base_delays: List[float] = [0.0] * count
         # Per-op grade-adjacency maps (variant name -> next slower/faster
         # variant, None at the ends), shared per resource class.  One dict
         # lookup replaces ResourceClass.next_slower/next_faster on the step-4
         # candidate scan, the hottest part of the budgeting loop.
-        self.slower_of: Dict[str, Dict[str, Optional[ResourceVariant]]] = {}
-        self.faster_of: Dict[str, Dict[str, Optional[ResourceVariant]]] = {}
+        self.slower_of: List[Optional[Dict[str, Optional[ResourceVariant]]]] = \
+            [None] * count
+        self.faster_of: List[Optional[Dict[str, Optional[ResourceVariant]]]] = \
+            [None] * count
         adjacency: Dict[int, tuple] = {}
         max_grades = 1
-        for op in design.dfg.operations:
-            if op.kind is OpKind.CONST:
-                continue
-            name = op.name
-            self.ops[name] = op
+        for index, op in enumerate(ops):
             if not op.is_synthesizable:
-                self.classes[name] = None
-                self.nonsynth.add(name)
+                self.nonsynth[index] = True
                 delay = library.operation_delay(op)
-                self.static_delays[name] = delay
-                self.base_variants[name] = None
-                self.base_delays[name] = delay
+                self.static_delays[index] = delay
+                self.base_delays[index] = delay
                 continue
             resource_class = library.class_for_op(op)
-            self.classes[name] = resource_class
+            self.classes[index] = resource_class
             if resource_class.num_grades > max_grades:
                 max_grades = resource_class.num_grades
             maps = adjacency.get(id(resource_class))
@@ -154,70 +159,214 @@ class _BudgetTemplate:
                                               if position > 0 else None)
                 maps = (slower_map, faster_map)
                 adjacency[id(resource_class)] = maps
-            self.slower_of[name], self.faster_of[name] = maps
+            self.slower_of[index], self.faster_of[index] = maps
             slowest = resource_class.slowest
-            self.fastest_delays[name] = resource_class.fastest.delay
-            self.base_variants[name] = slowest
-            self.base_delays[name] = slowest.delay
+            self.fastest_delays[index] = resource_class.fastest.delay
+            self.base_variants[index] = slowest
+            self.base_delays[index] = slowest.delay
         self.max_grades = max_grades
 
-    def pinned_delay(self, name: str,
+    def pinned_delay(self, index: int,
                      variant: Optional[ResourceVariant]) -> float:
         """``Library.operation_delay(op, variant)`` from precomputed parts."""
-        static = self.static_delays.get(name)
+        static = self.static_delays[index]
         if static is not None:
             return static
         if variant is None:
-            return self.fastest_delays[name]
+            return self.fastest_delays[index]
         return variant.delay
 
 
 class _BudgetState:
-    """Mutable per-operation state during budgeting."""
+    """Mutable per-operation state of budgeting, on the template's op indices.
 
-    __slots__ = ("template", "delays", "variants", "pinned", "frozen",
-                 "ops", "classes")
+    ``variants``, ``delays`` and ``pinned`` are lists by op index,
+    ``frozen`` the set of op indices a rejected downgrade froze, and
+    ``evaluator`` the slack evaluator over the timed graph the loop runs on
+    (node ``i`` is operation ``i``).  After a :func:`budget_slack` run the
+    state also holds its outcome: ``iterations``, ``upgrades``,
+    ``downgrades`` and ``feasible``.
 
-    def __init__(self, design: Design, library: Library,
+    The per-op precedence is that of resolving each operation on its own:
+    a pinned grade wins, non-synthesizable ops are always pinned, and warm
+    starts apply to synthesizable ops only.  The slack-guided scheduler
+    keeps one state per schedule pass and pins each operation as it is
+    placed; the warm start of the next re-budget is then what the last one
+    left.
+    """
+
+    __slots__ = ("template", "variants", "delays", "pinned", "frozen",
+                 "evaluator", "iterations", "upgrades", "downgrades",
+                 "feasible")
+
+    def __init__(self, template: _BudgetTemplate,
                  initial_variants: Optional[Mapping[str, ResourceVariant]],
                  pinned: Optional[Mapping[str, ResourceVariant]]):
-        template = default_cache().budget_template(design, library)
         self.template = template
-        self.ops = template.ops
-        self.classes = template.classes
-        self.frozen: Set[str] = set()
-        # Start from the interned slowest-grade maps, then overlay the warm
-        # start and the pinned grades — same per-op precedence as resolving
-        # each operation individually (pinned wins, non-synthesizable ops
-        # are always pinned, warm starts apply to synthesizable ops only).
-        self.variants: Dict[str, Optional[ResourceVariant]] = dict(
+        # Start from the interned slowest-grade vectors, then overlay the
+        # warm start and the pinned grades.
+        self.variants: List[Optional[ResourceVariant]] = list(
             template.base_variants)
-        self.delays: Dict[str, float] = dict(template.base_delays)
-        self.pinned: Set[str] = set(template.nonsynth)
+        self.delays: List[float] = list(template.base_delays)
+        self.pinned: List[bool] = list(template.nonsynth)
+        self.frozen: Set[int] = set()
+        self.evaluator = None
+        self.iterations = self.upgrades = self.downgrades = 0
+        self.feasible = False
+        index_of = template.index
         if initial_variants:
-            ops = template.ops
             nonsynth = template.nonsynth
             for name, variant in initial_variants.items():
-                if name in ops and name not in nonsynth:
-                    self.variants[name] = variant
-                    self.delays[name] = variant.delay
+                index = index_of.get(name)
+                if index is not None and not nonsynth[index]:
+                    self.variants[index] = variant
+                    self.delays[index] = variant.delay
         if pinned:
-            ops = template.ops
             for name, variant in pinned.items():
-                if name in ops:
-                    self.variants[name] = variant
-                    self.delays[name] = template.pinned_delay(name, variant)
-                    self.pinned.add(name)
+                index = index_of.get(name)
+                if index is not None:
+                    self.pin(index, variant)
 
-    def set_variant(self, name: str, variant: ResourceVariant) -> None:
-        self.variants[name] = variant
-        self.delays[name] = variant.delay
+    def pin(self, index: int, variant: Optional[ResourceVariant]) -> None:
+        """Fix operation ``index`` at ``variant`` for every later run."""
+        self.variants[index] = variant
+        self.delays[index] = self.template.pinned_delay(index, variant)
+        self.pinned[index] = True
 
-    def resource_class(self, name: str):
-        return self.classes[name]
+    def delay_vector(self, num_nodes: int) -> List[float]:
+        """The evaluator's delay vector: the op delays as floats, then 0.0
+        for every other node (``CompactTimedGraph.delay_vector``'s rule)."""
+        vector = list(map(float, self.delays))
+        vector.extend([0.0] * (num_nodes - len(vector)))
+        return vector
 
-    def max_grades(self) -> int:
-        return self.template.max_grades
+
+def _run_budget(state: _BudgetState, margin: float) -> None:
+    """Steps 3 and 4 of Fig. 7 on ``state`` and its evaluator, in place."""
+    template = state.template
+    evaluator = state.evaluator
+    iteration_budget = 20 * max(len(template.names), 1) * template.max_grades
+
+    iterations = 0
+    upgrades = 0
+    downgrades = 0
+
+    # Hot-loop locals.  The evaluator mutates its arrival/required lists in
+    # place (never rebinds them), so the references stay valid across
+    # set_delay/rollback.
+    names = template.names
+    classes = template.classes
+    slower_of = template.slower_of
+    faster_of = template.faster_of
+    variants = state.variants
+    delays = state.delays
+    pinned = state.pinned
+    frozen = state.frozen = set()
+    arrival = evaluator.arrival
+    required = evaluator.required
+
+    # ---- step 3 of Fig. 7: repair negative aligned slack by speeding up ---------
+    while evaluator.worst_slack() < -_EPS and iterations < iteration_budget:
+        # Candidates: every operation still violating timing (binned to the
+        # worst value first, then any violator — alignment effects can give
+        # the true culprit a slightly less negative slack than the worst op,
+        # e.g. when the worst op is an un-upgradable I/O operation).
+        critical = [index for index in evaluator.critical_indices(margin)
+                    if not pinned[index] and index not in frozen]
+        violators = [index for index in evaluator.violating_indices(-_EPS)
+                     if not pinned[index] and index not in frozen]
+
+        def cheapest_upgrade(indices):
+            best: Optional[Tuple[float, int, ResourceVariant]] = None
+            for index in indices:
+                variant = variants[index]
+                if variant is None:
+                    continue
+                faster = faster_of[index].get(variant.name, _MISSING)
+                if faster is _MISSING:
+                    faster = classes[index].next_faster(variant)
+                if faster is None:
+                    continue
+                gain = variant.delay - faster.delay
+                if gain <= _EPS:
+                    continue
+                cost = (faster.area - variant.area) / gain
+                if best is None or cost < best[0]:
+                    best = (cost, index, faster)
+            return best
+
+        best_choice = cheapest_upgrade(critical) or cheapest_upgrade(violators)
+        if best_choice is None:
+            break  # nothing left to speed up: infeasible at this clock period
+        _, index, faster = best_choice
+        variants[index] = faster
+        delays[index] = faster.delay
+        evaluator.set_delay(index, faster.delay)
+        upgrades += 1
+        iterations += 1
+
+    # ---- step 4 of Fig. 7: distribute positive slack by slowing down ------------
+    # A still-diverged cyclic evaluator has no meaningful per-op slack to
+    # distribute: skip the downgrade loop and report the infeasible II.
+    skip_downgrades = bool(getattr(evaluator, "diverged", False))
+    feasible_baseline = evaluator.worst_slack() >= -_EPS
+    margin_eps = margin + _EPS
+    movable = [index for index, flag in enumerate(pinned) if not flag]
+    while not skip_downgrades and iterations < iteration_budget:
+        candidates: List[Tuple[float, float, int, ResourceVariant]] = []
+        for index in movable:
+            variant = variants[index]
+            if variant is None or index in frozen:
+                continue
+            slower = slower_of[index].get(variant.name, _MISSING)
+            if slower is _MISSING:
+                slower = classes[index].next_slower(variant)
+            if slower is None:
+                continue
+            slack = required[index] - arrival[index]
+            if slack <= margin_eps:
+                continue
+            delay_increase = slower.delay - variant.delay
+            if delay_increase > slack + _EPS:
+                continue
+            saving = variant.area - slower.area
+            if saving <= _EPS:
+                continue
+            candidates.append((saving, slack, index, slower))
+        if not candidates:
+            break
+        candidates.sort(key=lambda item: (-item[0], -item[1], names[item[2]]))
+        accepted = False
+        accepted_worst = evaluator.worst_slack()
+        for saving, slack, index, slower in candidates:
+            previous = variants[index]
+            variants[index] = slower
+            delays[index] = slower.delay
+            iterations += 1
+            evaluator.begin_trial()
+            evaluator.set_delay(index, slower.delay)
+            trial_worst = evaluator.worst_slack()
+            worst_ok = (trial_worst >= -_EPS) if feasible_baseline else (
+                trial_worst >= accepted_worst - _EPS)
+            if worst_ok:
+                evaluator.commit()
+                downgrades += 1
+                accepted = True
+                break
+            evaluator.rollback()
+            variants[index] = previous
+            delays[index] = previous.delay
+            frozen.add(index)
+        if not accepted:
+            break
+
+    state.iterations = iterations
+    state.upgrades = upgrades
+    state.downgrades = downgrades
+    state.feasible = evaluator.worst_slack() >= -_EPS
+    default_cache().record_delta(evaluator.updates)
+    _BUDGET_RUNS.inc()
+    _BUDGET_ITERATIONS.inc(iterations)
 
 
 def budget_slack(
@@ -228,7 +377,8 @@ def budget_slack(
     graph: Optional[CompactTimedGraph] = None,
     initial_variants: Optional[Mapping[str, ResourceVariant]] = None,
     pinned_variants: Optional[Mapping[str, ResourceVariant]] = None,
-) -> BudgetingResult:
+    state: Optional[_BudgetState] = None,
+) -> Union[BudgetingResult, _BudgetState]:
     """Run the slack-budgeting algorithm of Fig. 7 on ``design``.
 
     Budgeting runs on aligned slack (clock-boundary aware), as the paper's
@@ -249,12 +399,19 @@ def budget_slack(
         (modulo-II) ones on a
         :class:`~repro.core.delta_slack.CyclicSlackEvaluator`.  Without one,
         ``build_timed_dfg(design).compact()`` is used.  The slack-guided
-        scheduler passes its design's graph for the step-0 budget and a
-        cached reweighted graph for every per-edge re-budget.
+        scheduler passes its design's graph for the step-0 budget.
     initial_variants:
-        Warm-start grades (used when re-budgeting during scheduling).
+        Warm-start grades.
     pinned_variants:
-        Grades that must not change (already-scheduled operations).
+        Grades that must not change.
+    state:
+        A :class:`_BudgetState` whose ``evaluator`` the caller has seeded:
+        the slack-guided scheduler's per-edge re-budget, which keeps one
+        state per schedule pass on op indices.  The loop then runs on that
+        state in place and returns it, holding the outcome (``variants``,
+        ``feasible``, ``iterations`` ...); ``graph``, ``initial_variants``
+        and ``pinned_variants`` are not read, and no
+        :class:`BudgetingResult` is exported.
 
     Each call records its evaluator's incremental updates on
     :func:`repro.core.analysis_cache.default_cache` (the
@@ -262,142 +419,38 @@ def budget_slack(
     """
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
+    margin = abs(margin_fraction) * clock_period
+    if state is not None:
+        _run_budget(state, margin)
+        return state
     if graph is None:
         graph = build_timed_dfg(design).compact()
-    margin = abs(margin_fraction) * clock_period
 
-    state = _BudgetState(design, library, initial_variants, pinned_variants)
-    iteration_budget = 20 * max(len(state.ops), 1) * state.max_grades()
-
-    iterations = 0
-    upgrades = 0
-    downgrades = 0
-
+    template = default_cache().budget_template(design, library)
+    names = template.names
+    if graph.names[:len(names)] != names:
+        raise TimingError(
+            f"the timed graph's first nodes are not the operations of "
+            f"design {design.name!r} in design order")
+    state = _BudgetState(template, initial_variants, pinned_variants)
     # Cyclic (modulo-II) timed graphs get the full-recompute evaluator: its
-    # interface is identical, so the loop body below is shared; the acyclic
-    # delta path stays bit-identical to the seed.
+    # interface is identical, so the loop is shared.
     evaluator_class = (CyclicSlackEvaluator if graph.cyclic
                        else DeltaSlackEvaluator)
-    evaluator = evaluator_class(graph, graph.delay_vector(state.delays),
-                                clock_period, aligned=True)
-
-    # Hot-loop locals.  The evaluator mutates its arrival/required lists in
-    # place (never rebinds them), so the references stay valid across
-    # set_delay/rollback; ``pinned``/``frozen`` are the state's own sets.
-    variants = state.variants
-    pinned_set = state.pinned
-    frozen = state.frozen
-    slower_of = state.template.slower_of
-    faster_of = state.template.faster_of
-    arrival = evaluator.arrival
-    required = evaluator.required
-    node_index = graph.index
-
-    # ---- step 3 of Fig. 7: repair negative aligned slack by speeding up ---------
-    while evaluator.worst_slack() < -_EPS and iterations < iteration_budget:
-        # Candidates: every operation still violating timing (binned to the
-        # worst value first, then any violator — alignment effects can give
-        # the true culprit a slightly less negative slack than the worst op,
-        # e.g. when the worst op is an un-upgradable I/O operation).
-        critical = [name for name in evaluator.critical_operations(margin)
-                    if name not in pinned_set and name not in frozen]
-        violators = [name for name in evaluator.violating_operations(-_EPS)
-                     if name not in pinned_set and name not in frozen]
-
-        def cheapest_upgrade(names):
-            best: Optional[Tuple[float, str, ResourceVariant]] = None
-            for name in names:
-                variant = variants[name]
-                if variant is None:
-                    continue
-                faster = faster_of[name].get(variant.name, _MISSING)
-                if faster is _MISSING:
-                    faster = state.resource_class(name).next_faster(variant)
-                if faster is None:
-                    continue
-                gain = variant.delay - faster.delay
-                if gain <= _EPS:
-                    continue
-                cost = (faster.area - variant.area) / gain
-                if best is None or cost < best[0]:
-                    best = (cost, name, faster)
-            return best
-
-        best_choice = cheapest_upgrade(critical) or cheapest_upgrade(violators)
-        if best_choice is None:
-            break  # nothing left to speed up: infeasible at this clock period
-        _, name, faster = best_choice
-        state.set_variant(name, faster)
-        evaluator.set_delay(node_index[name], faster.delay)
-        upgrades += 1
-        iterations += 1
-
-    # ---- step 4 of Fig. 7: distribute positive slack by slowing down ------------
-    # A still-diverged cyclic evaluator has no meaningful per-op slack to
-    # distribute: skip the downgrade loop and report the infeasible II.
-    skip_downgrades = bool(getattr(evaluator, "diverged", False))
-    feasible_baseline = evaluator.worst_slack() >= -_EPS
-    margin_eps = margin + _EPS
-    while not skip_downgrades and iterations < iteration_budget:
-        candidates: List[Tuple[float, float, str, ResourceVariant]] = []
-        for name, variant in variants.items():
-            if variant is None or name in pinned_set or name in frozen:
-                continue
-            index = node_index[name]
-            slack = required[index] - arrival[index]
-            if slack <= margin_eps:
-                continue
-            slower = slower_of[name].get(variant.name, _MISSING)
-            if slower is _MISSING:
-                slower = state.resource_class(name).next_slower(variant)
-            if slower is None:
-                continue
-            delay_increase = slower.delay - variant.delay
-            if delay_increase > slack + _EPS:
-                continue
-            saving = variant.area - slower.area
-            if saving <= _EPS:
-                continue
-            candidates.append((saving, slack, name, slower))
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (-item[0], -item[1], item[2]))
-        accepted = False
-        accepted_worst = evaluator.worst_slack()
-        for saving, slack, name, slower in candidates:
-            previous = variants[name]
-            state.set_variant(name, slower)
-            iterations += 1
-            evaluator.begin_trial()
-            evaluator.set_delay(node_index[name], slower.delay)
-            trial_worst = evaluator.worst_slack()
-            worst_ok = (trial_worst >= -_EPS) if feasible_baseline else (
-                trial_worst >= accepted_worst - _EPS)
-            if worst_ok:
-                evaluator.commit()
-                downgrades += 1
-                accepted = True
-                break
-            evaluator.rollback()
-            state.set_variant(name, previous)
-            frozen.add(name)
-        if not accepted:
-            break
-
-    timing = evaluator.export()
-    default_cache().record_delta(evaluator.updates)
-    _BUDGET_RUNS.inc()
-    _BUDGET_ITERATIONS.inc(iterations)
+    state.evaluator = evaluator_class(
+        graph, state.delay_vector(graph.num_nodes), clock_period,
+        aligned=True)
+    _run_budget(state, margin)
 
     return BudgetingResult(
         clock_period=clock_period,
         margin=margin,
-        delays=dict(state.delays),
-        variants=dict(state.variants),
-        timing=timing,
-        feasible=timing.worst_slack() >= -_EPS,
-        iterations=iterations,
-        upgrades=upgrades,
-        downgrades=downgrades,
-        frozen=set(state.frozen),
+        delays=dict(zip(names, state.delays)),
+        variants=dict(zip(names, state.variants)),
+        timing=state.evaluator.export(),
+        feasible=state.feasible,
+        iterations=state.iterations,
+        upgrades=state.upgrades,
+        downgrades=state.downgrades,
+        frozen={names[index] for index in state.frozen},
     )

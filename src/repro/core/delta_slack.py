@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappush, heappop
+from operator import sub
 from typing import List, Optional, Tuple
 
 from repro.core.graphkit import (
@@ -105,37 +106,32 @@ class _SlackQueries:
             return _NEG_INF
         worst = self._worst
         if worst is None:
-            arrival = self.arrival
-            required = self.required
-            worst = _POS_INF
-            for index in self.graph.op_indices:
-                slack = required[index] - arrival[index]
-                if slack < worst:
-                    worst = slack
-            self._worst = worst
+            op_values = self.graph.op_values
+            worst = self._worst = min(
+                map(sub, op_values(self.required), op_values(self.arrival)),
+                default=_POS_INF)
         return worst
 
-    def critical_operations(self, margin: float = 0.0) -> List[str]:
-        """Operations within ``margin`` of the worst slack, in the same
+    def critical_indices(self, margin: float = 0.0) -> List[int]:
+        """Operation nodes within ``margin`` of the worst slack, in the same
         (operation insertion) order as ``TimingResult.critical_operations``."""
-        names = self.graph.names
         if self.diverged:
             improving = self._improving
-            return [names[index] for index in self.graph.op_indices
+            return [index for index in self.graph.op_indices
                     if index in improving]
         arrival = self.arrival
         required = self.required
         threshold = self.worst_slack() + abs(margin) + _EPS
-        return [names[index] for index in self.graph.op_indices
+        return [index for index in self.graph.op_indices
                 if required[index] - arrival[index] <= threshold]
 
-    def violating_operations(self, threshold: float = -_EPS) -> List[str]:
-        """Operations with slack below ``threshold``, in insertion order."""
-        names = self.graph.names
+    def violating_indices(self, threshold: float = -_EPS) -> List[int]:
+        """Operation nodes with slack below ``threshold``, in insertion
+        order."""
         arrival = self.arrival
         required = self.required
         improving = self._improving
-        return [names[index] for index in self.graph.op_indices
+        return [index for index in self.graph.op_indices
                 if index in improving
                 or required[index] - arrival[index] < threshold]
 
@@ -163,9 +159,10 @@ class DeltaSlackEvaluator(_SlackQueries):
     """Maintains arrival/required/slack vectors under single-delay changes.
 
     The evaluator owns a mutable copy of the delay vector; callers mutate it
-    only through :meth:`set_delay`.  Between mutations every query —
-    :meth:`worst_slack`, :meth:`critical_operations`,
-    :meth:`violating_operations`, :meth:`export` — answers exactly as a
+    only through :meth:`set_delay`, or replace it with :meth:`reseed`.
+    Between mutations every query —
+    :meth:`worst_slack`, :meth:`critical_indices`,
+    :meth:`violating_indices`, :meth:`export` — answers exactly as a
     fresh :func:`repro.core.sequential_slack.compute_sequential_slack` on
     the current delays would.
     """
@@ -175,11 +172,11 @@ class DeltaSlackEvaluator(_SlackQueries):
     def __init__(self, graph: CompactTimedGraph, delays: List[float],
                  clock_period: float, aligned: bool = True):
         super().__init__(graph, delays, clock_period, aligned)
-        # Seed cache: the slack scheduler's relaxation loop replays the same
-        # schedule prefixes, so evaluators are frequently rebuilt over the
-        # exact same (graph, delays, clock, aligned) — the initial kernel
-        # vectors are a pure function of that key, so copies of a cached run
-        # are bit-identical to a fresh one.
+        # Seed cache: budgets on a shared graph (the step-0 budgets of sweep
+        # points with one structure and clock) repeat the same (graph,
+        # delays, clock, aligned) key — the initial kernel vectors are a
+        # pure function of it, so copies of a cached run are bit-identical
+        # to a fresh one.
         seeds = graph._delta_seeds
         if seeds is None:
             seeds = graph._delta_seeds = {}
@@ -187,11 +184,7 @@ class DeltaSlackEvaluator(_SlackQueries):
         seed = seeds.get(seed_key)
         if seed is None:
             _SEED_MISSES.inc()
-            with _obs_span("delta.seed_kernels", nodes=graph.num_nodes):
-                self.arrival, self.effective = arrival_kernel(
-                    graph, self.delays, clock_period, aligned=aligned)
-                self.required = required_kernel(graph, self.delays,
-                                                clock_period, aligned=aligned)
+            self._run_kernels()
             if len(seeds) < 64:
                 seeds[seed_key] = (list(self.arrival), list(self.effective),
                                    list(self.required))
@@ -206,6 +199,32 @@ class DeltaSlackEvaluator(_SlackQueries):
         # them (and shares them with its reweighted copies).
         self._topo_pos = graph.topo_positions()
         self._journal: Optional[list] = None
+
+    def _run_kernels(self) -> None:
+        graph = self.graph
+        with _obs_span("delta.seed_kernels", nodes=graph.num_nodes):
+            self.arrival, self.effective = arrival_kernel(
+                graph, self.delays, self.clock_period, aligned=self.aligned)
+            self.required = required_kernel(graph, self.delays,
+                                            self.clock_period,
+                                            aligned=self.aligned)
+
+    def reseed(self, delays: List[float]) -> None:
+        """Take ``delays`` (the evaluator owns the list from now on) and
+        recompute every vector from scratch with the full kernels.
+
+        For a caller that rewrote the graph's weights in place
+        (:meth:`~repro.core.graphkit.CompactTimedGraph.set_weights`): the
+        seed cache is bypassed, the update count restarts at 0 and no trial
+        may be open.  The vectors are rebound, so lists read before the
+        call keep their old values.
+        """
+        if self._journal is not None:
+            raise RuntimeError("cannot reseed during a slack trial")
+        self.delays = delays
+        self._run_kernels()
+        self._worst = None
+        self.updates = 0
 
     # -- mutation ---------------------------------------------------------------
 
@@ -253,12 +272,14 @@ class DeltaSlackEvaluator(_SlackQueries):
                 journal.append((_J_EFFECTIVE, node, effective[node]))
             effective[node] = new_eff
         # Either way, every successor sees a changed (effective + delay)
-        # contribution, so all of them are dirty.
+        # contribution, so all of them are dirty — but a folded node's
+        # arrival is never computed (CompactTimedGraph.kernel_order).
+        folded = graph.kernel_order()[3]
         heap: List[Tuple[int, int]] = []
         queued = set()
         for slot in range(succ_indptr[node], succ_indptr[node + 1]):
             dst = succ_dst[slot]
-            if dst not in queued:
+            if dst not in queued and not folded[dst]:
                 queued.add(dst)
                 heappush(heap, (topo_pos[dst], dst))
 
@@ -288,7 +309,7 @@ class DeltaSlackEvaluator(_SlackQueries):
                 effective[v] = new_eff
                 for slot in range(succ_indptr[v], succ_indptr[v + 1]):
                     dst = succ_dst[slot]
-                    if dst not in queued:
+                    if dst not in queued and not folded[dst]:
                         queued.add(dst)
                         heappush(heap, (topo_pos[dst], dst))
 

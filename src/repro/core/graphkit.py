@@ -53,12 +53,16 @@ arrays, topological order and topo positions, all of which depend on the
 structure only, and owns its weight arrays and delta-seed cache; the base
 is never modified, so a shared base (e.g. the timed graph of a cached
 :class:`repro.flows.pipeline.PointArtifacts`) stays valid for every reader.
+Only a graph its caller owns changes: :meth:`CompactTimedGraph.set_weights`
+rewrites the weights of such a copy in place (a slack-guided schedule pass
+does after every scheduled edge) and drops what was derived from them.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TimingError
@@ -75,6 +79,21 @@ ALIGN_EPS = 1e-6
 BF_EPS = 1e-9
 
 
+def _gather(positions: Sequence[int]) -> Optional[itemgetter]:
+    """An :func:`operator.itemgetter` of ``positions`` (None for fewer than
+    two, where it would not return a tuple); see :func:`_gathered`."""
+    return itemgetter(*positions) if len(positions) > 1 else None
+
+
+def _gathered(getter: Optional[itemgetter], positions: Sequence[int],
+              values: Sequence[int]) -> list:
+    """``[values[p] for p in positions]``, at C speed when ``getter``
+    (``_gather(positions)``) is set."""
+    if getter is None:
+        return [values[p] for p in positions]
+    return list(getter(values))
+
+
 class CompactTimedGraph:
     """An interned, CSR-encoded snapshot of a timed DFG.
 
@@ -84,9 +103,11 @@ class CompactTimedGraph:
     ``v``; the ``pred_*`` triple is the transposed (incoming) view.  All six
     are :mod:`array` arrays — no third-party dependencies.
 
-    The arrays are the canonical, compact storage; the kernels additionally
-    materialize plain-list copies on first use (``pred_view``/``succ_view``/
-    ``topo_view``) because CPython indexes lists ~2x faster than arrays.  A
+    The arrays are the canonical, compact storage (after
+    :meth:`set_weights` the weight arrays are rebuilt from the lists on
+    first read); the kernels additionally materialize plain-list copies on
+    first use (``pred_view``/``succ_view``/``topo_view``) because CPython
+    indexes lists ~2x faster than arrays.  A
     graph that runs a kernel therefore holds both representations for its
     lifetime — a deliberate memory-for-speed trade at these graph sizes
     (hundreds of nodes); graphs that are only inspected never pay it.
@@ -94,11 +115,12 @@ class CompactTimedGraph:
 
     __slots__ = (
         "names", "index", "num_nodes", "num_edges", "cyclic",
-        "succ_indptr", "succ_dst", "succ_weight",
-        "pred_indptr", "pred_src", "pred_weight",
-        "op_indices", "_succ_edge", "_pred_edge",
-        "_topo", "_topo_view", "_topo_pos", "_bf_edges", "_pred_view",
-        "_succ_view", "_delta_seeds",
+        "succ_indptr", "succ_dst", "_succ_weight",
+        "pred_indptr", "pred_src", "_pred_weight",
+        "op_indices", "_succ_edge", "_pred_edge", "_succ_gather",
+        "_pred_gather", "_op_gather", "_topo", "_topo_view", "_topo_pos",
+        "_bf_edges", "_pred_view", "_succ_view", "_delta_seeds",
+        "_kernel_order",
     )
 
     #: Structure-only attributes a :meth:`reweighted` graph shares with its
@@ -106,7 +128,8 @@ class CompactTimedGraph:
     _STRUCTURE = (
         "names", "index", "num_nodes", "num_edges", "cyclic",
         "succ_indptr", "succ_dst", "pred_indptr", "pred_src", "op_indices",
-        "_succ_edge", "_pred_edge", "_topo", "_topo_view", "_topo_pos",
+        "_succ_edge", "_pred_edge", "_succ_gather", "_pred_gather",
+        "_op_gather", "_topo", "_topo_view", "_topo_pos", "_kernel_order",
     )
 
     def __init__(
@@ -164,18 +187,22 @@ class CompactTimedGraph:
 
         self.succ_indptr = array("l", succ_counts)
         self.succ_dst = array("l", succ_dst)
-        self.succ_weight = array("l", succ_weight)
+        self._succ_weight = array("l", succ_weight)
         self.pred_indptr = array("l", pred_counts)
         self.pred_src = array("l", pred_src)
-        self.pred_weight = array("l", pred_weight)
+        self._pred_weight = array("l", pred_weight)
         if op_indices is None:
             op_indices = range(n)
         self.op_indices = array("l", op_indices)
+        self._op_gather = _gather(self.op_indices)
         self._succ_edge = succ_edge
         self._pred_edge = pred_edge
+        self._succ_gather = _gather(succ_edge)
+        self._pred_gather = _gather(pred_edge)
         self._topo: Optional[array] = None
         self._topo_view: Optional[list] = None
         self._topo_pos: Optional[list] = None
+        self._kernel_order: Optional[Tuple[list, list, list, list]] = None
         self._bf_edges: Optional[List[Tuple[int, int, int]]] = None
         self._pred_view: Optional[Tuple[list, list, list]] = None
         self._succ_view: Optional[Tuple[list, list, list]] = None
@@ -209,8 +236,31 @@ class CompactTimedGraph:
         the base graph was built from (for :meth:`from_timed`, the timed
         DFG's edge insertion order).  The result shares the interning, the
         CSR index arrays, the topological order and the topo positions with
-        this graph; it owns new ``succ_weight``/``pred_weight`` arrays and an
-        empty delta-seed cache.  This graph's weights are left unchanged.
+        this graph; it owns new weights and an empty delta-seed cache.  This
+        graph's weights are left unchanged.
+        """
+        if not self.cyclic:
+            self.topo_positions()
+        pred_indptr, pred_src, _ = self.pred_view()
+        succ_indptr, succ_dst, _ = self.succ_view()
+        graph = CompactTimedGraph.__new__(CompactTimedGraph)
+        for name in self._STRUCTURE:
+            setattr(graph, name, getattr(self, name))
+        graph._succ_view = (succ_indptr, succ_dst, None)
+        graph._pred_view = (pred_indptr, pred_src, None)
+        graph.set_weights(weights)
+        return graph
+
+    def set_weights(self, weights: Sequence[int]) -> None:
+        """Replace every edge weight in place (``weights`` as in
+        :meth:`reweighted`).
+
+        Only for a graph its caller owns, such as the copy
+        :meth:`reweighted` returns to a slack-guided schedule pass, which
+        rewrites it after every scheduled edge: a shared graph is a frozen
+        snapshot.  The plain-list views are rebound, the weight arrays are
+        rebuilt on their next read, and the caches derived from the weights
+        (Bellman-Ford edge order, delta seeds) are dropped.
         """
         if len(weights) != self.num_edges:
             raise TimingError(
@@ -219,22 +269,31 @@ class CompactTimedGraph:
         if not self.cyclic and weights and min(weights) < 0:
             raise TimingError(
                 "timed-DFG edge weights are state counts and must be >= 0")
-        if not self.cyclic:
-            self.topo_positions()
-        pred_indptr, pred_src, _ = self.pred_view()
-        succ_indptr, succ_dst, _ = self.succ_view()
-        graph = CompactTimedGraph.__new__(CompactTimedGraph)
-        for name in self._STRUCTURE:
-            setattr(graph, name, getattr(self, name))
-        succ_weight = [weights[edge] for edge in self._succ_edge]
-        pred_weight = [weights[edge] for edge in self._pred_edge]
-        graph.succ_weight = array("l", succ_weight)
-        graph.pred_weight = array("l", pred_weight)
-        graph._succ_view = (succ_indptr, succ_dst, succ_weight)
-        graph._pred_view = (pred_indptr, pred_src, pred_weight)
-        graph._bf_edges = None
-        graph._delta_seeds = None
-        return graph
+        succ_weight = _gathered(self._succ_gather, self._succ_edge, weights)
+        pred_weight = _gathered(self._pred_gather, self._pred_edge, weights)
+        self._succ_weight = self._pred_weight = None
+        self._succ_view = (self._succ_view[0], self._succ_view[1], succ_weight)
+        self._pred_view = (self._pred_view[0], self._pred_view[1], pred_weight)
+        self._bf_edges = None
+        self._delta_seeds = None
+
+    # -- weights ---------------------------------------------------------------------
+
+    @property
+    def succ_weight(self) -> array:
+        """The weights in ``succ_dst`` order (rebuilt from the list view
+        after :meth:`set_weights`)."""
+        if self._succ_weight is None:
+            self._succ_weight = array("l", self._succ_view[2])
+        return self._succ_weight
+
+    @property
+    def pred_weight(self) -> array:
+        """The weights in ``pred_src`` order (rebuilt from the list view
+        after :meth:`set_weights`)."""
+        if self._pred_weight is None:
+            self._pred_weight = array("l", self._pred_view[2])
+        return self._pred_weight
 
     # -- cached derived structures ---------------------------------------------------
 
@@ -282,6 +341,38 @@ class CompactTimedGraph:
             self._topo_pos = positions
         return self._topo_pos
 
+    def kernel_order(self) -> Tuple[list, list, list, list]:
+        """``(arrival_order, inner, leaves, folded)``: what the topological
+        kernels visit; cached.
+
+        A *folded* node is a leaf (no successors) that is not an operation
+        node — a timed DFG's sink.  Nothing reads its arrival, so
+        :func:`arrival_kernel` skips it (``arrival_order`` is the
+        topological order without the folded nodes) and leaves its arrival
+        and effective start at 0.0, as the delta evaluator does.  A leaf's
+        required time is ``T - delay`` whatever its predecessors, so
+        :func:`required_kernel` sets the ``leaves`` first and then walks the
+        ``inner`` nodes (those with successors) in reverse topological
+        order.  ``folded[node]`` flags the folded nodes.
+        """
+        if self._kernel_order is None:
+            succ_indptr = self.succ_indptr
+            ops = set(self.op_indices)
+            folded = [False] * self.num_nodes
+            arrival_order, inner, leaves = [], [], []
+            for node in self.topo_view():
+                if succ_indptr[node + 1] > succ_indptr[node]:
+                    inner.append(node)
+                    arrival_order.append(node)
+                    continue
+                leaves.append(node)
+                if node in ops:
+                    arrival_order.append(node)
+                else:
+                    folded[node] = True
+            self._kernel_order = (arrival_order, inner, leaves, folded)
+        return self._kernel_order
+
     def pred_view(self) -> Tuple[list, list, list]:
         """``(indptr, src, weight)`` as plain lists — the kernels' hot-loop
         view (CPython indexes lists ~2x faster than arrays); cached."""
@@ -315,6 +406,10 @@ class CompactTimedGraph:
 
     # -- helpers ---------------------------------------------------------------------
 
+    def op_values(self, values: Sequence[float]) -> list:
+        """``values`` at the operation nodes, in :attr:`op_indices` order."""
+        return _gathered(self._op_gather, self.op_indices, values)
+
     def delay_vector(self, delays: Mapping[str, float]) -> List[float]:
         """Per-node float delays (missing names default to 0.0, like the
         ``delays.get(name, 0.0)`` convention of the reference code)."""
@@ -341,10 +436,12 @@ def arrival_kernel(
     node's successors observe (equal to ``arrival`` when ``aligned`` is
     false), which :class:`repro.core.delta_slack.DeltaSlackEvaluator` needs
     for single-delay updates.  ``arrival`` is bit-identical to
-    :func:`repro.core.sequential_slack.compute_arrival_times` — the per-edge
-    candidate expression is kept verbatim; the aligned-start adjustment of a
-    source node is computed once instead of once per outgoing edge (a pure
-    function of final values, so the same float).
+    :func:`repro.core.sequential_slack.compute_arrival_times` on every node
+    but the folded ones (:meth:`CompactTimedGraph.kernel_order`), which
+    read 0.0 — the per-edge candidate expression is kept verbatim; the
+    aligned-start adjustment of a source node is computed once instead of
+    once per outgoing edge (a pure function of final values, so the same
+    float).
     """
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
@@ -354,7 +451,8 @@ def arrival_kernel(
     indptr, src_arr, weight_arr = graph.pred_view()
     floor = math.floor
     eps = ALIGN_EPS
-    for node in graph.topo_view():
+    upper = clock_period + eps
+    for node in graph.kernel_order()[0]:
         lo = indptr[node]
         hi = indptr[node + 1]
         if lo == hi:
@@ -370,12 +468,12 @@ def arrival_kernel(
         arrival[node] = value
         if aligned:
             delay = delays[node]
-            if delay <= eps or delay > clock_period + eps:
+            if delay <= eps or delay > upper:
                 effective[node] = value
             else:
                 cycle = floor(value / clock_period + eps)
                 offset = value - cycle * clock_period
-                if offset + delay > clock_period + eps:
+                if offset + delay > upper:
                     effective[node] = (cycle + 1) * clock_period
                 else:
                     effective[node] = value
@@ -393,7 +491,8 @@ def required_kernel(
     """Required (latest start) times for every node, by interned index.
 
     Bit-identical to
-    :func:`repro.core.sequential_slack.compute_required_times`.
+    :func:`repro.core.sequential_slack.compute_required_times`: the leaves
+    first, then the other nodes in reverse topological order.
     """
     if clock_period <= 0:
         raise TimingError("clock period must be positive")
@@ -402,25 +501,22 @@ def required_kernel(
     indptr, dst_arr, weight_arr = graph.succ_view()
     floor = math.floor
     eps = ALIGN_EPS
-    topo = graph.topo_view()
-    for position in range(n - 1, -1, -1):
-        node = topo[position]
+    upper = clock_period + eps
+    _, inner, leaves, _ = graph.kernel_order()
+    for node in leaves:
+        required[node] = clock_period - delays[node]
+    for node in reversed(inner):
         delay = delays[node]
-        lo = indptr[node]
-        hi = indptr[node + 1]
-        if lo == hi:
-            required[node] = clock_period - delay
-            continue
         value = _POS_INF
-        for slot in range(lo, hi):
+        for slot in range(indptr[node], indptr[node + 1]):
             candidate = (required[dst_arr[slot]] - delay
                          + clock_period * weight_arr[slot])
             if candidate < value:
                 value = candidate
-        if aligned and delay > eps and delay <= clock_period + eps:
+        if aligned and delay > eps and delay <= upper:
             cycle = floor(value / clock_period + eps)
             offset = value - cycle * clock_period
-            if offset + delay > clock_period + eps:
+            if offset + delay > upper:
                 value = (cycle + 1) * clock_period - delay
         required[node] = value
     return required

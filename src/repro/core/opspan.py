@@ -62,7 +62,7 @@ contains its own edge, so the non-strict tests need no special case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.ir.design import Design
@@ -94,27 +94,29 @@ class SpanInfo:
 class _SpanTemplate:
     """Interned pinned-independent skeleton of the span computation.
 
-    The slack-guided scheduler rebuilds ``OperationSpans(pinned=...)`` after
-    every scheduled edge, but the DFG topological order and the
-    per-operation records only depend on the design and its latency
-    analysis, so they are resolved once here and shared by every pinned
-    rebuild.  ``records`` holds, in topological order, ``(index, name,
-    birth, candidates, early_fixed, late_fixed, preds, succs,
-    fixed_succs)``: the candidate mask of the birth edge, and the
-    topological indices of the non-constant predecessors, of the
-    successors that are not fixed and of the fixed ones.
+    The DFG topological order and the per-operation records depend only on
+    the design and its latency analysis, so they are resolved once here and
+    shared by every span computation on them: each
+    :class:`OperationSpans`, and each per-edge re-budget of the
+    slack-guided scheduler, which runs :meth:`bounds` on op indices.
+    ``records`` holds, in topological order, ``(index, name, birth,
+    candidates, early_fixed, late_fixed, preds, succs, fixed_succs)``: the
+    candidate mask of the birth edge, and the topological indices of the
+    non-constant predecessors, of the successors that are not fixed and of
+    the fixed ones.
 
     ``interned`` maps ``(op, early, late)`` to the operation's
-    :class:`SpanInfo`: the edge tuple of an unpinned operation is a pure
-    function of its birth, early and late edges, and a pinned operation's
-    ``(edge, edge, (edge,))`` is the same value, so every rebuild reuses
-    the tuples an earlier one assembled.
+    :class:`SpanInfo` (:meth:`info`): the edge tuple of an unpinned
+    operation is a pure function of its birth, early and late edges, and a
+    pinned operation's ``(edge, edge, (edge,))`` is the same value, so every
+    computation reuses the tuples an earlier one assembled.
 
     Templates are interned per ``(design, latency)`` by the process-wide
     :meth:`repro.core.analysis_cache.AnalysisCache.span_template`.
     """
 
-    __slots__ = ("order", "index", "records", "interned")
+    __slots__ = ("order", "index", "records", "interned", "edge_tuples",
+                 "bits")
 
     def __init__(self, design: Design, latency: LatencyAnalysis):
         dfg = design.dfg
@@ -123,6 +125,10 @@ class _SpanTemplate:
         self.index = {name: index for index, name in enumerate(self.order)}
         self.records: List[tuple] = []
         self.interned: Dict[Tuple[str, str, str], SpanInfo] = {}
+        # Edge mask -> its edge names in topological order; far fewer masks
+        # than (op, early, late) keys occur.
+        self.edge_tuples: Dict[int, tuple] = {}
+        self.bits = latency.edge_bitsets()
         for index, name in enumerate(self.order):
             op = dfg.op(name)
             birth = op.birth_edge
@@ -146,6 +152,136 @@ class _SpanTemplate:
                 tuple(succ for succ, fixed in succs if fixed),
             ))
 
+    def layer(self, pinned: Iterable[Tuple[int, str]] = (),
+              strict_io_successors: bool = False) -> "_SpanLayer":
+        """A :class:`_SpanLayer` with ``pinned``'s ``(index, edge)`` pins."""
+        layer = _SpanLayer(self, strict_io_successors)
+        layer.pin(pinned)
+        return layer
+
+    def bounds(self, layer: "_SpanLayer", free: List[tuple],
+               floor: int) -> Tuple[List[str], List[str]]:
+        """The early and late edge of every operation, by template index.
+
+        The one implementation of the span rules (see the module
+        docstring).  ``layer`` holds the pinned operations, ``free`` is the
+        :attr:`records` of all the others in topological order, and
+        ``floor`` masks the edges an unpinned operation may start on
+        (``-1``: every edge).  Raises :class:`TimingError` when an
+        operation has no feasible early edge.
+        """
+        bits = self.bits
+        names, reach, coreach = bits.names, bits.reach, bits.coreach
+        fixed_coreach = layer.fixed_coreach
+        early = list(layer.early)
+        late = list(layer.late)
+        early_reach = list(layer.early_reach)
+        late_coreach = list(layer.late_coreach)
+        late_fixed_coreach = list(layer.late_fixed_coreach)
+
+        # The free operations' early edges, in topological order.
+        for (index, name, birth, candidates, early_fixed, _, preds, _,
+             _) in free:
+            if early_fixed:
+                edge = birth
+            else:
+                mask = candidates & floor
+                for pred in preds:
+                    mask &= early_reach[pred]
+                if not mask:
+                    raise TimingError(
+                        f"operation {name!r} has no feasible early edge "
+                        f"(birth {birth!r}); the design is structurally "
+                        f"infeasible"
+                    )
+                edge = names[(mask & -mask).bit_length() - 1]
+            early[index] = edge
+            early_reach[index] = reach[edge]
+
+        # Their late edges, in reverse topological order.
+        for (index, _, birth, candidates, _, late_fixed, _, succs,
+             fixed_succs) in reversed(free):
+            if late_fixed:
+                edge = birth
+            else:
+                mask = candidates & early_reach[index]
+                for succ in succs:
+                    mask &= late_coreach[succ]
+                for succ in fixed_succs:
+                    mask &= late_fixed_coreach[succ]
+                edge = names[mask.bit_length() - 1] if mask else early[index]
+            late[index] = edge
+            late_coreach[index] = coreach[edge]
+            late_fixed_coreach[index] = fixed_coreach[edge]
+        return early, late
+
+    def info(self, index: int, early: str, late: str,
+             pinned: bool = False) -> SpanInfo:
+        """The interned :class:`SpanInfo` of the operation at ``index``.
+
+        A pinned operation's span is ``(early,)``; a free one's holds the
+        candidate edges between its early and late edges, or ``(early,)``
+        when there are none.
+        """
+        record = self.records[index]
+        key = (record[1], early, late)
+        info = self.interned.get(key)
+        if info is None:
+            edges = ()
+            if not pinned:
+                bits = self.bits
+                mask = record[3] & bits.reach[early] & bits.coreach[late]
+                edges = self.edge_tuples.get(mask)
+                if edges is None:
+                    names = []
+                    rest = mask
+                    while rest:
+                        low = rest & -rest
+                        names.append(bits.names[low.bit_length() - 1])
+                        rest ^= low
+                    edges = self.edge_tuples[mask] = tuple(names)
+            info = self.interned[key] = SpanInfo(record[1], early, late,
+                                                 edges or (early,))
+        return info
+
+
+class _SpanLayer:
+    """The pinned operations' entries of the span computation.
+
+    Lists by template index: the early and late edge, the reach mask of the
+    early edge and the co-reach masks of the late edge (``late_fixed_coreach``
+    is the one a fixed successor sees: strict in strict mode).  Only the
+    pinned operations' entries are filled; :meth:`_SpanTemplate.bounds`
+    computes the others on copies.  A pin never changes, so a schedule pass
+    keeps one layer and adds the operations each edge placed.
+    """
+
+    __slots__ = ("reach", "coreach", "fixed_coreach", "early", "late",
+                 "early_reach", "late_coreach", "late_fixed_coreach")
+
+    def __init__(self, template: _SpanTemplate, strict_io_successors: bool):
+        bits = template.bits
+        self.reach = bits.reach
+        self.coreach = bits.coreach
+        self.fixed_coreach = (bits.strict_coreach if strict_io_successors
+                              else bits.coreach)
+        count = len(template.order)
+        self.early: List[str] = [""] * count
+        self.late: List[str] = [""] * count
+        self.early_reach: List[int] = [0] * count
+        self.late_coreach: List[int] = [0] * count
+        self.late_fixed_coreach: List[int] = [0] * count
+
+    def pin(self, pinned: Iterable[Tuple[int, str]]) -> None:
+        """Pin each ``(index, edge)``: early = late = the pinned edge."""
+        reach, coreach, fixed_coreach = (self.reach, self.coreach,
+                                         self.fixed_coreach)
+        for index, edge in pinned:
+            self.early[index] = self.late[index] = edge
+            self.early_reach[index] = reach[edge]
+            self.late_coreach[index] = coreach[edge]
+            self.late_fixed_coreach[index] = fixed_coreach[edge]
+
 
 class OperationSpans:
     """Computes and stores the opSpan of every operation of a design.
@@ -158,8 +294,9 @@ class OperationSpans:
         Optional pre-built :class:`LatencyAnalysis` (shared across passes).
     pinned:
         Optional mapping ``op name -> CFG edge`` of operations already
-        scheduled; their span collapses to that single edge.  Used by the
-        slack-guided scheduler when it recomputes spans after every edge.
+        scheduled; their span collapses to that single edge.  With
+        ``not_before`` this is the by-name form of the spans the
+        slack-guided scheduler recomputes after every edge.
     not_before:
         Optional CFG edge name; unscheduled operations may not be placed on
         edges that precede it in topological order (the scheduler has already
@@ -192,88 +329,25 @@ class OperationSpans:
     # -- computation -------------------------------------------------------------
 
     def _compute(self) -> Dict[str, SpanInfo]:
-        bits = self.latency.edge_bitsets()
-        names, reach, coreach = bits.names, bits.reach, bits.coreach
-        fixed_coreach = (bits.strict_coreach if self.strict_io_successors
-                         else coreach)
-        pinned = self._pinned
         template = self._template
-        interned = template.interned
-        floor = (-1 if self._not_before_pos is None
-                 else -(1 << self._not_before_pos))
-        count = len(template.order)
-        early: List[str] = [""] * count
-        early_reach: List[int] = [0] * count
-        late_coreach: List[int] = [0] * count
-        late_fixed_coreach: List[int] = [0] * count
-        infos: List[SpanInfo] = [None] * count
-
-        # Pinned operations: early = late = the pinned edge.
-        for name, edge in pinned.items():
-            index = template.index.get(name)
-            if index is None or edge is None:
-                continue
-            early_reach[index] = reach[edge]
-            late_coreach[index] = coreach[edge]
-            late_fixed_coreach[index] = fixed_coreach[edge]
-            key = (name, edge, edge)
-            info = interned.get(key)
-            if info is None:
-                info = interned[key] = SpanInfo(op=name, early=edge, late=edge,
-                                                edges=(edge,))
-            infos[index] = info
-
-        # The free operations' early edges, in topological order (see the
-        # module docstring for the three mask formulas).
+        index_of = template.index
+        pinned = [(index_of[name], edge)
+                  for name, edge in self._pinned.items()
+                  if edge is not None and name in index_of]
         free = (template.records if not pinned else
                 [record for record in template.records
-                 if pinned.get(record[1]) is None])
-        for (index, name, birth, candidates, early_fixed, _, preds, _,
-             _) in free:
-            if early_fixed:
-                edge = birth
-            else:
-                mask = candidates & floor
-                for pred in preds:
-                    mask &= early_reach[pred]
-                if not mask:
-                    raise TimingError(
-                        f"operation {name!r} has no feasible early edge "
-                        f"(birth {birth!r}); the design is structurally "
-                        f"infeasible"
-                    )
-                edge = names[(mask & -mask).bit_length() - 1]
-            early[index] = edge
-            early_reach[index] = reach[edge]
-
-        # Their late edges and span edges, in reverse topological order.
-        for (index, name, birth, candidates, _, late_fixed, _, succs,
-             fixed_succs) in reversed(free):
-            first = early[index]
-            if late_fixed:
-                edge = birth
-            else:
-                mask = candidates & early_reach[index]
-                for succ in succs:
-                    mask &= late_coreach[succ]
-                for succ in fixed_succs:
-                    mask &= late_fixed_coreach[succ]
-                edge = names[mask.bit_length() - 1] if mask else first
-            late_coreach[index] = coreach[edge]
-            late_fixed_coreach[index] = fixed_coreach[edge]
-            key = (name, first, edge)
-            info = interned.get(key)
-            if info is None:
-                mask = candidates & early_reach[index] & late_coreach[index]
-                edges = []
-                while mask:
-                    low = mask & -mask
-                    edges.append(names[low.bit_length() - 1])
-                    mask ^= low
-                info = interned[key] = SpanInfo(
-                    op=name, early=first, late=edge,
-                    edges=tuple(edges) or (first,))
-            infos[index] = info
+                 if self._pinned.get(record[1]) is None])
+        floor = (-1 if self._not_before_pos is None
+                 else -(1 << self._not_before_pos))
+        early, late = template.bounds(
+            template.layer(pinned, self.strict_io_successors), free, floor)
+        info = template.info
+        infos: List[SpanInfo] = [None] * len(template.order)
+        for index, edge in pinned:
+            infos[index] = info(index, edge, edge, pinned=True)
+        for record in free:
+            index = record[0]
+            infos[index] = info(index, early[index], late[index])
         return dict(zip(template.order, infos))
 
     # -- queries --------------------------------------------------------------------

@@ -15,11 +15,13 @@ The structure (steps 1-3) does not depend on the opSpans at all: the nodes
 are the non-constant operations followed by their sinks, and the edges the
 forward data edges between two of them followed by one sink edge per
 operation, always in the same order.  The spans feed only the weights
-(step 4), and :func:`timed_edge_weights` is the one place that rule lives.
-So a pinned prefix's timed graph is the design's own compact graph with a
-new weight vector (:meth:`repro.core.graphkit.CompactTimedGraph.reweighted`);
-the slack-guided scheduler's per-edge re-budgeting builds it that way
-instead of building a new :class:`TimedDFG`.
+(step 4), and :func:`bound_weights` is the one place that rule lives, fed
+the early and late edges of each edge's endpoints.  So a pinned prefix's
+timed graph is the design's own compact graph with a new weight vector
+(:meth:`repro.core.graphkit.CompactTimedGraph.reweighted`): the
+slack-guided scheduler's per-edge re-budget writes the weights into its
+schedule pass's own copy of that graph instead of building a new
+:class:`TimedDFG`.
 
 Storage is flat: nodes are a list plus an interning dict, edges three
 parallel ``(src, dst, weight)`` lists.  The object views the older API
@@ -33,7 +35,7 @@ and invalidated by any mutation, exactly like the cached topological order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TimingError
 from repro.ir.design import Design
@@ -211,6 +213,53 @@ class TimedDFG:
                 f"{len(self._edge_src)} edges)")
 
 
+def bound_weights(
+    pairs: Iterable[Tuple[object, Optional[object]]],
+    early: Sequence[str],
+    late: Sequence[str],
+    latency: LatencyAnalysis,
+    names: Optional[Sequence[str]] = None,
+) -> List[int]:
+    """The weight of every timed-DFG edge, from its endpoints' span bounds.
+
+    Step 4 of Definition 2, the one place its rule lives: a data edge
+    ``(src, dst)`` weighs ``latency(early[src], early[dst])``, and
+    ``(src, None)``, the sink edge ``src -> s(src)``, weighs
+    ``latency(early[src], late[src])``.  ``early`` and ``late`` are indexed
+    by the keys ``pairs`` uses (operation names, or op indices with
+    ``names`` mapping them back for the error text).  Each weight is the
+    entry of :attr:`repro.core.latency.EdgeBitsets.rows` at the two CFG
+    edges' positions (a back edge has none and asks
+    :meth:`LatencyAnalysis.latency`).  Raises :class:`TimingError` at the
+    first edge whose latency is undefined.
+    """
+    position = latency._edge_pos
+    rows = latency.edge_bitsets().rows
+    weights: List[int] = []
+    for src, dst in pairs:
+        src_early = early[src]
+        other = late[src] if dst is None else early[dst]
+        try:
+            weight = rows[position[src_early]][position[other]]
+        except KeyError:
+            weight = latency.latency(src_early, other)
+        if weight is None:
+            label = names[src] if names is not None else src
+            if dst is None:
+                raise TimingError(
+                    f"operation {label!r} has a late edge unreachable from "
+                    f"its early edge"
+                )
+            dst_label = names[dst] if names is not None else dst
+            raise TimingError(
+                f"data edge {label!r} -> {dst_label!r} connects operations "
+                f"whose early edges ({src_early!r}, {other!r}) are not "
+                f"forward related"
+            )
+        weights.append(weight)
+    return weights
+
+
 def timed_edge_weights(
     edges: Iterable[Tuple[str, str]],
     spans: OperationSpans,
@@ -218,39 +267,24 @@ def timed_edge_weights(
 ) -> List[int]:
     """The weight of every ``(src, dst)`` timed-DFG edge under ``spans``.
 
-    Step 4 of Definition 2, for :func:`build_timed_dfg` and the per-edge
-    reweighting alike: a data edge weighs ``latency(early(src),
-    early(dst))``, a sink edge ``src -> s(src)`` weighs
-    ``latency(early(src), late(src))``.  Each weight is the entry of
-    :attr:`repro.core.latency.EdgeBitsets.rows` at the two CFG edges'
-    positions (a back edge has none and asks
-    :meth:`LatencyAnalysis.latency`).  Raises :class:`TimingError` at the
-    first edge whose latency is undefined.
+    :func:`bound_weights` on the spans' early and late edges, for
+    :func:`build_timed_dfg` and
+    :meth:`repro.core.analysis_cache.AnalysisCache.pinned_spans_and_timed`.
     """
     span = spans.span
-    position = latency._edge_pos
-    rows = latency.edge_bitsets().rows
-    weights: List[int] = []
+    early: Dict[str, str] = {}
+    late: Dict[str, str] = {}
+    pairs = []
     for src, dst in edges:
-        src_span = span(src)
-        src_early = src_span.early
-        is_sink = dst.startswith(SINK_PREFIX)
-        other = src_span.late if is_sink else span(dst).early
-        try:
-            weight = rows[position[src_early]][position[other]]
-        except KeyError:
-            weight = latency.latency(src_early, other)
-        if weight is None:
-            if is_sink:
-                raise TimingError(
-                    f"operation {src!r} has a late edge unreachable from its early edge"
-                )
-            raise TimingError(
-                f"data edge {src!r} -> {dst!r} connects operations whose "
-                f"early edges ({src_early!r}, {other!r}) are not forward related"
-            )
-        weights.append(weight)
-    return weights
+        if dst.startswith(SINK_PREFIX):
+            dst = None
+        for name in (src, dst):
+            if name is not None and name not in early:
+                info = span(name)
+                early[name] = info.early
+                late[name] = info.late
+        pairs.append((src, dst))
+    return bound_weights(pairs, early, late, latency)
 
 
 def build_timed_dfg(

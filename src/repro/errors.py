@@ -15,10 +15,6 @@ class IRError(ReproError):
     """Raised for malformed CFG/DFG structures (validation failures)."""
 
 
-class ElaborationError(ReproError):
-    """Raised when the frontend cannot lower a specification to the IR."""
-
-
 class LibraryError(ReproError):
     """Raised for inconsistent resource-library definitions or lookups."""
 

@@ -237,7 +237,6 @@ class FlowRun:
                 recovery = recover_area(datapath)
                 details["area_recovery_seconds"] = \
                     time.perf_counter() - recovery_start
-                datapath.refresh_interconnect()
             details["area_recovery_downgrades"] = recovery.downgrades
             details["area_recovery_saved"] = recovery.area_saved
 

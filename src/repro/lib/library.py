@@ -63,10 +63,9 @@ class TechnologyParameters:
 class Library:
     """A collection of :class:`ResourceClass` objects plus technology data."""
 
-    def __init__(self, name: str = "library",
-                 technology: Optional[TechnologyParameters] = None):
+    def __init__(self, name: str = "library"):
         self.name = name
-        self.technology = technology or TechnologyParameters()
+        self.technology = TechnologyParameters()
         self._classes: Dict[Tuple[OpKind, int], ResourceClass] = {}
         # Memoized lookups.  Scheduling and budgeting ask the same
         # (kind, width) questions thousands of times per design point, and a

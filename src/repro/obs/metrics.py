@@ -17,9 +17,11 @@ Determinism: metrics are observation-only.  Nothing reads a metric to make
 a scheduling/budgeting/binding decision, so results with a hot registry are
 identical to results with a cold one.
 
-Thread-safety: metric creation and snapshots are lock-protected; the
-increment fast paths are plain ``+=`` on the owning object — atomic enough
-under the GIL for monitoring counters, and free of locks on the hot path.
+Thread-safety: every metric is lock-protected.  ``+=`` on an attribute is
+a read-modify-write that a thread switch can split (the serve layer runs
+jobs on a thread pool), so :meth:`Counter.inc` and
+:meth:`Histogram.observe` each hold the metric's own lock; creation and
+snapshots hold the registry's.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "counter",
     "histogram",
     "snapshot",
-    "reset",
     "cache_stats",
 ]
 
@@ -43,17 +44,16 @@ __all__ = [
 class Counter:
     """A monotonically increasing tally."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name", "value", "_lock")
 
     def __init__(self, name: str):
         self.name = name
         self.value = 0
+        self._lock = threading.Lock()
 
     def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0
+        with self._lock:
+            self.value += amount
 
 
 class Histogram:
@@ -64,7 +64,7 @@ class Histogram:
     the phase profiles need, without per-observation storage.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max")
+    __slots__ = ("name", "count", "total", "min", "max", "_lock")
 
     def __init__(self, name: str):
         self.name = name
@@ -72,29 +72,26 @@ class Histogram:
         self.total = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
+        self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        with self._lock:
+            self.count += 1
+            self.total += value
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
 
     def summary(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": (self.total / self.count) if self.count else 0.0,
-            "min": self.min if self.min is not None else 0.0,
-            "max": self.max if self.max is not None else 0.0,
-        }
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
+        with self._lock:
+            return {
+                "count": self.count,
+                "total": self.total,
+                "mean": (self.total / self.count) if self.count else 0.0,
+                "min": self.min if self.min is not None else 0.0,
+                "max": self.max if self.max is not None else 0.0,
+            }
 
 
 class MetricsRegistry:
@@ -133,13 +130,6 @@ class MetricsRegistry:
                                in sorted(self._histograms.items())},
             }
 
-    def reset(self) -> None:
-        """Zero every metric."""
-        with self._lock:
-            for table in (self._counters, self._histograms):
-                for metric in table.values():
-                    metric.reset()
-
 
 _REGISTRY = MetricsRegistry()
 
@@ -160,10 +150,6 @@ def histogram(name: str) -> Histogram:
 
 def snapshot() -> Dict[str, object]:
     return _REGISTRY.snapshot()
-
-
-def reset() -> None:
-    _REGISTRY.reset()
 
 
 # -- unified cache introspection -----------------------------------------------

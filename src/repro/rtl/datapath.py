@@ -73,12 +73,6 @@ class Datapath:
             raise BindingError(
                 f"unknown functional-unit instance {instance_name!r}") from None
 
-    def refresh_interconnect(self) -> None:
-        """Re-estimate the interconnect (after area recovery changed grades)."""
-        self.interconnect = estimate_interconnect(
-            self.design, self.library, self.schedule, self.binding, self.registers
-        )
-
     def summary(self) -> Dict[str, object]:
         return {
             "design": self.design.name,

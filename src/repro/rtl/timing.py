@@ -167,10 +167,10 @@ class StateTimingKernel:
     to dense positions, same-state predecessor/successor relations become
     small integer lists, and each operation's delay source is resolved to
     either a static float (constants, I/O, unbound fallbacks — all fixed for
-    the datapath's lifetime) or its bound instance (variant delay and input
-    mux delay are read live, because area recovery retunes variants and
-    :meth:`repro.rtl.datapath.Datapath.refresh_interconnect` swaps the
-    interconnect estimate).
+    the datapath's lifetime) or its bound instance (the variant delay is
+    read live, because area recovery retunes variants; the input mux delay
+    comes from the datapath's interconnect estimate, which reads the binding
+    and the registers but no grade, so area recovery leaves it unchanged).
 
     The schedule and the binding structure must not change for the lifetime
     of a kernel — the same contract as

@@ -185,8 +185,8 @@ def test_graphkit_passes_match_the_reference(cyclic_graphs, max_passes):
 
 def _evaluator_state(evaluator):
     return (list(evaluator.arrival), list(evaluator.required),
-            evaluator.worst_slack(), evaluator.critical_operations(0.05),
-            evaluator.violating_operations(), evaluator.export())
+            evaluator.worst_slack(), evaluator.critical_indices(0.05),
+            evaluator.violating_indices(), evaluator.export())
 
 
 def _fresh_state(graph, delays, clock_period, aligned):
@@ -201,12 +201,12 @@ def _fresh_state(graph, delays, clock_period, aligned):
                                    aligned=aligned)[1])
     assert evaluator.diverged == bool(improving)
     if improving:
-        stuck = [graph.names[i] for i in graph.op_indices if i in improving]
+        stuck = [i for i in graph.op_indices if i in improving]
         assert evaluator.worst_slack() == -float("inf")
-        assert evaluator.critical_operations(0.05) == stuck
-        assert set(stuck) <= set(evaluator.violating_operations())
+        assert evaluator.critical_indices(0.05) == stuck
+        assert set(stuck) <= set(evaluator.violating_indices())
         slack = evaluator.export().slack
-        assert all(slack[name] == -float("inf") for name in stuck)
+        assert all(slack[graph.names[i]] == -float("inf") for i in stuck)
     return _evaluator_state(evaluator)
 
 

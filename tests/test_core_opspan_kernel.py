@@ -5,8 +5,9 @@ walks the operation's control-compatible candidate edges in topological
 order and asks one reachability question per edge and neighbour.  The tests
 compare :class:`OperationSpans` with it on
 
-* every per-edge ``(pinned, not_before)`` rebuild the slack-guided scheduler
-  asks for on the IDCT rows=1 points D1-D15 and rows=2 D8;
+* every per-edge ``(pinned, not_before)`` re-budget the slack-guided
+  scheduler makes on the IDCT rows=1 points D1-D15 and rows=2 D8 (the
+  spans it hands the list scheduler and the weights of its pass graph);
 * random pinned prefixes and floors on forty fuzz scenarios, branchy ones
   included;
 * the paper's interpolation and resizer designs, with and without
@@ -23,7 +24,7 @@ import random
 
 import pytest
 
-from repro.core import analysis_cache
+from repro.core import analysis_cache, slack_scheduler
 from repro.core.analysis_cache import AnalysisCache
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans, SpanInfo
@@ -193,41 +194,48 @@ def _assert_matches_reference(design, latency, pinned=None, not_before=None,
 # -- the slack scheduler's per-edge rebuilds ---------------------------------------
 
 
-class _RecordingCache(AnalysisCache):
-    """An :class:`AnalysisCache` that keeps every distinct per-edge request."""
-
-    def __init__(self):
-        super().__init__()
-        self.requests = {}
-
-    def pinned_spans_and_timed(self, artifacts, pinned, not_before):
-        result = super().pinned_spans_and_timed(artifacts, pinned, not_before)
-        key = (tuple(sorted(pinned.items())), not_before)
-        self.requests.setdefault(key, (artifacts, dict(pinned), not_before,
-                                       result[0]))
-        return result
+def _pass_weights(graph):
+    """A pass graph's weights in timed-DFG edge order."""
+    weights = [0] * graph.num_edges
+    for slot, edge in enumerate(graph._succ_edge):
+        weights[edge] = graph.succ_weight[slot]
+    return weights
 
 
 def _check_scheduler_rebuilds(design, library, clock_period):
-    cache = _RecordingCache()
+    requests = {}
+    rebudget = slack_scheduler._PassState.rebudget
+
+    def recording(state, edge_name, schedule, next_edge, pending):
+        spans, _ = update = rebudget(state, edge_name, schedule, next_edge,
+                                     pending)
+        pinned = schedule.as_sched_map()
+        key = (tuple(sorted(pinned.items())), next_edge)
+        requests.setdefault(key, (state._scheduler._artifacts, pinned,
+                                  next_edge, pending, spans,
+                                  _pass_weights(state._graph)))
+        return update
+
     # The span templates, and with them the interned SpanInfo objects the
     # identity check below compares, live in the patched cache.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis_cache, "_default_cache", cache)
+        patch.setattr(analysis_cache, "_default_cache", AnalysisCache())
+        patch.setattr(slack_scheduler._PassState, "rebudget", recording)
         try:
             SlackScheduler(design, library, clock_period).run()
         except ReproError:
             pass  # an infeasible point still rebuilt spans on its way there
-        for artifacts, pinned, not_before, cached in cache.requests.values():
+        for artifacts, pinned, not_before, pending, cached, weights in \
+                requests.values():
             latency = artifacts.latency
             spans = _assert_matches_reference(design, latency, pinned,
                                               not_before)
             assert spans is not None
-            assert all(cached.span(name) is info
-                       for name, info in spans.all_spans().items())
-            _assert_weights(list(artifacts.timed.edge_pairs()), cached,
-                            latency)
-    return len(cache.requests)
+            assert all(cached.span(name) is spans.span(name)
+                       for name in pending)
+            assert _expected_weights(list(artifacts.timed.edge_pairs()),
+                                     spans, latency) == (weights, None)
+    return len(requests)
 
 
 @pytest.mark.parametrize("name", sorted(_POINTS))

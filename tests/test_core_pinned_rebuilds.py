@@ -1,26 +1,25 @@
 """Per-edge re-budgeting: reweighted graphs equal fresh timed-DFG builds.
 
-After every scheduled CFG edge the slack-guided scheduler rebuilds the
-pinned spans and their timed graph through
-:meth:`AnalysisCache.pinned_spans_and_timed`, which reweights the design's
-own compact timed graph instead of building a new :class:`TimedDFG`.  These
-tests record every distinct ``(pinned, not_before)`` rebuild of real
-:class:`SlackScheduler` runs and check each one against
-``build_timed_dfg(design, spans=pinned_spans).compact()``: same interning,
-CSR arrays, weights and topological order, float-for-float equal kernels and
-delta-evaluator exports, and interned span tuples equal to the ones
-recomputed from each operation's candidate edges.
+After every scheduled CFG edge the slack-guided scheduler reweights its
+schedule pass's own copy of the design's compact timed graph
+(:class:`repro.core.slack_scheduler._PassState`) instead of building a new
+:class:`TimedDFG`.  These tests record every distinct ``(pinned,
+not_before)`` re-budget of real :class:`SlackScheduler` runs and check each
+pass graph against ``build_timed_dfg(design, spans=pinned_spans).compact()``:
+same interning, CSR arrays, weights and topological order, float-for-float
+equal kernels and delta-evaluator exports, and interned span tuples equal
+to the ones recomputed from each operation's candidate edges.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.core import analysis_cache
-from repro.core.analysis_cache import AnalysisCache, design_fingerprint
+from repro.core import analysis_cache, slack_scheduler
+from repro.core.analysis_cache import AnalysisCache
 from repro.core.delta_slack import DeltaSlackEvaluator
 from repro.core.graphkit import arrival_kernel, required_kernel
-from repro.core.opspan import SpanInfo
+from repro.core.opspan import OperationSpans, SpanInfo
 from repro.core.slack_scheduler import SlackScheduler
 from repro.core.timed_dfg import TimedDFG, build_timed_dfg
 from repro.errors import ReproError
@@ -34,30 +33,40 @@ from repro.workloads import IDCTPointFactory, idct_design
 _POINTS = {point.name: point for point in idct_design_points(clock_period=1500.0)}
 
 
-class _RecordingCache(AnalysisCache):
-    """An :class:`AnalysisCache` that keeps every distinct per-edge rebuild."""
-
-    def __init__(self):
-        super().__init__()
-        self.rebuilds = {}
-
-    def pinned_spans_and_timed(self, artifacts, pinned, not_before):
-        result = super().pinned_spans_and_timed(artifacts, pinned, not_before)
-        key = (design_fingerprint(artifacts.design),
-               tuple(sorted(pinned.items())), not_before)
-        self.rebuilds.setdefault(key, (artifacts, dict(pinned), result))
-        return result
+def _snapshot(graph):
+    """A frozen copy of a pass graph, whose two weight views must agree."""
+    weights = [0] * graph.num_edges
+    for slot, edge in enumerate(graph._succ_edge):
+        weights[edge] = graph.succ_weight[slot]
+    copy = graph.reweighted(weights)
+    assert copy.pred_weight == graph.pred_weight
+    assert graph.pred_view()[2] == list(graph.pred_weight)
+    assert graph.succ_view()[2] == list(graph.succ_weight)
+    return copy
 
 
 def _recorded_rebuilds(design, library, clock_period):
-    cache = _RecordingCache()
+    """Every distinct per-edge re-budget of a scheduler run, as
+    ``(artifacts, pinned, not_before, pass graph)``."""
+    rebuilds = {}
+    rebudget = slack_scheduler._PassState.rebudget
+
+    def recording(state, edge_name, schedule, next_edge, pending):
+        update = rebudget(state, edge_name, schedule, next_edge, pending)
+        pinned = schedule.as_sched_map()
+        key = (tuple(sorted(pinned.items())), next_edge)
+        if key not in rebuilds:
+            rebuilds[key] = (state._scheduler._artifacts, pinned, next_edge,
+                             _snapshot(state._graph))
+        return update
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis_cache, "_default_cache", cache)
+        patch.setattr(slack_scheduler._PassState, "rebudget", recording)
         try:
             SlackScheduler(design, library, clock_period).run()
         except ReproError:
             pass  # an infeasible point still re-budgeted on its way there
-    return list(cache.rebuilds.values())
+    return list(rebuilds.values())
 
 
 def _slowest_delays(design, library):
@@ -109,7 +118,9 @@ def _check_rebuild(artifacts, spans, graph, delays, clock_period):
 def _check_design(design, library, clock_period):
     rebuilds = _recorded_rebuilds(design, library, clock_period)
     delays = _slowest_delays(design, library)
-    for artifacts, _, (spans, graph) in rebuilds:
+    for artifacts, pinned, not_before, graph in rebuilds:
+        spans = OperationSpans(design, latency=artifacts.latency,
+                               pinned=pinned, not_before=not_before)
         _check_rebuild(artifacts, spans, graph, delays, clock_period)
     return len(rebuilds)
 

@@ -1,5 +1,9 @@
 """Tests of the metrics registry and the adopted ad-hoc counters."""
 
+import os
+import sys
+import threading
+
 import pytest
 
 from repro.obs.metrics import (
@@ -38,13 +42,54 @@ def test_creation_is_idempotent_and_shared():
     assert isinstance(reg.histogram("z"), Histogram)
 
 
-def test_reset_zeroes_owned_metrics():
+class _One(int):
+    """1, added by a Python-level method: the interpreter may switch
+    threads in the middle of ``value += _One()``."""
+
+    def __radd__(self, other):
+        return other + 1
+
+
+class _Second(float):
+    """1.0, added by a Python-level method (see :class:`_One`)."""
+
+    def __radd__(self, other):
+        return other + 1.0
+
+
+def test_threads_lose_no_increments():
+    """More threads than cores add to one counter and one histogram while
+    the interpreter switches threads as often as it can, inside the
+    increments too; every increment must land.  Bounded: a fixed number of
+    rounds and a join timeout."""
     reg = MetricsRegistry()
-    reg.counter("c").inc(3)
-    reg.histogram("h").observe(1.0)
-    reg.reset()
-    assert reg.counter("c").value == 0
-    assert reg.histogram("h").summary()["count"] == 0
+    tally = reg.counter("tally")
+    timings = reg.histogram("timings")
+    workers, rounds = (os.cpu_count() or 1) + 4, 5000
+    start = threading.Barrier(workers)
+
+    def work():
+        start.wait(timeout=30)
+        for _ in range(rounds):
+            tally.inc(_One(1))
+            timings.observe(_Second(1.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, daemon=True)
+                   for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert tally.value == workers * rounds
+    summary = timings.summary()
+    assert (summary["count"], summary["total"]) == (workers * rounds,
+                                                    float(workers * rounds))
 
 
 def test_snapshot_is_json_safe_and_sorted():

@@ -9,7 +9,6 @@ import repro
 import repro.core as core
 from repro.errors import (
     BindingError,
-    ElaborationError,
     InfeasibleDesignError,
     IRError,
     LibraryError,
@@ -25,8 +24,8 @@ def test_version_is_exposed():
 
 
 def test_exception_hierarchy():
-    for exc in (IRError, ElaborationError, LibraryError, TimingError,
-                SchedulingError, BindingError, InfeasibleDesignError):
+    for exc in (IRError, LibraryError, TimingError, SchedulingError,
+                BindingError, InfeasibleDesignError):
         assert issubclass(exc, ReproError)
     assert issubclass(InfeasibleDesignError, SchedulingError)
 
@@ -51,7 +50,7 @@ def test_top_level_reexports():
 #: change, with a deprecation path for the old name).
 PINNED_SURFACE = {
     # errors
-    "ReproError", "IRError", "ElaborationError", "LibraryError",
+    "ReproError", "IRError", "LibraryError",
     "TimingError", "SchedulingError", "BindingError", "InfeasibleDesignError",
     "DeadlineExceeded",
     # flows / session API
@@ -124,7 +123,7 @@ ENTRY_POINT_PARAMETERS = {
         "spans", "latency", "priority", "pipeline_ii"),
     "repro.core.budgeting:budget_slack": (
         "design", "library", "clock_period", "margin_fraction", "graph",
-        "initial_variants", "pinned_variants"),
+        "initial_variants", "pinned_variants", "state"),
     "repro.sched.modulo_scheduler:compute_mii": (
         "design", "library", "clock_period", "variant_map", "spans",
         "latency"),

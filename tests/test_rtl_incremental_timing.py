@@ -15,6 +15,7 @@ import pytest
 
 import repro.flows.pipeline as pipeline_mod
 from repro.bind.binding import FUInstance
+from repro.bind.interconnect import estimate_interconnect
 from repro.errors import BindingError
 from repro.flows import DesignPoint, conventional_flow, evaluate_point
 from repro.ir.operations import OpKind
@@ -139,6 +140,25 @@ def test_incremental_recovery_equals_reference(build, library):
     assert inc_variants == ref_variants
     _assert_reports_identical(analyze_state_timing(incremental_dp),
                               analyze_state_timing(reference_dp))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: idct_design(latency=12, rows=1, clock_period=1500.0),
+    lambda: idct_design(latency=8, rows=2, clock_period=1500.0),
+    lambda: fir_design(taps=8, latency=6, clock_period=1500.0),
+])
+def test_recovery_leaves_the_interconnect_estimate_equal(build, library):
+    """The interconnect estimate reads the binding and the registers but no
+    grade, so after area recovery the datapath's estimate still equals a
+    fresh one (the flows do not re-estimate it)."""
+    datapath = _fresh_datapath(build(), library, 1500.0)
+    before = datapath.interconnect
+    assert recover_area(datapath).downgrades > 0
+    assert datapath.interconnect is before
+    fresh = estimate_interconnect(datapath.design, datapath.library,
+                                  datapath.schedule, datapath.binding,
+                                  datapath.registers)
+    assert fresh == before
 
 
 def test_recovery_skips_datapaths_that_fail_timing(small_fir, library):
