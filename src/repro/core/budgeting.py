@@ -166,6 +166,14 @@ class _BudgetTemplate:
             self.base_delays[index] = slowest.delay
         self.max_grades = max_grades
 
+    def check_nodes(self, graph: CompactTimedGraph, design: Design) -> None:
+        """Raise :class:`TimingError` unless node ``i`` of ``graph`` is
+        operation ``i`` for every op index."""
+        if graph.names[:len(self.names)] != self.names:
+            raise TimingError(
+                f"the timed graph's first nodes are not the operations of "
+                f"design {design.name!r} in design order")
+
     def pinned_delay(self, index: int,
                      variant: Optional[ResourceVariant]) -> float:
         """``Library.operation_delay(op, variant)`` from precomputed parts."""
@@ -427,11 +435,8 @@ def budget_slack(
         graph = build_timed_dfg(design).compact()
 
     template = default_cache().budget_template(design, library)
+    template.check_nodes(graph, design)
     names = template.names
-    if graph.names[:len(names)] != names:
-        raise TimingError(
-            f"the timed graph's first nodes are not the operations of "
-            f"design {design.name!r} in design order")
     state = _BudgetState(template, initial_variants, pinned_variants)
     # Cyclic (modulo-II) timed graphs get the full-recompute evaluator: its
     # interface is identical, so the loop is shared.

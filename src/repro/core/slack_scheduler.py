@@ -298,10 +298,7 @@ class SlackScheduler:
         budget_template = self._cache.budget_template(self.design,
                                                       self.library)
         base = self._timed.compact()
-        if base.names[:len(budget_template.names)] != budget_template.names:
-            raise TimingError(
-                f"the timed graph's first nodes are not the operations of "
-                f"design {self.design.name!r} in design order")
+        budget_template.check_nodes(base, self.design)
         index = span_template.index
         pairs = [(index[src], None if dst.startswith(SINK_PREFIX)
                   else index[dst])

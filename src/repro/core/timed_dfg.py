@@ -35,7 +35,7 @@ and invalidated by any mutation, exactly like the cached topological order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import TimingError
 from repro.ir.design import Design
@@ -215,8 +215,8 @@ class TimedDFG:
 
 def bound_weights(
     pairs: Iterable[Tuple[object, Optional[object]]],
-    early: Sequence[str],
-    late: Sequence[str],
+    early: Union[Sequence[str], Mapping[str, str]],
+    late: Union[Sequence[str], Mapping[str, str]],
     latency: LatencyAnalysis,
     names: Optional[Sequence[str]] = None,
 ) -> List[int]:
