@@ -26,6 +26,16 @@ broadly comparable machine)::
 Benchmarks appearing only on one side are reported but never fail the gate
 (new benchmarks have no baseline yet; retired ones linger in the baseline
 until it is regenerated).
+
+Trend history: with ``--history PATH`` a run whose gate passed also appends
+one line to a JSONL history — the median of every benchmark (its mean where
+pytest-benchmark gives no median), sorted by name, as
+``{"medians": {...}, "run": ID, "schema": 1, "type": "bench"}`` with sorted
+keys.  CI keeps that history (``campaign-history.jsonl``) in its actions
+cache across runs::
+
+    python benchmarks/check_timings.py benchmark-timings.json \
+        --history campaign-history.jsonl --run "$GITHUB_RUN_ID"
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ DEFAULT_MIN_SECONDS = 0.01
 #: speed.
 DEFAULT_MAX_MACHINE_FACTOR = 1.75
 BASELINE_SCHEMA = 1
+HISTORY_SCHEMA = 1
 
 
 def load_current(path: str) -> Dict[str, float]:
@@ -66,6 +77,29 @@ def load_current(path: str) -> Dict[str, float]:
         if name and isinstance(mean, (int, float)) and mean > 0:
             means[str(name)] = float(mean)
     return means
+
+
+def load_medians(path: str) -> Dict[str, float]:
+    """Median seconds per benchmark (the mean where there is no median)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    medians: Dict[str, float] = {}
+    for bench in data.get("benchmarks", []):
+        name = bench.get("fullname") or bench.get("name")
+        stats = bench.get("stats") or {}
+        value = stats.get("median", stats.get("mean"))
+        if name and isinstance(value, (int, float)):
+            medians[str(name)] = float(value)
+    return medians
+
+
+def append_history(path: str, medians: Dict[str, float], run: str) -> None:
+    """Append one ``type: "bench"`` record to the JSONL trend history."""
+    record = {"schema": HISTORY_SCHEMA, "type": "bench", "run": run,
+              "medians": dict(sorted(medians.items()))}
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def load_baseline(path: str) -> Dict[str, float]:
@@ -177,8 +211,26 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail when the median ratio itself leaves "
                              "[1/x, x] — a correlated regression cannot "
                              "hide in the normalization (default 1.75)")
+    parser.add_argument("--history", default=None, metavar="PATH",
+                        help="when the gate passes, append the run's "
+                             "benchmark medians to this JSONL trend history")
+    parser.add_argument("--run", default="", metavar="ID",
+                        help="run label of the history record (CI passes "
+                             "its run id)")
     args = parser.parse_args(argv)
 
+    code = _gate(args)
+    if code == 0 and args.history:
+        medians = load_medians(args.current)
+        if medians:
+            append_history(args.history, medians, args.run)
+            print(f"check_timings: appended {len(medians)} benchmark "
+                  f"median(s) to {args.history}")
+    return code
+
+
+def _gate(args: argparse.Namespace) -> int:
+    """The comparison against the baseline; 0 when the gate passes."""
     current = load_current(args.current)
     if not current:
         print(f"check_timings: no benchmark stats in {args.current}; "

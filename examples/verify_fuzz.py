@@ -1,11 +1,12 @@
 """Differential fuzzing in five minutes: scenarios, oracles, shrinking.
 
-Runs a short seeded fuzzing campaign over the repo's differential oracles
+Runs a short seeded fuzzing run over the repo's differential oracles
 (incremental vs. reference timing, Bellman-Ford vs. topological slack,
 batched vs. per-point sweeps, analysis cache, Pareto invariants), then
 demonstrates the shrinker on an artificial "bug" — an injected oracle that
 bans multipliers — to show how a failing scenario collapses to a minimal
-reproducer.
+reproducer.  CI's nightly runs the same fuzzer at scale as four
+``repro verify run`` shards of 100 checks each.
 
 Usage::
 

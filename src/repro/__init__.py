@@ -22,10 +22,9 @@ The package implements a complete high-level-synthesis (HLS) research stack:
   workloads/flows and the ``repro explore`` CLI.
 * :mod:`repro.workloads` — the paper's kernels (interpolation, resizer, IDCT)
   and additional public-style kernels.
-* :mod:`repro.campaign` — sharded campaigns over the JSONL stores: a
-  JSON-safe spec with a deterministic N-way partition, per-shard runners,
-  a byte-stable order-invariant fan-in merge and trend reporting
-  (``repro campaign``; CI's nightly matrix).
+* :mod:`repro.verify` — differential scenario fuzzing over the paired
+  engines, with shrinking and a replayable failure corpus (``repro
+  verify``; CI's per-PR smoke and the nightly fuzz shards).
 * :mod:`repro.serve` — the memoizing multi-tenant DSE service: a
   persistent job queue, a retry/deadline policy around every job and a
   shared fingerprint-keyed memo tier, behind plain-callable endpoints, a
@@ -83,12 +82,6 @@ _PUBLIC_API = {
     "AdaptiveExplorer": "repro.explore.adaptive",
     "RefinementPolicy": "repro.explore.adaptive",
     "ResultStore": "repro.explore.store",
-    # campaign layer (sharded fleets over the JSONL stores)
-    "CampaignSpec": "repro.campaign.spec",
-    "plan_shards": "repro.campaign.spec",
-    "run_shard": "repro.campaign.shard",
-    "merge_shards": "repro.campaign.merge",
-    "trend_report": "repro.campaign.trend",
     # serve layer (the memoizing multi-tenant DSE service)
     "DSEService": "repro.serve.service",
     "JobSpec": "repro.serve.jobs",

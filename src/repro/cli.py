@@ -40,8 +40,6 @@ commands:
   explore   adaptive Pareto-front exploration (see: repro explore --help)
   verify    differential scenario fuzzing     (see: repro verify --help)
   sweep     batched DSE sweep via SweepSession (see: repro sweep --help)
-  campaign  sharded campaigns: plan / run-shard / merge / report / bench
-                                               (see: repro campaign --help)
   serve     memoizing multi-tenant DSE service: submit / run / status /
             result / stats / http / smoke      (see: repro serve --help)
   profile   run a command under the span tracer and print the phase
@@ -177,10 +175,6 @@ def _run_command(command: str, rest: Sequence[str]) -> Optional[int]:
         return verify_main(list(rest))
     if command == "sweep":
         return _sweep_main(rest)
-    if command == "campaign":
-        from repro.campaign.cli import main as campaign_main
-
-        return campaign_main(list(rest))
     if command == "serve":
         from repro.serve.cli import main as serve_main
 

@@ -1,7 +1,7 @@
 """Wall-clock deadline enforcement for otherwise unbounded calls.
 
 Nothing in the flow stack had a timeout before this module existed: one
-hung oracle stalled a nightly campaign shard past its ``--budget-seconds``,
+hung oracle stalled a nightly fuzz shard past its ``--budget-seconds``,
 and one hung evaluation would have stalled a serve worker forever.
 :func:`call_with_deadline` is the shared primitive both layers use — the
 fuzzer's per-oracle budget (:mod:`repro.verify.runner`) and the serve

@@ -12,14 +12,14 @@ The keyed files — the exploration layer's
 :class:`repro.verify.corpus.Corpus` — also share one keying policy,
 implemented once by :class:`KeyedStore`: a record is kept when the
 subclass's schema check accepts it and its key parses; the last record
-written under a key wins; compaction and the campaign fan-in
-(:meth:`KeyedStore.merge`) write sorted canonical lines, so a compacted
-file merges back to itself byte for byte.  A subclass declares only its
-schema check, its key and its record-specific methods.
+written under a key wins; compaction and the nightly fan-in
+(:meth:`KeyedStore.merge`, behind ``repro verify merge``) write sorted
+canonical lines, so a compacted file merges back to itself byte for byte.
+A subclass declares only its schema check, its key and its record-specific
+methods.
 
-Concurrency discipline (the serve layer's worker pool is the first
-multi-writer client, but campaign shards on a shared filesystem hit the
-same races):
+Concurrency discipline (the serve layer's worker pool is the
+multi-writer client):
 
 * every **append** takes an exclusive advisory lock on a stable sidecar
   file (``<path>.lock`` — the data file itself is the wrong lock object,
@@ -48,7 +48,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -157,7 +157,7 @@ def load_records(
         # Tolerated-but-dropped lines are a health signal, not just a local
         # return value: a truncated shard artifact must not masquerade as a
         # clean store.  The process-wide tally surfaces through
-        # repro.obs.metrics.cache_stats() and the campaign merge reports.
+        # repro.obs.metrics.cache_stats() and repro verify merge.
         _SKIPPED_LINES.inc(skipped)
     return records, skipped
 
@@ -224,7 +224,6 @@ def rewrite_records(path: str,
 class MergeStats:
     """What one JSONL union read, kept, dropped and produced."""
 
-    out_path: Optional[str] = None
     #: Per-input summaries, sorted by path: {path, records, skipped_lines}.
     inputs: List[Dict[str, object]] = field(default_factory=list)
     records_in: int = 0
@@ -242,9 +241,6 @@ class MergeStats:
     def clean(self) -> bool:
         """True iff nothing was silently tolerated: no skips, no conflicts."""
         return self.skipped_lines == 0 and self.conflicts == 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {**asdict(self), "clean": self.clean}
 
 
 class KeyedStore:
@@ -368,24 +364,23 @@ class KeyedStore:
     # -- fan-in --------------------------------------------------------------------
 
     @classmethod
-    def merge(cls, paths: Sequence[str],
-              out_path: Optional[str]) -> MergeStats:
-        """Union files of this store's kind; returns the merge statistics.
+    def merge(cls, paths: Sequence[str], out_path: str) -> MergeStats:
+        """Union files of this store's kind into ``out_path``; returns the
+        merge statistics.
 
         Records pass the same filter as a load.  The construction that makes
         the union order-invariant: for each key the candidate *canonical
         lines* are collected as a set and the smallest line wins; the output
         is all winners in sorted line order.  Both steps see sets, never
         sequences, so no trace of the input enumeration order survives.
-        ``out_path=None`` computes the statistics (and the would-be
-        output's sha256) without writing.
+        A missing input file merges as an empty one, as it loads.
         """
-        stats = MergeStats(out_path=out_path)
+        stats = MergeStats()
         candidates: Dict[Hashable, set] = {}
         for path in sorted(paths):
             records, skipped = load_records(path, cls._valid)
             stats.inputs.append({
-                "path": os.path.basename(path),
+                "path": path,
                 "records": len(records),
                 "skipped_lines": skipped,
             })
@@ -411,6 +406,5 @@ class KeyedStore:
 
         payload = "".join(line + "\n" for line in winners).encode("utf-8")
         stats.sha256 = hashlib.sha256(payload).hexdigest()
-        if out_path is not None:
-            rewrite_records(out_path, (json.loads(line) for line in winners))
+        rewrite_records(out_path, (json.loads(line) for line in winners))
         return stats

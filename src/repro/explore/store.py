@@ -33,8 +33,8 @@ Memo protocol: a memo answers ``lookup(key)`` with the stored metrics or
 ``None`` and stores an evaluation with ``record(key, metrics, workload)``.
 :class:`ResultStore` is one, and so is its counting, self-compacting
 subclass :class:`repro.serve.cache.MemoCache`.  :func:`memoized_run` is the
-one key -> look up -> evaluate -> record loop over a memo; serve jobs, the
-adaptive explorer and campaign shards all resume sweeps through it.
+one key -> look up -> evaluate -> record loop over a memo; serve jobs and
+the adaptive explorer resume sweeps through it.
 """
 
 from __future__ import annotations
@@ -128,22 +128,6 @@ class ResultStore(KeyedStore):
         """Just the metrics dict stored under ``key``, or ``None``."""
         record = self._records.get(key)
         return record.get("metrics") if record is not None else None  # type: ignore[return-value]
-
-    def records(self, workload: Optional[str] = None) -> List[Dict[str, object]]:
-        """All records, optionally filtered by workload tag (stable order)."""
-        return [record for record in self._records.values()
-                if workload is None or record.get("workload") == workload]
-
-    def metrics(self, workload: Optional[str] = None) -> List[Dict[str, object]]:
-        """The metrics dicts of :meth:`records` (sweep-shaped export, the
-        JSON-safe shape :func:`repro.explore.pareto.front_from_metrics`
-        consumes; schedules and datapaths are deliberately not persisted)."""
-        return [record["metrics"] for record in self.records(workload)]  # type: ignore[misc]
-
-    def workloads(self) -> List[str]:
-        """The distinct workload tags present, sorted."""
-        return sorted({str(record.get("workload", ""))
-                       for record in self._records.values()})
 
     # -- writes ------------------------------------------------------------------
 

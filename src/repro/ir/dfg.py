@@ -128,19 +128,6 @@ class DFG:
         self._pred[dst].append(edge)
         return edge
 
-    def remove_operation(self, name: str) -> None:
-        """Remove an operation and all edges touching it."""
-        if name not in self._ops:
-            raise IRError(f"unknown DFG operation: {name!r}")
-        del self._ops[name]
-        self._edges = [e for e in self._edges if e.src != name and e.dst != name]
-        del self._succ[name]
-        del self._pred[name]
-        for adjacency in (self._succ, self._pred):
-            for key in adjacency:
-                adjacency[key] = [e for e in adjacency[key]
-                                  if e.src != name and e.dst != name]
-
     # -- accessors ----------------------------------------------------------------
 
     def op(self, name: str) -> Operation:
@@ -155,10 +142,6 @@ class DFG:
     @property
     def operations(self) -> List[Operation]:
         return list(self._ops.values())
-
-    @property
-    def op_names(self) -> List[str]:
-        return list(self._ops)
 
     @property
     def edges(self) -> List[DataEdge]:

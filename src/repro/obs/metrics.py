@@ -7,8 +7,8 @@ this registry makes the counters permanent and machine-readable.
 site (the relaxation loop's attempts and II bumps, the oracle
 pass/fail/crash tallies and timings, the sweep session's full/delta split).
 
-:func:`snapshot` renders every metric as one JSON-safe dict (``repro verify``
-and campaign shards read it); :func:`cache_stats` is the unified
+:func:`snapshot` renders every metric as one JSON-safe dict (``repro verify
+run --oracle-timings`` reads it); :func:`cache_stats` is the unified
 cache-introspection call covering the analysis cache (read from its own
 :meth:`~repro.core.analysis_cache.AnalysisCache.cache_info`), the
 delta-slack seed cache, the JSONL stores and the serve layer's memo tier.
@@ -177,11 +177,11 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
       in :mod:`repro.core.delta_slack` (owned counters, incremented at the
       seed lookup);
     * ``jsonl_stores`` — lines the append-only JSONL loaders
-      (:mod:`repro.core.jsonl`: result stores, corpora, trend histories)
+      (:mod:`repro.core.jsonl`: result stores, corpora, the serve queue)
       tolerated and dropped, plus records written through the locked
       append path.  A non-zero ``skipped_lines`` means some store on disk
       is corrupt or truncated — the per-store ``skipped_lines`` attributes
-      and the campaign merge reports say which;
+      and ``repro verify merge``'s per-input counts say which;
     * ``serve`` — the serve layer's shared memo tier
       (:class:`repro.serve.cache.MemoCache`): process-wide cache
       hit/miss/put tallies and the number of stale-line compactions its

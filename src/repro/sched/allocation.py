@@ -46,10 +46,6 @@ class Allocation:
     def add(self, key: ClassKey, count: int = 1) -> None:
         self.limits[key] = self.limits.get(key, 0) + count
 
-    def ensure_at_least(self, key: ClassKey, count: int) -> None:
-        if self.limits.get(key, 0) < count:
-            self.limits[key] = count
-
     def total_instances(self) -> int:
         return sum(self.limits.values())
 

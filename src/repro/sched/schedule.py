@@ -66,11 +66,6 @@ class Schedule:
         self._by_edge.setdefault(edge, []).append(op)
         return item
 
-    def unassign(self, op: str) -> None:
-        item = self._items.pop(op, None)
-        if item is not None:
-            self._by_edge[item.edge].remove(op)
-
     # -- queries -------------------------------------------------------------------
 
     def is_scheduled(self, op: str) -> bool:

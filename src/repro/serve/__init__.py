@@ -2,10 +2,12 @@
 
 The serve layer turns the repo's batch evaluation stack into a long-lived
 service: tenants submit JSON-safe jobs (``submit-design`` scenarios,
-``sweep`` grids, ``explore`` requests — the exact payload dialects of
-:mod:`repro.verify.scenarios` and :mod:`repro.campaign.spec`), a persistent
-FIFO queue journals each submit, finish and cancel (a reload requeues a
-job that was running, so claims are not journaled), and workers execute
+``sweep`` grids, ``explore`` requests — a
+:class:`repro.verify.scenarios.ScenarioSpec`, a
+:class:`~repro.serve.jobs.SweepJob` or an
+:class:`~repro.serve.jobs.ExploreJob` dict), a persistent FIFO queue
+journals each submit, finish and cancel (a reload requeues a job that was
+running, so claims are not journaled), and workers execute
 each job under a retry/deadline policy with every evaluation resolved
 *memo-first* by :func:`repro.explore.store.memoized_run` against one shared
 fingerprint-keyed :class:`MemoCache` (a counting, self-compacting

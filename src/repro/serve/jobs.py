@@ -1,20 +1,19 @@
 """The service's job model: JSON-safe request specs and job records.
 
-A :class:`JobSpec` is what a tenant submits: one of three kinds, each
-reusing an existing JSON-safe payload dialect instead of inventing a new
-one —
+A :class:`JobSpec` is what a tenant submits: one of three kinds, each with
+a JSON-safe payload —
 
 * ``"submit-design"`` — a :class:`repro.verify.scenarios.ScenarioSpec`
   dict: evaluate one concrete design (structure + clock/II/margin knobs)
   through both flows;
-* ``"sweep"`` — a :class:`repro.campaign.spec.SweepJob` dict: a workload
-  crossed with latency/clock/II grids, evaluated point by point in the
-  job's canonical :meth:`~repro.campaign.spec.SweepJob.points` order;
-* ``"explore"`` — a :class:`repro.campaign.spec.ExploreJob` dict: an
-  adaptive Pareto exploration (:class:`repro.explore.adaptive.AdaptiveExplorer`).
+* ``"sweep"`` — a :class:`SweepJob` dict: a workload crossed with
+  latency/clock/II grids, evaluated point by point in the job's canonical
+  :meth:`SweepJob.points` order;
+* ``"explore"`` — an :class:`ExploreJob` dict: an adaptive Pareto
+  exploration (:class:`repro.explore.adaptive.AdaptiveExplorer`).
 
 Payloads are validated eagerly at construction (:meth:`JobSpec.parse_payload`
-round-trips them through the owning layer's ``from_dict``), so a malformed
+round-trips them through the payload class's ``from_dict``), so a malformed
 submission is rejected at the submit endpoint, not discovered by a worker.
 
 A :class:`JobRecord` is the queue's unit of state: the spec plus the job's
@@ -31,9 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.flows.dse import DesignPoint
 
 JOB_SCHEMA = 1
 
@@ -45,6 +45,154 @@ JOB_KINDS = (KIND_SUBMIT_DESIGN, KIND_SWEEP, KIND_EXPLORE)
 #: Lifecycle states; the last four are terminal.
 JOB_STATES = ("pending", "running", "done", "failed", "cancelled", "timeout")
 TERMINAL_STATES = ("done", "failed", "cancelled", "timeout")
+
+
+def _int_tuple(values: Sequence[object]) -> Tuple[int, ...]:
+    return tuple(int(value) for value in values)
+
+
+def _param_tuple(values: object) -> Tuple[Tuple[str, int], ...]:
+    if isinstance(values, Mapping):
+        items = sorted(values.items())
+    else:
+        items = [tuple(pair) for pair in values]  # type: ignore[union-attr]
+    return tuple((str(name), int(value)) for name, value in items)
+
+
+@dataclass(frozen=True)
+class SweepJob:
+    """One sweep grid: a workload crossed with latency/clock/II knobs.
+
+    ``ii_values`` empty means block scheduling (one point per latency x
+    clock); non-empty switches the job to the pipelined flows with one
+    point per latency x clock x II.  ``params`` are extra workload-builder
+    arguments (``(("taps", 8),)`` for an 8-tap FIR), kept as a tuple of
+    pairs so the job hashes and pickles.
+    """
+
+    workload: str
+    latencies: Tuple[int, ...]
+    clocks: Tuple[float, ...] = (1500.0,)
+    ii_values: Tuple[int, ...] = ()
+    margin_fraction: float = 0.05
+    params: Tuple[Tuple[str, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "latencies", _int_tuple(self.latencies))
+        object.__setattr__(self, "clocks",
+                           tuple(float(clock) for clock in self.clocks))
+        object.__setattr__(self, "ii_values", _int_tuple(self.ii_values))
+        object.__setattr__(self, "params", _param_tuple(self.params))
+        if not self.latencies:
+            raise ReproError(f"sweep job {self.workload!r}: empty latency grid")
+        if not self.clocks:
+            raise ReproError(f"sweep job {self.workload!r}: empty clock grid")
+        if any(ii < 1 for ii in self.ii_values):
+            raise ReproError(
+                f"sweep job {self.workload!r}: initiation intervals must be >= 1")
+
+    @property
+    def scheduling(self) -> str:
+        return "pipeline" if self.ii_values else "block"
+
+    def factory(self):
+        from repro.workloads.factories import resolve_factory
+
+        return resolve_factory(self.workload, dict(self.params))
+
+    def points(self) -> List[DesignPoint]:
+        """The job's grid in canonical order.
+
+        Sorted latencies, then clocks, then IIs — the order is part of the
+        job's contract: a sweep job's result lists its points in this
+        order, whatever order the payload gave its grids in.
+        """
+        points = []
+        for latency in sorted(set(self.latencies)):
+            for clock in sorted(set(self.clocks)):
+                if self.ii_values:
+                    for ii in sorted(set(self.ii_values)):
+                        points.append(DesignPoint(
+                            name=f"{self.workload}_L{latency}_T{clock:g}_ii{ii}",
+                            latency=latency, pipeline_ii=ii,
+                            clock_period=clock))
+                else:
+                    points.append(DesignPoint(
+                        name=f"{self.workload}_L{latency}_T{clock:g}",
+                        latency=latency, clock_period=clock))
+        return points
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "workload": self.workload,
+            "latencies": list(self.latencies),
+            "clocks": list(self.clocks),
+            "ii_values": list(self.ii_values),
+            "margin_fraction": self.margin_fraction,
+            "params": {name: value for name, value in self.params},
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "SweepJob":
+        return cls(
+            workload=str(data["workload"]),
+            latencies=_int_tuple(data["latencies"]),  # type: ignore[arg-type]
+            clocks=tuple(float(c) for c in data.get("clocks", (1500.0,))),  # type: ignore[union-attr]
+            ii_values=_int_tuple(data.get("ii_values", ())),  # type: ignore[arg-type]
+            margin_fraction=float(data.get("margin_fraction", 0.05)),  # type: ignore[arg-type]
+            params=_param_tuple(data.get("params", ())),
+        )
+
+
+@dataclass(frozen=True)
+class ExploreJob:
+    """One adaptive exploration of a workload's latency axis."""
+
+    workload: str
+    latencies: Tuple[int, ...]
+    clock_period: float = 1500.0
+    margin_fraction: float = 0.05
+    objectives: Tuple[str, ...] = ("latency_steps", "area")
+    coarse_points: int = 5
+    params: Tuple[Tuple[str, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "latencies", _int_tuple(self.latencies))
+        object.__setattr__(self, "objectives",
+                           tuple(str(o) for o in self.objectives))
+        object.__setattr__(self, "params", _param_tuple(self.params))
+        if not self.latencies:
+            raise ReproError(
+                f"explore job {self.workload!r}: empty latency grid")
+
+    def factory(self):
+        from repro.workloads.factories import resolve_factory
+
+        return resolve_factory(self.workload, dict(self.params))
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "workload": self.workload,
+            "latencies": list(self.latencies),
+            "clock_period": self.clock_period,
+            "margin_fraction": self.margin_fraction,
+            "objectives": list(self.objectives),
+            "coarse_points": self.coarse_points,
+            "params": {name: value for name, value in self.params},
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "ExploreJob":
+        return cls(
+            workload=str(data["workload"]),
+            latencies=_int_tuple(data["latencies"]),  # type: ignore[arg-type]
+            clock_period=float(data.get("clock_period", 1500.0)),  # type: ignore[arg-type]
+            margin_fraction=float(data.get("margin_fraction", 0.05)),  # type: ignore[arg-type]
+            objectives=tuple(str(o) for o in
+                             data.get("objectives", ("latency_steps", "area"))),  # type: ignore[union-attr]
+            coarse_points=int(data.get("coarse_points", 5)),  # type: ignore[arg-type]
+            params=_param_tuple(data.get("params", ())),
+        )
 
 
 @dataclass(frozen=True)
@@ -78,10 +226,8 @@ class JobSpec:
         """The payload as its owning layer's object (validates on the way).
 
         Returns a :class:`~repro.verify.scenarios.ScenarioSpec`,
-        :class:`~repro.campaign.spec.SweepJob` or
-        :class:`~repro.campaign.spec.ExploreJob` depending on :attr:`kind`.
+        :class:`SweepJob` or :class:`ExploreJob` depending on :attr:`kind`.
         """
-        from repro.campaign.spec import ExploreJob, SweepJob
         from repro.verify.scenarios import ScenarioSpec
 
         try:

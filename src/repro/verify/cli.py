@@ -1,18 +1,23 @@
 """``repro verify`` — differential scenario fuzzing from the command line.
 
-Three subcommands::
+Four subcommands::
 
     repro verify run --iterations 200 --seed 0 --corpus fuzz.jsonl
-    repro verify run --budget-seconds 600 --seed-from-date   # nightly CI
+    repro verify run --seed 20261019 --iterations 100 --max-segments 5 \
+        --budget-seconds 480 --corpus fuzz-out/corpus.jsonl  # a nightly shard
+    repro verify merge --out merged/corpus.jsonl shard-*/corpus.jsonl
     repro verify replay --corpus fuzz.jsonl
     repro verify shrink --corpus fuzz.jsonl --entry <fingerprint-prefix>
 
 ``run`` fuzzes the differential oracles over seeded scenarios (round-robin)
 under an iteration and/or wall-clock budget, appending violations — shrunk
 first — to the corpus; its exit status is non-zero when violations were
-found.  ``replay`` re-runs every stored corpus record against its oracle
-(the standing regression gate).  ``shrink`` minimizes one stored entry
-further, with a larger evaluation budget than the in-run shrink.
+found.  ``merge`` unions corpora (the nightly shards') into one with
+:meth:`Corpus.merge <repro.core.jsonl.KeyedStore.merge>` and exits
+non-zero unless the union is clean.  ``replay`` re-runs every stored
+corpus record against its oracle (the standing regression gate).
+``shrink`` minimizes one stored entry further, with a larger evaluation
+budget than the in-run shrink.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -93,6 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the oracle registry and exit")
     run.add_argument("--quiet", action="store_true",
                      help="suppress per-failure detail lines")
+
+    merge = sub.add_parser("merge",
+                           help="union corpora into one (the nightly fan-in)")
+    merge.add_argument("corpora", nargs="+", metavar="CORPUS",
+                       help="corpus files; a missing one merges as empty")
+    merge.add_argument("--out", required=True, metavar="PATH",
+                       help="merged corpus to write")
 
     replay = sub.add_parser("replay",
                             help="re-run every stored corpus record")
@@ -193,6 +206,7 @@ def _write_oracle_timings(path: str, report) -> None:
             for name, count in sorted(report.checked_per_oracle.items())
         },
     }
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
@@ -208,6 +222,22 @@ def _print_failure(failure: FuzzFailure) -> None:
               f"{shrunk.spec.num_design_ops()} design ops in "
               f"{shrunk.evaluations} evaluation(s)")
         print(f"    reproducer: {json.dumps(shrunk.spec.to_dict(), sort_keys=True)}")
+
+
+def _cmd_merge(args: argparse.Namespace) -> int:
+    stats = Corpus.merge(args.corpora, args.out)
+    for entry in stats.inputs:
+        print(f"  {entry['path']}: {entry['records']} record(s), "
+              f"{entry['skipped_lines']} skipped line(s)")
+    print(f"merged {stats.records_in} record(s) into {stats.unique} unique "
+          f"({stats.exact_duplicates} duplicate(s), {stats.conflicts} "
+          f"conflict(s), {stats.skipped_lines} skipped line(s)) -> "
+          f"{args.out}, sha256 {stats.sha256[:16]}")
+    if stats.clean:
+        print("merge clean")
+        return 0
+    print("merge NOT clean: a corrupt line or conflicting payloads")
+    return 1
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -261,10 +291,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
+        if args.command == "merge":
+            return _cmd_merge(args)
         if args.command == "replay":
             return _cmd_replay(args)
         return _cmd_shrink(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"repro verify: {exc}", file=sys.stderr)
         return 2
 

@@ -67,7 +67,7 @@ def run_oracle_guarded(oracle: Oracle, spec: ScenarioSpec,
     past the nightly's ``--budget-seconds``, since the budget was only
     checked between iterations.  At the deadline the oracle is abandoned
     and a structured ``timed_out`` outcome is recorded instead; the
-    campaign shard moves on.
+    nightly fuzz shard moves on.
     """
     start = time.perf_counter()
     with _obs_span("oracle.run", oracle=oracle.name) as obs:

@@ -175,7 +175,7 @@ def resolve_factory(workload: str, params: Optional[Dict[str, int]] = None):
     """The picklable factory for a workload name plus builder parameters.
 
     One registry serving every front end that names workloads by string —
-    the ``repro explore`` CLI and the campaign layer's sweep/explore jobs:
+    the ``repro explore`` CLI and the serve layer's sweep/explore jobs:
     ``"idct"``, ``"interpolation"``, ``"resizer"``, ``"random"`` or any
     :data:`KERNEL_BUILDERS` kernel.  ``params`` feed the factory's keyword
     knobs (``rows`` for the IDCT, ``seed``/``layers``/``ops_per_layer`` for

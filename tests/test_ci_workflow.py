@@ -1,8 +1,8 @@
 """Lint of .github/workflows/ci.yml: the quality gate must stay wired.
 
 An ``act``-style dry parse: the workflow file is loaded as YAML and its
-structure asserted, so a refactor cannot silently drop the nightly campaign
-fleet, the perf-regression gate, the packaging smoke or the hygiene
+structure asserted, so a refactor cannot silently drop the nightly fuzz
+shards, the perf-regression gate, the packaging smoke or the hygiene
 settings (concurrency cancellation, pip caching).
 """
 
@@ -17,7 +17,7 @@ WORKFLOW = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), ".github", "workflows", "ci.yml")
 
 #: The jobs gated on the nightly cron (every other job opts out of it).
-NIGHTLY_JOBS = {"campaign-shard", "campaign-merge"}
+NIGHTLY_JOBS = {"fuzz-shard", "fuzz-merge"}
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def _uploads(workflow, job):
 def test_workflow_parses_and_has_all_jobs(workflow):
     assert set(workflow["jobs"]) == {
         "lint", "test", "coverage", "bench-smoke", "package",
-        "campaign-shard", "campaign-merge"}
+        "fuzz-shard", "fuzz-merge"}
 
 
 def test_test_matrix_includes_the_oldest_supported_python(workflow):
@@ -73,8 +73,8 @@ def test_schedule_and_dispatch_triggers(workflow, triggers):
     crons = [entry["cron"] for entry in triggers["schedule"]]
     assert len(crons) == 1 and len(crons[0].split()) == 5
     assert "workflow_dispatch" in triggers
-    # The nightly event only runs the campaign fleet; every other job opts
-    # out.
+    # The nightly event only runs the fuzz shards and their fan-in; every
+    # other job opts out.
     for job, config in workflow["jobs"].items():
         condition = config.get("if", "")
         if job in NIGHTLY_JOBS:
@@ -122,81 +122,83 @@ def test_serve_smoke_gate_is_wired(workflow):
     assert "repro.serve" in package_text  # the wheel must ship the package
 
 
-def test_campaign_shard_matrix_matches_the_shard_count(workflow):
-    """The matrix fan-out and the spec's --shards value are one number: the
-    partition depends on the shard count, so a drifting matrix would run
-    overlapping (or missing) slices of the campaign."""
-    job = workflow["jobs"]["campaign-shard"]
-    shards = job["strategy"]["matrix"]["shard"]
-    assert shards == list(range(len(shards))), "shard indices must be 0..N-1"
-    assert len(shards) >= 2, "the nightly fleet must actually fan out"
-    run_text = _run_text(workflow, "campaign-shard")
-    assert f"--shards {len(shards)}" in run_text
-    assert "--shard ${{ matrix.shard }}" in run_text
-    assert "--nightly" in run_text
-    assert "--seed-from-date" in run_text
+def test_fuzz_shard_matrix_runs_the_nightly_fuzz_budget(workflow):
+    """Four shards of `repro verify run`, each 100 checks of the scenario
+    stream seeded YYYYMMDD + shard, with the nightly's segment cap and
+    wall-clock budget: 400 checks a night, no scenario checked twice."""
+    job = workflow["jobs"]["fuzz-shard"]
+    assert job["strategy"]["matrix"]["shard"] == [0, 1, 2, 3]
     assert job["strategy"].get("fail-fast") is False, (
-        "one failing shard must not cancel the rest of the fleet")
+        "one failing shard must not cancel the others")
+    run_text = _run_text(workflow, "fuzz-shard")
+    assert "python -m repro.cli verify run" in run_text
+    assert "--seed $(( $(date -u +%Y%m%d) + ${{ matrix.shard }} ))" \
+        in run_text
+    assert "--iterations 100" in run_text
+    assert "--max-segments 5" in run_text
+    assert "--budget-seconds 480" in run_text
+    assert "--corpus fuzz-out/corpus.jsonl" in run_text
+    assert "--oracle-timings fuzz-out/oracle-timings.json" in run_text
 
 
-def test_campaign_shard_uploads_indexed_artifacts(workflow):
-    uploads = _uploads(workflow, "campaign-shard")
+def test_fuzz_shard_uploads_its_corpus(workflow):
+    uploads = _uploads(workflow, "fuzz-shard")
     assert uploads, "shard artifact upload missing"
-    named = [str(step.get("with", {}).get("name", "")) for step in uploads]
-    assert "campaign-shard-${{ matrix.shard }}" in named
+    assert [step["with"]["name"] for step in uploads] \
+        == ["fuzz-shard-${{ matrix.shard }}"]
+    assert [step["with"]["path"] for step in uploads] == ["fuzz-out/"]
     assert all(step.get("if") == "always()" for step in uploads)
 
 
-def test_campaign_merge_fans_in_the_shard_artifacts(workflow):
-    job = workflow["jobs"]["campaign-merge"]
-    assert job.get("needs") == "campaign-shard"
-    downloads = [step for step in _steps(workflow, "campaign-merge")
+def test_fuzz_merge_fans_in_the_shard_corpora(workflow):
+    """The fan-in runs even when a shard found a violation (a violating
+    shard exits 1), merges every shard's corpus with `repro verify merge`
+    and uploads the result."""
+    job = workflow["jobs"]["fuzz-merge"]
+    assert job.get("needs") == "fuzz-shard"
+    assert job["if"].startswith("always() && ")
+    downloads = [step for step in _steps(workflow, "fuzz-merge")
                  if str(step.get("uses", "")
                         ).startswith("actions/download-artifact")]
-    assert downloads, "shard artifact download missing"
-    assert any(step.get("with", {}).get("pattern") == "campaign-shard-*"
-               for step in downloads)
-    run_text = _run_text(workflow, "campaign-merge")
-    assert "campaign merge" in run_text
-    assert "--history campaign-history.jsonl" in run_text
-    assert "campaign report" in run_text
-    named = [str(step.get("with", {}).get("name", ""))
-             for step in _uploads(workflow, "campaign-merge")]
-    assert "campaign-merged" in named
-    assert "campaign-trend" in named
+    assert [step["with"]["pattern"] for step in downloads] == ["fuzz-shard-*"]
+    run_text = _run_text(workflow, "fuzz-merge")
+    assert "python -m repro.cli verify merge" in run_text
+    assert "--out merged/corpus.jsonl" in run_text
+    assert "shards/fuzz-shard-*/corpus.jsonl" in run_text
+    uploads = _uploads(workflow, "fuzz-merge")
+    assert [step["with"]["path"] for step in uploads] == ["merged/"]
+    assert all(step.get("if") == "always()" for step in uploads)
 
 
 def test_trend_history_accumulates_via_the_cache(workflow):
-    """Both history writers (campaign-merge and bench-smoke) must restore
-    the newest history from the cache prefix and save under a fresh
-    run-scoped key — and the two keys must differ, because a
-    workflow_dispatch run executes both jobs under one run_id."""
-    keys = {}
-    for job in ("campaign-merge", "bench-smoke"):
-        restores = [step for step in _steps(workflow, job)
-                    if str(step.get("uses", "")
-                           ).startswith("actions/cache/restore")]
-        saves = [step for step in _steps(workflow, job)
-                 if str(step.get("uses", "")
-                        ).startswith("actions/cache/save")]
-        assert restores, f"{job}: history cache restore missing"
-        assert saves, f"{job}: history cache save missing"
-        assert any("campaign-history-" in str(step.get("with", {}
-                   ).get("restore-keys", "")) for step in restores), job
-        keys[job] = {str(step.get("with", {}).get("key", ""))
-                     for step in saves}
-    assert not (keys["campaign-merge"] & keys["bench-smoke"]), (
-        "merge and bench must save the history under distinct keys")
+    """bench-smoke restores the newest history from the cache prefix and
+    saves it under a fresh run-scoped key, so the history keeps growing
+    across runs."""
+    steps = _steps(workflow, "bench-smoke")
+    restores = [step for step in steps
+                if str(step.get("uses", "")).startswith("actions/cache/restore")]
+    saves = [step for step in steps
+             if str(step.get("uses", "")).startswith("actions/cache/save")]
+    assert [step["with"]["path"] for step in restores + saves] \
+        == ["campaign-history.jsonl"] * 2
+    assert [step["with"]["restore-keys"] for step in restores] \
+        == ["campaign-history-"]
+    assert [step["with"]["key"] for step in restores + saves] \
+        == ["campaign-history-bench-${{ github.run_id }}"] * 2
+    assert saves[0].get("if") == "always()"
+    assert steps.index(restores[0]) < steps.index(saves[0])
 
 
 def test_bench_job_appends_medians_to_the_trend_history(workflow):
+    """The perf gate writes the history line, and only when it passes."""
     run_text = _run_text(workflow, "bench-smoke")
-    assert "campaign bench" in run_text
-    assert "--timings benchmark-timings.json" in run_text
-    assert "--history campaign-history.jsonl" in run_text
+    append = ("python benchmarks/check_timings.py benchmark-timings.json "
+              "--history campaign-history.jsonl")
+    assert append in run_text
+    assert '--run "${{ github.run_id }}"' in run_text
     # Appending must happen after the suite wrote the timings file.
     assert run_text.index("--benchmark-json benchmark-timings.json") \
-        < run_text.index("campaign bench")
+        < run_text.index(append)
     named = [str(step.get("with", {}).get("name", ""))
              for step in _uploads(workflow, "bench-smoke")]
     assert "campaign-history" in named
@@ -314,19 +316,21 @@ def test_packaging_job_builds_installs_and_imports(workflow):
     assert "pip install dist/" in run_text
     assert "import repro" in run_text
     assert "repro.explore" in run_text and "repro.verify" in run_text
-    assert "repro.campaign" in run_text
     assert "repro verify run" in run_text and "repro explore" in run_text
-    # The unified dispatcher, the sweep-session layer and the campaign
-    # planner must survive packaging: the `repro` script and `python -m
-    # repro` resolve, a one-point batched sweep and a two-point pipelined
-    # sweep (the flows' MII and modulo-scheduling path) run and the nightly
-    # partition prints from the installed wheel.
+    # The unified dispatcher and the sweep-session layer must survive
+    # packaging: the `repro` script and `python -m repro` resolve, a
+    # one-point batched sweep and a two-point pipelined sweep (the flows'
+    # MII and modulo-scheduling path) run, and the nightly's fuzz command
+    # runs at small size into a directory that does not exist yet.
     assert "repro --help" in run_text
     assert "python -m repro --help" in run_text
     assert "repro sweep" in run_text
     assert "repro sweep --rows 1 --latencies 8:8 --ii 2:3" in run_text
-    assert "repro campaign plan --nightly" in run_text
+    assert ('repro verify run --iterations 5 --seed 0 --max-segments 5 '
+            '--corpus "$RUNNER_TEMP/n/c.jsonl" '
+            '--oracle-timings "$RUNNER_TEMP/n/t.json"') in run_text
     assert "repro.flows.sweep" in run_text
+    assert "campaign" not in run_text
 
 
 def test_perf_baseline_is_committed_and_well_formed():

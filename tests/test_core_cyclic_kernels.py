@@ -253,9 +253,9 @@ _FLOW_DIGESTS = {
     "conventional/1100/1":
         "ec5c48e3a37a680e0e5fbaa28b7bbb935a087bf2abb1c5297c6070c02533756f",
     "conventional/800/None":
-        "9033985e89f6f022c32f64b8d30a41d3c04661b9bb2c78617cde7acb9de783ff",
+        "711dd88d9f9e373caad2ed5f89df1d619bf40e0b0e83faad9e40e6ebed8a4714",
     "conventional/800/1":
-        "9033985e89f6f022c32f64b8d30a41d3c04661b9bb2c78617cde7acb9de783ff",
+        "711dd88d9f9e373caad2ed5f89df1d619bf40e0b0e83faad9e40e6ebed8a4714",
     "slack/1500/None":
         "eda4044efc7f24c752d107b57ab8c14fd6a14876ebf8f8ada5fb898304d6311c",
     "slack/1500/1":
@@ -265,9 +265,9 @@ _FLOW_DIGESTS = {
     "slack/1100/1":
         "ec5c48e3a37a680e0e5fbaa28b7bbb935a087bf2abb1c5297c6070c02533756f",
     "slack/800/None":
-        "9033985e89f6f022c32f64b8d30a41d3c04661b9bb2c78617cde7acb9de783ff",
+        "711dd88d9f9e373caad2ed5f89df1d619bf40e0b0e83faad9e40e6ebed8a4714",
     "slack/800/1":
-        "9033985e89f6f022c32f64b8d30a41d3c04661b9bb2c78617cde7acb9de783ff",
+        "711dd88d9f9e373caad2ed5f89df1d619bf40e0b0e83faad9e40e6ebed8a4714",
 }
 
 

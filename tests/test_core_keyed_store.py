@@ -7,6 +7,7 @@ must behave identically for both record schemas.
 """
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -134,3 +135,90 @@ def test_compact_then_merge_is_byte_identical(cls, tmp_path):
     assert read_bytes(merged) == read_bytes(path)
     assert stats.sha256 == hashlib.sha256(read_bytes(path)).hexdigest()
     assert stats.clean and stats.unique == 3
+
+
+def _write_file(cls, path, writes, trailing=""):
+    """A file of ``cls``'s kind holding ``writes``, then ``trailing`` raw."""
+    store = cls(path)
+    for index, variant in writes:
+        WRITERS[cls](store, index, variant)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(trailing)
+    return path
+
+
+def _shard_files(cls, tmp_path):
+    """Four files with a duplicate, a conflict and a corrupt trailing line."""
+    return [
+        _write_file(cls, str(tmp_path / "s0.jsonl"), [(1, 1.0), (2, 1.0)]),
+        # record 1 again, byte for byte
+        _write_file(cls, str(tmp_path / "s1.jsonl"), [(1, 1.0)]),
+        # record 2 with another payload
+        _write_file(cls, str(tmp_path / "s2.jsonl"), [(2, 2.0)]),
+        # a crashed writer's half line
+        _write_file(cls, str(tmp_path / "s3.jsonl"), [(3, 1.0)],
+                    trailing="{truncated"),
+    ]
+
+
+@store_classes
+def test_merge_every_permutation_is_byte_identical(cls, tmp_path):
+    paths = _shard_files(cls, tmp_path)
+    results = set()
+    for number, permutation in enumerate(itertools.permutations(paths)):
+        out = str(tmp_path / f"merged-{number}.jsonl")
+        stats = cls.merge(list(permutation), out)
+        results.add((read_bytes(out), repr(stats)))
+    assert len(results) == 1
+
+
+@store_classes
+def test_merge_counts_duplicates_conflicts_and_skips(cls, tmp_path):
+    paths = _shard_files(cls, tmp_path)
+    stats = cls.merge(paths, str(tmp_path / "merged.jsonl"))
+    assert stats.records_in == 5
+    assert stats.unique == 3
+    assert stats.exact_duplicates == 1
+    assert stats.conflicts == 1
+    assert stats.skipped_lines == 1
+    assert not stats.clean
+    # The corrupt line is attributed to its input file.
+    assert [(entry["path"], entry["skipped_lines"])
+            for entry in stats.inputs] == [(path, int(path.endswith("s3.jsonl")))
+                                           for path in paths]
+
+
+@store_classes
+def test_remerge_of_a_merge_is_idempotent(cls, tmp_path):
+    first = str(tmp_path / "first.jsonl")
+    cls.merge(_shard_files(cls, tmp_path), first)
+    again = str(tmp_path / "again.jsonl")
+    stats = cls.merge([first, first], again)
+    assert read_bytes(again) == read_bytes(first)
+    assert stats.sha256 == hashlib.sha256(read_bytes(first)).hexdigest()
+    assert stats.clean and stats.unique == 3
+
+
+@store_classes
+def test_skipped_lines_surface_in_cache_stats(cls, tmp_path):
+    from repro.obs.metrics import cache_stats
+
+    path = _write_file(cls, str(tmp_path / "corrupt.jsonl"), [(1, 1.0)],
+                       trailing="%%% not json\n")
+    before = cache_stats()["jsonl_stores"]["skipped_lines"]
+    cls.merge([path], str(tmp_path / "merged.jsonl"))
+    after = cache_stats()["jsonl_stores"]["skipped_lines"]
+    assert after == before + 1
+
+
+@store_classes
+def test_merge_skips_a_record_whose_key_does_not_parse(cls, tmp_path):
+    """The merge applies the load's rule: a record whose key does not parse
+    is skipped and counted, not raised."""
+    path = _write_file(cls, str(tmp_path / "store.jsonl"), [(1, 1.0)],
+                       trailing=json.dumps(BAD_KEY_RECORDS[cls]) + "\n")
+    stats = cls.merge([path], str(tmp_path / "merged.jsonl"))
+    assert stats.records_in == 1
+    assert stats.skipped_lines == 1
+    assert not stats.clean
+    assert cls(path).skipped_lines == 1

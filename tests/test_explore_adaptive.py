@@ -217,8 +217,8 @@ class TestFailures:
         with pytest.raises(ReproError, match="injected flow failure"):
             explore()
         assert sorted(evaluated) == [4, 5, 6]
-        assert sorted(m["point"]["latency"]
-                      for m in ResultStore(path).metrics()) == [4, 6]
+        assert sorted(record["point"]["latency"]
+                      for record in ResultStore(path).records()) == [4, 6]
 
         failing.clear()
         evaluated.clear()

@@ -118,7 +118,9 @@ class TestDSEResultImportExport:
         assert failures == []
         assert [outcome.source for outcome in outcomes] == [EVALUATED] * 3
 
-        exported = ResultStore(path).metrics(workload="fir")
+        records = ResultStore(path).records()
+        assert {record["workload"] for record in records} == {"fir"}
+        exported = [record["metrics"] for record in records]
         assert sorted(m["point"]["name"] for m in exported) \
             == [p.name for p in points]
         assert exported[0]["slack_based"]["area"] > 0
@@ -127,15 +129,15 @@ class TestDSEResultImportExport:
         for entry in result.entries:
             assert by_name[entry.point.name] == entry.metrics()
 
-    def test_workload_filtering(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store.jsonl"))
+    def test_records_keep_their_workload_tag(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        store = ResultStore(path)
         store.record(make_key(fingerprint="a" * 8), metrics_record(),
                      workload="w1")
         store.record(make_key(fingerprint="b" * 8), metrics_record(),
                      workload="w2")
-        assert store.workloads() == ["w1", "w2"]
-        assert len(store.metrics("w1")) == 1
-        assert len(store.metrics()) == 2
+        assert [record["workload"] for record in ResultStore(path).records()] \
+            == ["w1", "w2"]
 
 
 class TestCompaction:

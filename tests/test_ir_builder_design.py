@@ -63,8 +63,9 @@ def test_operations_on_edge(interpolation):
 
 def test_design_copy_is_independent(interpolation):
     clone = interpolation.copy(name="clone")
-    clone.dfg.remove_operation("write_x")
-    assert interpolation.dfg.has_op("write_x")
+    clone.dfg.add_op("extra", OpKind.ADD)
+    assert clone.dfg.has_op("extra")
+    assert not interpolation.dfg.has_op("extra")
     assert clone.name == "clone"
 
 

@@ -66,15 +66,6 @@ def test_forward_cycle_rejected():
         dfg.topological_order()
 
 
-def test_remove_operation_cleans_edges():
-    dfg = make_chain()
-    dfg.remove_operation("b")
-    assert not dfg.has_op("b")
-    assert dfg.predecessors("c") == []
-    assert dfg.successors("a") == []
-    assert all(e.src != "b" and e.dst != "b" for e in dfg.edges)
-
-
 def test_count_by_kind_and_synthesizable():
     dfg = make_chain()
     counts = dfg.count_by_kind()
@@ -87,7 +78,9 @@ def test_count_by_kind_and_synthesizable():
 def test_copy_is_deep_for_structure():
     dfg = make_chain()
     clone = dfg.copy()
-    clone.remove_operation("b")
-    assert dfg.has_op("b")
-    assert clone.num_operations == 3
+    clone.add_op("e", OpKind.ADD, width=8)
+    clone.connect("b", "e", 0)
+    assert not dfg.has_op("e")
+    assert clone.num_operations == 5
     assert dfg.num_operations == 4
+    assert [e.dst for e in dfg.edges if e.src == "b"] == ["c"]

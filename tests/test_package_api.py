@@ -60,9 +60,6 @@ PINNED_SURFACE = {
     "PointArtifacts", "conventional_flow", "slack_based_flow",
     # exploration
     "AdaptiveExplorer", "RefinementPolicy", "ResultStore",
-    # campaign layer
-    "CampaignSpec", "plan_shards", "run_shard", "merge_shards",
-    "trend_report",
     # serve layer
     "DSEService", "JobSpec", "MemoCache", "RetryPolicy",
     # verification

@@ -123,6 +123,45 @@ def test_main_tolerates_empty_benchmark_json(tmp_path, capsys):
     assert "nothing to check" in capsys.readouterr().out
 
 
+def test_history_records_bench_medians(tmp_path, capsys):
+    """A passing run appends one sorted-keys line: each benchmark's median,
+    its mean where pytest-benchmark gives no median, sorted by name."""
+    timings = tmp_path / "timings.json"
+    timings.write_text(json.dumps({"benchmarks": [
+        {"name": "test_two", "stats": {"mean": 1.5}},
+        {"fullname": "b/test_a.py::test_one",
+         "stats": {"median": 0.25, "mean": 0.3}},
+    ]}), encoding="utf-8")
+    history = tmp_path / "trend" / "history.jsonl"
+    args = [str(timings), "--baseline", str(tmp_path / "none.json"),
+            "--history", str(history), "--run", "r9"]
+    assert check_timings.main(args) == 0
+    assert check_timings.main(args) == 0
+    assert "appended 2 benchmark median(s)" in capsys.readouterr().out
+    line = ('{"medians": {"b/test_a.py::test_one": 0.25, "test_two": 1.5}, '
+            '"run": "r9", "schema": 1, "type": "bench"}\n')
+    assert history.read_text(encoding="utf-8") == line * 2
+
+
+def test_history_skips_a_run_without_medians(tmp_path):
+    current = _benchmark_json(tmp_path / "current.json", {})
+    history = tmp_path / "history.jsonl"
+    assert check_timings.main([current, "--history", str(history)]) == 0
+    assert not history.exists()
+
+
+def test_history_is_not_written_when_the_gate_fails(tmp_path):
+    baseline_path = str(tmp_path / "baseline.json")
+    check_timings.write_baseline(baseline_path,
+                                 {"a": 1.0, "b": 2.0, "c": 0.5})
+    current = _benchmark_json(tmp_path / "current.json",
+                              {"a": 1.0, "b": 2.0, "c": 1.0})
+    history = tmp_path / "history.jsonl"
+    assert check_timings.main([current, "--baseline", baseline_path,
+                               "--history", str(history)]) == 1
+    assert not history.exists()
+
+
 def test_load_baseline_rejects_unknown_schema(tmp_path):
     path = str(tmp_path / "baseline.json")
     with open(path, "w", encoding="utf-8") as handle:

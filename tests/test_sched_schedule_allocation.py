@@ -37,14 +37,6 @@ def test_unknown_names_rejected(interpolation):
         schedule.item("mul_x_0")
 
 
-def test_unassign(interpolation):
-    schedule = Schedule(interpolation, 1100.0)
-    schedule.assign("mul_x_0", "e1", 0, 0.0, 430.0)
-    schedule.unassign("mul_x_0")
-    assert not schedule.is_scheduled("mul_x_0")
-    assert schedule.ops_on_edge("e1") == []
-
-
 def test_validate_detects_dependency_violation(interpolation):
     schedule = Schedule(interpolation, 1100.0)
     # mul_x_1 depends on mul_x_0; scheduling it earlier must be reported.
@@ -108,9 +100,7 @@ def test_allocation_helpers():
     allocation.add(("mul", 8))
     allocation.add(("mul", 8), 2)
     assert allocation.limit(("mul", 8)) == 3
-    allocation.ensure_at_least(("mul", 8), 2)
-    assert allocation.limit(("mul", 8)) == 3
-    allocation.ensure_at_least(("add", 16), 2)
+    allocation.add(("add", 16), 2)
     assert allocation.limit(("add", 16)) == 2
     assert allocation.total_instances() == 5
     clone = allocation.copy()

@@ -7,7 +7,11 @@ from repro.core.opspan import OperationSpans
 from repro.flows import idct_design_points
 from repro.ir.operations import OpKind
 from repro.sched.allocation import Allocation, minimal_allocation, resource_class_key
-from repro.sched.list_scheduler import try_list_schedule
+from repro.sched.list_scheduler import (
+    SchedulingAttempt,
+    SchedulingFailure,
+    try_list_schedule,
+)
 from repro.sched.priorities import combined_priority, mobility_priority
 from repro.sched.relaxation import schedule_with_relaxation
 from repro.workloads import IDCTPointFactory
@@ -94,6 +98,40 @@ def test_relaxation_raises_for_impossible_clock(interpolation, library):
     variants = fastest_variants(interpolation, library)
     with pytest.raises(InfeasibleDesignError):
         schedule_with_relaxation(interpolation, library, 300.0, variants)
+
+
+def _failing_pass(reason):
+    """A modulo-engine stand-in whose every pass fails the same way."""
+    failure = SchedulingFailure(op="mul_x_3", edge="e3", reason=reason,
+                                class_key=("mul", 8), detail="stub")
+
+    def engine(*args, **kwargs):
+        return SchedulingAttempt(success=False, failure=failure)
+
+    return engine
+
+
+def test_ii_limit_blames_the_recurrences_after_a_recurrence_failure(
+        interpolation, library):
+    variants = fastest_variants(interpolation, library)
+    with pytest.raises(InfeasibleDesignError) as info:
+        schedule_with_relaxation(interpolation, library, 1100.0, variants,
+                                 scheduler=_failing_pass("recurrence"))
+    assert str(info.value).startswith(
+        "recurrences of design 'interpolation_u4' do not fit even at II=3 "
+        "(no iteration overlap left): cannot schedule 'mul_x_3'")
+
+
+def test_ii_limit_names_a_repeated_timing_failure(interpolation, library):
+    variants = fastest_variants(interpolation, library)
+    with pytest.raises(InfeasibleDesignError) as info:
+        schedule_with_relaxation(interpolation, library, 1100.0, variants,
+                                 scheduler=_failing_pass("timing"))
+    message = str(info.value)
+    assert message.startswith(
+        "design 'interpolation_u4' stalls on a repeated timing failure even "
+        "at II=3 (no iteration overlap left): cannot schedule 'mul_x_3'")
+    assert "recurrences" not in message
 
 
 def test_pipelined_scheduling_uses_congruent_slots(small_idct, library):

@@ -13,8 +13,10 @@ from repro.serve.fakes import (
 from repro.serve.jobs import (
     JOB_KINDS,
     JOB_SCHEMA,
+    ExploreJob,
     JobRecord,
     JobSpec,
+    SweepJob,
 )
 
 
@@ -33,7 +35,6 @@ class TestJobSpec:
             json.dumps(spec.to_dict())  # JSON-safe by construction
 
     def test_payload_parses_to_the_owning_layers_object(self):
-        from repro.campaign.spec import ExploreJob, SweepJob
         from repro.verify.scenarios import ScenarioSpec
 
         assert isinstance(
@@ -82,6 +83,55 @@ class TestJobSpec:
         data["schema"] = JOB_SCHEMA + 1
         with pytest.raises(ReproError):
             JobSpec.from_dict(data)
+
+
+def test_jobs_round_trip_through_json():
+    """The sweep and explore payload formats: ``to_dict`` gives back the
+    payload dict, and ``from_dict`` of it gives back the job."""
+    for kind, job_class, payload in (
+            ("sweep", SweepJob, sweep_payload()),
+            ("explore", ExploreJob, explore_payload())):
+        job = JobSpec(kind, payload).parse_payload()
+        assert isinstance(job, job_class)
+        assert job.to_dict() == payload
+        assert job_class.from_dict(json.loads(json.dumps(job.to_dict()))) \
+            == job
+    sweep = SweepJob(workload="fir", latencies=(5, 4), ii_values=(2, 1),
+                     params=(("taps", 4),))
+    assert sweep.to_dict() == {
+        "workload": "fir", "latencies": [5, 4], "clocks": [1500.0],
+        "ii_values": [2, 1], "margin_fraction": 0.05,
+        "params": {"taps": 4}}
+    assert ExploreJob(workload="idct", latencies=(8, 10)).to_dict() == {
+        "workload": "idct", "latencies": [8, 10], "clock_period": 1500.0,
+        "margin_fraction": 0.05, "objectives": ["latency_steps", "area"],
+        "coarse_points": 5, "params": {}}
+
+
+def test_job_validation_errors():
+    with pytest.raises(ReproError):
+        SweepJob(workload="idct", latencies=())
+    with pytest.raises(ReproError):
+        SweepJob(workload="idct", latencies=(8,), clocks=())
+    with pytest.raises(ReproError):
+        SweepJob(workload="idct", latencies=(8,), ii_values=(0,))
+    with pytest.raises(ReproError):
+        ExploreJob(workload="idct", latencies=())
+
+
+def test_sweep_points_are_canonically_ordered():
+    job = SweepJob(workload="idct", latencies=(8, 6), clocks=(2000.0, 1500.0),
+                   ii_values=(2, 1), params=(("rows", 1),))
+    names = [point.name for point in job.points()]
+    assert names == [
+        "idct_L6_T1500_ii1", "idct_L6_T1500_ii2",
+        "idct_L6_T2000_ii1", "idct_L6_T2000_ii2",
+        "idct_L8_T1500_ii1", "idct_L8_T1500_ii2",
+        "idct_L8_T2000_ii1", "idct_L8_T2000_ii2",
+    ]
+    assert job.scheduling == "pipeline"
+    block = SweepJob(workload="idct", latencies=(6,), params=(("rows", 1),))
+    assert block.scheduling == "block"
 
 
 class TestJobRecord:

@@ -71,5 +71,5 @@ def test_injected_evaluator_failure_stays_in_its_point(tmp_path):
     assert status["state"] == "failed"
     assert "idct_L6_T1500" in status["failure"]["error"]
     assert fake.calls == ["idct_L6_T1500", "idct_L8_T1500"]
-    stored = ResultStore(str(tmp_path / "store.jsonl")).metrics()
-    assert [m["point"]["name"] for m in stored] == ["idct_L8_T1500"]
+    stored = ResultStore(str(tmp_path / "store.jsonl")).records()
+    assert [record["point"]["name"] for record in stored] == ["idct_L8_T1500"]

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from repro.core.jsonl import dump_record
 from repro.verify import runner as runner_mod
 from repro.verify.cli import main
 from repro.verify.corpus import Corpus
@@ -134,6 +135,67 @@ def test_replay_reports_still_failing_entries(tmp_path, capsys,
     # Still failing while the injected oracle is registered.
     assert main(["replay", "--corpus", corpus_path]) == 1
     assert "still failing" in capsys.readouterr().out
+
+
+def test_run_writes_oracle_timings_into_a_missing_directory(tmp_path, capsys):
+    """The nightly writes its corpus and its timings into a fresh
+    directory; the timings report must not need it to exist."""
+    timings = tmp_path / "fuzz-out" / "oracle-timings.json"
+    assert main(["run", "--iterations", "3", "--seed", "0",
+                 "--oracle-timings", str(timings)]) == 0
+    assert f"oracle timings: {timings}" in capsys.readouterr().out
+    report = json.loads(timings.read_text(encoding="utf-8"))
+    assert report["iterations"] == 3
+    assert sum(oracle["checked"] for oracle in report["oracles"].values()) == 3
+
+
+def test_nightly_shard_corpora_merge_and_replay(tmp_path, capsys,
+                                                injected_oracle):
+    """The nightly fan-in: two shards' corpora merge into one corpus whose
+    every record replays, and a conflicting payload fails the merge."""
+    shards = []
+    for shard in range(2):
+        path = str(tmp_path / f"fuzz-shard-{shard}" / "corpus.jsonl")
+        assert main(["run", "--iterations", "4", "--seed", str(100 + shard),
+                     "--oracles", injected_oracle, "--no-shrink",
+                     "--corpus", path]) == 1
+        shards.append(path)
+    capsys.readouterr()
+    total = sum(len(Corpus(path)) for path in shards)
+    assert total >= 2
+
+    merged = str(tmp_path / "merged" / "corpus.jsonl")
+    assert main(["merge", "--out", merged] + shards) == 0
+    out = capsys.readouterr().out
+    assert f"merged {total} record(s) into {total} unique" in out
+    assert "merge clean" in out
+    assert len(Corpus(merged)) == total
+
+    assert main(["replay", "--corpus", merged]) == 1
+    assert f"replayed {total} record(s): {total} still failing" \
+        in capsys.readouterr().out
+
+    record = dict(Corpus(shards[0]).records()[0], details="another message")
+    conflict = tmp_path / "conflict.jsonl"
+    conflict.write_text(dump_record(record) + "\n", encoding="utf-8")
+    assert main(["merge", "--out", str(tmp_path / "again.jsonl"),
+                 shards[0], str(conflict)]) == 1
+    assert "1 conflict(s)" in capsys.readouterr().out
+
+
+def test_merge_reads_a_missing_corpus_as_empty(tmp_path, capsys):
+    """A shard that found no violation writes no corpus file."""
+    out = tmp_path / "merged.jsonl"
+    assert main(["merge", "--out", str(out),
+                 str(tmp_path / "absent.jsonl")]) == 0
+    assert "merged 0 record(s) into 0 unique" in capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == ""
+
+
+def test_merge_reports_an_unreadable_corpus(tmp_path, capsys):
+    assert main(["merge", "--out", str(tmp_path / "merged.jsonl"),
+                 str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
 
 
 def test_replay_unknown_oracle_reports_clear_error(tmp_path, capsys):
