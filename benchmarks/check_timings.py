@@ -44,7 +44,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 DEFAULT_BASELINE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "baseline_timings.json")
@@ -65,32 +65,31 @@ BASELINE_SCHEMA = 1
 HISTORY_SCHEMA = 1
 
 
-def load_current(path: str) -> Dict[str, float]:
-    """Mean seconds per benchmark from a ``--benchmark-json`` file."""
+def _per_benchmark(path: str, statistic: Callable[[Dict[str, object]], object],
+                   ) -> Dict[str, float]:
+    """``statistic(stats)`` of every benchmark in a ``--benchmark-json``
+    file, by full name, where it is a number."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    means: Dict[str, float] = {}
+    values: Dict[str, float] = {}
     for bench in data.get("benchmarks", []):
         name = bench.get("fullname") or bench.get("name")
-        stats = bench.get("stats") or {}
-        mean = stats.get("mean")
-        if name and isinstance(mean, (int, float)) and mean > 0:
-            means[str(name)] = float(mean)
-    return means
+        value = statistic(bench.get("stats") or {})
+        if name and isinstance(value, (int, float)):
+            values[str(name)] = float(value)
+    return values
+
+
+def load_current(path: str) -> Dict[str, float]:
+    """Mean seconds per benchmark from a ``--benchmark-json`` file."""
+    means = _per_benchmark(path, lambda stats: stats.get("mean"))
+    return {name: mean for name, mean in means.items() if mean > 0}
 
 
 def load_medians(path: str) -> Dict[str, float]:
     """Median seconds per benchmark (the mean where there is no median)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    medians: Dict[str, float] = {}
-    for bench in data.get("benchmarks", []):
-        name = bench.get("fullname") or bench.get("name")
-        stats = bench.get("stats") or {}
-        value = stats.get("median", stats.get("mean"))
-        if name and isinstance(value, (int, float)):
-            medians[str(name)] = float(value)
-    return medians
+    return _per_benchmark(
+        path, lambda stats: stats.get("median", stats.get("mean")))
 
 
 def append_history(path: str, medians: Dict[str, float], run: str) -> None:

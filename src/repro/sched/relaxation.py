@@ -248,15 +248,13 @@ def _relax_until_scheduled(
             bumped = (pipeline_ii or design.pipeline_ii or 1) + 1
             max_ii = max(len(spans.latency.forward_edge_names), 1)
             if bumped > max_ii:
-                if failure.reason == "recurrence":
-                    raise InfeasibleDesignError(
-                        f"recurrences of design {design.name!r} do not fit "
-                        f"even at II={max_ii} (no iteration overlap left): "
-                        f"{failure}")
+                stall = (f"recurrences of design {design.name!r} do not fit"
+                         if failure.reason == "recurrence" else
+                         f"design {design.name!r} stalls on a repeated "
+                         f"{failure.reason} failure")
                 raise InfeasibleDesignError(
-                    f"design {design.name!r} stalls on a repeated "
-                    f"{failure.reason} failure even at II={max_ii} (no "
-                    f"iteration overlap left): {failure}")
+                    f"{stall} even at II={max_ii} (no iteration overlap "
+                    f"left): {failure}")
             pipeline_ii = bumped
             log.ii_bumps.append(bumped)
             _II_BUMPS.inc()
