@@ -1,85 +1,83 @@
-"""Wall-clock deadline enforcement for otherwise unbounded calls.
+"""Wall-clock deadlines that stop the work they bound.
 
-Nothing in the flow stack had a timeout before this module existed: one
-hung oracle stalled a nightly fuzz shard past its ``--budget-seconds``,
-and one hung evaluation would have stalled a serve worker forever.
-:func:`call_with_deadline` is the shared primitive both layers use — the
-fuzzer's per-oracle budget (:mod:`repro.verify.runner`) and the serve
-layer's per-job retry policy (:mod:`repro.serve.retry`).
+A deadline is a scope, not a thread: :func:`call_with_deadline` runs
+``fn()`` in the caller's own thread while a context variable holds the
+earliest expiry of the calls enclosing it, and :func:`check_deadline`
+raises :class:`~repro.errors.DeadlineExceeded` once that expiry has passed.
+The long loops call it once per pass: the relaxation loop of both flows
+(block and modulo) and the points of a sweep (``SweepSession.evaluate``,
+each injected evaluator of ``memoized_run``; a process pool hands each task
+the rest of the deadline).  Every other loop is bounded, so at paper scale
+a cutoff lands within about 0.2 s and nothing of the work runs after it.
+Only the code that set a deadline catches the cutoff: the fuzzer's oracle
+guard (:mod:`repro.verify.runner`) and the serve layer's retry policy
+(:mod:`repro.serve.retry`).
 
-Python cannot forcibly kill a thread, so the mechanics are *bounded
-waiting*, not preemption: the call runs in a daemon worker thread and the
-caller waits at most ``seconds`` for it.  On expiry the caller gets a
-:class:`~repro.errors.DeadlineExceeded` and moves on; the abandoned thread
-keeps running to completion in the background (its result is discarded) and
-dies with the process.  That is the right trade-off for this codebase:
-evaluations and oracles are pure compute without external side effects, so
-an abandoned run can waste a core but never corrupt state.
-
-Deterministic by construction: a call that finishes inside its deadline
-returns exactly what the inline call would have returned (same value, same
-raised exception) — the deadline only changes what happens to calls that
-would not have returned at all.
+The trade-off: a body that never reaches :func:`check_deadline` is not cut
+off; it runs to its end (CONTRIBUTING, "Deadlines are checkpoints").  A
+call that ends in time returns what the plain call would have returned.
+Each thread starts outside any deadline.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Optional, TypeVar
+import time
+from contextvars import ContextVar
+from typing import Callable, Optional, Tuple, TypeVar
 
 from repro.errors import DeadlineExceeded
 from repro.obs.metrics import counter as _obs_counter
 
 T = TypeVar("T")
 
-#: Calls abandoned at their deadline (the thread keeps running, detached).
+#: Calls cut off by their deadline, at a checkpoint or before they started.
 _EXPIRED = _obs_counter("deadline.expired")
+
+#: ``(expiry on time.monotonic(), message)`` of the earliest deadline
+#: enclosing the running code.
+_SCOPE: ContextVar[Optional[Tuple[float, str]]] = ContextVar("deadline",
+                                                             default=None)
+
+
+def check_deadline() -> None:
+    """Raise :class:`~repro.errors.DeadlineExceeded` once the enclosing
+    deadline has passed; outside any deadline, do nothing."""
+    scope = _SCOPE.get()
+    if scope is not None and time.monotonic() >= scope[0]:
+        _EXPIRED.inc()
+        raise DeadlineExceeded(scope[1])
+
+
+def wall_clock_deadline() -> Optional[float]:
+    """The enclosing deadline on ``time.time()``, for another process."""
+    scope = _SCOPE.get()
+    return None if scope is None else scope[0] - time.monotonic() + time.time()
 
 
 def call_with_deadline(fn: Callable[[], T],
                        seconds: Optional[float],
                        what: str = "call") -> T:
-    """Run ``fn()`` with at most ``seconds`` of wall-clock patience.
+    """Run ``fn()`` in this thread, cut off ``seconds`` from now.
 
-    ``seconds=None`` runs ``fn`` inline (no thread, no overhead) — the
-    "deadlines off" configuration.  Otherwise ``fn`` runs in a daemon
-    thread; if it finishes in time its return value (or its exception,
-    re-raised unchanged) is the caller's, and if it does not, the caller
-    raises :class:`~repro.errors.DeadlineExceeded` naming ``what`` and
-    abandons the thread (see the module docstring for why abandonment,
-    not cancellation).
-
-    A non-positive ``seconds`` raises immediately without starting the
-    call — callers deriving deadlines from a shrinking budget (`budget -
-    elapsed`) need exhausted budgets to fail fast, not to sneak one more
-    evaluation in.
+    An expired enclosing deadline raises before ``fn`` starts, and so does
+    a non-positive ``seconds``: a caller deriving a deadline from a
+    shrinking budget must fail fast, not sneak one more evaluation in.
+    Otherwise ``fn`` runs under the earlier of the enclosing expiry and
+    ``now + seconds``; ``seconds=None`` adds no deadline of its own.
     """
+    check_deadline()
     if seconds is None:
         return fn()
     if seconds <= 0:
         _EXPIRED.inc()
         raise DeadlineExceeded(
             f"{what}: deadline already exhausted before the call started")
-
-    outcome: dict = {}
-    done = threading.Event()
-
-    def target() -> None:
-        try:
-            outcome["value"] = fn()
-        except BaseException as exc:  # noqa: BLE001 — re-raised in the caller
-            outcome["error"] = exc
-        finally:
-            done.set()
-
-    thread = threading.Thread(target=target, daemon=True,
-                              name=f"deadline:{what}")
-    thread.start()
-    if not done.wait(seconds):
-        _EXPIRED.inc()
-        raise DeadlineExceeded(
-            f"{what}: exceeded its {seconds:g}s deadline (abandoned; the "
-            f"worker thread is detached and discarded)")
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]  # type: ignore[return-value]
+    expiry = time.monotonic() + seconds
+    enclosing = _SCOPE.get()
+    if enclosing is not None and enclosing[0] <= expiry:
+        return fn()
+    token = _SCOPE.set((expiry, f"{what}: exceeded its {seconds:g}s deadline"))
+    try:
+        return fn()
+    finally:
+        _SCOPE.reset(token)

@@ -47,7 +47,8 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
+import secrets
+import shutil
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -200,18 +201,20 @@ def rewrite_records(path: str,
     directory (flushed and fsynced) which then ``os.replace``\\ s the store,
     all under the store lock — a reader never sees a partially rewritten
     file and a concurrent appender blocks until the new inode is in place.
+    A rewritten file keeps its mode; a new one gets what ``open()`` gives.
     """
-    directory = os.path.dirname(os.path.abspath(path))
     count = 0
     with locked(path):
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp_path = f"{path}.{secrets.token_hex(8)}.tmp"
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with open(tmp_path, "x", encoding="utf-8") as handle:
                 for record in records:
                     handle.write(dump_record(record) + "\n")
                     count += 1
                 handle.flush()
                 os.fsync(handle.fileno())
+            if os.path.exists(path):
+                shutil.copymode(path, tmp_path)
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):

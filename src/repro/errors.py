@@ -3,7 +3,9 @@
 All exceptions raised intentionally by the library derive from
 :class:`ReproError` so callers can catch library failures with a single
 ``except`` clause while still letting programming errors (``TypeError``,
-``KeyError`` on internal maps, ...) surface normally.
+``KeyError`` on internal maps, ...) surface normally.  The one exception,
+:class:`DeadlineExceeded`, derives from ``BaseException`` as
+``KeyboardInterrupt`` does: a cutoff is not a failure of the work.
 """
 
 
@@ -39,10 +41,10 @@ class InfeasibleDesignError(SchedulingError):
     """
 
 
-class DeadlineExceeded(ReproError):
+class DeadlineExceeded(BaseException):
     """Raised when a deadline-bounded call ran out of wall-clock budget.
 
-    Raised by :func:`repro.core.deadline.call_with_deadline` and consumed
-    by the serve layer's retry policy and the fuzzer's per-oracle budget
-    enforcement; it means "the work was cut off", never "the work failed".
+    Raised by :mod:`repro.core.deadline`; it means "the work was cut off",
+    never "the work failed", so ``except Exception`` lets it through to the
+    code that set the deadline (the oracle guard, the retry policy).
     """

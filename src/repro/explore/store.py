@@ -45,6 +45,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 from repro.core.analysis_cache import design_fingerprint
+from repro.core.deadline import check_deadline
 from repro.core.jsonl import KeyedStore
 from repro.flows.dse import DesignPoint, PointFailure
 
@@ -185,8 +186,9 @@ def memoized_run(session, points: Sequence[DesignPoint], memo,
     scheduling)`` call each, and are recorded in the caller's order of
     first occurrence before this returns.  An :class:`Exception` from a
     point's factory, evaluator call or flows fails that point only: it is
-    returned, never raised.  Returns one :class:`Memoized` per point and
-    the failures, both in the caller's order.
+    returned, never raised; a deadline cutoff propagates, recording nothing.
+    Returns one :class:`Memoized` per point and the failures, both in the
+    caller's order.
     """
     keys: List[Optional[StoreKey]] = []
     errors: Dict[object, str] = {}  # by key, or by index if the factory raised
@@ -209,6 +211,7 @@ def memoized_run(session, points: Sequence[DesignPoint], memo,
                 resolved[key] = metrics
     if evaluator is not None:
         for key, point in misses.items():
+            check_deadline()
             try:
                 resolved[key] = evaluator(
                     session.design_factory, session.library, point,

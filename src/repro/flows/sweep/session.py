@@ -35,7 +35,8 @@ bundles.
 * **failure isolation** — :meth:`run` records a point that raises in
   ``DSEResult.failures`` and goes on with the rest of the sweep;
 * **process pool** — ``run(points, workers=n)`` fans the points out over
-  ``n`` worker processes, each evaluating through its own session.
+  ``n`` worker processes, each evaluating through its own session under
+  the rest of the caller's deadline (:mod:`repro.core.deadline`).
 
 Exactness contract: a session evaluation is bit-for-bit identical to a
 standalone :func:`~repro.flows.dse.evaluate_point` on the same point — the
@@ -55,6 +56,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.analysis_cache import design_fingerprint
+from repro.core.deadline import (call_with_deadline, check_deadline,
+                                 wall_clock_deadline)
 from repro.errors import ReproError
 from repro.ir.design import Design
 from repro.lib.library import Library
@@ -198,6 +201,7 @@ class SweepSession:
 
     def evaluate(self, point: DesignPoint) -> DSEEntry:
         """Run both flows on one point, reusing everything the session holds."""
+        check_deadline()
         with _obs_span("sweep.point", point=point.name,
                        latency=point.latency, pipeline_ii=point.pipeline_ii,
                        clock_period=point.clock_period):
@@ -281,13 +285,14 @@ class SweepSession:
         # serve worker pool) can deadlock the child: spawn there instead.
         context = None if threading.active_count() == 1 \
             else multiprocessing.get_context("spawn")
+        expiry = wall_clock_deadline()
         pool = ProcessPoolExecutor(
             max_workers=workers, mp_context=context, initializer=_start_worker,
             initargs=(self.design_factory, self.library, self.margin_fraction,
                       self.scheduling))
         try:
             futures = [pool.submit(_evaluate_in_worker, index, points[index],
-                                   tracer is not None)
+                                   tracer is not None, expiry)
                        for index in order]
             for future in as_completed(futures):
                 index, entry, error, spans = future.result()
@@ -318,12 +323,17 @@ def _start_worker(design_factory, library, margin_fraction: float,
                                    scheduling=scheduling)
 
 
-def _evaluate_in_worker(index: int, point: DesignPoint, trace: bool):
-    """Pool task: evaluate one point; with ``trace``, ship its spans back.
+def _evaluate_in_worker(index: int, point: DesignPoint, trace: bool,
+                        expiry: Optional[float]):
+    """Pool task: evaluate one point until wall-clock ``expiry`` (None: no
+    deadline); with ``trace``, ship its spans back.
 
     The parent's tracer does not cross the process boundary, so a traced
     worker records into its own tracer and returns the serialised trees.
     """
+    seconds = None if expiry is None else expiry - time.time()
     with (_obs_tracing() if trace else nullcontext()) as tracer:
-        entry, error = _evaluate_isolated(_WORKER_SESSION, point)
+        entry, error = call_with_deadline(
+            lambda: _evaluate_isolated(_WORKER_SESSION, point), seconds,
+            what=f"sweep point {point.name!r}")
     return index, entry, error, tracer.export() if tracer is not None else None

@@ -21,7 +21,8 @@ flow, locks would undo the on-the-fly upgrades).  When no move applies, or
 the attempts run out, an :class:`InfeasibleDesignError` is raised — the
 paper's "design is overconstrained" outcome.  The loop never changes the
 CFG: more states take a design re-elaborated with a larger latency, which
-the DSE harness builds explicitly.
+the DSE harness builds explicitly.  Each pass starts with a deadline
+checkpoint (:func:`repro.core.deadline.check_deadline`).
 
 Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
 pass, labelled with the flow, the attempt number and, when the pass fails,
@@ -38,6 +39,7 @@ from repro.errors import InfeasibleDesignError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
+from repro.core.deadline import check_deadline
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.obs.metrics import counter as _obs_counter
@@ -223,6 +225,7 @@ def _relax_until_scheduled(
     last_signature = None
 
     for _ in range(max_attempts):
+        check_deadline()
         log.count_attempt()
         with _obs_span("sched.attempt", flow=flow,
                        attempt=log.attempts) as attempt_span:
@@ -258,8 +261,9 @@ def _relax_until_scheduled(
             pipeline_ii = bumped
             log.ii_bumps.append(bumped)
             _II_BUMPS.inc()
+            repeated = "" if failure.reason == "recurrence" else "repeated "
             log.note(f"raised the initiation interval to {bumped} after a "
-                     f"recurrence failure on {failure.op}")
+                     f"{repeated}{failure.reason} failure on {failure.op}")
             # Restart from the minimal allocation at the new II: a wider
             # window needs fewer instances, and that trade is the whole
             # point of the II axis.  Instances added at the old II are

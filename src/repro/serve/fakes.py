@@ -11,9 +11,8 @@ small fake with the exact interface of the real collaborator:
 * :class:`FakeClock` — injectable ``clock``/``sleep`` pair for
   :func:`repro.serve.retry.run_with_retry`, advancing virtual time instead
   of sleeping and recording the exact backoff schedule;
-* :class:`HangingEvaluator` — blocks on an event far longer than any test
-  deadline, driving the real thread-based timeout path without a real hang
-  (the abandoned daemon thread is released at teardown via :meth:`release`).
+* :class:`HangingEvaluator` — runs far longer than any test deadline,
+  checking it between short sleeps as the flows do between passes.
 
 These are *fakes*, not mocks: they implement behaviour (deterministic
 metrics as a function of the point, consistent call logs), so tests read
@@ -22,9 +21,10 @@ as scenarios rather than expectation scripts.
 
 from __future__ import annotations
 
-import threading
+import time
 from typing import Dict, List
 
+from repro.core.deadline import check_deadline
 from repro.errors import ReproError
 
 
@@ -92,27 +92,21 @@ class FakeEvaluator:
 
 
 class HangingEvaluator:
-    """An evaluator that blocks until released (the timeout scenario).
-
-    Under :func:`repro.core.deadline.call_with_deadline` the blocked call
-    is abandoned in its daemon thread; call :meth:`release` in test
-    teardown so the thread exits promptly instead of waiting out
-    ``hang_seconds``.
-    """
+    """An evaluator that runs for ``hang_seconds`` (the timeout scenario),
+    sleeping in 10 ms slices with a deadline checkpoint between them."""
 
     def __init__(self, hang_seconds: float = 60.0):
         self.hang_seconds = hang_seconds
         self.calls: List[str] = []
-        self._release = threading.Event()
 
     def __call__(self, factory, library, point, margin_fraction: float,
                  scheduling: str) -> Dict[str, object]:
         self.calls.append(point.name)
-        self._release.wait(self.hang_seconds)
+        end = time.monotonic() + self.hang_seconds
+        while time.monotonic() < end:
+            check_deadline()
+            time.sleep(0.01)
         return canned_metrics(point)
-
-    def release(self) -> None:
-        self._release.set()
 
 
 class FakeClock:

@@ -2,8 +2,8 @@
 
 A job submitted to the :class:`repro.serve.service.DSEService` is executed
 under a :class:`RetryPolicy`: the whole job gets one wall-clock deadline
-(enforced per attempt through :func:`repro.core.deadline.call_with_deadline`,
-so a hanging evaluation is abandoned instead of stalling its worker), errors
+(each attempt runs under the rest of it through
+:func:`repro.core.deadline.call_with_deadline`, so the work stops), errors
 are retried up to ``max_attempts`` with exponentially growing, jittered
 backoff (fixed constants: 0.1 s doubling to at most 30 s, up to 10 %
 jitter), and whatever happens is recorded as a structured, JSON-safe
@@ -15,8 +15,7 @@ Two deliberately asymmetric failure classes:
   resource trouble is exactly what a retry policy exists for;
 * **timeouts** (:class:`~repro.errors.DeadlineExceeded`) are *terminal* —
   the deadline bounds the whole job, so by the time an attempt has timed
-  out there is no budget left to retry into, and the evaluation that hung
-  once will hang again.
+  out there is no budget left to retry into.
 
 Determinism: the jittered backoff sequence is a pure function of the
 attempt budget (jitter drawn from ``random.Random(0)``), and both the clock
@@ -57,7 +56,7 @@ class RetryPolicy:
     ``deadline_seconds`` is the *job's* total wall-clock budget: each
     attempt runs under the remaining fraction of it, and an attempt that
     outlives the remainder is cut off and recorded as a terminal timeout.
-    ``None`` disables deadlines (attempts run inline, unbounded).
+    ``None`` disables deadlines (attempts run unbounded).
 
     Backoff after a failed attempt ``i`` (0-based) is
     ``min(BACKOFF_SECONDS * 2**i, MAX_BACKOFF_SECONDS)`` stretched by a

@@ -23,10 +23,9 @@ records its latency in a ``serve.endpoint.<name>.seconds`` histogram
 Execution: :meth:`run_pending` drains the queue in the calling thread (the
 CLI one-shot and test mode); :meth:`start_workers` / :meth:`stop_workers`
 run a thread pool for the server mode.  Either way each job runs under the
-retry policy, whose deadline is enforced with
-:func:`repro.core.deadline.call_with_deadline` — a hanging evaluation is
-abandoned at the deadline and recorded as a structured ``timeout`` job,
-and the worker moves on to the next job instead of stalling.
+retry policy, whose deadline (:mod:`repro.core.deadline`) stops the job's
+work at its next checkpoint and leaves nothing of it running; the job is
+recorded as a structured ``timeout`` job, and the worker moves on.
 """
 
 from __future__ import annotations

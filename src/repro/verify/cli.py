@@ -62,16 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of scenario/oracle checks (default: 200 "
                           "unless --budget-seconds is given)")
     run.add_argument("--budget-seconds", type=float, default=None, metavar="S",
-                     help="wall-clock budget; stops drawing scenarios once "
-                          "exceeded")
+                     help="wall-clock budget; the run stops at its end, "
+                          "a check in flight included")
     run.add_argument("--oracle-deadline", type=float, default=None,
                      metavar="S",
-                     help="per-oracle wall-clock deadline; a hanging oracle "
-                          "is abandoned at the deadline and recorded as a "
-                          "structured timeout failure instead of stalling "
-                          "the run (default: unbounded, except that "
-                          "--budget-seconds always caps each call at the "
-                          "remaining budget)")
+                     help="per-oracle wall-clock deadline; an oracle still "
+                          "running at the deadline is stopped and recorded "
+                          "as a structured timeout failure (default: "
+                          "unbounded, but --budget-seconds stops every "
+                          "check at the end of the budget)")
     seed_group = run.add_mutually_exclusive_group()
     seed_group.add_argument("--seed", type=int, default=0,
                             help="base seed of the scenario stream (default 0)")

@@ -76,11 +76,6 @@ class Corpus(KeyedStore):
 
     # -- queries -----------------------------------------------------------------
 
-    def records(self, oracle: Optional[str] = None) -> List[Dict[str, object]]:
-        """All records in insertion order, optionally filtered by oracle."""
-        return [record for record in self._records.values()
-                if oracle is None or record.get("oracle") == oracle]
-
     def find(self, fingerprint_prefix: str) -> List[Dict[str, object]]:
         """Records whose fingerprint starts with ``fingerprint_prefix``."""
         return [record for record in self._records.values()

@@ -86,10 +86,10 @@ class OracleOutcome:
     """The verdict of one oracle on one scenario.
 
     ``timed_out`` marks the structured *timeout* outcome: the oracle was
-    abandoned at its wall-clock deadline (see
+    cut off at its wall-clock deadline (see
     :func:`repro.verify.runner.run_oracle_guarded`), so ``ok=False`` means
     "unchecked in time", not "disagreement" — the runner records it but
-    never tries to shrink it (every shrink probe would hang again).
+    never tries to shrink it (every probe would run out of time again).
     """
 
     oracle: str

@@ -61,13 +61,9 @@ def run_oracle_guarded(oracle: Oracle, spec: ScenarioSpec,
     recorded and shrunk like any other violation instead of killing the run
     and losing the seed.
 
-    ``deadline_seconds`` bounds the oracle's wall clock
-    (:func:`repro.core.deadline.call_with_deadline`): a crash-guarded
-    oracle that *hangs* rather than raises used to stall the whole run —
-    past the nightly's ``--budget-seconds``, since the budget was only
-    checked between iterations.  At the deadline the oracle is abandoned
-    and a structured ``timed_out`` outcome is recorded instead; the
-    nightly fuzz shard moves on.
+    ``deadline_seconds`` bounds the oracle's wall clock within any enclosing
+    deadline (``run_fuzz``'s budget; :mod:`repro.core.deadline`).  A cutoff
+    is recorded as a structured ``timed_out`` outcome; the run moves on.
     """
     start = time.perf_counter()
     with _obs_span("oracle.run", oracle=oracle.name) as obs:
@@ -169,13 +165,10 @@ def run_fuzz(
     given) as a ``failure`` record plus, when ``shrink`` is on, a ``shrunk``
     record keyed by the minimized design's fingerprint.
 
-    Deadlines: each oracle call is bounded by ``oracle_deadline_seconds``
-    and, when ``budget_seconds`` is set, by the *remaining* budget —
-    whichever is tighter.  A hanging oracle therefore cannot stall the run
-    past its wall-clock budget (the old behaviour: the budget was only
-    consulted between iterations, so one hung check blocked a nightly
-    shard forever); it is abandoned at the deadline and recorded as a
-    structured ``timed_out`` failure, which is deliberately never shrunk.
+    Deadlines: a positive ``budget_seconds`` is one deadline around the
+    loop, and each oracle call and shrink probe runs under
+    ``oracle_deadline_seconds`` within it, so no check starts after the
+    budget.  A cut-off check is a ``timed_out`` failure, never shrunk.
     """
     if iterations is None and budget_seconds is None:
         raise ValueError("set iterations and/or budget_seconds")
@@ -184,53 +177,52 @@ def run_fuzz(
     report = FuzzReport(seed=seed)
     start = time.perf_counter()
 
-    def remaining_deadline() -> Optional[float]:
-        deadline = oracle_deadline_seconds
-        if budget_seconds is not None:
-            left = budget_seconds - (time.perf_counter() - start)
-            deadline = left if deadline is None else min(deadline, left)
-        return deadline
+    def fuzz() -> None:
+        for iteration, spec in scenario_stream(seed, iterations,
+                                               profile=profile):
+            if budget_seconds is not None \
+                    and time.perf_counter() - start >= budget_seconds:
+                report.budget_exhausted = True
+                return
+            oracle = oracles[iteration % len(oracles)]
+            fingerprint = spec.fingerprint()
+            report.fingerprints.append(fingerprint)
+            outcome = run_oracle_guarded(
+                oracle, spec, library,
+                deadline_seconds=oracle_deadline_seconds)
+            report.iterations += 1
+            report.checked_per_oracle[oracle.name] = \
+                report.checked_per_oracle.get(oracle.name, 0) + 1
+            if outcome.ok:
+                continue
 
-    for iteration, spec in scenario_stream(seed, iterations, profile=profile):
-        if budget_seconds is not None \
-                and time.perf_counter() - start >= budget_seconds:
-            report.budget_exhausted = True
-            break
-        oracle = oracles[iteration % len(oracles)]
-        fingerprint = spec.fingerprint()
-        report.fingerprints.append(fingerprint)
-        outcome = run_oracle_guarded(oracle, spec, library,
-                                     deadline_seconds=remaining_deadline())
-        report.iterations += 1
-        report.checked_per_oracle[oracle.name] = \
-            report.checked_per_oracle.get(oracle.name, 0) + 1
-        if outcome.ok:
-            continue
+            failure = FuzzFailure(iteration=iteration, oracle=oracle.name,
+                                  details=outcome.details, spec=spec,
+                                  fingerprint=fingerprint,
+                                  timed_out=outcome.timed_out)
+            if corpus is not None:
+                corpus.add(spec, oracle.name, outcome.details,
+                           kind="failure", fingerprint=fingerprint)
+            if shrink and not outcome.timed_out:
+                failure.shrunk = shrink_failure(
+                    failure, oracle, library=library,
+                    max_evaluations=shrink_evaluations,
+                    deadline_seconds=oracle_deadline_seconds)
+                if corpus is not None and failure.shrunk.accepted_steps:
+                    shrunk_spec = failure.shrunk.spec
+                    # Store the shrunk spec's *own* violation message (the
+                    # original details may name ops the minimized design
+                    # no longer contains), unless the budget cut it off.
+                    shrunk_outcome = run_oracle_guarded(oracle, shrunk_spec,
+                                                        library)
+                    details = outcome.details if shrunk_outcome.timed_out \
+                        else shrunk_outcome.details or outcome.details
+                    corpus.add(shrunk_spec, oracle.name, details,
+                               kind="shrunk", shrunk_from=fingerprint)
+            report.failures.append(failure)
 
-        failure = FuzzFailure(iteration=iteration, oracle=oracle.name,
-                              details=outcome.details, spec=spec,
-                              fingerprint=fingerprint,
-                              timed_out=outcome.timed_out)
-        if corpus is not None:
-            corpus.add(spec, oracle.name, outcome.details,
-                       kind="failure", fingerprint=fingerprint)
-        if shrink and not outcome.timed_out:
-            failure.shrunk = shrink_failure(
-                failure, oracle, library=library,
-                max_evaluations=shrink_evaluations,
-                deadline_seconds=remaining_deadline())
-            if corpus is not None and failure.shrunk.accepted_steps:
-                shrunk_spec = failure.shrunk.spec
-                # Store the shrunk spec's *own* violation message — the
-                # original details may name ops the minimized design no
-                # longer contains.
-                shrunk_outcome = run_oracle_guarded(oracle, shrunk_spec,
-                                                    library)
-                corpus.add(shrunk_spec, oracle.name,
-                           shrunk_outcome.details or outcome.details,
-                           kind="shrunk", shrunk_from=fingerprint)
-        report.failures.append(failure)
-
+    budget = budget_seconds if budget_seconds and budget_seconds > 0 else None
+    call_with_deadline(fuzz, budget, what="the fuzz budget")
     report.wall_time_seconds = time.perf_counter() - start
     return report
 

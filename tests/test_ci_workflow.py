@@ -141,6 +141,15 @@ def test_fuzz_shard_matrix_runs_the_nightly_fuzz_budget(workflow):
     assert "--oracle-timings fuzz-out/oracle-timings.json" in run_text
 
 
+def test_fuzz_shard_step_times_out_above_its_budget(workflow):
+    """A hang that never reaches a deadline checkpoint must fail the shard
+    in minutes, not after the runner's 6-hour default: the fuzz step has a
+    timeout above its 480-s budget."""
+    [step] = [step for step in _steps(workflow, "fuzz-shard")
+              if "verify run" in step.get("run", "")]
+    assert 480 / 60 < step["timeout-minutes"] <= 30
+
+
 def test_fuzz_shard_uploads_its_corpus(workflow):
     uploads = _uploads(workflow, "fuzz-shard")
     assert uploads, "shard artifact upload missing"

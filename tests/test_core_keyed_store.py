@@ -9,6 +9,8 @@ must behave identically for both record schemas.
 import hashlib
 import itertools
 import json
+import os
+import stat
 
 import pytest
 
@@ -135,6 +137,26 @@ def test_compact_then_merge_is_byte_identical(cls, tmp_path):
     assert read_bytes(merged) == read_bytes(path)
     assert stats.sha256 == hashlib.sha256(read_bytes(path)).hexdigest()
     assert stats.clean and stats.unique == 3
+
+
+@store_classes
+def test_compaction_and_merge_keep_the_file_mode(cls, tmp_path):
+    # The umask is left alone (serve runs threads): a plain open() shows
+    # what a new file gets, and 0o644 is a mode a store may be given.
+    with open(tmp_path / "probe", "w", encoding="utf-8"):
+        pass
+    new_file_mode = stat.S_IMODE(os.stat(tmp_path / "probe").st_mode)
+    path = str(tmp_path / "store.jsonl")
+    store = cls(path)
+    for index in (1, 2):
+        WRITERS[cls](store, index, 1.0)
+        WRITERS[cls](store, index, 2.0)
+    os.chmod(path, 0o644)
+    store.compact()
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+    merged = str(tmp_path / "merged.jsonl")
+    cls.merge([path], merged)
+    assert stat.S_IMODE(os.stat(merged).st_mode) == new_file_mode
 
 
 def _write_file(cls, path, writes, trailing=""):

@@ -29,7 +29,7 @@ from repro.workloads import IDCTPointFactory, fir_design, interpolation_design
 _DIGEST = "632ad6064e1b66b5b1de0b78f3f4238bd5ff4c12629448dcb307c19c254a54f9"
 
 #: sha256 of every run's ``sched.attempt`` attributes and re-budget count.
-_SPAN_DIGEST = "5bbbf6862a4f96344abc7cd382423d4d29296e86e822be26149c3a31ccd75709"
+_SPAN_DIGEST = "a0985f5616ae553ac51999030d4b1c18dd919ec82db826279143e1c033818720"
 
 #: Wall-clock entries of ``details``; they differ from run to run.
 _WALL_CLOCK = {"area_recovery_seconds"}

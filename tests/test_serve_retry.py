@@ -1,7 +1,7 @@
 """Unit tests of the serve layer's retry/timeout/backoff policy.
 
 Everything here runs on the fake clock — no real sleeping — except the
-deadline tests, which exercise the real thread-based cutoff with
+deadline tests, which exercise the real deadline checkpoints with
 sub-second budgets.
 """
 
@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.core.deadline import check_deadline
 from repro.errors import ReproError
 from repro.serve.fakes import FakeClock
 from repro.serve.retry import (
@@ -117,7 +118,10 @@ class TestRunWithRetry:
 
         def hangs():
             calls.append(1)
-            time.sleep(30)
+            end = time.monotonic() + 30
+            while time.monotonic() < end:
+                check_deadline()
+                time.sleep(0.01)
 
         outcome = run_with_retry(
             hangs, RetryPolicy(max_attempts=5, deadline_seconds=0.05),
@@ -150,17 +154,18 @@ class TestRunWithRetry:
         assert [a.outcome for a in outcome.attempts] == ["error", "timeout"]
 
     def test_no_deadline_runs_inline(self):
-        # Inline execution: the body sees the caller's thread (the
-        # deadline-off configuration must add zero threading).
+        # Inline execution: the body sees the caller's thread, with or
+        # without a deadline (a deadline is a scope, not a thread).
         import threading
 
         caller = threading.current_thread()
         seen = []
-        outcome = run_with_retry(
-            lambda: seen.append(threading.current_thread()),
-            RetryPolicy(deadline_seconds=None))
-        assert outcome.ok
-        assert seen == [caller]
+        for deadline in (None, 5.0):
+            outcome = run_with_retry(
+                lambda: seen.append(threading.current_thread()),
+                RetryPolicy(deadline_seconds=deadline))
+            assert outcome.ok
+        assert seen == [caller, caller]
 
     def test_attempt_records_are_json_safe(self):
         import json

@@ -1,8 +1,9 @@
 """Contract tests of :class:`repro.serve.service.DSEService`.
 
-Everything except the byte-identity property tests runs against the fakes
-in :mod:`repro.serve.fakes` — no real flows, no sockets, no sleeping
-beyond the sub-second timeout scenario.  The fake evaluator's call log is
+Everything except the byte-identity property tests and the pool-timeout
+test (only real flows reach the process pool) runs against the fakes in
+:mod:`repro.serve.fakes` — no real flows, no sockets, no sleeping beyond
+the sub-second timeout scenarios.  The fake evaluator's call log is
 the ground truth for "flow evaluations actually performed", which is what
 the memoization guarantees are asserted against.
 """
@@ -257,13 +258,30 @@ class TestRetryAndTimeout:
             completed = _wait_terminal(service, healthy["job_id"])
         finally:
             service.stop_workers()
-            hanging.release()
 
         assert timed_out["state"] == "timeout"
         assert timed_out["failure"]["kind"] == "timeout"
         assert timed_out["attempts"] == 1  # timeouts are terminal, no retry
         assert completed["state"] == "done"
         assert fake.calls == ["idct_L8_T1500"]
+
+    def test_timed_out_pool_job_leaves_no_worker_running(self, library):
+        # rows=2 D2 and D7 (latencies 28 and 10) take seconds each; the
+        # cutoff reaches both pool workers, and no process is left behind.
+        import multiprocessing
+
+        service = DSEService(
+            library=library, workers=2,
+            retry=RetryPolicy(max_attempts=1, deadline_seconds=0.5))
+        receipt = service.submit(
+            JobSpec("sweep", sweep_payload(latencies=(28, 10), rows=2)))
+        start = time.monotonic()
+        assert service.run_pending() == 1
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 5.0
+        status = service.status(receipt["job_id"])
+        assert status["state"] == "timeout"
+        assert status["failure"]["kind"] == "timeout"
 
     def test_run_pending_respects_max_jobs(self):
         service = _service()

@@ -43,7 +43,8 @@ def test_last_record_wins_per_oracle_and_fingerprint(corpus_path):
 
     reloaded = Corpus(corpus_path)
     assert len(reloaded) == 2  # keys: two oracles, one fingerprint
-    [record] = reloaded.records("pipeline-cache")
+    [record] = [record for record in reloaded.records()
+                if record["oracle"] == "pipeline-cache"]
     assert record["details"] == "second"
     # Three physical lines were appended.
     with open(corpus_path, "r", encoding="utf-8") as handle:
