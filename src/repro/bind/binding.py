@@ -70,12 +70,6 @@ class Binding:
     def instances_of_class(self, class_key: ClassKey) -> List[FUInstance]:
         return [i for i in self.instances if i.class_key == class_key]
 
-    def sharing_factor(self) -> float:
-        """Average number of operations per instance (1.0 = no sharing)."""
-        if not self.instances:
-            return 0.0
-        return len(self.op_to_instance) / len(self.instances)
-
     def describe(self) -> str:
         lines = [f"Binding: {len(self.instances)} instances, "
                  f"{len(self.op_to_instance)} operations"]

@@ -106,7 +106,7 @@ class _BudgetTemplate:
 
     __slots__ = ("names", "index", "classes", "nonsynth", "static_delays",
                  "fastest_delays", "base_variants", "base_delays",
-                 "max_grades", "slower_of", "faster_of")
+                 "slower_of", "faster_of")
 
     def __init__(self, design: Design, library: Library):
         ops: List[Operation] = [op for op in design.dfg.operations
@@ -134,7 +134,6 @@ class _BudgetTemplate:
         self.faster_of: List[Optional[Dict[str, Optional[ResourceVariant]]]] = \
             [None] * count
         adjacency: Dict[int, tuple] = {}
-        max_grades = 1
         for index, op in enumerate(ops):
             if not op.is_synthesizable:
                 self.nonsynth[index] = True
@@ -144,8 +143,6 @@ class _BudgetTemplate:
                 continue
             resource_class = library.class_for_op(op)
             self.classes[index] = resource_class
-            if resource_class.num_grades > max_grades:
-                max_grades = resource_class.num_grades
             maps = adjacency.get(id(resource_class))
             if maps is None:
                 grades = resource_class.variants
@@ -164,7 +161,6 @@ class _BudgetTemplate:
             self.fastest_delays[index] = resource_class.fastest.delay
             self.base_variants[index] = slowest
             self.base_delays[index] = slowest.delay
-        self.max_grades = max_grades
 
     def check_nodes(self, graph: CompactTimedGraph, design: Design) -> None:
         """Raise :class:`TimingError` unless node ``i`` of ``graph`` is
@@ -250,10 +246,13 @@ class _BudgetState:
 
 
 def _run_budget(state: _BudgetState, margin: float) -> None:
-    """Steps 3 and 4 of Fig. 7 on ``state`` and its evaluator, in place."""
+    """Steps 3 and 4 of Fig. 7 on ``state`` and its evaluator, in place.
+
+    Both loops end within ``2·n·(g−1) + n`` iterations (``n`` operations,
+    ``g`` grades): step 3 only upgrades, one grade per iteration, and each
+    step-4 trial downgrades one grade or freezes the operation for good."""
     template = state.template
     evaluator = state.evaluator
-    iteration_budget = 20 * max(len(template.names), 1) * template.max_grades
 
     iterations = 0
     upgrades = 0
@@ -274,7 +273,7 @@ def _run_budget(state: _BudgetState, margin: float) -> None:
     required = evaluator.required
 
     # ---- step 3 of Fig. 7: repair negative aligned slack by speeding up ---------
-    while evaluator.worst_slack() < -_EPS and iterations < iteration_budget:
+    while evaluator.worst_slack() < -_EPS:
         # Candidates: every operation still violating timing (binned to the
         # worst value first, then any violator — alignment effects can give
         # the true culprit a slightly less negative slack than the worst op,
@@ -320,7 +319,7 @@ def _run_budget(state: _BudgetState, margin: float) -> None:
     feasible_baseline = evaluator.worst_slack() >= -_EPS
     margin_eps = margin + _EPS
     movable = [index for index, flag in enumerate(pinned) if not flag]
-    while not skip_downgrades and iterations < iteration_budget:
+    while not skip_downgrades:
         candidates: List[Tuple[float, float, int, ResourceVariant]] = []
         for index in movable:
             variant = variants[index]
@@ -391,8 +390,7 @@ def budget_slack(
 
     Budgeting runs on aligned slack (clock-boundary aware), as the paper's
     algorithm does.  Operations without a warm start begin at their slowest
-    grade, and the loop stops after ``20 * num_ops * max_grades`` iterations
-    at the latest.
+    grade.
 
     Parameters
     ----------

@@ -9,9 +9,9 @@ The long loops call it once per pass: the relaxation loop of both flows
 each injected evaluator of ``memoized_run``; a process pool hands each task
 the rest of the deadline).  Every other loop is bounded, so at paper scale
 a cutoff lands within about 0.2 s and nothing of the work runs after it.
-Only the code that set a deadline catches the cutoff: the fuzzer's oracle
+Only the code that set a deadline stops the cutoff: the fuzzer's oracle
 guard (:mod:`repro.verify.runner`) and the serve layer's retry policy
-(:mod:`repro.serve.retry`).
+(:mod:`repro.serve.retry`); a sweep it passes keeps its finished points.
 
 The trade-off: a body that never reaches :func:`check_deadline` is not cut
 off; it runs to its end (CONTRIBUTING, "Deadlines are checkpoints").  A
@@ -39,13 +39,19 @@ _SCOPE: ContextVar[Optional[Tuple[float, str]]] = ContextVar("deadline",
                                                              default=None)
 
 
+def deadline_expired() -> bool:
+    """Whether the enclosing deadline has passed (``False`` outside any):
+    after a nested call's cutoff, whether it came from the enclosing scope."""
+    scope = _SCOPE.get()
+    return scope is not None and time.monotonic() >= scope[0]
+
+
 def check_deadline() -> None:
     """Raise :class:`~repro.errors.DeadlineExceeded` once the enclosing
     deadline has passed; outside any deadline, do nothing."""
-    scope = _SCOPE.get()
-    if scope is not None and time.monotonic() >= scope[0]:
+    if deadline_expired():
         _EXPIRED.inc()
-        raise DeadlineExceeded(scope[1])
+        raise DeadlineExceeded(_SCOPE.get()[1])
 
 
 def wall_clock_deadline() -> Optional[float]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 from repro.errors import TimingError
 from repro.core.timed_dfg import TimedDFG
@@ -75,21 +75,11 @@ class TimingResult:
 
     # -- queries -------------------------------------------------------------------
 
-    def slack_of(self, op_name: str) -> float:
-        try:
-            return self.slack[op_name]
-        except KeyError:
-            raise TimingError(f"no slack computed for operation {op_name!r}") from None
-
     def worst_slack(self) -> float:
         """The minimum slack over all operations (+inf for an empty design)."""
         if not self.slack:
             return float("inf")
         return min(self.slack.values())
-
-    def is_feasible(self, margin: float = 0.0) -> bool:
-        """True when every operation has slack above ``-margin``."""
-        return self.worst_slack() >= -abs(margin) - _EPS
 
     def critical_operations(self, margin: float = 0.0) -> List[str]:
         """Operations whose slack is within ``margin`` of the worst slack."""
@@ -98,23 +88,6 @@ class TimingResult:
         worst = self.worst_slack()
         return [name for name, value in self.slack.items()
                 if value <= worst + abs(margin) + _EPS]
-
-    def operations_with_slack_above(self, threshold: float) -> List[str]:
-        return [name for name, value in self.slack.items() if value > threshold + _EPS]
-
-    def binned_slack(self, margin: float) -> Dict[str, float]:
-        """Slack values quantised to multiples of ``margin`` (slack binning)."""
-        if margin <= 0:
-            return dict(self.slack)
-        return {name: round(value / margin) * margin
-                for name, value in self.slack.items()}
-
-    def to_rows(self) -> List[Tuple[str, float, float, float]]:
-        """(op, arrival, required, slack) rows sorted by slack — a Table 3 view."""
-        rows = [(name, self.arrival[name], self.required[name], self.slack[name])
-                for name in self.slack]
-        rows.sort(key=lambda row: (row[3], row[0]))
-        return rows
 
 
 def compute_arrival_times(

@@ -41,10 +41,6 @@ from repro.sched.priorities import PriorityFn, combined_priority
 from repro.sched.relaxation import RelaxationLog, _relax_until_scheduled
 from repro.sched.schedule import Schedule
 
-#: Passes :meth:`SlackScheduler.run` makes before the design is declared
-#: unschedulable.
-_MAX_ATTEMPTS = 200
-
 
 @dataclass
 class SlackScheduleResult:
@@ -271,7 +267,7 @@ class SlackScheduler:
         schedule, allocation, variants, log = _relax_until_scheduled(
             self.design, self.library, self.clock_period,
             initial_budget.variants, self._spans, self.pipeline_ii,
-            self._schedule_pass, _MAX_ATTEMPTS, "slack-based",
+            self._schedule_pass, "slack-based",
             locked=self._locked,
         )
         variants.update(schedule.variant_map())

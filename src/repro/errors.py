@@ -47,4 +47,8 @@ class DeadlineExceeded(BaseException):
     Raised by :mod:`repro.core.deadline`; it means "the work was cut off",
     never "the work failed", so ``except Exception`` lets it through to the
     code that set the deadline (the oracle guard, the retry policy).
+    A cutoff that passes through ``SweepSession.run`` carries the points
+    that finished before it as ``result`` (a ``DSEResult``).
     """
+
+    result = None

@@ -91,8 +91,6 @@ GUIDE_OBJECTIVE = "area"
 DESCENT_FRACTION = 0.20
 #: Relative rise above the neighbours' chord that makes a point a witness.
 CONVEXITY_FRACTION = 0.10
-#: Hard safety cap on refinement waves.
-MAX_WAVES = 12
 
 
 @dataclass(frozen=True)
@@ -370,11 +368,12 @@ class AdaptiveExplorer:
         )
 
     def explore(self) -> ExplorationResult:
-        """Coarse grid + refinement waves until the policy is satisfied."""
+        """Coarse grid + refinement waves until the policy is satisfied: each
+        wave adds a latency to the curve or raises, so waves ≤ latencies."""
         start = time.perf_counter()
         self._evaluate(_snap_grid(self.domain, self.policy.coarse_points))
         waves = 0
-        while waves < MAX_WAVES:
+        while True:
             targets = self._refinement_targets()
             if not targets:
                 break

@@ -47,7 +47,8 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
 from repro.core.analysis_cache import design_fingerprint
 from repro.core.deadline import check_deadline
 from repro.core.jsonl import KeyedStore
-from repro.flows.dse import DesignPoint, PointFailure
+from repro.errors import DeadlineExceeded
+from repro.flows.dse import DesignPoint, DSEResult, PointFailure
 
 SCHEMA_VERSION = 1
 
@@ -186,9 +187,9 @@ def memoized_run(session, points: Sequence[DesignPoint], memo,
     scheduling)`` call each, and are recorded in the caller's order of
     first occurrence before this returns.  An :class:`Exception` from a
     point's factory, evaluator call or flows fails that point only: it is
-    returned, never raised; a deadline cutoff propagates, recording nothing.
-    Returns one :class:`Memoized` per point and the failures, both in the
-    caller's order.
+    returned, never raised; a deadline cutoff propagates once every miss
+    that finished before it is recorded.  Returns one :class:`Memoized` per
+    point and the failures, both in the caller's order.
     """
     keys: List[Optional[StoreKey]] = []
     errors: Dict[object, str] = {}  # by key, or by index if the factory raised
@@ -209,25 +210,34 @@ def memoized_run(session, points: Sequence[DesignPoint], memo,
                 misses[key] = point
             else:
                 resolved[key] = metrics
-    if evaluator is not None:
-        for key, point in misses.items():
-            check_deadline()
-            try:
-                resolved[key] = evaluator(
-                    session.design_factory, session.library, point,
-                    session.margin_fraction, session.scheduling)
-            except Exception as exc:  # noqa: BLE001 — a failure of this point only
-                errors[key] = _error(exc)
-    elif misses:
-        result = session.run(list(misses.values()), workers=workers)
-        key_of = {point: key for key, point in misses.items()}
+    key_of = {point: key for key, point in misses.items()}
+
+    def resolve(result: DSEResult) -> None:
         for entry in result.entries:
             resolved[key_of[entry.point]] = entry.metrics()
         for failure in result.failures:
             errors[key_of[failure.point]] = failure.error
-    for key in misses:
-        if key in resolved:
-            memo.record(key, resolved[key], workload=workload)
+
+    try:
+        if evaluator is not None:
+            for key, point in misses.items():
+                check_deadline()
+                try:
+                    resolved[key] = evaluator(
+                        session.design_factory, session.library, point,
+                        session.margin_fraction, session.scheduling)
+                except Exception as exc:  # noqa: BLE001 — a failure of this point only
+                    errors[key] = _error(exc)
+        elif misses:
+            try:
+                resolve(session.run(list(misses.values()), workers=workers))
+            except DeadlineExceeded as cutoff:
+                resolve(cutoff.result)
+                raise
+    finally:
+        for key in misses:
+            if key in resolved:
+                memo.record(key, resolved[key], workload=workload)
 
     outcomes: List[Memoized] = []
     failures: List[PointFailure] = []

@@ -28,10 +28,6 @@ class DesignPoint:
     pipeline_ii: Optional[int] = None
     clock_period: float = 1500.0
 
-    @property
-    def is_pipelined(self) -> bool:
-        return self.pipeline_ii is not None
-
 
 @dataclass
 class DSEEntry:

@@ -58,7 +58,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.analysis_cache import design_fingerprint
 from repro.core.deadline import (call_with_deadline, check_deadline,
                                  wall_clock_deadline)
-from repro.errors import ReproError
+from repro.errors import DeadlineExceeded, ReproError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.flows.conventional import conventional_flow
@@ -242,27 +242,37 @@ class SweepSession:
         cache, which the cache contract makes bit-identical; with tracing
         on, the workers' spans are adopted onto the active tracer as
         ``worker:<point>`` tracks.  The run stays serial when at most one
-        point is given or when the factory or library does not pickle.
+        point is given or when the factory or library does not pickle.  A
+        deadline cutoff passes through with the finished points as ``result``.
         """
         if workers < 1:
             raise ReproError(f"workers must be at least 1, got {workers}")
         start = time.perf_counter()
         order = sweep_plan(points)
         outcomes: List[_Outcome] = [(None, None)] * len(points)
-        with _obs_span("sweep.run", points=len(points),
-                       scheduling=self.scheduling):
-            if workers > 1 and len(points) > 1 and self._picklable():
-                self._run_pool(points, order, min(workers, len(points)),
-                               outcomes)
-            else:
-                for index in order:
-                    outcomes[index] = _evaluate_isolated(self, points[index])
-        return DSEResult(
-            entries=[entry for entry, _ in outcomes if entry is not None],
-            failures=[PointFailure(point, error)
-                      for point, (_, error) in zip(points, outcomes)
-                      if error is not None],
-            wall_time_seconds=time.perf_counter() - start)
+
+        def result() -> DSEResult:
+            return DSEResult(
+                entries=[entry for entry, _ in outcomes if entry is not None],
+                failures=[PointFailure(point, error)
+                          for point, (_, error) in zip(points, outcomes)
+                          if error is not None],
+                wall_time_seconds=time.perf_counter() - start)
+
+        try:
+            with _obs_span("sweep.run", points=len(points),
+                           scheduling=self.scheduling):
+                if workers > 1 and len(points) > 1 and self._picklable():
+                    self._run_pool(points, order, min(workers, len(points)),
+                                   outcomes)
+                else:
+                    for index in order:
+                        outcomes[index] = _evaluate_isolated(self,
+                                                             points[index])
+        except DeadlineExceeded as cutoff:
+            cutoff.result = result()
+            raise
+        return result()
 
     def _picklable(self) -> bool:
         import pickle
@@ -290,17 +300,25 @@ class SweepSession:
             max_workers=workers, mp_context=context, initializer=_start_worker,
             initargs=(self.design_factory, self.library, self.margin_fraction,
                       self.scheduling))
+        cutoff = None
         try:
             futures = [pool.submit(_evaluate_in_worker, index, points[index],
                                    tracer is not None, expiry)
                        for index in order]
             for future in as_completed(futures):
-                index, entry, error, spans = future.result()
+                # After a cutoff, keep what the other workers finish.
+                try:
+                    index, entry, error, spans = future.result()
+                except DeadlineExceeded as exc:
+                    cutoff = cutoff or exc
+                    continue
                 if spans:
                     tracer.adopt(spans, track=f"worker:{points[index].name}")
                 outcomes[index] = (entry, error)
         finally:
             pool.shutdown(cancel_futures=True)
+        if cutoff is not None:
+            raise cutoff
 
 
 def _evaluate_isolated(session: SweepSession, point: DesignPoint) -> _Outcome:

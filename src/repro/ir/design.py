@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.errors import IRError
 from repro.ir.cfg import CFG
 from repro.ir.dfg import DFG
-from repro.ir.operations import Operation
 
 
 @dataclass
@@ -43,21 +41,6 @@ class Design:
     attrs: Dict[str, object] = field(default_factory=dict)
 
     # -- convenience -------------------------------------------------------------
-
-    def operations_on_edge(self, edge_name: str) -> List[Operation]:
-        """All operations whose *birth* edge is ``edge_name``."""
-        if not self.cfg.has_edge(edge_name):
-            raise IRError(f"unknown CFG edge: {edge_name!r}")
-        return [op for op in self.dfg.operations if op.birth_edge == edge_name]
-
-    def birth_map(self) -> Dict[str, str]:
-        """Mapping operation name -> birth edge name."""
-        mapping = {}
-        for op in self.dfg.operations:
-            if op.birth_edge is None:
-                raise IRError(f"operation {op.name!r} has no birth edge")
-            mapping[op.name] = op.birth_edge
-        return mapping
 
     @property
     def num_states(self) -> int:

@@ -238,10 +238,6 @@ class DFG:
             )
         return order
 
-    def synthesizable_operations(self) -> List[Operation]:
-        """Operations that occupy functional units (no constants/copies/IO)."""
-        return [op for op in self._ops.values() if op.is_synthesizable]
-
     def count_by_kind(self) -> Dict[OpKind, int]:
         """Histogram of operation kinds (useful for allocation heuristics)."""
         counts: Dict[OpKind, int] = {}

@@ -160,10 +160,6 @@ class Operation:
         return self.fixed or is_fixed_kind(self.kind)
 
     @property
-    def is_const(self) -> bool:
-        return self.kind is OpKind.CONST
-
-    @property
     def is_synthesizable(self) -> bool:
         """True if the operation occupies a functional unit."""
         return is_synthesizable(self.kind)

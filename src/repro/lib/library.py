@@ -101,16 +101,6 @@ class Library:
     def kinds(self) -> List[OpKind]:
         return sorted({kind for kind, _ in self._classes}, key=lambda k: k.value)
 
-    def widths_for_kind(self, kind: OpKind) -> List[int]:
-        cached = self._widths_cache.get(kind)
-        if cached is None:
-            cached = sorted(width for k, width in self._classes if k is kind)
-            self._widths_cache[kind] = cached
-        return list(cached)
-
-    def has_kind(self, kind: OpKind) -> bool:
-        return any(k is kind for k, _ in self._classes)
-
     def class_for(self, kind: OpKind, width: int) -> ResourceClass:
         """The resource class for ``kind`` at the smallest width >= ``width``.
 

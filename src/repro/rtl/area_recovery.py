@@ -52,11 +52,6 @@ from repro.rtl.timing import StateTimingReport, analyze_state_timing
 
 _EPS = 1e-6
 
-#: Candidate sweeps either pass makes at most.  The incremental pass may
-#: accept one downgrade per independent instance group in a round, the
-#: reference pass only one, so the bound is looser for the former.
-_MAX_ROUNDS = 1000
-
 
 @dataclass
 class AreaRecoveryResult:
@@ -145,7 +140,9 @@ def recover_area(datapath: Datapath) -> AreaRecoveryResult:
     """Downsize bound instances using within-state slack only (in place).
 
     Incremental implementation: see the module docstring for the policy and
-    the equivalence argument against :func:`recover_area_reference`.
+    the equivalence argument against :func:`recover_area_reference`.  Every
+    round but the last accepts a one-grade downgrade, and nothing upgrades,
+    so there are at most 1 + Σ (grades − 1) over the instances rounds.
     """
     area_before = datapath.binding.total_fu_area()
     downgrades = 0
@@ -155,7 +152,7 @@ def recover_area(datapath: Datapath) -> AreaRecoveryResult:
     if analyzer.report.meets_timing():
         components = _instance_components(datapath)
         failed_trials: Set[Tuple[str, str]] = set()
-        for _ in range(_MAX_ROUNDS):
+        while True:
             candidates = _downgrade_candidates(datapath, analyzer.report)
             touched: Set[int] = set()
             accepted_any = False
@@ -198,13 +195,13 @@ def recover_area_reference(datapath: Datapath) -> AreaRecoveryResult:
     Accepts at most one downgrade per round and re-runs a complete
     :func:`analyze_state_timing` for every round and every trial.  Kept so
     the equivalence of the incremental pass stays testable; production code
-    should call :func:`recover_area`.
+    should call :func:`recover_area`, whose bound on rounds holds here too.
     """
     area_before = datapath.binding.total_fu_area()
     downgrades = 0
     changed: List[str] = []
 
-    for _ in range(_MAX_ROUNDS):
+    while True:
         timing = analyze_state_timing(datapath)
         if not timing.meets_timing():
             break  # never make a failing implementation worse

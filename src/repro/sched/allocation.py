@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.errors import SchedulingError
 from repro.ir.design import Design
-from repro.ir.operations import Operation, OpKind
+from repro.ir.operations import Operation
 from repro.lib.library import Library
 from repro.core.opspan import OperationSpans
 
@@ -45,9 +44,6 @@ class Allocation:
 
     def add(self, key: ClassKey, count: int = 1) -> None:
         self.limits[key] = self.limits.get(key, 0) + count
-
-    def total_instances(self) -> int:
-        return sum(self.limits.values())
 
     def copy(self) -> "Allocation":
         return Allocation(limits=dict(self.limits))

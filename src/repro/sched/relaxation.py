@@ -4,21 +4,23 @@ Both flows run one loop, :func:`_relax_until_scheduled`.  It repeats a
 schedule pass until one succeeds, and after each failed pass it relaxes the
 problem according to the structured failure:
 
-* a **resource** failure adds one instance of the bottleneck class;
+* a **resource** failure adds one instance of the bottleneck class, while
+  it has fewer instances than operations (the dedicated allocation);
 * a **timing** failure upgrades the speed grade of the failing operation (or,
   if it is already at its fastest grade, of the slowest upgradable operation
   chained before it on that edge);
 * an **unreachable** failure (a predecessor could never be scheduled) is
   treated like a resource failure on the predecessor's class when possible;
 * under the modulo engine only, a **recurrence** failure (or a repeat of the
-  previous failure) raises the initiation interval by one.
+  previous failure, or an add past the bound) raises the initiation
+  interval by one.
 
 The flows differ only in the pass they hand it: :func:`schedule_with_relaxation`
 passes one list- or modulo-scheduling call, and
 :class:`repro.core.slack_scheduler.SlackScheduler` its re-budgeting pass,
 which keeps the grades :func:`relax` upgrades locked (in the conventional
-flow, locks would undo the on-the-fly upgrades).  When no move applies, or
-the attempts run out, an :class:`InfeasibleDesignError` is raised — the
+flow, locks would undo the on-the-fly upgrades).  When no move is left, an
+:class:`InfeasibleDesignError` naming the bound that was hit is raised — the
 paper's "design is overconstrained" outcome.  The loop never changes the
 CFG: more states take a design re-elaborated with a larger latency, which
 the DSE harness builds explicitly.  Each pass starts with a deadline
@@ -44,7 +46,8 @@ from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import enclosing_attr, span as _obs_span
-from repro.sched.allocation import Allocation, minimal_allocation
+from repro.sched.allocation import (Allocation, ClassKey, minimal_allocation,
+                                   resource_class_key)
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
 from repro.sched.priorities import PriorityFn
 from repro.sched.schedule import Schedule
@@ -55,10 +58,6 @@ _ATTEMPTS = _obs_counter("relaxation.attempts")
 _II_BUMPS = _obs_counter("relaxation.ii_bumps")
 _RESOURCES_ADDED = _obs_counter("relaxation.resources_added")
 _UPGRADES = _obs_counter("relaxation.upgrades")
-
-#: Passes :func:`schedule_with_relaxation` makes before the design is
-#: declared unschedulable.
-_MAX_ATTEMPTS = 500
 
 
 @dataclass
@@ -133,8 +132,18 @@ def upgrade_for_timing(
     return True
 
 
-def _add_instance(allocation: Allocation, class_key: Tuple[str, int],
-                  log: RelaxationLog, why: str) -> None:
+class _AtClassBound(InfeasibleDesignError):
+    """No instance can be added: the class has one per operation already."""
+
+
+def _add_instance(design: Design, library: Library, allocation: Allocation,
+                  class_key: ClassKey, log: RelaxationLog, why: str) -> None:
+    operations = sum(resource_class_key(op, library) == class_key
+                     for op in design.dfg.operations)
+    if allocation.limit(class_key) >= operations:
+        raise _AtClassBound(
+            f"{class_key[0]}/{class_key[1]} at its bound of {operations} "
+            f"instances (one per operation)")
     allocation.add(class_key)
     log.resources_added.append(class_key)
     _RESOURCES_ADDED.inc()
@@ -155,10 +164,12 @@ def relax(
     Updates ``variants`` and ``allocation`` in place and returns the op
     whose grade was upgraded (``None`` when an instance was added).  Raises
     :class:`InfeasibleDesignError` when no move applies, including an op
-    whose fastest grade alone exceeds the clock budget.
+    whose fastest grade alone exceeds the clock budget and an add to a
+    class with one instance per operation already.
     """
     if failure.reason == "resource" and failure.class_key is not None:
-        _add_instance(allocation, failure.class_key, log, f"for {failure.op}")
+        _add_instance(design, library, allocation, failure.class_key, log,
+                      f"for {failure.op}")
         return None
     if failure.reason == "timing":
         failing_op = design.dfg.op(failure.op)
@@ -179,7 +190,7 @@ def relax(
             # the chain was compressed because earlier states ran out of
             # resources and deferred the chain head.  Adding an instance
             # of that bottleneck class lets it schedule earlier.
-            _add_instance(allocation, bottleneck, log,
+            _add_instance(design, library, allocation, bottleneck, log,
                           f"after unrepairable timing failure on {failure.op}")
             return None
         raise InfeasibleDesignError(
@@ -188,7 +199,7 @@ def relax(
             f"({failure.detail})"
         )
     if failure.reason == "unreachable" and failure.class_key is not None:
-        _add_instance(allocation, failure.class_key, log,
+        _add_instance(design, library, allocation, failure.class_key, log,
                       f"after unreachable failure on {failure.op}")
         return None
     raise InfeasibleDesignError(
@@ -204,7 +215,6 @@ def _relax_until_scheduled(
     spans: OperationSpans,
     pipeline_ii: Optional[int],
     schedule_pass: Callable[..., SchedulingAttempt],
-    max_attempts: int,
     flow: object,
     modulo: bool = False,
     locked: Optional[Dict[str, ResourceVariant]] = None,
@@ -213,10 +223,24 @@ def _relax_until_scheduled(
 
     Starts from a copy of ``variant_map`` and the minimal allocation at
     ``pipeline_ii``, and calls ``schedule_pass(variants, allocation, ii)``
-    at most ``max_attempts`` times, one ``sched.attempt`` span labelled
-    ``flow`` each.  Only with ``modulo`` may a move bump the II.
+    until a pass succeeds or no move is left, one ``sched.attempt`` span
+    labelled ``flow`` each.  Only with ``modulo`` may a move bump the II.
     ``locked``, when given, receives each grade :func:`relax` upgrades.
     Returns the schedule, the final allocation and grades, and the log.
+
+    The loop ends, because each failed pass makes one move and each kind
+    of move is finite:
+
+    * an upgrade raises one operation's grade, and nothing lowers it again
+      (the slack flow locks it in ``locked``, which its re-budgeting pins):
+      at most Σ (grades − 1) over the operations;
+    * an add keeps its class at or below its operation count: at most
+      Σ (ops − minimal instances) over the classes, per II;
+    * a bump raises the II, which stays at most the state count.
+
+    So a block run makes at most 1 + Σ (grades − 1) + Σ (ops − minimal
+    instances) passes; under the modulo engine the add term counts once per
+    II tried, and each bump adds one pass.
     """
     allocation = minimal_allocation(design, library, spans=spans,
                                     pipeline_ii=pipeline_ii)
@@ -224,7 +248,7 @@ def _relax_until_scheduled(
     log = RelaxationLog()
     last_signature = None
 
-    for _ in range(max_attempts):
+    while True:
         check_deadline()
         log.count_attempt()
         with _obs_span("sched.attempt", flow=flow,
@@ -246,39 +270,49 @@ def _relax_until_scheduled(
                      failure.detail)
         bump = modulo and (failure.reason == "recurrence"
                            or signature == last_signature)
+        full = None
+        if not bump:
+            try:
+                upgraded = relax(design, library, clock_period, failure,
+                                 variants, allocation, log)
+            except _AtClassBound as error:
+                if not modulo:
+                    raise InfeasibleDesignError(
+                        f"design {design.name!r} is overconstrained with "
+                        f"{error}: {failure}") from None
+                bump, full, upgraded = True, error, None
+            if locked is not None and upgraded is not None:
+                locked[upgraded] = variants[upgraded]
         last_signature = None if bump else signature
         if bump:
             bumped = (pipeline_ii or design.pipeline_ii or 1) + 1
             max_ii = max(len(spans.latency.forward_edge_names), 1)
-            if bumped > max_ii:
-                stall = (f"recurrences of design {design.name!r} do not fit"
-                         if failure.reason == "recurrence" else
-                         f"design {design.name!r} stalls on a repeated "
+            if failure.reason == "recurrence":
+                stall = f"recurrences of design {design.name!r} do not fit"
+                cause = f"recurrence failure on {failure.op}"
+            elif full is not None:
+                stall = f"design {design.name!r} stalls with {full}"
+                cause = f"{failure.reason} failure on {failure.op} with {full}"
+            else:
+                stall = (f"design {design.name!r} stalls on a repeated "
                          f"{failure.reason} failure")
+                cause = f"repeated {failure.reason} failure on {failure.op}"
+            if bumped > max_ii:
                 raise InfeasibleDesignError(
                     f"{stall} even at II={max_ii} (no iteration overlap "
                     f"left): {failure}")
             pipeline_ii = bumped
             log.ii_bumps.append(bumped)
             _II_BUMPS.inc()
-            repeated = "" if failure.reason == "recurrence" else "repeated "
             log.note(f"raised the initiation interval to {bumped} after a "
-                     f"{repeated}{failure.reason} failure on {failure.op}")
+                     f"{cause}")
             # Restart from the minimal allocation at the new II: a wider
             # window needs fewer instances, and that trade is the whole
             # point of the II axis.  Instances added at the old II are
             # dropped; the loop re-adds any that are still needed.
             allocation = minimal_allocation(design, library, spans=spans,
                                             pipeline_ii=bumped)
-        else:
-            upgraded = relax(design, library, clock_period, failure, variants,
-                             allocation, log)
-            if locked is not None and upgraded is not None:
-                locked[upgraded] = variants[upgraded]
         attempt_span.set(move=log.messages[-1])
-    raise InfeasibleDesignError(
-        f"design {design.name!r} still unschedulable after {max_attempts} relaxations"
-    )
 
 
 def schedule_with_relaxation(
@@ -303,7 +337,7 @@ def schedule_with_relaxation(
     (slots are capped at II, so a larger II may need fewer instances); the
     II never grows beyond the design's state count.  Every pass upgrades a
     grade on the fly when an operation's chained delay does not fit on the
-    last edge of its span.  At most :data:`_MAX_ATTEMPTS` passes are made.
+    last edge of its span.  :func:`_relax_until_scheduled` bounds the passes.
     """
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
@@ -316,6 +350,6 @@ def schedule_with_relaxation(
 
     return _relax_until_scheduled(
         design, library, clock_period, variant_map, spans, pipeline_ii,
-        schedule_pass, _MAX_ATTEMPTS, enclosing_attr("flow"),
+        schedule_pass, enclosing_attr("flow"),
         modulo=engine is not try_list_schedule,
     )

@@ -4,7 +4,8 @@ Four subcommands::
 
     repro verify run --iterations 200 --seed 0 --corpus fuzz.jsonl
     repro verify run --seed 20261019 --iterations 100 --max-segments 5 \
-        --budget-seconds 480 --corpus fuzz-out/corpus.jsonl  # a nightly shard
+        --budget-seconds 480 --oracle-deadline 60 \
+        --corpus fuzz-out/corpus.jsonl  # a nightly shard
     repro verify merge --out merged/corpus.jsonl shard-*/corpus.jsonl
     repro verify replay --corpus fuzz.jsonl
     repro verify shrink --corpus fuzz.jsonl --entry <fingerprint-prefix>
@@ -63,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "unless --budget-seconds is given)")
     run.add_argument("--budget-seconds", type=float, default=None, metavar="S",
                      help="wall-clock budget; the run stops at its end, "
-                          "a check in flight included")
+                          "a check in flight included (that check counts "
+                          "as unchecked, not as a violation)")
     run.add_argument("--oracle-deadline", type=float, default=None,
                      metavar="S",
                      help="per-oracle wall-clock deadline; an oracle still "
@@ -156,6 +158,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"seed {seed}: {report.iterations} scenario check(s) in "
           f"{report.wall_time_seconds:.1f}s"
           + (" (budget exhausted)" if report.budget_exhausted else ""))
+    if report.cut_short:
+        print(f"1 check cut short by the budget ({report.cut_short})")
     for name, count in sorted(report.checked_per_oracle.items()):
         print(f"  {name}: {count} checked")
     print(f"scenario digest: {report.scenario_digest}")

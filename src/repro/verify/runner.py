@@ -23,7 +23,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.deadline import call_with_deadline
+from repro.core.deadline import call_with_deadline, deadline_expired
 from repro.errors import DeadlineExceeded
 from repro.lib.library import Library
 from repro.obs.metrics import counter as _obs_counter, histogram as _obs_histogram
@@ -124,6 +124,8 @@ class FuzzReport:
     checked_per_oracle: Dict[str, int] = field(default_factory=dict)
     fingerprints: List[str] = field(default_factory=list)
     budget_exhausted: bool = False
+    #: The oracle whose check the budget cut short (unchecked, not counted).
+    cut_short: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -168,7 +170,9 @@ def run_fuzz(
     Deadlines: a positive ``budget_seconds`` is one deadline around the
     loop, and each oracle call and shrink probe runs under
     ``oracle_deadline_seconds`` within it, so no check starts after the
-    budget.  A cut-off check is a ``timed_out`` failure, never shrunk.
+    budget.  A check cut off by its own deadline is a ``timed_out``
+    failure, never shrunk.  A check the budget cut off is unchecked, since
+    nothing disagreed: it ends the run as :attr:`FuzzReport.cut_short`.
     """
     if iterations is None and budget_seconds is None:
         raise ValueError("set iterations and/or budget_seconds")
@@ -186,10 +190,14 @@ def run_fuzz(
                 return
             oracle = oracles[iteration % len(oracles)]
             fingerprint = spec.fingerprint()
-            report.fingerprints.append(fingerprint)
             outcome = run_oracle_guarded(
                 oracle, spec, library,
                 deadline_seconds=oracle_deadline_seconds)
+            if outcome.timed_out and deadline_expired():
+                report.cut_short = oracle.name
+                report.budget_exhausted = True
+                return
+            report.fingerprints.append(fingerprint)
             report.iterations += 1
             report.checked_per_oracle[oracle.name] = \
                 report.checked_per_oracle.get(oracle.name, 0) + 1

@@ -137,6 +137,8 @@ def test_fuzz_shard_matrix_runs_the_nightly_fuzz_budget(workflow):
     assert "--iterations 100" in run_text
     assert "--max-segments 5" in run_text
     assert "--budget-seconds 480" in run_text
+    # A hang must fail the shard, not end as a check the budget cut short.
+    assert "--oracle-deadline 60" in run_text
     assert "--corpus fuzz-out/corpus.jsonl" in run_text
     assert "--oracle-timings fuzz-out/oracle-timings.json" in run_text
 
@@ -338,6 +340,11 @@ def test_packaging_job_builds_installs_and_imports(workflow):
     assert ('repro verify run --iterations 5 --seed 0 --max-segments 5 '
             '--corpus "$RUNNER_TEMP/n/c.jsonl" '
             '--oracle-timings "$RUNNER_TEMP/n/t.json"') in run_text
+    # README's budget example stays green: the check the budget cuts short
+    # is no violation and writes no corpus file.
+    assert ('repro verify run --budget-seconds 2 '
+            '--corpus "$RUNNER_TEMP/b/c.jsonl"\n'
+            'test ! -e "$RUNNER_TEMP/b/c.jsonl"') in run_text
     assert "repro.flows.sweep" in run_text
     assert "campaign" not in run_text
 

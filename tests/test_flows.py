@@ -101,8 +101,8 @@ def test_idct_design_points_cover_the_paper_sweep():
     assert names[0] == "D1" and names[-1] == "D15"
     latencies = {p.latency for p in points}
     assert min(latencies) == 8 and max(latencies) == 32
-    assert any(p.is_pipelined for p in points)
-    assert any(not p.is_pipelined for p in points)
+    assert any(p.pipeline_ii is not None for p in points)
+    assert any(p.pipeline_ii is None for p in points)
 
 
 def test_run_dse_small_sweep(library):

@@ -49,16 +49,9 @@ def test_design_summary_and_birth_map(interpolation):
     summary = interpolation.summary()
     assert summary["operations"] == interpolation.dfg.num_operations
     assert summary["states"] == 3
-    birth = interpolation.birth_map()
-    assert birth["write_x"] == "e3"
-    assert all(interpolation.cfg.has_edge(edge) for edge in birth.values())
-
-
-def test_operations_on_edge(interpolation):
-    ops = interpolation.operations_on_edge("e3")
-    assert any(op.name == "write_x" for op in ops)
-    with pytest.raises(IRError):
-        interpolation.operations_on_edge("nope")
+    assert interpolation.dfg.op("write_x").birth_edge == "e3"
+    assert all(interpolation.cfg.has_edge(op.birth_edge)
+               for op in interpolation.dfg.operations)
 
 
 def test_design_copy_is_independent(interpolation):

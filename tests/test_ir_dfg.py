@@ -71,7 +71,7 @@ def test_count_by_kind_and_synthesizable():
     counts = dfg.count_by_kind()
     assert counts[OpKind.ADD] == 1
     assert counts[OpKind.READ] == 1
-    names = {op.name for op in dfg.synthesizable_operations()}
+    names = {op.name for op in dfg.operations if op.is_synthesizable}
     assert names == {"b", "c"}
 
 

@@ -53,7 +53,6 @@ def test_default_operand_widths_follow_result_width():
 def test_const_operations_have_no_default_operands():
     op = Operation(name="c", kind=OpKind.CONST, width=8, value=5)
     assert op.operand_widths == ()
-    assert op.is_const
     assert not op.is_synthesizable
 
 

@@ -34,7 +34,7 @@ def test_table1_ranges_match_paper_claims(library):
 def test_every_kind_and_width_is_characterised(library):
     models = default_kind_models()
     for kind in models:
-        widths = library.widths_for_kind(kind)
+        widths = [cls.width for cls in library.classes if cls.kind is kind]
         assert widths, f"kind {kind} missing from library"
         for width in widths:
             cls = library.class_for(kind, width)

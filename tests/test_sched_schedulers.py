@@ -1,11 +1,14 @@
 """Tests for the list scheduler, the priorities and the relaxation loop."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import InfeasibleDesignError
 from repro.core.opspan import OperationSpans
-from repro.flows import idct_design_points
+from repro.flows import conventional_flow, idct_design_points, slack_based_flow
 from repro.ir.operations import OpKind
+from repro.obs.metrics import counter
 from repro.sched.allocation import Allocation, minimal_allocation, resource_class_key
 from repro.sched.list_scheduler import (
     SchedulingAttempt,
@@ -14,6 +17,7 @@ from repro.sched.list_scheduler import (
 )
 from repro.sched.priorities import combined_priority, mobility_priority
 from repro.sched.relaxation import schedule_with_relaxation
+from repro.verify.scenarios import scenario_stream
 from repro.workloads import IDCTPointFactory
 
 
@@ -132,6 +136,77 @@ def test_ii_limit_names_a_repeated_timing_failure(interpolation, library):
         "design 'interpolation_u4' stalls on a repeated timing failure even "
         "at II=3 (no iteration overlap left): cannot schedule 'mul_x_3'")
     assert "recurrences" not in message
+
+
+def _pass_bound(design, library):
+    """The block relaxation loop's bound on its passes (its docstring):
+    1 + Σ (grades − 1) over the operations + Σ (ops − minimal instances)
+    over the classes."""
+    synthesizable = [op for op in design.dfg.operations if op.is_synthesizable]
+    minimal = minimal_allocation(design, library, spans=OperationSpans(design))
+    ops = Counter(resource_class_key(op, library) for op in synthesizable)
+    grade_steps = sum(library.class_for_op(op).num_grades - 1
+                      for op in synthesizable)
+    return 1 + grade_steps + sum(count - minimal.limit(key)
+                                 for key, count in ops.items())
+
+
+def test_block_relaxation_stays_within_its_stated_bound(interpolation,
+                                                        library):
+    runs = [(spec.design(), spec.clock_period, spec.margin_fraction)
+            for _, spec in scenario_stream(0, 60)
+            if spec.pipeline_ii is None and not spec.carried]
+    runs += [(interpolation, clock, 0.05) for clock in (1100.0, 800.0)]
+    attempts = counter("relaxation.attempts")
+    errors = []
+    for design, clock_period, margin in runs:
+        bound = _pass_bound(design, library)
+        for flow, kwargs in ((conventional_flow, {}),
+                             (slack_based_flow, {"margin_fraction": margin})):
+            before = attempts.value
+            try:
+                result = flow(design, library, clock_period=clock_period,
+                              **kwargs)
+            except InfeasibleDesignError as exc:
+                errors.append(str(exc))
+                assert attempts.value - before <= bound
+            else:
+                assert result.details["relaxation_attempts"] <= bound
+    assert len(runs) > 50 and errors
+    # Each names the bound it hit: one instance per operation, or the
+    # fastest grade.
+    for message in errors:
+        assert "at its bound of" in message or "fastest grade" in message, \
+            message
+
+
+@pytest.mark.parametrize("pipeline_ii", [None, 1])
+def test_an_overconstrained_block_design_fails_fast(interpolation, library,
+                                                    pipeline_ii):
+    # Every pass at 800 ps fails on a chain of two multiplications: the
+    # loop adds multipliers up to one per operation, then stops.
+    attempts = counter("relaxation.attempts")
+    for flow in (conventional_flow, slack_based_flow):
+        before = attempts.value
+        with pytest.raises(InfeasibleDesignError) as info:
+            flow(interpolation, library, clock_period=800.0,
+                 pipeline_ii=pipeline_ii)
+        assert attempts.value - before <= 5
+        assert str(info.value).startswith(
+            "design 'interpolation_u4' is overconstrained with mul/8 at its "
+            "bound of 7 instances (one per operation): cannot schedule "
+            "'mul_x_3' on edge 'e3' (timing)")
+
+
+def test_modulo_relaxation_raises_the_ii_at_the_class_bound(interpolation,
+                                                            library):
+    # At II=1 the minimal allocation is one multiplier per multiplication
+    # already, so the failed first pass raises the II at once.
+    result = conventional_flow(interpolation, library, clock_period=1500.0,
+                               pipeline_ii=1, scheduling="pipeline")
+    assert result.details["relaxation_attempts"] == 2
+    assert result.details["resources_added"] == []
+    assert result.details["initiation_interval"] == 2
 
 
 def test_pipelined_scheduling_uses_congruent_slots(small_idct, library):

@@ -283,6 +283,28 @@ class TestRetryAndTimeout:
         assert status["state"] == "timeout"
         assert status["failure"]["kind"] == "timeout"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cut_off_job_keeps_the_points_it_finished(self, tmp_path,
+                                                         library, workers):
+        # rows=1 latency 6 takes about 0.05 s and latency 14 about 0.5 s
+        # (and is visited second): the cutoff lands in latency 14 only.
+        store = str(tmp_path / "store.jsonl")
+        payload = sweep_payload(latencies=(6, 14))
+        cut = DSEService(
+            library=library, store_path=store, workers=workers,
+            retry=RetryPolicy(max_attempts=1, deadline_seconds=0.25))
+        receipt = cut.submit(JobSpec("sweep", payload))
+        assert cut.run_pending() == 1
+        assert cut.status(receipt["job_id"])["state"] == "timeout"
+
+        again = DSEService(library=library, store_path=store,
+                           workers=workers,
+                           retry=RetryPolicy(max_attempts=1))
+        receipt = again.submit(JobSpec("sweep", payload))
+        assert again.run_pending() == 1
+        result = again.result(receipt["job_id"])["result"]
+        assert (result["cache_hits"], result["evaluations"]) == (1, 1)
+
     def test_run_pending_respects_max_jobs(self):
         service = _service()
         for _ in range(3):

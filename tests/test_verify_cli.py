@@ -73,6 +73,49 @@ def test_run_budget_seconds_stops_early(capsys):
     assert "budget exhausted" in out
 
 
+@pytest.fixture()
+def hanging_oracle():
+    """A registered oracle that runs until a deadline stops it."""
+
+    def hang(spec, library):
+        import time
+
+        from repro.core.deadline import check_deadline
+
+        while True:
+            check_deadline()
+            time.sleep(0.01)
+
+    name = "hanging-cli-oracle"
+    ORACLES[name] = Oracle(name=name, description="test oracle", check=hang)
+    try:
+        yield name
+    finally:
+        del ORACLES[name]
+
+
+def test_a_check_the_budget_cuts_short_is_not_a_violation(tmp_path, capsys,
+                                                          hanging_oracle):
+    corpus = tmp_path / "b" / "c.jsonl"
+    assert main(["run", "--budget-seconds", "0.3", "--seed", "0",
+                 "--oracles", hanging_oracle, "--corpus", str(corpus)]) == 0
+    out = capsys.readouterr().out
+    assert "0 scenario check(s)" in out
+    assert f"1 check cut short by the budget ({hanging_oracle})" in out
+    assert "no oracle violations" in out
+    assert not corpus.exists()
+
+
+def test_a_hang_under_the_oracle_deadline_fails_the_run(tmp_path, capsys,
+                                                        hanging_oracle):
+    corpus = tmp_path / "c.jsonl"
+    assert main(["run", "--budget-seconds", "5", "--iterations", "1",
+                 "--oracle-deadline", "0.1", "--seed", "0",
+                 "--oracles", hanging_oracle, "--corpus", str(corpus)]) == 1
+    assert "1 oracle violation(s)" in capsys.readouterr().out
+    assert len(Corpus(str(corpus))) == 1
+
+
 def test_run_rejects_unknown_oracles(capsys):
     assert main(["run", "--iterations", "1",
                  "--oracles", "definitely-not-an-oracle"]) == 2

@@ -140,29 +140,43 @@ class TestGuardedOracleDeadline:
 
 class TestFuzzLoopDeadline:
     def test_hang_cannot_stall_past_the_budget(self):
-        # One hanging oracle, a 0.4s budget: without the per-oracle
-        # deadline this test would block for hang_seconds.
+        # One hanging oracle.  Under a per-oracle deadline the hang is a
+        # timeout violation; without one, the budget cuts the check short
+        # and it counts as unchecked.  Either way the run ends nowhere near
+        # the 30s hang.
         from repro.verify import runner as runner_mod
+        from repro.verify.corpus import Corpus
 
         hanging = _hanging_oracle()
+        corpus = Corpus(None)
         original = runner_mod.select_oracles
         try:
             runner_mod.select_oracles = lambda names: [hanging]
             start = time.monotonic()
-            report = run_fuzz(seed=3, iterations=3, budget_seconds=0.4,
-                              shrink=True,
-                              profile=ScenarioProfile(max_segments=2))
+            timed = run_fuzz(seed=3, iterations=2, budget_seconds=5.0,
+                             shrink=True, oracle_deadline_seconds=0.1,
+                             profile=ScenarioProfile(max_segments=2))
+            cut = run_fuzz(seed=3, iterations=3, budget_seconds=0.4,
+                           shrink=True, corpus=corpus,
+                           profile=ScenarioProfile(max_segments=2))
             elapsed = time.monotonic() - start
         finally:
             runner_mod.select_oracles = original
 
-        assert elapsed < 10.0  # nowhere near the 30s hang
-        assert report.failures  # the cut-off was recorded ...
-        assert report.timeouts == report.failures  # ... as timeouts
-        failure = report.failures[0]
-        assert failure.timed_out
-        assert failure.shrunk is None  # timeouts are never shrunk
-        assert failure.oracle == "hanging-test-oracle"
+        assert elapsed < 10.0
+        assert len(timed.failures) == 2  # each hang was recorded ...
+        assert timed.timeouts == timed.failures  # ... as a timeout
+        assert all(failure.shrunk is None  # timeouts are never shrunk
+                   for failure in timed.failures)
+        assert timed.failures[0].oracle == "hanging-test-oracle"
+        assert timed.cut_short is None
+
+        assert cut.failures == []
+        assert cut.cut_short == "hanging-test-oracle"
+        assert cut.budget_exhausted
+        assert cut.iterations == 0 and cut.checked_per_oracle == {}
+        assert cut.fingerprints == []
+        assert len(corpus) == 0
 
     def test_budget_cuts_shrinking_off_at_its_end(self):
         # An oracle that fails after 50 ms: shrinking this scenario takes
