@@ -5,7 +5,7 @@ moves: upgrade one operation, recompute slack, downgrade one operation,
 recompute slack, maybe revert.  Each recomputation used to be a full
 two-pass kernel run plus a dict export, even though exactly one delay
 changed.  :class:`DeltaSlackEvaluator` generalizes the patch-kernel idea of
-:mod:`repro.rtl.incremental_timing` (snapshot, patch one instance, restore)
+:mod:`repro.rtl.incremental_timing` (recompute only what one change touches)
 from state timing to the timed-DFG slack computation:
 
 * the **initial** arrival/required vectors come from the full CSR kernels of

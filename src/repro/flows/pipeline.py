@@ -214,7 +214,9 @@ class FlowRun:
         time of the recovery pass; wall-clock fields never enter
         ``DSEEntry.metrics()``).  The back end is datapath construction,
         within-state area recovery, state timing and the area/power
-        reports; the result is labelled ``label``.
+        reports; the result is labelled ``label``.  Area recovery hands
+        over the timing report of the datapath it leaves, so the
+        ``flow.timing`` span and its analysis run only without it.
         """
         design = self.design
         details["relaxation_attempts"] = log.attempts
@@ -239,9 +241,10 @@ class FlowRun:
                     time.perf_counter() - recovery_start
             details["area_recovery_downgrades"] = recovery.downgrades
             details["area_recovery_saved"] = recovery.area_saved
-
-        with _obs_span("flow.timing", flow=label, design=design.name):
-            timing = analyze_state_timing(datapath)
+            timing = recovery.timing
+        else:
+            with _obs_span("flow.timing", flow=label, design=design.name):
+                timing = analyze_state_timing(datapath)
         with _obs_span("flow.report", flow=label, design=design.name):
             area = area_report(datapath)
             power = power_report(datapath)

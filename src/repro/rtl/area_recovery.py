@@ -13,53 +13,65 @@ still meets the clock period.
 
 Two implementations of the same greedy policy live here:
 
-* :func:`recover_area` (the default) runs on the incremental timing engine
+* :func:`recover_area` (the default) makes one pass over a heap of
+  candidates on the incremental timing engine
   (:class:`repro.rtl.incremental_timing.IncrementalStateTiming`): each trial
-  downgrade recomputes only the states the instance participates in, every
-  *independent* downgrade is accepted within one round (instances are
-  independent when they live in different connected components of the
-  state-sharing graph), and trial failures are memoized — slacks only shrink
-  as delays grow, so a failed (instance, grade) trial can never succeed
-  later.  Complexity drops from O(rounds * instances * states) to roughly
-  O(instances * touched-states).
+  downgrade recomputes only the states the instance participates in, and a
+  rejected trial is undone by reverting the grade and recomputing the same
+  states.
 * :func:`recover_area_reference` is the original one-accept-per-round loop
   with a full :func:`analyze_state_timing` per trial.  It is kept as the
-  executable specification: the incremental pass must produce identical
-  downgrades, areas and timing (asserted in the test suite and guarded by
-  the golden-metrics benchmark check).
+  executable specification: the heap pass accepts exactly its downgrades,
+  in the same order, and ends on the same timing report (asserted in the
+  test suite and guarded by the golden-metrics benchmark check).
 
-Why "independent" means *connected components* rather than pairwise-disjoint
-state sets: accepting a downgrade only perturbs slack inside the instance's
-own states, so the greedy process decomposes exactly along the connected
-components of the graph whose vertices are instances and whose edges link
-instances sharing a state.  Accepting the best candidate of *each* component
-per round reorders acceptances only across components, which cannot change
-the outcome.  Accepting two pairwise-disjoint candidates of the *same*
-component, however, can: a third instance overlapping both could have been
-accepted between them by the one-at-a-time reference, changing which of the
-two survives.
+Why one heap pass is exact.  The heap holds ``(-saving, instance name, next
+slower grade)``, keyed like the reference's sort, with one entry per
+instance that has operations and a profitable next grade.  A downgrade only
+lengthens delays, and slack only shrinks as delays grow, so an entry that
+fails the slack filter or its trial against the current report fails
+against every later one: it is dropped for good.  Popping in key order
+therefore finds what the reference finds round after round: the first
+entry that passes is the reference's pick, since every entry before it is
+dead, and the accepted instance's next grade re-enters at its own key.  The
+accept sequence, and with it ``changed_instances``, equals the
+reference's.
+
+Bound: each pop removes one entry, and each accept pushes at most one, for
+the instance's next grade.  So the loop pops at most instances + Σ (grades −
+1) times, the sum taken over the instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Tuple
 
-from repro.lib.resource import ResourceVariant
+from repro.bind.binding import FUInstance
+from repro.lib.resource import ResourceClass, ResourceVariant
 from repro.rtl.datapath import Datapath
 from repro.rtl.incremental_timing import IncrementalStateTiming
 from repro.rtl.timing import StateTimingReport, analyze_state_timing
 
 _EPS = 1e-6
 
+#: A heap entry: ``(-saving, instance name, next slower grade)``.
+_Candidate = Tuple[float, str, ResourceVariant]
+
 
 @dataclass
 class AreaRecoveryResult:
-    """Summary of an area-recovery run."""
+    """Summary of an area-recovery run.
+
+    ``timing`` is the state-timing report of the datapath as the pass left
+    it, so a caller need not analyse it again.
+    """
 
     downgrades: int
     area_before: float
     area_after: float
+    timing: StateTimingReport
     changed_instances: List[str] = field(default_factory=list)
 
     @property
@@ -104,87 +116,68 @@ def _downgrade_candidates(
     return candidates
 
 
-def _instance_components(datapath: Datapath) -> Dict[str, int]:
-    """Connected components of the instance state-sharing graph.
-
-    Two instances are connected when they participate in a common state;
-    downgrades in different components never interact through timing.
-    """
-    parent: Dict[str, str] = {}
-
-    def find(name: str) -> str:
-        root = name
-        while parent[root] != root:
-            root = parent[root]
-        while parent[name] != root:
-            parent[name], name = root, parent[name]
-        return root
-
-    edge_owner: Dict[str, str] = {}
-    for instance in datapath.binding.instances:
-        parent[instance.name] = instance.name
-        for edge in datapath.instance_edges(instance.name):
-            owner = edge_owner.setdefault(edge, instance.name)
-            if owner != instance.name:
-                parent[find(owner)] = find(instance.name)
-
-    labels: Dict[str, int] = {}
-    components: Dict[str, int] = {}
-    for instance in datapath.binding.instances:
-        root = find(instance.name)
-        components[instance.name] = labels.setdefault(root, len(labels))
-    return components
+def _push_next_grade(heap: List[_Candidate], instance: FUInstance,
+                     resource_class: ResourceClass) -> None:
+    """Push ``instance``'s next slower grade when it saves area."""
+    slower = resource_class.next_slower(instance.variant)
+    if slower is None:
+        return
+    saving = instance.variant.area - slower.area
+    if saving > _EPS:
+        heappush(heap, (-saving, instance.name, slower))
 
 
 def recover_area(datapath: Datapath) -> AreaRecoveryResult:
     """Downsize bound instances using within-state slack only (in place).
 
-    Incremental implementation: see the module docstring for the policy and
-    the equivalence argument against :func:`recover_area_reference`.  Every
-    round but the last accepts a one-grade downgrade, and nothing upgrades,
-    so there are at most 1 + Σ (grades − 1) over the instances rounds.
+    One pass over a heap of candidates: see the module docstring for the
+    policy, why the pass accepts exactly the downgrades of
+    :func:`recover_area_reference` in the same order, and the bound on its
+    pops.  Instances bound to no operations get no entry, as in
+    :func:`_downgrade_candidates`.
     """
     area_before = datapath.binding.total_fu_area()
     downgrades = 0
     changed: List[str] = []
 
     analyzer = IncrementalStateTiming(datapath)
-    if analyzer.report.meets_timing():
-        components = _instance_components(datapath)
-        failed_trials: Set[Tuple[str, str]] = set()
-        while True:
-            candidates = _downgrade_candidates(datapath, analyzer.report)
-            touched: Set[int] = set()
-            accepted_any = False
-            for saving, instance_name, slower in candidates:
-                component = components[instance_name]
-                if component in touched:
-                    continue  # interacts with an acceptance of this round
-                if (instance_name, slower.name) in failed_trials:
-                    continue  # slack only shrinks; the trial cannot pass now
-                instance = datapath.binding.instance_by_name(instance_name)
-                edges = analyzer.instance_edges(instance_name)
-                saved = analyzer.snapshot(edges)
-                previous = instance.variant
-                instance.variant = slower
+    report = analyzer.report
+    if report.meets_timing():
+        library = datapath.library
+        op_slack = report.op_slack
+        instances: Dict[str, Tuple[FUInstance, ResourceClass]] = {}
+        heap: List[_Candidate] = []
+        for instance in datapath.binding.instances:
+            if not instance.ops:
+                continue
+            resource_class = library.class_for(
+                _kind_from_key(instance.class_key[0]), instance.class_key[1])
+            instances[instance.name] = (instance, resource_class)
+            _push_next_grade(heap, instance, resource_class)
+        while heap:
+            _, name, slower = heappop(heap)
+            instance, resource_class = instances[name]
+            previous = instance.variant
+            worst_op_slack = min(op_slack.get(op, 0.0) for op in instance.ops)
+            if slower.delay - previous.delay > worst_op_slack + _EPS:
+                continue  # slack only shrinks: it cannot fit later either
+            edges = analyzer.instance_edges(name)
+            instance.variant = slower
+            analyzer.recompute_edges(edges)
+            if analyzer.edges_meet_timing(edges):
+                downgrades += 1
+                if name not in changed:
+                    changed.append(name)
+                _push_next_grade(heap, instance, resource_class)
+            else:
+                instance.variant = previous
                 analyzer.recompute_edges(edges)
-                if analyzer.edges_meet_timing(edges):
-                    downgrades += 1
-                    if instance_name not in changed:
-                        changed.append(instance_name)
-                    touched.add(component)
-                    accepted_any = True
-                else:
-                    instance.variant = previous
-                    analyzer.restore(saved)
-                    failed_trials.add((instance_name, slower.name))
-            if not accepted_any:
-                break
 
     return AreaRecoveryResult(
         downgrades=downgrades,
         area_before=area_before,
         area_after=datapath.binding.total_fu_area(),
+        timing=report,
         changed_instances=changed,
     )
 
@@ -194,8 +187,10 @@ def recover_area_reference(datapath: Datapath) -> AreaRecoveryResult:
 
     Accepts at most one downgrade per round and re-runs a complete
     :func:`analyze_state_timing` for every round and every trial.  Kept so
-    the equivalence of the incremental pass stays testable; production code
-    should call :func:`recover_area`, whose bound on rounds holds here too.
+    the equivalence of the heap pass stays testable; production code should
+    call :func:`recover_area`.  Every round but the last accepts a one-grade
+    downgrade, and nothing upgrades, so there are at most 1 + Σ (grades − 1)
+    over the instances rounds.
     """
     area_before = datapath.binding.total_fu_area()
     downgrades = 0
@@ -228,6 +223,7 @@ def recover_area_reference(datapath: Datapath) -> AreaRecoveryResult:
         downgrades=downgrades,
         area_before=area_before,
         area_after=datapath.binding.total_fu_area(),
+        timing=timing,
         changed_instances=changed,
     )
 

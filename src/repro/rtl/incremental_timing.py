@@ -15,24 +15,23 @@ and splices the fresh values into the report.
 Because the full analysis and the patch path execute the same kernel (same
 float operations, same order) over per-state op lists that are disjoint
 between states, a patched report is *bit-for-bit equal* to a full recompute
-— asserted against :func:`analyze_state_timing` in the test suite.
+— asserted against :func:`analyze_state_timing` in the test suite.  Splicing
+updates existing keys only, so the report's dicts also keep the key order of
+a full recompute.
 
-Trial changes are supported cheaply: :meth:`snapshot` captures the report
-rows of a set of states before a patch and :meth:`restore` splices them back
-when the trial is rejected, avoiding a second recompute on the revert path.
+There is no snapshot: a rejected trial is undone by reverting the variant
+and recomputing the same states, which restores the report bit for bit
+because the kernel is deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import FrozenSet, Iterable
 
 from repro.rtl.datapath import Datapath
 from repro.rtl.timing import StateTimingKernel, StateTimingReport
 
 _EPS = 1e-6
-
-#: The cached rows of one state: (op_start, op_finish, op_slack, critical).
-StateSnapshot = Tuple[Dict[str, float], Dict[str, float], Dict[str, float], float]
 
 
 class IncrementalStateTiming:
@@ -44,19 +43,13 @@ class IncrementalStateTiming:
         The datapath to analyse.  The schedule and the binding structure
         (which operations live on which instance) must not change for the
         lifetime of this object; instance *variants* may change freely as
-        long as every change is reported via :meth:`patch_instance` (or the
-        affected edges are re-synced via :meth:`recompute_edges`).
+        long as the affected edges are re-synced via :meth:`recompute_edges`.
     """
 
     def __init__(self, datapath: Datapath):
         self.datapath = datapath
         self._kernel = StateTimingKernel(datapath)
         self.report: StateTimingReport = self._kernel.full_report()
-
-    # -- patching ----------------------------------------------------------------
-
-    def _ops_of(self, edge: str) -> List[str]:
-        return self._kernel.ops_of(edge)
 
     def instance_edges(self, instance_name: str) -> FrozenSet[str]:
         """The states a variant change of ``instance_name`` can affect."""
@@ -72,47 +65,6 @@ class IncrementalStateTiming:
             report.op_finish.update(finishes)
             report.op_slack.update(slacks)
             report.state_critical_path[edge] = critical
-
-    def patch_instance(self, instance_name: str) -> FrozenSet[str]:
-        """Resync the report after ``instance_name`` changed variant.
-
-        Returns the set of edges that were recomputed.
-        """
-        edges = self.instance_edges(instance_name)
-        self.recompute_edges(edges)
-        return edges
-
-    # -- trial support ------------------------------------------------------------
-
-    def snapshot(self, edges: Iterable[str]) -> Dict[str, StateSnapshot]:
-        """Capture the report rows of ``edges`` so a trial can be reverted.
-
-        Unknown edges raise :class:`TimingError`, exactly like
-        :meth:`recompute_edges` — a silently empty snapshot would let a later
-        :meth:`restore` splice spurious rows into the report.
-        """
-        report = self.report
-        saved: Dict[str, StateSnapshot] = {}
-        for edge in edges:
-            edge_ops = self._ops_of(edge)
-            saved[edge] = (
-                {op: report.op_start[op] for op in edge_ops},
-                {op: report.op_finish[op] for op in edge_ops},
-                {op: report.op_slack[op] for op in edge_ops},
-                report.state_critical_path[edge],
-            )
-        return saved
-
-    def restore(self, saved: Dict[str, StateSnapshot]) -> None:
-        """Splice rows captured by :meth:`snapshot` back into the report."""
-        report = self.report
-        for edge, (starts, finishes, slacks, critical) in saved.items():
-            report.op_start.update(starts)
-            report.op_finish.update(finishes)
-            report.op_slack.update(slacks)
-            report.state_critical_path[edge] = critical
-
-    # -- queries -------------------------------------------------------------------
 
     def edges_meet_timing(self, edges: Iterable[str]) -> bool:
         """True when every state in ``edges`` fits the clock period.

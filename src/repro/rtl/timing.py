@@ -226,19 +226,6 @@ class StateTimingKernel:
 
     # -- queries --------------------------------------------------------------------
 
-    @property
-    def edges(self) -> List[str]:
-        """States with scheduled operations, in first-scheduled order."""
-        return list(self._groups)
-
-    def ops_of(self, edge: str) -> List[str]:
-        """Scheduled operations of ``edge`` (shared list — do not mutate)."""
-        try:
-            return self._groups[edge]
-        except KeyError:
-            raise TimingError(
-                f"no scheduled operations on CFG edge {edge!r}") from None
-
     def state(self, edge: str) -> Tuple[Dict[str, float], Dict[str, float],
                                         Dict[str, float], float]:
         """Evaluate one state; returns ``(op_start, op_finish, op_slack,

@@ -64,8 +64,13 @@ def run_oracle_guarded(oracle: Oracle, spec: ScenarioSpec,
     ``deadline_seconds`` bounds the oracle's wall clock within any enclosing
     deadline (``run_fuzz``'s budget; :mod:`repro.core.deadline`).  A cutoff
     is recorded as a structured ``timed_out`` outcome; the run moves on.
+    Only a cutoff by ``deadline_seconds`` counts as ``oracle.timeout`` and
+    lands in the ``oracle.<name>.seconds`` histogram: once the enclosing
+    deadline has expired the check is unchecked (``run_fuzz`` ends the run
+    on it), so it is neither.
     """
     start = time.perf_counter()
+    cut_short = False
     with _obs_span("oracle.run", oracle=oracle.name) as obs:
         try:
             outcome = call_with_deadline(
@@ -77,7 +82,9 @@ def run_oracle_guarded(oracle: Oracle, spec: ScenarioSpec,
                 _ORACLE_FAIL.inc()
                 obs.set(ok=False)
         except DeadlineExceeded as exc:
-            _ORACLE_TIMEOUT.inc()
+            cut_short = deadline_expired()
+            if not cut_short:
+                _ORACLE_TIMEOUT.inc()
             obs.set(ok=False, timeout=True)
             outcome = OracleOutcome(
                 oracle=oracle.name, ok=False, timed_out=True,
@@ -89,8 +96,9 @@ def run_oracle_guarded(oracle: Oracle, spec: ScenarioSpec,
                 oracle=oracle.name, ok=False,
                 details=f"crash: {type(exc).__name__}: {exc}\n"
                         f"{traceback.format_exc(limit=8)}")
-    _obs_histogram(f"oracle.{oracle.name}.seconds").observe(
-        time.perf_counter() - start)
+    if not cut_short:
+        _obs_histogram(f"oracle.{oracle.name}.seconds").observe(
+            time.perf_counter() - start)
     return outcome
 
 

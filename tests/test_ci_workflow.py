@@ -296,10 +296,12 @@ def test_bench_job_runs_the_benchmark_harness(workflow):
 EXERCISED_COUNTS = {
     "table4-rows2-light": {"core.slack_scheduler.relaxation_attempts",
                            "core.slack_scheduler.rebudgets",
-                           "sched.relaxation.schedule_with_relaxation.calls"},
+                           "sched.relaxation.schedule_with_relaxation.calls",
+                           "rtl.area_recovery.recover_area.downgrades"},
     "serve-memo": {"core.slack_scheduler.relaxation_attempts",
                    "core.slack_scheduler.rebudgets",
-                   "sched.relaxation.schedule_with_relaxation.calls"},
+                   "sched.relaxation.schedule_with_relaxation.calls",
+                   "rtl.area_recovery.recover_area.downgrades"},
     "pipeline-ii": {"sched.modulo_scheduler.try_modulo_schedule.calls"},
 }
 

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from repro.core.jsonl import dump_record
+from repro.obs.metrics import snapshot
 from repro.verify import runner as runner_mod
 from repro.verify.cli import main
 from repro.verify.corpus import Corpus
@@ -94,9 +95,19 @@ def hanging_oracle():
         del ORACLES[name]
 
 
+def _timeouts_and_timings(oracle_name):
+    """``oracle.timeout`` and the observation count of the oracle's
+    ``oracle.<name>.seconds`` histogram."""
+    metrics = snapshot()
+    timings = metrics["histograms"].get(f"oracle.{oracle_name}.seconds", {})
+    return (metrics["counters"].get("oracle.timeout", 0),
+            timings.get("count", 0))
+
+
 def test_a_check_the_budget_cuts_short_is_not_a_violation(tmp_path, capsys,
                                                           hanging_oracle):
     corpus = tmp_path / "b" / "c.jsonl"
+    before = _timeouts_and_timings(hanging_oracle)
     assert main(["run", "--budget-seconds", "0.3", "--seed", "0",
                  "--oracles", hanging_oracle, "--corpus", str(corpus)]) == 0
     out = capsys.readouterr().out
@@ -104,16 +115,21 @@ def test_a_check_the_budget_cuts_short_is_not_a_violation(tmp_path, capsys,
     assert f"1 check cut short by the budget ({hanging_oracle})" in out
     assert "no oracle violations" in out
     assert not corpus.exists()
+    # Unchecked, so neither a timeout nor a timing.
+    assert _timeouts_and_timings(hanging_oracle) == before
 
 
 def test_a_hang_under_the_oracle_deadline_fails_the_run(tmp_path, capsys,
                                                         hanging_oracle):
     corpus = tmp_path / "c.jsonl"
+    timeouts, timings = _timeouts_and_timings(hanging_oracle)
     assert main(["run", "--budget-seconds", "5", "--iterations", "1",
                  "--oracle-deadline", "0.1", "--seed", "0",
                  "--oracles", hanging_oracle, "--corpus", str(corpus)]) == 1
     assert "1 oracle violation(s)" in capsys.readouterr().out
     assert len(Corpus(str(corpus))) == 1
+    assert _timeouts_and_timings(hanging_oracle) == (timeouts + 1,
+                                                     timings + 1)
 
 
 def test_run_rejects_unknown_oracles(capsys):

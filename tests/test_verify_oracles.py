@@ -126,11 +126,13 @@ def test_outcome_details_name_the_disagreement(monkeypatch):
     oracle on a scenario where recovery finds work."""
     import repro.verify.oracles as oracles_mod
     from repro.rtl.area_recovery import AreaRecoveryResult
+    from repro.rtl.timing import analyze_state_timing
 
     def no_recovery(datapath):
         area = datapath.binding.total_fu_area()
         return AreaRecoveryResult(downgrades=0, area_before=area,
-                                  area_after=area)
+                                  area_after=area,
+                                  timing=analyze_state_timing(datapath))
 
     monkeypatch.setattr(oracles_mod, "recover_area", no_recovery)
     caught = False
