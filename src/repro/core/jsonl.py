@@ -2,10 +2,10 @@
 
 Every JSONL file the repo writes speaks the same dialect: one JSON object
 per line written with ``sort_keys`` (so identical records are
-byte-identical), appends flushed line by line (a crashed writer loses at
-most its unfinished line), and a loader that tolerates missing files, blank
-lines, corrupt lines and unrecognised records by *skipping* them, never by
-failing.
+byte-identical), appends made durable call by call (a crashed writer loses
+at most its unfinished batch), and a loader that tolerates missing files,
+blank lines, corrupt lines and unrecognised records by *skipping* them,
+never by failing.
 
 The keyed files — the exploration layer's
 :class:`repro.explore.store.ResultStore` and the verification layer's
@@ -23,10 +23,11 @@ multi-writer client):
 
 * every **append** takes an exclusive advisory lock on a stable sidecar
   file (``<path>.lock`` — the data file itself is the wrong lock object,
-  because compaction replaces its inode), writes the whole batch as one
-  buffered write, flushes, and ``fsync``\\ s before releasing the lock.
-  Two workers can therefore never interleave partial lines, and a crash
-  after the append returns cannot lose the line;
+  because compaction replaces its inode), opens the data file, writes the
+  batch in one ``os.write`` (looping only on a short write), ``fsync``\\ s
+  and closes it before releasing the lock, all on raw descriptors.  Two
+  workers can therefore never interleave partial lines, and a crash after
+  the append returns cannot lose the line;
 * every **rewrite** (compaction) holds the same lock while writing a
   temporary file in the target directory and atomically ``os.replace``\\ ing
   it over the store — a reader never observes a half-written store, and an
@@ -38,7 +39,7 @@ multi-writer client):
   ``jsonl.skipped_lines`` telemetry below covers the residual risk.
 
 On platforms without ``fcntl`` (Windows) the advisory lock degrades to a
-no-op and the dialect falls back to its historical flush-only behaviour.
+no-op; appends are still written and ``fsync``\\ ed call by call.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ _APPENDED_RECORDS = _obs_counter("jsonl.appended_records")
 #: Suffix of the sidecar lock file next to every JSONL store.
 LOCK_SUFFIX = ".lock"
 
+#: Append-only, created with what ``open(path, "a")`` gives (0o666 & ~umask).
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+
 
 def lock_path(path: str) -> str:
     """The sidecar advisory-lock file guarding writes to ``path``."""
@@ -99,17 +103,17 @@ def locked(path: str) -> Iterator[None]:
     discipline.  Reentrant use in one process deadlocks — the stores never
     nest writes.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if fcntl is None:  # pragma: no cover - Windows fallback
         yield
         return
-    with open(lock_path(path), "a", encoding="utf-8") as sidecar:
-        fcntl.flock(sidecar.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(sidecar.fileno(), fcntl.LOCK_UN)
+    sidecar = os.open(lock_path(path), _APPEND_FLAGS, 0o666)
+    try:
+        fcntl.flock(sidecar, fcntl.LOCK_EX)
+        yield
+    finally:
+        fcntl.flock(sidecar, fcntl.LOCK_UN)
+        os.close(sidecar)
 
 
 def dump_record(record: Dict[str, object]) -> str:
@@ -167,21 +171,25 @@ def append_records(path: str,
                    records: Sequence[Dict[str, object]]) -> int:
     """Append a batch of records under the store lock; returns the count.
 
-    The whole batch is serialised first and written as **one** buffered
-    write while the advisory lock is held, then flushed and ``fsync``\\ ed
-    before the lock is released — so concurrent writers can never
-    interleave partial lines and a line that this call reported written
-    survives a crash of the process (and, on journalling filesystems, of
-    the machine).
+    The batch is encoded once and, under the advisory lock, written to a
+    raw descriptor of the data file in **one** ``os.write`` call (looping
+    only if the kernel writes short), ``fsync``\\ ed and closed before the
+    lock is released — so concurrent writers can never interleave partial
+    lines and a line that this call reported written survives a crash of
+    the process (and, on journalling filesystems, of the machine).
     """
     if not records:
         return 0
-    payload = "".join(dump_record(record) + "\n" for record in records)
+    payload = "".join(dump_record(record) + "\n" for record in records).encode()
     with locked(path):
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+        handle = os.open(path, _APPEND_FLAGS, 0o666)
+        try:
+            written = os.write(handle, payload)
+            while written < len(payload):
+                written += os.write(handle, payload[written:])
+            os.fsync(handle)
+        finally:
+            os.close(handle)
     _APPENDED_RECORDS.inc(len(records))
     return len(records)
 

@@ -47,7 +47,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
 from repro.core.analysis_cache import design_fingerprint
 from repro.core.deadline import check_deadline
 from repro.core.jsonl import KeyedStore
-from repro.errors import DeadlineExceeded
+from repro.errors import DeadlineExceeded, ReproError
 from repro.flows.dse import DesignPoint, DSEResult, PointFailure
 
 SCHEMA_VERSION = 1
@@ -176,31 +176,37 @@ def _error(exc: Exception) -> str:
 def memoized_run(session, points: Sequence[DesignPoint], memo,
                  workload: str = "", workers: int = 1,
                  evaluator: Optional[Callable[..., Dict[str, object]]] = None,
+                 keys: Optional[Sequence[StoreKey]] = None,
                  ) -> Tuple[List[Memoized], List[PointFailure]]:
     """Key each point, look each key up in ``memo`` once, evaluate the
     misses and record the successes under ``workload``.
 
     Points are keyed by :func:`key_for` on ``session``'s factory, margin and
-    scheduling mode; a later point with a key already seen shares its
-    metrics.  Misses run through ``session.run(misses, workers=workers)``,
-    or through one ``evaluator(factory, library, point, margin_fraction,
-    scheduling)`` call each, and are recorded in the caller's order of
-    first occurrence before this returns.  An :class:`Exception` from a
-    point's factory, evaluator call or flows fails that point only: it is
-    returned, never raised; a deadline cutoff propagates once every miss
-    that finished before it is recorded.  Returns one :class:`Memoized` per
-    point and the failures, both in the caller's order.
+    scheduling mode (or by ``keys``, their keys in order from an earlier
+    run, and then no design is built); a later point with a key already
+    seen shares its metrics.  Misses run through ``session.run(misses,
+    workers=workers)``, or through one ``evaluator(factory, library, point,
+    margin_fraction, scheduling)`` call each, and are recorded in the
+    caller's order of first occurrence before this returns.  An
+    :class:`Exception` from a point's factory, evaluator call or flows fails
+    that point only: it is returned, never raised; a deadline cutoff
+    propagates once every miss that finished before it is recorded.
+    Returns one :class:`Memoized` per point and the failures, both in the
+    caller's order.
     """
-    keys: List[Optional[StoreKey]] = []
     errors: Dict[object, str] = {}  # by key, or by index if the factory raised
-    for index, point in enumerate(points):
-        try:
-            keys.append(key_for(session.design_factory(point), point,
-                                session.margin_fraction,
-                                scheduling=session.scheduling))
-        except Exception as exc:  # noqa: BLE001 — a failure of this point only
-            keys.append(None)
-            errors[index] = _error(exc)
+    if keys is None:
+        keys = []
+        for index, point in enumerate(points):
+            try:
+                keys.append(key_for(session.design_factory(point), point,
+                                    session.margin_fraction,
+                                    scheduling=session.scheduling))
+            except Exception as exc:  # noqa: BLE001 — a failure of this point only
+                keys.append(None)
+                errors[index] = _error(exc)
+    elif len(keys) != len(points):
+        raise ReproError(f"{len(keys)} keys for {len(points)} points")
     resolved: Dict[StoreKey, Dict[str, object]] = {}
     misses: Dict[StoreKey, DesignPoint] = {}  # key -> its first point
     for key, point in zip(keys, points):

@@ -183,9 +183,8 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
       is corrupt or truncated — the per-store ``skipped_lines`` attributes
       and ``repro verify merge``'s per-input counts say which;
     * ``serve`` — the serve layer's shared memo tier
-      (:class:`repro.serve.cache.MemoCache`): process-wide cache
-      hit/miss/put tallies and the number of stale-line compactions its
-      policy triggered.
+      (:class:`repro.serve.cache.MemoCache`): process-wide hit/miss/put
+      tallies, stale-line compactions and store keys reused from memory.
 
     This is the single entry point behind the profile reports'
     cache-efficiency summary.
@@ -206,6 +205,7 @@ def cache_stats() -> Dict[str, Dict[str, object]]:
             "misses": counter("serve.cache.misses").value,
             "puts": counter("serve.cache.puts").value,
             "compactions": counter("serve.cache.compactions").value,
+            "keys_reused": counter("serve.cache.keys_reused").value,
         },
     }
     return stats

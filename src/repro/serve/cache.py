@@ -18,14 +18,18 @@ byte-stable :meth:`~repro.core.jsonl.KeyedStore.compact` once the
 superseded backlog crosses ``compact_after`` — bounding the file at
 ``live + compact_after`` lines however hot the service runs.
 
+It also remembers each job fingerprint's store keys for its lifetime (not
+persisted), so a resubmitted payload is keyed without building a design; a
+point's key is a pure function of the payload (factories are deterministic).
+
 Telemetry (observation only): ``serve.cache.hits`` / ``misses`` / ``puts``
-/ ``compactions`` counters, surfaced through
+/ ``compactions`` / ``keys_reused`` counters, surfaced through
 :func:`repro.obs.metrics.cache_stats` under the ``"serve"`` section.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.explore.store import ResultStore, StoreKey
 from repro.obs.metrics import counter as _obs_counter
@@ -34,6 +38,7 @@ _HITS = _obs_counter("serve.cache.hits")
 _MISSES = _obs_counter("serve.cache.misses")
 _PUTS = _obs_counter("serve.cache.puts")
 _COMPACTIONS = _obs_counter("serve.cache.compactions")
+_KEYS_REUSED = _obs_counter("serve.cache.keys_reused")
 
 
 class MemoCache(ResultStore):
@@ -58,6 +63,8 @@ class MemoCache(ResultStore):
         self.misses = 0
         self.puts = 0
         self.compactions = 0
+        self.keys_reused = 0
+        self._job_keys: Dict[str, List[StoreKey]] = {}
 
     def lookup(self, key: StoreKey) -> Optional[Dict[str, object]]:
         """The memoized metrics under ``key``, counting the hit or miss."""
@@ -83,6 +90,18 @@ class MemoCache(ResultStore):
             _COMPACTIONS.inc()
         return record
 
+    def remembered_keys(self, fingerprint: str) -> Optional[List[StoreKey]]:
+        """Job ``fingerprint``'s remembered store keys (counted), or ``None``."""
+        keys = self._job_keys.get(fingerprint)
+        if keys is not None:
+            self.keys_reused += len(keys)
+            _KEYS_REUSED.inc(len(keys))
+        return keys
+
+    def remember_keys(self, fingerprint: str, keys: List[StoreKey]) -> None:
+        """Remember job ``fingerprint``'s store keys, in its points' order."""
+        self._job_keys[fingerprint] = keys
+
     def stats(self) -> Dict[str, object]:
         """This cache's JSON-safe tallies (instance-local, not process-wide)."""
         return {
@@ -90,6 +109,7 @@ class MemoCache(ResultStore):
             "misses": self.misses,
             "puts": self.puts,
             "compactions": self.compactions,
+            "keys_reused": self.keys_reused,
             "records": len(self),
             "stale_lines": self.stale_lines,
         }

@@ -15,9 +15,9 @@ the contract, so a cron job can submit and a worker box can run.  ``smoke``
 is the self-contained CI gate: it submits a small IDCT sweep to an
 in-process service, drains it, asserts the status transitions, resubmits
 the identical job and asserts the warm run completes with **zero** new flow
-evaluations (the memo tier's core promise) and that the memo tier counted
-the hits; then it does the same for a small explore job, exiting non-zero
-on any violation.
+evaluations (the memo tier's core promise) and counted its hits, and that a
+resubmission to the same service is keyed from memory; then it checks an
+explore job cold and warm, exiting non-zero on any violation.
 """
 
 from __future__ import annotations
@@ -196,10 +196,10 @@ def _cmd_smoke(args) -> int:
     store = os.path.join(workdir, "store.jsonl")
     queue = os.path.join(workdir, "queue.jsonl")
 
-    def run(job):
-        """Submit ``job`` to a fresh service over the shared files, drain
-        it, and return ``(service, receipt, result body)``."""
-        service = DSEService(store_path=store, queue_path=queue)
+    def run(job, service=None):
+        """Submit ``job`` to ``service`` (default: a fresh one over the shared
+        files), drain it, and return ``(service, receipt, result body)``."""
+        service = service or DSEService(store_path=store, queue_path=queue)
         receipt = service.submit(job)
         check(service.status(receipt["job_id"])["state"] == "pending",
               "submitted job must start pending")
@@ -231,6 +231,12 @@ def _cmd_smoke(args) -> int:
     check(json.dumps(warm["points"], sort_keys=True)
           == json.dumps(cold["points"], sort_keys=True),
           "warm metrics must be byte-identical to the cold run")
+
+    _, _, rekeyed = run(job, warm_service)
+    reused = warm_service.stats()["cache"]["keys_reused"]
+    check(rekeyed["evaluations"] == 0 and reused == 2,
+          f"resubmission to the same service expected 0 evaluations/2 keys "
+          f"reused from memory, got {rekeyed['evaluations']}/{reused}")
 
     # Explore jobs go through the same memo tier.
     explore = {"kind": "explore", "tenant": "smoke",

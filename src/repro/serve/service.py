@@ -11,7 +11,8 @@ run :class:`repro.explore.adaptive.AdaptiveExplorer` with the memo tier as
 its store (which calls the same function), and the misses run through a
 :class:`repro.flows.sweep.SweepSession` — so a served result is bit-for-bit
 the result a direct call would have produced (asserted by the service
-property tests).
+property tests).  A resubmitted sweep or design payload is keyed from
+memory, kept for the service's lifetime and not persisted.
 
 Endpoints are plain methods (``submit`` / ``status`` / ``result`` /
 ``cancel`` / ``stats``); :mod:`repro.serve.http` exposes them over stdlib
@@ -116,13 +117,10 @@ class DSEService:
 
     # -- endpoints ---------------------------------------------------------------
 
-    def _timed(self, endpoint: str):
-        return _Timed(endpoint)
-
     def submit(self, request: Union[JobSpec, Mapping[str, object]],
                ) -> Dict[str, object]:
         """Validate and enqueue one job; returns its id and fingerprint."""
-        with self._timed("submit"):
+        with _Timed("submit"):
             spec = request if isinstance(request, JobSpec) \
                 else JobSpec.from_dict(request)
             record = self.queue.submit(spec)
@@ -131,12 +129,12 @@ class DSEService:
 
     def status(self, job_id: str) -> Dict[str, object]:
         """The job's lifecycle view (state, attempts, structured failure)."""
-        with self._timed("status"):
+        with _Timed("status"):
             return self._require(job_id).status()
 
     def result(self, job_id: str) -> Dict[str, object]:
         """The result body of a *done* job (other states raise)."""
-        with self._timed("result"):
+        with _Timed("result"):
             record = self._require(job_id)
             if record.state != "done":
                 raise JobStateError(
@@ -147,10 +145,8 @@ class DSEService:
 
     def cancel(self, job_id: str) -> Dict[str, object]:
         """Cancel a pending job; running/terminal jobs raise."""
-        with self._timed("cancel"):
-            record = self.queue.get(job_id)
-            if record is None:
-                raise UnknownJobError(f"unknown job {job_id!r}")
+        with _Timed("cancel"):
+            self._require(job_id)
             try:
                 record = self.queue.cancel(job_id)
             except ReproError as exc:
@@ -159,7 +155,7 @@ class DSEService:
 
     def stats(self) -> Dict[str, object]:
         """Queue tallies plus the memo tier's hit/miss/compaction stats."""
-        with self._timed("stats"):
+        with _Timed("stats"):
             return {
                 "jobs": self.queue.counts(),
                 "cache": self.cache.stats(),
@@ -242,9 +238,14 @@ class DSEService:
         session = SweepSession(job.factory(), self.library,
                                margin_fraction=job.margin_fraction,
                                scheduling=scheduling)
+        fingerprint = spec.fingerprint()
         outcomes, failures = memoized_run(
             session, points, self.cache, workload=f"serve:{spec.tenant}:{tag}",
-            workers=self.workers, evaluator=self._evaluator)
+            workers=self.workers, evaluator=self._evaluator,
+            keys=self.cache.remembered_keys(fingerprint))
+        keys = [outcome.key for outcome in outcomes]
+        if None not in keys:  # no factory raised
+            self.cache.remember_keys(fingerprint, keys)
         # The other points are recorded already: a retry evaluates only the
         # failures.
         DSEResult(failures=failures).raise_on_failures()

@@ -301,7 +301,8 @@ EXERCISED_COUNTS = {
     "serve-memo": {"core.slack_scheduler.relaxation_attempts",
                    "core.slack_scheduler.rebudgets",
                    "sched.relaxation.schedule_with_relaxation.calls",
-                   "rtl.area_recovery.recover_area.downgrades"},
+                   "rtl.area_recovery.recover_area.downgrades",
+                   "core.jsonl.append_records.calls"},
     "pipeline-ii": {"sched.modulo_scheduler.try_modulo_schedule.calls"},
 }
 

@@ -11,6 +11,7 @@ store.  The locked flush-then-fsync append path must keep
 import json
 import multiprocessing
 import os
+import stat
 
 import pytest
 
@@ -61,6 +62,45 @@ class TestAppendAndLoad:
         assert os.path.exists(lock_path(path))
         assert lock_path(path) == path + ".lock"
 
+    def test_new_files_get_the_mode_a_plain_open_gives(self, tmp_path):
+        # The umask is left alone (serve runs threads): a plain open() shows
+        # what a new file gets.
+        with open(tmp_path / "probe", "a", encoding="utf-8"):
+            pass
+        new_file_mode = stat.S_IMODE(os.stat(tmp_path / "probe").st_mode)
+        path = str(tmp_path / "store.jsonl")
+        append_record(path, {"a": 1})
+        for created in (path, lock_path(path)):
+            assert stat.S_IMODE(os.stat(created).st_mode) == new_file_mode
+
+    def test_a_large_batch_reads_back_as_intact_lines(self, tmp_path,
+                                                       monkeypatch):
+        # 256 KiB in one batch, through a kernel that writes at most 64 KiB
+        # a call: the short writes are resumed, never torn or repeated.
+        path = str(tmp_path / "store.jsonl")
+        # Each line is 4 KiB exactly: pad it to 4,096 bytes with its newline.
+        batch = [{"index": index,
+                  "pad": "x" * (4095 - len(dump_record({"index": index,
+                                                        "pad": ""})))}
+                 for index in range(64)]
+        payload = "".join(dump_record(record) + "\n" for record in batch)
+        assert len(payload) == 256 * 1024
+        write = os.write
+        calls = []
+
+        def short_write(fd, data):
+            calls.append(len(data))
+            return write(fd, data[:64 * 1024])
+
+        monkeypatch.setattr(os, "write", short_write)
+        assert append_records(path, batch) == 64
+        monkeypatch.undo()
+        assert calls == [256 * 1024, 192 * 1024, 128 * 1024, 64 * 1024]
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == payload
+        records, skipped = load_records(path, accept_all)
+        assert (records, skipped) == (batch, 0)
+
     def test_locked_is_reentrant_across_processes_not_threads(self, tmp_path):
         # Single-process sanity: the context manager acquires and releases.
         path = str(tmp_path / "store.jsonl")
@@ -92,6 +132,24 @@ class TestRewrite:
         first = open(path, "rb").read()
         rewrite_records(path, records)
         assert open(path, "rb").read() == first
+
+    def test_an_append_after_another_process_rewrites_lands_in_the_new_file(
+            self, tmp_path):
+        # Appends open the data file anew under the lock, so they follow the
+        # inode a compaction in another process swapped in.
+        path = str(tmp_path / "store.jsonl")
+        append_record(path, {"i": 0})
+        before = os.stat(path).st_ino
+        process = multiprocessing.Process(
+            target=rewrite_records, args=(path, [{"i": 1}, {"i": 2}]))
+        process.start()
+        process.join(60)
+        assert process.exitcode == 0
+        assert os.stat(path).st_ino != before
+        append_record(path, {"i": 3})
+        records, skipped = load_records(path, accept_all)
+        assert [r["i"] for r in records] == [1, 2, 3]
+        assert skipped == 0
 
     def test_rewrite_failure_cleans_up_and_preserves_store(self, tmp_path):
         path = str(tmp_path / "store.jsonl")

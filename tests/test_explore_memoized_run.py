@@ -11,11 +11,13 @@ import json
 import pytest
 
 from repro.errors import ReproError
+from repro.explore import store as store_module
 from repro.explore.store import (
     EVALUATED,
     MEMO,
     SHARED,
     ResultStore,
+    StoreKey,
     memoized_run,
 )
 from repro.flows.dse import DesignPoint
@@ -88,12 +90,13 @@ def run(request, library, monkeypatch):
 
         monkeypatch.setattr(SweepSession, "evaluate", spied)
 
-    def go(points, memo, factory=FIR, fail_at=None):
+    def go(points, memo, factory=FIR, fail_at=None, keys=None):
         failing.clear()
         failing.add(fail_at)
         outcomes, failures = memoized_run(
             SweepSession(factory, library), points, memo, workload="w",
-            evaluator=evaluator if request.param == "evaluator" else None)
+            evaluator=evaluator if request.param == "evaluator" else None,
+            keys=keys)
         return outcomes, failures, evaluated
 
     return go
@@ -160,3 +163,36 @@ def test_memo_cache_counts_the_traffic(tmp_path, run):
     run([point(4), point(5), point(4)], cache)
     run([point(4), point(6)], cache)
     assert (cache.hits, cache.misses, cache.puts) == (1, 3, 3)
+
+
+def test_given_keys_give_the_same_outcomes_failures_and_records(
+        memo, run, tmp_path, monkeypatch):
+    points = [point(6), point(4), point(6), point(5)]
+    outcomes, failures, _ = run(points, memo, fail_at=5)
+    keys = [outcome.key for outcome in outcomes]
+
+    derived = []
+    key_for = store_module.key_for
+
+    def spy(design, p, *args, **kwargs):
+        derived.append(p.name)
+        return key_for(design, p, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "key_for", spy)
+    given = type(memo)(str(tmp_path / "given.jsonl"))
+    again, again_failures, _ = run(points, given, fail_at=5, keys=keys)
+    assert derived == []  # no design was built to key the points
+    assert again == outcomes
+    assert again_failures == failures
+    with open(memo.path, "rb") as computed, open(given.path, "rb") as reused:
+        assert reused.read() == computed.read()
+
+
+def test_keys_of_the_wrong_length_raise(memo, library):
+    key = StoreKey(fingerprint="f", clock_period=1500.0, pipeline_ii=None,
+                   margin_fraction=0.05)
+    session = SweepSession(FIR, library)
+    for keys in ([key], [key] * 3):
+        with pytest.raises(ReproError, match="keys for 2 points"):
+            memoized_run(session, [point(4), point(5)], memo, keys=keys)
+    assert memo.looked_up == [] and len(memo) == 0

@@ -127,7 +127,8 @@ def test_cache_stats_covers_every_cache_layer(library):
     stats = cache_stats()
     assert set(stats) == {"analysis_cache", "delta_seeds", "jsonl_stores",
                           "serve"}
-    assert {"hits", "misses", "puts", "compactions"} <= set(stats["serve"])
+    assert {"hits", "misses", "puts", "compactions",
+            "keys_reused"} <= set(stats["serve"])
     assert {"skipped_lines", "appended_records"} \
         <= set(stats["jsonl_stores"])
     # The analysis-cache section reads the public cache_info() tables.

@@ -10,6 +10,7 @@ the memoization guarantees are asserted against.
 
 import functools
 import json
+import sys
 import time
 
 import pytest
@@ -195,6 +196,120 @@ class TestMemoization:
         assert len(fake.calls) == swept
         assert result["evaluations"] == 0
         assert service.result(sweep["job_id"])["result"]["evaluations"] == 11
+
+
+@pytest.fixture
+def key_for_calls(monkeypatch):
+    """The points :func:`memoized_run` keyed by building their designs."""
+    from repro.explore import store
+
+    calls = []
+    key_for = store.key_for
+
+    def spy(design, point, *args, **kwargs):
+        calls.append(point.name)
+        return key_for(design, point, *args, **kwargs)
+
+    monkeypatch.setattr(store, "key_for", spy)
+    return calls
+
+
+#: A submitted design and a two-point sweep: the job kinds keyed by points.
+KEYED_JOBS = [("submit-design", submit_design_payload()),
+              ("sweep", sweep_payload())]
+
+
+class TestRememberedKeys:
+    """A resubmitted payload is keyed from the store keys the service
+    remembered for its fingerprint: no design is built or fingerprinted."""
+
+    @pytest.mark.parametrize("kind, payload", KEYED_JOBS)
+    def test_a_resubmission_builds_no_design(self, kind, payload,
+                                             key_for_calls):
+        service = _service()
+        cold = service.submit(JobSpec(kind, payload, tenant="team-a"))
+        service.run_pending()
+        points = len(service.result(cold["job_id"])["result"]["points"])
+        assert len(key_for_calls) == points
+
+        warm = service.submit(JobSpec(kind, payload, tenant="team-b"))
+        service.run_pending()
+        assert len(key_for_calls) == points  # none on the resubmission
+        cold_body = service.result(cold["job_id"])["result"]
+        warm_body = service.result(warm["job_id"])["result"]
+        assert warm_body["points"] == cold_body["points"]
+        assert (warm_body["evaluations"], warm_body["cache_hits"]) \
+            == (0, points)
+        assert service.stats()["cache"]["keys_reused"] == points
+
+    @pytest.mark.parametrize("kind, payload", KEYED_JOBS)
+    def test_remembered_keys_equal_freshly_derived_keys(self, kind, payload):
+        from repro.explore.store import key_for
+
+        service = _service()
+        spec = JobSpec(kind, payload)
+        service.submit(spec)
+        service.run_pending()
+        job = spec.parse_payload()
+        sweep = kind == "sweep"
+        points = job.points() if sweep else [job.point(name=job.name)]
+        factory = job.factory()
+        assert service.cache.remembered_keys(spec.fingerprint()) == [
+            key_for(factory(point), point, job.margin_fraction,
+                    scheduling=job.scheduling if sweep else "block")
+            for point in points]
+
+    def test_a_lost_record_is_evaluated_again_under_its_key(self,
+                                                            key_for_calls):
+        fake = FakeEvaluator()
+        service = _service(evaluator=fake)
+        spec = JobSpec("sweep", sweep_payload())
+        service.submit(spec)
+        service.run_pending()
+        lost = service.cache.remembered_keys(spec.fingerprint())[0]
+        del service.cache._records[lost]  # the memo no longer holds it
+
+        again = service.submit(spec)
+        service.run_pending()
+        body = service.result(again["job_id"])["result"]
+        assert (body["evaluations"], body["cache_hits"]) == (1, 1)
+        assert fake.calls == ["idct_L6_T1500", "idct_L8_T1500",
+                              "idct_L6_T1500"]
+        assert len(key_for_calls) == 2  # the cold job's keys only
+        assert service.cache.lookup(lost) == body["points"][0]
+        assert service.cache.puts == 3
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_resubmissions_on_worker_threads(self, key_for_calls, threads):
+        # A shortened switch interval makes the workers interleave often; a
+        # lost update of the map or of the tally would break the counts.
+        service = _service()
+        payloads = [sweep_payload(latencies=(lat,)) for lat in (6, 8, 10)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        service.start_workers(threads)
+        try:
+            cold = [service.submit(JobSpec("sweep", payload, tenant="a"))
+                    for payload in payloads]
+            for receipt in cold:
+                assert _wait_terminal(service,
+                                      receipt["job_id"])["state"] == "done"
+            warm = [service.submit(JobSpec("sweep", payload, tenant=tenant))
+                    for tenant in ("b", "c", "d") for payload in payloads]
+            for receipt in warm:
+                assert _wait_terminal(service,
+                                      receipt["job_id"])["state"] == "done"
+        finally:
+            service.stop_workers()
+            sys.setswitchinterval(interval)
+        assert sorted(key_for_calls) == sorted(f"idct_L{lat}_T1500"
+                                               for lat in (6, 8, 10))
+        assert service.cache.keys_reused == len(warm)
+        bodies = [service.result(receipt["job_id"])["result"]
+                  for receipt in cold + warm]
+        for index, body in enumerate(bodies[3:]):
+            assert body["points"] == bodies[index % 3]["points"]
+            assert body["evaluations"] == 0
 
 
 @pytest.fixture

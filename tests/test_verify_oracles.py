@@ -144,3 +144,50 @@ def test_outcome_details_name_the_disagreement(monkeypatch):
                 or "area_after" in outcome.details
             break
     assert caught, "no scenario in the first 20 exercised area recovery"
+
+
+def _first_caught(monkeypatch, patched, seeds=range(40)):
+    """Run the area-recovery oracle with ``recover_area`` patched; returns
+    the first scenario's violation details, or ``None``."""
+    import repro.verify.oracles as oracles_mod
+
+    monkeypatch.setattr(oracles_mod, "recover_area", patched)
+    for seed in seeds:
+        outcome = ORACLES["area-recovery"].run(generate_scenario(seed))
+        if not outcome.ok:
+            return outcome.details
+    return None
+
+
+def test_area_recovery_oracle_checks_the_accept_order(monkeypatch):
+    """The heap pass accepts the reference's downgrades in the reference's
+    order, so a pass that reports them in another order is a violation."""
+    from repro.rtl.area_recovery import recover_area
+
+    def reversed_order(datapath):
+        result = recover_area(datapath)
+        result.changed_instances.reverse()
+        return result
+
+    details = _first_caught(monkeypatch, reversed_order)
+    assert details is not None, "no scenario changed two instances"
+    assert details.startswith("changed instances ")
+
+
+def test_area_recovery_oracle_checks_the_handed_over_report(monkeypatch):
+    """FlowRun.finish consumes ``AreaRecoveryResult.timing``; a pass that
+    hands back its pre-recovery report describes a datapath that no longer
+    exists, which the oracle must catch."""
+    import dataclasses
+
+    from repro.rtl.area_recovery import recover_area
+    from repro.rtl.timing import analyze_state_timing
+
+    def stale_report(datapath):
+        before = analyze_state_timing(datapath)
+        return dataclasses.replace(recover_area(datapath), timing=before)
+
+    details = _first_caught(monkeypatch, stale_report)
+    assert details is not None, "no scenario exercised area recovery"
+    assert "handed-over report's op_finish != fresh analysis" in details
+    assert "downgrades" not in details and "changed instances" not in details
