@@ -15,13 +15,16 @@ on to retain its budgeted area savings through binding).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import BindingError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
-from repro.sched.allocation import ClassKey, resource_class_key
+from repro.core.analysis_cache import default_cache
+from repro.sched.allocation import ClassKey
 from repro.sched.schedule import Schedule
 
 
@@ -65,7 +68,9 @@ class Binding:
         raise BindingError(f"unknown functional-unit instance {name!r}")
 
     def total_fu_area(self) -> float:
-        return sum(instance.area for instance in self.instances)
+        # Not sum(), whose float rounding changed in Python 3.12: the golden
+        # areas are these left-to-right sums.
+        return reduce(add, (instance.area for instance in self.instances), 0)
 
     def instances_of_class(self, class_key: ClassKey) -> List[FUInstance]:
         return [i for i in self.instances if i.class_key == class_key]
@@ -106,14 +111,15 @@ def bind_operations(
     op_to_instance: Dict[str, str] = {}
     counters: Dict[ClassKey, int] = {}
 
+    table = default_cache().budget_template(design, library)
     ops = []
     for item in schedule.items:
-        op = design.dfg.op(item.op)
-        if not op.is_synthesizable:
+        index = table.index.get(item.op)  # None for a constant
+        key = None if index is None else table.class_keys[index]
+        if key is None:
             continue
-        key = resource_class_key(op, library)
-        variant = item.variant or library.fastest_variant(op)
-        ops.append((key, item.step, variant, op))
+        variant = item.variant or table.classes[index].fastest
+        ops.append((key, item.step, variant, design.dfg.op(item.op)))
     # Deterministic order: class, then step, then fastest-first inside a step
     # so critical operations claim fast instances before relaxed ones arrive.
     ops.sort(key=lambda entry: (entry[0], entry[1], entry[2].delay, entry[3].name))

@@ -25,11 +25,14 @@ sweep (CPU time 3.70 s with every table):
   :func:`~repro.core.sequential_slack.compute_sequential_slack` per delay
   map.  It hits 29 of 52 lookups, but the audit's sweep ran no slower
   without it (3.45 s);
-* ``budget_templates`` — the per-``(design, library)`` skeleton of a
-  budgeting state (:class:`repro.core.budgeting._BudgetTemplate`).  Every
-  ``budget_slack`` call on a graph starts from it, and every slack-guided
-  scheduling run takes it once for the re-budget states of all its
-  passes: it hits 13 times and misses 13;
+* ``budget_templates`` — the per-``(design, library)`` op table
+  (:class:`repro.core.budgeting._BudgetTemplate`): every operation's
+  resource class, class key, delays and non-constant neighbours, resolved
+  once.  Every ``budget_slack`` call on a graph starts from it, every
+  slack-guided scheduling run takes it for the re-budget states and
+  pass-start delays of all its passes, and every list-scheduling pass, the
+  minimal allocation, the relaxation's instance bound and binding read it,
+  in both flows: it hits 193 times and misses 13, once per design;
 * ``span_templates`` — the pinned-independent skeleton of the span
   computation (:class:`repro.core.opspan._SpanTemplate`) and its interned
   :class:`~repro.core.opspan.SpanInfo` objects, which every span
@@ -56,8 +59,8 @@ Correctness: every cached value is a pure function of its key, and every
 consumer treats the shared objects as immutable, so results with the cache
 are bit-for-bit identical to results without it (the flows' golden-metrics
 benchmark guards this).  The fingerprint is stamped on the design object
-behind an O(1) shape guard, and the span templates carry the same shape in
-their key: structural growth or shrinkage after first use is detected, but
+behind an O(1) shape guard, and both template tables carry the same shape
+in their key: structural growth or shrinkage after first use is detected, but
 in-place edits that keep every node/edge count unchanged are not — finish
 editing a design before handing it to a flow.
 
@@ -295,14 +298,16 @@ class AnalysisCache:
     # -- templates -----------------------------------------------------------------
 
     def budget_template(self, design, library):
-        """The interned budgeting skeleton of ``(design, library)``.
+        """The interned op table of ``(design, library)``.
 
         A :class:`repro.core.budgeting._BudgetTemplate`, keyed by the
-        identity tokens of both objects.  Treat it as immutable.
+        identity tokens of both objects plus the design's shape, so a
+        design that grew or shrank after first use gets a new table.  Treat
+        it as immutable.
         """
         from repro.core.budgeting import _BudgetTemplate
 
-        key = (_object_token(design), _object_token(library))
+        key = (_object_token(design), _object_token(library), _shape(design))
         return self._budget_templates.get_or_build(
             key, lambda: _BudgetTemplate(design, library))
 

@@ -89,22 +89,27 @@ class BudgetingResult:
 
 
 class _BudgetTemplate:
-    """Immutable per-(design, library) skeleton of a budgeting state.
+    """Immutable per-(design, library) op table: every operation resolved once.
 
-    Building a :class:`_BudgetState` used to resolve the resource class, the
-    synthesizability and the default grade of every operation on *every*
-    ``budget_slack`` call.  All of that is a pure function of (design,
-    library), so it is interned once per pair
+    Resolving an operation's resource class, class key, delays and
+    neighbours is a pure function of (design, library), so it is interned
+    once per pair
     (:meth:`repro.core.analysis_cache.AnalysisCache.budget_template`) and
-    states start from list copies of the precomputed base vectors.
+    every scheduling pass of both flows reads it: budgeting states start
+    from list copies of its base vectors, the list scheduler reads its
+    class keys, delays, neighbours and scan order, the relaxation bound and
+    :func:`~repro.sched.allocation.minimal_allocation` its per-class
+    operation counts, and binding its class keys.
 
     Every table is a list on *op indices*: operation ``i`` is ``names[i]``,
     the ``i``-th non-constant operation in design order, which is also node
     ``i`` of the design's timed graph (its operations come first, in that
-    order, then their sinks).
+    order, then their sinks).  It holds names and resolved classes, never
+    an operation or the design.
     """
 
-    __slots__ = ("names", "index", "classes", "nonsynth", "static_delays",
+    __slots__ = ("names", "index", "classes", "class_keys", "class_counts",
+                 "preds", "succs", "scan_order", "nonsynth", "static_delays",
                  "fastest_delays", "base_variants", "base_delays",
                  "slower_of", "faster_of")
 
@@ -116,6 +121,25 @@ class _BudgetTemplate:
         self.index: Dict[str, int] = {
             name: index for index, name in enumerate(self.names)}
         self.classes: List[Optional[object]] = [None] * count
+        # ``(kind value, width)`` of each resolved class, None exactly for
+        # the non-synthesizable operations, and the operations per key in
+        # order of first use.
+        self.class_keys: List[Optional[Tuple[str, int]]] = [None] * count
+        self.class_counts: Dict[Tuple[str, int], int] = {}
+        # The list scheduler's tables: the non-constant predecessors, the
+        # successors in consumer-name order, and the names in the order it
+        # scans them.
+        dfg = design.dfg
+        index_of = self.index
+        self.preds: List[Tuple[str, ...]] = [
+            tuple(pred for pred in dfg.predecessors(name) if pred in index_of)
+            for name in self.names]
+        self.scan_order: Tuple[str, ...] = tuple(sorted(self.names))
+        succs: List[List[str]] = [[] for _ in ops]
+        for name in self.scan_order:
+            for pred in self.preds[index_of[name]]:
+                succs[index_of[pred]].append(name)
+        self.succs: List[Tuple[str, ...]] = [tuple(names) for names in succs]
         self.nonsynth: List[bool] = [False] * count
         # Delay of ops whose delay ignores the variant (const/copy/IO) —
         # mirrors Library.operation_delay's dispatch exactly.
@@ -143,6 +167,9 @@ class _BudgetTemplate:
                 continue
             resource_class = library.class_for_op(op)
             self.classes[index] = resource_class
+            key = (resource_class.kind.value, resource_class.width)
+            self.class_keys[index] = key
+            self.class_counts[key] = self.class_counts.get(key, 0) + 1
             maps = adjacency.get(id(resource_class))
             if maps is None:
                 grades = resource_class.variants

@@ -101,13 +101,18 @@ def locked(path: str) -> Iterator[None]:
     acquiring the lock*, which both :func:`append_records` and
     :func:`rewrite_records` do; see the module docstring for the full
     discipline.  Reentrant use in one process deadlocks — the stores never
-    nest writes.
+    nest writes.  The parent directories are made only when the sidecar
+    cannot be opened for want of them, on a store's first write.
     """
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if fcntl is None:  # pragma: no cover - Windows fallback
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         yield
         return
-    sidecar = os.open(lock_path(path), _APPEND_FLAGS, 0o666)
+    try:
+        sidecar = os.open(lock_path(path), _APPEND_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        sidecar = os.open(lock_path(path), _APPEND_FLAGS, 0o666)
     try:
         fcntl.flock(sidecar, fcntl.LOCK_EX)
         yield

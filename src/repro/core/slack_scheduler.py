@@ -28,7 +28,6 @@ from repro.errors import TimingError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
-from repro.ir.operations import OpKind
 from repro.core.analysis_cache import default_cache
 from repro.core.budgeting import BudgetingResult, _BudgetState, budget_slack
 from repro.core.delta_slack import DeltaSlackEvaluator
@@ -216,7 +215,8 @@ class SlackScheduler:
     and no name-keyed map is built after step 0.  The pass-start slack goes
     through the process-wide
     :func:`~repro.core.analysis_cache.default_cache`, and the span and
-    budget templates come from it once per pass.
+    budget templates come from it once per run; the pass-start delays are
+    the budget template's.
 
     Each :meth:`run` starts from a clean slate: the grades one run's
     relaxation loop locked do not carry over to the next, and no pass sees
@@ -314,10 +314,9 @@ class SlackScheduler:
         so the relaxation that follows repairs the real configuration.
         """
         variants.update(self._locked)
-        delays = {
-            op.name: self.library.operation_delay(op, variants.get(op.name))
-            for op in self.design.dfg.operations if op.kind is not OpKind.CONST
-        }
+        table = self._tables[1]
+        delays = {name: table.pinned_delay(index, variants.get(name))
+                  for index, name in enumerate(table.names)}
         pass_timing = self._cache.sequential_slack(self._timed, delays,
                                                    self.clock_period,
                                                    aligned=True)

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 from repro.ir.design import Design
 from repro.ir.operations import Operation
 from repro.lib.library import Library
+from repro.core.analysis_cache import default_cache
 from repro.core.opspan import OperationSpans
 
 #: A resource class is identified by (kind value, characterised width).
@@ -75,17 +76,14 @@ def minimal_allocation(
     spans = spans or OperationSpans(design)
     pipeline_ii = pipeline_ii or design.pipeline_ii
 
-    ops_per_class: Dict[ClassKey, int] = {}
+    table = default_cache().budget_template(design, library)
     edges_per_class: Dict[ClassKey, set] = {}
-    for op in design.dfg.operations:
-        key = resource_class_key(op, library)
-        if key is None:
-            continue
-        ops_per_class[key] = ops_per_class.get(key, 0) + 1
-        edges_per_class.setdefault(key, set()).update(spans.span(op.name).edges)
+    for name, key in zip(table.names, table.class_keys):
+        if key is not None:
+            edges_per_class.setdefault(key, set()).update(spans.span(name).edges)
 
     allocation = Allocation()
-    for key, count in ops_per_class.items():
+    for key, count in table.class_counts.items():
         slots = max(len(edges_per_class[key]), 1)
         if pipeline_ii is not None:
             slots = min(slots, max(pipeline_ii, 1))

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.ir.design import Design
-from repro.ir.operations import OpKind
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
+from repro.core.analysis_cache import default_cache
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans, SpanInfo
-from repro.sched.allocation import Allocation, ClassKey, resource_class_key
+from repro.sched.allocation import Allocation, ClassKey
 from repro.sched.priorities import PriorityFn, mobility_priority
 from repro.sched.schedule import Schedule, ScheduledOp
 
@@ -95,15 +95,19 @@ def try_list_schedule(
     mutable dict the upgrade is recorded in it so callers see the final
     grades.
 
-    The pass resolves its tables once (class keys, fixed delays, non-constant
-    predecessors and successors) and counts each operation's unscheduled
-    predecessors; it is ready at zero.  An edge's first round tries every
-    ready operation whose span holds the edge, each later round only those
-    that became ready in the previous one.  That is exact: a ready operation
-    that did not fit and is not on its last chance cannot fit later on the
-    edge (its chained start and delay are fixed, slot usage only grows), and
-    a failed try has no side effect.  Priority keys are computed once per
-    operation and priority function.
+    The pass reads every operation's class key, delays, non-constant
+    predecessors and successors and its scan order from the design's op
+    table (:meth:`repro.core.analysis_cache.AnalysisCache.budget_template`),
+    which each (design, library) resolves once for every pass of both
+    flows.  The pass makes only its mutable state: the pending set and each
+    operation's count of unscheduled predecessors; it is ready at zero.  An
+    edge's first round tries every ready operation whose span holds the
+    edge, each later round only those that became ready in the previous
+    one.  That is exact: a ready operation that did not fit and is not on
+    its last chance cannot fit later on the edge (its chained start and
+    delay are fixed, slot usage only grows), and a failed try has no side
+    effect.  Priority keys are computed once per operation and priority
+    function.
     """
     latency = latency or LatencyAnalysis(design.cfg)
     spans = spans or OperationSpans(design, latency=latency)
@@ -113,26 +117,23 @@ def try_list_schedule(
     schedule = Schedule(design, clock_period)
     mod_ii = pipeline_ii if pipeline_ii is not None and pipeline_ii >= 1 else None
 
-    # Per-pass tables.  Constant operations are never scheduled, so every
-    # lookup below (readiness, chained start, chain driver) sees only the
-    # non-constant predecessors.  Exactly the synthesizable operations have
-    # a class key; the others have a fixed delay.
-    ops = {op.name: op for op in design.dfg.operations
-           if op.kind is not OpKind.CONST}
-    pending_order = sorted(ops)
+    # The design's op table, on op indices.  Constant operations are never
+    # scheduled, so every lookup below (readiness, chained start, chain
+    # driver) sees only the non-constant predecessors.  Exactly the
+    # synthesizable operations have a class key; the others have a static
+    # delay.
+    table = default_cache().budget_template(design, library)
+    index_of = table.index
+    class_keys = table.class_keys
+    static_delays = table.static_delays
+    fastest_delays = table.fastest_delays
+    preds_of = table.preds
+    succs_of = table.succs
+    pending_order = table.scan_order
     # Filled one by one in design order: the order in which a hook iterates
     # ``frozenset(pending)`` follows this insertion history.
-    pending = {name for name in ops}
-    class_key = {name: resource_class_key(op, library) for name, op in ops.items()}
-    fixed_delay = {name: library.operation_delay(op)
-                   for name, op in ops.items() if class_key[name] is None}
-    preds_map = {name: tuple(p for p in design.dfg.predecessors(name) if p in ops)
-                 for name in pending_order}
-    succs: Dict[str, List[str]] = {name: [] for name in pending_order}
-    for name, preds in preds_map.items():
-        for pred in preds:
-            succs[pred].append(name)
-    waiting = {name: len(preds) for name, preds in preds_map.items()}
+    pending = set(table.names)
+    waiting = {name: len(preds) for name, preds in zip(table.names, preds_of)}
     priority_keys: Dict[str, tuple] = {}
     usage: Dict[Tuple[int, ClassKey], int] = {}
 
@@ -160,15 +161,16 @@ def try_list_schedule(
                                       priority_keys[n]))
             newly_ready: List[str] = []
             for name in ready:
+                index = index_of[name]
                 variant = variant_map.get(name)
-                key = class_key[name]
+                key = class_keys[index]
                 if key is None:
-                    delay = fixed_delay[name]
+                    delay = static_delays[index]
                 else:
                     delay = (variant.delay if variant is not None else
-                             library.fastest_variant(ops[name]).delay)
+                             fastest_delays[index])
                 start = 0.0
-                for pred in preds_map[name]:
+                for pred in preds_of[index]:
                     pred_item = placed.get(pred)
                     if pred_item is not None and pred_item.finish > start:
                         start = pred_item.finish
@@ -178,8 +180,8 @@ def try_list_schedule(
                 if (not fits_timing and last_chance
                         and variant is not None and key is not None):
                     # Upgrade on the fly: take the cheapest grade that fits.
-                    resource_class = library.class_for_op(ops[name])
-                    faster = resource_class.cheapest_within(clock_period - start)
+                    faster = table.classes[index].cheapest_within(
+                        clock_period - start)
                     if faster.delay < variant.delay:
                         variant = faster
                         delay = faster.delay
@@ -196,7 +198,7 @@ def try_list_schedule(
                     pending.discard(name)
                     if slot is not None:
                         usage[slot] = usage.get(slot, 0) + 1
-                    for succ in succs[name]:
+                    for succ in succs_of[index]:
                         waiting[succ] -= 1
                         if not waiting[succ] and succ in eligible:
                             newly_ready.append(succ)
@@ -218,10 +220,11 @@ def try_list_schedule(
                         # deferred onto this state by resource scarcity — and
                         # report its class so relaxation can add one.
                         current = name
-                        while chained := [p for p in preds_map[current] if p in placed]:
+                        while chained := [p for p in preds_of[index_of[current]]
+                                          if p in placed]:
                             current = max(chained, key=lambda p: placed[p].finish)
                         if current != name:
-                            blocking_key = class_key[current]
+                            blocking_key = class_keys[index_of[current]]
                     return SchedulingAttempt(
                         success=False,
                         failure=SchedulingFailure(op=name, edge=edge_name,
@@ -245,7 +248,7 @@ def try_list_schedule(
                     success=False,
                     failure=SchedulingFailure(
                         op=name, edge=edge_name, reason="unreachable",
-                        class_key=class_key[name],
+                        class_key=class_keys[index_of[name]],
                         detail="operation never became ready before the end of "
                                "its span (a predecessor could not be scheduled)",
                     ),
@@ -257,7 +260,7 @@ def try_list_schedule(
             success=False,
             failure=SchedulingFailure(
                 op=name, edge=spans.span(name).late, reason="unreachable",
-                class_key=class_key[name],
+                class_key=class_keys[index_of[name]],
                 detail="operation left unscheduled after visiting every edge",
             ),
         )

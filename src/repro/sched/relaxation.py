@@ -41,13 +41,13 @@ from repro.errors import InfeasibleDesignError
 from repro.ir.design import Design
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
+from repro.core.analysis_cache import default_cache
 from repro.core.deadline import check_deadline
 from repro.core.latency import LatencyAnalysis
 from repro.core.opspan import OperationSpans
 from repro.obs.metrics import counter as _obs_counter
 from repro.obs.trace import enclosing_attr, span as _obs_span
-from repro.sched.allocation import (Allocation, ClassKey, minimal_allocation,
-                                   resource_class_key)
+from repro.sched.allocation import Allocation, ClassKey, minimal_allocation
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
 from repro.sched.priorities import PriorityFn
 from repro.sched.schedule import Schedule
@@ -138,8 +138,8 @@ class _AtClassBound(InfeasibleDesignError):
 
 def _add_instance(design: Design, library: Library, allocation: Allocation,
                   class_key: ClassKey, log: RelaxationLog, why: str) -> None:
-    operations = sum(resource_class_key(op, library) == class_key
-                     for op in design.dfg.operations)
+    operations = default_cache().budget_template(
+        design, library).class_counts.get(class_key, 0)
     if allocation.limit(class_key) >= operations:
         raise _AtClassBound(
             f"{class_key[0]}/{class_key[1]} at its bound of {operations} "

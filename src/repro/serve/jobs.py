@@ -12,8 +12,8 @@ a JSON-safe payload —
 * ``"explore"`` — an :class:`ExploreJob` dict: an adaptive Pareto
   exploration (:class:`repro.explore.adaptive.AdaptiveExplorer`).
 
-Payloads are validated eagerly at construction (:meth:`JobSpec.parse_payload`
-round-trips them through the payload class's ``from_dict``), so a malformed
+Payloads are parsed once, at construction, by the payload class's
+``from_dict`` (:meth:`JobSpec.parse_payload` returns the result), so a malformed
 submission is rejected at the submit endpoint, not discovered by a worker.
 
 A :class:`JobRecord` is the queue's unit of state: the spec plus the job's
@@ -217,17 +217,24 @@ class JobSpec:
             raise ReproError(f"job payload must be a JSON object, got "
                              f"{type(self.payload).__name__}")
         # Freeze a plain-dict copy and validate it eagerly: reject at the
-        # submit endpoint, not in a worker three retries later.
+        # submit endpoint, not in a worker three retries later.  The copy
+        # never changes, so parse and hash it once, outside the fields.
         object.__setattr__(self, "payload",
                            json.loads(json.dumps(dict(self.payload))))
-        self.parse_payload()
+        object.__setattr__(self, "_job", self._parse())
+        object.__setattr__(self, "_fingerprint", self._hash())
 
     def parse_payload(self):
-        """The payload as its owning layer's object (validates on the way).
+        """The payload as its owning layer's object, parsed (and so
+        validated) when the spec was built.
 
         Returns a :class:`~repro.verify.scenarios.ScenarioSpec`,
-        :class:`SweepJob` or :class:`ExploreJob` depending on :attr:`kind`.
+        :class:`SweepJob` or :class:`ExploreJob` depending on :attr:`kind`;
+        all three are frozen.
         """
+        return self._job
+
+    def _parse(self):
         from repro.verify.scenarios import ScenarioSpec
 
         try:
@@ -258,6 +265,9 @@ class JobSpec:
         what the shared memo tier dedups; the job id identifies the
         submission.
         """
+        return self._fingerprint
+
+    def _hash(self) -> str:
         canonical = json.dumps({"kind": self.kind, "payload": self.payload},
                                sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

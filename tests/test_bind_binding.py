@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.bind.binding import bind_operations
-from repro.bind.interconnect import estimate_interconnect
+from repro.bind.binding import Binding, FUInstance, bind_operations
+from repro.bind.interconnect import (InterconnectEstimate, MuxRecord,
+                                     estimate_interconnect)
 from repro.bind.registers import allocate_registers, compute_lifetimes
 from repro.core.slack_scheduler import SlackScheduler
 from repro.ir.operations import OpKind
+from repro.lib.resource import ResourceVariant
 from repro.sched.allocation import minimal_allocation, resource_class_key
 from repro.sched.list_scheduler import try_list_schedule
 
@@ -114,3 +116,18 @@ def test_interconnect_counts_shared_ports(interpolation, library, scheduled):
         assert estimate.total_area > 0
     for instance in binding.instances:
         assert estimate.delay_before(instance.name) >= 0.0
+
+
+def test_area_totals_add_left_to_right():
+    """Both totals add their areas in order, as ``sum()`` did before
+    Python 3.12; 3.12's compensated ``sum()`` of ten 0.1 areas gives 1.0,
+    and the golden Table-4 areas are the plain sums."""
+    variant = ResourceVariant("add8_g0", OpKind.ADD, 8, delay=100.0, area=0.1)
+    binding = Binding(instances=[FUInstance(f"add8_u{index}", ("add", 8),
+                                            variant) for index in range(10)],
+                      op_to_instance={})
+    estimate = InterconnectEstimate(muxes=[
+        MuxRecord(f"r{index}.d", inputs=2, width=8, area=0.1, delay=0.0)
+        for index in range(10)])
+    assert binding.total_fu_area() == 0.9999999999999999
+    assert estimate.total_area == 0.9999999999999999

@@ -324,6 +324,33 @@ def test_bench_job_fails_when_an_exercised_count_reads_zero(workflow):
     assert '["correct"] is True and not zero' in run_text
 
 
+#: The result digest prefix of each smoke workload (perfbench's seed 1).
+#: A change that moves a result on purpose re-pins it here and in ci.yml.
+PINNED_DIGESTS = {
+    "table4-rows2-light": "1a9ce067ecbace83",
+    "serve-memo": "32d4d5fac3f2939c",
+    "pipeline-ii": "bd5ad4165eeed67b",
+}
+
+
+def test_bench_job_checks_each_smoke_workloads_result_digest(workflow):
+    """Right after each traced smoke, ``digest <workload> <prefix>`` reads
+    the workload's ``.perfbench/result-<workload>.json`` and fails unless
+    its ``digest`` starts with the pinned prefix."""
+    run_text = _run_text(workflow, "bench-smoke")
+    lines = [line.split() for line in run_text.splitlines()]
+    checked = {}
+    for before, words in zip(lines, lines[1:]):
+        if len(words) == 3 and words[0] == "digest":
+            assert before[:2] == ["smoke", words[1]], words
+            checked[words[1]] = words[2]
+    assert checked == PINNED_DIGESTS
+    assert '.perfbench/result-{workload}.json' in run_text
+    assert 'json.load(handle)["digest"]' in run_text
+    assert "if not found.startswith(prefix):" in run_text
+    assert "sys.exit(1)" in run_text
+
+
 def test_packaging_job_builds_installs_and_imports(workflow):
     run_text = _run_text(workflow, "package")
     assert "python -m build" in run_text

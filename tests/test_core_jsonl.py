@@ -30,6 +30,21 @@ def accept_all(record):
     return True
 
 
+@pytest.fixture
+def makedirs_calls(monkeypatch):
+    """Every directory ``os.makedirs`` is asked for, its own recursion
+    included."""
+    calls = []
+    makedirs = os.makedirs
+
+    def spy(name, *args, **kwargs):
+        calls.append(name)
+        return makedirs(name, *args, **kwargs)
+
+    monkeypatch.setattr(os, "makedirs", spy)
+    return calls
+
+
 # -- basic dialect -----------------------------------------------------------------
 
 
@@ -40,6 +55,27 @@ class TestAppendAndLoad:
         records, skipped = load_records(path, accept_all)
         assert records == [{"a": 1, "b": 2}]
         assert skipped == 0
+
+    def test_appends_into_an_existing_directory_make_no_directory(
+            self, tmp_path, makedirs_calls):
+        path = str(tmp_path / "store.jsonl")
+        append_record(path, {"i": 0})
+        append_records(path, [{"i": 1}, {"i": 2}])
+        assert makedirs_calls == []
+        assert [r["i"] for r in load_records(path, accept_all)[0]] == [0, 1, 2]
+
+    def test_a_first_append_makes_the_missing_directories(self, tmp_path,
+                                                          makedirs_calls):
+        path = str(tmp_path / "a" / "b" / "store.jsonl")
+        append_record(path, {"i": 0})
+        # os.makedirs makes each missing parent by calling itself.
+        assert makedirs_calls[0] == str(tmp_path / "a" / "b")
+        with open(path, "r", encoding="utf-8") as handle:
+            assert handle.read() == '{"i": 0}\n'
+        assert os.path.isfile(lock_path(path))
+        made = len(makedirs_calls)
+        append_record(path, {"i": 1})
+        assert len(makedirs_calls) == made
 
     def test_lines_are_canonical_sorted_keys(self, tmp_path):
         path = str(tmp_path / "store.jsonl")

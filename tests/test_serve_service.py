@@ -9,6 +9,7 @@ the memoization guarantees are asserted against.
 """
 
 import functools
+import hashlib
 import json
 import sys
 import time
@@ -310,6 +311,54 @@ class TestRememberedKeys:
         for index, body in enumerate(bodies[3:]):
             assert body["points"] == bodies[index % 3]["points"]
             assert body["evaluations"] == 0
+
+
+#: sha256 of what :func:`_served_bytes` reads back: the same bytes as when
+#: each job parsed and hashed its payload again on every use.
+_SERVED_BYTES = "6895ca97abff59f7d40e559940f3ed62ffabd1329c8723cdd058c4d480428e51"
+
+
+def _served_bytes(tmp_path):
+    """Run a cold and a warm job of each kind, submitted as JSON requests;
+    returns how many jobs ran and one sha256 of every receipt, status
+    view, journal line (elapsed times zeroed) and store line."""
+    service = _service(tmp_path)
+    receipts = []
+    for tenant in ("a", "b"):
+        for kind, payload in KEYED_JOBS + [("explore", explore_payload())]:
+            receipt = service.submit({"kind": kind, "payload": payload,
+                                      "tenant": tenant})
+            service.run_pending()
+            receipts.append([receipt, service.status(receipt["job_id"])])
+    journal = []
+    with open(tmp_path / "queue.jsonl", "r", encoding="utf-8") as handle:
+        for line in handle:
+            record = json.loads(line)
+            for attempt in record["attempts"]:
+                attempt["elapsed_seconds"] = 0.0
+            journal.append(json.dumps(record, sort_keys=True))
+    with open(tmp_path / "store.jsonl", "r", encoding="utf-8") as handle:
+        store = handle.read()
+    payload = json.dumps([receipts, journal, store], sort_keys=True)
+    return len(receipts), hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_a_job_parses_and_hashes_its_payload_once(tmp_path, monkeypatch):
+    calls = {"_parse": 0, "_hash": 0}
+
+    def counted(name):
+        original = getattr(JobSpec, name)
+
+        def spy(self):
+            calls[name] += 1
+            return original(self)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(JobSpec, name, counted(name))
+    jobs, digest = _served_bytes(tmp_path)
+    assert calls == {"_parse": jobs, "_hash": jobs}
+    assert digest == _SERVED_BYTES
 
 
 @pytest.fixture
