@@ -99,7 +99,8 @@ class _BudgetTemplate:
     from list copies of its base vectors, the list scheduler reads its
     class keys, delays, neighbours and scan order, the relaxation bound and
     :func:`~repro.sched.allocation.minimal_allocation` its per-class
-    operation counts, and binding its class keys.
+    operation counts, binding its class keys, and the flows' initial grade
+    maps (:func:`repro.flows.pipeline.grade_map`) its classes.
 
     Every table is a list on *op indices*: operation ``i`` is ``names[i]``,
     the ``i``-th non-constant operation in design order, which is also node

@@ -70,6 +70,35 @@ class _PassSpans:
         self.span = spans.__getitem__
 
 
+class _Rebudget:
+    """One re-budget of a schedule pass, kept for the next pass to replay.
+
+    The input: the next edge, the pinned operations' edges (the layer's
+    ``early``), and the budget state's grades and pinned flags once the
+    edge's placements are pinned.  The outcome: the ``(spans, priority)``
+    update with the grades and delays the budget loop left, or the text of
+    the :class:`TimingError` the re-budget raised.
+    """
+
+    __slots__ = ("next_edge", "early", "grades", "pinned", "update",
+                 "after", "delays", "error")
+
+    def __init__(self, next_edge: str, early: List[str],
+                 grades: List[Optional[ResourceVariant]], pinned: List[bool],
+                 update: Optional[Tuple[_PassSpans, PriorityFn]] = None,
+                 after: Optional[List[Optional[ResourceVariant]]] = None,
+                 delays: Optional[List[float]] = None,
+                 error: Optional[str] = None):
+        self.next_edge = next_edge
+        self.early = early
+        self.grades = grades
+        self.pinned = pinned
+        self.update = update
+        self.after = after
+        self.delays = delays
+        self.error = error
+
+
 class _PassState:
     """The re-budget state of one schedule pass, kept on op indices.
 
@@ -93,10 +122,40 @@ class _PassState:
     graph=...)`` with the scheduled grades pinned and the pending ones as
     warm start.  Names appear only where the list scheduler reads them: the
     pending operations' spans, priorities and grades.
+
+    **Replay.**  Each re-budget is kept in :attr:`rebudgets` by edge (a
+    :class:`_Rebudget`).  Given the previous pass's re-budgets
+    (``previous``), a re-budget whose whole input equals that pass's on the
+    same edge (the next edge, the pinned operations' edges, the grades and
+    the pinned flags) is not recomputed: it writes the kept grades back
+    into the pass's grade map, restores the budget state's grades and
+    delays and returns the kept spans and priority, or raises the kept
+    :class:`TimingError` text.  :attr:`replayed` says which it was.  That
+    is exact:
+
+    * the outcome is a pure function of the input.  The pins fix the spans
+      and weights (the pending operations are those not pinned yet), and
+      the grades before the loop hold both the warm start and the locked
+      grades (``pinned``); on the first edge the warm start is the
+      pass-start grade map;
+    * grades compare with list equality, which tests identity first; the
+      variants are library singletons, so equal grades are the same
+      objects;
+    * pins only accumulate, so once this pass's pinned edges differ from
+      the previous pass's on some edge, no later entry can match, and the
+      previous pass's entries are dropped;
+    * a kept priority reads its own arrival and required vectors: the next
+      re-budget that is computed reseeds the evaluator from scratch, and
+      :meth:`~repro.core.delta_slack.DeltaSlackEvaluator.reseed` rebinds
+      them.  A replay leaves the pass's graph and evaluator as the last
+      computed re-budget left them.
+
+    A state made without ``previous`` computes every re-budget.
     """
 
     def __init__(self, scheduler: "SlackScheduler",
-                 variants: Dict[str, Optional[ResourceVariant]]):
+                 variants: Dict[str, Optional[ResourceVariant]],
+                 previous: Optional[Dict[str, _Rebudget]] = None):
         self._scheduler = scheduler
         self._variants = variants
         self._tables = scheduler._tables
@@ -111,8 +170,13 @@ class _PassState:
              if variant is not None},
             scheduler._locked)
         # The pass's own copy of the design's timed graph, reweighted after
-        # every edge (made by the first re-budget).
+        # every edge (made by the first re-budget that is computed).
         self._graph = None
+        self._previous = previous
+        #: This pass's re-budgets by edge, for the next pass to replay.
+        self.rebudgets: Dict[str, _Rebudget] = {}
+        #: Whether the last :meth:`rebudget` replayed the previous pass's.
+        self.replayed = False
 
     def rebudget(self, edge_name: str, schedule: Schedule, next_edge: str,
                  pending: frozenset) -> Tuple[_PassSpans, PriorityFn]:
@@ -127,22 +191,44 @@ class _PassState:
         scheduler = self._scheduler
         span_template, budget_template, pairs, base = self._tables
         budget = self._budget
+        layer = self._layer
         span_index = span_template.index
         op_index = budget_template.index
         placed = schedule.ops_on_edge(edge_name)
         if placed:
             pins = {span_index[item.op]: item.edge for item in placed}
-            self._layer.pin(pins.items())
+            layer.pin(pins.items())
             self._free = [record for record in self._free
                           if record[0] not in pins]
             for item in placed:
                 budget.pin(op_index[item.op], item.variant)
 
+        kept = self._replayable(edge_name, next_edge)
+        self.replayed = kept is not None
+        if kept is not None:
+            self.rebudgets[edge_name] = kept
+            if kept.error is not None:
+                raise TimingError(kept.error)
+            after = kept.after
+            budget.variants = list(after)
+            budget.delays = list(kept.delays)
+            target = self._variants
+            for name in pending:
+                target[name] = after[op_index[name]]
+            return kept.update
+
+        grades = list(budget.variants)
         latency = scheduler._latency
         floor = -(1 << latency.edge_order(next_edge))
-        early, late = span_template.bounds(self._layer, self._free, floor)
-        weights = bound_weights(pairs, early, late, latency,
-                                span_template.order)
+        try:
+            early, late = span_template.bounds(layer, self._free, floor)
+            weights = bound_weights(pairs, early, late, latency,
+                                    span_template.order)
+        except TimingError as error:
+            self.rebudgets[edge_name] = _Rebudget(
+                next_edge, list(layer.early), grades, list(budget.pinned),
+                error=str(error))
+            raise
         delays = budget.delay_vector(base.num_nodes)
         if self._graph is None:
             self._graph = base.reweighted(weights)
@@ -180,7 +266,31 @@ class _PassState:
             return (required[index] - arrival[index],
                     0 if mobility is None else mobility, op_name)
 
-        return _PassSpans(spans), priority
+        update = (_PassSpans(spans), priority)
+        self.rebudgets[edge_name] = _Rebudget(
+            next_edge, list(layer.early), grades, list(budget.pinned),
+            update, list(variants), list(budget.delays))
+        return update
+
+    def _replayable(self, edge_name: str,
+                    next_edge: str) -> Optional[_Rebudget]:
+        """The previous pass's re-budget on ``edge_name`` if its input
+        equals this one's, else None."""
+        previous = self._previous
+        if previous is None:
+            return None
+        kept = previous.get(edge_name)
+        if kept is None:
+            return None
+        if kept.early != self._layer.early:
+            # Pins only accumulate: no later edge can match either.
+            self._previous = None
+            return None
+        budget = self._budget
+        if (kept.next_edge == next_edge and kept.grades == budget.variants
+                and kept.pinned == budget.pinned):
+            return kept
+        return None
 
 
 class SlackScheduler:
@@ -218,13 +328,23 @@ class SlackScheduler:
     budget templates come from it once per run; the pass-start delays are
     the budget template's.
 
+    A pass that fails is rerun after one relaxation move, and most of its
+    re-budgets then see the same input again.  So each pass hands its
+    re-budgets to the next, which replays, instead of recomputing, every
+    re-budget whose whole input (next edge, pinned edges, grades and pinned
+    flags) equals the previous pass's on the same edge; the outcome is a
+    pure function of that input (see :class:`_PassState`).  A replay is
+    still a re-budget: it counts in ``rebudget_count`` and has its span.
+
     Each :meth:`run` starts from a clean slate: the grades one run's
-    relaxation loop locked do not carry over to the next, and no pass sees
-    another's pins.
+    relaxation loop locked do not carry over to the next, no pass sees
+    another's pins, and the last pass's re-budgets are dropped when the run
+    returns.
 
     Tracing (:mod:`repro.obs.trace`) records one ``sched.attempt`` span per
     schedule pass (see :mod:`repro.sched.relaxation`) and one
-    ``sched.rebudget`` span per per-edge re-budget.
+    ``sched.rebudget`` span per per-edge re-budget, whose ``replayed``
+    attribute says whether it was replayed.
     """
 
     def __init__(
@@ -264,12 +384,17 @@ class SlackScheduler:
         # not undo them.
         self._locked: Dict[str, ResourceVariant] = {}
         self._tables = self._pass_tables()
-        schedule, allocation, variants, log = _relax_until_scheduled(
-            self.design, self.library, self.clock_period,
-            initial_budget.variants, self._spans, self.pipeline_ii,
-            self._schedule_pass, "slack-based",
-            locked=self._locked,
-        )
+        # The last pass's re-budgets, which the next pass may replay.
+        self._rebudgets: Optional[Dict[str, _Rebudget]] = None
+        try:
+            schedule, allocation, variants, log = _relax_until_scheduled(
+                self.design, self.library, self.clock_period,
+                initial_budget.variants, self._spans, self.pipeline_ii,
+                self._schedule_pass, "slack-based",
+                locked=self._locked,
+            )
+        finally:
+            self._rebudgets = None
         variants.update(schedule.variant_map())
         return SlackScheduleResult(
             schedule=schedule,
@@ -323,7 +448,7 @@ class SlackScheduler:
         priority = combined_priority(pass_timing, self._spans)
         edge_order = self._latency.forward_edge_names
         edge_position = {name: index for index, name in enumerate(edge_order)}
-        state = _PassState(self, variants)
+        state = _PassState(self, variants, self._rebudgets)
 
         def post_edge_hook(edge_name: str, schedule: Schedule, pending):
             if not pending:
@@ -332,9 +457,13 @@ class SlackScheduler:
             if index + 1 >= len(edge_order):
                 return None
             try:
-                with _obs_span("sched.rebudget", edge=edge_name):
-                    update = state.rebudget(edge_name, schedule,
-                                            edge_order[index + 1], pending)
+                with _obs_span("sched.rebudget", edge=edge_name) as span:
+                    try:
+                        update = state.rebudget(edge_name, schedule,
+                                                edge_order[index + 1],
+                                                pending)
+                    finally:
+                        span.set(replayed=state.replayed)
             except TimingError:
                 # A pending operation has no legal edge left; let the main
                 # scheduling loop report the structured failure.
@@ -342,8 +471,10 @@ class SlackScheduler:
             self._rebudget_count += 1
             return update
 
-        return try_list_schedule(
+        attempt = try_list_schedule(
             self.design, self.library, self.clock_period, variants, allocation,
             spans=self._spans, latency=self._latency, priority=priority,
             pipeline_ii=pipeline_ii, post_edge_hook=post_edge_hook,
         )
+        self._rebudgets = state.rebudgets
+        return attempt

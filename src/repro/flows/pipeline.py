@@ -68,7 +68,6 @@ from repro.core.timed_dfg import TimedDFG, build_timed_dfg
 from repro.errors import ReproError
 from repro.flows.result import FlowResult
 from repro.ir.design import Design
-from repro.ir.operations import OpKind
 from repro.lib.library import Library
 from repro.lib.resource import ResourceVariant
 from repro.obs.trace import span as _obs_span
@@ -128,17 +127,18 @@ class PointArtifacts:
 
 def grade_map(design: Design, library: Library,
               grades: str) -> Dict[str, Optional[ResourceVariant]]:
-    """Every non-constant operation's ``"fastest"`` or ``"slowest"`` grade.
+    """Every non-constant operation's ``"fastest"`` or ``"slowest"`` grade,
+    in design order, read off the design's op table.
 
     Operations that use no functional unit map to ``None``.
     """
     if grades not in ("fastest", "slowest"):
         raise ReproError(f"unknown initial grades {grades!r} "
                          f"(expected 'fastest' or 'slowest')")
-    pick = (library.fastest_variant if grades == "fastest"
-            else library.slowest_variant)
-    return {op.name: pick(op) for op in design.dfg.operations
-            if op.kind is not OpKind.CONST}
+    table = default_cache().budget_template(design, library)
+    return {name: None if resource_class is None
+            else getattr(resource_class, grades)
+            for name, resource_class in zip(table.names, table.classes)}
 
 
 class FlowRun:

@@ -243,6 +243,25 @@ def test_phase_trace_fails_unless_the_template_tables_hit(workflow):
     assert "sys.exit(1 if cold else 0)" in run_text
 
 
+def test_phase_trace_fails_unless_rebudgets_replay(workflow):
+    """The phase-trace step reads the Chrome trace it just wrote and fails
+    unless some ``sched.rebudget`` event has ``args.replayed`` true and some
+    false, so a change that silently stops replaying re-budgets fails CI
+    even though every digest holds."""
+    [step] = [step for step in _steps(workflow, "bench-smoke")
+              if "repro.cli profile sweep" in step.get("run", "")]
+    run_text = step["run"]
+    assert run_text.index("--chrome-out table4-trace.json") \
+        < run_text.index('open("table4-trace.json"')
+    assert run_text.index("sys.exit(1 if cold else 0)") \
+        < run_text.index('open("table4-trace.json"')
+    assert '["traceEvents"]' in run_text
+    assert 'event["name"] == "sched.rebudget"' in run_text
+    assert 'event["args"].get("replayed")' in run_text
+    assert "for flag in (True, False) if flag not in seen" in run_text
+    assert "sys.exit(1 if missing else 0)" in run_text
+
+
 def test_coverage_gate_is_wired_and_pinned(workflow):
     """The coverage job must measure src/repro over tests/ only and fail
     under a pinned threshold — and the threshold cannot be quietly dropped

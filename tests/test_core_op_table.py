@@ -3,10 +3,11 @@
 :class:`repro.core.budgeting._BudgetTemplate` resolves each operation's
 class, class key, delays and neighbours once, and every scheduling pass of
 both flows reads it: the list scheduler, the relaxation bound, the minimal
-allocation, the slack pass's pass-start delays and binding.  These tests
-check that the table equals resolving each operation on its own, that one
-table serves a whole design point, and that a design that grew after its
-first use gets a new one.
+allocation, the slack pass's pass-start delays, binding and the flows'
+initial grade maps (``grade_map``).  These tests check that the table
+equals resolving each operation on its own, that one table serves a whole
+design point, and that a design that grew after its first use gets a new
+one.
 """
 
 import sys
@@ -19,7 +20,9 @@ from repro.core import analysis_cache
 from repro.core.analysis_cache import AnalysisCache, default_cache
 from repro.core.budgeting import _BudgetTemplate
 from repro.core.slack_scheduler import SlackScheduler
+from repro.errors import ReproError
 from repro.flows import evaluate_point, idct_design_points, slack_based_flow
+from repro.flows.pipeline import grade_map
 from repro.ir.operations import OpKind
 from repro.lib.library import Library
 from repro.sched import allocation, list_scheduler, relaxation
@@ -27,13 +30,14 @@ from repro.sched.allocation import resource_class_key
 from repro.verify.scenarios import scenario_stream
 from repro.workloads import IDCTPointFactory, interpolation_design
 
-#: The code of the table's five readers: none may resolve an operation.
+#: The code of the table's six readers: none may resolve an operation.
 _READERS = {
     list_scheduler.try_list_schedule.__code__,
     relaxation._add_instance.__code__,
     allocation.minimal_allocation.__code__,
     SlackScheduler._schedule_pass.__code__,
     binding.bind_operations.__code__,
+    grade_map.__code__,
 }
 
 
@@ -67,6 +71,31 @@ def test_the_table_equals_resolving_each_operation(design, library):
                    for pred in preds) \
         == Counter((name, succ) for name, succs in zip(table.names, table.succs)
                    for succ in succs)
+
+
+@pytest.mark.parametrize("grades", ["fastest", "slowest"])
+def test_grade_maps_equal_the_library_ones(grades, library):
+    pick = getattr(library, f"{grades}_variant")
+    d8 = next(point for point in idct_design_points(clock_period=1500.0)
+              if point.name == "D8")
+    designs = ([interpolation_design(), IDCTPointFactory(rows=2)(d8)]
+               + [spec.design() for _, spec in scenario_stream(7, 12)])
+    for design in designs:
+        expected = {op.name: pick(op) for op in design.dfg.operations
+                    if op.kind is not OpKind.CONST}
+        found = grade_map(design, library, grades)
+        assert list(found) == list(expected)
+        assert all(found[name] is grade for name, grade in expected.items())
+
+
+def test_unknown_grades_are_rejected_before_the_table_is_read(monkeypatch,
+                                                              library):
+    monkeypatch.setattr(analysis_cache, "_default_cache", AnalysisCache())
+    with pytest.raises(ReproError) as error:
+        grade_map(interpolation_design(), library, "fast")
+    assert str(error.value) == ("unknown initial grades 'fast' "
+                                "(expected 'fastest' or 'slowest')")
+    assert default_cache().cache_info()["budget_templates"]["misses"] == 0
 
 
 @pytest.fixture

@@ -211,9 +211,12 @@ def _check_scheduler_rebuilds(design, library, clock_period):
                                      pending)
         pinned = schedule.as_sched_map()
         key = (tuple(sorted(pinned.items())), next_edge)
-        requests.setdefault(key, (state._scheduler._artifacts, pinned,
-                                  next_edge, pending, spans,
-                                  _pass_weights(state._graph)))
+        # A replayed re-budget leaves the pass graph as the last computed
+        # one left it; the first sighting of a request is always computed
+        # (a replay needs an equal earlier request).
+        if key not in requests:
+            requests[key] = (state._scheduler._artifacts, pinned, next_edge,
+                             pending, spans, _pass_weights(state._graph))
         return update
 
     # The span templates, and with them the interned SpanInfo objects the

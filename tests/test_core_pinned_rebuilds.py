@@ -218,7 +218,7 @@ def test_failed_sched_attempts_name_the_move_that_followed(
     assert moves
 
 
-def test_sched_rebudget_spans_count_the_rebudgets(library):
+def test_sched_rebudget_spans_count_the_rebudgets(library, monkeypatch):
     design = IDCTPointFactory(rows=1)(_POINTS["D5"])
     with tracing() as tracer:
         result = slack_based_flow(design, library)
@@ -226,3 +226,31 @@ def test_sched_rebudget_spans_count_the_rebudgets(library):
     assert not any("error" in span.attrs for span in rebudgets)
     assert len(rebudgets) == result.details["rebudget_count"] > 0
     assert all(span.attrs["edge"] for span in rebudgets)
+    assert all(isinstance(span.attrs["replayed"], bool) for span in rebudgets)
+
+    # A multi-pass point replays: the spans marked ``replayed`` are the
+    # re-budgets that ran no budget loop.
+    loops = []
+    rebudget = slack_scheduler._PassState.rebudget
+    budget_slack = slack_scheduler.budget_slack
+
+    def recording(state, *args):
+        loops.append(0)
+        return rebudget(state, *args)
+
+    def counting(*args, state=None, **kwargs):
+        if state is not None:
+            loops[-1] += 1
+        return budget_slack(*args, state=state, **kwargs)
+
+    monkeypatch.setattr(slack_scheduler._PassState, "rebudget", recording)
+    monkeypatch.setattr(slack_scheduler, "budget_slack", counting)
+    design = IDCTPointFactory(rows=2)(_POINTS["D8"])
+    with tracing() as tracer:
+        result = slack_based_flow(design, library)
+    rebudgets = _spans_named(tracer, "sched.rebudget")
+    assert not any("error" in span.attrs for span in rebudgets)
+    assert len(rebudgets) == len(loops) == result.details["rebudget_count"]
+    replayed = [span.attrs["replayed"] for span in rebudgets]
+    assert replayed == [count == 0 for count in loops]
+    assert sum(replayed) > 0
