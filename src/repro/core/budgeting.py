@@ -17,6 +17,21 @@ Slack values within ``margin = margin_fraction * clock_period`` of each other
 are treated as equal ("slack binning"), which the paper reports speeds up
 convergence with negligible quality impact.
 
+Step 3 is run as written: each iteration picks the cheapest upgrade among
+the critical operations.  Step 4 is one pass over a heap
+(:func:`_downgrade`).  Its specification, :func:`_downgrade_reference`,
+rescans every movable operation after each accepted downgrade and tries the
+candidates in ``(-saving, -slack, name)`` order until one is accepted.  The
+heap holds the same candidates on the same key, and after an accepted trial
+it re-keys exactly the operations whose key the trial can have changed: the
+downgraded one and every one whose arrival or required time moved, which
+the slack evaluator's ``commit`` returns (from its undo journal, or by
+diffing its snapshot on a cyclic graph).  Every other key is bit for bit
+the rescan's, so the trials, their order, the grades and the frozen
+operations are the reference's.  Re-keying lazily, only when an entry is
+popped, would not be exact: aligned snapping can raise a slack by up to
+ε·T when a delay grows, so an entry could sit below one it should pass.
+
 The result maps every operation to a delay, a library variant and the final
 timing.  The slack-guided scheduler consumes it as its initial resource
 selection (step 0) and again after every scheduled CFG edge (the per-edge
@@ -27,6 +42,7 @@ timed DFG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import TimingError
@@ -99,8 +115,10 @@ class _BudgetTemplate:
     from list copies of its base vectors, the list scheduler reads its
     class keys, delays, neighbours and scan order, the relaxation bound and
     :func:`~repro.sched.allocation.minimal_allocation` its per-class
-    operation counts, binding its class keys, and the flows' initial grade
-    maps (:func:`repro.flows.pipeline.grade_map`) its classes.
+    operation counts, binding its class keys, the flows' initial grade
+    maps (:func:`repro.flows.pipeline.grade_map`) its classes, and the
+    state-timing kernel (:class:`repro.rtl.timing.StateTimingKernel`) its
+    topological order, neighbours and static delays.
 
     Every table is a list on *op indices*: operation ``i`` is ``names[i]``,
     the ``i``-th non-constant operation in design order, which is also node
@@ -110,7 +128,8 @@ class _BudgetTemplate:
     """
 
     __slots__ = ("names", "index", "classes", "class_keys", "class_counts",
-                 "preds", "succs", "scan_order", "nonsynth", "static_delays",
+                 "preds", "succs", "scan_order", "topo_order", "nonsynth",
+                 "static_delays",
                  "fastest_delays", "base_variants", "base_delays",
                  "slower_of", "faster_of")
 
@@ -127,20 +146,27 @@ class _BudgetTemplate:
         # order of first use.
         self.class_keys: List[Optional[Tuple[str, int]]] = [None] * count
         self.class_counts: Dict[Tuple[str, int], int] = {}
-        # The list scheduler's tables: the non-constant predecessors, the
-        # successors in consumer-name order, and the names in the order it
-        # scans them.
+        # The list scheduler's and the state-timing kernel's tables, on op
+        # indices: the non-constant predecessors, the successors in
+        # consumer-name order, the operations in name order (the list
+        # scheduler's scan order) and in DFG topological order.
         dfg = design.dfg
         index_of = self.index
-        self.preds: List[Tuple[str, ...]] = [
-            tuple(pred for pred in dfg.predecessors(name) if pred in index_of)
+        self.preds: List[Tuple[int, ...]] = [
+            tuple(index_of[pred] for pred in dfg.predecessors(name)
+                  if pred in index_of)
             for name in self.names]
-        self.scan_order: Tuple[str, ...] = tuple(sorted(self.names))
-        succs: List[List[str]] = [[] for _ in ops]
-        for name in self.scan_order:
-            for pred in self.preds[index_of[name]]:
-                succs[index_of[pred]].append(name)
-        self.succs: List[Tuple[str, ...]] = [tuple(names) for names in succs]
+        self.scan_order: Tuple[int, ...] = tuple(
+            sorted(range(count), key=self.names.__getitem__))
+        succs: List[List[int]] = [[] for _ in ops]
+        for index in self.scan_order:
+            for pred in self.preds[index]:
+                succs[pred].append(index)
+        self.succs: List[Tuple[int, ...]] = [tuple(indices)
+                                             for indices in succs]
+        self.topo_order: Tuple[int, ...] = tuple(
+            index_of[name] for name in dfg.topological_order()
+            if name in index_of)
         self.nonsynth: List[bool] = [False] * count
         # Delay of ops whose delay ignores the variant (const/copy/IO) —
         # mirrors Library.operation_delay's dispatch exactly.
@@ -284,21 +310,16 @@ def _run_budget(state: _BudgetState, margin: float) -> None:
 
     iterations = 0
     upgrades = 0
-    downgrades = 0
 
     # Hot-loop locals.  The evaluator mutates its arrival/required lists in
     # place (never rebinds them), so the references stay valid across
     # set_delay/rollback.
-    names = template.names
     classes = template.classes
-    slower_of = template.slower_of
     faster_of = template.faster_of
     variants = state.variants
     delays = state.delays
     pinned = state.pinned
     frozen = state.frozen = set()
-    arrival = evaluator.arrival
-    required = evaluator.required
 
     # ---- step 3 of Fig. 7: repair negative aligned slack by speeding up ---------
     while evaluator.worst_slack() < -_EPS:
@@ -343,65 +364,154 @@ def _run_budget(state: _BudgetState, margin: float) -> None:
     # ---- step 4 of Fig. 7: distribute positive slack by slowing down ------------
     # A still-diverged cyclic evaluator has no meaningful per-op slack to
     # distribute: skip the downgrade loop and report the infeasible II.
-    skip_downgrades = bool(getattr(evaluator, "diverged", False))
-    feasible_baseline = evaluator.worst_slack() >= -_EPS
-    margin_eps = margin + _EPS
-    movable = [index for index, flag in enumerate(pinned) if not flag]
-    while not skip_downgrades:
-        candidates: List[Tuple[float, float, int, ResourceVariant]] = []
-        for index in movable:
-            variant = variants[index]
-            if variant is None or index in frozen:
-                continue
-            slower = slower_of[index].get(variant.name, _MISSING)
-            if slower is _MISSING:
-                slower = classes[index].next_slower(variant)
-            if slower is None:
-                continue
-            slack = required[index] - arrival[index]
-            if slack <= margin_eps:
-                continue
-            delay_increase = slower.delay - variant.delay
-            if delay_increase > slack + _EPS:
-                continue
-            saving = variant.area - slower.area
-            if saving <= _EPS:
-                continue
-            candidates.append((saving, slack, index, slower))
-        if not candidates:
-            break
-        candidates.sort(key=lambda item: (-item[0], -item[1], names[item[2]]))
-        accepted = False
-        accepted_worst = evaluator.worst_slack()
-        for saving, slack, index, slower in candidates:
-            previous = variants[index]
-            variants[index] = slower
-            delays[index] = slower.delay
-            iterations += 1
-            evaluator.begin_trial()
-            evaluator.set_delay(index, slower.delay)
-            trial_worst = evaluator.worst_slack()
-            worst_ok = (trial_worst >= -_EPS) if feasible_baseline else (
-                trial_worst >= accepted_worst - _EPS)
-            if worst_ok:
-                evaluator.commit()
-                downgrades += 1
-                accepted = True
-                break
-            evaluator.rollback()
-            variants[index] = previous
-            delays[index] = previous.delay
-            frozen.add(index)
-        if not accepted:
-            break
+    accepted: List[int] = []
+    if not getattr(evaluator, "diverged", False):
+        trials, accepted = _downgrade(state, margin)
+        iterations += trials
 
     state.iterations = iterations
     state.upgrades = upgrades
-    state.downgrades = downgrades
+    state.downgrades = len(accepted)
     state.feasible = evaluator.worst_slack() >= -_EPS
     default_cache().record_delta(evaluator.updates)
     _BUDGET_RUNS.inc()
     _BUDGET_ITERATIONS.inc(iterations)
+
+
+def _downgrade_entries(state: _BudgetState, indices, stamps: List[int],
+                       margin_eps: float) -> List[tuple]:
+    """The step-4 candidate rule: the entries ``(-saving, -slack, name,
+    stamp, index, slower)`` of the ops among ``indices`` that are
+    candidates under ``state``'s current grades and slack, each stamped
+    from ``stamps``.  Sorted, they are in the order step 4 tries them."""
+    template = state.template
+    names = template.names
+    classes = template.classes
+    slower_of = template.slower_of
+    variants = state.variants
+    frozen = state.frozen
+    evaluator = state.evaluator
+    arrival = evaluator.arrival
+    required = evaluator.required
+    found = []
+    for index in indices:
+        variant = variants[index]
+        if variant is None or index in frozen:
+            continue
+        slower = slower_of[index].get(variant.name, _MISSING)
+        if slower is _MISSING:
+            slower = classes[index].next_slower(variant)
+        if slower is None:
+            continue
+        slack = required[index] - arrival[index]
+        if slack <= margin_eps or slower.delay - variant.delay > slack + _EPS:
+            continue
+        saving = variant.area - slower.area
+        if saving <= _EPS:
+            continue
+        found.append((-saving, -slack, names[index], stamps[index], index,
+                      slower))
+    return found
+
+
+def _trial(state: _BudgetState, index: int, slower: ResourceVariant,
+           feasible_baseline: bool, accepted_worst: float):
+    """Try ``index`` one grade slower; commit and return the nodes whose
+    arrival or required time changed, or roll back, freeze the operation
+    and return None."""
+    evaluator = state.evaluator
+    variants = state.variants
+    delays = state.delays
+    previous = variants[index]
+    variants[index] = slower
+    delays[index] = slower.delay
+    evaluator.begin_trial()
+    evaluator.set_delay(index, slower.delay)
+    trial_worst = evaluator.worst_slack()
+    worst_ok = (trial_worst >= -_EPS) if feasible_baseline else (
+        trial_worst >= accepted_worst - _EPS)
+    if worst_ok:
+        return evaluator.commit()
+    evaluator.rollback()
+    variants[index] = previous
+    delays[index] = previous.delay
+    state.frozen.add(index)
+    return None
+
+
+def _downgrade(state: _BudgetState, margin: float) -> Tuple[int, List[int]]:
+    """Step 4 of Fig. 7 as one heap pass; returns the trial count and the
+    downgraded op indices in the order they were accepted.
+
+    Each heap entry is ``(-saving, -slack, name, version, index, slower)``;
+    an entry whose version is not its operation's current one is stale.
+    After an accepted trial the downgraded operation and the nodes the
+    evaluator's ``commit`` reports are re-keyed at once.  Why that visits
+    the candidates in :func:`_downgrade_reference`'s order is in the module
+    docstring.
+    """
+    evaluator = state.evaluator
+    pinned = state.pinned
+    count = len(pinned)
+    margin_eps = margin + _EPS
+    feasible_baseline = evaluator.worst_slack() >= -_EPS
+    accepted_worst = evaluator.worst_slack()
+    version = [0] * count
+    heap = _downgrade_entries(
+        state, [index for index, flag in enumerate(pinned) if not flag],
+        version, margin_eps)
+    heapify(heap)
+    trials = 0
+    accepted: List[int] = []
+    while heap:
+        _, _, _, stamp, index, slower = heappop(heap)
+        if stamp != version[index]:
+            continue
+        trials += 1
+        changed = _trial(state, index, slower, feasible_baseline,
+                         accepted_worst)
+        if changed is None:
+            continue
+        accepted.append(index)
+        accepted_worst = evaluator.worst_slack()
+        changed.add(index)
+        stale = [node for node in changed if node < count and not pinned[node]]
+        for node in stale:
+            version[node] += 1
+        for item in _downgrade_entries(state, stale, version, margin_eps):
+            heappush(heap, item)
+    return trials, accepted
+
+
+def _downgrade_reference(state: _BudgetState,
+                         margin: float) -> Tuple[int, List[int]]:
+    """Step 4 of Fig. 7 as the full rescan: after each accepted trial,
+    every movable operation is re-keyed, the candidates are sorted by
+    ``(-saving, -slack, name)`` and tried in that order until one is
+    accepted.  Kept as the executable specification of :func:`_downgrade`,
+    which the test suite checks against it."""
+    evaluator = state.evaluator
+    movable = [index for index, flag in enumerate(state.pinned) if not flag]
+    margin_eps = margin + _EPS
+    unstamped = [0] * len(state.pinned)
+    feasible_baseline = evaluator.worst_slack() >= -_EPS
+    trials = 0
+    accepted: List[int] = []
+    while True:
+        candidates = sorted(_downgrade_entries(state, movable, unstamped,
+                                               margin_eps))
+        if not candidates:
+            break
+        accepted_worst = evaluator.worst_slack()
+        for _, _, _, _, index, slower in candidates:
+            trials += 1
+            if _trial(state, index, slower, feasible_baseline,
+                      accepted_worst) is not None:
+                accepted.append(index)
+                break
+        else:
+            break
+    return trials, accepted
 
 
 def budget_slack(

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from heapq import heappush, heappop
 from operator import sub
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.graphkit import (
     ALIGN_EPS,
@@ -367,9 +367,15 @@ class DeltaSlackEvaluator(_SlackQueries):
             raise RuntimeError("a slack trial is already open")
         self._journal = []
 
-    def commit(self) -> None:
-        """Accept the trial mutations."""
+    def commit(self) -> Set[int]:
+        """Accept the trial mutations; returns the nodes whose arrival or
+        required time changed, read from the undo journal."""
+        journal = self._journal
+        if journal is None:
+            raise RuntimeError("no slack trial to commit")
         self._journal = None
+        return {node for tag, node, _ in journal
+                if tag == _J_ARRIVAL or tag == _J_REQUIRED}
 
     def rollback(self) -> None:
         """Undo every mutation since :meth:`begin_trial`, bit for bit."""
@@ -452,10 +458,17 @@ class CyclicSlackEvaluator(_SlackQueries):
                           list(self.required), self.diverged,
                           self._improving, self._worst)
 
-    def commit(self) -> None:
-        if self._snapshot is None:
+    def commit(self) -> Set[int]:
+        """Accept the trial; returns the nodes whose arrival or required
+        time differs from the snapshot."""
+        snapshot = self._snapshot
+        if snapshot is None:
             raise RuntimeError("no slack trial to commit")
         self._snapshot = None
+        _, arrival, required = snapshot[:3]
+        return {node for node, (before, after, was, now) in enumerate(
+                    zip(arrival, self.arrival, required, self.required))
+                if before != after or was != now}
 
     def rollback(self) -> None:
         snapshot = self._snapshot

@@ -17,7 +17,7 @@ dominance/post-dominance relations, which the opSpan computation needs.
 For its bitset kernel (:mod:`repro.core.opspan`) it also builds, once per
 CFG, the tables of :class:`EdgeBitsets`: reach and co-reach masks over the
 forward edges' topological positions, and a position-indexed latency row
-per forward edge.
+per edge.
 """
 
 from __future__ import annotations
@@ -31,56 +31,64 @@ _INF = float("inf")
 
 
 class EdgeBitsets:
-    """Forward-edge bitsets and latency rows of one CFG.
+    """Edge positions, bitsets and latency rows of one CFG.
 
     Bit ``i`` of a mask stands for the forward edge at topological position
-    ``i`` (:meth:`LatencyAnalysis.edge_order`).  Backward edges have no
-    position and no bit, but they do have masks: an operation may be born
-    on, or pinned to, a back edge.
+    ``i`` (:meth:`LatencyAnalysis.edge_order`).  Backward edges have no bit,
+    but they do have a position, after every forward edge, and masks: an
+    operation may be born on, or pinned to, a back edge.
 
-    * ``names[i]`` is the forward edge at position ``i``;
-    * ``reach[e]`` holds the forward edges reachable from edge ``e``, ``e``
-      included (the bit form of :meth:`LatencyAnalysis.reachable`);
-    * ``coreach[e]`` holds the forward edges ``c`` with ``e`` in
-      ``reach[c]``, and ``strict_coreach[e]`` the same without ``e``;
-    * ``rows[i][j]`` is ``latency(names[i], names[j])``, ``None`` where
-      undefined.
+    * ``names[i]`` is the forward edge at position ``i``, and ``labels[p]``
+      the edge at position ``p``, back edges included (``position`` is its
+      inverse);
+    * ``reach[p]`` holds the forward edges reachable from the edge at
+      position ``p``, that edge included (the bit form of
+      :meth:`LatencyAnalysis.reachable`);
+    * ``coreach[p]`` holds the forward edges ``c`` with ``p``'s edge in
+      their reach, and ``strict_coreach[p]`` the same without that edge;
+    * ``rows[p][q]`` is ``latency(labels[p], labels[q])``, ``None`` where
+      undefined, for every pair of edges.
     """
 
-    __slots__ = ("names", "reach", "coreach", "strict_coreach", "rows")
+    __slots__ = ("names", "labels", "position", "reach", "coreach",
+                 "strict_coreach", "rows")
 
     def __init__(self, analysis: "LatencyAnalysis"):
         cfg = analysis.cfg
-        position = analysis._edge_pos
         names = analysis._forward_edges_ordered()
-        sources = [cfg.edge(name).src for name in names]
-        edges = cfg.edges
+        count = len(names)
+        position = dict(analysis._edge_pos)
+        for edge in cfg.edges:
+            position.setdefault(edge.name, len(position))
+        labels = sorted(position, key=position.__getitem__)
+        sources = [cfg.edge(name).src for name in labels]
         self.names = names
-        self.reach: Dict[str, int] = {}
-        self.coreach: Dict[str, int] = {edge.name: 0 for edge in edges}
-        self.rows: List[List[Optional[int]]] = [[] for _ in names]
-        # One node sweep per source edge yields its reach mask and, for a
-        # forward edge, its latency row and its bit in every co-reach mask.
-        for edge in edges:
-            dist = analysis._node_latencies_from(edge.dst)
+        self.labels = labels
+        self.position = position
+        self.reach: List[int] = [0] * len(labels)
+        self.coreach: List[int] = [0] * len(labels)
+        self.rows: List[List[Optional[int]]] = [[] for _ in labels]
+        # One node sweep per source edge yields its reach mask and latency
+        # row and, for a forward edge, its bit in every co-reach mask.
+        for index, name in enumerate(labels):
+            dist = analysis._node_latencies_from(cfg.edge(name).dst)
             row = [None if dist[src] == _INF else int(dist[src])
                    for src in sources]
-            index = position.get(edge.name)
-            if index is not None:
-                row[index] = 0
-                self.rows[index] = row
-                for target in edges:
-                    if target is edge or dist[target.src] != _INF:
-                        self.coreach[target.name] |= 1 << index
+            row[index] = 0
+            self.rows[index] = row
+            if index < count:
+                for target, src in enumerate(sources):
+                    if target == index or dist[src] != _INF:
+                        self.coreach[target] |= 1 << index
             mask = 0
-            for bit, value in enumerate(row):
+            for bit, value in enumerate(row[:count]):
                 if value is not None:
                     mask |= 1 << bit
-            self.reach[edge.name] = mask
-        self.strict_coreach = {
-            name: mask & ~(1 << position[name]) if name in position else mask
-            for name, mask in self.coreach.items()
-        }
+            self.reach[index] = mask
+        self.strict_coreach = [
+            mask & ~(1 << index) if index < count else mask
+            for index, mask in enumerate(self.coreach)
+        ]
 
 
 class LatencyAnalysis:

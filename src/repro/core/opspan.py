@@ -99,11 +99,16 @@ class _SpanTemplate:
     shared by every span computation on them: each
     :class:`OperationSpans`, and each per-edge re-budget of the
     slack-guided scheduler, which runs :meth:`bounds` on op indices.
-    ``records`` holds, in topological order, ``(index, name, birth,
-    candidates, early_fixed, late_fixed, preds, succs, fixed_succs)``: the
-    candidate mask of the birth edge, and the topological indices of the
-    non-constant predecessors, of the successors that are not fixed and of
-    the fixed ones.
+
+    Operation ``i`` is ``order[i]``: the non-constant operations first, in
+    design order, so that index ``i`` is also the op table's operation ``i``
+    (:class:`repro.core.budgeting._BudgetTemplate`) and node ``i`` of the
+    design's timed graph, then the constants.  ``records`` holds, in DFG
+    topological order, ``(index, name, birth, birth position, candidates,
+    early_fixed, late_fixed, preds, succs, fixed_succs)``: the candidate
+    mask of the birth edge, and the indices of the non-constant
+    predecessors, of the successors that are not fixed and of the fixed
+    ones.
 
     ``interned`` maps ``(op, early, late)`` to the operation's
     :class:`SpanInfo` (:meth:`info`): the edge tuple of an unpinned
@@ -121,7 +126,10 @@ class _SpanTemplate:
     def __init__(self, design: Design, latency: LatencyAnalysis):
         dfg = design.dfg
         cfg = design.cfg
-        self.order: List[str] = dfg.topological_order()
+        ops = dfg.operations
+        self.order: List[str] = (
+            [op.name for op in ops if op.kind is not OpKind.CONST]
+            + [op.name for op in ops if op.kind is OpKind.CONST])
         self.index = {name: index for index, name in enumerate(self.order)}
         self.records: List[tuple] = []
         self.interned: Dict[Tuple[str, str, str], SpanInfo] = {}
@@ -129,7 +137,8 @@ class _SpanTemplate:
         # than (op, early, late) keys occur.
         self.edge_tuples: Dict[int, tuple] = {}
         self.bits = latency.edge_bitsets()
-        for index, name in enumerate(self.order):
+        position = self.bits.position
+        for name in dfg.topological_order():
             op = dfg.op(name)
             birth = op.birth_edge
             if birth is None:
@@ -146,8 +155,8 @@ class _SpanTemplate:
                      for succ in dfg.successors(name)]
             late_fixed = op.is_fixed or bool(op.attrs.get("branch_condition"))
             self.records.append((
-                index, name, birth, latency.candidate_mask(birth), op.is_fixed,
-                late_fixed, preds,
+                self.index[name], name, birth, position[birth],
+                latency.candidate_mask(birth), op.is_fixed, late_fixed, preds,
                 tuple(succ for succ, fixed in succs if not fixed),
                 tuple(succ for succ, fixed in succs if fixed),
             ))
@@ -160,30 +169,39 @@ class _SpanTemplate:
         return layer
 
     def bounds(self, layer: "_SpanLayer", free: List[tuple],
-               floor: int) -> Tuple[List[str], List[str]]:
-        """The early and late edge of every operation, by template index.
+               floor: int) -> Tuple[List[int], List[int], List[int]]:
+        """The early and late edge position and the span mask of every
+        operation, by template index.
 
         The one implementation of the span rules (see the module
         docstring).  ``layer`` holds the pinned operations, ``free`` is the
         :attr:`records` of all the others in topological order, and
         ``floor`` masks the edges an unpinned operation may start on
-        (``-1``: every edge).  Raises :class:`TimingError` when an
-        operation has no feasible early edge.
+        (``-1``: every edge).  Positions are those of
+        :attr:`repro.core.latency.EdgeBitsets.position`, so
+        ``bits.rows[early[i]][late[i]]`` is an operation's mobility.  A free
+        operation's mask holds the forward edges of its span (bit ``k`` is
+        forward edge ``k``); a pinned one's is 0.  The early loop fills the
+        early positions, the late loop the late positions and the masks.
+        Raises :class:`TimingError` when an operation has no feasible early
+        edge.
         """
         bits = self.bits
-        names, reach, coreach = bits.names, bits.reach, bits.coreach
+        reach, coreach = bits.reach, bits.coreach
+        forward = len(bits.names)
         fixed_coreach = layer.fixed_coreach
         early = list(layer.early)
         late = list(layer.late)
         early_reach = list(layer.early_reach)
         late_coreach = list(layer.late_coreach)
         late_fixed_coreach = list(layer.late_fixed_coreach)
+        masks = [0] * len(early)
 
         # The free operations' early edges, in topological order.
-        for (index, name, birth, candidates, early_fixed, _, preds, _,
-             _) in free:
+        for (index, name, birth, birth_at, candidates, early_fixed, _,
+             preds, _, _) in free:
             if early_fixed:
-                edge = birth
+                at = birth_at
             else:
                 mask = candidates & floor
                 for pred in preds:
@@ -194,53 +212,53 @@ class _SpanTemplate:
                         f"(birth {birth!r}); the design is structurally "
                         f"infeasible"
                     )
-                edge = names[(mask & -mask).bit_length() - 1]
-            early[index] = edge
-            early_reach[index] = reach[edge]
+                at = (mask & -mask).bit_length() - 1
+            early[index] = at
+            early_reach[index] = reach[at]
 
-        # Their late edges, in reverse topological order.
-        for (index, _, birth, candidates, _, late_fixed, _, succs,
+        # Their late edges and span masks, in reverse topological order.
+        for (index, _, _, birth_at, candidates, _, late_fixed, _, succs,
              fixed_succs) in reversed(free):
+            span = candidates & early_reach[index]
             if late_fixed:
-                edge = birth
+                at = birth_at
             else:
-                mask = candidates & early_reach[index]
+                mask = span
                 for succ in succs:
                     mask &= late_coreach[succ]
                 for succ in fixed_succs:
                     mask &= late_fixed_coreach[succ]
-                edge = names[mask.bit_length() - 1] if mask else early[index]
-            late[index] = edge
-            late_coreach[index] = coreach[edge]
-            late_fixed_coreach[index] = fixed_coreach[edge]
-        return early, late
+                at = mask.bit_length() - 1 if mask else early[index]
+            late[index] = at
+            late_coreach[index] = coreach[at]
+            late_fixed_coreach[index] = fixed_coreach[at]
+            span &= coreach[at]
+            if not span and early[index] < forward:
+                span = 1 << early[index]
+            masks[index] = span
+        return early, late, masks
 
-    def info(self, index: int, early: str, late: str,
-             pinned: bool = False) -> SpanInfo:
+    def info(self, index: int, early: str, late: str, mask: int) -> SpanInfo:
         """The interned :class:`SpanInfo` of the operation at ``index``.
 
-        A pinned operation's span is ``(early,)``; a free one's holds the
-        candidate edges between its early and late edges, or ``(early,)``
-        when there are none.
+        ``mask`` is the span mask :meth:`bounds` gave the operation: its
+        edges in topological order, or ``(early,)`` when it is 0 (a pinned
+        operation's).
         """
-        record = self.records[index]
-        key = (record[1], early, late)
+        name = self.order[index]
+        key = (name, early, late)
         info = self.interned.get(key)
         if info is None:
-            edges = ()
-            if not pinned:
-                bits = self.bits
-                mask = record[3] & bits.reach[early] & bits.coreach[late]
-                edges = self.edge_tuples.get(mask)
-                if edges is None:
-                    names = []
-                    rest = mask
-                    while rest:
-                        low = rest & -rest
-                        names.append(bits.names[low.bit_length() - 1])
-                        rest ^= low
-                    edges = self.edge_tuples[mask] = tuple(names)
-            info = self.interned[key] = SpanInfo(record[1], early, late,
+            edges = self.edge_tuples.get(mask)
+            if edges is None:
+                names = []
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    names.append(self.bits.names[low.bit_length() - 1])
+                    rest ^= low
+                edges = self.edge_tuples[mask] = tuple(names)
+            info = self.interned[key] = SpanInfo(name, early, late,
                                                  edges or (early,))
         return info
 
@@ -248,39 +266,43 @@ class _SpanTemplate:
 class _SpanLayer:
     """The pinned operations' entries of the span computation.
 
-    Lists by template index: the early and late edge, the reach mask of the
-    early edge and the co-reach masks of the late edge (``late_fixed_coreach``
-    is the one a fixed successor sees: strict in strict mode).  Only the
-    pinned operations' entries are filled; :meth:`_SpanTemplate.bounds`
-    computes the others on copies.  A pin never changes, so a schedule pass
-    keeps one layer and adds the operations each edge placed.
+    Lists by template index: the early and late edge positions, the reach
+    mask of the early edge and the co-reach masks of the late edge
+    (``late_fixed_coreach`` is the one a fixed successor sees: strict in
+    strict mode).  Only the pinned operations' entries are filled;
+    :meth:`_SpanTemplate.bounds` computes the others on copies.  A pin
+    never changes, so a schedule pass keeps one layer and adds the
+    operations each edge placed.
     """
 
-    __slots__ = ("reach", "coreach", "fixed_coreach", "early", "late",
-                 "early_reach", "late_coreach", "late_fixed_coreach")
+    __slots__ = ("position", "reach", "coreach", "fixed_coreach", "early",
+                 "late", "early_reach", "late_coreach", "late_fixed_coreach")
 
     def __init__(self, template: _SpanTemplate, strict_io_successors: bool):
         bits = template.bits
+        self.position = bits.position
         self.reach = bits.reach
         self.coreach = bits.coreach
         self.fixed_coreach = (bits.strict_coreach if strict_io_successors
                               else bits.coreach)
         count = len(template.order)
-        self.early: List[str] = [""] * count
-        self.late: List[str] = [""] * count
+        self.early: List[int] = [0] * count
+        self.late: List[int] = [0] * count
         self.early_reach: List[int] = [0] * count
         self.late_coreach: List[int] = [0] * count
         self.late_fixed_coreach: List[int] = [0] * count
 
     def pin(self, pinned: Iterable[Tuple[int, str]]) -> None:
         """Pin each ``(index, edge)``: early = late = the pinned edge."""
+        position = self.position
         reach, coreach, fixed_coreach = (self.reach, self.coreach,
                                          self.fixed_coreach)
         for index, edge in pinned:
-            self.early[index] = self.late[index] = edge
-            self.early_reach[index] = reach[edge]
-            self.late_coreach[index] = coreach[edge]
-            self.late_fixed_coreach[index] = fixed_coreach[edge]
+            at = position[edge]
+            self.early[index] = self.late[index] = at
+            self.early_reach[index] = reach[at]
+            self.late_coreach[index] = coreach[at]
+            self.late_fixed_coreach[index] = fixed_coreach[at]
 
 
 class OperationSpans:
@@ -339,16 +361,16 @@ class OperationSpans:
                  if self._pinned.get(record[1]) is None])
         floor = (-1 if self._not_before_pos is None
                  else -(1 << self._not_before_pos))
-        early, late = template.bounds(
+        early, late, masks = template.bounds(
             template.layer(pinned, self.strict_io_successors), free, floor)
+        labels = template.bits.labels
         info = template.info
-        infos: List[SpanInfo] = [None] * len(template.order)
-        for index, edge in pinned:
-            infos[index] = info(index, edge, edge, pinned=True)
-        for record in free:
+        spans: Dict[str, SpanInfo] = {}
+        for record in template.records:
             index = record[0]
-            infos[index] = info(index, early[index], late[index])
-        return dict(zip(template.order, infos))
+            spans[record[1]] = info(index, labels[early[index]],
+                                    labels[late[index]], masks[index])
+        return spans
 
     # -- queries --------------------------------------------------------------------
 

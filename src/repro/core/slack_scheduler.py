@@ -31,12 +31,11 @@ from repro.lib.resource import ResourceVariant
 from repro.core.analysis_cache import default_cache
 from repro.core.budgeting import BudgetingResult, _BudgetState, budget_slack
 from repro.core.delta_slack import DeltaSlackEvaluator
-from repro.core.opspan import SpanInfo
 from repro.core.timed_dfg import SINK_PREFIX, bound_weights
 from repro.obs.trace import span as _obs_span
 from repro.sched.allocation import Allocation
 from repro.sched.list_scheduler import SchedulingAttempt, try_list_schedule
-from repro.sched.priorities import PriorityFn, combined_priority
+from repro.sched.priorities import combined_priority
 from repro.sched.relaxation import RelaxationLog, _relax_until_scheduled
 from repro.sched.schedule import Schedule
 
@@ -56,37 +55,23 @@ class SlackScheduleResult:
         return self.variants.get(op_name)
 
 
-class _PassSpans:
-    """The spans of the pending operations after one re-budget.
-
-    The list scheduler reads the span of every pending operation on every
-    edge, so one re-budget builds them all at once, by name; ``span`` is
-    the lookup (a name that is not pending raises :class:`KeyError`).
-    """
-
-    __slots__ = ("span",)
-
-    def __init__(self, spans: Dict[str, SpanInfo]):
-        self.span = spans.__getitem__
-
-
 class _Rebudget:
     """One re-budget of a schedule pass, kept for the next pass to replay.
 
-    The input: the next edge, the pinned operations' edges (the layer's
-    ``early``), and the budget state's grades and pinned flags once the
-    edge's placements are pinned.  The outcome: the ``(spans, priority)``
-    update with the grades and delays the budget loop left, or the text of
-    the :class:`TimingError` the re-budget raised.
+    The input: the next edge, the pinned operations' edge positions (the
+    layer's ``early``), and the budget state's grades and pinned flags once
+    the edge's placements are pinned.  The outcome: the update
+    :meth:`_PassState.rebudget` returned, whose grade list is the budget
+    state's whole grade list after the loop, with the delays the loop left;
+    or the text of the :class:`TimingError` the re-budget raised.
     """
 
     __slots__ = ("next_edge", "early", "grades", "pinned", "update",
-                 "after", "delays", "error")
+                 "delays", "error")
 
-    def __init__(self, next_edge: str, early: List[str],
+    def __init__(self, next_edge: str, early: List[int],
                  grades: List[Optional[ResourceVariant]], pinned: List[bool],
-                 update: Optional[Tuple[_PassSpans, PriorityFn]] = None,
-                 after: Optional[List[Optional[ResourceVariant]]] = None,
+                 update: Optional[tuple] = None,
                  delays: Optional[List[float]] = None,
                  error: Optional[str] = None):
         self.next_edge = next_edge
@@ -94,7 +79,6 @@ class _Rebudget:
         self.grades = grades
         self.pinned = pinned
         self.update = update
-        self.after = after
         self.delays = delays
         self.error = error
 
@@ -120,18 +104,21 @@ class _PassState:
     The results equal, float for float, the object path: ``OperationSpans(
     pinned=..., not_before=...)``, its timed graph and ``budget_slack(
     graph=...)`` with the scheduled grades pinned and the pending ones as
-    warm start.  Names appear only where the list scheduler reads them: the
-    pending operations' spans, priorities and grades.
+    warm start.  No name is looked up after the pins: the update the list
+    scheduler reads is on op indices (the span template's operation ``i``
+    is the op table's), and the list scheduler writes the grades back into
+    the pass's grade map when the pass returns.
 
     **Replay.**  Each re-budget is kept in :attr:`rebudgets` by edge (a
-    :class:`_Rebudget`).  Given the previous pass's re-budgets
-    (``previous``), a re-budget whose whole input equals that pass's on the
-    same edge (the next edge, the pinned operations' edges, the grades and
-    the pinned flags) is not recomputed: it writes the kept grades back
-    into the pass's grade map, restores the budget state's grades and
-    delays and returns the kept spans and priority, or raises the kept
-    :class:`TimingError` text.  :attr:`replayed` says which it was.  That
-    is exact:
+    :class:`_Rebudget`): its input and its whole update, whose grade list
+    is the budget state's whole grade list after the loop, with the delays
+    the loop left.  Given the previous pass's re-budgets (``previous``), a
+    re-budget whose whole input equals that pass's on the same edge (the
+    next edge, the pinned operations' edge positions, the grades and the
+    pinned flags) is not recomputed: it restores the budget state's grades
+    and delays from the kept lists and returns the kept update, or raises
+    the kept :class:`TimingError` text.  :attr:`replayed` says which it
+    was.  That is exact:
 
     * the outcome is a pure function of the input.  The pins fix the spans
       and weights (the pending operations are those not pinned yet), and
@@ -157,7 +144,6 @@ class _PassState:
                  variants: Dict[str, Optional[ResourceVariant]],
                  previous: Optional[Dict[str, _Rebudget]] = None):
         self._scheduler = scheduler
-        self._variants = variants
         self._tables = scheduler._tables
         span_template, budget_template, _, _ = self._tables
         # The operations scheduled so far, pinned to their edges, and the
@@ -178,13 +164,18 @@ class _PassState:
         #: Whether the last :meth:`rebudget` replayed the previous pass's.
         self.replayed = False
 
-    def rebudget(self, edge_name: str, schedule: Schedule, next_edge: str,
-                 pending: frozenset) -> Tuple[_PassSpans, PriorityFn]:
-        """Pin what ``edge_name`` placed and re-budget ``pending``.
+    def rebudget(self, edge_name: str, schedule: Schedule,
+                 next_edge: str) -> tuple:
+        """Pin what ``edge_name`` placed and re-budget the other operations.
 
-        Returns the pending operations' spans and their priority function,
-        ``(slack, mobility, name)`` as in
-        :func:`repro.sched.priorities.combined_priority`.  Raises
+        Returns the list scheduler's update, on op indices: ``(priority,
+        grades, masks, lates)``.  ``priority(i)`` is ``(slack, mobility,
+        name)`` as in :func:`repro.sched.priorities.combined_priority`;
+        ``grades`` is the budget state's whole grade list after the loop
+        (the pinned operations' are their scheduled grades); ``masks`` and
+        ``lates`` are the span masks and late-edge positions
+        :meth:`~repro.core.opspan._SpanTemplate.bounds` filled.  The lists
+        are kept for replay, so no caller may change them.  Raises
         :class:`TimingError` when an operation has no feasible early edge
         or a timed edge has no latency.
         """
@@ -192,11 +183,10 @@ class _PassState:
         span_template, budget_template, pairs, base = self._tables
         budget = self._budget
         layer = self._layer
-        span_index = span_template.index
         op_index = budget_template.index
         placed = schedule.ops_on_edge(edge_name)
         if placed:
-            pins = {span_index[item.op]: item.edge for item in placed}
+            pins = {op_index[item.op]: item.edge for item in placed}
             layer.pin(pins.items())
             self._free = [record for record in self._free
                           if record[0] not in pins]
@@ -209,20 +199,16 @@ class _PassState:
             self.rebudgets[edge_name] = kept
             if kept.error is not None:
                 raise TimingError(kept.error)
-            after = kept.after
-            budget.variants = list(after)
+            budget.variants = list(kept.update[1])
             budget.delays = list(kept.delays)
-            target = self._variants
-            for name in pending:
-                target[name] = after[op_index[name]]
             return kept.update
 
         grades = list(budget.variants)
-        latency = scheduler._latency
-        floor = -(1 << latency.edge_order(next_edge))
+        bits = span_template.bits
+        floor = -(1 << bits.position[next_edge])
         try:
-            early, late = span_template.bounds(layer, self._free, floor)
-            weights = bound_weights(pairs, early, late, latency,
+            early, late, masks = span_template.bounds(layer, self._free, floor)
+            weights = bound_weights(pairs, early, late, bits,
                                     span_template.order)
         except TimingError as error:
             self.rebudgets[edge_name] = _Rebudget(
@@ -241,35 +227,20 @@ class _PassState:
                      scheduler.clock_period,
                      margin_fraction=scheduler.margin_fraction, state=budget)
 
-        # Export by name what the list scheduler reads.
-        interned = span_template.interned
-        info = span_template.info
-        variants = budget.variants
-        target = self._variants
-        spans: Dict[str, SpanInfo] = {}
-        for name in pending:
-            index = span_index[name]
-            first = early[index]
-            last = late[index]
-            span = interned.get((name, first, last))
-            spans[name] = span if span is not None else info(index, first,
-                                                              last)
-            target[name] = variants[op_index[name]]
         arrival = budget.evaluator.arrival
         required = budget.evaluator.required
-        latency_of = latency.latency
+        rows = bits.rows
+        names = budget_template.names
 
-        def priority(op_name: str) -> Tuple:
-            index = op_index[op_name]
-            span = spans[op_name]
-            mobility = latency_of(span.early, span.late)
+        def priority(index: int) -> Tuple:
+            mobility = rows[early[index]][late[index]]
             return (required[index] - arrival[index],
-                    0 if mobility is None else mobility, op_name)
+                    0 if mobility is None else mobility, names[index])
 
-        update = (_PassSpans(spans), priority)
+        update = (priority, list(budget.variants), masks, late)
         self.rebudgets[edge_name] = _Rebudget(
             next_edge, list(layer.early), grades, list(budget.pinned),
-            update, list(variants), list(budget.delays))
+            update, list(budget.delays))
         return update
 
     def _replayable(self, edge_name: str,
@@ -322,7 +293,9 @@ class SlackScheduler:
     timed-edge weights, arrival and required times and the budget from
     scratch, with the same routines the object path (``OperationSpans``,
     ``build_timed_dfg``, ``budget_slack(graph=...)``) runs, so no timed DFG
-    and no name-keyed map is built after step 0.  The pass-start slack goes
+    and no name-keyed map is built after step 0.  The hook hands the list
+    scheduler the re-budget's index arrays (priority, grades, span masks
+    and late-edge positions).  The pass-start slack goes
     through the process-wide
     :func:`~repro.core.analysis_cache.default_cache`, and the span and
     budget templates come from it once per run; the pass-start delays are
@@ -410,8 +383,10 @@ class SlackScheduler:
     def _pass_tables(self) -> tuple:
         """What every :class:`_PassState` of one :meth:`run` reads and none
         changes: the span and budget templates, the timed edges as
-        ``(src, dst)`` span-template indices (``dst`` None for a sink edge)
-        and the design's compact timed graph."""
+        ``(src, dst)`` op indices (``dst`` None for a sink edge) and the
+        design's compact timed graph.  The two templates number the
+        operations alike: the span template's operation ``i`` is the op
+        table's, which ``check_nodes`` ties to node ``i`` of the graph."""
         # The artifacts' design: the structure the timed graph and the
         # latency analysis were built from, shared by every point of it.
         span_template = self._cache.span_template(self._artifacts.design,
@@ -435,8 +410,9 @@ class SlackScheduler:
         """One schedule pass with per-edge re-budgeting.
 
         Writes the grades the pass uses into ``variants``: the locked
-        grades first, then each re-budget's and each on-the-fly upgrade,
-        so the relaxation that follows repairs the real configuration.
+        grades first, then, when the list scheduler returns, each
+        re-budget's and each on-the-fly upgrade (its write-back rule), so
+        the relaxation that follows repairs the real configuration.
         """
         variants.update(self._locked)
         table = self._tables[1]
@@ -447,21 +423,16 @@ class SlackScheduler:
                                                    aligned=True)
         priority = combined_priority(pass_timing, self._spans)
         edge_order = self._latency.forward_edge_names
-        edge_position = {name: index for index, name in enumerate(edge_order)}
         state = _PassState(self, variants, self._rebudgets)
 
-        def post_edge_hook(edge_name: str, schedule: Schedule, pending):
-            if not pending:
-                return None
-            index = edge_position[edge_name]
-            if index + 1 >= len(edge_order):
+        def post_edge_hook(edge_name: str, schedule: Schedule, step: int):
+            if step + 1 >= len(edge_order):
                 return None
             try:
                 with _obs_span("sched.rebudget", edge=edge_name) as span:
                     try:
                         update = state.rebudget(edge_name, schedule,
-                                                edge_order[index + 1],
-                                                pending)
+                                                edge_order[step + 1])
                     finally:
                         span.set(replayed=state.replayed)
             except TimingError:

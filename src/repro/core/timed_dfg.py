@@ -16,7 +16,7 @@ are the non-constant operations followed by their sinks, and the edges the
 forward data edges between two of them followed by one sink edge per
 operation, always in the same order.  The spans feed only the weights
 (step 4), and :func:`bound_weights` is the one place that rule lives, fed
-the early and late edges of each edge's endpoints.  So a pinned prefix's
+the positions of the early and late edges of each edge's endpoints.  So a pinned prefix's
 timed graph is the design's own compact graph with a new weight vector
 (:meth:`repro.core.graphkit.CompactTimedGraph.reweighted`): the
 slack-guided scheduler's per-edge re-budget writes the weights into its
@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.errors import TimingError
 from repro.ir.design import Design
 from repro.ir.operations import OpKind
-from repro.core.latency import LatencyAnalysis
+from repro.core.latency import EdgeBitsets, LatencyAnalysis
 from repro.core.opspan import OperationSpans
 
 
@@ -215,9 +215,9 @@ class TimedDFG:
 
 def bound_weights(
     pairs: Iterable[Tuple[object, Optional[object]]],
-    early: Union[Sequence[str], Mapping[str, str]],
-    late: Union[Sequence[str], Mapping[str, str]],
-    latency: LatencyAnalysis,
+    early: Union[Sequence[int], Mapping[str, int]],
+    late: Union[Sequence[int], Mapping[str, int]],
+    bits: EdgeBitsets,
     names: Optional[Sequence[str]] = None,
 ) -> List[int]:
     """The weight of every timed-DFG edge, from its endpoints' span bounds.
@@ -225,25 +225,21 @@ def bound_weights(
     Step 4 of Definition 2, the one place its rule lives: a data edge
     ``(src, dst)`` weighs ``latency(early[src], early[dst])``, and
     ``(src, None)``, the sink edge ``src -> s(src)``, weighs
-    ``latency(early[src], late[src])``.  ``early`` and ``late`` are indexed
-    by the keys ``pairs`` uses (operation names, or op indices with
-    ``names`` mapping them back for the error text).  Each weight is the
-    entry of :attr:`repro.core.latency.EdgeBitsets.rows` at the two CFG
-    edges' positions (a back edge has none and asks
-    :meth:`LatencyAnalysis.latency`).  Raises :class:`TimingError` at the
+    ``latency(early[src], late[src])``.  ``early`` and ``late`` hold edge
+    positions (:attr:`repro.core.latency.EdgeBitsets.position`), indexed by
+    the keys ``pairs`` uses (operation names, or op indices with ``names``
+    mapping them back for the error text), so each weight is the entry of
+    ``bits.rows`` at the two positions.  Raises :class:`TimingError` at the
     first edge whose latency is undefined.
     """
-    position = latency._edge_pos
-    rows = latency.edge_bitsets().rows
+    rows = bits.rows
     weights: List[int] = []
     for src, dst in pairs:
         src_early = early[src]
         other = late[src] if dst is None else early[dst]
-        try:
-            weight = rows[position[src_early]][position[other]]
-        except KeyError:
-            weight = latency.latency(src_early, other)
+        weight = rows[src_early][other]
         if weight is None:
+            labels = bits.labels
             label = names[src] if names is not None else src
             if dst is None:
                 raise TimingError(
@@ -253,8 +249,8 @@ def bound_weights(
             dst_label = names[dst] if names is not None else dst
             raise TimingError(
                 f"data edge {label!r} -> {dst_label!r} connects operations "
-                f"whose early edges ({src_early!r}, {other!r}) are not "
-                f"forward related"
+                f"whose early edges ({labels[src_early]!r}, "
+                f"{labels[other]!r}) are not forward related"
             )
         weights.append(weight)
     return weights
@@ -267,13 +263,15 @@ def timed_edge_weights(
 ) -> List[int]:
     """The weight of every ``(src, dst)`` timed-DFG edge under ``spans``.
 
-    :func:`bound_weights` on the spans' early and late edges, for
-    :func:`build_timed_dfg` and
+    :func:`bound_weights` on the positions of the spans' early and late
+    edges, for :func:`build_timed_dfg` and
     :meth:`repro.core.analysis_cache.AnalysisCache.pinned_spans_and_timed`.
     """
+    bits = latency.edge_bitsets()
+    position = bits.position
     span = spans.span
-    early: Dict[str, str] = {}
-    late: Dict[str, str] = {}
+    early: Dict[str, int] = {}
+    late: Dict[str, int] = {}
     pairs = []
     for src, dst in edges:
         if dst.startswith(SINK_PREFIX):
@@ -281,10 +279,10 @@ def timed_edge_weights(
         for name in (src, dst):
             if name is not None and name not in early:
                 info = span(name)
-                early[name] = info.early
-                late[name] = info.late
+                early[name] = position[info.early]
+                late[name] = position[info.late]
         pairs.append((src, dst))
-    return bound_weights(pairs, early, late, latency)
+    return bound_weights(pairs, early, late, bits)
 
 
 def build_timed_dfg(

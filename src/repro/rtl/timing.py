@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.ir.operations import OpKind
+from repro.core.analysis_cache import default_cache
 from repro.rtl.datapath import Datapath
 
 _EPS = 1e-6
@@ -163,14 +164,23 @@ def usable_clock_period(datapath: Datapath) -> float:
 class StateTimingKernel:
     """Interned per-state timing evaluator for one datapath.
 
-    Built once per datapath: every state's scheduled operations are mapped
-    to dense positions, same-state predecessor/successor relations become
-    small integer lists, and each operation's delay source is resolved to
-    either a static float (constants, I/O, unbound fallbacks — all fixed for
-    the datapath's lifetime) or its bound instance (the variant delay is
-    read live, because area recovery retunes variants; the input mux delay
-    comes from the datapath's interconnect estimate, which reads the binding
-    and the registers but no grade, so area recovery leaves it unchanged).
+    Built once per datapath from the design's op table
+    (:meth:`repro.core.analysis_cache.AnalysisCache.budget_template`),
+    which resolves every operation once per (design, library): the kernel
+    groups the scheduled operations by edge in the table's topological
+    order of op indices, maps each state's operations to dense positions,
+    turns the table's ``preds`` and ``succs`` into same-state position
+    lists, and resolves each operation's delay source to either a static
+    float (the table's ``static_delays`` for the non-synthesizable
+    operations, or an unbound fallback — fixed for the datapath's
+    lifetime) or its bound instance (the variant delay is read live,
+    because area recovery retunes variants; the input mux delay comes from
+    the datapath's interconnect estimate, which reads the binding and the
+    registers but no grade, so area recovery leaves it unchanged).  Only
+    non-constant operations are ever scheduled, so the table's operations
+    are all the kernel needs.  The groups, delays and positions are those
+    :func:`scheduled_ops_by_edge` and :func:`recompute_state` derive from
+    the DFG.
 
     The schedule and the binding structure must not change for the lifetime
     of a kernel — the same contract as
@@ -183,46 +193,56 @@ class StateTimingKernel:
     def __init__(self, datapath: Datapath):
         self.datapath = datapath
         self.usable_period = usable_clock_period(datapath)
-        self._groups: Dict[str, List[str]] = scheduled_ops_by_edge(datapath)
-        #: edge -> (ops, static_delays, instances, pred_positions, succ_positions)
-        self._interned: Dict[str, tuple] = {}
-        design = datapath.design
-        dfg = design.dfg
-        library = datapath.library
+        table = default_cache().budget_template(datapath.design,
+                                                datapath.library)
+        names = table.names
         schedule = datapath.schedule
         binding = datapath.binding
-        for edge, edge_ops in self._groups.items():
-            position_of = {name: index for index, name in enumerate(edge_ops)}
+        # The scheduled ops' indices by edge, each list in topological order.
+        groups: Dict[str, List[int]] = {}
+        for index in table.topo_order:
+            item = schedule.get(names[index])
+            if item is not None:
+                groups.setdefault(item.edge, []).append(index)
+        self._groups: Dict[str, List[str]] = {
+            edge: [names[index] for index in indices]
+            for edge, indices in groups.items()}
+        #: edge -> (ops, static_delays, instances, pred_positions, succ_positions)
+        self._interned: Dict[str, tuple] = {}
+        nonsynth = table.nonsynth
+        static_of = table.static_delays
+        preds_of = table.preds
+        succs_of = table.succs
+        for edge, indices in groups.items():
+            position_of = {index: position
+                           for position, index in enumerate(indices)}
             static_delays: List[Optional[float]] = []
             instances: List[Optional[object]] = []
             pred_positions: List[List[int]] = []
             succ_positions: List[List[int]] = []
-            for name in edge_ops:
-                op = dfg.op(name)
-                if op.kind is OpKind.CONST:
-                    static_delays.append(0.0)
-                    instances.append(None)
-                elif not op.is_synthesizable:
-                    static_delays.append(library.operation_delay(op))
+            for index in indices:
+                if nonsynth[index]:
+                    static_delays.append(static_of[index])
                     instances.append(None)
                 else:
+                    name = names[index]
                     try:
                         instance = binding.instance_of(name)
                     except Exception:  # unbound; the fallback delay is fixed
-                        static_delays.append(library.operation_delay(
-                            op, schedule.variant_of(name)))
+                        static_delays.append(table.pinned_delay(
+                            index, schedule.variant_of(name)))
                         instances.append(None)
                     else:
                         static_delays.append(None)
                         instances.append(instance)
                 pred_positions.append(sorted(
-                    position_of[pred] for pred in dfg.predecessors(name)
+                    position_of[pred] for pred in preds_of[index]
                     if pred in position_of))
                 succ_positions.append(sorted(
-                    position_of[succ] for succ in dfg.successors(name)
+                    position_of[succ] for succ in succs_of[index]
                     if succ in position_of))
-            self._interned[edge] = (edge_ops, static_delays, instances,
-                                    pred_positions, succ_positions)
+            self._interned[edge] = (self._groups[edge], static_delays,
+                                    instances, pred_positions, succ_positions)
 
     # -- queries --------------------------------------------------------------------
 

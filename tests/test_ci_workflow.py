@@ -370,6 +370,78 @@ def test_bench_job_checks_each_smoke_workloads_result_digest(workflow):
     assert "sys.exit(1)" in run_text
 
 
+#: The deterministic per-layer counts each listed smoke workload pins
+#: (perfbench's seed 1).  An exact speed-up keeps them; a change that alters
+#: the work on purpose re-pins them here and in ci.yml.
+PINNED_COUNTS = {
+    "table4-rows2-light": {
+        "core.slack_scheduler.relaxation_attempts": 52,
+        "sched.list_scheduler.try_list_schedule.calls": 77,
+        "core.slack_scheduler.rebudgets": 401,
+        "core.budgeting.budget_slack.calls": 414,
+        "core.budgeting.budget_slack.iterations": 685,
+        "rtl.area_recovery.recover_area.downgrades": 109,
+    },
+    "serve-memo": {
+        "core.slack_scheduler.relaxation_attempts": 184,
+        "sched.list_scheduler.try_list_schedule.calls": 405,
+        "core.slack_scheduler.rebudgets": 1070,
+        "core.budgeting.budget_slack.calls": 1270,
+        "core.budgeting.budget_slack.iterations": 38,
+        "rtl.area_recovery.recover_area.downgrades": 3748,
+    },
+}
+
+
+def test_bench_job_pins_the_listed_workloads_per_layer_counts(workflow):
+    """Right after each listed workload's digest check, ``counts <workload>
+    <name>=<value>...`` pins the deterministic per-layer counts of its work."""
+    run_text = _run_text(workflow, "bench-smoke")
+    lines = [line.split() for line in run_text.splitlines()]
+    pinned = {}
+    for before, words in zip(lines, lines[1:]):
+        if len(words) > 2 and words[0] == "counts":
+            assert before[:2] == ["digest", words[1]], words
+            pinned[words[1]] = {name: int(value) for name, value
+                                in (pin.split("=") for pin in words[2:])}
+    assert pinned == PINNED_COUNTS
+
+
+def _counts_script(run_text):
+    """The Python body of the bench-smoke job's ``counts`` function."""
+    body = run_text[run_text.index("counts() {"):]
+    opening = "python3 -c '"
+    return body[body.index(opening) + len(opening):body.index("' \"$@\"")]
+
+
+def test_count_pins_fail_when_a_count_moves(workflow, tmp_path):
+    """The ``counts`` check reads ``layers`` from the workload's result file
+    and exits 1, naming the count, when one differs from its pin."""
+    import json
+    import subprocess
+    import sys
+
+    code = _counts_script(_run_text(workflow, "bench-smoke"))
+    pins = [f"{name}={value}"
+            for name, value in PINNED_COUNTS["serve-memo"].items()]
+    (tmp_path / ".perfbench").mkdir()
+    result = tmp_path / ".perfbench" / "result-serve-memo.json"
+
+    def check(layers):
+        result.write_text(json.dumps({"layers": layers}), encoding="utf-8")
+        return subprocess.run([sys.executable, "-c", code, "serve-memo"]
+                              + pins, cwd=tmp_path, capture_output=True,
+                              text=True)
+
+    layers = {name: float(value)
+              for name, value in PINNED_COUNTS["serve-memo"].items()}
+    assert check(layers).returncode == 0
+    layers["core.slack_scheduler.rebudgets"] += 1
+    moved = check(layers)
+    assert moved.returncode == 1
+    assert "core.slack_scheduler.rebudgets reads 1071.0" in moved.stderr
+
+
 def test_packaging_job_builds_installs_and_imports(workflow):
     run_text = _run_text(workflow, "package")
     assert "python -m build" in run_text

@@ -60,16 +60,20 @@ def test_the_table_equals_resolving_each_operation(design, library):
     assert table.class_counts == dict(counts)
     assert [table.pinned_delay(index, None) for index in range(len(ops))] \
         == [library.operation_delay(op) for op in ops]
-    names = set(table.names)
-    assert table.preds == [tuple(pred for pred in design.dfg.predecessors(op.name)
-                                 if pred in names) for op in ops]
-    assert table.scan_order == tuple(sorted(names))
+    index = table.index
+    assert table.preds == [tuple(index[pred]
+                                 for pred in design.dfg.predecessors(op.name)
+                                 if pred in index) for op in ops]
+    assert [table.names[i] for i in table.scan_order] == sorted(table.names)
+    assert [table.names[i] for i in table.topo_order] == [
+        name for name in design.dfg.topological_order() if name in index]
     # Each edge once per use, as a successor in consumer-name order.
     for succs in table.succs:
-        assert list(succs) == sorted(succs)
-    assert Counter((pred, name) for name, preds in zip(table.names, table.preds)
+        names = [table.names[succ] for succ in succs]
+        assert names == sorted(names)
+    assert Counter((pred, op) for op, preds in enumerate(table.preds)
                    for pred in preds) \
-        == Counter((name, succ) for name, succs in zip(table.names, table.succs)
+        == Counter((op, succ) for op, succs in enumerate(table.succs)
                    for succ in succs)
 
 

@@ -206,21 +206,23 @@ def _check_scheduler_rebuilds(design, library, clock_period):
     requests = {}
     rebudget = slack_scheduler._PassState.rebudget
 
-    def recording(state, edge_name, schedule, next_edge, pending):
-        spans, _ = update = rebudget(state, edge_name, schedule, next_edge,
-                                     pending)
+    def recording(state, edge_name, schedule, next_edge):
+        update = rebudget(state, edge_name, schedule, next_edge)
         pinned = schedule.as_sched_map()
         key = (tuple(sorted(pinned.items())), next_edge)
         # A replayed re-budget leaves the pass graph as the last computed
         # one left it; the first sighting of a request is always computed
         # (a replay needs an equal earlier request).
         if key not in requests:
+            table = state._budget.template
+            pending = [(index, name) for index, name in enumerate(table.names)
+                       if name not in pinned]
             requests[key] = (state._scheduler._artifacts, pinned, next_edge,
-                             pending, spans, _pass_weights(state._graph))
+                             pending, update, _pass_weights(state._graph))
         return update
 
-    # The span templates, and with them the interned SpanInfo objects the
-    # identity check below compares, live in the patched cache.
+    # The span templates live in the patched cache, so each request's
+    # reference spans below start from a fresh template.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis_cache, "_default_cache", AnalysisCache())
         patch.setattr(slack_scheduler._PassState, "rebudget", recording)
@@ -228,14 +230,19 @@ def _check_scheduler_rebuilds(design, library, clock_period):
             SlackScheduler(design, library, clock_period).run()
         except ReproError:
             pass  # an infeasible point still rebuilt spans on its way there
-        for artifacts, pinned, not_before, pending, cached, weights in \
+        for artifacts, pinned, not_before, pending, update, weights in \
                 requests.values():
             latency = artifacts.latency
             spans = _assert_matches_reference(design, latency, pinned,
                                               not_before)
             assert spans is not None
-            assert all(cached.span(name) is spans.span(name)
-                       for name in pending)
+            bits = latency.edge_bitsets()
+            _, _, masks, lates = update
+            for index, name in pending:
+                info = spans.span(name)
+                assert tuple(edge for bit, edge in enumerate(bits.names)
+                             if masks[index] >> bit & 1) == info.edges, name
+                assert bits.labels[lates[index]] == info.late, name
             assert _expected_weights(list(artifacts.timed.edge_pairs()),
                                      spans, latency) == (weights, None)
     return len(requests)

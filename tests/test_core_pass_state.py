@@ -16,9 +16,11 @@ span it leaves no legal edge, which is when a pass's re-budget raises
 (the pass then fails on that operation).  On every edge the spans of the
 pending operations (early, late, edges), the timed-edge weights, every
 operation's slack, the budget's grades, feasibility and iteration counts,
-the priorities and the grades written back must all be equal, float for
-float; where the object path raises :class:`TimingError`, the pass state
-must raise the same error.
+the priorities and the grades the re-budget returns must all be equal,
+float for float; the pending operations' spans are compared as the list
+scheduler reads them, an eligible-edge mask and a late-edge position per
+op index.  Where the object path raises :class:`TimingError`, the pass
+state must raise the same error.
 """
 
 import random
@@ -87,17 +89,23 @@ def _replay(design, library, clock_period, rng):
                                     latency=latency).compact()
         except TimingError as error:
             with pytest.raises(TimingError) as mine:
-                state.rebudget(edge, prefix, next_edge, frozenset(pending))
+                state.rebudget(edge, prefix, next_edge)
             assert str(mine.value) == str(error)
             raised += 1
             continue
         expected = budget_slack(design, library, clock_period, graph=graph,
                                 initial_variants=warm, pinned_variants=pinned)
-        pass_spans, priority = state.rebudget(edge, prefix, next_edge,
-                                              frozenset(pending))
+        priority, grades, masks, lates = state.rebudget(edge, prefix,
+                                                        next_edge)
+        op_index = state._budget.template.index
+        bits = latency.edge_bitsets()
 
         for name in pending:
-            assert pass_spans.span(name) == spans.span(name), (edge, name)
+            info = spans.span(name)
+            assert span_edges(bits, masks[op_index[name]]) == info.edges, \
+                (edge, name)
+            assert bits.labels[lates[op_index[name]]] == info.late, \
+                (edge, name)
         assert state._graph.succ_weight == graph.succ_weight, edge
         assert state._graph.pred_weight == graph.pred_weight, edge
 
@@ -116,10 +124,17 @@ def _replay(design, library, clock_period, rng):
 
         reference = combined_priority(expected.timing, spans)
         for name in pending:
-            assert priority(name) == reference(name), (edge, name)
-            assert variants[name] is expected.variants[name]
+            assert priority(op_index[name]) == reference(name), (edge, name)
+            assert grades[op_index[name]] is expected.variants[name]
+        variants = dict(zip(names, grades))
         compared += 1
     return compared, raised
+
+
+def span_edges(bits, mask):
+    """The forward edges of a span mask, in topological order."""
+    return tuple(name for bit, name in enumerate(bits.names)
+                 if mask >> bit & 1)
 
 
 def test_layered_designs_match_the_object_path(library):

@@ -51,8 +51,8 @@ def _recorded_rebuilds(design, library, clock_period):
     rebuilds = {}
     rebudget = slack_scheduler._PassState.rebudget
 
-    def recording(state, edge_name, schedule, next_edge, pending):
-        update = rebudget(state, edge_name, schedule, next_edge, pending)
+    def recording(state, edge_name, schedule, next_edge):
+        update = rebudget(state, edge_name, schedule, next_edge)
         pinned = schedule.as_sched_map()
         key = (tuple(sorted(pinned.items())), next_edge)
         if key not in rebuilds:

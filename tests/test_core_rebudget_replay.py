@@ -10,9 +10,11 @@ Inside real multi-pass runs, a spy on ``_PassState.rebudget`` checks every
 re-budget, replayed or computed, against the object path:
 ``OperationSpans(pinned=..., not_before=...)``, then ``build_timed_dfg(
 spans=...)``, then ``budget_slack(graph=..., initial_variants=<the grades
-before the call>, pinned_variants=...)``.  The pending operations' spans,
-their priorities, the grades written back and the :class:`TimingError`
-text must all be equal, as in ``tests/test_core_pass_state.py``.
+before the call>, pinned_variants=...)``.  The pending operations' spans
+(eligible edges and late edge, from the update's masks and late-edge
+positions), their priorities, the grades the update returns and the
+:class:`TimingError` text must all be equal, as in
+``tests/test_core_pass_state.py``.
 """
 
 import pytest
@@ -36,13 +38,27 @@ _POINTS = {point.name: point for point in idct_design_points(clock_period=1500.0
 _LIGHT = sorted(set(_POINTS) - {"D2", "D7"}, key=lambda name: int(name[1:]))
 
 
+def span_edges(bits, mask):
+    """The forward edges of a span mask, in topological order."""
+    return tuple(name for bit, name in enumerate(bits.names)
+                 if mask >> bit & 1)
+
+
+def _pending(state, schedule):
+    """The operations ``schedule`` has not placed, in op-table order."""
+    return [name for name in state._budget.template.names
+            if not schedule.is_scheduled(name)]
+
+
 def _expected(state, schedule, next_edge, pending):
     """The object path's re-budget: ``(spans, budget)``, or the text of
-    the :class:`TimingError` it raises."""
+    the :class:`TimingError` it raises.  The warm start is the pending
+    operations' grades before the call, the budget state's."""
     scheduler = state._scheduler
     design = scheduler.design
     latency = scheduler._latency
-    warm = {name: grade for name, grade in state._variants.items()
+    names = state._budget.template.names
+    warm = {name: grade for name, grade in zip(names, state._budget.variants)
             if grade is not None and name in pending}
     pinned = dict(schedule.variant_map())
     for name, grade in scheduler._locked.items():
@@ -70,11 +86,11 @@ class _Checker:
         self.rebudgets = self.replayed = 0
         rebudget = slack_scheduler._PassState.rebudget
 
-        def checking(state, edge_name, schedule, next_edge, pending):
+        def checking(state, edge_name, schedule, next_edge):
+            pending = set(_pending(state, schedule))
             expected = _expected(state, schedule, next_edge, pending)
             try:
-                update = rebudget(state, edge_name, schedule, next_edge,
-                                  pending)
+                update = rebudget(state, edge_name, schedule, next_edge)
             except TimingError as error:
                 self._check(state, edge_name, expected, str(error))
                 raise
@@ -91,13 +107,17 @@ class _Checker:
             assert outcome == expected, where
             return
         spans, budget = expected
-        pass_spans, priority = outcome
+        priority, grades, masks, lates = outcome
         reference = combined_priority(budget.timing, spans)
+        bits = state._scheduler._latency.edge_bitsets()
+        index = state._budget.template.index
         for name in pending:
-            assert pass_spans.span(name) == spans.span(name), (where, name)
-            assert priority(name) == reference(name), (where, name)
-            assert state._variants[name] is budget.variants[name], (where,
-                                                                    name)
+            info = spans.span(name)
+            assert span_edges(bits, masks[index[name]]) == info.edges, \
+                (where, name)
+            assert bits.labels[lates[index[name]]] == info.late, (where, name)
+            assert priority(index[name]) == reference(name), (where, name)
+            assert grades[index[name]] is budget.variants[name], (where, name)
 
 
 def test_light_points_match_the_object_path(library, monkeypatch):
@@ -157,7 +177,8 @@ def _second_pass(library, monkeypatch, change):
     changes nothing; ``"grades"`` locks a pending operation at its fastest
     grade in A and at its slowest in B; ``"pinned"`` locks, in B only, an
     operation that A's loop moved, at the grade it had before the loop.
-    Returns A's and B's pass states and the pending operations."""
+    Returns B's pass state, A's and B's grade lists and the pending
+    operations' indices."""
     design = IDCTPointFactory(rows=1)(_POINTS["D8"])
     scheduler = SlackScheduler(design, library, design.clock_period)
     result = scheduler.run()
@@ -175,24 +196,27 @@ def _second_pass(library, monkeypatch, change):
     _Checker(monkeypatch)
     scheduler._locked = {graded: fastest[graded]} if change == "grades" else {}
     first = _PassState(scheduler, dict(fastest))
-    first.rebudget(first_edge, prefix, next_edge, pending)
+    _, first_grades, _, _ = first.rebudget(first_edge, prefix, next_edge)
+    index = first._budget.template.index
     if change == "grades":
         scheduler._locked = {graded: slowest[graded]}
     elif change == "pinned":
         moved = next(name for name in sorted(pending)
-                     if first._variants[name] is not fastest[name])
+                     if first_grades[index[name]] is not fastest[name])
         scheduler._locked = {moved: fastest[moved]}
     second = _PassState(scheduler, dict(fastest), first.rebudgets)
-    second.rebudget(first_edge, prefix, next_edge, pending)
-    return first, second, pending
+    _, second_grades, _, _ = second.rebudget(first_edge, prefix, next_edge)
+    return (second, first_grades, second_grades,
+            [index[name] for name in pending])
 
 
 @pytest.mark.parametrize("change", [None, "grades", "pinned"])
 def test_a_pass_replays_only_an_equal_input(change, library, monkeypatch):
-    first, second, pending = _second_pass(library, monkeypatch, change)
+    second, first_grades, second_grades, pending = _second_pass(
+        library, monkeypatch, change)
     assert second.replayed is (change is None)
-    differs = any(second._variants[name] is not first._variants[name]
-                  for name in pending)
+    differs = any(second_grades[index] is not first_grades[index]
+                  for index in pending)
     assert differs is (change is not None)
 
 
